@@ -6,20 +6,9 @@
    delivery totals, per-partition wire conservation, handoff balance,
    and double-run determinism on the 1024-CAB world.  Reported but
    machine-independent: tail latency (p50/p99/max), per-sender goodput
-   spread, HUB port contention.
+   spread, HUB port contention.  perf-smoke re-gates the recorded
+   build footprint (bytes per node). *)
 
-   The slab section measures the allocation pools: minor words per
-   message with the engine event slab off vs on (same fleet workload,
-   single domain, identical results asserted) and with the Message
-   record pool off vs on (a stack-level windowed-RMP pair).  The
-   before/after numbers land in BENCH_perf.json; perf-smoke re-gates
-   the recorded bytes-per-node so slab regressions fail CI. *)
-
-open Nectar_sim
-open Nectar_core
-open Nectar_proto
-module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
 module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
@@ -39,8 +28,8 @@ let pattern_of = function
   | "hotspot" -> Workload.Hotspot { alpha = 1.1 }
   | p -> invalid_arg ("fleet: unknown pattern " ^ p)
 
-let cfg ~cabs ~pattern ~msgs ~domains ~event_pool =
-  Driver.config ~domains ~event_pool ~frame_bytes:256 ~topo:(torus_for cabs)
+let cfg ~cabs ~pattern ~msgs ~domains =
+  Driver.config ~domains ~frame_bytes:256 ~topo:(torus_for cabs)
     ~workload:
       (Workload.make ~pattern:(pattern_of pattern)
          ~arrivals:(Workload.Closed { think_ns = 20_000 })
@@ -66,7 +55,7 @@ type point = {
 }
 
 let run_point ~check ~cabs ~pattern ~msgs ~domains ~determinism =
-  let c = cfg ~cabs ~pattern ~msgs ~domains ~event_pool:true in
+  let c = cfg ~cabs ~pattern ~msgs ~domains in
   let t0 = Unix.gettimeofday () in
   let r = Driver.run c in
   let wall = Unix.gettimeofday () -. t0 in
@@ -115,7 +104,7 @@ let run_point ~check ~cabs ~pattern ~msgs ~domains ~determinism =
       float_of_int (Array.fold_left max 0 r.Driver.finals) /. 1e6;
   }
 
-(* ---------- slab measurements ---------- *)
+(* ---------- footprint gate ---------- *)
 
 (* Recorded regression point for perf-smoke: resident bytes per node of
    a built 256-CAB fleet world (BENCH_perf.json "fleet_scale").  Gated at
@@ -124,7 +113,7 @@ let run_point ~check ~cabs ~pattern ~msgs ~domains ~determinism =
 let recorded_bytes_per_node = 1_670
 
 let bytes_per_node_gate ~check ~smoke =
-  let c = cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:1 ~event_pool:false in
+  let c = cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:1 in
   let b = Driver.build_bytes_per_node c in
   check
     (Printf.sprintf "fleet: build footprint %d B/node sane" b)
@@ -137,103 +126,9 @@ let bytes_per_node_gate ~check ~smoke =
       (b <= recorded_bytes_per_node * 3 / 2);
   b
 
-(* Minor words per delivered message of a single-domain fleet run, event
-   slab off vs on.  Single domain means every allocation happens on this
-   domain, so Gc.minor_words brackets the run exactly; the off/on worlds
-   are asserted result-identical first, making the comparison
-   apples-to-apples. *)
-let fleet_minor_words ~check ~msgs =
-  let one event_pool =
-    let c = cfg ~cabs:256 ~pattern:"all-to-all" ~msgs ~domains:1 ~event_pool in
-    let w0 = Gc.minor_words () in
-    let r = Driver.run c in
-    let dw = Gc.minor_words () -. w0 in
-    (r, dw /. float_of_int (max 1 (Driver.delivered r)))
-  in
-  let r_off, w_off = one false in
-  let r_on, w_on = one true in
-  check "fleet slab: pooled run result-identical"
-    (Driver.deterministic_eq r_off r_on);
-  check
-    (Printf.sprintf "fleet slab: event pool recycles (%d hits)"
-       r_on.Driver.pool_hits)
-    (r_on.Driver.pool_hits > 0);
-  check
-    (Printf.sprintf "fleet slab: minor words/msg %.0f -> %.0f" w_off w_on)
-    (w_on < w_off);
-  (w_off, w_on, r_on.Driver.pool_hits)
-
-(* Minor words per message of a stack-level windowed-RMP pair, Message
-   record pool off vs on — the datalink/transport path is where Message
-   records churn. *)
-let rmp_minor_words ~check ~count =
-  let one msg_pool =
-    let eng = Engine.create () in
-    let net = Net.create eng ~hubs:1 () in
-    let make i =
-      let cab =
-        Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "mp%d" i)
-      in
-      Stack.create (Runtime.create ~msg_pool cab) ~rmp_window:8 ()
-    in
-    let a = make 0 and b = make 1 in
-    let port = 700 in
-    let inbox =
-      Runtime.create_mailbox b.Stack.rt ~name:"mp-inbox" ~port
-        ~byte_limit:(256 * 1024) ()
-    in
-    let got = ref 0 in
-    ignore
-      (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
-           for _ = 1 to count do
-             let m = Mailbox.begin_get ctx inbox in
-             Mailbox.end_get ctx m;
-             incr got
-           done));
-    ignore
-      (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
-           let payload = String.make 1024 'p' in
-           let dst_cab = Stack.node_id b in
-           for _ = 1 to count do
-             Rmp.send_string ctx a.Stack.rmp ~dst_cab ~dst_port:port payload
-           done;
-           Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port));
-    let w0 = Gc.minor_words () in
-    Engine.run eng;
-    let dw = Gc.minor_words () -. w0 in
-    let hits =
-      match Runtime.msg_pool a.Stack.rt with
-      | Some p -> Message.Pool.hits p
-      | None -> 0
-    in
-    (!got, dw /. float_of_int (max 1 !got), hits)
-  in
-  let got_off, w_off, _ = one false in
-  let got_on, w_on, hits = one true in
-  check
-    (Printf.sprintf "rmp slab: delivered %d = %d with pool" got_off got_on)
-    (got_off = count && got_on = count);
-  check
-    (Printf.sprintf "rmp slab: message records recycle (%d hits)" hits)
-    (hits > 0);
-  check
-    (Printf.sprintf "rmp slab: minor words/msg %.0f -> %.0f" w_off w_on)
-    (w_on < w_off);
-  (w_off, w_on, hits)
-
 (* ---------- sweep ---------- *)
 
-type slab = {
-  s_bytes_per_node : int;
-  s_fleet_words_off : float;
-  s_fleet_words_on : float;
-  s_fleet_pool_hits : int;
-  s_rmp_words_off : float;
-  s_rmp_words_on : float;
-  s_msgpool_hits : int;
-}
-
-type result = { r_points : point list; r_slab : slab; r_cores : int }
+type result = { r_points : point list; r_bytes_per_node : int; r_cores : int }
 
 let measure ~smoke ~check () =
   (* measured first, on a heap no finished domain has touched *)
@@ -254,24 +149,9 @@ let measure ~smoke ~check () =
             [ "incast"; "all-to-all"; "hotspot" ])
         [ (256, 400); (512, 400); (1024, 400) ]
   in
-  let fw_off, fw_on, fhits =
-    fleet_minor_words ~check ~msgs:(if smoke then 4 else 40)
-  in
-  let rw_off, rw_on, mhits =
-    rmp_minor_words ~check ~count:(if smoke then 60 else 400)
-  in
   {
     r_points = points;
-    r_slab =
-      {
-        s_bytes_per_node = b;
-        s_fleet_words_off = fw_off;
-        s_fleet_words_on = fw_on;
-        s_fleet_pool_hits = fhits;
-        s_rmp_words_off = rw_off;
-        s_rmp_words_on = rw_on;
-        s_msgpool_hits = mhits;
-      };
+    r_bytes_per_node = b;
     r_cores = Domain.recommended_domain_count ();
   }
 
@@ -292,31 +172,17 @@ let print r =
         (float_of_int p.lat_max /. 1e3)
         p.spread p.port_wait_us_per_msg)
     r.r_points;
-  let s = r.r_slab in
-  Printf.printf
-    "  slab allocation (single-domain fleet + RMP pair):\n\
-    \    build footprint        %8d B/node\n\
-    \    event slab   words/msg %8.0f -> %8.0f  (%d recycles)\n\
-    \    message pool words/msg %8.0f -> %8.0f  (%d recycles)\n"
-    s.s_bytes_per_node s.s_fleet_words_off s.s_fleet_words_on
-    s.s_fleet_pool_hits s.s_rmp_words_off s.s_rmp_words_on s.s_msgpool_hits
+  Printf.printf "  build footprint %d B/node\n" r.r_bytes_per_node
 
 let json_fragment r =
   let b = Buffer.create 1024 in
-  let s = r.r_slab in
   Printf.bprintf b
     "  \"fleet_scale\": {\n\
     \    \"note\": \"wall clock is machine-dependent (this run: %d cores); \
-     counts, latencies, fairness and slab words are deterministic and \
-     asserted\",\n\
+     counts, latencies and fairness are deterministic and asserted\",\n\
     \    \"bytes_per_node\": %d,\n\
-    \    \"event_slab_words_per_msg\": { \"off\": %.0f, \"on\": %.0f, \
-     \"recycles\": %d },\n\
-    \    \"msg_pool_words_per_msg\": { \"off\": %.0f, \"on\": %.0f, \
-     \"recycles\": %d },\n\
     \    \"points\": [\n"
-    r.r_cores s.s_bytes_per_node s.s_fleet_words_off s.s_fleet_words_on
-    s.s_fleet_pool_hits s.s_rmp_words_off s.s_rmp_words_on s.s_msgpool_hits;
+    r.r_cores r.r_bytes_per_node;
   List.iteri
     (fun i p ->
       Printf.bprintf b
@@ -336,7 +202,7 @@ let json_fragment r =
 let run ~smoke () =
   Bench_world.section
     (if smoke then
-       "Fleet scale (smoke: 256 CABs, conservation + determinism + slab gates)"
+       "Fleet scale (smoke: 256 CABs, conservation + determinism + footprint)"
      else "Fleet scale: 256/512/1024 CABs x incast/all-to-all/hotspot");
   let failures = ref 0 in
   let check what ok =

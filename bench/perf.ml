@@ -498,7 +498,7 @@ let run ?(smoke = false) () =
      wall-clock speedup is recorded, and asserted only on >= 4 cores. *)
   let scaling = Scaling.measure ~smoke ~check () in
   Scaling.print scaling;
-  (* Fleet scale: 256-1024-CAB worlds, slab allocators, footprint gate
+  (* Fleet scale: 256-1024-CAB worlds and the footprint gate
      (the smoke form is the @fleet CI alias's workload). *)
   let fleet_scale = Fleet_bench.measure ~smoke ~check () in
   Fleet_bench.print fleet_scale;

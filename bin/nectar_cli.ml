@@ -17,7 +17,7 @@ module Costs = Nectar_cab.Costs
 (* ---------- world builders ---------- *)
 
 (* A chain of [hubs] HUBs with one CAB on the first and one on the last. *)
-let chain_world ~hubs ?(msg_pool = false) ?stack_opts () =
+let chain_world ~hubs ?stack_opts () =
   let eng = Engine.create () in
   let net = Net.create eng ~hubs () in
   for h = 0 to hubs - 2 do
@@ -25,7 +25,7 @@ let chain_world ~hubs ?(msg_pool = false) ?stack_opts () =
   done;
   let make hub port name =
     let cab = Cab.create net ~hub ~port ~name in
-    let rt = Runtime.create ~msg_pool cab in
+    let rt = Runtime.create cab in
     match stack_opts with
     | Some f -> f rt
     | None -> Stack.create rt ()
@@ -422,9 +422,7 @@ let run_chaos seed only verbose =
    under an installed tracer: every layer's spans land in the ring, and we
    emit them as Chrome trace-event JSON plus a per-stage rollup. *)
 let run_trace_scenario ~iterations ~payload =
-  (* message records pooled so the allocation-churn counters (msgpool
-     hits/misses, slab free depth) show up in the metrics dump *)
-  let eng, net, a, b = chain_world ~hubs:1 ~msg_pool:true () in
+  let eng, net, a, b = chain_world ~hubs:1 () in
   let port = 900 in
   let tracer = Trace.create eng in
   Trace.install tracer;

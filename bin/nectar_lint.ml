@@ -14,7 +14,7 @@
      not flagged;
    - no stdout printing in lib/ (Printf.printf, Format.printf,
      print_string/endline/newline) except in modules whose name contains
-     "debug" or "dump" — libraries report through Metrics/Probe/return
+     "debug" or "dump" — libraries report through Metrics/Trace/return
      values, not the terminal;
    - no ignored Message.t values (an ignored message is a leaked buffer);
    - no bare failwith in lib/core or lib/proto (raise a typed exception
@@ -230,7 +230,7 @@ let check_source path =
             if contains line pat then
               flag path ln
                 (pat
-               ^ " in a library: report through Metrics/Probe, or move the \
+               ^ " in a library: report through Metrics/Trace, or move the \
                   printer to a *debug*/*dump* module"))
           pat_stdout_printers;
       if contains line pat_ignore && contains line pat_msg_t then

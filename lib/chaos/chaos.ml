@@ -49,7 +49,7 @@ type world = {
 
 (* A chain of [hubs] HUBs with [cabs] CABs attached round-robin (ports 14/15
    carry the inter-hub links, so node attachments start at port 2). *)
-let build_world ?(hubs = 1) ?(cabs = 2) ?(msg_pool = false) ?stack_opts () =
+let build_world ?(hubs = 1) ?(cabs = 2) ?stack_opts () =
   let eng = Engine.create () in
   let net = Net.create eng ~hubs () in
   for h = 0 to hubs - 2 do
@@ -62,7 +62,7 @@ let build_world ?(hubs = 1) ?(cabs = 2) ?(msg_pool = false) ?stack_opts () =
             ~port:(2 + (i / hubs))
             ~name:(Printf.sprintf "cab-%d" i)
         in
-        let rt = Runtime.create ~msg_pool cab in
+        let rt = Runtime.create cab in
         match stack_opts with Some f -> f rt | None -> Stack.create rt ())
   in
   { eng; net; stacks; drivers = [] }

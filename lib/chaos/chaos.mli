@@ -54,14 +54,11 @@ type world = {
 val build_world :
   ?hubs:int ->
   ?cabs:int ->
-  ?msg_pool:bool ->
   ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
   unit ->
   world
 (** A chain of [hubs] HUBs (default 1) with [cabs] full protocol stacks
-    (default 2) attached round-robin.  [msg_pool] (default false) gives
-    each runtime a {!Nectar_core.Message.Pool} so retired message records
-    recycle — the overflow campaigns assert drops retire to it. *)
+    (default 2) attached round-robin. *)
 
 val build_ring :
   hubs:int ->

@@ -20,7 +20,6 @@ type t = {
   data_q : Waitq.t;
   mutable upcall : (Ctx.t -> t -> unit) option;
   mutable on_space_freed : (unit -> unit) option;
-  pool : Message.pool option; (* runtime's record pool, shared by its mailboxes *)
   cache : cached_buffer option;
   put_count : Stats.Counter.t;
   get_count : Stats.Counter.t;
@@ -28,7 +27,7 @@ type t = {
 }
 
 let create eng ~heap ~mem ~name ?(byte_limit = 64 * 1024) ?capacity
-    ?(overflow = `Block) ?(cached_buffer_bytes = 128) ?upcall ?pool () =
+    ?(overflow = `Block) ?(cached_buffer_bytes = 128) ?upcall () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Mailbox.create: capacity must be > 0"
   | _ -> ());
@@ -59,7 +58,6 @@ let create eng ~heap ~mem ~name ?(byte_limit = 64 * 1024) ?capacity
     data_q = Waitq.create eng ~name:(name ^ ".data") ();
     upcall;
     on_space_freed = None;
-    pool;
     cache;
     put_count = Stats.Counter.create ();
     get_count = Stats.Counter.create ();
@@ -128,8 +126,7 @@ let try_begin_put (ctx : Ctx.t) t ?(headroom = 0) n =
     | Some (buf_off, buf_len, free_buffer, cached) ->
         t.in_use <- t.in_use + buf_len;
         let msg =
-          Message.make ?pool:t.pool ~mem:t.mem ~buf_off ~buf_len ~len:total
-            ~free_buffer ()
+          Message.make ~mem:t.mem ~buf_off ~buf_len ~len:total ~free_buffer ()
         in
         (* the reserved headroom sits in front of the data view; protocol
            layers reclaim it with [Message.push_head] to prepend headers

@@ -34,7 +34,6 @@ val create :
   ?overflow:overflow ->
   ?cached_buffer_bytes:int ->
   ?upcall:(Ctx.t -> t -> unit) ->
-  ?pool:Message.pool ->
   unit ->
   t
 (** [byte_limit] (default 64 KB) bounds this mailbox's share of the common
@@ -44,9 +43,7 @@ val create :
     non-blocking), like the byte limit.  [cached_buffer_bytes] (default
     128; 0 disables) reserves the small-message cache buffer.  [upcall],
     if given, runs in the context of every [end_put]/[enqueue] caller once
-    the message is queued.  [pool], if given, is the {!Message.Pool} this
-    mailbox draws message records from (typically the owning runtime's,
-    shared across its mailboxes). *)
+    the message is queued. *)
 
 val name : t -> string
 

@@ -1,31 +1,20 @@
 type state = Writing | Queued | Reading | Freed
 
-(* Every field is mutable so a retired record (refcount at zero, buffer
-   returned) can be recycled through an owning {!Pool} instead of
-   re-allocated: reuse reinitialises the whole record, including a fresh
-   [uid], so the vet checkers observe each incarnation as a distinct
-   message.  [mpool] is the record's home pool ([None] = never pooled). *)
+(* [off]/[len] move as layers strip and push headers, [state] and the
+   owner callbacks move with ownership, and [refs] counts buffer views;
+   the rest is fixed for the message's lifetime. *)
 type t = {
-  mutable uid : int;
-  mutable mem : Bytes.t;
-  mutable buf_off : int;
-  mutable buf_len : int;
+  uid : int;
+  mem : Bytes.t;
+  buf_off : int;
+  buf_len : int;
   mutable off : int;
   mutable len : int;
   mutable state : state;
   mutable refs : int;
-  mutable free_buffer : unit -> unit;
+  free_buffer : unit -> unit;
   mutable on_end_get : Ctx.t -> t -> unit;
   mutable on_disown : t -> unit;
-  mutable mpool : pool option;
-}
-
-and pool = {
-  mutable pfree : t list;
-  mutable plen : int;
-  pcap : int;
-  mutable phits : int;
-  mutable pmisses : int;
 }
 
 (* Atomic: messages are created inside every partition's domain under
@@ -35,60 +24,22 @@ let uid_counter = Atomic.make 0
 
 let noop_end_get : Ctx.t -> t -> unit = fun _ _ -> ()
 let noop_disown : t -> unit = fun _ -> ()
-let noop () = ()
 
-let make ?pool ~mem ~buf_off ~buf_len ~len ~free_buffer () =
+let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
   if len < 0 || len > buf_len then invalid_arg "Message.make";
-  let uid = 1 + Atomic.fetch_and_add uid_counter 1 in
-  match pool with
-  | Some ({ pfree = m :: rest; _ } as p) ->
-      p.pfree <- rest;
-      p.plen <- p.plen - 1;
-      p.phits <- p.phits + 1;
-      m.uid <- uid;
-      m.mem <- mem;
-      m.buf_off <- buf_off;
-      m.buf_len <- buf_len;
-      m.off <- buf_off;
-      m.len <- len;
-      m.state <- Writing;
-      m.refs <- 1;
-      m.free_buffer <- free_buffer;
-      m.on_end_get <- noop_end_get;
-      m.on_disown <- noop_disown;
-      m
-  | _ ->
-      (match pool with
-      | Some p -> p.pmisses <- p.pmisses + 1
-      | None -> ());
-      {
-        uid;
-        mem;
-        buf_off;
-        buf_len;
-        off = buf_off;
-        len;
-        state = Writing;
-        refs = 1;
-        free_buffer;
-        on_end_get = noop_end_get;
-        on_disown = noop_disown;
-        mpool = pool;
-      }
-
-module Pool = struct
-  type nonrec t = pool
-
-  let default_max_free = 4096
-
-  let create ?(max_free = default_max_free) () =
-    if max_free < 0 then invalid_arg "Message.Pool.create: negative max_free";
-    { pfree = []; plen = 0; pcap = max_free; phits = 0; pmisses = 0 }
-
-  let hits p = p.phits
-  let misses p = p.pmisses
-  let free_len p = p.plen
-end
+  {
+    uid = 1 + Atomic.fetch_and_add uid_counter 1;
+    mem;
+    buf_off;
+    buf_len;
+    off = buf_off;
+    len;
+    state = Writing;
+    refs = 1;
+    free_buffer;
+    on_end_get = noop_end_get;
+    on_disown = noop_disown;
+  }
 
 (* Reference counting covers the *buffer*, not the two-phase mailbox state:
    the owner's reference (held from [make]) is dropped by the mailbox free
@@ -115,22 +66,7 @@ let release t =
   else begin
     t.refs <- t.refs - 1;
     Vet_hook.msg_release ~uid:t.uid ~refs:t.refs ~live:true;
-    if t.refs = 0 then begin
-      t.free_buffer ();
-      (* Buffer returned and no reference can reach this record any more:
-         retire it to its home pool.  Clearing the closures drops the
-         buffer-free thunk and owner callbacks immediately; [Freed] makes
-         any buggy stale access fail the state checks until reuse. *)
-      match t.mpool with
-      | Some p when p.plen < p.pcap ->
-          t.state <- Freed;
-          t.free_buffer <- noop;
-          t.on_end_get <- noop_end_get;
-          t.on_disown <- noop_disown;
-          p.pfree <- t :: p.pfree;
-          p.plen <- p.plen + 1
-      | _ -> ()
-    end
+    if t.refs = 0 then t.free_buffer ()
   end
 
 let refs t = t.refs

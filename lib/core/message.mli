@@ -13,26 +13,18 @@
 
 type state = Writing | Queued | Reading | Freed
 
-type pool
-(** A typed free list of retired message records (see {!Pool}).  Fields
-    are mutable (rather than the natural immutables) precisely so records
-    can be recycled; a record reused from a pool is reinitialised in full,
-    with a fresh [uid], so each incarnation is indistinguishable from a
-    fresh allocation — including to the vet checkers. *)
-
 type t = {
-  mutable uid : int;
-      (** unique per message incarnation, for the vet checkers *)
-  mutable mem : Bytes.t;  (** the CAB data-memory region backing this message *)
-  mutable buf_off : int;  (** underlying buffer start *)
-  mutable buf_len : int;  (** underlying buffer length *)
+  uid : int;  (** unique per message, for the vet checkers *)
+  mem : Bytes.t;  (** the CAB data-memory region backing this message *)
+  buf_off : int;  (** underlying buffer start *)
+  buf_len : int;  (** underlying buffer length *)
   mutable off : int;  (** current data start *)
   mutable len : int;  (** current data length *)
   mutable state : state;
   mutable refs : int;
       (** references to the underlying buffer: the owner's (from [make])
           plus one per live slice / in-flight transmit extent *)
-  mutable free_buffer : unit -> unit;
+  free_buffer : unit -> unit;
       (** return the buffer to where it was allocated from; fixed for the
           message's lifetime even as ownership moves between mailboxes.
           Called by {!release} when the last reference drops — never
@@ -41,12 +33,9 @@ type t = {
       (** current owner's release routine *)
   mutable on_disown : t -> unit;
       (** drop the message from the current owner's byte accounting *)
-  mutable mpool : pool option;
-      (** home pool this record retires to at refcount zero *)
 }
 
 val make :
-  ?pool:pool ->
   mem:Bytes.t ->
   buf_off:int ->
   buf_len:int ->
@@ -54,38 +43,7 @@ val make :
   free_buffer:(unit -> unit) ->
   unit ->
   t
-(** Ownership callbacks start as no-ops; the owning mailbox installs them.
-    With [?pool], the record is drawn from the pool's free list when
-    possible and retires back to it when its last reference drops. *)
-
-(** {1 Record pooling}
-
-    On fleet-scale workloads the per-message record allocation (13 words
-    per message, every message) dominates minor-heap churn next to the
-    engine's event records.  A [Pool] is a typed free list owned by a
-    runtime: {!make}[ ?pool] reuses a retired record when one is free, and
-    {!release} retires the record once the buffer reference count reaches
-    zero — at which point no live slice, transmit extent or mailbox can
-    still reach it, so reuse cannot alias an in-flight view.  Pooling is
-    opt-in per runtime and changes no observable behaviour (the seed pin
-    tests assert identical runs with it on and off). *)
-
-module Pool : sig
-  type nonrec t = pool
-
-  val create : ?max_free:int -> unit -> t
-  (** [max_free] caps the free list (default 4096 records); retirements
-      beyond the cap fall to the GC as before. *)
-
-  val hits : t -> int
-  (** Allocations served from the free list. *)
-
-  val misses : t -> int
-  (** Allocations that found the free list empty. *)
-
-  val free_len : t -> int
-  (** Current free-list length. *)
-end
+(** Ownership callbacks start as no-ops; the owning mailbox installs them. *)
 
 val length : t -> int
 

@@ -11,12 +11,9 @@ type t = {
   mutable signals_lost_count : int;
   host_notify_count : Stats.Counter.t;
   cab_signal_count : Stats.Counter.t;
-  msg_pool : Message.pool option;
-      (* one record pool per runtime, shared by all its mailboxes; None
-         (the default) keeps allocation behaviour identical to the seed *)
 }
 
-let create ?(msg_pool = false) cab =
+let create cab =
   let rheap =
     Buffer_heap.create ~base:0 ~size:(Memory.data_bytes (Cab.memory cab))
   in
@@ -36,7 +33,6 @@ let create ?(msg_pool = false) cab =
     signals_lost_count = 0;
     host_notify_count = Stats.Counter.create ();
     cab_signal_count = Stats.Counter.create ();
-    msg_pool = (if msg_pool then Some (Message.Pool.create ()) else None);
   }
 
 let cab t = t.rcab
@@ -52,7 +48,7 @@ let create_mailbox t ~name ?port ?byte_limit ?capacity ?overflow
     ?cached_buffer_bytes ?upcall () =
   let mbox =
     Mailbox.create (engine t) ~heap:t.rheap ~mem:(mem t) ~name ?byte_limit
-      ?capacity ?overflow ?cached_buffer_bytes ?upcall ?pool:t.msg_pool ()
+      ?capacity ?overflow ?cached_buffer_bytes ?upcall ()
   in
   (match port with
   | Some p ->
@@ -70,6 +66,17 @@ let register_opcode t ~opcode fn =
   if Hashtbl.mem t.opcodes opcode then
     invalid_arg "Runtime.register_opcode: opcode already registered";
   Hashtbl.replace t.opcodes opcode fn
+
+(* Opcodes handed out per runtime, lowest free first, so fixed opcodes
+   registered on the same runtime (the host driver's RPC opcode) are
+   stepped over and separate runtimes share no allocator state. *)
+let first_dynamic_opcode = 100
+
+let register_free_opcode t fn =
+  let rec free op = if Hashtbl.mem t.opcodes op then free (op + 1) else op in
+  let opcode = free first_dynamic_opcode in
+  register_opcode t ~opcode fn;
+  opcode
 
 (* Both signal queues share one loss hook: the paper's host-CAB signal
    queues live in shared memory and an overrun loses elements in either
@@ -107,4 +114,3 @@ let signals_lost t = t.signals_lost_count
 
 let host_notifications t = Stats.Counter.value t.host_notify_count
 let cab_signals t = Stats.Counter.value t.cab_signal_count
-let msg_pool t = t.msg_pool

@@ -7,11 +7,7 @@
 
 type t
 
-val create : ?msg_pool:bool -> Nectar_cab.Cab.t -> t
-(** [msg_pool] (default false) gives the runtime a {!Message.Pool} shared
-    by all its mailboxes, recycling message records through a typed free
-    list — the fleet worlds enable it; the seed micro-benches run both
-    ways and pin identical results. *)
+val create : Nectar_cab.Cab.t -> t
 
 val cab : t -> Nectar_cab.Cab.t
 val engine : t -> Nectar_sim.Engine.t
@@ -38,10 +34,6 @@ val create_mailbox :
 
 val mailbox_at : t -> port:int -> Mailbox.t option
 
-val msg_pool : t -> Message.pool option
-(** The runtime's message-record pool when created with [~msg_pool:true];
-    its churn counters surface in [Stack.register_metrics]. *)
-
 (** {1 CAB signal queue (paper §3.2)}
 
     Host processes (and tests) wake CAB threads or request services by
@@ -49,6 +41,11 @@ val msg_pool : t -> Message.pool option
     registered opcode handler runs at interrupt level. *)
 
 val register_opcode : t -> opcode:int -> (Ctx.t -> param:int -> unit) -> unit
+(** @raise Invalid_argument if [opcode] is already registered. *)
+
+val register_free_opcode : t -> (Ctx.t -> param:int -> unit) -> int
+(** Register the handler on this runtime's lowest free opcode >= 100 and
+    return that opcode. *)
 
 val post_to_cab : t -> opcode:int -> param:int -> unit
 

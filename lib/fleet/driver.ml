@@ -8,12 +8,11 @@ type config = {
   domains : int;
   lookahead_ns : int;
   frame_bytes : int;
-  event_pool : bool;
   fifo_capacity : int;
 }
 
 let config ?(domains = 1) ?(lookahead_ns = 20_000) ?(frame_bytes = 256)
-    ?(event_pool = false) ?(fifo_capacity = 64 * 1024) ~topo ~workload () =
+    ?(fifo_capacity = 64 * 1024) ~topo ~workload () =
   if domains < 1 then invalid_arg "Driver: need >= 1 domain";
   if frame_bytes < 16 then
     invalid_arg "Driver: frames must fit the 8-byte send stamp";
@@ -28,8 +27,7 @@ let config ?(domains = 1) ?(lookahead_ns = 20_000) ?(frame_bytes = 256)
         invalid_arg
           "Driver: only the torus has contiguous cuts; run fat-tree and \
            irregular fleets single-domain");
-  { topo; workload; domains; lookahead_ns; frame_bytes; event_pool;
-    fifo_capacity }
+  { topo; workload; domains; lookahead_ns; frame_bytes; fifo_capacity }
 
 (* ---------- partitioned worlds ---------- *)
 
@@ -77,7 +75,6 @@ let build_partition cfg topo ~self ~send =
   let owner g = g / hpd in
   let local g = g - (self * hpd) in
   let eng = Engine.create () in
-  if cfg.event_pool then Engine.set_event_pool eng ~max_free:8192;
   let net = Net.create eng ~hubs:hpd () in
   List.iter
     (fun ((ha, pa), (hb, pb)) ->
@@ -195,9 +192,6 @@ type result = {
   lat_max : int;
   port_waits : int;
   port_wait_ns : int;
-  pool_hits : int;
-  pool_misses : int;
-  pool_free : int;
   footprint : Footprint.snapshot;
 }
 
@@ -292,10 +286,6 @@ let run cfg =
     lat_max = (if Array.length lat = 0 then 0 else lat.(Array.length lat - 1));
     port_waits = sum (Array.map (fun p -> Net.port_waits p.p_net) parts);
     port_wait_ns = sum (Array.map (fun p -> Net.port_wait_ns p.p_net) parts);
-    pool_hits = sum (Array.map (fun p -> Engine.event_pool_hits p.p_eng) parts);
-    pool_misses =
-      sum (Array.map (fun p -> Engine.event_pool_misses p.p_eng) parts);
-    pool_free = sum (Array.map (fun p -> Engine.event_pool_free p.p_eng) parts);
     footprint = Footprint.capture fp;
   }
 

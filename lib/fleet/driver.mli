@@ -21,7 +21,6 @@ type config = {
   domains : int;
   lookahead_ns : int;  (** boundary-trunk latency = scheduler lookahead *)
   frame_bytes : int;  (** >= 16, for the 8-byte send stamp *)
-  event_pool : bool;  (** enable the engine event slab per partition *)
   fifo_capacity : int;
 }
 
@@ -29,13 +28,12 @@ val config :
   ?domains:int ->
   ?lookahead_ns:int ->
   ?frame_bytes:int ->
-  ?event_pool:bool ->
   ?fifo_capacity:int ->
   topo:Topology.spec ->
   workload:Workload.t ->
   unit ->
   config
-(** Defaults: 1 domain, 20us lookahead, 256-byte frames, pools off.
+(** Defaults: 1 domain, 20us lookahead, 256-byte frames.
     @raise Invalid_argument if [domains > 1] on a non-torus shape or
     torus rows don't divide into row blocks. *)
 
@@ -64,9 +62,6 @@ type result = {
   lat_max : int;
   port_waits : int;  (** HUB circuit setups that queued on a busy port *)
   port_wait_ns : int;
-  pool_hits : int;  (** event slab counters, summed over partitions *)
-  pool_misses : int;
-  pool_free : int;
   footprint : Footprint.snapshot;  (** post-run capture over the engines *)
 }
 

@@ -20,7 +20,6 @@ let nodes t = t.nodes
 type snapshot = {
   pending_events : int;
   queued_events : int;
-  pool_free_events : int;
   mailbox_msgs : int;
   mailbox_bytes : int;
   heap_blocks : int;
@@ -34,7 +33,6 @@ let capture t =
   {
     pending_events = sum Engine.pending_events t.engines;
     queued_events = sum Engine.queued_events t.engines;
-    pool_free_events = sum Engine.event_pool_free t.engines;
     mailbox_msgs = sum Mailbox.queued_messages t.mailboxes;
     mailbox_bytes = sum Mailbox.bytes_in_use t.mailboxes;
     heap_blocks = sum Buffer_heap.live_blocks t.heaps;
@@ -48,7 +46,6 @@ let register_metrics t m ~prefix =
   in
   gauge "pending_events" (fun () -> sum Engine.pending_events t.engines);
   gauge "queued_events" (fun () -> sum Engine.queued_events t.engines);
-  gauge "pool_free_events" (fun () -> sum Engine.event_pool_free t.engines);
   gauge "mailbox_msgs" (fun () -> sum Mailbox.queued_messages t.mailboxes);
   gauge "mailbox_bytes" (fun () -> sum Mailbox.bytes_in_use t.mailboxes);
   gauge "heap_blocks" (fun () -> sum Buffer_heap.live_blocks t.heaps);
@@ -58,9 +55,8 @@ let register_metrics t m ~prefix =
 let to_string ?nodes s =
   let base =
     Printf.sprintf
-      "events=%d/%d (pool free %d) mbox=%d msgs/%d B heap=%d blks/%d B (%d \
-       free)"
-      s.pending_events s.queued_events s.pool_free_events s.mailbox_msgs
+      "events=%d/%d mbox=%d msgs/%d B heap=%d blks/%d B (%d free)"
+      s.pending_events s.queued_events s.mailbox_msgs
       s.mailbox_bytes s.heap_blocks s.heap_bytes s.heap_free_bytes
   in
   match nodes with

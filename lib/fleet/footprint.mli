@@ -2,14 +2,14 @@
 
     A [Footprint.t] is a registry of the engines, mailboxes and buffer
     heaps that make up a world; {!capture} reads their existing
-    accessors into one snapshot (pending timers, event-heap cells, slab
-    free-list depth, queued mailbox messages and bytes, live heap blocks
-    and bytes), and {!register_metrics} exposes the same totals as
-    gauges so the CLI metrics dump shows them live.
+    accessors into one snapshot (pending timers, event-heap cells,
+    queued mailbox messages and bytes, live heap blocks and bytes), and
+    {!register_metrics} exposes the same totals as gauges so the CLI
+    metrics dump shows them live.
 
     {!build_bytes_per_node} measures the retained size of a world build
     by the live-word delta across full major collections — the number
-    the perf-smoke gate tracks for slab-allocation regressions. *)
+    the perf-smoke gate tracks for allocation regressions. *)
 
 type t
 
@@ -26,7 +26,6 @@ val nodes : t -> int
 type snapshot = {
   pending_events : int;  (** live timers + runnable processes *)
   queued_events : int;  (** event-heap cells, incl. lazily-cancelled *)
-  pool_free_events : int;  (** recycled event records awaiting reuse *)
   mailbox_msgs : int;
   mailbox_bytes : int;  (** mailbox buffer bytes in use *)
   heap_blocks : int;  (** live message-buffer heap blocks *)
@@ -37,9 +36,8 @@ type snapshot = {
 val capture : t -> snapshot
 
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit
-(** Gauges [<prefix>pending_events], [queued_events], [pool_free_events],
-    [mailbox_msgs], [mailbox_bytes], [heap_blocks], [heap_bytes],
-    [nodes]. *)
+(** Gauges [<prefix>pending_events], [queued_events], [mailbox_msgs],
+    [mailbox_bytes], [heap_blocks], [heap_bytes], [nodes]. *)
 
 val to_string : ?nodes:int -> snapshot -> string
 

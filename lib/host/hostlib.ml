@@ -16,42 +16,38 @@ type handle = {
   mutable next_msg_id : int;
 }
 
-(* Each handle whose readers are CAB threads gets its own CAB-signal-queue
-   opcode: posting it makes the CAB perform the end_put (and so the wakeup
-   or upcall) at interrupt level — the host cannot wake a CAB thread by
-   memory writes alone. *)
-let next_opcode = ref 100
-
+(* Each handle gets its own CAB-signal-queue opcode, allocated on the
+   CAB's runtime: posting it makes the CAB perform the end_put (and so the
+   wakeup or upcall) at interrupt level — the host cannot wake a CAB
+   thread by memory writes alone. *)
 let attach drv mbox ~mode ~readers =
-  let opcode = !next_opcode in
-  incr next_opcode;
-  let h =
-    {
-      drv;
-      mbox;
-      hmode = mode;
-      readers;
-      opcode;
-      htrack = Host.name (Cab_driver.host drv);
-      pending_end_put = Queue.create ();
-      rpc_msgs = Hashtbl.create 8;
-      next_msg_id = 1;
-    }
-  in
+  let pending_end_put = Queue.create () in
   (* Drain everything pending, not just one message: the handler must be
      idempotent under signal loss, so that any later signal finishes the
      [end_put]s whose own signals were dropped by the queue. *)
-  Runtime.register_opcode (Cab_driver.runtime drv) ~opcode (fun cctx ~param ->
-      ignore param;
-      let rec drain () =
-        match Queue.take_opt h.pending_end_put with
-        | Some msg ->
-            Mailbox.end_put cctx h.mbox msg;
-            drain ()
-        | None -> ()
-      in
-      drain ());
-  h
+  let opcode =
+    Runtime.register_free_opcode (Cab_driver.runtime drv) (fun cctx ~param ->
+        ignore param;
+        let rec drain () =
+          match Queue.take_opt pending_end_put with
+          | Some msg ->
+              Mailbox.end_put cctx mbox msg;
+              drain ()
+          | None -> ()
+        in
+        drain ())
+  in
+  {
+    drv;
+    mbox;
+    hmode = mode;
+    readers;
+    opcode;
+    htrack = Host.name (Cab_driver.host drv);
+    pending_end_put;
+    rpc_msgs = Hashtbl.create 8;
+    next_msg_id = 1;
+  }
 
 let mode_of h = h.hmode
 

@@ -65,16 +65,6 @@ let register_metrics t reg =
   Reqresp.register_metrics t.reqresp reg ~prefix;
   Tcp.register_metrics t.tcp reg ~prefix;
   Nectar_cab.Rx.register_metrics (Nectar_cab.Cab.rx cab) reg ~prefix;
-  (match Nectar_core.Runtime.msg_pool t.rt with
-  | Some p ->
-      let open Nectar_core.Message.Pool in
-      Nectar_util.Metrics.counter reg (prefix ^ "msgpool.hits") (fun () ->
-          hits p);
-      Nectar_util.Metrics.counter reg (prefix ^ "msgpool.misses") (fun () ->
-          misses p);
-      Nectar_util.Metrics.counter reg (prefix ^ "msgpool.free") (fun () ->
-          free_len p)
-  | None -> ());
   let cpu = Nectar_cab.Cab.cpu cab in
   Nectar_util.Metrics.gauge reg (prefix ^ "cpu.busy_us") (fun () ->
       Nectar_sim.Sim_time.to_us (Nectar_sim.Cpu.busy_time cpu));

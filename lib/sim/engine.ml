@@ -15,19 +15,14 @@
    event carries a reference to the engine's dead-entry counter so that
    [cancel], which has no engine argument, can maintain it. *)
 
-(* Every field except [dead_cell] is mutable so fired transient events
-   (sleep wake-ups, yields, process resumptions — events whose handle is
-   never exposed, so they can never be cancelled or observed after
-   firing) can be recycled through the engine's slab free list instead
-   of re-allocated; [dead_cell] always refers to the owning engine's
-   counter, which recycling never changes. *)
+(* [live] and [fn] are mutable for cancellation; [dead_cell] is the
+   owning engine's dead-entry counter. *)
 type event = {
-  mutable time : Sim_time.t;
-  mutable seq : int;
-  mutable label : string; (* diagnostic name, shown to tie-break policies *)
+  time : Sim_time.t;
+  seq : int;
+  label : string; (* diagnostic name, shown to tie-break policies *)
   mutable live : bool;
   mutable fn : unit -> unit;
-  mutable transient : bool; (* recyclable: no handle escaped to a caller *)
   dead_cell : int ref; (* shared with the owning engine's queue *)
 }
 
@@ -45,16 +40,6 @@ type t = {
          tracking by the vet checkers; None inside timer callbacks *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
-  (* Slab free list for transient events (sleep/yield wake-ups and process
-     resumptions).  Disabled by default ([pool_max = 0]): every workload
-     then allocates exactly as before, keeping the seed benches and the
-     paper tables byte-identical.  [set_event_pool] turns it on for the
-     fleet worlds, where these records dominate minor-heap churn. *)
-  mutable pool : event array; (* free slots are [0, pool_len) *)
-  mutable pool_len : int;
-  mutable pool_max : int; (* 0 = pooling disabled *)
-  mutable pool_hits : int;
-  mutable pool_misses : int;
 }
 
 (* Process ids are globally unique (not per engine) so checkers observing
@@ -87,7 +72,6 @@ let dummy_event =
     label = "";
     live = false;
     fn = nothing;
-    transient = false;
     dead_cell = ref 0;
   }
 
@@ -106,11 +90,6 @@ let create () =
     dead = ref 0;
     running = None;
     tie_break = None;
-    pool = [||];
-    pool_len = 0;
-    pool_max = 0;
-    pool_hits = 0;
-    pool_misses = 0;
   }
 
 let set_tie_break t policy = t.tie_break <- policy
@@ -229,102 +208,25 @@ let maybe_compact t =
   if !(t.dead) > t.size - !(t.dead) && t.size >= compact_threshold then
     compact t
 
-let at t ?(label = "") time fn =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %d before now %d" time t.clock);
+(* Every event (timers, sleep and yield wake-ups, process resumptions)
+   is scheduled here; the internal callers all schedule at or after
+   [t.clock], so only [at] validates the time. *)
+let schedule t ~label time fn =
   let ev =
-    {
-      time;
-      seq = t.next_seq;
-      label;
-      live = true;
-      fn;
-      transient = false;
-      dead_cell = t.dead;
-    }
+    { time; seq = t.next_seq; label; live = true; fn; dead_cell = t.dead }
   in
   t.next_seq <- t.next_seq + 1;
   push t ev;
   maybe_compact t;
   ev
 
+let at t ?(label = "") time fn =
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.at: time %d before now %d" time t.clock);
+  schedule t ~label time fn
+
 let after t ?label span fn = at t ?label (t.clock + span) fn
-
-(* Transient scheduling: the handle never escapes, so the record may come
-   from (and return to) the free list.  Only internal call sites — sleep,
-   yield, and spawn's body/resume events — use it; all of them schedule at
-   or after [t.clock], so the [at] validation is not repeated here. *)
-let schedule_transient t ~label time fn =
-  let ev =
-    if t.pool_len > 0 then begin
-      let n = t.pool_len - 1 in
-      t.pool_len <- n;
-      let ev = uget t.pool n in
-      uset t.pool n dummy_event;
-      t.pool_hits <- t.pool_hits + 1;
-      ev.time <- time;
-      ev.seq <- t.next_seq;
-      ev.label <- label;
-      ev.live <- true;
-      ev.fn <- fn;
-      ev.transient <- true;
-      ev
-    end
-    else begin
-      if t.pool_max > 0 then t.pool_misses <- t.pool_misses + 1;
-      {
-        time;
-        seq = t.next_seq;
-        label;
-        live = true;
-        fn;
-        transient = t.pool_max > 0;
-        dead_cell = t.dead;
-      }
-    end
-  in
-  t.next_seq <- t.next_seq + 1;
-  push t ev;
-  maybe_compact t
-
-(* Return a fired transient event to the free list.  Run loops call this
-   only after [ev.fn ()] returned normally: the record is out of the heap,
-   marked dead, and (being transient) unreachable from user code, so the
-   next [schedule_transient] may reuse it without ABA hazards.  Clearing
-   [fn] and [label] drops the closure and the label string immediately
-   rather than pinning them until reuse. *)
-let[@inline] recycle t (ev : event) =
-  if ev.transient && t.pool_len < t.pool_max then begin
-    (if t.pool_len = Array.length t.pool then
-       let cap = Array.length t.pool in
-       let ncap = min t.pool_max (max 64 (cap * 2)) in
-       let np = Array.make ncap dummy_event in
-       Array.blit t.pool 0 np 0 cap;
-       t.pool <- np);
-    ev.fn <- nothing;
-    ev.label <- "";
-    uset t.pool t.pool_len ev;
-    t.pool_len <- t.pool_len + 1
-  end
-
-let set_event_pool t ~max_free =
-  if max_free < 0 then invalid_arg "Engine.set_event_pool: negative max_free";
-  t.pool_max <- max_free;
-  if max_free = 0 then begin
-    t.pool <- [||];
-    t.pool_len <- 0
-  end
-  else if Array.length t.pool > max_free then begin
-    let np = Array.make max_free dummy_event in
-    t.pool_len <- min t.pool_len max_free;
-    Array.blit t.pool 0 np 0 t.pool_len;
-    t.pool <- np
-  end
-
-let event_pool_hits t = t.pool_hits
-let event_pool_misses t = t.pool_misses
-let event_pool_free t = t.pool_len
 
 (* Any event with [live = true] is still in its engine's heap (the run loop
    marks an event dead before firing it), so a first cancel always accounts
@@ -374,14 +276,15 @@ let spawn t ?(name = "proc") f =
                             failwith
                               ("Engine: double resume of process " ^ name);
                           resumed := true;
-                          schedule_transient t ~label:name t.clock (fun () ->
-                              labelled (fun () -> continue k v))
+                          ignore
+                            (schedule t ~label:name t.clock (fun () ->
+                                 labelled (fun () -> continue k v)))
                         in
                         register resume)
                 | _ -> None);
           })
   in
-  schedule_transient t ~label:name t.clock run_body
+  ignore (schedule t ~label:name t.clock run_body)
 
 (* The wake-up timers get the process name as label (computed here, while
    [t.running] is still this process) so tie-break candidates and schedule
@@ -395,12 +298,12 @@ let sleep t span =
   else
     let label = running_label t ".wake" in
     suspend (fun resume ->
-        schedule_transient t ~label (t.clock + span) (fun () -> resume ()))
+        ignore (schedule t ~label (t.clock + span) (fun () -> resume ())))
 
 let yield t =
   let label = running_label t ".yield" in
   suspend (fun resume ->
-      schedule_transient t ~label t.clock (fun () -> resume ()))
+      ignore (schedule t ~label t.clock (fun () -> resume ())))
 
 (* Policy-driven loop, used only when a tie-break policy is installed (the
    schedule explorer in [lib/check]).  Each step pops the full set of live
@@ -465,8 +368,7 @@ let run_policy t policy until =
           let ev = cands.(chosen) in
           t.clock <- ev.time;
           ev.live <- false;
-          ev.fn ();
-          recycle t ev
+          ev.fn ()
     end
   done
 
@@ -483,8 +385,7 @@ let run ?until t =
             if ev.live then begin
               t.clock <- ev.time;
               ev.live <- false;
-              ev.fn ();
-              recycle t ev
+              ev.fn ()
             end
             else decr t.dead
           done
@@ -504,8 +405,7 @@ let run ?until t =
               if ev.live then begin
                 t.clock <- ev.time;
                 ev.live <- false;
-                ev.fn ();
-                recycle t ev
+                ev.fn ()
               end
               else decr t.dead
             end
@@ -517,10 +417,7 @@ let queued_events t = t.size
 let register_metrics t m ~prefix =
   let open Nectar_util.Metrics in
   counter m (prefix ^ "pending_events") (fun () -> pending_events t);
-  counter m (prefix ^ "queued_events") (fun () -> t.size);
-  counter m (prefix ^ "pool_hits") (fun () -> t.pool_hits);
-  counter m (prefix ^ "pool_misses") (fun () -> t.pool_misses);
-  counter m (prefix ^ "pool_free") (fun () -> t.pool_len)
+  counter m (prefix ^ "queued_events") (fun () -> t.size)
 
 (* Peek the earliest live event without firing it.  Dead entries on top
    of the heap are popped for free (exactly as the run loops would);

@@ -122,35 +122,6 @@ val queued_events : t -> int
     live ones, so this stays within 2x of {!pending_events} (above a small
     constant threshold); exposed so tests can assert the bound. *)
 
-(** {1 Event slab pool}
-
-    Transient events — sleep/yield wake-ups and process start/resume
-    events, whose handles never escape the engine — account for most event
-    allocations in message-heavy workloads.  With the pool enabled, fired
-    transient events are recycled through a typed free list instead of
-    being re-allocated; cancellable timers returned by {!at}/{!after} are
-    never pooled (their handles escape, so reuse could alias a held
-    {!timer}).  Pooling changes no observable behaviour: event times,
-    sequence numbers, labels and firing order are identical with the pool
-    on or off — the seed pin tests assert byte-identical runs both ways.
-    Disabled by default ([max_free = 0]). *)
-
-val set_event_pool : t -> max_free:int -> unit
-(** Cap the free list at [max_free] recycled event records (0 disables
-    pooling and drops the current free list).  A cap around the workload's
-    peak concurrent transient-event count gives a near-100% hit rate. *)
-
-val event_pool_hits : t -> int
-(** Transient events served from the free list. *)
-
-val event_pool_misses : t -> int
-(** Transient events heap-allocated because the free list was empty
-    (counted only while pooling is enabled). *)
-
-val event_pool_free : t -> int
-(** Current free-list length. *)
-
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit
-(** Register [<prefix>pending_events], [<prefix>queued_events] and the
-    event-pool churn counters ([<prefix>pool_hits] / [pool_misses] /
-    [pool_free]) on the registry. *)
+(** Register [<prefix>pending_events] and [<prefix>queued_events] on the
+    registry. *)

@@ -3,20 +3,10 @@ type value =
   | Gauge of float
   | Hist of { n : int; mean : float; stddev : float; min : float; max : float }
 
-(* Welford state for owned histograms (same recurrence as Stats.Summary,
-   which lives above this library in the dependency chain). *)
-type hist_state = {
-  mutable hn : int;
-  mutable hmean : float;
-  mutable hm2 : float;
-  mutable hmin : float;
-  mutable hmax : float;
-}
-
 type entry =
   | Counter_thunk of (unit -> int)
   | Gauge_thunk of (unit -> float)
-  | Histogram of hist_state
+  | Histogram of Summary.t
 
 type t = { entries : (string, entry) Hashtbl.t }
 
@@ -30,46 +20,13 @@ let register t name entry =
 let counter t name read = register t name (Counter_thunk read)
 let gauge t name read = register t name (Gauge_thunk read)
 
-let histogram t name =
-  register t name
-    (Histogram { hn = 0; hmean = 0.; hm2 = 0.; hmin = infinity; hmax = neg_infinity })
+let histogram t name = register t name (Histogram (Summary.create ()))
 
 let observe t name x =
   match Hashtbl.find_opt t.entries name with
-  | Some (Histogram h) ->
-      h.hn <- h.hn + 1;
-      let d = x -. h.hmean in
-      h.hmean <- h.hmean +. (d /. float_of_int h.hn);
-      h.hm2 <- h.hm2 +. (d *. (x -. h.hmean));
-      if x < h.hmin then h.hmin <- x;
-      if x > h.hmax then h.hmax <- x
+  | Some (Histogram h) -> Summary.add h x
   | Some _ | None ->
       invalid_arg (Printf.sprintf "Metrics.observe: %S is not a histogram" name)
-
-(* Chan's parallel Welford combine.  The empty sides are the edge cases:
-   an empty [src] must leave [dst] untouched (its infinity min/max
-   sentinels would otherwise poison the result through the delta term),
-   and an empty [dst] must take [src]'s state verbatim rather than mix
-   real samples with sentinel extrema. *)
-let hist_merge dst src =
-  if src.hn = 0 then ()
-  else if dst.hn = 0 then begin
-    dst.hn <- src.hn;
-    dst.hmean <- src.hmean;
-    dst.hm2 <- src.hm2;
-    dst.hmin <- src.hmin;
-    dst.hmax <- src.hmax
-  end
-  else begin
-    let na = float_of_int dst.hn and nb = float_of_int src.hn in
-    let n = na +. nb in
-    let d = src.hmean -. dst.hmean in
-    dst.hm2 <- dst.hm2 +. src.hm2 +. (d *. d *. na *. nb /. n);
-    dst.hmean <- dst.hmean +. (d *. nb /. n);
-    dst.hn <- dst.hn + src.hn;
-    if src.hmin < dst.hmin then dst.hmin <- src.hmin;
-    if src.hmax > dst.hmax then dst.hmax <- src.hmax
-  end
 
 let merge t src =
   Hashtbl.iter
@@ -78,33 +35,34 @@ let merge t src =
       | Counter_thunk _ | Gauge_thunk _ ->
           (* thunks read live owner state; there is nothing to fold *)
           ()
-      | Histogram h -> (
-          match Hashtbl.find_opt t.entries name with
-          | Some (Histogram dst) -> hist_merge dst h
-          | Some _ ->
-              invalid_arg
-                (Printf.sprintf "Metrics.merge: %S is not a histogram" name)
-          | None ->
-              histogram t name;
-              (match Hashtbl.find_opt t.entries name with
-              | Some (Histogram dst) -> hist_merge dst h
-              | _ -> assert false)))
+      | Histogram h ->
+          let dst =
+            match Hashtbl.find_opt t.entries name with
+            | Some (Histogram dst) -> dst
+            | Some _ ->
+                invalid_arg
+                  (Printf.sprintf "Metrics.merge: %S is not a histogram" name)
+            | None ->
+                let dst = Summary.create () in
+                register t name (Histogram dst);
+                dst
+          in
+          Summary.merge ~into:dst h)
     src.entries
 
 let read = function
   | Counter_thunk f -> Count (f ())
   | Gauge_thunk f -> Gauge (f ())
+  | Histogram h when Summary.count h = 0 ->
+      Hist { n = 0; mean = 0.; stddev = 0.; min = infinity; max = neg_infinity }
   | Histogram h ->
-      let stddev =
-        if h.hn < 2 then 0. else sqrt (Float.max 0. (h.hm2 /. float_of_int h.hn))
-      in
       Hist
         {
-          n = h.hn;
-          mean = (if h.hn = 0 then 0. else h.hmean);
-          stddev;
-          min = h.hmin;
-          max = h.hmax;
+          n = Summary.count h;
+          mean = Summary.mean h;
+          stddev = Summary.stddev h;
+          min = Summary.min h;
+          max = Summary.max h;
         }
 
 let snapshot t =

@@ -1,12 +1,9 @@
 (* The fleet layer (lib/fleet): topology generator properties
    (connectivity, degree, diameter, verifier acceptance across seeds), a
-   pinned small-torus route table, workload determinism and shape, the
-   wire-level driver's conservation/determinism gates, and the slab
-   allocators' pinned-identical guarantee (pool on = pool off,
-   observable behavior unchanged). *)
+   pinned small-torus route table, workload determinism and shape, and
+   the wire-level driver's conservation/determinism gates. *)
 
 open Nectar_sim
-open Nectar_core
 module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
 module Router = Nectar_route.Router
@@ -398,8 +395,8 @@ let test_two_hop_port_wait_attribution () =
 
 (* ---------- driver ---------- *)
 
-let small_cfg ?(event_pool = false) ?(domains = 1) () =
-  Driver.config ~domains ~event_pool ~frame_bytes:64
+let small_cfg ?(domains = 1) () =
+  Driver.config ~domains ~frame_bytes:64
     ~topo:(Topology.Torus { rows = 4; cols = 2; seats = 2 })
     ~workload:
       (Workload.make
@@ -432,74 +429,6 @@ let test_driver_conservation () =
         (Driver.deterministic_eq r r2))
     [ 1; 2 ]
 
-(* The slab acceptance pin: pooling events changes no observable —
-   identical counters, finals, percentiles — while actually recycling. *)
-let test_driver_pool_pinned () =
-  let off = Driver.run (small_cfg ~event_pool:false ()) in
-  let on_ = Driver.run (small_cfg ~event_pool:true ()) in
-  check_bool "pool on = pool off" true (Driver.deterministic_eq off on_);
-  check_int "pool off never touches the slab" 0 (off.Driver.pool_hits + off.Driver.pool_misses);
-  check_bool
-    (Printf.sprintf "pool recycles (%d hits)" on_.Driver.pool_hits)
-    true
-    (on_.Driver.pool_hits > 0);
-  check_bool "footprint captured" true
-    (on_.Driver.footprint.Footprint.pool_free_events > 0)
-
-(* Engine-level pin: the same program traced with and without the event
-   slab fires identical (time, tag) sequences. *)
-let test_engine_pool_trace_pinned () =
-  let trace pool =
-    let eng = Engine.create () in
-    if pool then Engine.set_event_pool eng ~max_free:256;
-    let log = ref [] in
-    let tick tag = log := (Engine.now eng, tag) :: !log in
-    for i = 1 to 4 do
-      Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-          for k = 1 to 25 do
-            Engine.sleep eng ((i * 100) + k);
-            tick ((i * 1000) + k);
-            if k mod 5 = 0 then Engine.yield eng
-          done)
-    done;
-    ignore
-      (Engine.at eng 12_345 (fun () -> tick 99));
-    Engine.run eng;
-    (List.rev !log, Engine.event_pool_hits eng)
-  in
-  let t_off, h_off = trace false in
-  let t_on, h_on = trace true in
-  check_bool "traces identical" true (t_off = t_on);
-  check_int "no slab when off" 0 h_off;
-  check_bool (Printf.sprintf "slab recycles (%d hits)" h_on) true (h_on > 0)
-
-(* Message pool: records recycle at refcount zero with fresh uids, and
-   the free list respects its cap. *)
-let test_message_pool () =
-  let pool = Message.Pool.create ~max_free:2 () in
-  let mem = Bytes.make 1024 '\000' in
-  let mk () =
-    Message.make ~pool ~mem ~buf_off:0 ~buf_len:256 ~len:32
-      ~free_buffer:(fun () -> ())
-      ()
-  in
-  let a = mk () in
-  let uid_a = a.Message.uid in
-  Message.write_string a 0 "first";
-  Message.release a;
-  check_int "retired to the free list" 1 (Message.Pool.free_len pool);
-  let b = mk () in
-  check_bool "record recycled" true (b == a);
-  check_bool "fresh uid per incarnation" true (b.Message.uid <> uid_a);
-  check_int "one hit" 1 (Message.Pool.hits pool);
-  Message.release b;
-  (* cap: a third and fourth release can't grow the list past max_free *)
-  let c = mk () and d = mk () and e = mk () in
-  Message.release c;
-  Message.release d;
-  Message.release e;
-  check_int "free list capped" 2 (Message.Pool.free_len pool)
-
 let () =
   Alcotest.run "fleet"
     [
@@ -529,13 +458,5 @@ let () =
         [
           Alcotest.test_case "conservation and determinism" `Quick
             test_driver_conservation;
-          Alcotest.test_case "event pool pinned identical" `Quick
-            test_driver_pool_pinned;
-        ] );
-      ( "slabs",
-        [
-          Alcotest.test_case "engine trace pinned identical" `Quick
-            test_engine_pool_trace_pinned;
-          Alcotest.test_case "message records recycle" `Quick test_message_pool;
         ] );
     ]

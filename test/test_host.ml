@@ -70,6 +70,36 @@ let test_driver_rpc () =
 
 (* ---------- Hostlib ---------- *)
 
+(* Every handle takes a CAB-signal opcode of its own.  Opcodes are
+   allocated per runtime and step over the driver's fixed RPC opcode, so
+   one runtime carries hundreds of handles; the last handle's signal and
+   the driver's RPC must both still reach their own handlers.  Listed
+   first in its executable, before any other attach. *)
+let test_hostlib_many_handles () =
+  let eng, _, (stack, host, drv), _ = world () in
+  let rt = stack.Stack.rt in
+  let mbox = Runtime.create_mailbox rt ~name:"many" ~byte_limit:4096 () in
+  let last = ref None in
+  for _ = 1 to 300 do
+    last :=
+      Some (Hostlib.attach drv mbox ~mode:Hostlib.Shared_memory ~readers:`Cab)
+  done;
+  let h = Option.get !last in
+  let got = ref "" and rpc = ref 0 in
+  ignore
+    (Thread.create (Runtime.cab rt) ~name:"reader" (fun ctx ->
+         let m = Mailbox.begin_get ctx mbox in
+         got := Message.to_string m;
+         Mailbox.end_get ctx m));
+  Host.spawn_process host ~name:"writer" (fun ctx ->
+      let m = Hostlib.begin_put ctx h 5 in
+      Hostlib.write_string ctx h m ~pos:0 "hello";
+      Hostlib.end_put ctx h m;
+      rpc := Cab_driver.rpc ctx drv (fun _ -> 7));
+  Engine.run eng;
+  check_string "300th handle's end_put reached the CAB reader" "hello" !got;
+  check_int "driver RPC still on its own opcode" 7 !rpc
+
 let hostlib_cycle mode =
   let eng, _, (stack, host, drv), _ = world () in
   let mbox =
@@ -340,6 +370,8 @@ let () =
         ] );
       ( "hostlib",
         [
+          Alcotest.test_case "300 handles on one runtime" `Quick
+            test_hostlib_many_handles;
           Alcotest.test_case "shared vs rpc factor" `Quick
             test_hostlib_shared_vs_rpc;
           Alcotest.test_case "cab reader wakeup" `Quick

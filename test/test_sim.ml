@@ -371,7 +371,7 @@ let test_determinism () =
     "different seed, different trace" true
     (scenario_trace 42 <> scenario_trace 43)
 
-(* ---------- Stats / Rng / Probe ---------- *)
+(* ---------- Stats / Rng ---------- *)
 
 let test_summary () =
   let s = Stats.Summary.create ~keep_samples:true () in
@@ -477,51 +477,6 @@ let test_rng_bounds () =
     let v = Rng.int r 10 in
     Alcotest.(check bool) "in range" true (v >= 0 && v < 10)
   done
-
-let test_probe () =
-  let eng = Engine.create () in
-  let p = Probe.create eng in
-  Probe.enable p;
-  Engine.spawn eng (fun () ->
-      Probe.mark p "start";
-      Engine.sleep eng (us 12);
-      Probe.mark p "end");
-  Engine.run eng;
-  Alcotest.(check (option int)) "span" (Some (us 12))
-    (Probe.span p "start" "end");
-  Probe.disable p;
-  Probe.clear p;
-  Engine.spawn eng (fun () -> Probe.mark p "late");
-  Engine.run eng;
-  Alcotest.(check (option int)) "disabled records nothing" None
-    (Probe.find p "late")
-
-let test_probe_occurrences () =
-  let eng = Engine.create () in
-  let p = Probe.create eng in
-  Probe.enable p;
-  Engine.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        Probe.mark p "a";
-        Engine.sleep eng (us 5);
-        Probe.mark p "b";
-        Engine.sleep eng (us 15)
-      done);
-  Engine.run eng;
-  check_int "count" 3 (Probe.count p "a");
-  Alcotest.(check (list int))
-    "occurrences" [ 0; us 20; us 40 ] (Probe.occurrences p "a");
-  Alcotest.(check (option int)) "find second" (Some (us 25))
-    (Probe.find ~occurrence:1 p "b");
-  Alcotest.(check (option int)) "find past end" None
-    (Probe.find ~occurrence:3 p "b");
-  Alcotest.(check (option int)) "span of round 2" (Some (us 5))
-    (Probe.span ~occurrence:2 p "a" "b");
-  Alcotest.(check (list int))
-    "per-iteration spans" [ us 5; us 5; us 5 ] (Probe.spans p "a" "b");
-  Alcotest.check_raises "negative occurrence rejected"
-    (Invalid_argument "Probe.find: negative occurrence") (fun () ->
-      ignore (Probe.find ~occurrence:(-1) p "a"))
 
 (* ---------- same-time tie-break contract ---------- *)
 
@@ -792,7 +747,5 @@ let () =
           qtest prop_rng_restore;
           Alcotest.test_case "rng copy independent" `Quick
             test_rng_copy_independent;
-          Alcotest.test_case "probe" `Quick test_probe;
-          Alcotest.test_case "probe occurrences" `Quick test_probe_occurrences;
         ] );
     ]
