@@ -62,6 +62,25 @@ let spawn_cab_thread stack ~name body =
     (Thread.create (Runtime.cab stack.Stack.rt) ~priority:Thread.System ~name
        body)
 
+(* ---------- checks ---------- *)
+
+(* The one assertion sink of the gated benches: a failed check prints
+   its message, and [finish] turns any failure into exit status 1. *)
+let failures = ref 0
+
+let check what ok =
+  if not ok then begin
+    incr failures;
+    Printf.printf "  FAIL: %s\n" what
+  end
+
+let finish name =
+  if !failures > 0 then begin
+    Printf.printf "  %s: %d check(s) FAILED\n" name !failures;
+    exit 1
+  end
+  else Printf.printf "  %s: all deterministic checks passed\n" name
+
 (* ---------- formatting ---------- *)
 
 let section title =

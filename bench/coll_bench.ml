@@ -23,12 +23,12 @@ module Tree = Nectar_coll.Coll.Tree
 module Topology = Nectar_fleet.Topology
 module Stack = Nectar_proto.Stack
 
+let check = Bench_world.check
+
 let torus_for cabs =
-  match cabs with
-  | 64 -> Topology.Torus { rows = 4; cols = 4; seats = 4 }
-  | 256 -> Topology.Torus { rows = 8; cols = 8; seats = 4 }
-  | 1024 -> Topology.Torus { rows = 16; cols = 16; seats = 4 }
-  | _ -> invalid_arg "coll: unknown size"
+  match Topology.torus_of_cabs cabs with
+  | Some t -> t
+  | None -> invalid_arg "coll: unknown size"
 
 type point = {
   cabs : int;
@@ -69,7 +69,7 @@ let span_mean_us tracer label =
     (Trace.events tracer);
   if !n = 0 then 0. else !total /. float_of_int !n /. 1e3
 
-let run_point ~check ~cabs ~ops ~host =
+let run_point ~cabs ~ops ~host =
   let w = Coll.World.build (torus_for cabs) in
   let n = Array.length w.Coll.World.colls in
   let root = Tree.root w.Coll.World.tree in
@@ -179,14 +179,14 @@ let recorded_tree_barrier_p50_us_64 = 236.3
 
 type result = { r_points : point list }
 
-let measure ~smoke ~check () =
+let measure ~smoke () =
   let ops = if smoke then 3 else 10 in
   let sizes = if smoke then [ 64 ] else [ 64; 256; 1024 ] in
   let points =
     List.concat_map
       (fun cabs ->
-        let tree = run_point ~check ~cabs ~ops ~host:false in
-        let host = run_point ~check ~cabs ~ops ~host:true in
+        let tree = run_point ~cabs ~ops ~host:false in
+        let host = run_point ~cabs ~ops ~host:true in
         (* the headline claim: combining on the CABs beats hauling every
            arrival across the VME boundary, and the gap grows with n *)
         check
@@ -253,17 +253,6 @@ let run ~smoke () =
     (if smoke then
        "Collectives (smoke: 64 CABs, wakeup + latency + span gates)"
      else "Collectives: 64/256/1024 CABs, tree vs host-driven baseline");
-  let failures = ref 0 in
-  let check what ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  FAIL: %s\n" what
-    end
-  in
-  let r = measure ~smoke ~check () in
+  let r = measure ~smoke () in
   print r;
-  if !failures > 0 then begin
-    Printf.printf "  coll: %d check(s) FAILED\n" !failures;
-    exit 1
-  end
-  else Printf.printf "  coll: all deterministic checks passed\n"
+  Bench_world.finish "coll"

@@ -19,8 +19,8 @@ let experiments =
     ("failover", Failover.run);
     ("perf", Perf.run ~smoke:false);
     ("perf-smoke", Perf.run ~smoke:true);
-    ("scaling", Scaling.run ~smoke:false);
-    ("scaling-smoke", Scaling.run ~smoke:true);
+    ("scaling", Fleet_bench.run_scaling ~smoke:false);
+    ("scaling-smoke", Fleet_bench.run_scaling ~smoke:true);
     ("fleet", Fleet_bench.run ~smoke:false);
     ("fleet-smoke", Fleet_bench.run ~smoke:true);
     ("coll", Coll_bench.run ~smoke:false);

@@ -152,16 +152,6 @@ let fleet_run ~senders ~window ~size ~count ~coalesce_ns =
   let batches = Rx.completion_batches (Cab.rx (Runtime.cab sink.Stack.rt)) in
   (mbps ~bytes:(total * size) ~ns:(!done_at - !started), !got, batches)
 
-(* ---------- deterministic assertions (smoke and full) ---------- *)
-
-let failures = ref 0
-
-let check what ok =
-  if not ok then begin
-    incr failures;
-    Printf.printf "  FAIL: %s\n" what
-  end
-
 (* ---------- simulated: copy accounting (zero-copy data path) ---------- *)
 
 module Copy_meter = Nectar_util.Copy_meter
@@ -397,7 +387,6 @@ let run ?(smoke = false) () =
   section
     (if smoke then "Perf harness (smoke: deterministic counts only)"
      else "Perf harness (fastpath): wall clock + windowed RMP");
-  failures := 0;
   check_compaction ();
   let size = if smoke then 1024 else 8192 in
   let count = if smoke then 40 else 183 in
@@ -496,15 +485,15 @@ let run ?(smoke = false) () =
   (* Parallel-engine scaling: deterministic delivery/conservation/
      determinism gates run in both modes (the smoke form is 2 domains);
      wall-clock speedup is recorded, and asserted only on >= 4 cores. *)
-  let scaling = Scaling.measure ~smoke ~check () in
-  Scaling.print scaling;
+  let scaling = Fleet_bench.measure_scaling ~smoke () in
+  Fleet_bench.print_scaling scaling;
   (* Fleet scale: 256-1024-CAB worlds and the footprint gate
      (the smoke form is the @fleet CI alias's workload). *)
-  let fleet_scale = Fleet_bench.measure ~smoke ~check () in
+  let fleet_scale = Fleet_bench.measure ~smoke () in
   Fleet_bench.print fleet_scale;
   (* Collectives: tree vs host-driven baseline, single-wakeup and tail
      latency gates (the smoke form is the @coll CI alias's workload). *)
-  let collectives = Coll_bench.measure ~smoke ~check () in
+  let collectives = Coll_bench.measure ~smoke () in
   Coll_bench.print collectives;
   if not smoke then begin
     let engine_ns = time_ns engine_1k_events in
@@ -528,7 +517,7 @@ let run ?(smoke = false) () =
         ~fleet_off ~fleet_on
         ~fleet_cfg:(senders, fcount, fsize, coal_us)
         ~copy_size:size ~rmp_copies ~tcp_copies ~fo
-        ~scaling:(Scaling.json_fragment scaling)
+        ~scaling:(Fleet_bench.scaling_json_fragment scaling)
         ~fleet_scale:(Fleet_bench.json_fragment fleet_scale)
         ~collectives:(Coll_bench.json_fragment collectives)
     in
@@ -537,8 +526,4 @@ let run ?(smoke = false) () =
     close_out oc;
     Printf.printf "  wrote BENCH_perf.json\n"
   end;
-  if !failures > 0 then begin
-    Printf.printf "  perf: %d check(s) FAILED\n" !failures;
-    exit 1
-  end
-  else Printf.printf "  perf: all deterministic checks passed\n"
+  finish "perf"

@@ -1014,12 +1014,10 @@ module Coll = Nectar_coll.Coll
 module Coll_tree = Nectar_coll.Coll.Tree
 
 let coll_topology cabs =
-  match cabs with
-  | 64 -> Nectar_fleet.Topology.Torus { rows = 4; cols = 4; seats = 4 }
-  | 256 -> Nectar_fleet.Topology.Torus { rows = 8; cols = 8; seats = 4 }
-  | 1024 -> Nectar_fleet.Topology.Torus { rows = 16; cols = 16; seats = 4 }
-  | _ ->
-      Printf.printf "coll: --cabs must be 64, 256 or 1024\n";
+  match Nectar_fleet.Topology.torus_of_cabs cabs with
+  | Some topo -> topo
+  | None ->
+      Printf.printf "coll: --cabs must be 64, 256, 512 or 1024\n";
       exit 2
 
 (* One mode (tree or host baseline) of the collective scenario: every CAB
@@ -1295,7 +1293,7 @@ let route_cmd =
 let coll_cmd =
   let cabs =
     Arg.(value & opt int 64
-         & info [ "cabs" ] ~doc:"Fleet size: 64, 256 or 1024 CABs.")
+         & info [ "cabs" ] ~doc:"Fleet size: 64, 256, 512 or 1024 CABs.")
   in
   let ops =
     Arg.(value & opt int 5

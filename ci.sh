@@ -5,8 +5,8 @@
 # explorer over the seeded-bug suite plus the node-isolation audit),
 # the failover gate (route-policy verifier plus the bounded-blackout
 # ring flap campaign), the parallel-engine gate (2-domain scaling
-# smoke with built-in determinism double-run, plus the heap-level
-# isolation audit of a partitioned world), the fleet-scale gate (a
+# smoke, a Fleet.Driver sweep with built-in determinism double-run,
+# plus the heap-level isolation audit of a partitioned world), the fleet-scale gate (a
 # 256-CAB incast world over 2 domains with conservation, determinism
 # and footprint pins), the collectives gate, the perf-harness smoke (its
 # assertions are deterministic delivery/batch counts, exact zero-copy

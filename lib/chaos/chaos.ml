@@ -110,9 +110,9 @@ let seat_stacks eng net ~at ~stack_opts =
 (* A [rows] x [cols] wrapped grid: hub (r, c) is index r*cols + c; east
    trunks leave on port 15 into the eastern neighbour's 14, south trunks
    on 13 into the southern neighbour's 12.  Node seats must use ports
-   below 12.  The torus is the scaling-bench fleet shape: constant
-   degree, diameter (rows + cols) / 2, and clean contiguous-block
-   partitions for the parallel engine. *)
+   below 12.  The torus is the fleet driver's partitionable shape:
+   constant degree, diameter (rows + cols) / 2, and clean
+   contiguous-block partitions for the parallel engine. *)
 let build_torus ~rows ~cols ~at ?stack_opts () =
   if rows < 2 || cols < 2 then
     invalid_arg "Chaos.build_torus: need rows >= 2 and cols >= 2";

@@ -82,7 +82,7 @@ val build_torus :
 (** A [rows] x [cols] (both >= 2) wrapped grid of HUBs; hub [(r, c)] is
     index [r*cols + c], east trunks on ports 15->14, south trunks on
     13->12, so node seats must use ports below 12.  Constant trunk
-    degree 4 — the scaling bench's fleet shape, partitioning into
+    degree 4 — the fleet driver's partitionable shape, splitting into
     contiguous row blocks with exactly [2*cols] boundary trunks per
     cut. *)
 

@@ -46,7 +46,6 @@ let add_sample s v =
   s.slen <- s.slen + 1
 
 type partition = {
-  p_eng : Engine.t;
   p_net : Net.t;
   mutable p_delivered : int;
   p_per_sender : int array; (* delivered, indexed by global source node *)
@@ -66,8 +65,7 @@ type handoff = {
    (torus row blocks: hub numbering is row-major, so a row block is an
    id range).  Trunks with both ends local are wired as usual; trunks
    crossing the cut become store-and-forward remote links carrying the
-   far-end global hub as the link id — the same scheme as the scaling
-   bench, generalized to any trunk list. *)
+   far-end global hub as the link id. *)
 let build_partition cfg topo ~self ~send =
   let hubs = Topology.hub_count topo in
   let nodes = Topology.node_count topo in
@@ -91,7 +89,6 @@ let build_partition cfg topo ~self ~send =
     (Topology.trunks topo);
   let part =
     {
-      p_eng = eng;
       p_net = net;
       p_delivered = 0;
       p_per_sender = Array.make nodes 0;
@@ -192,7 +189,6 @@ type result = {
   lat_max : int;
   port_waits : int;
   port_wait_ns : int;
-  footprint : Footprint.snapshot;
 }
 
 let sum = Array.fold_left ( + ) 0
@@ -259,14 +255,6 @@ let run cfg =
       (Array.to_list (Array.map (fun p -> Array.sub p.p_lat.sbuf 0 p.p_lat.slen) parts))
   in
   Array.sort Int.compare lat;
-  let fp = Footprint.create () in
-  Array.iter
-    (fun p ->
-      Footprint.add_engine fp p.p_eng;
-      for _ = 1 to nodes / cfg.domains do
-        Footprint.add_node fp
-      done)
-    parts;
   {
     nodes;
     total_msgs = Workload.total_messages cfg.workload ~nodes;
@@ -286,7 +274,6 @@ let run cfg =
     lat_max = (if Array.length lat = 0 then 0 else lat.(Array.length lat - 1));
     port_waits = sum (Array.map (fun p -> Net.port_waits p.p_net) parts);
     port_wait_ns = sum (Array.map (fun p -> Net.port_wait_ns p.p_net) parts);
-    footprint = Footprint.capture fp;
   }
 
 let sent r = sum r.d_sent
@@ -303,14 +290,8 @@ let deterministic_eq a b =
   && a.per_sender_last = b.per_sender_last
   && a.lat_p50 = b.lat_p50 && a.lat_p99 = b.lat_p99 && a.lat_max = b.lat_max
 
-(* Resident heap per node of a built (unrun) single-domain world. *)
-let build_bytes_per_node cfg =
-  let topo = Topology.build cfg.topo in
-  let nodes = Topology.node_count topo in
-  let world, bytes =
-    Footprint.build_bytes_per_node ~nodes (fun () ->
-        build_partition { cfg with domains = 1 } topo ~self:0
-          ~send:(fun ~dst:_ ~time:_ _ -> ()))
-  in
-  ignore (Sys.opaque_identity world);
-  bytes
+type world = handoff Parallel.endpoint * partition
+
+let build cfg =
+  build_partition { cfg with domains = 1 } (Topology.build cfg.topo) ~self:0
+    ~send:(fun ~dst:_ ~time:_ _ -> ())

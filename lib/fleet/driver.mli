@@ -6,9 +6,9 @@
     stamp survives the boundary-trunk payload snapshot), so delivery
     latency needs no side table; per-source delivered counts and
     completion times give the goodput fairness spread.
-    Partitioning follows the scaling bench: torus row
-    blocks with cut-crossing trunks as store-and-forward remote links
-    whose latency is exactly the lookahead.  Fat-tree and irregular
+    This is the one partitioned-world builder: torus row blocks with
+    cut-crossing trunks as store-and-forward remote links whose latency
+    is exactly the lookahead.  Fat-tree and irregular
     fleets have no contiguous cuts and run single-domain (still through
     [Parallel.run], on the code path the paper tables pin).
 
@@ -62,7 +62,6 @@ type result = {
   lat_max : int;
   port_waits : int;  (** HUB circuit setups that queued on a busy port *)
   port_wait_ns : int;
-  footprint : Footprint.snapshot;  (** post-run capture over the engines *)
 }
 
 val run : config -> result
@@ -75,9 +74,13 @@ val injected : result -> int
 val deterministic_eq : result -> result -> bool
 (** Equality over everything a re-run at the same domain count must
     reproduce (counters, finals, windows, crossings, per-sender counts
-    and completion times, latency percentiles) — not wall-clock or
-    footprint. *)
+    and completion times, latency percentiles) — not wall-clock. *)
 
-val build_bytes_per_node : config -> int
-(** Retained bytes per node of a built, unrun single-domain world
-    (ignores [config.domains]) — the perf-smoke regression number. *)
+type world
+(** A built, unrun single-domain world: its engine, network, sinks and
+    spawned senders. *)
+
+val build : config -> world
+(** Build the world {!run} would run on one domain (ignores
+    [config.domains]).  The benches measure the per-node build
+    footprint as the heap reachable from it. *)

@@ -7,6 +7,13 @@ type spec =
   | Fat_tree of { leaves : int; spines : int; seats : int }
   | Irregular of { hubs : int; degree : int; seed : int; seats : int }
 
+let torus_of_cabs = function
+  | 64 -> Some (Torus { rows = 4; cols = 4; seats = 4 })
+  | 256 -> Some (Torus { rows = 8; cols = 8; seats = 4 })
+  | 512 -> Some (Torus { rows = 16; cols = 8; seats = 4 })
+  | 1024 -> Some (Torus { rows = 16; cols = 16; seats = 4 })
+  | _ -> None
+
 type trunk = (int * int) * (int * int)
 
 (* A built topology: the trunk list plus whatever routing state the shape
@@ -37,8 +44,8 @@ let seats_of = function
 (* ---------- trunk wiring, shared with the Chaos builders ---------- *)
 
 (* East trunks leave on port 15 into the eastern neighbour's 14, south
-   trunks on 13 into the southern neighbour's 12 (the scaling-bench
-   convention [Policy.Ecube] routes over).  Dimensions of size < 2 wire
+   trunks on 13 into the southern neighbour's 12 (the convention
+   [Policy.Ecube] routes over).  Dimensions of size < 2 wire
    no trunks rather than a self-loop. *)
 let torus_trunks ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Topology.torus_trunks: empty grid";

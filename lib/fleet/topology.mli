@@ -30,7 +30,8 @@
     descend — every circuit crosses child-to-parent edges strictly before
     parent-to-child edges, the same two-class argument).  BFS-shortest
     routes are {e not} safe on the torus (wrap rings of concurrent
-    circuits deadlock; [bench/scaling.ml] documents the hang). *)
+    circuits deadlock; {!Nectar_route.Policy.Ecube} records the
+    witness). *)
 
 module Net = Nectar_hub.Network
 module Policy = Nectar_route.Policy
@@ -45,6 +46,11 @@ type spec =
   | Irregular of { hubs : int; degree : int; seed : int; seats : int }
       (** seeded connected mesh with average trunk degree [degree];
           [seats] CABs per HUB ([seats <= 14], leaving two trunk ports) *)
+
+val torus_of_cabs : int -> spec option
+(** The 4-seat torus of each fleet size the benches and the CLI run:
+    64 (4x4), 256 (8x8), 512 (16x8) and 1024 (16x16) CABs; [None] for
+    any other count. *)
 
 type trunk = (int * int) * (int * int)
 (** A hub-to-hub link as [((hub_a, port_a), (hub_b, port_b))]. *)

@@ -86,10 +86,10 @@ let zipf_draw cdf u =
 type send = { at : int; dst : int }
 
 (* The per-node schedule is a pure function of (seed, node): keyed Rng
-   streams make it independent of partition count and creation order,
-   exactly like the scaling bench's — the parallel determinism gates
-   rely on it.  [at] is a gap after the previous send completes (closed
-   loop) or an absolute due time (open loop). *)
+   streams make it independent of partition count and creation order —
+   the parallel determinism gates rely on it.  [at] is a gap after the
+   previous send completes (closed loop) or an absolute due time (open
+   loop). *)
 let plan t ~nodes ~node =
   if node < 0 || node >= nodes then invalid_arg "Workload.plan: bad node";
   if nodes < 2 then invalid_arg "Workload.plan: need >= 2 nodes";

@@ -49,8 +49,11 @@ type preference =
           circuit for the whole frame.  On a torus, BFS-shortest routes use
           the wrap trunks, and a ring of concurrent circuits around a
           dimension can then each hold its upstream port while waiting for
-          the next one: a cycle in the port waits-for graph, i.e. deadlock
-          (observed in practice — [bench/scaling.ml] documents the hang).
+          the next one: a cycle in the port waits-for graph, i.e. deadlock.
+          The witness: BFS-shortest routes hang the 64-CAB 8x2 torus
+          (4 CABs per HUB, 1024-byte frames to uniformly random peers)
+          that the parallel scaling sweep drives, which drains under
+          e-cube routes.
           E-cube routes traverse each directional channel class
           monotonically (all 15s, then all 14s, then 13s, then 12s, and
           column classes strictly before row classes), so any waits-for

@@ -10,7 +10,6 @@ module Router = Nectar_route.Router
 module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
-module Footprint = Nectar_fleet.Footprint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -427,7 +426,42 @@ let test_driver_conservation () =
       let r2 = Driver.run (small_cfg ~domains ()) in
       check_bool (what "double-run determinism") true
         (Driver.deterministic_eq r r2))
-    [ 1; 2 ]
+    (* at 4 domains every partition is one row: both the north and the
+       south trunk of every hub cross a cut *)
+    [ 1; 2; 4 ]
+
+(* The per-node build footprint is the heap reachable from a built world
+   (the figure the fleet and scaling benches record).  A live-word delta
+   across the build read 0 B/node after a multi-domain run, whose
+   finished domains left stale words in the "before" count; the heap walk
+   must give the fresh-heap value whatever ran before it. *)
+let test_footprint_independent_of_runs () =
+  let cfg domains =
+    Driver.config ~domains ~frame_bytes:1024
+      ~topo:(Topology.Torus { rows = 8; cols = 2; seats = 4 })
+      ~workload:
+        (Workload.make ~pattern:Workload.All_to_all
+           ~arrivals:(Workload.Closed { think_ns = 31_000 })
+           ~msgs_per_node:4 ~seed:1990)
+      ()
+  in
+  let bytes_per_node () =
+    Obj.reachable_words (Obj.repr (Driver.build (cfg 1)))
+    * (Sys.word_size / 8) / 64
+  in
+  let fresh = bytes_per_node () in
+  check_bool (Printf.sprintf "fresh footprint %d B/node positive" fresh) true
+    (fresh > 0);
+  List.iter
+    (fun domains ->
+      let r = Driver.run (cfg domains) in
+      check_int
+        (Printf.sprintf "%dd: all delivered" domains)
+        r.Driver.total_msgs (Driver.delivered r);
+      check_int
+        (Printf.sprintf "footprint after a %d-domain run" domains)
+        fresh (bytes_per_node ()))
+    [ 2; 4; 8 ]
 
 let () =
   Alcotest.run "fleet"
@@ -458,5 +492,7 @@ let () =
         [
           Alcotest.test_case "conservation and determinism" `Quick
             test_driver_conservation;
+          Alcotest.test_case "build footprint independent of prior runs"
+            `Quick test_footprint_independent_of_runs;
         ] );
     ]
