@@ -63,19 +63,20 @@ let socket_vs_mailbox () =
 (* 2 -------------------------------------------------------------- *)
 
 let hostlib_cycle mode =
-  let w = host_pair () in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
   let mbox =
-    Runtime.create_mailbox w.hstack_a.Stack.rt ~name:"ab2" ~byte_limit:4096 ()
+    Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"ab2" ~byte_limit:4096 ()
   in
-  let h = Hostlib.attach w.drv_a mbox ~mode ~readers:`Host in
+  let h = Hostlib.attach drv_a mbox ~mode ~readers:`Host in
   let took = ref 0 in
-  Host.spawn_process w.host_a ~name:"proc" (fun ctx ->
+  Host.spawn_process (Cab_driver.host drv_a) ~name:"proc" (fun ctx ->
       (* warm up the process and the CAB opcode path *)
       let m = Hostlib.begin_put ctx h 8 in
       Hostlib.end_put ctx h m;
       let r = Hostlib.begin_get ctx h in
       Hostlib.end_get ctx h r;
-      let t0 = Engine.now w.heng in
+      let t0 = Engine.now w.eng in
       let rounds = 20 in
       for _ = 1 to rounds do
         let m = Hostlib.begin_put ctx h 32 in
@@ -85,8 +86,8 @@ let hostlib_cycle mode =
         ignore (Hostlib.read_string ctx h r);
         Hostlib.end_get ctx h r
       done;
-      took := (Engine.now w.heng - t0) / rounds);
-  Engine.run w.heng;
+      took := (Engine.now w.eng - t0) / rounds);
+  Engine.run w.eng;
   !took
 
 let shared_vs_rpc () =
@@ -101,16 +102,16 @@ let shared_vs_rpc () =
 (* 3 -------------------------------------------------------------- *)
 
 let rpc_rtt_with_mode mode =
-  let w = cab_pair () in
-  Reqresp.register_server w.stack_b.Stack.reqresp ~port:902 ~mode
+  let w = World.build () in
+  Reqresp.register_server w.stacks.(1).Stack.reqresp ~port:902 ~mode
     (fun _ req -> req);
   let samples = ref [] in
-  spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
       for _ = 1 to 12 do
         let t0 = Engine.now w.eng in
         ignore
-          (Reqresp.call ctx w.stack_a.Stack.reqresp
-             ~dst_cab:(Stack.node_id w.stack_b) ~dst_port:902
+          (Reqresp.call ctx w.stacks.(0).Stack.reqresp
+             ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:902
              (String.make 64 'x'));
         samples := (Engine.now w.eng - t0) :: !samples
       done);
@@ -133,21 +134,26 @@ let upcall_vs_thread () =
 let tcp_mode_numbers input_mode =
   (* throughput at 8 KB *)
   let tput =
-    let w = cab_pair ~tcp_mss:8192 ?tcp_input_mode:(Some input_mode) () in
+    let w =
+      World.build
+        ~stack:(fun rt ->
+          Stack.create rt ~tcp_mss:8192 ~tcp_input_mode:input_mode ())
+        ()
+    in
     let k = 150 in
     let total = k * 8192 in
     let done_at = ref 0 and started = ref 0 in
-    Tcp.listen w.stack_b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
-        spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+    Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
+        spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
             let received = ref 0 in
             while !received < total do
               received :=
                 !received + String.length (Tcp.recv_string ctx conn)
             done;
             done_at := Engine.now w.eng));
-    spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+    spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
         let conn =
-          Tcp.connect ctx w.stack_a.Stack.tcp ~dst:(Stack.addr w.stack_b)
+          Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
             ~dst_port:80 ()
         in
         started := Engine.now w.eng;
@@ -160,16 +166,20 @@ let tcp_mode_numbers input_mode =
   in
   (* small-message round trip *)
   let rtt =
-    let w = cab_pair ?tcp_input_mode:(Some input_mode) () in
+    let w =
+      World.build
+        ~stack:(fun rt -> Stack.create rt ~tcp_input_mode:input_mode ())
+        ()
+    in
     let samples = ref [] in
-    Tcp.listen w.stack_b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
-        spawn_cab_thread w.stack_b ~name:"echo" (fun ctx ->
+    Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
+        spawn_cab_thread w.stacks.(1) ~name:"echo" (fun ctx ->
             for _ = 1 to 12 do
               Tcp.send ctx conn (Tcp.recv_string ctx conn)
             done));
-    spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+    spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
         let conn =
-          Tcp.connect ctx w.stack_a.Stack.tcp ~dst:(Stack.addr w.stack_b)
+          Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
             ~dst_port:80 ()
         in
         for _ = 1 to 12 do
@@ -244,35 +254,35 @@ let mailbox_cache_benefit () =
    configuration. *)
 let preemption_necessity () =
   let rtt_with_hog ~app_priority =
-    let w = cab_pair () in
+    let w = World.build () in
     let port = 900 in
     let inbox_a =
-      Runtime.create_mailbox w.stack_a.Stack.rt ~name:"in-a" ~port ()
+      Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"in-a" ~port ()
     in
     let inbox_b =
-      Runtime.create_mailbox w.stack_b.Stack.rt ~name:"in-b" ~port ()
+      Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"in-b" ~port ()
     in
     (* the hog: a compute task on B's CAB, 5 ms of work at a time *)
     ignore
-      (Thread.create (Runtime.cab w.stack_b.Stack.rt) ~priority:app_priority
+      (Thread.create (Runtime.cab w.stacks.(1).Stack.rt) ~priority:app_priority
          ~name:"hog" (fun ctx ->
            for _ = 1 to 100 do
              ctx.work (Sim_time.ms 5)
            done));
-    spawn_cab_thread w.stack_b ~name:"echo" (fun ctx ->
+    spawn_cab_thread w.stacks.(1) ~name:"echo" (fun ctx ->
         for _ = 1 to 8 do
           let m = Mailbox.begin_get ctx inbox_b in
           let s = Message.to_string m in
           Mailbox.end_get ctx m;
-          Dgram.send_string ctx w.stack_b.Stack.dgram
-            ~dst_cab:(Stack.node_id w.stack_a) ~dst_port:port s
+          Dgram.send_string ctx w.stacks.(1).Stack.dgram
+            ~dst_cab:(Stack.node_id w.stacks.(0)) ~dst_port:port s
         done);
     let samples = ref [] in
-    spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+    spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
         for _ = 1 to 8 do
           let t0 = Engine.now w.eng in
-          Dgram.send_string ctx w.stack_a.Stack.dgram
-            ~dst_cab:(Stack.node_id w.stack_b) ~dst_port:port
+          Dgram.send_string ctx w.stacks.(0).Stack.dgram
+            ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:port
             (String.make 64 'x');
           let m = Mailbox.begin_get ctx inbox_a in
           Mailbox.end_get ctx m;
@@ -310,25 +320,26 @@ let marshal_offload () =
   in
   let calls = 40 in
   let run_on ~offload =
-    let w = host_pair () in
-    let host_cpu = Host.cpu w.host_a in
+    let w = World.build () in
+    let host = Cab_driver.host (World.add_host w 0) in
+    let host_cpu = Host.cpu host in
     let elapsed = ref 0 in
     if offload then
       (* a CAB thread marshals on the host's behalf *)
-      spawn_cab_thread w.hstack_a ~name:"marshaler" (fun ctx ->
-          let t0 = Engine.now w.heng in
+      spawn_cab_thread w.stacks.(0) ~name:"marshaler" (fun ctx ->
+          let t0 = Engine.now w.eng in
           for _ = 1 to calls do
             ignore (P.decode ctx (P.encode ctx argument))
           done;
-          elapsed := Engine.now w.heng - t0)
+          elapsed := Engine.now w.eng - t0)
     else
-      Host.spawn_process w.host_a ~name:"marshaler" (fun ctx ->
-          let t0 = Engine.now w.heng in
+      Host.spawn_process host ~name:"marshaler" (fun ctx ->
+          let t0 = Engine.now w.eng in
           for _ = 1 to calls do
             ignore (P.decode ctx (P.encode ctx argument))
           done;
-          elapsed := Engine.now w.heng - t0);
-    Engine.run w.heng;
+          elapsed := Engine.now w.eng - t0);
+    Engine.run w.eng;
     let host_busy = Nectar_sim.Cpu.busy_time host_cpu in
     (!elapsed / calls, host_busy / calls)
   in

@@ -12,6 +12,7 @@ open Nectar_core
 open Nectar_proto
 module Chaos = Nectar_chaos.Chaos
 module Plan = Nectar_chaos.Chaos.Plan
+module World = Nectar_fleet.World
 let seed = 1990
 let rates = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]
 let msg_bytes = 4096
@@ -31,8 +32,8 @@ let drop_faults w drop =
     }
 
 let rmp_point drop =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   drop_faults w drop;
   let k = total_bytes / msg_bytes in
   let received = ref 0 and last_rx = ref 1 in
@@ -46,7 +47,7 @@ let rmp_point drop =
            let m = Mailbox.begin_get ctx inbox in
            Mailbox.end_get ctx m;
            incr received;
-           last_rx := Engine.now w.Chaos.eng
+           last_rx := Engine.now w.eng
          done));
   let errors = ref 0 in
   ignore
@@ -60,7 +61,7 @@ let rmp_point drop =
            | () -> ()
            | exception Rmp.Delivery_timeout _ -> incr errors
          done));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   {
     drop;
     goodput =
@@ -72,11 +73,9 @@ let rmp_point drop =
 
 let tcp_point drop =
   let w =
-    Chaos.build_world
-      ~stack_opts:(fun rt -> Stack.create rt ~tcp_mss:msg_bytes ())
-      ()
+    World.build ~stack:(fun rt -> Stack.create rt ~tcp_mss:msg_bytes ()) ()
   in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   drop_faults w drop;
   let k = total_bytes / msg_bytes in
   let received = ref 0 and last_rx = ref 1 in
@@ -85,7 +84,7 @@ let tcp_point drop =
         (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
              while !received < total_bytes do
                received := !received + String.length (Tcp.recv_string ctx conn);
-               last_rx := Engine.now w.Chaos.eng
+               last_rx := Engine.now w.eng
              done)));
   let errors = ref 0 in
   ignore
@@ -99,7 +98,7 @@ let tcp_point drop =
              Tcp.send ctx conn payload
            done
          with Tcp.Connection_timed_out | Tcp.Connection_reset -> incr errors));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   {
     drop;
     goodput =

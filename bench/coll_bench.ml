@@ -47,7 +47,7 @@ type point = {
   wall_s : float;
 }
 
-let pct s p = Stats.Summary.percentile s p /. 1e3
+let pct s p = Nectar_util.Summary.percentile s p /. 1e3
 
 (* Mean duration of the completed [label] spans in the tracer ring:
    Span_begin carries the label, Span_end is matched by id. *)
@@ -73,14 +73,6 @@ let run_point ~cabs ~ops ~host =
   let w = Coll.World.build (torus_for cabs) in
   let n = Array.length w.Coll.World.colls in
   let root = Tree.root w.Coll.World.tree in
-  let b_lat = Stats.Summary.create ~keep_samples:true () in
-  let r_lat = Stats.Summary.create ~keep_samples:true () in
-  let c_lat = Stats.Summary.create ~keep_samples:true () in
-  let barrier, reduce, bcast =
-    if host then (Coll.host_barrier, Coll.host_reduce, Coll.host_bcast)
-    else (Coll.barrier, Coll.reduce, Coll.bcast)
-  in
-  let expect_sum = n * (n + 1) / 2 in
   (* Span-trace the root's critical path.  Every layer under the
      collective also emits events once a tracer is installed, so tracing
      the whole run would wrap the ring and evict the "coll.op" begins;
@@ -89,38 +81,9 @@ let run_point ~cabs ~ops ~host =
   (* the ring must hold one full iteration of every layer's events even
      at 1024 CABs (~4k frames/op, dozens of events each) *)
   let tracer = Trace.create ~capacity:(1 lsl 20) w.Coll.World.eng in
-  Array.iteri
-    (fun i c ->
-      ignore
-        (Thread.create
-           (Runtime.cab w.Coll.World.stacks.(i).Stack.rt)
-           ~name:(Printf.sprintf "coll-app%d" i)
-           (fun ctx ->
-             let timed s f =
-               if i = root then begin
-                 let t0 = Engine.now ctx.Ctx.eng in
-                 f ();
-                 Stats.Summary.add s
-                   (float_of_int (Engine.now ctx.Ctx.eng - t0))
-               end
-               else f ()
-             in
-             for it = 1 to ops do
-               if i = root && it = ops then Trace.install tracer;
-               timed b_lat (fun () -> barrier ctx c);
-               timed r_lat (fun () ->
-                   if reduce ctx c (i + 1) <> expect_sum then
-                     failwith "coll: bad reduce");
-               let payload = if i = root then Some "go" else None in
-               timed c_lat (fun () ->
-                   if bcast ctx c payload <> "go" then
-                     failwith "coll: bad bcast")
-             done)))
-    w.Coll.World.colls;
   let t0 = Unix.gettimeofday () in
-  Engine.run w.Coll.World.eng;
+  let b_lat, r_lat, c_lat = Coll.World.run ~tracer w ~ops ~host in
   let wall = Unix.gettimeofday () -. t0 in
-  Trace.uninstall ();
   let mode = if host then "host" else "tree" in
   let what fmt =
     Printf.ksprintf

@@ -18,6 +18,7 @@ open Nectar_proto
 open Bench_world
 module Chaos = Nectar_chaos.Chaos
 module Router = Nectar_route.Router
+module Topology = Nectar_fleet.Topology
 
 type result = {
   cycles : int;
@@ -46,12 +47,13 @@ let measure ?(cycles = 25) () =
   let period = Sim_time.ms 8 and outage = Sim_time.ms 2 in
   let first_down = Sim_time.ms 5 in
   let w =
-    Chaos.build_ring ~hubs:4
-      ~at:[ (0, 2); (2, 2) ]
-      ~stack_opts:(fun rt -> Stack.create rt ~rmp_window:4 ())
+    World.build ~hubs:4
+      ~trunks:(Topology.ring_trunks ~hubs:4)
+      ~seats:[ (0, 2); (2, 2) ]
+      ~stack:(fun rt -> Stack.create rt ~rmp_window:4 ())
       ()
   in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let downs = List.init cycles (fun k -> first_down + (k * period)) in
   Chaos.install w
     {
@@ -83,7 +85,7 @@ let measure ?(cycles = 25) () =
       done);
   (* the default 64k-event ring would overwrite the earliest cycles'
      deliveries over a ~200 ms run; size it for the whole run *)
-  let tracer = Trace.create ~capacity:(1 lsl 21) w.Chaos.eng in
+  let tracer = Trace.create ~capacity:(1 lsl 21) w.eng in
   Trace.install tracer;
   Fun.protect
     ~finally:(fun () -> Trace.uninstall ())
@@ -96,7 +98,7 @@ let measure ?(cycles = 25) () =
             Engine.sleep ctx.Ctx.eng gap
           done;
           Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port);
-      Engine.run w.Chaos.eng;
+      Engine.run w.eng;
       let deliveries = Trace.occurrences tracer "rmp.deliver" in
       let bound =
         Router.blackout_bound_ns a.Stack.router ~rto_ns:(Rmp.rto a.Stack.rmp)

@@ -30,38 +30,40 @@ let warmup = 4
 let mark label = Trace.instant ~track:"fig6" label
 
 let run () =
-  let w = host_pair () in
-  let eng = w.heng in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let eng = w.eng in
   let port = 900 in
   let tracer = Trace.create eng in
   Trace.install tracer;
   let inbox =
-    Runtime.create_mailbox w.hstack_b.Stack.rt ~name:"f6-inbox" ~port
+    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"f6-inbox" ~port
       ~upcall:(fun _ctx _mb -> mark "t3")
       ()
   in
   let send_mb =
-    Runtime.create_mailbox w.hstack_a.Stack.rt ~name:"f6-send" ()
+    Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"f6-send" ()
   in
-  spawn_cab_thread w.hstack_a ~name:"send-server" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"send-server" (fun ctx ->
       while true do
         let m = Mailbox.begin_get ctx send_mb in
         mark "t2";
         let payload = Message.read_string m ~pos:0 ~len:(Message.length m) in
         Mailbox.end_get ctx m;
-        Dgram.send_string ctx w.hstack_a.Stack.dgram ~dst_cab:1 ~dst_port:port
+        Dgram.send_string ctx w.stacks.(0).Stack.dgram ~dst_cab:1 ~dst_port:port
           payload
       done);
   let h_send =
-    Hostlib.attach w.drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
+    Hostlib.attach drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
   let h_in =
-    Hostlib.attach w.drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
+    Hostlib.attach drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
   in
   (* round-trip control channel so rounds do not overlap: receiver tells the
      sender (out of band, zero sim cost) when it is done *)
   let round_done = Waitq.create eng ~name:"f6-round" () in
-  Host.spawn_process w.host_b ~name:"reader" (fun ctx ->
+  Host.spawn_process (Cab_driver.host drv_b) ~name:"reader" (fun ctx ->
       for _ = 1 to iterations do
         let m = Hostlib.begin_get ctx h_in in
         mark "t4";
@@ -72,7 +74,7 @@ let run () =
         mark "t5";
         ignore (Waitq.signal round_done)
       done);
-  Host.spawn_process w.host_a ~name:"writer" (fun ctx ->
+  Host.spawn_process (Cab_driver.host drv_a) ~name:"writer" (fun ctx ->
       for _ = 1 to iterations do
         mark "t0";
         Table1.touch ctx payload_bytes;

@@ -18,27 +18,27 @@ let message_count size = max 100 (min 600 (1_500_000 / size))
 (* ---------- RMP ---------- *)
 
 let rmp_throughput size =
-  let w = cab_pair () in
+  let w = World.build () in
   let port = 900 in
   let inbox =
-    Runtime.create_mailbox w.stack_b.Stack.rt ~name:"f7-inbox" ~port
+    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"f7-inbox" ~port
       ~byte_limit:(128 * 1024) ()
   in
   let k = message_count size in
   let done_at = ref 0 in
-  spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
       for _ = 1 to k do
         let m = Mailbox.begin_get ctx inbox in
         Mailbox.end_get ctx m
       done;
       done_at := Engine.now w.eng);
   let started = ref 0 in
-  spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
       started := Engine.now w.eng;
       let payload = String.make size 'r' in
       for _ = 1 to k do
-        Rmp.send_string ctx w.stack_a.Stack.rmp
-          ~dst_cab:(Stack.node_id w.stack_b) ~dst_port:port payload
+        Rmp.send_string ctx w.stacks.(0).Stack.rmp
+          ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:port payload
       done);
   Engine.run w.eng;
   mbps ~bytes:(k * size) ~ns:(!done_at - !started)
@@ -48,20 +48,24 @@ let rmp_throughput size =
 let tcp_throughput ~checksum size =
   (* mss = message size: one segment per application write, like the
      original implementation the figure measured *)
-  let w = cab_pair ~tcp_checksum:checksum ~tcp_mss:size () in
+  let w =
+    World.build
+      ~stack:(fun rt -> Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
+      ()
+  in
   let k = message_count size in
   let total = k * size in
   let done_at = ref 0 and started = ref 0 in
-  Tcp.listen w.stack_b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
-      spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+  Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
+      spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
           let received = ref 0 in
           while !received < total do
             received := !received + String.length (Tcp.recv_string ctx conn)
           done;
           done_at := Engine.now w.eng));
-  spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
       let conn =
-        Tcp.connect ctx w.stack_a.Stack.tcp ~dst:(Stack.addr w.stack_b)
+        Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
           ~dst_port:80 ()
       in
       started := Engine.now w.eng;

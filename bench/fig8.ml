@@ -18,87 +18,95 @@ let message_count size = max 60 (min 400 (1_000_000 / size))
 (* ---------- RMP over the host path ---------- *)
 
 let rmp_throughput size =
-  let w = host_pair () in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
   let port = 900 in
   let inbox =
-    Runtime.create_mailbox w.hstack_b.Stack.rt ~name:"f8-inbox" ~port
+    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"f8-inbox" ~port
       ~byte_limit:(128 * 1024) ()
   in
   let send_mb =
-    Runtime.create_mailbox w.hstack_a.Stack.rt ~name:"f8-send"
+    Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"f8-send"
       ~byte_limit:(128 * 1024) ()
   in
-  spawn_cab_thread w.hstack_a ~name:"send-server" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"send-server" (fun ctx ->
       while true do
         let m = Mailbox.begin_get ctx send_mb in
         let payload = Message.read_string m ~pos:0 ~len:(Message.length m) in
         Mailbox.end_get ctx m;
-        Rmp.send_string ctx w.hstack_a.Stack.rmp ~dst_cab:1 ~dst_port:port
+        Rmp.send_string ctx w.stacks.(0).Stack.rmp ~dst_cab:1 ~dst_port:port
           payload
       done);
   let h_send =
-    Hostlib.attach w.drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
+    Hostlib.attach drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
   let h_in =
-    Hostlib.attach w.drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
+    Hostlib.attach drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
   in
   let k = message_count size in
   let done_at = ref 0 and started = ref 0 in
-  Host.spawn_process w.host_b ~name:"sink" (fun ctx ->
+  Host.spawn_process (Cab_driver.host drv_b) ~name:"sink" (fun ctx ->
       for _ = 1 to k do
         let m = Hostlib.begin_get ctx h_in in
         ignore (Hostlib.read_string ctx h_in m);
         Hostlib.end_get ctx h_in m
       done;
-      done_at := Engine.now w.heng);
-  Host.spawn_process w.host_a ~name:"source" (fun ctx ->
-      started := Engine.now w.heng;
+      done_at := Engine.now w.eng);
+  Host.spawn_process (Cab_driver.host drv_a) ~name:"source" (fun ctx ->
+      started := Engine.now w.eng;
       let payload = String.make size 'r' in
       for _ = 1 to k do
         let m = Hostlib.begin_put ctx h_send size in
         Hostlib.write_string ctx h_send m ~pos:0 payload;
         Hostlib.end_put ctx h_send m
       done);
-  Engine.run w.heng;
+  Engine.run w.eng;
   mbps ~bytes:(k * size) ~ns:(!done_at - !started)
 
 (* ---------- TCP over the host path ---------- *)
 
 let tcp_throughput size =
-  let w = host_pair ~tcp_checksum:true ~tcp_mss:size () in
+  let w =
+    World.build
+      ~stack:(fun rt -> Stack.create rt ~tcp_checksum:true ~tcp_mss:size ())
+      ()
+  in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
   let k = message_count size in
   let total = k * size in
   let conn_ref = ref None and accepted = ref None in
-  Tcp.listen w.hstack_b.Stack.tcp ~port:80 ~on_accept:(fun c ->
+  Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun c ->
       accepted := Some c);
   (* establish from a CAB thread, then hand the connection to the hosts *)
-  spawn_cab_thread w.hstack_a ~name:"connector" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"connector" (fun ctx ->
       conn_ref :=
         Some
-          (Tcp.connect ctx w.hstack_a.Stack.tcp ~dst:(Stack.addr w.hstack_b)
+          (Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
              ~dst_port:80 ()));
-  Engine.run w.heng;
+  Engine.run w.eng;
   let conn = Option.get !conn_ref and peer = Option.get !accepted in
   let send_req =
-    Hostlib.attach w.drv_a
-      (Tcp.send_request_mailbox w.hstack_a.Stack.tcp)
+    Hostlib.attach drv_a
+      (Tcp.send_request_mailbox w.stacks.(0).Stack.tcp)
       ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
   let recv_h =
-    Hostlib.attach w.drv_b (Tcp.recv_mailbox peer)
+    Hostlib.attach drv_b (Tcp.recv_mailbox peer)
       ~mode:Hostlib.Shared_memory ~readers:`Host
   in
   let done_at = ref 0 and started = ref 0 in
-  Host.spawn_process w.host_b ~name:"sink" (fun ctx ->
+  Host.spawn_process (Cab_driver.host drv_b) ~name:"sink" (fun ctx ->
       let received = ref 0 in
       while !received < total do
         let m = Hostlib.begin_get ctx recv_h in
         received := !received + String.length (Hostlib.read_string ctx recv_h m);
         Hostlib.end_get ctx recv_h m
       done;
-      done_at := Engine.now w.heng);
-  Host.spawn_process w.host_a ~name:"source" (fun ctx ->
-      started := Engine.now w.heng;
+      done_at := Engine.now w.eng);
+  Host.spawn_process (Cab_driver.host drv_a) ~name:"source" (fun ctx ->
+      started := Engine.now w.eng;
       let payload = String.make size 't' in
       for _ = 1 to k do
         let m = Hostlib.begin_put ctx send_req (4 + size) in
@@ -106,7 +114,7 @@ let tcp_throughput size =
         Hostlib.write_string ctx send_req m ~pos:4 payload;
         Hostlib.end_put ctx send_req m
       done);
-  Engine.run w.heng;
+  Engine.run w.eng;
   mbps ~bytes:total ~ns:(!done_at - !started)
 
 (* ---------- network-device mode ---------- *)

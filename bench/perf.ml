@@ -78,31 +78,36 @@ let engine_schedule_cancel () =
    for their tail acks.  Returns (Mbit/s, delivered, retransmits,
    failed_sends). *)
 let windowed_run ~window ~ack_delay ~size ~count =
-  let w = cab_pair ~rmp_window:window ~rmp_ack_delay:ack_delay () in
+  let w =
+    World.build
+      ~stack:(fun rt ->
+        Stack.create rt ~rmp_window:window ~rmp_ack_delay:ack_delay ())
+      ()
+  in
   let port = 900 in
   let inbox =
-    Runtime.create_mailbox w.stack_b.Stack.rt ~name:"perf-inbox" ~port
+    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"perf-inbox" ~port
       ~byte_limit:(256 * 1024) ()
   in
   let got = ref 0 and done_at = ref 0 and started = ref 0 in
-  spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
       for _ = 1 to count do
         let m = Mailbox.begin_get ctx inbox in
         Mailbox.end_get ctx m;
         incr got
       done;
       done_at := Engine.now w.eng);
-  spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
       started := Engine.now w.eng;
       let payload = String.make size 'p' in
-      let dst_cab = Stack.node_id w.stack_b in
+      let dst_cab = Stack.node_id w.stacks.(1) in
       for _ = 1 to count do
-        Rmp.send_string ctx w.stack_a.Stack.rmp ~dst_cab ~dst_port:port
+        Rmp.send_string ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port
           payload
       done;
-      Rmp.flush ctx w.stack_a.Stack.rmp ~dst_cab ~dst_port:port);
+      Rmp.flush ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port);
   Engine.run w.eng;
-  let rmp = w.stack_a.Stack.rmp in
+  let rmp = w.stacks.(0).Stack.rmp in
   ( mbps ~bytes:(count * size) ~ns:(!done_at - !started),
     !got,
     Rmp.retransmits rmp,
@@ -114,14 +119,14 @@ let windowed_run ~window ~ack_delay ~size ~count =
    engine optionally coalesces completion interrupts ([coalesce_ns]).
    Returns (aggregate Mbit/s, delivered, completion batches). *)
 let fleet_run ~senders ~window ~size ~count ~coalesce_ns =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let make i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "fl%d" i) in
-    Stack.create (Runtime.create cab) ~rmp_window:window ()
+  let w =
+    World.build
+      ~seats:(World.ports (senders + 1))
+      ~stack:(fun rt -> Stack.create rt ~rmp_window:window ())
+      ()
   in
-  let sink = make 0 in
-  let srcs = List.init senders (fun i -> make (i + 1)) in
+  let eng = w.eng and sink = w.stacks.(0) in
+  let srcs = List.init senders (fun i -> w.stacks.(i + 1)) in
   Rx.set_coalesce_ns (Cab.rx (Runtime.cab sink.Stack.rt)) coalesce_ns;
   let port = 700 in
   let inbox =
@@ -163,22 +168,22 @@ module Copy_meter = Nectar_util.Copy_meter
    therefore the measured copies plus one copy of every wire byte. *)
 let copies_rmp ~size ~count =
   Copy_meter.reset ();
-  let w = cab_pair ~rmp_window:1 () in
+  let w = World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:1 ()) () in
   let port = 910 in
   let inbox =
-    Runtime.create_mailbox w.stack_b.Stack.rt ~name:"copy-inbox" ~port
+    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"copy-inbox" ~port
       ~byte_limit:(256 * 1024) ()
   in
-  spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
       for _ = 1 to count do
         let m = Mailbox.begin_get ctx inbox in
         Mailbox.end_get ctx m
       done);
-  spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
       let payload = String.make size 'c' in
-      let dst_cab = Stack.node_id w.stack_b in
+      let dst_cab = Stack.node_id w.stacks.(1) in
       for _ = 1 to count do
-        Rmp.send_string ctx w.stack_a.Stack.rmp ~dst_cab ~dst_port:port
+        Rmp.send_string ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port
           payload
       done);
   Engine.run w.eng;
@@ -188,17 +193,17 @@ let copies_rmp ~size ~count =
    per application write, as in fig7). *)
 let copies_tcp ~size ~count =
   Copy_meter.reset ();
-  let w = cab_pair ~tcp_mss:size () in
+  let w = World.build ~stack:(fun rt -> Stack.create rt ~tcp_mss:size ()) () in
   let total = count * size in
-  Tcp.listen w.stack_b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
-      spawn_cab_thread w.stack_b ~name:"sink" (fun ctx ->
+  Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
+      spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
           let received = ref 0 in
           while !received < total do
             received := !received + String.length (Tcp.recv_string ctx conn)
           done));
-  spawn_cab_thread w.stack_a ~name:"source" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
       let conn =
-        Tcp.connect ctx w.stack_a.Stack.tcp ~dst:(Stack.addr w.stack_b)
+        Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
           ~dst_port:80 ()
       in
       let payload = String.make size 't' in

@@ -23,26 +23,27 @@ let mean_rtt samples =
 (* ---------- CAB-to-CAB ---------- *)
 
 (* Echo over a transport whose receive side is a runtime-port mailbox. *)
-let cab_rtt_mailbox_transport w ~send =
+let cab_rtt_mailbox_transport (w : World.t) ~send =
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let port = 900 in
   let inbox_a =
-    Runtime.create_mailbox w.stack_a.Stack.rt ~name:"t1-inbox-a" ~port ()
+    Runtime.create_mailbox a.Stack.rt ~name:"t1-inbox-a" ~port ()
   in
   let inbox_b =
-    Runtime.create_mailbox w.stack_b.Stack.rt ~name:"t1-inbox-b" ~port ()
+    Runtime.create_mailbox b.Stack.rt ~name:"t1-inbox-b" ~port ()
   in
-  spawn_cab_thread w.stack_b ~name:"echo" (fun ctx ->
+  spawn_cab_thread b ~name:"echo" (fun ctx ->
       for _ = 1 to iterations do
         let m = Mailbox.begin_get ctx inbox_b in
         let s = Message.to_string m in
         Mailbox.end_get ctx m;
-        send ctx w.stack_b ~dst_cab:(Stack.node_id w.stack_a) ~dst_port:port s
+        send ctx b ~dst_cab:(Stack.node_id a) ~dst_port:port s
       done);
   let samples = ref [] in
-  spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+  spawn_cab_thread a ~name:"client" (fun ctx ->
       for _ = 1 to iterations do
         let t0 = Engine.now w.eng in
-        send ctx w.stack_a ~dst_cab:(Stack.node_id w.stack_b) ~dst_port:port
+        send ctx a ~dst_cab:(Stack.node_id b) ~dst_port:port
           (String.make payload_bytes 'x');
         let m = Mailbox.begin_get ctx inbox_a in
         Mailbox.end_get ctx m;
@@ -52,36 +53,36 @@ let cab_rtt_mailbox_transport w ~send =
   mean_rtt !samples
 
 let cab_dgram_rtt () =
-  let w = cab_pair () in
+  let w = World.build () in
   cab_rtt_mailbox_transport w ~send:(fun ctx s ~dst_cab ~dst_port payload ->
       Dgram.send_string ctx s.Stack.dgram ~dst_cab ~dst_port payload)
 
 let cab_rmp_rtt () =
-  let w = cab_pair () in
+  let w = World.build () in
   cab_rtt_mailbox_transport w ~send:(fun ctx s ~dst_cab ~dst_port payload ->
       Rmp.send_string ctx s.Stack.rmp ~dst_cab ~dst_port payload)
 
 let cab_udp_rtt () =
-  let w = cab_pair () in
+  let w = World.build () in
   let port = 901 in
-  let inbox_a = Runtime.create_mailbox w.stack_a.Stack.rt ~name:"u-a" () in
-  let inbox_b = Runtime.create_mailbox w.stack_b.Stack.rt ~name:"u-b" () in
-  Udp.bind w.stack_a.Stack.udp ~port inbox_a;
-  Udp.bind w.stack_b.Stack.udp ~port inbox_b;
-  spawn_cab_thread w.stack_b ~name:"echo" (fun ctx ->
+  let inbox_a = Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"u-a" () in
+  let inbox_b = Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"u-b" () in
+  Udp.bind w.stacks.(0).Stack.udp ~port inbox_a;
+  Udp.bind w.stacks.(1).Stack.udp ~port inbox_b;
+  spawn_cab_thread w.stacks.(1) ~name:"echo" (fun ctx ->
       for _ = 1 to iterations do
         let m = Mailbox.begin_get ctx inbox_b in
         let s = Message.to_string m in
         Mailbox.end_get ctx m;
-        Udp.send_string ctx w.stack_b.Stack.udp ~src_port:port
-          ~dst:(Stack.addr w.stack_a) ~dst_port:port s
+        Udp.send_string ctx w.stacks.(1).Stack.udp ~src_port:port
+          ~dst:(Stack.addr w.stacks.(0)) ~dst_port:port s
       done);
   let samples = ref [] in
-  spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
       for _ = 1 to iterations do
         let t0 = Engine.now w.eng in
-        Udp.send_string ctx w.stack_a.Stack.udp ~src_port:port
-          ~dst:(Stack.addr w.stack_b) ~dst_port:port
+        Udp.send_string ctx w.stacks.(0).Stack.udp ~src_port:port
+          ~dst:(Stack.addr w.stacks.(1)) ~dst_port:port
           (String.make payload_bytes 'x');
         let m = Mailbox.begin_get ctx inbox_a in
         Mailbox.end_get ctx m;
@@ -91,16 +92,16 @@ let cab_udp_rtt () =
   mean_rtt !samples
 
 let cab_rpc_rtt () =
-  let w = cab_pair () in
-  Reqresp.register_server w.stack_b.Stack.reqresp ~port:902
+  let w = World.build () in
+  Reqresp.register_server w.stacks.(1).Stack.reqresp ~port:902
     ~mode:Reqresp.Thread_server (fun _ req -> req);
   let samples = ref [] in
-  spawn_cab_thread w.stack_a ~name:"client" (fun ctx ->
+  spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
       for _ = 1 to iterations do
         let t0 = Engine.now w.eng in
         ignore
-          (Reqresp.call ctx w.stack_a.Stack.reqresp
-             ~dst_cab:(Stack.node_id w.stack_b) ~dst_port:902
+          (Reqresp.call ctx w.stacks.(0).Stack.reqresp
+             ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:902
              (String.make payload_bytes 'x'));
         samples := (Engine.now w.eng - t0) :: !samples
       done);
@@ -142,23 +143,25 @@ let touch (ctx : Ctx.t) n =
    port mailboxes (datagram, RMP) or UDP-bound mailboxes. *)
 let host_rtt ?(udp = false) () =
   fun ~send ->
-    let w = host_pair () in
+    let w = World.build () in
+    let drv_a = World.add_host w 0 in
+    let drv_b = World.add_host w 1 in
     let port = 900 in
-    let inbox_a = Runtime.create_mailbox w.hstack_a.Stack.rt ~name:"h-a"
+    let inbox_a = Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"h-a"
         ?port:(if udp then None else Some port) () in
-    let inbox_b = Runtime.create_mailbox w.hstack_b.Stack.rt ~name:"h-b"
+    let inbox_b = Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"h-b"
         ?port:(if udp then None else Some port) () in
     if udp then begin
-      Udp.bind w.hstack_a.Stack.udp ~port inbox_a;
-      Udp.bind w.hstack_b.Stack.udp ~port inbox_b
+      Udp.bind w.stacks.(0).Stack.udp ~port inbox_a;
+      Udp.bind w.stacks.(1).Stack.udp ~port inbox_b
     end;
-    let srv_a = install_send_server w.hstack_a ~send in
-    let srv_b = install_send_server w.hstack_b ~send in
-    let ha_srv = Hostlib.attach w.drv_a srv_a ~mode:Hostlib.Shared_memory ~readers:`Cab in
-    let hb_srv = Hostlib.attach w.drv_b srv_b ~mode:Hostlib.Shared_memory ~readers:`Cab in
-    let ha_in = Hostlib.attach w.drv_a inbox_a ~mode:Hostlib.Shared_memory ~readers:`Host in
-    let hb_in = Hostlib.attach w.drv_b inbox_b ~mode:Hostlib.Shared_memory ~readers:`Host in
-    Host.spawn_process w.host_b ~name:"echo" (fun ctx ->
+    let srv_a = install_send_server w.stacks.(0) ~send in
+    let srv_b = install_send_server w.stacks.(1) ~send in
+    let ha_srv = Hostlib.attach drv_a srv_a ~mode:Hostlib.Shared_memory ~readers:`Cab in
+    let hb_srv = Hostlib.attach drv_b srv_b ~mode:Hostlib.Shared_memory ~readers:`Cab in
+    let ha_in = Hostlib.attach drv_a inbox_a ~mode:Hostlib.Shared_memory ~readers:`Host in
+    let hb_in = Hostlib.attach drv_b inbox_b ~mode:Hostlib.Shared_memory ~readers:`Host in
+    Host.spawn_process (Cab_driver.host drv_b) ~name:"echo" (fun ctx ->
         for _ = 1 to iterations do
           let m = Hostlib.begin_get ctx hb_in in
           let s = Hostlib.read_string ctx hb_in m in
@@ -167,9 +170,9 @@ let host_rtt ?(udp = false) () =
           host_send ctx hb_srv ~dst_cab:0 ~dst_port:port s
         done);
     let samples = ref [] in
-    Host.spawn_process w.host_a ~name:"client" (fun ctx ->
+    Host.spawn_process (Cab_driver.host drv_a) ~name:"client" (fun ctx ->
         for _ = 1 to iterations do
-          let t0 = Engine.now w.heng in
+          let t0 = Engine.now w.eng in
           touch ctx payload_bytes;
           host_send ctx ha_srv ~dst_cab:1 ~dst_port:port
             (String.make payload_bytes 'x');
@@ -177,9 +180,9 @@ let host_rtt ?(udp = false) () =
           let s = Hostlib.read_string ctx ha_in m in
           touch ctx (String.length s);
           Hostlib.end_get ctx ha_in m;
-          samples := (Engine.now w.heng - t0) :: !samples
+          samples := (Engine.now w.eng - t0) :: !samples
         done);
-    Engine.run w.heng;
+    Engine.run w.eng;
     mean_rtt !samples
 
 let host_dgram_rtt () =
@@ -196,20 +199,22 @@ let host_udp_rtt () =
         ~dst:(Ipv4.addr_of_cab dst_cab) ~dst_port payload)
 
 let host_rpc_rtt () =
-  let w = host_pair () in
-  let na = Nectarine.host_node w.drv_a w.hstack_a in
-  let nb = Nectarine.host_node w.drv_b w.hstack_b in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let na = Nectarine.host_node drv_a w.stacks.(0) in
+  let nb = Nectarine.host_node drv_b w.stacks.(1) in
   Nectarine.serve nb ~port:902 (fun _ req -> req);
   let samples = ref [] in
   Nectarine.spawn na ~name:"client" (fun ctx ->
       for _ = 1 to iterations do
-        let t0 = Engine.now w.heng in
+        let t0 = Engine.now w.eng in
         ignore
           (Nectarine.call ctx na ~dst:{ Nectarine.cab = 1; port = 902 }
              (String.make payload_bytes 'x'));
-        samples := (Engine.now w.heng - t0) :: !samples
+        samples := (Engine.now w.eng - t0) :: !samples
       done);
-  Engine.run w.heng;
+  Engine.run w.eng;
   mean_rtt !samples
 
 let run () =

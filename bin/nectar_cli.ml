@@ -14,35 +14,20 @@ module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
 module Costs = Nectar_cab.Costs
 
-(* ---------- world builders ---------- *)
-
-(* A chain of [hubs] HUBs with one CAB on the first and one on the last. *)
-let chain_world ~hubs ?stack_opts () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs () in
-  for h = 0 to hubs - 2 do
-    Net.connect_hubs net (h, 15) (h + 1, 14)
-  done;
-  let make hub port name =
-    let cab = Cab.create net ~hub ~port ~name in
-    let rt = Runtime.create cab in
-    match stack_opts with
-    | Some f -> f rt
-    | None -> Stack.create rt ()
-  in
-  let a = make 0 0 "cab-first" in
-  let b = make (hubs - 1) 1 "cab-last" in
-  (eng, net, a, b)
-
-let attach_host eng stack name =
-  let host = Host.create eng ~name in
-  let drv = Cab_driver.attach host stack.Stack.rt in
-  (host, drv)
+module World = Nectar_fleet.World
+module Topology = Nectar_fleet.Topology
 
 (* ---------- ping ---------- *)
 
 let run_ping hubs count payload =
-  let eng, _, a, b = chain_world ~hubs () in
+  (* a chain of [hubs] HUBs, one CAB on the first and one on the last *)
+  let w =
+    World.build ~hubs
+      ~trunks:(Topology.chain_trunks ~hubs)
+      ~seats:[ (0, 0); (hubs - 1, 1) ]
+      ()
+  in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   ignore
     (Thread.create (Runtime.cab a.Stack.rt) ~name:"ping" (fun ctx ->
          for i = 1 to count do
@@ -79,7 +64,8 @@ let transport_send proto ctx (s : Stack.t) ~dst_cab ~dst_port payload =
   | Rpc_p -> invalid_arg "rpc handled separately"
 
 let run_latency proto payload rounds host_level =
-  let eng, _, a, b = chain_world ~hubs:1 () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let port = 900 in
   let samples = ref [] in
   let record t0 = samples := (Engine.now eng - t0) :: !samples in
@@ -87,7 +73,7 @@ let run_latency proto payload rounds host_level =
      Reqresp.register_server b.Stack.reqresp ~port
        ~mode:Reqresp.Thread_server (fun _ req -> req);
      if host_level then begin
-       let _, drv = attach_host eng a "host-a" in
+       let drv = World.add_host w 0 in
        let na = Nectarine.host_node drv a in
        Nectarine.spawn na ~name:"client" (fun ctx ->
            for _ = 1 to rounds do
@@ -119,8 +105,9 @@ let run_latency proto payload rounds host_level =
      in
      let inbox_a = make_inbox a and inbox_b = make_inbox b in
      if host_level then begin
-       let host_a, drv_a = attach_host eng a "host-a" in
-       let host_b, drv_b = attach_host eng b "host-b" in
+       let drv_a = World.add_host w 0 in
+       let drv_b = World.add_host w 1 in
+       let host_a = Cab_driver.host drv_a and host_b = Cab_driver.host drv_b in
        let ha = Hostlib.attach drv_a inbox_a ~mode:Hostlib.Shared_memory ~readers:`Host in
        let hb = Hostlib.attach drv_b inbox_b ~mode:Hostlib.Shared_memory ~readers:`Host in
        (* each side sends through a CAB thread serving a request mailbox *)
@@ -214,12 +201,12 @@ let tproto_conv =
 
 let run_throughput tproto size total_kb =
   let checksum = tproto <> Tcp_nocksum_t in
-  let eng, _, a, b =
-    chain_world ~hubs:1
-      ~stack_opts:(fun rt ->
-        Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
+  let w =
+    World.build
+      ~stack:(fun rt -> Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
       ()
   in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let total = total_kb * 1024 in
   let k = max 1 (total / size) in
   let started = ref 0 and done_at = ref 0 in
@@ -422,7 +409,8 @@ let run_chaos seed only verbose =
    under an installed tracer: every layer's spans land in the ring, and we
    emit them as Chrome trace-event JSON plus a per-stage rollup. *)
 let run_trace_scenario ~iterations ~payload =
-  let eng, net, a, b = chain_world ~hubs:1 () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   let port = 900 in
   let tracer = Trace.create eng in
   Trace.install tracer;
@@ -437,8 +425,9 @@ let run_trace_scenario ~iterations ~payload =
            Dgram.send_string ctx a.Stack.dgram ~dst_cab:(Stack.node_id b)
              ~dst_port:port payload
          done));
-  let host_a, drv_a = attach_host eng a "host-a" in
-  let host_b, drv_b = attach_host eng b "host-b" in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let host_a = Cab_driver.host drv_a and host_b = Cab_driver.host drv_b in
   let h_send =
     Hostlib.attach drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
   in
@@ -822,20 +811,21 @@ let run_check smoke only verbose =
 module Router = Nectar_route.Router
 module Policy = Nectar_route.Policy
 
-(* The same worlds the chaos campaigns use: a chain (one path per pair) or
-   a closed ring (two disjoint arcs per pair), two full stacks. *)
-let route_world ~ring ~hubs =
-  if ring then Chaos.build_ring ~hubs ~at:[ (0, 2); (hubs / 2, 2) ] ()
-  else Chaos.build_world ~hubs ~cabs:2 ()
+(* Two stacks on a chain (one path per pair) or a closed ring (two
+   disjoint arcs per pair), seated from port 2 as the chaos campaigns
+   seat them. *)
+let route_layout ~ring ~hubs =
+  if ring then (Topology.ring_trunks ~hubs, [ (0, 2); (hubs / 2, 2) ])
+  else (Topology.chain_trunks ~hubs, [ (0, 2); (1 mod hubs, 2 + (1 / hubs)) ])
 
-let dump_tables w =
+let dump_tables (w : World.t) =
   Array.iter
     (fun st ->
       let r = st.Stack.router in
       Printf.printf "node %d source-route table (generation %d):\n"
         (Stack.node_id st) (Router.generation r);
       List.iter (fun l -> Printf.printf "  %s\n" l) (Router.table_lines r))
-    w.Chaos.stacks
+    w.stacks
 
 (* The verifier gate: lawful policies must verify clean on both topology
    shapes, and planted unlawful ones — a looping pinned route and a
@@ -849,28 +839,28 @@ let run_route_verify ~hubs =
       errs;
     if not ok then incr failures
   in
+  (* the default policy verifies on the one-path shapes (chain, ring)
+     and the multipath ones: wrap trunks (torus) and parallel two-hop
+     spines (fat tree) *)
   List.iter
-    (fun (name, ring) ->
-      let w = route_world ~ring ~hubs in
-      let errs = Router.verify w.Chaos.stacks.(0).Stack.router in
-      gate (Printf.sprintf "default policy verifies on the %s" name) errs
-        (errs = []))
-    [ ("chain", false); ("ring", true) ];
-  (* the multipath shapes: wrap trunks (torus) and parallel two-hop
-     spines (fat tree) must verify just like the degenerate chains *)
-  List.iter
-    (fun (name, w) ->
-      let errs = Router.verify w.Chaos.stacks.(0).Stack.router in
+    (fun (name, hubs, (trunks, seats)) ->
+      let w = World.build ~hubs ~trunks ~seats () in
+      let errs = Router.verify w.stacks.(0).Stack.router in
       gate (Printf.sprintf "default policy verifies on the %s" name) errs
         (errs = []))
     [
-      ("3x3 torus", Chaos.build_torus ~rows:3 ~cols:3 ~at:[ (0, 2); (4, 2) ] ());
+      ("chain", hubs, route_layout ~ring:false ~hubs);
+      ("ring", hubs, route_layout ~ring:true ~hubs);
+      ( "3x3 torus",
+        9,
+        (Topology.torus_trunks ~rows:3 ~cols:3, [ (0, 2); (4, 2) ]) );
       ( "4-leaf fat tree",
-        Chaos.build_fat_tree ~leaves:4 ~spines:2 ~at:[ (0, 2); (3, 2) ] () );
+        6,
+        (Topology.fat_tree_trunks ~leaves:4 ~spines:2, [ (0, 2); (3, 2) ]) );
     ];
-  let w = route_world ~ring:true ~hubs:4 in
-  let a = Stack.node_id w.Chaos.stacks.(0)
-  and b = Stack.node_id w.Chaos.stacks.(1) in
+  let trunks, seats = route_layout ~ring:true ~hubs:4 in
+  let w = World.build ~hubs:4 ~trunks ~seats () in
+  let a = Stack.node_id w.stacks.(0) and b = Stack.node_id w.stacks.(1) in
   (* hub0 -14-> hub3 -15-> hub0 -14-> hub3 -14-> hub2 -2-> node b: walks
      to the destination over live ports, but revisits two HUBs *)
   let looping =
@@ -882,7 +872,7 @@ let run_route_verify ~hubs =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy:looping w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy:looping w.net) in
   gate "planted looping Static route is rejected" errs
     (List.exists (function Router.Looping _ -> true | _ -> false) errs);
   (* avoiding both transit HUBs of the 4-ring leaves no path for a pair
@@ -896,7 +886,7 @@ let run_route_verify ~hubs =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy:unreachable w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy:unreachable w.net) in
   gate "planted unreachable policy is rejected" errs
     (List.exists (function Router.Unreachable _ -> true | _ -> false) errs);
   !failures
@@ -905,13 +895,13 @@ let run_route_verify ~hubs =
    the routing layer did about it: per-cycle blackouts, recompute count,
    refusals, and the reconverged tables. *)
 let run_route_flaps ~hubs =
+  let trunks, seats = route_layout ~ring:true ~hubs in
   let w =
-    Chaos.build_ring ~hubs
-      ~at:[ (0, 2); (hubs / 2, 2) ]
-      ~stack_opts:(fun rt -> Stack.create rt ~rmp_window:4 ())
+    World.build ~hubs ~trunks ~seats
+      ~stack:(fun rt -> Stack.create rt ~rmp_window:4 ())
       ()
   in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let gap = Sim_time.us 200 and bytes = 256 and cycles = 3 in
   let period = Sim_time.ms 8 and outage = Sim_time.ms 2 in
   let downs = List.init cycles (fun k -> Sim_time.ms 5 + (k * period)) in
@@ -940,7 +930,7 @@ let run_route_flaps ~hubs =
            let m = Mailbox.begin_get ctx inbox in
            Mailbox.end_get ctx m
          done));
-  let tracer = Trace.create w.Chaos.eng in
+  let tracer = Trace.create w.eng in
   Trace.install tracer;
   Fun.protect
     ~finally:(fun () -> Trace.uninstall ())
@@ -955,7 +945,7 @@ let run_route_flaps ~hubs =
                Engine.sleep ctx.Ctx.eng gap
              done;
              Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:950));
-      Engine.run w.Chaos.eng;
+      Engine.run w.eng;
       let deliveries = Trace.occurrences tracer "rmp.deliver" in
       let bound =
         Router.blackout_bound_ns a.Stack.router ~rto_ns:(Rmp.rto a.Stack.rmp)
@@ -1006,7 +996,9 @@ let run_route ring hubs verify flaps =
          unreachable policies rejected\n"
   end
   else if flaps then run_route_flaps ~hubs
-  else dump_tables (route_world ~ring ~hubs)
+  else
+    let trunks, seats = route_layout ~ring ~hubs in
+    dump_tables (World.build ~hubs ~trunks ~seats ())
 
 (* ---------- coll: CAB-resident collectives (lib/coll) ---------- *)
 
@@ -1027,42 +1019,7 @@ let run_coll_mode ~topo ~ops ~host ~failures =
   let w = Coll.World.build topo in
   let n = Array.length w.Coll.World.colls in
   let root = Coll_tree.root w.Coll.World.tree in
-  let b_lat = Stats.Summary.create ~keep_samples:true () in
-  let r_lat = Stats.Summary.create ~keep_samples:true () in
-  let c_lat = Stats.Summary.create ~keep_samples:true () in
-  let barrier, reduce, bcast =
-    if host then (Coll.host_barrier, Coll.host_reduce, Coll.host_bcast)
-    else (Coll.barrier, Coll.reduce, Coll.bcast)
-  in
-  let expect_sum = n * (n + 1) / 2 in
-  Array.iteri
-    (fun i c ->
-      ignore
-        (Thread.create
-           (Runtime.cab w.Coll.World.stacks.(i).Stack.rt)
-           ~name:(Printf.sprintf "coll-app%d" i)
-           (fun ctx ->
-             let timed s f =
-               if i = root then begin
-                 let t0 = Engine.now ctx.Ctx.eng in
-                 f ();
-                 Stats.Summary.add s
-                   (float_of_int (Engine.now ctx.Ctx.eng - t0))
-               end
-               else f ()
-             in
-             for _ = 1 to ops do
-               timed b_lat (fun () -> barrier ctx c);
-               timed r_lat (fun () ->
-                   if reduce ctx c (i + 1) <> expect_sum then
-                     failwith "coll: bad reduce");
-               let payload = if i = root then Some "go" else None in
-               timed c_lat (fun () ->
-                   if bcast ctx c payload <> "go" then
-                     failwith "coll: bad bcast")
-             done)))
-    w.Coll.World.colls;
-  Engine.run w.Coll.World.eng;
+  let b_lat, r_lat, c_lat = Coll.World.run w ~ops ~host in
   let mode = if host then "host" else "tree" in
   let wakeups =
     Runtime.host_notifications w.Coll.World.stacks.(root).Stack.rt
@@ -1088,7 +1045,7 @@ let run_coll_mode ~topo ~ops ~host ~failures =
           (Coll.ops_completed c) (3 * ops)
       end)
     w.Coll.World.colls;
-  let pct s p = Stats.Summary.percentile s p /. 1e3 in
+  let pct s p = Nectar_util.Summary.percentile s p /. 1e3 in
   Printf.printf "  %-5s %-9s %10s %10s\n" mode "" "p50_us" "p99_us";
   List.iter
     (fun (name, s) ->

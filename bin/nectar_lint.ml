@@ -23,6 +23,10 @@
      and lib/hub — transports go through Router.lookup so routing policy
      and live link state apply (a "[Network.route]" doc reference is not
      flagged);
+   - no Network.create / Net.create in lib/ outside lib/hub, lib/check
+     (bare-CAB and partitioned worlds), lib/fleet/world.ml (the one
+     stack-level world builder) and lib/fleet/driver.ml (the wire-level
+     fleet) — a library needing a world calls World.build;
    - no mutable toplevel state in lib/sim or lib/core outside the
      whitelisted boundary modules: a column-0 [let x = ref ...] (or
      Atomic.make / Hashtbl.create / Array.make / Queue.create /
@@ -75,6 +79,7 @@ let pat_stdout_printers =
   ]
 
 let pats_net_route = [ "Network." ^ "route"; "Net." ^ "route" ]
+let pats_net_create = [ "Network." ^ "create"; "Net." ^ "create" ]
 
 (* qualified constructors matched by substring; the bare [ref] needs
    identifier boundaries *)
@@ -104,6 +109,8 @@ let toplevel_mutable_whitelist =
     "lib/core/message.ml";
   ]
 let route_allowed_dirs = [ "lib/route"; "lib/hub" ]
+let net_create_allowed_dirs = [ "lib/hub"; "lib/check" ]
+let net_create_allowed_files = [ "lib/fleet/world.ml"; "lib/fleet/driver.ml" ]
 let no_poly_compare_dirs = [ "lib/sim"; "lib/core" ]
 let obj_allowed_dir = "lib/check"
 let mli_required_dir = "lib"
@@ -192,6 +199,13 @@ let check_source path =
     && not
          (List.exists (fun d -> has_prefix (d ^ "/") path) route_allowed_dirs)
   in
+  let net_create_banned =
+    has_prefix (mli_required_dir ^ "/") path
+    && not
+         (List.exists (fun d -> has_prefix (d ^ "/") path)
+            net_create_allowed_dirs
+         || List.mem path net_create_allowed_files)
+  in
   let toplevel_mutable_banned =
     Filename.check_suffix path ".ml"
     && List.exists (fun d -> has_prefix (d ^ "/") path) no_toplevel_mutable_dirs
@@ -245,6 +259,14 @@ let check_source path =
                ^ " outside lib/route: go through Router.lookup so routing \
                   policy and live link state apply"))
           pats_net_route;
+      if net_create_banned then
+        List.iter
+          (fun pat ->
+            if contains_unbracketed line pat then
+              flag path ln
+                ("direct " ^ pat
+               ^ ": build stack-level worlds with World.build (lib/fleet)"))
+          pats_net_create;
       if toplevel_mutable_banned then
         (match toplevel_value_rhs line with
         | None -> ()

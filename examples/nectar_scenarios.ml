@@ -7,23 +7,14 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 open Nectar_host
+module World = Nectar_fleet.World
 
 (* Quickstart: two hosts exchange a datagram, a reliable message and an
    RPC through the Nectarine application interface (paper §3.5). *)
 let quickstart () =
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let make i =
-    let cab =
-      Nectar_cab.Cab.create net ~hub:0 ~port:i
-        ~name:(Printf.sprintf "cab%d" i)
-    in
-    let rt = Runtime.create cab in
-    let stack = Stack.create rt () in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    Nectarine.host_node drv stack
-  in
+  let w = World.build () in
+  let eng = w.eng in
+  let make i = Nectarine.host_node (World.add_host w i) w.stacks.(i) in
   let alice = make 0 in
   let bob = make 1 in
 
@@ -91,24 +82,22 @@ let rpc_task_queue ?(workers = 4) ?(range_limit = 400_000)
     ctx.work (Nectar_cab.Costs.cab_cycles (40 * (hi - lo)));
     !count
   in
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let make_stack i =
-    let cab =
-      Nectar_cab.Cab.create net ~hub:0 ~port:i
-        ~name:(Printf.sprintf "cab%d" i)
-    in
-    (* prime-counting tasks run for tens of simulated milliseconds, far
-       beyond the default RPC retry budget *)
-    Stack.create (Runtime.create cab)
-      ~rpc_rto:(Sim_time.ms 50) ~rpc_retries:20 ()
+  let w =
+    World.build
+      ~seats:(World.ports (workers + 1))
+      (* prime-counting tasks run for tens of simulated milliseconds, far
+         beyond the default RPC retry budget *)
+      ~stack:(fun rt ->
+        Stack.create rt ~rpc_rto:(Sim_time.ms 50) ~rpc_retries:20 ())
+      ()
   in
+  let eng = w.eng in
   (* node 0: the master's CAB; nodes 1..workers: worker CABs.  Dispatch
      runs on the master CAB so the per-worker dispatcher tasks issue RPCs
      concurrently (a host process would serialise on the driver). *)
-  let master_stack = make_stack 0 in
+  let master_stack = w.stacks.(0) in
   let master = Nectarine.cab_node master_stack in
-  let worker_stacks = List.init workers (fun i -> make_stack (i + 1)) in
+  let worker_stacks = List.init workers (fun i -> w.stacks.(i + 1)) in
 
   let tasks_done = Array.make (workers + 1) 0 in
   List.iteri
@@ -196,19 +185,16 @@ let tcp_file_transfer ?(file_bytes = 1024 * 1024) ?(mtu = 1500) ?(mss = 4096)
   let digest_string acc s =
     String.fold_left (fun a c -> ((a * 131) + Char.code c) land 0xffffff) acc s
   in
-  let eng = Engine.create () in
   (* two HUBs joined by a trunk; one CAB on each *)
-  let net = Net.create eng ~hubs:2 () in
-  Net.connect_hubs net (0, 15) (1, 15);
-  let make hub =
-    let cab =
-      Nectar_cab.Cab.create net ~hub ~port:0
-        ~name:(Printf.sprintf "cab-hub%d" hub)
-    in
-    Stack.create (Runtime.create cab) ~mtu ~tcp_mss:mss ()
+  let w =
+    World.build ~hubs:2
+      ~trunks:[ ((0, 15), (1, 15)) ]
+      ~seats:[ (0, 0); (1, 0) ]
+      ~stack:(fun rt -> Stack.create rt ~mtu ~tcp_mss:mss ())
+      ()
   in
-  let src = make 0 in
-  let dst = make 1 in
+  let eng = w.eng and net = w.net in
+  let src = w.stacks.(0) and dst = w.stacks.(1) in
   Printf.printf "route %d -> %d via ports %s\n" (Stack.node_id src)
     (Stack.node_id dst)
     (String.concat "," (List.map string_of_int
@@ -278,19 +264,9 @@ let netdev_vs_offload ?(rounds = 16) () =
   let module Net = Nectar_hub.Network in
   let payload = String.make 64 'q' in
   let offload_rtt () =
-    let eng = Engine.create () in
-    let net = Net.create eng ~hubs:1 () in
-    let make i =
-      let cab =
-        Nectar_cab.Cab.create net ~hub:0 ~port:i
-          ~name:(Printf.sprintf "cab%d" i)
-      in
-      let rt = Runtime.create cab in
-      let stack = Stack.create rt () in
-      let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-      let drv = Cab_driver.attach host rt in
-      Nectarine.host_node drv stack
-    in
+    let w = World.build () in
+    let eng = w.eng in
+    let make i = Nectarine.host_node (World.add_host w i) w.stacks.(i) in
     let client = make 0 in
     let server = make 1 in
     let inbox_c = Nectarine.create_mailbox client ~name:"client-inbox" () in
@@ -363,21 +339,16 @@ let netdev_vs_offload ?(rounds = 16) () =
 let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
     =
   let module Net = Nectar_hub.Network in
-  let module Cab = Nectar_cab.Cab in
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:2 () in
-  Net.connect_hubs net (0, 15) (1, 15);
   let split = (nodes / 2) + 1 in
-  let stacks =
-    Array.init nodes (fun i ->
-        let cab =
-          Cab.create net
-            ~hub:(if i < split then 0 else 1)
-            ~port:(if i < split then i else i - split)
-            ~name:(Printf.sprintf "cab%d" i)
-        in
-        Stack.create (Runtime.create cab) ())
+  let w =
+    World.build ~hubs:2
+      ~trunks:[ ((0, 15), (1, 15)) ]
+      ~seats:
+        (List.init nodes (fun i ->
+             if i < split then (0, i) else (1, i - split)))
+      ()
   in
+  let eng = w.eng and net = w.net and stacks = w.stacks in
   let rng = Rng.create ~seed:1990 in
 
   (* every node accepts reliable messages on port 700 and drains them *)
@@ -484,16 +455,8 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
    integration workload for the vet checkers (no cut-off, so the teardown
    leak checks apply in full). *)
 let integration_mesh ?(nodes = 6) ?(messages = 8) () =
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let stacks =
-    Array.init nodes (fun i ->
-        let cab =
-          Nectar_cab.Cab.create net ~hub:0 ~port:i
-            ~name:(Printf.sprintf "cab%d" i)
-        in
-        Stack.create (Runtime.create cab) ())
-  in
+  let w = World.build ~seats:(World.ports nodes) () in
+  let eng = w.eng and stacks = w.stacks in
   let expected = messages * (nodes - 1) in
   let received = Stats.Counter.create () in
   Array.iter

@@ -18,6 +18,8 @@ module Cab = Nectar_cab.Cab
 module Vme = Nectar_cab.Vme
 module Vet = Nectar_vet.Vet
 module Router = Nectar_route.Router
+module Topology = Nectar_fleet.Topology
+module World = Nectar_fleet.World
 
 (* ---------- fault plans ---------- *)
 
@@ -38,135 +40,12 @@ module Plan = struct
   let step at act = { at; act }
 end
 
-(* ---------- worlds ---------- *)
-
-type world = {
-  eng : Engine.t;
-  net : Net.t;
-  stacks : Stack.t array;
-  mutable drivers : (int * Cab_driver.t) list; (* stack index -> VME driver *)
-}
-
-(* A chain of [hubs] HUBs with [cabs] CABs attached round-robin (ports 14/15
-   carry the inter-hub links, so node attachments start at port 2). *)
-let build_world ?(hubs = 1) ?(cabs = 2) ?stack_opts () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs () in
-  for h = 0 to hubs - 2 do
-    Net.connect_hubs net (h, 15) (h + 1, 14)
-  done;
-  let stacks =
-    Array.init cabs (fun i ->
-        let cab =
-          Cab.create net ~hub:(i mod hubs)
-            ~port:(2 + (i / hubs))
-            ~name:(Printf.sprintf "cab-%d" i)
-        in
-        let rt = Runtime.create cab in
-        match stack_opts with Some f -> f rt | None -> Stack.create rt ())
-  in
-  { eng; net; stacks; drivers = [] }
-
-(* A closed ring of [hubs] HUBs (each trunk port 15 to the next hub's 14)
-   with one CAB per explicit [(hub, port)] seat in [at].  The ring gives
-   every node pair two edge-disjoint trunk arcs — the topology failover
-   campaigns need, where one trunk outage forces a reroute instead of a
-   partition. *)
-let build_ring ~hubs ~at ?stack_opts () =
-  if hubs < 3 then invalid_arg "Chaos.build_ring: a ring needs >= 3 hubs";
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs () in
-  for h = 0 to hubs - 1 do
-    Net.connect_hubs net (h, 15) ((h + 1) mod hubs, 14)
-  done;
-  let stacks =
-    Array.of_list
-      (List.mapi
-         (fun i (hub, port) ->
-           let cab =
-             Cab.create net ~hub ~port ~name:(Printf.sprintf "cab-%d" i)
-           in
-           let rt = Runtime.create cab in
-           match stack_opts with Some f -> f rt | None -> Stack.create rt ())
-         at)
-  in
-  { eng; net; stacks; drivers = [] }
-
-(* Shared seat-attachment tail of the explicit-topology builders. *)
-let seat_stacks eng net ~at ~stack_opts =
-  let stacks =
-    Array.of_list
-      (List.mapi
-         (fun i (hub, port) ->
-           let cab =
-             Cab.create net ~hub ~port ~name:(Printf.sprintf "cab-%d" i)
-           in
-           let rt = Runtime.create cab in
-           match stack_opts with Some f -> f rt | None -> Stack.create rt ())
-         at)
-  in
-  { eng; net; stacks; drivers = [] }
-
-(* A [rows] x [cols] wrapped grid: hub (r, c) is index r*cols + c; east
-   trunks leave on port 15 into the eastern neighbour's 14, south trunks
-   on 13 into the southern neighbour's 12.  Node seats must use ports
-   below 12.  The torus is the fleet driver's partitionable shape:
-   constant degree, diameter (rows + cols) / 2, and clean
-   contiguous-block partitions for the parallel engine. *)
-let build_torus ~rows ~cols ~at ?stack_opts () =
-  if rows < 2 || cols < 2 then
-    invalid_arg "Chaos.build_torus: need rows >= 2 and cols >= 2";
-  List.iter
-    (fun (_, p) ->
-      if p >= 12 then
-        invalid_arg "Chaos.build_torus: node seats must use ports < 12")
-    at;
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:(rows * cols) () in
-  List.iter
-    (fun (a, b) -> Net.connect_hubs net a b)
-    (Nectar_fleet.Topology.torus_trunks ~rows ~cols);
-  seat_stacks eng net ~at ~stack_opts
-
-(* A two-level fat tree: [leaves] edge HUBs (indices 0 .. leaves-1) each
-   linked to all [spines] core HUBs (indices leaves .. leaves+spines-1);
-   leaf l's uplink to spine s leaves on port (15 - s) into spine port
-   (15 - l).  Node seats sit on leaf hubs below the uplink band.  Any
-   leaf pair has [spines] two-hop paths — the multipath shape the route
-   verifier's disjointness checks want. *)
-let build_fat_tree ~leaves ~spines ~at ?stack_opts () =
-  if leaves < 2 then invalid_arg "Chaos.build_fat_tree: need >= 2 leaves";
-  if spines < 1 then invalid_arg "Chaos.build_fat_tree: need >= 1 spine";
-  if leaves > 16 then
-    invalid_arg "Chaos.build_fat_tree: a spine has only 16 ports";
-  if spines > 14 then
-    invalid_arg "Chaos.build_fat_tree: leaf uplinks would fill every port";
-  List.iter
-    (fun (hub, p) ->
-      if hub >= leaves then
-        invalid_arg "Chaos.build_fat_tree: node seats belong on leaf hubs";
-      if p > 15 - spines then
-        invalid_arg "Chaos.build_fat_tree: node seat collides with uplinks")
-    at;
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:(leaves + spines) () in
-  List.iter
-    (fun (a, b) -> Net.connect_hubs net a b)
-    (Nectar_fleet.Topology.fat_tree_trunks ~leaves ~spines);
-  seat_stacks eng net ~at ~stack_opts
-
-let add_host w i =
-  let host = Host.create w.eng ~name:(Printf.sprintf "host-%d" i) in
-  let drv = Cab_driver.attach host w.stacks.(i).Stack.rt in
-  w.drivers <- (i, drv) :: w.drivers;
-  drv
-
-let driver w i =
+let driver (w : World.t) i =
   match List.assoc_opt i w.drivers with
   | Some d -> d
   | None -> invalid_arg "Chaos: fault plan names a node with no host attached"
 
-let apply w rng (act : Plan.action) =
+let apply (w : World.t) rng (act : Plan.action) =
   match act with
   | Plan.Wire_faults { drop; corrupt; burst } ->
       Net.set_fault_hook w.net
@@ -198,7 +77,7 @@ let apply w rng (act : Plan.action) =
       ignore
         (Engine.after w.eng span (fun () -> Runtime.set_signal_fault rt None))
 
-let install w (plan : Plan.t) =
+let install (w : World.t) (plan : Plan.t) =
   let rng = Rng.create ~seed:plan.seed in
   List.iter
     (fun { Plan.at; act } ->
@@ -249,7 +128,7 @@ let clean o =
 
 let expect failures cond msg = if not cond then failures := msg :: !failures
 
-let check_wire_conservation w failures =
+let check_wire_conservation (w : World.t) failures =
   let sent = Net.frames_sent w.net
   and delivered = Net.frames_delivered w.net
   and faulted = Net.fault_drops w.net
@@ -261,7 +140,7 @@ let check_wire_conservation w failures =
         + %d link-down drops"
        sent delivered faulted dark)
 
-let wire_stats w =
+let wire_stats (w : World.t) =
   [
     ("frames_sent", Net.frames_sent w.net);
     ("frames_delivered", Net.frames_delivered w.net);
@@ -326,7 +205,7 @@ let echo_server st ~port =
 let port = 700
 
 let wire_loss_rmp ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -379,7 +258,7 @@ let wire_loss_rmp ~seed =
     !failures )
 
 let wire_loss_rpc ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -409,7 +288,7 @@ let wire_loss_rpc ~seed =
     !failures )
 
 let wire_blackhole ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -445,7 +324,12 @@ let wire_blackhole ~seed =
     !failures )
 
 let link_flap ~seed =
-  let w = build_world ~hubs:2 () in
+  let w =
+    World.build ~hubs:2
+      ~trunks:(Topology.chain_trunks ~hubs:2)
+      ~seats:[ (0, 2); (1, 2) ]
+      ()
+  in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -484,7 +368,7 @@ let link_flap ~seed =
     !failures )
 
 let cab_crash ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -536,9 +420,10 @@ let cab_crash ~seed =
    stay clean, and the wire must conserve every frame. *)
 let flap_failover ~seed =
   let w =
-    build_ring ~hubs:4
-      ~at:[ (0, 2); (2, 2) ]
-      ~stack_opts:(fun rt -> Stack.create rt ~rmp_window:4 ())
+    World.build ~hubs:4
+      ~trunks:(Topology.ring_trunks ~hubs:4)
+      ~seats:[ (0, 2); (2, 2) ]
+      ~stack:(fun rt -> Stack.create rt ~rmp_window:4 ())
       ()
   in
   let a = w.stacks.(0) and b = w.stacks.(1) in
@@ -634,9 +519,9 @@ let flap_failover ~seed =
         !failures ))
 
 let vme_errors ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
-  let drv = add_host w 0 in
+  let drv = World.add_host w 0 in
   install w
     {
       Plan.seed;
@@ -674,7 +559,7 @@ let vme_errors ~seed =
     !failures )
 
 let alloc_pressure ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {
@@ -712,9 +597,9 @@ let alloc_pressure ~seed =
     !failures )
 
 let signal_outage ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
-  let drv = add_host w 0 in
+  let drv = World.add_host w 0 in
   install w
     {
       Plan.seed;
@@ -756,7 +641,7 @@ let signal_outage ~seed =
 
 let mailbox_overflow ~seed =
   ignore seed;
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"chaos-drop-sink" ~port
@@ -794,7 +679,7 @@ let mailbox_overflow ~seed =
 
 let mailbox_backpressure ~seed =
   ignore seed;
-  let w = build_world ~cabs:1 () in
+  let w = World.build ~seats:(World.ports 1) () in
   let a = w.stacks.(0) in
   let mb =
     Runtime.create_mailbox a.Stack.rt ~name:"chaos-bounded"
@@ -832,7 +717,7 @@ let mailbox_backpressure ~seed =
     !failures )
 
 let tcp_budget ~seed =
-  let w = build_world () in
+  let w = World.build () in
   let a = w.stacks.(0) and b = w.stacks.(1) in
   install w
     {

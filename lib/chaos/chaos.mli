@@ -28,7 +28,7 @@ module Plan : sig
             goes dark both ways, in-flight DMA still completes. *)
     | Vme_errors of { node : int; rate : float }
         (** Transient VME bus errors on the node's host backplane (the node
-            must have a host attached via {!add_host}). *)
+            must have a host attached via {!Nectar_fleet.World.add_host}). *)
     | Alloc_failures of { node : int; rate : float }
         (** Make the node's buffer-heap [alloc] fail with probability
             [rate]. *)
@@ -42,69 +42,7 @@ module Plan : sig
   val step : Nectar_sim.Sim_time.t -> action -> step
 end
 
-(** {1 Worlds} *)
-
-type world = {
-  eng : Nectar_sim.Engine.t;
-  net : Nectar_hub.Network.t;
-  stacks : Nectar_proto.Stack.t array;
-  mutable drivers : (int * Nectar_host.Cab_driver.t) list;
-}
-
-val build_world :
-  ?hubs:int ->
-  ?cabs:int ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A chain of [hubs] HUBs (default 1) with [cabs] full protocol stacks
-    (default 2) attached round-robin. *)
-
-val build_ring :
-  hubs:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A closed ring of [hubs] HUBs (>= 3; each trunk port 15 to the next
-    hub's 14) with one CAB per [(hub, port)] seat in [at].  Rings give
-    every pair two edge-disjoint trunk arcs — the topology failover
-    campaigns and benches use, where one trunk outage forces a reroute
-    instead of a partition. *)
-
-val build_torus :
-  rows:int ->
-  cols:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A [rows] x [cols] (both >= 2) wrapped grid of HUBs; hub [(r, c)] is
-    index [r*cols + c], east trunks on ports 15->14, south trunks on
-    13->12, so node seats must use ports below 12.  Constant trunk
-    degree 4 — the fleet driver's partitionable shape, splitting into
-    contiguous row blocks with exactly [2*cols] boundary trunks per
-    cut. *)
-
-val build_fat_tree :
-  leaves:int ->
-  spines:int ->
-  at:(int * int) list ->
-  ?stack_opts:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
-  unit ->
-  world
-(** A two-level fat tree: [leaves] edge HUBs (indices [0..leaves-1])
-    each trunked to all [spines] core HUBs (indices [leaves..]); leaf
-    [l] reaches spine [s] on port [15-s] (into spine port [15-l]).
-    Node seats must sit on leaf hubs at ports [<= 15-spines].  Every
-    leaf pair gets [spines] edge-disjoint two-hop paths — the
-    multipath fan the route verifier exercises. *)
-
-val add_host : world -> int -> Nectar_host.Cab_driver.t
-(** Attach a host to the CAB at stack index [i] (required before a
-    [Vme_errors] step can name it). *)
-
-val install : world -> Plan.t -> unit
+val install : Nectar_fleet.World.t -> Plan.t -> unit
 (** Arm the plan: steps at or before the current simulation time apply
     immediately, later ones are scheduled.  Call after building the world
     and before [Engine.run]. *)

@@ -9,6 +9,7 @@ module Mailbox = Nectar_core.Mailbox
 module Message = Nectar_core.Message
 module Thread = Nectar_core.Thread
 module Stack = Nectar_proto.Stack
+module World = Nectar_fleet.World
 module Dgram = Nectar_proto.Dgram
 module Rmp = Nectar_proto.Rmp
 module Tcp = Nectar_proto.Tcp
@@ -426,24 +427,16 @@ let mailbox_interrupt () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Protocol worlds *)
-
-let two_node_world () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let mk port name =
-    Stack.create (Runtime.create (Cab.create net ~hub:0 ~port ~name)) ()
-  in
-  let a = mk 0 "cab-a" in
-  let b = mk 1 "cab-b" in
-  (eng, net, a, b)
+(* Protocol worlds: two stacks from World.build *)
 
 (* RMP retransmit under a dropped data frame: the fault hook eats the
    first frame big enough to be the data frame, forcing the
    retransmission path; in every interleaving the receiver must get the
    payload exactly once and the sender must not count a failure. *)
 let rmp_drop () =
-  let eng, net, a, b = two_node_world () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let payload = String.make 64 'r' in
   let port = 910 in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"rmp-in" ~port () in
@@ -505,7 +498,8 @@ let rmp_drop () =
    stack keeps timers armed.  Established + payload received in every
    interleaving of the handshake's same-time events. *)
 let tcp_handshake () =
-  let eng, _net, a, b = two_node_world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let received = ref [] in
   let client_done = ref false in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -694,7 +688,9 @@ let run_datagram_traffic eng a b =
   assert (!got = 4)
 
 let audit_world ~plant () =
-  let eng, net, a, b = two_node_world () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   run_datagram_traffic eng a b;
   (match plant with
   | `Nothing -> ()

@@ -8,6 +8,7 @@ module Net = Nectar_hub.Network
 module Topology = Nectar_fleet.Topology
 module Byte_view = Nectar_util.Byte_view
 module Metrics = Nectar_util.Metrics
+module Summary = Nectar_util.Summary
 
 (* ---------- spanning trees ---------- *)
 
@@ -168,6 +169,10 @@ let fresh_op () =
     proto_done = false;
   }
 
+(* Host-side time each baseline arrival costs at the root before the
+   host can issue the release. *)
+let host_service_ns = Costs.host_irq_dispatch_ns + Costs.host_syscall_ns
+
 type t = {
   stack : Stack.t;
   ttree : Tree.t;
@@ -178,7 +183,6 @@ type t = {
   mbox : Mailbox.t;
   wq : Waitq.t;
   combine : int -> int -> int;
-  host_service_ns : int;
   mutable next_seq : int; (* tree operations *)
   mutable base_seq : int; (* baseline operations *)
   ops : (int, opstate) Hashtbl.t;
@@ -279,7 +283,7 @@ let dispatch ctx t s =
          out.  This is the host-driven design the tree path replaces. *)
       Trace.instant ~track:t.track "coll.host.arrival";
       Runtime.notify_host (rt t) ~opcode:arrival_opcode ~param:seq;
-      Engine.sleep ctx.Ctx.eng t.host_service_ns;
+      Engine.sleep ctx.Ctx.eng host_service_ns;
       st.arrived <- st.arrived + 1;
       st.acc <- (if st.have_acc then t.combine st.acc value else value);
       st.have_acc <- true;
@@ -365,9 +369,7 @@ let daemon t ctx =
 
 (* ---------- attachment ---------- *)
 
-let attach ?(combine = ( + ))
-    ?(host_service_ns = Costs.host_irq_dispatch_ns + Costs.host_syscall_ns)
-    stack ~tree =
+let attach ?(combine = ( + )) stack ~tree =
   let run = stack.Stack.rt in
   let node = Runtime.node_id run in
   if node < 0 || node >= Tree.size tree then
@@ -385,7 +387,6 @@ let attach ?(combine = ( + ))
         Runtime.create_mailbox run ~name:(cab_name ^ ".coll") ~port ();
       wq = Waitq.create (Runtime.engine run) ~name:(cab_name ^ ".coll-wq") ();
       combine;
-      host_service_ns;
       next_seq = 0;
       base_seq = 0;
       ops = Hashtbl.create 16;
@@ -504,7 +505,7 @@ let host_op ctx t ~value ~payload_opt =
     (* the root's own arrival crosses to the host too *)
     Trace.instant ~track:t.track "coll.host.arrival";
     Runtime.notify_host (rt t) ~opcode:arrival_opcode ~param:seq;
-    Engine.sleep ctx.Ctx.eng t.host_service_ns;
+    Engine.sleep ctx.Ctx.eng host_service_ns;
     st.arrived <- st.arrived + 1;
     st.acc <- (if st.have_acc then t.combine st.acc value else value);
     st.have_acc <- true;
@@ -542,6 +543,8 @@ let host_bcast ctx t payload_opt =
 (* ---------- worlds ---------- *)
 
 module World = struct
+  module Fleet_world = Nectar_fleet.World
+
   type coll = t
 
   type t = {
@@ -553,33 +556,78 @@ module World = struct
     colls : coll array;
   }
 
-  let build ?root ?(data_bytes = 1 lsl 17) ?combine ?host_service_ns spec =
+  (* A thousand-board fleet at the 1 MB default would not fit in host
+     RAM. *)
+  let data_bytes = 1 lsl 17
+
+  let build ?(root = 0) ?combine spec =
     let topo = Topology.build spec in
-    let root = Option.value root ~default:0 in
     let tree = Tree.of_topology topo ~root in
-    let eng = Engine.create () in
-    let net = Net.create eng ~hubs:(Topology.hub_count topo) () in
-    Topology.wire net topo;
-    let router =
-      Nectar_route.Router.create ~policy:(Topology.policy topo) net
-    in
     let nodes = Topology.node_count topo in
     (* The host-driven baseline is an n-to-1 incast at the root: every
        ack rides behind the root's serialized receive path, so the
        stop-and-wait RTO must scale with the fan-in or the fleet's
        retransmissions amplify the pile-up into timeouts. *)
     let rmp_rto = Sim_time.us (Stdlib.max 5_000 (250 * nodes)) in
-    let stacks =
-      Array.init nodes (fun n ->
-          let hub, seat = Topology.attachment topo n in
-          let cab =
-            Cab.create ~data_bytes net ~hub ~port:seat
-              ~name:(Printf.sprintf "cl%d" n)
-          in
-          Stack.create (Runtime.create cab) ~router ~rmp_rto ())
+    (* every stack shares one router, made on the first CAB's network *)
+    let router = ref None in
+    let stack rt =
+      if Option.is_none !router then
+        router :=
+          Some
+            (Nectar_route.Router.create ~policy:(Topology.policy topo)
+               (Cab.network (Runtime.cab rt)));
+      Stack.create rt ?router:!router ~rmp_rto ()
     in
-    let colls =
-      Array.map (fun s -> attach ?combine ?host_service_ns s ~tree) stacks
+    let w =
+      Fleet_world.build ~hubs:(Topology.hub_count topo)
+        ~trunks:(Topology.trunks topo)
+        ~seats:(List.init nodes (Topology.attachment topo))
+        ~data_bytes ~stack ()
     in
-    { eng; net; topo; tree; stacks; colls }
+    let colls = Array.map (fun s -> attach ?combine s ~tree) w.stacks in
+    { eng = w.eng; net = w.net; topo; tree; stacks = w.stacks; colls }
+
+  let run ?tracer w ~ops ~host =
+    let n = Array.length w.colls in
+    let root = Tree.root w.tree in
+    let summary () = Summary.create ~keep_samples:true () in
+    let b_lat = summary () and r_lat = summary () and c_lat = summary () in
+    let barrier, reduce, bcast =
+      if host then (host_barrier, host_reduce, host_bcast)
+      else (barrier, reduce, bcast)
+    in
+    let expect_sum = n * (n + 1) / 2 in
+    Array.iteri
+      (fun i c ->
+        ignore
+          (Thread.create
+             (Runtime.cab w.stacks.(i).Stack.rt)
+             ~name:(Printf.sprintf "coll-app%d" i)
+             (fun ctx ->
+               let timed s f =
+                 if i = root then begin
+                   let t0 = Engine.now ctx.Ctx.eng in
+                   f ();
+                   Summary.add s (float_of_int (Engine.now ctx.Ctx.eng - t0))
+                 end
+                 else f ()
+               in
+               for it = 1 to ops do
+                 (match tracer with
+                 | Some tr when i = root && it = ops -> Trace.install tr
+                 | _ -> ());
+                 timed b_lat (fun () -> barrier ctx c);
+                 timed r_lat (fun () ->
+                     if reduce ctx c (i + 1) <> expect_sum then
+                       failwith "coll: bad reduce");
+                 let payload = if i = root then Some "go" else None in
+                 timed c_lat (fun () ->
+                     if bcast ctx c payload <> "go" then
+                       failwith "coll: bad bcast")
+               done)))
+      w.colls;
+    Engine.run w.eng;
+    if Option.is_some tracer then Trace.uninstall ();
+    (b_lat, r_lat, c_lat)
 end

@@ -66,19 +66,15 @@ val arrival_opcode : int
 (** Host-signal opcode of the baseline's per-participant notification. *)
 
 val attach :
-  ?combine:(int -> int -> int) ->
-  ?host_service_ns:Nectar_sim.Sim_time.span ->
-  Nectar_proto.Stack.t ->
-  tree:Tree.t ->
-  t
+  ?combine:(int -> int -> int) -> Nectar_proto.Stack.t -> tree:Tree.t -> t
 (** Bind node [Stack.node_id stack]'s endpoint: creates the collective
     mailbox on {!port}, starts the combining daemon thread, and registers
     the [coll] service on the stack (so double attachment fails and
     [Stack.register_metrics] picks up the collective counters).
     [combine] (default [(+)]) folds reduce contributions; it must agree
-    across all endpoints.  [host_service_ns] (default host IRQ dispatch +
-    syscall) is the host-side time each {e baseline} arrival costs at the
-    root before the host can issue the release. *)
+    across all endpoints.  Each {e baseline} arrival costs the root's
+    host one IRQ dispatch plus one syscall before it can issue the
+    release. *)
 
 val rank : t -> int
 val tree : t -> Tree.t
@@ -131,15 +127,24 @@ module World : sig
   }
 
   val build :
-    ?root:int ->
-    ?data_bytes:int ->
-    ?combine:(int -> int -> int) ->
-    ?host_service_ns:Nectar_sim.Sim_time.span ->
-    Nectar_fleet.Topology.spec ->
-    t
-  (** Build the fabric, seat one CAB+stack per node (all stacks share a
-      router compiled from the topology's deadlock-safe policy), and
-      attach an endpoint per node.  [data_bytes] (default 128 KB) sizes
-      each CAB's data memory — a thousand-board fleet at the 1 MB
-      default would not fit in host RAM. *)
+    ?root:int -> ?combine:(int -> int -> int) -> Nectar_fleet.Topology.spec -> t
+  (** {!Nectar_fleet.World.build} on the topology's trunks and seats, with
+      128 KB of CAB data memory (a thousand-board fleet at the 1 MB
+      default would not fit in host RAM), every stack sharing one router
+      compiled from the topology's deadlock-safe policy, and an endpoint
+      attached per node. *)
+
+  val run :
+    ?tracer:Nectar_sim.Trace.t ->
+    t ->
+    ops:int ->
+    host:bool ->
+    Nectar_util.Summary.t * Nectar_util.Summary.t * Nectar_util.Summary.t
+  (** Every CAB loops barrier, reduce and bcast [ops] times — the
+      host-driven baseline when [host] — and the engine runs to
+      quiescence.  Returns the root's barrier, reduce and bcast latency
+      summaries (simulated ns, samples kept).  [tracer], if given, is
+      installed by the root at the start of the last iteration and
+      uninstalled after the run.
+      @raise Failure on a wrong reduce or bcast result. *)
 end

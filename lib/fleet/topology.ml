@@ -41,7 +41,17 @@ let seats_of = function
   | Torus { seats; _ } | Fat_tree { seats; _ } | Irregular { seats; _ } ->
       seats
 
-(* ---------- trunk wiring, shared with the Chaos builders ---------- *)
+(* ---------- trunk lists, shared with World.build ---------- *)
+
+(* Each hub's port 15 into the next hub's 14: a chain, and with the
+   closing trunk a ring. *)
+let chain_trunks ~hubs =
+  if hubs < 1 then invalid_arg "Topology.chain_trunks: need >= 1 hub";
+  List.init (hubs - 1) (fun h -> ((h, 15), (h + 1, 14)))
+
+let ring_trunks ~hubs =
+  if hubs < 3 then invalid_arg "Topology.ring_trunks: a ring needs >= 3 hubs";
+  List.init hubs (fun h -> ((h, 15), ((h + 1) mod hubs, 14)))
 
 (* East trunks leave on port 15 into the eastern neighbour's 14, south
    trunks on 13 into the southern neighbour's 12 (the convention

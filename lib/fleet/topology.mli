@@ -71,9 +71,8 @@ val trunks : t -> trunk list
 
 val wire : Net.t -> t -> unit
 (** Connect every trunk on a freshly created network of {!hub_count}
-    HUBs.  Node attachment is separate (see {!attach_all}) so callers
-    with their own seat plans — the Chaos builders — can share the trunk
-    wiring. *)
+    HUBs.  Node attachment is separate (see {!attach_all}); stack-level
+    worlds pass {!trunks} to {!World.build} instead. *)
 
 val attachment : t -> int -> int * int
 (** [(hub, port)] seat of a node: node [n] sits at hub [n / seats], port
@@ -114,7 +113,21 @@ val spanning_tree : t -> root:int -> int array
     on the torus, at most one spine crossing on the fat tree.
     @raise Invalid_argument on a bad root or a disconnected trunk list. *)
 
-(** {1 Trunk lists, shared with the Chaos builders} *)
+(** {1 Trunk lists, for {!World.build}} *)
+
+val chain_trunks : hubs:int -> trunk list
+(** Hub [h]'s port 15 into hub [h+1]'s port 14: one path per pair. *)
+
+val ring_trunks : hubs:int -> trunk list
+(** {!chain_trunks} closed by the last hub's port 15 into hub 0's 14
+    ([hubs >= 3]): every pair gets two edge-disjoint arcs, so one trunk
+    outage forces a reroute instead of a partition. *)
 
 val torus_trunks : rows:int -> cols:int -> trunk list
+(** The {b Torus} trunks: hub [(r, c)] is index [r*cols + c], east 15
+    into 14, south 13 into 12.  Seats go below port 12. *)
+
 val fat_tree_trunks : leaves:int -> spines:int -> trunk list
+(** The {b Fat tree} trunks: leaves are hubs [0..leaves-1], spines
+    [leaves..]; leaf [l] to spine [s] on port [15-s] into [15-l].  Seats
+    go on leaf ports [<= 15-spines]. *)

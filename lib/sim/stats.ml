@@ -8,8 +8,6 @@ module Counter = struct
   let reset t = t.v <- 0
 end
 
-module Summary = Nectar_util.Summary
-
 module Throughput = struct
   let mbit_per_s ~bytes_moved ~elapsed =
     if elapsed <= 0 then 0.

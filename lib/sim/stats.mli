@@ -10,9 +10,6 @@ module Counter : sig
   val reset : t -> unit
 end
 
-(** Running summary of a series of observations (see {!Nectar_util.Summary}). *)
-module Summary = Nectar_util.Summary
-
 (** Throughput over a simulated interval. *)
 module Throughput : sig
   val mbit_per_s : bytes_moved:int -> elapsed:Sim_time.span -> float

@@ -1,22 +1,24 @@
+(* Built at module initialisation, not lazily: partitions on different
+   domains checksum their first frames at the same moment, and forcing
+   one [lazy] from two domains at once raises [Lazy.Undefined]. *)
 let table =
-  lazy
-    (let t = Array.make 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 = 1 then c := 0xedb88320 lxor (!c lsr 1)
-         else c := !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  let t = Array.make 256 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 = 1 then c := 0xedb88320 lxor (!c lsr 1)
+      else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  t
 
 let mask32 = 0xffffffff
 
 let digest ?(init = 0) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.digest";
-  let t = Lazy.force table in
+  let t = table in
   let c = ref (init lxor mask32) in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get b i) in

@@ -1,7 +1,6 @@
 (** Running summary of a series of observations, optionally keeping every
     sample so percentiles can be reported.  The one Welford implementation
-    in the tree: [Stats.Summary] is an alias, and {!Metrics}' owned
-    histograms are summaries. *)
+    in the tree: {!Metrics}' owned histograms are summaries. *)
 
 type t
 

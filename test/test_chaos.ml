@@ -9,6 +9,7 @@ open Nectar_proto
 module Net = Nectar_hub.Network
 module Chaos = Nectar_chaos.Chaos
 module Plan = Nectar_chaos.Chaos.Plan
+module World = Nectar_fleet.World
 module Dsm = Nectar_dsm.Dsm
 module Commit = Nectar_txn.Commit
 
@@ -43,8 +44,8 @@ let counting_sink (st : Stack.t) =
 (* ---------- RMP sweeps ---------- *)
 
 let rmp_run ~drop ~seed ~count =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   wire_faults ~drop ~seed w;
   let received = counting_sink b in
   let ok = ref 0 and err = ref 0 in
@@ -59,7 +60,7 @@ let rmp_run ~drop ~seed ~count =
            | exception Rmp.Delivery_timeout _ -> incr err);
            Engine.sleep ctx.Ctx.eng (Sim_time.us 200)
          done));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   (!ok, !err, !received)
 
 let test_rmp_loss_sweep () =
@@ -81,11 +82,11 @@ let test_rmp_blackhole () =
 
 (* Like [rmp_run] but over stacks built with an explicit RMP window, with
    every payload stamped with its 1-based index so the sink can verify
-   in-order exactly-once delivery.  [stack_opts = None] uses the default
+   in-order exactly-once delivery.  [stack = None] uses the default
    stack (implicit window 1) for the equivalence test below. *)
-let windowed_run ?stack_opts ~drop ~seed ~count () =
-  let w = Chaos.build_world ?stack_opts () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+let windowed_run ?stack ~drop ~seed ~count () =
+  let w = World.build ?stack () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   wire_faults ~drop ~seed w;
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"sink" ~port
@@ -112,14 +113,14 @@ let windowed_run ?stack_opts ~drop ~seed ~count () =
            done;
            Rmp.flush ctx a.Stack.rmp ~dst_cab:(Stack.node_id b) ~dst_port:port
          with Rmp.Delivery_timeout _ -> incr err));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   let counters =
     ( Rmp.delivered b.Stack.rmp,
       Rmp.duplicates b.Stack.rmp,
       Rmp.retransmits a.Stack.rmp,
       Rmp.failed_sends a.Stack.rmp )
   in
-  (!ok, !err, List.rev !got, counters, Engine.now w.Chaos.eng)
+  (!ok, !err, List.rev !got, counters, Engine.now w.eng)
 
 let windowed_opts ~window (rt : Runtime.t) =
   Stack.create rt ~rmp_window:window ()
@@ -138,7 +139,7 @@ let test_rmp_windowed_loss_sweep () =
           let outcome, findings =
             Nectar_vet.Vet.run (fun () ->
                 windowed_run
-                  ~stack_opts:(windowed_opts ~window)
+                  ~stack:(windowed_opts ~window)
                   ~drop ~seed:7 ~count:20 ())
           in
           check_int (name "vet clean") 0 (List.length findings);
@@ -162,7 +163,7 @@ let test_rmp_windowed_loss_sweep () =
 (* A stack built with ~rmp_window:1 must be byte-identical to the default
    stop-and-wait: same counters and the same final simulated time. *)
 let test_rmp_window1_is_stop_and_wait () =
-  let run stack_opts = windowed_run ?stack_opts ~drop:0.2 ~seed:7 ~count:20 () in
+  let run stack = windowed_run ?stack ~drop:0.2 ~seed:7 ~count:20 () in
   let ok_d, err_d, got_d, counters_d, end_d = run None in
   let ok_1, err_1, got_1, counters_1, end_1 =
     run (Some (windowed_opts ~window:1))
@@ -176,8 +177,8 @@ let test_rmp_window1_is_stop_and_wait () =
 (* ---------- request-response sweeps ---------- *)
 
 let rpc_run ~drop ~seed ~count =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   wire_faults ~drop ~seed w;
   Reqresp.register_server b.Stack.reqresp ~port ~mode:Reqresp.Thread_server
     (fun _ req -> req);
@@ -193,7 +194,7 @@ let rpc_run ~drop ~seed ~count =
            | exception Reqresp.Call_timeout _ -> incr err);
            Engine.sleep ctx.Ctx.eng (Sim_time.us 300)
          done));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   (!ok, !err)
 
 let test_rpc_loss_sweep () =
@@ -212,8 +213,8 @@ let test_rpc_blackhole () =
 (* ---------- burst corruption vs the hardware CRC ---------- *)
 
 let test_burst_corruption_crc () =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   wire_faults ~corrupt:0.3 ~burst:4 ~seed:13 w;
   let received = counting_sink b in
   let ok = ref 0 in
@@ -225,16 +226,16 @@ let test_burst_corruption_crc () =
            incr ok;
            Engine.sleep ctx.Ctx.eng (Sim_time.us 200)
          done));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_int "every message eventually delivered" 15 !received;
   check_int "sender saw no error" 15 !ok;
   check_bool "the wire corrupted some frames" true
-    (Net.frames_corrupted w.Chaos.net > 0);
+    (Net.frames_corrupted w.net > 0);
   check_bool "the receive-side hardware CRC rejected and counted them" true
     (Datalink.drops_crc b.Stack.dl > 0);
   check_int "corrupted frames were counted as delivered by the wire"
-    (Net.frames_sent w.Chaos.net)
-    (Net.frames_delivered w.Chaos.net)
+    (Net.frames_sent w.net)
+    (Net.frames_delivered w.net)
 
 (* ---------- DSM under loss ---------- *)
 
@@ -245,19 +246,19 @@ let run_on (stack : Stack.t) f =
              resume (f ctx))))
 
 let test_dsm_under_loss () =
-  let w = Chaos.build_world ~cabs:2 () in
+  let w = World.build () in
   wire_faults ~drop:0.05 ~seed:17 w;
-  let stacks = Array.to_list w.Chaos.stacks in
+  let stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages:4 ~page_bytes:256 in
   let n0 = Dsm.node dsm 0 and n1 = Dsm.node dsm 1 in
   let s0 = List.nth stacks 0 and s1 = List.nth stacks 1 in
   let got = ref "" and got_back = ref "" in
-  Engine.spawn w.Chaos.eng (fun () ->
+  Engine.spawn w.eng (fun () ->
       run_on s0 (fun ctx -> Dsm.write ctx n0 ~addr:64 "lossy-but-true");
       got := run_on s1 (fun ctx -> Dsm.read ctx n1 ~addr:64 ~len:14);
       run_on s1 (fun ctx -> Dsm.write ctx n1 ~addr:64 "overwritten-ok");
       got_back := run_on s0 (fun ctx -> Dsm.read ctx n0 ~addr:64 ~len:14));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_string "remote read sees the write through loss" "lossy-but-true" !got;
   check_string "ownership migrated back through loss" "overwritten-ok"
     !got_back
@@ -265,8 +266,8 @@ let test_dsm_under_loss () =
 (* ---------- distributed commit ---------- *)
 
 let test_txn_crashed_participant_aborts () =
-  let w = Chaos.build_world ~cabs:4 () in
-  let stacks = Array.to_list w.Chaos.stacks in
+  let w = World.build ~seats:(World.ports 4) () in
+  let stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let parts = List.map (fun s -> Commit.participant s ()) (List.tl stacks) in
   ignore parts;
@@ -282,13 +283,13 @@ let test_txn_crashed_participant_aborts () =
     (Thread.create (Runtime.cab coord_stack.Stack.rt) ~name:"txn" (fun ctx ->
          outcome :=
            Commit.run ctx coord ~participants:[ 1; 2; 3 ] ~payload:"debit 10"));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_bool "a crashed participant forces abort" true (!outcome = `Aborted)
 
 let test_txn_mild_loss_commits () =
-  let w = Chaos.build_world ~cabs:4 () in
+  let w = World.build ~seats:(World.ports 4) () in
   wire_faults ~drop:0.03 ~seed:23 w;
-  let stacks = Array.to_list w.Chaos.stacks in
+  let stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let parts = List.map (fun s -> Commit.participant s ()) (List.tl stacks) in
   ignore parts;
@@ -298,15 +299,15 @@ let test_txn_mild_loss_commits () =
     (Thread.create (Runtime.cab coord_stack.Stack.rt) ~name:"txn" (fun ctx ->
          outcome :=
            Commit.run ctx coord ~participants:[ 1; 2; 3 ] ~payload:"debit 10"));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_bool "mild loss is retried through to commit" true
     (!outcome = `Committed)
 
 (* ---------- bounded mailboxes ---------- *)
 
 let test_mailbox_drop_policy () =
-  let w = Chaos.build_world ~cabs:1 () in
-  let a = w.Chaos.stacks.(0) in
+  let w = World.build ~seats:(World.ports 1) () in
+  let a = w.stacks.(0) in
   let mb =
     Runtime.create_mailbox a.Stack.rt ~name:"bounded-drop"
       ~byte_limit:(16 * 1024) ~capacity:2 ~overflow:`Drop ()
@@ -326,14 +327,14 @@ let test_mailbox_drop_policy () =
            Mailbox.end_get ctx m;
            incr read
          done));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_int "three of five puts tail-dropped" 3 !drops;
   check_int "two stayed queued" 2 !queued;
   check_int "the queued two were readable" 2 !read
 
 let test_mailbox_block_policy () =
-  let w = Chaos.build_world ~cabs:1 () in
-  let a = w.Chaos.stacks.(0) in
+  let w = World.build ~seats:(World.ports 1) () in
+  let a = w.stacks.(0) in
   let mb =
     Runtime.create_mailbox a.Stack.rt ~name:"bounded-block"
       ~byte_limit:(16 * 1024) ~capacity:1 ~overflow:`Block ()
@@ -353,7 +354,7 @@ let test_mailbox_block_policy () =
              let g2 = Mailbox.begin_get ctx mb in
              Mailbox.end_get ctx g2
          | None -> ())));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_bool "a full `Block mailbox refuses try_begin_put" true !full_refused;
   check_bool "draining reopens it" true !after_drain;
   check_int "`Block never tail-drops" 0 (Mailbox.overflow_drops mb)
@@ -367,8 +368,8 @@ let test_mailbox_drop_lossy_wire () =
   let sends = 40 in
   let result, findings =
     Nectar_vet.Vet.run (fun () ->
-        let w = Chaos.build_world () in
-        let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+        let w = World.build () in
+        let a = w.stacks.(0) and b = w.stacks.(1) in
         wire_faults ~drop:0.05 ~seed:33 w;
         let mb =
           Runtime.create_mailbox b.Stack.rt ~name:"bounded-drop" ~port
@@ -391,7 +392,7 @@ let test_mailbox_drop_lossy_wire () =
                  Rmp.send_string ctx a.Stack.rmp ~dst_cab:(Stack.node_id b)
                    ~dst_port:port (String.make 64 'm')
                done));
-        Engine.run w.Chaos.eng;
+        Engine.run w.eng;
         let drops = Mailbox.overflow_drops mb in
         check_bool "the bounded mailbox did overflow" true (drops > 0);
         check_int "reads + tail-drops = offered" sends (!read + drops))
@@ -402,8 +403,8 @@ let test_mailbox_drop_lossy_wire () =
 (* ---------- TCP retransmission budget ---------- *)
 
 let test_tcp_budget_timeout () =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   Chaos.install w
     {
       Plan.seed = 29;
@@ -429,7 +430,7 @@ let test_tcp_budget_timeout () =
          with
          | Tcp.Connection_timed_out -> timed_out := true
          | Tcp.Connection_reset -> reset := true));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_bool "send surfaced Connection_timed_out" true !timed_out;
   check_bool "budget abort is not reported as a peer reset" false !reset;
   check_bool "Tcp.failure reports `Timed_out" true
@@ -438,8 +439,8 @@ let test_tcp_budget_timeout () =
 (* ---------- Nectarine typed errors ---------- *)
 
 let test_nectarine_typed_errors () =
-  let w = Chaos.build_world () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   wire_faults ~drop:1.0 ~seed:31 w;
   let na = Nectarine.cab_node a in
   let result = ref (Ok ()) in
@@ -448,7 +449,7 @@ let test_nectarine_typed_errors () =
         Nectarine.send_result ctx na
           ~dst:{ Nectarine.cab = Stack.node_id b; port }
           "into the void");
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   (match !result with
   | Error (Nectarine.Delivery_timeout { Nectarine.cab; port = p }) ->
       check_int "error names the destination cab" (Stack.node_id b) cab;

@@ -6,24 +6,12 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 module Dsm = Nectar_dsm.Dsm
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
-
-let world n =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let stacks =
-    List.init n (fun i ->
-        let cab =
-          Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i)
-        in
-        Stack.create (Runtime.create cab) ())
-  in
-  (eng, stacks)
 
 (* run [f] in a fresh thread on [stack], returning its result to the
    calling simulation process *)
@@ -34,7 +22,8 @@ let run_on stack f =
            (fun ctx -> resume (f ctx))))
 
 let test_write_then_remote_read () =
-  let eng, stacks = world 2 in
+  let w = World.build ~seats:(World.ports 2) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages:4 ~page_bytes:512 in
   let n0 = Dsm.node dsm 0 and n1 = Dsm.node dsm 1 in
   let s0 = List.nth stacks 0 and s1 = List.nth stacks 1 in
@@ -48,7 +37,8 @@ let test_write_then_remote_read () =
   check_int "reader faulted once" 1 (Dsm.read_faults n1)
 
 let test_invalidation_on_write () =
-  let eng, stacks = world 3 in
+  let w = World.build ~seats:(World.ports 3) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages:3 ~page_bytes:256 in
   let n = Array.of_list (List.map (fun _ -> ()) stacks) in
   ignore n;
@@ -71,7 +61,8 @@ let test_invalidation_on_write () =
   check_int "re-fault after invalidation" 2 (Dsm.read_faults (node 2))
 
 let test_ownership_ping_pong () =
-  let eng, stacks = world 2 in
+  let w = World.build ~seats:(World.ports 2) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages:1 ~page_bytes:128 in
   let node i = Dsm.node dsm i in
   let stack i = List.nth stacks i in
@@ -92,7 +83,8 @@ let test_ownership_ping_pong () =
     (Dsm.write_faults (node 0) + Dsm.write_faults (node 1) >= 6)
 
 let test_lock_protected_counter () =
-  let eng, stacks = world 2 in
+  let w = World.build ~seats:(World.ports 2) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages:1 ~page_bytes:64 in
   let node i = Dsm.node dsm i in
   let incr_n = 25 in
@@ -125,7 +117,8 @@ let test_lock_protected_counter () =
   check_int "no lost updates under the region lock" (2 * incr_n) !final
 
 let test_bounds_checking () =
-  let eng, stacks = world 2 in
+  let w = World.build ~seats:(World.ports 2) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   ignore eng;
   let dsm = Dsm.create stacks ~pages:2 ~page_bytes:128 in
   let n0 = Dsm.node dsm 0 in
@@ -142,7 +135,8 @@ let test_bounds_checking () =
 let test_sequential_consistency_model () =
   let nodes = 3 in
   let pages = 4 and page_sz = 256 in
-  let eng, stacks = world nodes in
+  let w = World.build ~seats:(World.ports nodes) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let dsm = Dsm.create stacks ~pages ~page_bytes:page_sz in
   let model = Bytes.make (pages * page_sz) '\000' in
   let rng = Rng.create ~seed:77 in

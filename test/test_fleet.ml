@@ -10,6 +10,7 @@ module Router = Nectar_route.Router
 module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -463,6 +464,38 @@ let test_footprint_independent_of_runs () =
         fresh (bytes_per_node ()))
     [ 2; 4; 8 ]
 
+(* ---------- stack-level worlds ---------- *)
+
+(* Trunks are wired before seats, so the network's own port checks turn
+   away a seat on a trunk port, a duplicate seat and a seat past the
+   last hub — on both multipath shapes. *)
+let test_world_rejects_bad_seats () =
+  List.iter
+    (fun (name, hubs, trunks, trunk_port) ->
+      let build seats = World.build ~hubs ~trunks ~seats () in
+      check_int (name ^ ": valid seats") 2
+        (Array.length (build [ (0, 2); (1, 2) ]).World.stacks);
+      List.iter
+        (fun (what, seats) ->
+          check_bool
+            (Printf.sprintf "%s: %s rejected" name what)
+            true
+            (match build seats with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        [
+          ("seat on a trunk port", [ (0, 2); trunk_port ]);
+          ("duplicate seat", [ (0, 2); (0, 2) ]);
+          ("seat past the last hub", [ (0, 2); (hubs, 2) ]);
+        ])
+    [
+      ("3x3 torus", 9, Topology.torus_trunks ~rows:3 ~cols:3, (4, 13));
+      ( "4-leaf/2-spine fat tree",
+        6,
+        Topology.fat_tree_trunks ~leaves:4 ~spines:2,
+        (3, 14) );
+    ]
+
 let () =
   Alcotest.run "fleet"
     [
@@ -494,5 +527,10 @@ let () =
             test_driver_conservation;
           Alcotest.test_case "build footprint independent of prior runs"
             `Quick test_footprint_independent_of_runs;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "bad seats rejected" `Quick
+            test_world_rejects_bad_seats;
         ] );
     ]

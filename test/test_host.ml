@@ -4,32 +4,19 @@ open Nectar_proto
 open Nectar_host
 module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let us = Sim_time.us
 
-(* Two hosts, each with its own CAB, on one HUB. *)
-let world () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let make i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) in
-    let rt = Runtime.create cab in
-    let stack = Stack.create rt () in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    (stack, host, drv)
-  in
-  let a = make 0 in
-  let b = make 1 in
-  (eng, net, a, b)
-
 (* ---------- driver primitives ---------- *)
 
 let test_host_cond_poll () =
-  let eng, _, (_, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv in
   let woke_at = ref (-1) in
   let cond = Cab_driver.Cond.create drv ~name:"c" in
   Host.spawn_process host ~name:"waiter" (fun ctx ->
@@ -42,7 +29,9 @@ let test_host_cond_poll () =
     (!woke_at >= us 500 && !woke_at < us 530)
 
 let test_host_cond_block () =
-  let eng, _, (_, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv in
   let woke_at = ref (-1) in
   let cond = Cab_driver.Cond.create drv ~name:"c" in
   Host.spawn_process host ~name:"waiter" (fun ctx ->
@@ -55,7 +44,9 @@ let test_host_cond_block () =
   check_int "host interrupt taken" 1 (Cab_driver.interrupts_to_host drv)
 
 let test_driver_rpc () =
-  let eng, _, (_, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv in
   let result = ref 0 and took = ref 0 in
   Host.spawn_process host ~name:"caller" (fun ctx ->
       (* warm up: first-dispatch process switches are not part of the cost *)
@@ -76,7 +67,9 @@ let test_driver_rpc () =
    the driver's RPC must both still reach their own handlers.  Listed
    first in its executable, before any other attach. *)
 let test_hostlib_many_handles () =
-  let eng, _, (stack, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv and stack = w.stacks.(0) in
   let rt = stack.Stack.rt in
   let mbox = Runtime.create_mailbox rt ~name:"many" ~byte_limit:4096 () in
   let last = ref None in
@@ -101,7 +94,9 @@ let test_hostlib_many_handles () =
   check_int "driver RPC still on its own opcode" 7 !rpc
 
 let hostlib_cycle mode =
-  let eng, _, (stack, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv and stack = w.stacks.(0) in
   let mbox =
     Runtime.create_mailbox stack.Stack.rt ~name:"svc" ~byte_limit:4096 ()
   in
@@ -137,7 +132,9 @@ let test_hostlib_shared_vs_rpc () =
 let test_hostlib_blocking_get () =
   (* the driver-blocking wait variant: sleep in the kernel, woken by the
      CAB's interrupt *)
-  let eng, _, (stack, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv and stack = w.stacks.(0) in
   let mbox =
     Runtime.create_mailbox stack.Stack.rt ~name:"svc" ~byte_limit:4096 ()
   in
@@ -158,7 +155,9 @@ let test_hostlib_blocking_get () =
   check_bool "woken after the CAB write" true (!got_at >= Sim_time.ms 2)
 
 let test_hostlib_cab_reader_wakeup () =
-  let eng, _, (stack, host, drv), _ = world () in
+  let w = World.build () in
+  let drv = World.add_host w 0 in
+  let eng = w.eng and host = Cab_driver.host drv and stack = w.stacks.(0) in
   let mbox =
     Runtime.create_mailbox stack.Stack.rt ~name:"svc" ~byte_limit:4096 ()
   in
@@ -181,7 +180,10 @@ let test_hostlib_cab_reader_wakeup () =
 (* ---------- Nectarine host-to-host ---------- *)
 
 let test_nectarine_host_datagram () =
-  let eng, _, (stack_a, _, drv_a), (stack_b, _, drv_b) = world () in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let eng = w.eng and stack_a = w.stacks.(0) and stack_b = w.stacks.(1) in
   let na = Nectarine.host_node drv_a stack_a in
   let nb = Nectarine.host_node drv_b stack_b in
   let inbox = Nectarine.create_mailbox nb ~name:"inbox" () in
@@ -201,7 +203,10 @@ let test_nectarine_host_datagram () =
     (one_way > us 80 && one_way < us 400)
 
 let test_nectarine_host_reliable () =
-  let eng, _, (stack_a, _, drv_a), (stack_b, _, drv_b) = world () in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let eng = w.eng and stack_a = w.stacks.(0) and stack_b = w.stacks.(1) in
   let na = Nectarine.host_node drv_a stack_a in
   let nb = Nectarine.host_node drv_b stack_b in
   let inbox = Nectarine.create_mailbox nb ~name:"inbox" () in
@@ -219,7 +224,10 @@ let test_nectarine_host_reliable () =
     "rmp in order" [ "one"; "two"; "three" ] (List.rev !got)
 
 let test_nectarine_host_rpc_under_500us () =
-  let eng, _, (stack_a, _, drv_a), (stack_b, _, drv_b) = world () in
+  let w = World.build () in
+  let drv_a = World.add_host w 0 in
+  let drv_b = World.add_host w 1 in
+  let eng = w.eng and stack_a = w.stacks.(0) and stack_b = w.stacks.(1) in
   let na = Nectarine.host_node drv_a stack_a in
   let nb = Nectarine.host_node drv_b stack_b in
   Nectarine.serve nb ~port:77 (fun _ctx req -> "pong:" ^ req);
@@ -237,7 +245,8 @@ let test_nectarine_host_rpc_under_500us () =
     (!rtt > us 100 && !rtt < us 900)
 
 let test_nectarine_cab_to_cab_rpc () =
-  let eng, _, (stack_a, _, _), (stack_b, _, _) = world () in
+  let w = World.build () in
+  let eng = w.eng and stack_a = w.stacks.(0) and stack_b = w.stacks.(1) in
   let na = Nectarine.cab_node stack_a in
   let nb = Nectarine.cab_node stack_b in
   Nectarine.serve nb ~port:78 (fun _ctx req -> String.uppercase_ascii req);

@@ -8,28 +8,23 @@ open Nectar_proto
 open Nectar_host
 module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let make_stack net ~hub ~port ~name ?opts () =
-  let cab = Cab.create net ~hub ~port ~name in
-  let rt = Runtime.create cab in
-  match opts with Some f -> f rt | None -> Stack.create rt ()
-
 (* ---------- deployment scale: the paper's 2-HUB, many-host prototype ---- *)
 
 let test_two_hub_deployment () =
   let nodes = 16 in
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:2 () in
-  Net.connect_hubs net (0, 15) (1, 15);
-  let stacks =
-    Array.init nodes (fun i ->
-        make_stack net ~hub:(i mod 2) ~port:(i / 2)
-          ~name:(Printf.sprintf "cab%d" i) ())
+  let w =
+    World.build ~hubs:2
+      ~trunks:[ ((0, 15), (1, 15)) ]
+      ~seats:(List.init nodes (fun i -> (i mod 2, i / 2)))
+      ()
   in
+  let eng = w.eng and stacks = w.stacks in
   (* every node opens a mailbox; every node reliably messages every other *)
   let inboxes =
     Array.map
@@ -73,10 +68,8 @@ let test_two_hub_deployment () =
 (* ---------- full-stack determinism ---------- *)
 
 let mixed_workload_fingerprint () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let a = make_stack net ~hub:0 ~port:0 ~name:"a" () in
-  let b = make_stack net ~hub:0 ~port:1 ~name:"b" () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:700 () in
   Reqresp.register_server b.Stack.reqresp ~port:7 ~mode:Reqresp.Upcall_server
     (fun _ r -> r);
@@ -123,10 +116,8 @@ let test_full_stack_determinism () =
 (* ---------- buffer exhaustion at the datalink ---------- *)
 
 let test_input_overrun_drops_then_recovers () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let a = make_stack net ~hub:0 ~port:0 ~name:"a" () in
-  let b = make_stack net ~hub:0 ~port:1 ~name:"b" () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   (* a destination mailbox so small that a burst of datagrams overruns the
      dgram input pool: the datalink must drop (no buffer), not wedge *)
   let inbox =
@@ -172,11 +163,8 @@ let test_input_overrun_drops_then_recovers () =
 (* ---------- IP reassembly timeout ---------- *)
 
 let test_reassembly_timeout_purges () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let mk = make_stack net in
-  let a = mk ~hub:0 ~port:0 ~name:"a" ~opts:(fun rt -> Stack.create rt ~mtu:256 ()) () in
-  let b = mk ~hub:0 ~port:1 ~name:"b" ~opts:(fun rt -> Stack.create rt ~mtu:256 ()) () in
+  let w = World.build ~stack:(fun rt -> Stack.create rt ~mtu:256 ()) () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"udp" () in
   Udp.bind b.Stack.udp ~port:53 inbox;
   (* drop one fragment of the first datagram *)
@@ -209,15 +197,9 @@ let test_reassembly_timeout_purges () =
 
 (* ---------- TCP teardown corner cases ---------- *)
 
-let tcp_pair () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let a = make_stack net ~hub:0 ~port:0 ~name:"a" () in
-  let b = make_stack net ~hub:0 ~port:1 ~name:"b" () in
-  (eng, net, a, b)
-
 let test_tcp_simultaneous_close () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let a_done = ref false and b_done = ref false in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       ignore
@@ -237,8 +219,8 @@ let test_tcp_simultaneous_close () =
   check_bool "server closed" true !b_done
 
 let test_tcp_connect_timeout_on_dead_wire () =
-  let eng, net, a, b = tcp_pair () in
-  ignore b;
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) in
   Net.set_fault_hook net (Some (fun _ -> `Drop));
   let outcome = ref "" in
   ignore
@@ -256,26 +238,25 @@ let test_tcp_connect_timeout_on_dead_wire () =
 let test_tcp_small_window_flow_control () =
   (* a 4 KB receive window forces continuous window updates; the transfer
      must still complete, at a rate bounded by window/RTT *)
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let mk opts = make_stack net ~opts () in
-  let a = mk (fun rt -> Stack.create rt ~tcp_mss:2048 ()) ~hub:0 ~port:0 ~name:"a" in
-  let b =
-    mk (fun rt ->
-        let open Nectar_proto in
-        let dl = Datalink.create rt in
-        let ip = Ipv4.create dl () in
-        let icmp = Icmp.create ip in
-        let udp = Udp.create ip () in
-        let tcp = Tcp.create ip ~mss:2048 ~window:4096 () in
-        let dgram = Dgram.create dl in
-        let rmp = Rmp.create dl () in
-        let reqresp = Reqresp.create dl () in
-        let router = Datalink.router dl in
-        { Stack.rt; router; dl; ip; icmp; udp; tcp; dgram; rmp; reqresp;
-          services = [] })
-      ~hub:0 ~port:1 ~name:"b"
+  let w =
+    World.build
+      ~stack:(fun rt ->
+        if Runtime.node_id rt = 0 then Stack.create rt ~tcp_mss:2048 ()
+        else
+          let dl = Datalink.create rt in
+          let ip = Ipv4.create dl () in
+          let icmp = Icmp.create ip in
+          let udp = Udp.create ip () in
+          let tcp = Tcp.create ip ~mss:2048 ~window:4096 () in
+          let dgram = Dgram.create dl in
+          let rmp = Rmp.create dl () in
+          let reqresp = Reqresp.create dl () in
+          let router = Datalink.router dl in
+          { Stack.rt; router; dl; ip; icmp; udp; tcp; dgram; rmp; reqresp;
+            services = [] })
+      ()
   in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let total = 64 * 1024 in
   let received = ref 0 in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -297,24 +278,16 @@ let test_tcp_small_window_flow_control () =
 
 (* ---------- Berkeley socket emulation ---------- *)
 
-let socket_world () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let make i =
-    let stack =
-      make_stack net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) ()
-    in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host stack.Stack.rt in
-    (stack, host, Socket_emul.create drv stack)
-  in
-  let a = make 0 in
-  let b = make 1 in
-  (eng, a, b)
+(* A host driving the socket emulator over stack [i] of [w]. *)
+let socket_host w i =
+  let drv = World.add_host w i in
+  (Cab_driver.host drv, Socket_emul.create drv w.World.stacks.(i))
 
 let test_socket_echo () =
-  let eng, (_, host_a, se_a), (stack_b, host_b, se_b) = socket_world () in
-  ignore stack_b;
+  let w = World.build () in
+  let host_a, se_a = socket_host w 0 in
+  let host_b, se_b = socket_host w 1 in
+  let eng = w.eng in
   let served = ref "" and got = ref "" in
   Host.spawn_process host_b ~name:"server" (fun ctx ->
       let ls = Socket_emul.socket se_b in
@@ -333,7 +306,9 @@ let test_socket_echo () =
   check_string "client got echo" "echo: over the socket interface" !got
 
 let test_socket_refused () =
-  let eng, (_, host_a, se_a), _ = socket_world () in
+  let w = World.build () in
+  let host_a, se_a = socket_host w 0 in
+  let eng = w.eng in
   let raised = ref false in
   Host.spawn_process host_a ~name:"client" (fun ctx ->
       let s = Socket_emul.socket se_a in
@@ -343,7 +318,10 @@ let test_socket_refused () =
   check_bool "connect to closed port raises" true !raised
 
 let test_socket_eof_on_close () =
-  let eng, (_, host_a, se_a), (_, host_b, se_b) = socket_world () in
+  let w = World.build () in
+  let host_a, se_a = socket_host w 0 in
+  let host_b, se_b = socket_host w 1 in
+  let eng = w.eng in
   let eof_seen = ref false in
   Host.spawn_process host_b ~name:"server" (fun ctx ->
       let ls = Socket_emul.socket se_b in

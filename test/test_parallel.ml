@@ -274,7 +274,7 @@ let test_channel_full () =
    pending-event digest are pinned to the values recorded when the pins
    were introduced — any drift means the sequential path changed. *)
 
-module Chaos = Nectar_chaos.Chaos
+module World = Nectar_fleet.World
 module Stack = Nectar_proto.Stack
 module Rmp = Nectar_proto.Rmp
 module Runtime = Nectar_core.Runtime
@@ -283,11 +283,9 @@ module Thread = Nectar_core.Thread
 
 let rmp_world ~window ~size ~count =
   let w =
-    Chaos.build_world
-      ~stack_opts:(fun rt -> Stack.create rt ~rmp_window:window ())
-      ()
+    World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:window ()) ()
   in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"pin-inbox" ~port:920
       ~byte_limit:(128 * 1024) ()
@@ -313,13 +311,13 @@ let pinned_run ~window ~size ~count =
     Parallel.run ~lookahead:1 ~domains:1
       ~build:(fun ~self:_ ~send:_ ->
         let w = rmp_world ~window ~size ~count in
-        ( { Parallel.ep_engine = w.Chaos.eng;
+        ( { Parallel.ep_engine = w.eng;
             ep_receive = (fun ~time:_ ~src:_ () -> ()) },
           w ))
       ()
   in
   let w = out.Parallel.results.(0) in
-  (out.Parallel.final_times.(0), Engine.pending_digest w.Chaos.eng)
+  (out.Parallel.final_times.(0), Engine.pending_digest w.eng)
 
 let test_pinned_fig6_shape () =
   (* fig6 shape: stop-and-wait, one 1 KB message at a time *)

@@ -2,34 +2,15 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let us = Sim_time.us
 
-(* Build a single-HUB world of [n] CABs with full protocol stacks. *)
-let world ?(n = 2) ?tcp_checksum ?mtu ?tcp_mss ?tcp_input_mode () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let stacks =
-    List.init n (fun i ->
-        let cab =
-          Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i)
-        in
-        let rt = Runtime.create cab in
-        Stack.create rt ?tcp_checksum ?mtu ?tcp_mss ?tcp_input_mode ())
-  in
-  (eng, net, stacks)
-
 let spawn_on (s : Stack.t) ~name body =
   ignore (Thread.create (Runtime.cab s.Stack.rt) ~name body)
-
-let two () =
-  match world () with
-  | eng, net, [ a; b ] -> (eng, net, a, b)
-  | _ -> assert false
 
 (* ---------- Tcp_seq properties ---------- *)
 
@@ -60,7 +41,8 @@ let test_seq_wraparound () =
 (* ---------- Datagram ---------- *)
 
 let test_dgram_roundtrip () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()
@@ -84,7 +66,8 @@ let test_dgram_roundtrip () =
   check_int "delivered counter" 1 (Dgram.delivered b.Stack.dgram)
 
 let test_dgram_unknown_port_dropped () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   spawn_on a ~name:"sender" (fun ctx ->
       Dgram.send_string ctx a.Stack.dgram ~dst_cab:(Stack.node_id b)
         ~dst_port:4242 "nobody home");
@@ -95,7 +78,8 @@ let test_dgram_unknown_port_dropped () =
 (* ---------- RMP ---------- *)
 
 let test_rmp_reliable_roundtrip () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()
@@ -119,7 +103,8 @@ let test_rmp_reliable_roundtrip () =
   check_int "no retransmits on a clean wire" 0 (Rmp.retransmits a.Stack.rmp)
 
 let test_rmp_recovers_from_loss () =
-  let eng, net, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()
@@ -146,7 +131,8 @@ let test_rmp_recovers_from_loss () =
   check_bool "retransmitted" true (Rmp.retransmits a.Stack.rmp >= 1)
 
 let test_rmp_corruption_detected_by_crc () =
-  let eng, net, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()
@@ -171,7 +157,8 @@ let test_rmp_corruption_detected_by_crc () =
   check_int "datalink counted the CRC drop" 1 (Datalink.drops_crc b.Stack.dl)
 
 let test_rmp_duplicate_suppression () =
-  let eng, net, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()
@@ -203,7 +190,8 @@ let test_rmp_duplicate_suppression () =
 (* ---------- Request-response ---------- *)
 
 let test_reqresp_thread_server () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   Reqresp.register_server b.Stack.reqresp ~port:7 ~mode:Reqresp.Thread_server
     (fun _ctx req -> String.uppercase_ascii req);
   let answer = ref "" in
@@ -217,7 +205,8 @@ let test_reqresp_thread_server () =
   check_int "completed" 1 (Reqresp.calls_completed a.Stack.reqresp)
 
 let test_reqresp_upcall_server () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   Reqresp.register_server b.Stack.reqresp ~port:8 ~mode:Reqresp.Upcall_server
     (fun _ctx req -> req ^ "!");
   let answer = ref "" in
@@ -229,7 +218,8 @@ let test_reqresp_upcall_server () =
   check_string "upcall response" "fast path!" !answer
 
 let test_reqresp_duplicate_replay () =
-  let eng, net, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   Reqresp.register_server b.Stack.reqresp ~port:9 ~mode:Reqresp.Upcall_server
     (fun _ctx req -> req);
   (* Drop the first response: the client retries; the server must replay
@@ -255,7 +245,8 @@ let test_reqresp_duplicate_replay () =
     (Reqresp.duplicate_requests b.Stack.reqresp)
 
 let test_reqresp_timeout () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   (* no server registered on b *)
   let raised = ref false in
   spawn_on a ~name:"client" (fun ctx ->
@@ -270,7 +261,8 @@ let test_reqresp_timeout () =
 (* ---------- ICMP / IP ---------- *)
 
 let test_icmp_ping () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let rtt = ref None in
   spawn_on a ~name:"pinger" (fun ctx ->
       rtt := Icmp.ping ctx a.Stack.icmp ~dst:(Stack.addr b) ());
@@ -283,8 +275,8 @@ let test_icmp_ping () =
 
 let test_ip_fragmentation_roundtrip () =
   (* MTU 256 forces an 1100-byte UDP datagram into many fragments. *)
-  let eng, _, stacks = world ~mtu:256 () in
-  let a, b = match stacks with [ a; b ] -> (a, b) | _ -> assert false in
+  let w = World.build ~stack:(fun rt -> Stack.create rt ~mtu:256 ()) () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"udp-app" () in
   Udp.bind b.Stack.udp ~port:53 inbox;
   let payload = String.init 1100 (fun i -> Char.chr (i mod 251)) in
@@ -302,10 +294,9 @@ let test_ip_fragmentation_roundtrip () =
   check_int "one reassembly" 1 (Ipv4.reassembled b.Stack.ip)
 
 let test_ip_fragment_loss_times_out () =
-  let eng, net, stacks =
-    match world ~mtu:256 () with eng, net, s -> (eng, net, s)
-  in
-  let a, b = match stacks with [ a; b ] -> (a, b) | _ -> assert false in
+  let w = World.build ~stack:(fun rt -> Stack.create rt ~mtu:256 ()) () in
+  let eng = w.eng and net = w.net in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox = Runtime.create_mailbox b.Stack.rt ~name:"udp-app" () in
   Udp.bind b.Stack.udp ~port:53 inbox;
   (* Drop one middle fragment; no transport retry for UDP. *)
@@ -357,7 +348,8 @@ let test_ip_header_checksum_rejects_corruption () =
 (* ---------- UDP ---------- *)
 
 let test_udp_roundtrip_and_demux () =
-  let eng, _, a, b = two () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox1 = Runtime.create_mailbox b.Stack.rt ~name:"app1" () in
   let inbox2 = Runtime.create_mailbox b.Stack.rt ~name:"app2" () in
   Udp.bind b.Stack.udp ~port:100 inbox1;
@@ -387,13 +379,9 @@ let test_udp_roundtrip_and_demux () =
 
 (* ---------- TCP ---------- *)
 
-let tcp_pair ?tcp_checksum ?mtu ?tcp_mss ?tcp_input_mode () =
-  let eng, net, stacks = world ?tcp_checksum ?mtu ?tcp_mss ?tcp_input_mode () in
-  let a, b = match stacks with [ a; b ] -> (a, b) | _ -> assert false in
-  (eng, net, a, b)
-
 let test_tcp_connect_and_exchange () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let server_got = ref "" and client_got = ref "" in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"server" (fun ctx ->
@@ -409,7 +397,8 @@ let test_tcp_connect_and_exchange () =
   check_string "client received" "echo:GET /index" !client_got
 
 let test_tcp_bulk_transfer () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   (* 300 KB: larger than the 64 KB send buffer and window; exercises
      windowing, buffering, and flow control end to end. *)
   let total = 300 * 1024 in
@@ -441,7 +430,8 @@ let test_tcp_bulk_transfer () =
   check_int "content digest matches" !sent_digest !recv_digest
 
 let test_tcp_retransmission_on_loss () =
-  let eng, net, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
   (* Deterministically drop every 7th frame during the transfer. *)
   let count = ref 0 in
   Net.set_fault_hook net
@@ -467,7 +457,8 @@ let test_tcp_retransmission_on_loss () =
     (Tcp.retransmissions a.Stack.tcp > 0)
 
 let test_tcp_close_handshake () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let server_saw_eof = ref false in
   let server_conn = ref None in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -489,7 +480,8 @@ let test_tcp_close_handshake () =
   check_bool "server saw EOF" true !server_saw_eof
 
 let test_tcp_connection_refused () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let refused = ref false in
   spawn_on a ~name:"client" (fun ctx ->
       try
@@ -499,7 +491,8 @@ let test_tcp_connection_refused () =
   check_bool "RST refused the connection" true !refused
 
 let test_tcp_send_request_mailbox () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let got = ref "" in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"server" (fun ctx -> got := Tcp.recv_string ctx conn));
@@ -518,7 +511,12 @@ let test_tcp_send_request_mailbox () =
     !got
 
 let test_tcp_interrupt_input_mode () =
-  let eng, _, a, b = tcp_pair ~tcp_input_mode:`Interrupt () in
+  let w =
+    World.build
+      ~stack:(fun rt -> Stack.create rt ~tcp_input_mode:`Interrupt ())
+      ()
+  in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let got = ref "" in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"server" (fun ctx -> got := Tcp.recv_string ctx conn));
@@ -529,7 +527,10 @@ let test_tcp_interrupt_input_mode () =
   check_string "interrupt-mode roundtrip" "processed at interrupt level" !got
 
 let test_tcp_no_checksum_mode () =
-  let eng, _, a, b = tcp_pair ~tcp_checksum:false () in
+  let w =
+    World.build ~stack:(fun rt -> Stack.create rt ~tcp_checksum:false ()) ()
+  in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let got = ref "" in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"server" (fun ctx -> got := Tcp.recv_string ctx conn));
@@ -540,7 +541,8 @@ let test_tcp_no_checksum_mode () =
   check_string "works without software checksums" "no checksum" !got
 
 let test_tcp_two_connections () =
-  let eng, _, a, b = tcp_pair () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let got = Array.make 2 "" in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"server" (fun ctx ->

@@ -6,21 +6,11 @@ open Nectar_core
 open Nectar_proto
 module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
-
-let world ?tcp_checksum ?mtu ?tcp_mss () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let mk i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) in
-    Stack.create (Runtime.create cab) ?tcp_checksum ?mtu ?tcp_mss ()
-  in
-  let a = mk 0 in
-  let b = mk 1 in
-  (eng, net, a, b)
 
 let spawn_on (s : Stack.t) ~name body =
   ignore (Thread.create (Runtime.cab s.Stack.rt) ~name body)
@@ -59,7 +49,8 @@ let prop_dgram_payload_roundtrip =
     ~name:"datagram payloads of any size and content cross intact"
     QCheck2.Gen.(string_size (int_range 0 4000))
     (fun payload ->
-      let eng, _, a, b = world () in
+      let w = World.build () in
+      let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
       let inbox =
         Runtime.create_mailbox b.Stack.rt ~name:"in" ~port:700 ()
       in
@@ -77,7 +68,8 @@ let prop_dgram_payload_roundtrip =
 (* ---------- RMP failure paths ---------- *)
 
 let test_rmp_delivery_timeout_on_dead_wire () =
-  let eng, net, a, _ = world () in
+  let w = World.build () in
+  let eng = w.eng and net = w.net and a = w.stacks.(0) in
   Net.set_fault_hook net (Some (fun _ -> `Drop));
   let outcome = ref "" in
   spawn_on a ~name:"s" (fun ctx ->
@@ -91,7 +83,8 @@ let test_rmp_delivery_timeout_on_dead_wire () =
 let test_rmp_interleaved_channels () =
   (* messages to two different ports of the same CAB use independent
      channels; a stall on one must not block the other *)
-  let eng, _, a, b = world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let in1 = Runtime.create_mailbox b.Stack.rt ~name:"p1" ~port:701 () in
   let in2 = Runtime.create_mailbox b.Stack.rt ~name:"p2" ~port:702 () in
   let order = ref [] in
@@ -158,7 +151,8 @@ let test_udp_checksum_disabled_roundtrip () =
 (* ---------- ICMP payload sweep ---------- *)
 
 let test_icmp_payload_sweep () =
-  let eng, _, a, b = world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let rtts = ref [] in
   spawn_on a ~name:"ping" (fun ctx ->
       List.iter
@@ -185,7 +179,8 @@ let test_icmp_payload_sweep () =
 (* ---------- TCP extras ---------- *)
 
 let test_tcp_listener_rejects_duplicate_port () =
-  let eng, _, _, b = world () in
+  let w = World.build () in
+  let eng = w.eng and b = w.stacks.(1) in
   ignore eng;
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun _ -> ());
   Alcotest.check_raises "second listen on same port"
@@ -195,7 +190,8 @@ let test_tcp_listener_rejects_duplicate_port () =
 let test_tcp_recv_mailbox_direct () =
   (* the receive interface is a plain mailbox: read it directly instead of
      through recv_string, like a host process would *)
-  let eng, _, a, b = world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let pieces = ref [] in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
       spawn_on b ~name:"sink" (fun ctx ->
@@ -217,7 +213,13 @@ let test_tcp_recv_mailbox_direct () =
 let test_tcp_big_transfer_with_fragmentation_and_checksum () =
   (* mss 4096 over mtu 1500: every segment fragments; software checksums
      verify end to end across reassembly *)
-  let eng, _, a, b = world ~tcp_checksum:true ~mtu:1500 ~tcp_mss:4096 () in
+  let w =
+    World.build
+      ~stack:(fun rt ->
+        Stack.create rt ~tcp_checksum:true ~mtu:1500 ~tcp_mss:4096 ())
+      ()
+  in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let total = 128 * 1024 in
   let received = ref 0 in
   Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -239,7 +241,8 @@ let test_tcp_big_transfer_with_fragmentation_and_checksum () =
 (* ---------- reqresp extras ---------- *)
 
 let test_reqresp_concurrent_calls () =
-  let eng, _, a, b = world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   Reqresp.register_server b.Stack.reqresp ~port:7 ~mode:Reqresp.Upcall_server
     (fun _ req -> "r:" ^ req);
   let results = Array.make 4 "" in
@@ -257,7 +260,8 @@ let test_reqresp_concurrent_calls () =
   done
 
 let test_reqresp_large_payloads () =
-  let eng, _, a, b = world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   Reqresp.register_server b.Stack.reqresp ~port:7 ~mode:Reqresp.Thread_server
     (fun _ req -> String.uppercase_ascii req);
   let answer = ref "" in

@@ -13,10 +13,19 @@ module Plan = Nectar_chaos.Chaos.Plan
 module Router = Nectar_route.Router
 module Policy = Nectar_route.Policy
 module Vet = Nectar_vet.Vet
+module World = Nectar_fleet.World
+module Topology = Nectar_fleet.Topology
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let port = 700
+
+(* Two stacks on two chained HUBs: hub 0's port 15 is the only trunk. *)
+let chain2 () =
+  World.build ~hubs:2
+    ~trunks:(Topology.chain_trunks ~hubs:2)
+    ~seats:[ (0, 2); (1, 2) ]
+    ()
 
 let pairs n =
   List.concat_map
@@ -32,19 +41,27 @@ let pairs n =
 let test_lookup_pins_network_route () =
   let worlds =
     [
-      ("chain", Chaos.build_world ~hubs:3 ~cabs:3 ());
-      ("ring", Chaos.build_ring ~hubs:4 ~at:[ (0, 2); (1, 2); (2, 2); (3, 2) ] ());
+      ( "chain",
+        World.build ~hubs:3
+          ~trunks:(Topology.chain_trunks ~hubs:3)
+          ~seats:[ (0, 2); (1, 2); (2, 2) ]
+          () );
+      ( "ring",
+        World.build ~hubs:4
+          ~trunks:(Topology.ring_trunks ~hubs:4)
+          ~seats:[ (0, 2); (1, 2); (2, 2); (3, 2) ]
+          () );
     ]
   in
   List.iter
-    (fun (name, w) ->
-      let r = Router.create w.Chaos.net in
-      let n = Array.length w.Chaos.stacks in
+    (fun (name, (w : World.t)) ->
+      let r = Router.create w.net in
+      let n = Array.length w.stacks in
       List.iter
         (fun (src, dst) ->
           Alcotest.(check (list int))
             (Printf.sprintf "%s %d->%d matches Network.route" name src dst)
-            (Net.route w.Chaos.net ~src ~dst)
+            (Net.route w.net ~src ~dst)
             (Router.lookup r ~src ~dst ~proto:0))
         (pairs n))
     worlds
@@ -66,25 +83,30 @@ let test_route_opt_and_no_route () =
     | exception Router.No_route { src; dst } -> src = a && dst = b);
   check_int "the refusal is counted" 1 (Router.no_route_refusals r);
   (* and on a connected pair route_opt agrees with route *)
-  let w = Chaos.build_world ~hubs:2 () in
-  let a = Stack.node_id w.Chaos.stacks.(0)
-  and b = Stack.node_id w.Chaos.stacks.(1) in
+  let w = chain2 () in
+  let a = Stack.node_id w.stacks.(0)
+  and b = Stack.node_id w.stacks.(1) in
   check_bool "route_opt = Some route when connected" true
-    (Net.route_opt w.Chaos.net ~src:a ~dst:b
-    = Some (Net.route w.Chaos.net ~src:a ~dst:b))
+    (Net.route_opt w.net ~src:a ~dst:b
+    = Some (Net.route w.net ~src:a ~dst:b))
 
 (* ---------- verifier obligations ---------- *)
 
 let ring4 () =
-  let w = Chaos.build_ring ~hubs:4 ~at:[ (0, 2); (2, 2) ] () in
+  let w =
+    World.build ~hubs:4
+      ~trunks:(Topology.ring_trunks ~hubs:4)
+      ~seats:[ (0, 2); (2, 2) ]
+      ()
+  in
   ( w,
-    Stack.node_id w.Chaos.stacks.(0),
-    Stack.node_id w.Chaos.stacks.(1) )
+    Stack.node_id w.stacks.(0),
+    Stack.node_id w.stacks.(1) )
 
 let test_verifier_default_clean () =
   let w, _, _ = ring4 () in
   check_int "default policy verifies clean on the ring" 0
-    (List.length (Router.verify (Router.create w.Chaos.net)))
+    (List.length (Router.verify (Router.create w.net)))
 
 let test_verifier_rejects_looping () =
   let w, a, b = ring4 () in
@@ -99,7 +121,7 @@ let test_verifier_rejects_looping () =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy w.net) in
   check_bool "planted looping Static route reported" true
     (List.exists (function Router.Looping _ -> true | _ -> false) errs)
 
@@ -115,23 +137,23 @@ let test_verifier_rejects_unreachable () =
       };
     ]
   in
-  let errs = Router.verify (Router.create ~policy w.Chaos.net) in
+  let errs = Router.verify (Router.create ~policy w.net) in
   check_bool "planted dead-end policy reported unreachable" true
     (List.exists (function Router.Unreachable _ -> true | _ -> false) errs)
 
 let test_verifier_flags_stale_cache () =
   let w, a, b = ring4 () in
-  let r = Router.create w.Chaos.net in
+  let r = Router.create w.net in
   ignore (Router.lookup r ~src:a ~dst:b ~proto:0);
   (* inside the detection window (events not yet run) the cached entry
      still crosses the downed trunk: exactly what the audit must flag *)
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:14 false;
+  Net.set_link_up w.net ~hub:0 ~port:14 false;
   check_bool "mid-window audit reports Crosses_down" true
     (List.exists
        (function Router.Crosses_down _ -> true | _ -> false)
        (Router.verify r));
   (* after detection + recompute the database is reconciled *)
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_int "post-recompute verify is clean" 0
     (List.length (Router.verify r))
 
@@ -141,8 +163,8 @@ let test_ecmp_deterministic () =
   let w, a, b = ring4 () in
   let policy = [ { Policy.where = Policy.Any; prefer = [ Policy.Shortest ]; ecmp = true } ] in
   let arcs = [ [ 14; 14; 2 ]; [ 15; 15; 2 ] ] in
-  let r1 = Router.create ~policy w.Chaos.net in
-  let r2 = Router.create ~policy w.Chaos.net in
+  let r1 = Router.create ~policy w.net in
+  let r2 = Router.create ~policy w.net in
   let protos = List.init 8 Fun.id in
   let spread =
     List.map
@@ -163,17 +185,17 @@ let test_ecmp_deterministic () =
 
 let test_recompute_on_flap () =
   let w, a, b = ring4 () in
-  let r = Router.create w.Chaos.net in
+  let r = Router.create w.net in
   Alcotest.(check (list int))
     "primary arc" [ 14; 14; 2 ]
     (Router.lookup r ~src:a ~dst:b ~proto:0);
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:14 false;
-  Engine.run w.Chaos.eng;
+  Net.set_link_up w.net ~hub:0 ~port:14 false;
+  Engine.run w.eng;
   Alcotest.(check (list int))
     "reroutes onto the surviving arc" [ 15; 15; 2 ]
     (Router.lookup r ~src:a ~dst:b ~proto:0);
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:14 true;
-  Engine.run w.Chaos.eng;
+  Net.set_link_up w.net ~hub:0 ~port:14 true;
+  Engine.run w.eng;
   Alcotest.(check (list int))
     "restored link flushes back to the primary arc" [ 14; 14; 2 ]
     (Router.lookup r ~src:a ~dst:b ~proto:0);
@@ -182,45 +204,45 @@ let test_recompute_on_flap () =
 (* ---------- set_link_up edge cases ---------- *)
 
 let test_set_link_up_idempotent () =
-  let w = Chaos.build_world ~hubs:2 () in
+  let w = chain2 () in
   let fired = ref 0 in
-  Net.on_link_change w.Chaos.net (fun ~hub:_ ~port:_ ~up:_ -> incr fired);
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:15 false;
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:15 false;
+  Net.on_link_change w.net (fun ~hub:_ ~port:_ ~up:_ -> incr fired);
+  Net.set_link_up w.net ~hub:0 ~port:15 false;
+  Net.set_link_up w.net ~hub:0 ~port:15 false;
   check_int "double-down fires watchers once" 1 !fired;
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:15 true;
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:15 true;
+  Net.set_link_up w.net ~hub:0 ~port:15 true;
+  Net.set_link_up w.net ~hub:0 ~port:15 true;
   check_int "double-up fires watchers once more" 2 !fired
 
 let test_set_node_up_is_attachment_link () =
-  let w = Chaos.build_world ~hubs:2 () in
-  let b = w.Chaos.stacks.(1) in
+  let w = chain2 () in
+  let b = w.stacks.(1) in
   let seen = ref [] in
-  Net.on_link_change w.Chaos.net (fun ~hub ~port ~up ->
+  Net.on_link_change w.net (fun ~hub ~port ~up ->
       seen := (hub, port, up) :: !seen);
-  Net.set_node_up w.Chaos.net (Stack.node_id b) false;
-  let hub, p = Net.node_attachment w.Chaos.net (Stack.node_id b) in
+  Net.set_node_up w.net (Stack.node_id b) false;
+  let hub, p = Net.node_attachment w.net (Stack.node_id b) in
   check_bool "node power-off is its attachment link going down" true
     (!seen = [ (hub, p, false) ]);
   check_bool "the attachment port reads down" true
-    (not (Net.port_up w.Chaos.net ~hub ~port:p))
+    (not (Net.port_up w.net ~hub ~port:p))
 
 let test_own_attachment_down_refused () =
-  let w = Chaos.build_world ~hubs:2 () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+  let w = chain2 () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let src = Stack.node_id a and dst = Stack.node_id b in
   (* the sender's OWN uplink goes dark: after detection every lookup is a
      typed refusal (the pair is still connected in the static topology,
      so it must be Route_down, not No_route) *)
-  let hub, p = Net.node_attachment w.Chaos.net src in
-  Net.set_link_up w.Chaos.net ~hub ~port:p false;
-  Engine.run w.Chaos.eng;
+  let hub, p = Net.node_attachment w.net src in
+  Net.set_link_up w.net ~hub ~port:p false;
+  Engine.run w.eng;
   check_bool "lookup refuses with Route_down" true
     (match Router.lookup a.Stack.router ~src ~dst ~proto:0 with
     | _ -> false
     | exception Router.Route_down _ -> true);
-  Net.set_link_up w.Chaos.net ~hub ~port:p true;
-  Engine.run w.Chaos.eng;
+  Net.set_link_up w.net ~hub ~port:p true;
+  Engine.run w.eng;
   check_bool "restored uplink routes again" true
     (Router.lookup a.Stack.router ~src ~dst ~proto:0 <> [])
 
@@ -230,8 +252,8 @@ let test_own_attachment_down_refused () =
 let test_flap_during_inflight_send () =
   let result, findings =
     Vet.run ~quiesced:true (fun () ->
-        let w = Chaos.build_world ~hubs:2 () in
-        let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
+        let w = chain2 () in
+        let a = w.stacks.(0) and b = w.stacks.(1) in
         Chaos.install w
           {
             Plan.seed = 7;
@@ -267,14 +289,14 @@ let test_flap_during_inflight_send () =
                  incr ok;
                  Engine.sleep ctx.Ctx.eng (Sim_time.ms 1)
                done));
-        Engine.run w.Chaos.eng;
+        Engine.run w.eng;
         let bitten =
-          Net.link_down_drops w.Chaos.net
+          Net.link_down_drops w.net
           + Router.route_down_refusals a.Stack.router
         in
         (!ok, !received, bitten,
-         Net.frames_sent w.Chaos.net,
-         Net.frames_delivered w.Chaos.net + Net.link_down_drops w.Chaos.net))
+         Net.frames_sent w.net,
+         Net.frames_delivered w.net + Net.link_down_drops w.net))
   in
   (match result with
   | Error e -> Alcotest.failf "run raised %s" (Printexc.to_string e)
@@ -289,18 +311,18 @@ let test_flap_during_inflight_send () =
 (* Route_down absorbed by the unreliable transport: a counted local drop,
    never an escaping exception. *)
 let test_dgram_absorbs_refusal () =
-  let w = Chaos.build_world ~hubs:2 () in
-  let a = w.Chaos.stacks.(0) and b = w.Chaos.stacks.(1) in
-  Net.set_link_up w.Chaos.net ~hub:0 ~port:15 false;
-  Engine.run w.Chaos.eng;
+  let w = chain2 () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
+  Net.set_link_up w.net ~hub:0 ~port:15 false;
+  Engine.run w.eng;
   ignore
     (Thread.create (Runtime.cab a.Stack.rt) ~name:"dgram-send" (fun ctx ->
          Dgram.send_string ctx a.Stack.dgram ~dst_cab:(Stack.node_id b)
            ~dst_port:port "into the void"));
-  Engine.run w.Chaos.eng;
+  Engine.run w.eng;
   check_int "refusal counted as a dgram route drop" 1
     (Dgram.route_drops a.Stack.dgram);
-  check_int "nothing reached the wire" 0 (Net.frames_sent w.Chaos.net)
+  check_int "nothing reached the wire" 0 (Net.frames_sent w.net)
 
 let () =
   Alcotest.run "route"

@@ -1,4 +1,5 @@
 open Nectar_sim
+module Summary = Nectar_util.Summary
 
 let check_int = Alcotest.(check int)
 let us = Sim_time.us
@@ -374,90 +375,90 @@ let test_determinism () =
 (* ---------- Stats / Rng ---------- *)
 
 let test_summary () =
-  let s = Stats.Summary.create ~keep_samples:true () in
-  List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4. ];
-  check_int "count" 4 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 4. (Stats.Summary.max s);
-  Alcotest.(check (float 1e-9)) "median" 2.5 (Stats.Summary.percentile s 0.5)
+  let s = Summary.create ~keep_samples:true () in
+  List.iter (Summary.add s) [ 1.; 2.; 3.; 4. ];
+  check_int "count" 4 (Summary.count s);
+  Alcotest.(check (float 1e-9)) "mean" 2.5 (Summary.mean s);
+  Alcotest.(check (float 1e-9)) "min" 1. (Summary.min s);
+  Alcotest.(check (float 1e-9)) "max" 4. (Summary.max s);
+  Alcotest.(check (float 1e-9)) "median" 2.5 (Summary.percentile s 0.5)
 
 let test_summary_welford_offset () =
   (* naive sum-of-squares cancels catastrophically at this offset; Welford
      must still see the {0, 1, 2} spread around 1e9 *)
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 1e9; 1e9 +. 1.; 1e9 +. 2. ];
-  Alcotest.(check (float 1e-9)) "mean" (1e9 +. 1.) (Stats.Summary.mean s);
+  let s = Summary.create () in
+  List.iter (Summary.add s) [ 1e9; 1e9 +. 1.; 1e9 +. 2. ];
+  Alcotest.(check (float 1e-9)) "mean" (1e9 +. 1.) (Summary.mean s);
   Alcotest.(check (float 1e-6))
     "stddev sqrt(2/3)"
     (sqrt (2. /. 3.))
-    (Stats.Summary.stddev s)
+    (Summary.stddev s)
 
 let test_summary_percentile_edges () =
-  let s = Stats.Summary.create ~keep_samples:true () in
-  Stats.Summary.add s 7.;
+  let s = Summary.create ~keep_samples:true () in
+  Summary.add s 7.;
   Alcotest.(check (float 1e-9)) "p=0 of one sample" 7.
-    (Stats.Summary.percentile s 0.);
+    (Summary.percentile s 0.);
   Alcotest.(check (float 1e-9)) "p=1 of one sample" 7.
-    (Stats.Summary.percentile s 1.);
-  List.iter (Stats.Summary.add s) [ 3.; 5.; 1. ];
+    (Summary.percentile s 1.);
+  List.iter (Summary.add s) [ 3.; 5.; 1. ];
   Alcotest.(check (float 1e-9)) "p=0 is min" 1.
-    (Stats.Summary.percentile s 0.);
+    (Summary.percentile s 0.);
   Alcotest.(check (float 1e-9)) "p=1 is max" 7.
-    (Stats.Summary.percentile s 1.);
+    (Summary.percentile s 1.);
   Alcotest.check_raises "p>1 rejected"
     (Invalid_argument "Summary.percentile: p outside [0,1]") (fun () ->
-      ignore (Stats.Summary.percentile s 1.5));
+      ignore (Summary.percentile s 1.5));
   Alcotest.check_raises "p<0 rejected"
     (Invalid_argument "Summary.percentile: p outside [0,1]") (fun () ->
-      ignore (Stats.Summary.percentile s (-0.1)))
+      ignore (Summary.percentile s (-0.1)))
 
 let test_summary_empty_min_max () =
-  let s = Stats.Summary.create () in
+  let s = Summary.create () in
   Alcotest.check_raises "empty min raises"
     (Invalid_argument "Summary.min: empty") (fun () ->
-      ignore (Stats.Summary.min s));
+      ignore (Summary.min s));
   Alcotest.check_raises "empty max raises"
     (Invalid_argument "Summary.max: empty") (fun () ->
-      ignore (Stats.Summary.max s))
+      ignore (Summary.max s))
 
 let test_summary_merge () =
   (* empty <-> populated in both directions preserves the populated
      side's moments and extrema *)
-  let a = Stats.Summary.create () in
-  List.iter (Stats.Summary.add a) [ 2.; 4.; 6. ];
-  Stats.Summary.merge ~into:a (Stats.Summary.create ());
-  check_int "empty src: count kept" 3 (Stats.Summary.count a);
-  Alcotest.(check (float 1e-12)) "empty src: mean kept" 4. (Stats.Summary.mean a);
-  Alcotest.(check (float 1e-12)) "empty src: min kept" 2. (Stats.Summary.min a);
-  Alcotest.(check (float 1e-12)) "empty src: max kept" 6. (Stats.Summary.max a);
-  let b = Stats.Summary.create () in
-  Stats.Summary.merge ~into:b a;
-  check_int "empty dst: count copied" 3 (Stats.Summary.count b);
+  let a = Summary.create () in
+  List.iter (Summary.add a) [ 2.; 4.; 6. ];
+  Summary.merge ~into:a (Summary.create ());
+  check_int "empty src: count kept" 3 (Summary.count a);
+  Alcotest.(check (float 1e-12)) "empty src: mean kept" 4. (Summary.mean a);
+  Alcotest.(check (float 1e-12)) "empty src: min kept" 2. (Summary.min a);
+  Alcotest.(check (float 1e-12)) "empty src: max kept" 6. (Summary.max a);
+  let b = Summary.create () in
+  Summary.merge ~into:b a;
+  check_int "empty dst: count copied" 3 (Summary.count b);
   Alcotest.(check (float 1e-12)) "empty dst: stddev copied"
-    (Stats.Summary.stddev a) (Stats.Summary.stddev b);
+    (Summary.stddev a) (Summary.stddev b);
   (* two populated shards at a 1e9 offset must equal the single-stream
      fold (Chan's combine, no catastrophic cancellation) *)
-  let x = Stats.Summary.create ~keep_samples:true () in
-  let y = Stats.Summary.create ~keep_samples:true () in
-  let all = Stats.Summary.create ~keep_samples:true () in
+  let x = Summary.create ~keep_samples:true () in
+  let y = Summary.create ~keep_samples:true () in
+  let all = Summary.create ~keep_samples:true () in
   let xs = [ 1e9; 1e9 +. 1.; 1e9 +. 2. ]
   and ys = [ 1e9 +. 100.; 1e9 +. 101. ] in
-  List.iter (Stats.Summary.add x) xs;
-  List.iter (Stats.Summary.add y) ys;
-  List.iter (Stats.Summary.add all) (xs @ ys);
-  Stats.Summary.merge ~into:x y;
-  check_int "count" (Stats.Summary.count all) (Stats.Summary.count x);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.Summary.mean all)
-    (Stats.Summary.mean x);
-  Alcotest.(check (float 1e-6)) "stddev" (Stats.Summary.stddev all)
-    (Stats.Summary.stddev x);
-  Alcotest.(check (float 1e-12)) "max" (Stats.Summary.max all)
-    (Stats.Summary.max x);
+  List.iter (Summary.add x) xs;
+  List.iter (Summary.add y) ys;
+  List.iter (Summary.add all) (xs @ ys);
+  Summary.merge ~into:x y;
+  check_int "count" (Summary.count all) (Summary.count x);
+  Alcotest.(check (float 1e-6)) "mean" (Summary.mean all)
+    (Summary.mean x);
+  Alcotest.(check (float 1e-6)) "stddev" (Summary.stddev all)
+    (Summary.stddev x);
+  Alcotest.(check (float 1e-12)) "max" (Summary.max all)
+    (Summary.max x);
   (* kept samples concatenate, so percentiles keep working after merge *)
   Alcotest.(check (float 1e-12)) "p50 over merged samples"
-    (Stats.Summary.percentile all 0.5)
-    (Stats.Summary.percentile x 0.5)
+    (Summary.percentile all 0.5)
+    (Summary.percentile x 0.5)
 
 let test_throughput () =
   Alcotest.(check (float 1e-6))

@@ -2,7 +2,7 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -18,18 +18,9 @@ let path_labels =
     "dgram.send"; "dl.tx"; "tx.dma"; "wire"; "rx.dma"; "dl.rx"; "dgram.deliver";
   ]
 
-let datagram_world () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let stack i =
-    let cab = Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i) in
-    Stack.create (Runtime.create cab) ()
-  in
-  let a = stack 0 and b = stack 1 in
-  (eng, a, b)
-
 let run_one_datagram () =
-  let eng, a, b = datagram_world () in
+  let w = World.build () in
+  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
   let inbox =
     Runtime.create_mailbox b.Stack.rt ~name:"inbox" ~port:Wire.port_first_user
       ()

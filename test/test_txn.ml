@@ -4,29 +4,18 @@ open Nectar_sim
 open Nectar_core
 open Nectar_proto
 module Net = Nectar_hub.Network
-module Cab = Nectar_cab.Cab
+module World = Nectar_fleet.World
 module Commit = Nectar_txn.Commit
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let world n =
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:1 () in
-  let stacks =
-    List.init n (fun i ->
-        let cab =
-          Cab.create net ~hub:0 ~port:i ~name:(Printf.sprintf "cab%d" i)
-        in
-        Stack.create (Runtime.create cab) ())
-  in
-  (eng, net, stacks)
-
 let spawn_on (s : Stack.t) ~name body =
   ignore (Thread.create (Runtime.cab s.Stack.rt) ~name body)
 
 let test_all_yes_commits () =
-  let eng, _, stacks = world 4 in
+  let w = World.build ~seats:(World.ports 4) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let parts = List.map (fun s -> Commit.participant s ()) (List.tl stacks) in
   let coord = Commit.coordinator coord_stack in
@@ -47,7 +36,8 @@ let test_all_yes_commits () =
     parts
 
 let test_one_no_aborts_everyone () =
-  let eng, _, stacks = world 4 in
+  let w = World.build ~seats:(World.ports 4) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let parts =
     List.mapi
@@ -72,7 +62,8 @@ let test_one_no_aborts_everyone () =
     parts
 
 let test_unreachable_participant_aborts () =
-  let eng, net, stacks = world 3 in
+  let w = World.build ~seats:(World.ports 3) () in
+  let eng = w.eng and net = w.net and stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let _parts = List.map (fun s -> Commit.participant s ()) (List.tl stacks) in
   (* cab 2 is cut off entirely *)
@@ -90,7 +81,8 @@ let test_unreachable_participant_aborts () =
   check_bool "timeout treated as NO vote" true (!outcome = `Aborted)
 
 let test_many_transactions_mixed () =
-  let eng, _, stacks = world 3 in
+  let w = World.build ~seats:(World.ports 3) () in
+  let eng = w.eng and stacks = Array.to_list w.stacks in
   let coord_stack = List.hd stacks in
   let votes = ref 0 in
   let _parts =
