@@ -10,7 +10,9 @@
      baseline exactly once per participant), asserted from the root
      runtime's notification count;
    - the tree path's barrier p99 beats the baseline's at every size;
-   - the recorded 64-CAB tree barrier p50 reproduces exactly.
+   - the recorded 64-CAB tree barrier p50 reproduces exactly;
+   - the CAB data memory backed per CAB after the run stays within 1.5x
+     of the recorded 1024-CAB figure.
 
    The root's per-operation critical path is also span-traced
    ("coll.op" / "coll.host_op" on the root's track) and the mean span
@@ -44,6 +46,7 @@ type point = {
   c_p50_us : float;
   c_p99_us : float;
   span_mean_us : float;
+  cab_mem_bytes : int; (* data-memory bytes backed per CAB after the run *)
   wall_s : float;
 }
 
@@ -84,6 +87,14 @@ let run_point ~cabs ~ops ~host =
   let t0 = Unix.gettimeofday () in
   let b_lat, r_lat, c_lat = Coll.World.run ~tracer w ~ops ~host in
   let wall = Unix.gettimeofday () -. t0 in
+  let backed =
+    Array.fold_left
+      (fun acc st ->
+        acc
+        + Nectar_cab.Memory.resident_bytes
+            (Nectar_cab.Cab.memory (Runtime.cab st.Stack.rt)))
+      0 w.Coll.World.stacks
+  in
   let mode = if host then "host" else "tree" in
   let what fmt =
     Printf.ksprintf
@@ -132,6 +143,7 @@ let run_point ~cabs ~ops ~host =
     c_p50_us = pct c_lat 0.5;
     c_p99_us = pct c_lat 0.99;
     span_mean_us = sp;
+    cab_mem_bytes = backed / n;
     wall_s = wall;
   }
 
@@ -139,6 +151,12 @@ let run_point ~cabs ~ops ~host =
    "collectives"): the 64-CAB tree barrier p50, simulated and
    deterministic, asserted exactly. *)
 let recorded_tree_barrier_p50_us_64 = 236.3
+
+(* Recorded regression point for perf-smoke (BENCH_perf.json
+   "collectives"): CAB data memory backed per CAB after a 1024-CAB run.
+   The figure is per CAB, so the 64-CAB smoke points are held to it too;
+   gated at 1.5x like the fleet build footprint. *)
+let recorded_cab_mem_bytes_per_cab = 4096
 
 type result = { r_points : point list }
 
@@ -163,6 +181,12 @@ let measure ~smoke () =
   if smoke then
     List.iter
       (fun p ->
+        check
+          (Printf.sprintf
+             "BENCH_perf.json collectives: %d-CAB %s run backs %d B of CAB \
+              memory per CAB, within 1.5x of recorded %d"
+             p.cabs p.mode p.cab_mem_bytes recorded_cab_mem_bytes_per_cab)
+          (p.cab_mem_bytes <= recorded_cab_mem_bytes_per_cab * 3 / 2);
         if p.cabs = 64 && p.mode = "tree" then
           check
             (Printf.sprintf
@@ -185,7 +209,12 @@ let print r =
         "    %5d %-5s %3d %3d %9.1f %9.1f %9.1f %9.1f %9.1f %8d\n" p.cabs
         p.mode p.depth p.fanout p.b_p50_us p.b_p99_us p.r_p99_us p.c_p99_us
         p.span_mean_us p.wakeups)
-    r.r_points
+    r.r_points;
+  Printf.printf "    cab_mem_bytes_per_cab (backed after the run): %s\n"
+    (String.concat ", "
+       (List.map
+          (fun p -> Printf.sprintf "%d/%s %d" p.cabs p.mode p.cab_mem_bytes)
+          r.r_points))
 
 let json_fragment r =
   let b = Buffer.create 1024 in
@@ -202,9 +231,11 @@ let json_fragment r =
          \"fanout\": %d, \"host_wakeups\": %d, \"barrier_p50_us\": %.1f, \
          \"barrier_p99_us\": %.1f, \"reduce_p50_us\": %.1f, \
          \"reduce_p99_us\": %.1f, \"bcast_p50_us\": %.1f, \"bcast_p99_us\": \
-         %.1f, \"root_span_mean_us\": %.1f }%s\n"
+         %.1f, \"root_span_mean_us\": %.1f, \"cab_mem_bytes_per_cab\": %d \
+         }%s\n"
         p.cabs p.mode p.ops p.depth p.fanout p.wakeups p.b_p50_us p.b_p99_us
         p.r_p50_us p.r_p99_us p.c_p50_us p.c_p99_us p.span_mean_us
+        p.cab_mem_bytes
         (if i = List.length r.r_points - 1 then "" else ","))
     r.r_points;
   Buffer.add_string b "  ] }";

@@ -26,9 +26,10 @@ let engine_1k_events =
 let mailbox_cycle =
   Test.make ~name:"mailbox put+get cycle" (Staged.stage (fun () ->
       let eng = Nectar_sim.Engine.create () in
-      let mem = Bytes.make 4096 '\000' in
-      let heap = Nectar_core.Buffer_heap.create ~base:0 ~size:4096 in
-      let mb = Nectar_core.Mailbox.create eng ~heap ~mem ~name:"m" () in
+      let heap =
+        Nectar_core.Buffer_heap.create (Nectar_util.Region.create 4096)
+      in
+      let mb = Nectar_core.Mailbox.create eng ~heap ~name:"m" () in
       let ctx : Nectar_core.Ctx.t =
         { eng; work = (fun _ -> ()); may_block = true; ctx_name = "b";
           on_cpu = None }

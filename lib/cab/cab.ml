@@ -3,7 +3,7 @@ open Nectar_sim
 type tx_req = {
   route : int list;
   header_bytes : int;
-  extents : (Bytes.t * int * int) list;
+  extents : (Nectar_util.Region.t * int * int) list;
   len : int;
   release : unit -> unit;
   on_done : Interrupts.ctx -> unit;

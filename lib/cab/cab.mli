@@ -24,8 +24,9 @@ val create :
   name:string ->
   t
 (** [data_bytes] sizes the board's data memory (default
-    {!Costs.data_memory_bytes}, 1 MB); fleet-scale worlds shrink it so a
-    thousand boards fit in host RAM. *)
+    {!Costs.data_memory_bytes}, 1 MB).  Host memory backs only the bytes
+    the buffer heap has handed out (see {!Memory}), so a thousand-board
+    world at the default costs a few KB of data memory per board. *)
 
 val name : t -> string
 val node_id : t -> Nectar_hub.Network.node_id
@@ -59,7 +60,7 @@ val send_frame :
   route:int list ->
   header_bytes:int ->
   ?release:(unit -> unit) ->
-  extents:(Bytes.t * int * int) list ->
+  extents:(Nectar_util.Region.t * int * int) list ->
   on_done:(Interrupts.ctx -> unit) ->
   unit ->
   unit

@@ -157,8 +157,8 @@ let dma_to_memory t p ~dst ~dst_pos ?(watch = []) ~on_complete () =
   let deliver ~pos ~len =
     (* the modelled receive-DMA engine: hardware moves these bytes, so this
        is not a software copy and is not metered *)
-    Nectar_hub.Frame.blit p.pframe ~pos ~dst ~dst_pos:(dst_pos + pos - base)
-      ~len;
+    Nectar_hub.Frame.blit p.pframe ~pos ~dst:(Nectar_util.Region.bytes dst)
+      ~dst_pos:(dst_pos + pos - base) ~len;
     let copied_to = pos + len in
     let rec fire () =
       match !remaining_watches with

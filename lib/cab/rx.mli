@@ -64,7 +64,7 @@ val read_view : t -> pending -> int -> Bytes.t * int
 val dma_to_memory :
   t ->
   pending ->
-  dst:Bytes.t ->
+  dst:Nectar_util.Region.t ->
   dst_pos:int ->
   ?watch:(int * (Interrupts.ctx -> unit)) list ->
   on_complete:(Interrupts.ctx -> crc_ok:bool -> unit) ->
@@ -74,7 +74,9 @@ val dma_to_memory :
     the copy tracks arrival.  Each [(frame_offset, fn)] watch fires (at
     interrupt level) once bytes up to [frame_offset] have been copied;
     [on_complete] fires (at interrupt level) after the last byte, with the
-    hardware CRC check result.  The drained frame is {!Nectar_hub.Frame.release}d
+    hardware CRC check result.  Each arriving span lands in [dst]'s backing
+    as of its arrival, so the destination region may grow meanwhile.  The
+    drained frame is {!Nectar_hub.Frame.release}d
     (the receiver is its last holder), returning the sender-side buffer
     references behind its extents. *)
 

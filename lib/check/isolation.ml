@@ -145,8 +145,9 @@ let audit ~nodes ?(boundary = []) ?(max_literal_bytes = 0)
      - string blocks of at most [max_literal_bytes] bytes: the compiler
        interns equal string literals, so both nodes naming a mailbox
        "rmp-inbox" physically share one constant; every genuinely mutable
-       wire buffer in this codebase is a node's CAB data memory (64 KB) or
-       a heap block inside it, far above any sane literal threshold.
+       wire buffer in this codebase is a node's CAB data memory (backed
+       by at least 4 KB) or a heap block inside it, far above any sane
+       literal threshold.
        Default 0 = no exemption.
      - environment-free closures: a top-level function value carries no
        state; two nodes holding the same static function share only code. *)

@@ -657,7 +657,8 @@ let find name = List.find_opt (fun (s : Explore.scenario) -> s.name = name) all
    - max_literal_bytes=64: both stacks name their internal mailboxes and
      threads with the same string literals, which the compiler interns into
      single constant blocks; every mutable buffer in this codebase lives in
-     a node's 64 KB CAB memory, far above the threshold. *)
+     a node's CAB memory, whose backing is at least 4 KB, far above the
+     threshold. *)
 
 type audit_case = {
   a_name : string;
@@ -703,12 +704,19 @@ let audit_world ~plant () =
       Mailbox.set_upcall mb_a (Some (fun _ _ -> incr shared_counter));
       Mailbox.set_upcall mb_b (Some (fun _ _ -> incr shared_counter))
   | `Mem_alias ->
-      (* node b holds a handle on node a's CAB data memory *)
+      (* node b holds a handle on node a's CAB data memory: the region,
+         as a real holder must, so the alias survives a's heap growing *)
       let mem_a = Runtime.mem a.Stack.rt in
       let mb_b =
         Runtime.create_mailbox b.Stack.rt ~name:"alias-mem" ~port:702 ()
       in
-      Mailbox.set_upcall mb_b (Some (fun _ _ -> Bytes.set mem_a 0 'x')));
+      Mailbox.set_upcall mb_b
+        (Some (fun _ _ -> Bytes.set (Nectar_util.Region.bytes mem_a) 0 'x'));
+      (* grow a's memory after the alias exists: the alias holds the
+         region, so it still shares the new backing *)
+      let heap_a = Runtime.heap a.Stack.rt in
+      Option.iter (Nectar_core.Buffer_heap.free heap_a)
+        (Nectar_core.Buffer_heap.alloc heap_a (64 * 1024)));
   Isolation.audit
     ~nodes:[ ("cab-a", [ Obj.repr a ]); ("cab-b", [ Obj.repr b ]) ]
     ~boundary:[ ("engine", Obj.repr eng); ("network", Obj.repr net) ]
@@ -827,7 +835,7 @@ let audits : audit_case list =
     };
     {
       a_name = "planted-mem-alias";
-      a_descr = "node b captures node a's 64 KB CAB memory";
+      a_descr = "node b captures node a's CAB memory region";
       a_expect_shared = true;
       a_run = audit_world ~plant:`Mem_alias;
     };

@@ -556,10 +556,6 @@ module World = struct
     colls : coll array;
   }
 
-  (* A thousand-board fleet at the 1 MB default would not fit in host
-     RAM. *)
-  let data_bytes = 1 lsl 17
-
   let build ?(root = 0) ?combine spec =
     let topo = Topology.build spec in
     let tree = Tree.of_topology topo ~root in
@@ -583,7 +579,7 @@ module World = struct
       Fleet_world.build ~hubs:(Topology.hub_count topo)
         ~trunks:(Topology.trunks topo)
         ~seats:(List.init nodes (Topology.attachment topo))
-        ~data_bytes ~stack ()
+        ~stack ()
     in
     let colls = Array.map (fun s -> attach ?combine s ~tree) w.stacks in
     { eng = w.eng; net = w.net; topo; tree; stacks = w.stacks; colls }

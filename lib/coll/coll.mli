@@ -128,11 +128,10 @@ module World : sig
 
   val build :
     ?root:int -> ?combine:(int -> int -> int) -> Nectar_fleet.Topology.spec -> t
-  (** {!Nectar_fleet.World.build} on the topology's trunks and seats, with
-      128 KB of CAB data memory (a thousand-board fleet at the 1 MB
-      default would not fit in host RAM), every stack sharing one router
-      compiled from the topology's deadlock-safe policy, and an endpoint
-      attached per node. *)
+  (** {!Nectar_fleet.World.build} on the topology's trunks and seats (the
+      paper's 1 MB of CAB data memory each, backed only as used), every
+      stack sharing one router compiled from the topology's deadlock-safe
+      policy, and an endpoint attached per node. *)
 
   val run :
     ?tracer:Nectar_sim.Trace.t ->

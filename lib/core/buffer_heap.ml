@@ -6,7 +6,7 @@ let corrupt msg = raise (Corrupt ("Buffer_heap: " ^ msg))
 
 type t = {
   uid : int;
-  base : int;
+  region : Nectar_util.Region.t;
   size : int;
   mutable free_list : (int * int) list; (* (offset, length), sorted, coalesced *)
   live : (int, int) Hashtbl.t; (* offset -> allocated length *)
@@ -19,14 +19,15 @@ type t = {
    every partition's domain, uids must stay globally unique. *)
 let uid_counter = Atomic.make 0
 
-let create ~base ~size =
-  if base < 0 || size <= 0 then invalid_arg "Buffer_heap.create";
+let create region =
+  let size = Nectar_util.Region.size region in
+  if size <= 0 then invalid_arg "Buffer_heap.create";
   let uid = 1 + Atomic.fetch_and_add uid_counter 1 in
   {
     uid;
-    base;
+    region;
     size;
-    free_list = [ (base, size) ];
+    free_list = [ (0, size) ];
     live = Hashtbl.create 64;
     allocated = 0;
     fault = None;
@@ -34,7 +35,7 @@ let create ~base ~size =
   }
 
 let uid t = t.uid
-let base t = t.base
+let region t = t.region
 let size t = t.size
 
 let round n = (n + align - 1) / align * align
@@ -54,6 +55,9 @@ let alloc t n =
         t.free_list <- List.rev_append acc (remainder @ rest);
         Hashtbl.replace t.live off n;
         t.allocated <- t.allocated + n;
+        (* the region's one growth site: every block, live or freed, lies
+           inside the backing from here on *)
+        Nectar_util.Region.back t.region (off + n);
         Vet_hook.heap_alloc ~heap:t.uid ~off ~len:n;
         Some off
     | block :: rest -> first_fit (block :: acc) rest
@@ -110,13 +114,13 @@ let check_invariants t =
       regions
   in
   let rec walk expected = function
-    | [] -> if expected <> t.base + t.size then corrupt "coverage gap at end"
+    | [] -> if expected <> t.size then corrupt "coverage gap at end"
     | (off, len) :: rest ->
         if off <> expected then corrupt "gap or overlap";
         if len <= 0 then corrupt "empty region";
         walk (off + len) rest
   in
-  walk t.base sorted;
+  walk 0 sorted;
   (* free list must be sorted and fully coalesced *)
   let rec check_free = function
     | (o1, l1) :: ((o2, _) :: _ as rest) ->

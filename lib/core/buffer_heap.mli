@@ -3,7 +3,13 @@
     "Buffer space for messages is allocated from a common heap ... shared
     among all mailboxes on the CAB" (paper §3.3).  Offsets are byte
     positions in the CAB data-memory region; blocks are 4-byte aligned.
-    Frees must match allocations exactly; adjacent free blocks coalesce. *)
+    Frees must match allocations exactly; adjacent free blocks coalesce.
+
+    The heap manages the whole of a {!Nectar_util.Region} and is the only
+    thing that grows it: {!alloc} backs each block before returning its
+    offset, so every block handed out — and every block since freed — lies
+    inside the region's backing.  Placement depends only on the heap's
+    size, never on how much is backed. *)
 
 type t
 
@@ -11,12 +17,13 @@ exception Corrupt of string
 (** Raised by {!check_invariants} when the heap's internal structure is
     inconsistent (overlap, coverage gap, uncoalesced free list). *)
 
-val create : base:int -> size:int -> t
+val create : Nectar_util.Region.t -> t
+(** A heap over the whole region, offsets [0 .. size region - 1]. *)
 
 val uid : t -> int
 (** Unique id of this heap instance (for the vet checkers' event stream). *)
 
-val base : t -> int
+val region : t -> Nectar_util.Region.t
 val size : t -> int
 
 val alloc : t -> int -> int option

@@ -9,7 +9,6 @@ type t = {
   mname : string;
   eng : Engine.t;
   heap : Buffer_heap.t;
-  mem : Bytes.t;
   limit : int;
   capacity : int option;
   overflow : overflow;
@@ -26,14 +25,14 @@ type t = {
   cache_hit_count : Stats.Counter.t;
 }
 
-let create eng ~heap ~mem ~name ?(byte_limit = 64 * 1024) ?capacity
+let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
     ?(overflow = `Block) ?(cached_buffer_bytes = 128) ?upcall () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Mailbox.create: capacity must be > 0"
   | _ -> ());
   if Vet_hook.installed () then
-    Vet_hook.heap_attach ~heap:(Buffer_heap.uid heap) ~name:"cab-heap" ~mem
-      ~base:(Buffer_heap.base heap) ~size:(Buffer_heap.size heap);
+    Vet_hook.heap_attach ~heap:(Buffer_heap.uid heap) ~name:"cab-heap"
+      ~mem:(Buffer_heap.region heap);
   let cache =
     if cached_buffer_bytes <= 0 then None
     else
@@ -47,7 +46,6 @@ let create eng ~heap ~mem ~name ?(byte_limit = 64 * 1024) ?capacity
     mname = name;
     eng;
     heap;
-    mem;
     limit = byte_limit;
     capacity;
     overflow;
@@ -126,7 +124,8 @@ let try_begin_put (ctx : Ctx.t) t ?(headroom = 0) n =
     | Some (buf_off, buf_len, free_buffer, cached) ->
         t.in_use <- t.in_use + buf_len;
         let msg =
-          Message.make ~mem:t.mem ~buf_off ~buf_len ~len:total ~free_buffer ()
+          Message.make ~mem:(Buffer_heap.region t.heap) ~buf_off ~buf_len
+            ~len:total ~free_buffer ()
         in
         (* the reserved headroom sits in front of the data view; protocol
            layers reclaim it with [Message.push_head] to prepend headers

@@ -27,7 +27,6 @@ type overflow = [ `Block | `Drop ]
 val create :
   Nectar_sim.Engine.t ->
   heap:Buffer_heap.t ->
-  mem:Bytes.t ->
   name:string ->
   ?byte_limit:int ->
   ?capacity:int ->
@@ -36,9 +35,9 @@ val create :
   ?upcall:(Ctx.t -> t -> unit) ->
   unit ->
   t
-(** [byte_limit] (default 64 KB) bounds this mailbox's share of the common
-    heap.  [capacity] (default unbounded) bounds the number of queued
-    messages, governed by [overflow] (default [`Block]); a [`Block]
+(** Messages live in the heap's region.  [byte_limit] (default 64 KB)
+    bounds this mailbox's share of the common heap.  [capacity] (default
+    unbounded) bounds the number of queued messages, governed by [overflow] (default [`Block]); a [`Block]
     mailbox at capacity still accepts [enqueue] (which must stay
     non-blocking), like the byte limit.  [cached_buffer_bytes] (default
     128; 0 disables) reserves the small-message cache buffer.  [upcall],

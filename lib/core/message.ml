@@ -5,7 +5,7 @@ type state = Writing | Queued | Reading | Freed
    the rest is fixed for the message's lifetime. *)
 type t = {
   uid : int;
-  mem : Bytes.t;
+  mem : Nectar_util.Region.t;
   buf_off : int;
   buf_len : int;
   mutable off : int;
@@ -72,6 +72,7 @@ let release t =
 let refs t = t.refs
 
 let length t = t.len
+let bytes t = Nectar_util.Region.bytes t.mem
 
 let state_name = function
   | Writing -> "writing"
@@ -108,45 +109,45 @@ let bounds t pos n =
 
 let get_u8 t i =
   bounds t i 1;
-  Nectar_util.Byte_view.get_u8 t.mem (t.off + i)
+  Nectar_util.Byte_view.get_u8 (bytes t) (t.off + i)
 
 let set_u8 t i v =
   bounds t i 1;
-  Nectar_util.Byte_view.set_u8 t.mem (t.off + i) v
+  Nectar_util.Byte_view.set_u8 (bytes t) (t.off + i) v
 
 let get_u16 t i =
   bounds t i 2;
-  Nectar_util.Byte_view.get_u16 t.mem (t.off + i)
+  Nectar_util.Byte_view.get_u16 (bytes t) (t.off + i)
 
 let set_u16 t i v =
   bounds t i 2;
-  Nectar_util.Byte_view.set_u16 t.mem (t.off + i) v
+  Nectar_util.Byte_view.set_u16 (bytes t) (t.off + i) v
 
 let get_u32 t i =
   bounds t i 4;
-  Nectar_util.Byte_view.get_u32 t.mem (t.off + i)
+  Nectar_util.Byte_view.get_u32 (bytes t) (t.off + i)
 
 let set_u32 t i v =
   bounds t i 4;
-  Nectar_util.Byte_view.set_u32 t.mem (t.off + i) v
+  Nectar_util.Byte_view.set_u32 (bytes t) (t.off + i) v
 
 let write_string t pos s =
   bounds t pos (String.length s);
-  Bytes.blit_string s 0 t.mem (t.off + pos) (String.length s)
+  Bytes.blit_string s 0 (bytes t) (t.off + pos) (String.length s)
 
 let read_string t ~pos ~len =
   bounds t pos len;
-  Bytes.sub_string t.mem (t.off + pos) len
+  Bytes.sub_string (bytes t) (t.off + pos) len
 
 let to_string t = read_string t ~pos:0 ~len:t.len
 
 let blit_to t ~src_pos ~dst ~dst_pos ~len =
   bounds t src_pos len;
-  Bytes.blit t.mem (t.off + src_pos) dst dst_pos len
+  Bytes.blit (bytes t) (t.off + src_pos) dst dst_pos len
 
 let blit_from t ~dst_pos ~src ~src_pos ~len =
   bounds t dst_pos len;
-  Bytes.blit src src_pos t.mem (t.off + dst_pos) len
+  Bytes.blit src src_pos (bytes t) (t.off + dst_pos) len
 
 (* ---------- refcounted slices ---------- *)
 
@@ -156,7 +157,7 @@ module Slice = struct
   type t = {
     suid : int;
     src : msg;
-    soff : int; (* absolute offset into src.mem, fixed at creation *)
+    soff : int; (* absolute offset into src's region, fixed at creation *)
     slen : int;
     mutable live : bool;
   }
@@ -214,15 +215,15 @@ module Slice = struct
 
   let get_u8 s i =
     srange s i 1 "get_u8";
-    Nectar_util.Byte_view.get_u8 s.src.mem (s.soff + i)
+    Nectar_util.Byte_view.get_u8 (bytes s.src) (s.soff + i)
 
   let read_string s ~pos ~len =
     srange s pos len "read_string";
-    Bytes.sub_string s.src.mem (s.soff + pos) len
+    Bytes.sub_string (bytes s.src) (s.soff + pos) len
 
   let blit_to s ~src_pos ~dst ~dst_pos ~len =
     srange s src_pos len "blit_to";
-    Bytes.blit s.src.mem (s.soff + src_pos) dst dst_pos len
+    Bytes.blit (bytes s.src) (s.soff + src_pos) dst dst_pos len
 
   let extent s =
     check s "extent";

@@ -15,7 +15,8 @@ type state = Writing | Queued | Reading | Freed
 
 type t = {
   uid : int;  (** unique per message, for the vet checkers *)
-  mem : Bytes.t;  (** the CAB data-memory region backing this message *)
+  mem : Nectar_util.Region.t;
+      (** the CAB data-memory region backing this message *)
   buf_off : int;  (** underlying buffer start *)
   buf_len : int;  (** underlying buffer length *)
   mutable off : int;  (** current data start *)
@@ -36,7 +37,7 @@ type t = {
 }
 
 val make :
-  mem:Bytes.t ->
+  mem:Nectar_util.Region.t ->
   buf_off:int ->
   buf_len:int ->
   len:int ->
@@ -46,6 +47,11 @@ val make :
 (** Ownership callbacks start as no-ops; the owning mailbox installs them. *)
 
 val length : t -> int
+
+val bytes : t -> Bytes.t
+(** The current backing of [mem], for immediate use by a layer reading or
+    writing a header in place.  Never keep it: the buffer heap's growth
+    replaces the backing, and a kept copy stops seeing the live bytes. *)
 
 val state_name : state -> string
 (** Lower-case name, for diagnostics. *)
@@ -135,8 +141,8 @@ module Slice : sig
   val read_string : t -> pos:int -> len:int -> string
   val blit_to : t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 
-  val extent : t -> Bytes.t * int * int
-  (** The [(bytes, off, len)] scatter/gather extent this slice denotes. *)
+  val extent : t -> Nectar_util.Region.t * int * int
+  (** The [(region, off, len)] scatter/gather extent this slice denotes. *)
 end
 
 val slice : t -> pos:int -> len:int -> Slice.t

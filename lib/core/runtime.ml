@@ -14,15 +14,11 @@ type t = {
 }
 
 let create cab =
-  let rheap =
-    Buffer_heap.create ~base:0 ~size:(Memory.data_bytes (Cab.memory cab))
-  in
+  let mem = Memory.region (Cab.memory cab) in
+  let rheap = Buffer_heap.create mem in
   if Vet_hook.installed () then
     Vet_hook.heap_attach ~heap:(Buffer_heap.uid rheap)
-      ~name:("data-heap:" ^ Cab.name cab)
-      ~mem:(Memory.data (Cab.memory cab))
-      ~base:0
-      ~size:(Memory.data_bytes (Cab.memory cab));
+      ~name:("data-heap:" ^ Cab.name cab) ~mem;
   {
     rcab = cab;
     rheap;
@@ -38,7 +34,7 @@ let create cab =
 let cab t = t.rcab
 let engine t = Cab.engine t.rcab
 let heap t = t.rheap
-let mem t = Memory.data (Cab.memory t.rcab)
+let mem t = Memory.region (Cab.memory t.rcab)
 let node_id t = Cab.node_id t.rcab
 
 let spawn_thread t ?priority ~name body =
@@ -47,7 +43,7 @@ let spawn_thread t ?priority ~name body =
 let create_mailbox t ~name ?port ?byte_limit ?capacity ?overflow
     ?cached_buffer_bytes ?upcall () =
   let mbox =
-    Mailbox.create (engine t) ~heap:t.rheap ~mem:(mem t) ~name ?byte_limit
+    Mailbox.create (engine t) ~heap:t.rheap ~name ?byte_limit
       ?capacity ?overflow ?cached_buffer_bytes ?upcall ()
   in
   (match port with

@@ -12,7 +12,10 @@ val create : Nectar_cab.Cab.t -> t
 val cab : t -> Nectar_cab.Cab.t
 val engine : t -> Nectar_sim.Engine.t
 val heap : t -> Buffer_heap.t
-val mem : t -> Bytes.t
+val mem : t -> Nectar_util.Region.t
+(** The CAB's data memory, which the heap grows; index its
+    {!Nectar_util.Region.bytes} right away, never keep them. *)
+
 val node_id : t -> int
 
 val spawn_thread :

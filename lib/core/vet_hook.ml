@@ -20,8 +20,7 @@ type hooks = {
   slice_make : suid:int -> uid:int -> off:int -> len:int -> unit;
   slice_release : suid:int -> live:bool -> unit;
   slice_access : suid:int -> op:string -> unit;
-  heap_attach :
-    heap:int -> name:string -> mem:Bytes.t -> base:int -> size:int -> unit;
+  heap_attach : heap:int -> name:string -> mem:Nectar_util.Region.t -> unit;
   heap_persistent : heap:int -> off:int -> unit;
   heap_alloc : heap:int -> off:int -> len:int -> unit;
   heap_free : heap:int -> off:int -> live:bool -> unit;
@@ -72,10 +71,10 @@ let slice_release ~suid ~live =
 let slice_access ~suid ~op =
   match !hooks with None -> () | Some h -> h.slice_access ~suid ~op
 
-let heap_attach ~heap ~name ~mem ~base ~size =
+let heap_attach ~heap ~name ~mem =
   match !hooks with
   | None -> ()
-  | Some h -> h.heap_attach ~heap ~name ~mem ~base ~size
+  | Some h -> h.heap_attach ~heap ~name ~mem
 
 let heap_persistent ~heap ~off =
   match !hooks with None -> () | Some h -> h.heap_persistent ~heap ~off

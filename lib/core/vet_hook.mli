@@ -52,8 +52,7 @@ type hooks = {
           release; the underlying reference drop is then suppressed) *)
   slice_access : suid:int -> op:string -> unit;
       (** a data accessor touched slice [suid] after its release *)
-  heap_attach :
-    heap:int -> name:string -> mem:Bytes.t -> base:int -> size:int -> unit;
+  heap_attach : heap:int -> name:string -> mem:Nectar_util.Region.t -> unit;
       (** a heap was bound to a data-memory region (idempotent) *)
   heap_persistent : heap:int -> off:int -> unit;
       (** block at [off] is intentionally immortal (mailbox buffer cache) *)
@@ -82,8 +81,7 @@ val slice_make : suid:int -> uid:int -> off:int -> len:int -> unit
 val slice_release : suid:int -> live:bool -> unit
 val slice_access : suid:int -> op:string -> unit
 
-val heap_attach :
-  heap:int -> name:string -> mem:Bytes.t -> base:int -> size:int -> unit
+val heap_attach : heap:int -> name:string -> mem:Nectar_util.Region.t -> unit
 
 val heap_persistent : heap:int -> off:int -> unit
 val heap_alloc : heap:int -> off:int -> len:int -> unit

@@ -38,7 +38,10 @@ let home t page = page mod Array.length t.parts
 let st n = n.dsm.parts.(n.idx)
 let peer n i = { dsm = n.dsm; idx = i }
 let cab_of n = Stack.node_id (st n).stack
-let mem n = Runtime.mem (st n).stack.Stack.rt
+(* The CAB memory's current backing, for immediate use.  [frame] may
+   allocate, and allocating may grow the region and replace its bytes, so
+   callers take the frame offset first and the bytes after it. *)
+let bytes n = Nectar_util.Region.bytes (Runtime.mem (st n).stack.Stack.rt)
 
 let alloc_frame_of stack page_sz =
   match Buffer_heap.alloc (Runtime.heap stack.Stack.rt) page_sz with
@@ -58,11 +61,13 @@ let meter_app n len =
 
 let frame_contents n page =
   meter_app n n.dsm.page_sz;
-  Bytes.sub_string (mem n) (frame n page) n.dsm.page_sz
+  let off = frame n page in
+  Bytes.sub_string (bytes n) off n.dsm.page_sz
 
 let install n page data =
   meter_app n n.dsm.page_sz;
-  Bytes.blit_string data 0 (mem n) (frame n page) n.dsm.page_sz
+  let off = frame n page in
+  Bytes.blit_string data 0 (bytes n) off n.dsm.page_sz
 
 (* ---------- copy service: never blocks, served as an upcall ---------- *)
 
@@ -112,13 +117,13 @@ let dir_read ctx home_node ~page ~requester =
         let data =
           copy_request ctx ~from:home_node (peer home_node o) ~op:'D' ~page
         in
-        Bytes.blit_string data 0 (mem home_node) hs.master.(page)
+        Bytes.blit_string data 0 (bytes home_node) hs.master.(page)
           home_node.dsm.page_sz;
         Hashtbl.replace hs.copyset.(page) o ()
       end;
       Hashtbl.replace hs.copyset.(page) requester ();
       hs.owner.(page) <- -1 (* no exclusive owner while shared *);
-      Bytes.sub_string (mem home_node) hs.master.(page) home_node.dsm.page_sz)
+      Bytes.sub_string (bytes home_node) hs.master.(page) home_node.dsm.page_sz)
 
 (* Serve a write fault: invalidate all copies, hand exclusive ownership to
    [requester]. *)
@@ -131,7 +136,7 @@ let dir_write ctx home_node ~page ~requester =
         let data =
           copy_request ctx ~from:home_node (peer home_node o) ~op:'F' ~page
         in
-        Bytes.blit_string data 0 (mem home_node) hs.master.(page)
+        Bytes.blit_string data 0 (bytes home_node) hs.master.(page)
           home_node.dsm.page_sz
       end;
       Hashtbl.iter
@@ -143,7 +148,7 @@ let dir_write ctx home_node ~page ~requester =
         hs.copyset.(page);
       Hashtbl.reset hs.copyset.(page);
       hs.owner.(page) <- requester;
-      Bytes.sub_string (mem home_node) hs.master.(page) home_node.dsm.page_sz)
+      Bytes.sub_string (bytes home_node) hs.master.(page) home_node.dsm.page_sz)
 
 let pager n ctx request =
   Scanf.sscanf request "%c %d %d" (fun op page requester ->
@@ -176,9 +181,11 @@ let fault ctx n ~page ~write =
    home's master in sync when the home itself is the writer. *)
 let sync_home_master n page =
   let h = home n.dsm page in
-  if h = n.idx then
-    Bytes.blit (mem n) (frame n page) (mem n) (st n).master.(page)
-      n.dsm.page_sz
+  if h = n.idx then begin
+    let off = frame n page in
+    let b = bytes n in
+    Bytes.blit b off b (st n).master.(page) n.dsm.page_sz
+  end
 
 let check_range n ~addr ~len =
   if len < 0 || addr < 0 || addr + len > n.dsm.n_pages * n.dsm.page_sz then
@@ -194,9 +201,8 @@ let read (ctx : Ctx.t) n ~addr ~len =
   | Invalid -> fault ctx n ~page ~write:false
   | Read_shared | Writable -> ());
   meter_app n len;
-  let s =
-    Bytes.sub_string (mem n) (frame n page + (addr mod n.dsm.page_sz)) len
-  in
+  let off = frame n page + (addr mod n.dsm.page_sz) in
+  let s = Bytes.sub_string (bytes n) off len in
   ctx.work (Nectar_cab.Costs.cab_cycles (2 * len));
   s
 
@@ -207,7 +213,8 @@ let write (ctx : Ctx.t) n ~addr data =
   | Writable -> ()
   | Invalid | Read_shared -> fault ctx n ~page ~write:true);
   meter_app n len;
-  Bytes.blit_string data 0 (mem n) (frame n page + (addr mod n.dsm.page_sz)) len;
+  let off = frame n page + (addr mod n.dsm.page_sz) in
+  Bytes.blit_string data 0 (bytes n) off len;
   sync_home_master n page;
   ctx.work (Nectar_cab.Costs.cab_cycles (2 * len))
 
@@ -292,7 +299,7 @@ let create stacks ~pages ~page_bytes =
       for p = 0 to pages - 1 do
         if home t p = idx then begin
           s.master.(p) <- alloc_frame_of s.stack page_bytes;
-          Bytes.fill (mem n) s.master.(p) page_bytes '\000';
+          Bytes.fill (bytes n) s.master.(p) page_bytes '\000';
           s.owner.(p) <- idx;
           Hashtbl.replace s.copyset.(p) idx ()
         end

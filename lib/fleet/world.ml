@@ -14,7 +14,7 @@ let ports n = List.init n (fun i -> (0, i))
 
 (* Trunks go in before seats, so the network's own port checks reject a
    seat on a trunk port as well as a duplicate or out-of-range seat. *)
-let build ?(hubs = 1) ?(trunks = []) ?(seats = ports 2) ?data_bytes
+let build ?(hubs = 1) ?(trunks = []) ?(seats = ports 2)
     ?(stack = fun rt -> Stack.create rt ()) () =
   let eng = Nectar_sim.Engine.create () in
   let net = Net.create eng ~hubs () in
@@ -25,7 +25,7 @@ let build ?(hubs = 1) ?(trunks = []) ?(seats = ports 2) ?data_bytes
          (fun i (hub, port) ->
            stack
              (Runtime.create
-                (Nectar_cab.Cab.create ?data_bytes net ~hub ~port
+                (Nectar_cab.Cab.create net ~hub ~port
                    ~name:(Printf.sprintf "cab-%d" i))))
          seats)
   in

@@ -19,15 +19,13 @@ val build :
   ?hubs:int ->
   ?trunks:Topology.trunk list ->
   ?seats:(int * int) list ->
-  ?data_bytes:int ->
   ?stack:(Nectar_core.Runtime.t -> Nectar_proto.Stack.t) ->
   unit ->
   t
 (** A fresh engine and network of [hubs] HUBs (default 1) with every
     trunk wired, then one CAB plus stack per [(hub, port)] seat (default
-    {!ports}[ 2]).  [data_bytes] sizes each CAB's data memory (default
-    {!Nectar_cab.Cab.create}'s 1 MB); [stack] builds each stack from its
-    runtime (default [Stack.create rt ()]).
+    {!ports}[ 2]), each with the paper's 1 MB of data memory; [stack]
+    builds each stack from its runtime (default [Stack.create rt ()]).
     @raise Invalid_argument for a trunk or seat on a hub or port out of
     range or already in use. *)
 

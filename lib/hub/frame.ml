@@ -1,4 +1,6 @@
-type extent = { ebytes : Bytes.t; eoff : int; elen : int }
+module Region = Nectar_util.Region
+
+type extent = { ereg : Region.t; eoff : int; elen : int }
 
 type t = {
   id : int;
@@ -12,30 +14,31 @@ type t = {
 
 let crc_of extents =
   List.fold_left
-    (fun acc e -> Nectar_util.Crc32.digest ~init:acc e.ebytes ~pos:e.eoff ~len:e.elen)
+    (fun acc e ->
+      Nectar_util.Crc32.digest ~init:acc (Region.bytes e.ereg) ~pos:e.eoff
+        ~len:e.elen)
     0 extents
 
-let create_sg ~id ~src ~extents ~on_release =
-  let extents =
-    List.map
-      (fun (ebytes, eoff, elen) ->
-        if eoff < 0 || elen < 0 || eoff + elen > Bytes.length ebytes then
-          invalid_arg "Frame.create_sg: extent outside its bytes";
-        { ebytes; eoff; elen })
-      extents
-  in
+let of_extents ~id ~src ~on_release extents =
   let total = List.fold_left (fun acc e -> acc + e.elen) 0 extents in
   if total = 0 then invalid_arg "Frame.create_sg: empty frame";
   { id; src; extents; total; wire_crc = crc_of extents; on_release;
     released = false }
 
+let create_sg ~id ~src ~extents ~on_release =
+  of_extents ~id ~src ~on_release
+    (List.map
+       (fun (ereg, eoff, elen) ->
+         if eoff < 0 || elen < 0 || eoff + elen > Region.resident_bytes ereg
+         then invalid_arg "Frame.create_sg: extent outside its region's backing";
+         { ereg; eoff; elen })
+       extents)
+
 let create ~id ~src ~data =
-  create_sg ~id ~src
-    ~extents:[ (data, 0, Bytes.length data) ]
-    ~on_release:(fun () -> ())
+  of_extents ~id ~src ~on_release:(fun () -> ())
+    [ { ereg = Region.of_bytes data; eoff = 0; elen = Bytes.length data } ]
 
 let length t = t.total
-let extents t = List.map (fun e -> (e.ebytes, e.eoff, e.elen)) t.extents
 let crc_ok t = crc_of t.extents = t.wire_crc
 
 let view t ~pos ~len =
@@ -45,7 +48,7 @@ let view t ~pos ~len =
     | [] -> None
     | e :: rest ->
         if pos >= off && pos + len <= off + e.elen then
-          Some (e.ebytes, e.eoff + (pos - off))
+          Some (Region.bytes e.ereg, e.eoff + (pos - off))
         else find (off + e.elen) rest
   in
   find 0 t.extents
@@ -61,7 +64,7 @@ let blit t ~pos ~dst ~dst_pos ~len =
         else begin
           let e_start = pos - off in
           let n = min len (e.elen - e_start) in
-          Bytes.blit e.ebytes (e.eoff + e_start) dst dst_pos n;
+          Bytes.blit (Region.bytes e.ereg) (e.eoff + e_start) dst dst_pos n;
           go (off + e.elen) (dst_pos + n) (pos + n) (len - n) rest
         end
   in
@@ -76,7 +79,7 @@ let blit t ~pos ~dst ~dst_pos ~len =
 let detach t =
   let data = Bytes.create t.total in
   blit t ~pos:0 ~dst:data ~dst_pos:0 ~len:t.total;
-  t.extents <- [ { ebytes = data; eoff = 0; elen = t.total } ];
+  t.extents <- [ { ereg = Region.of_bytes data; eoff = 0; elen = t.total } ];
   let release = t.on_release in
   t.on_release <- (fun () -> ());
   release ()
@@ -89,7 +92,8 @@ let detach t =
 let corrupt ?(burst = 1) t =
   detach t;
   match t.extents with
-  | [ { ebytes; eoff = 0; elen } ] ->
+  | [ { ereg; eoff = 0; elen } ] ->
+      let ebytes = Region.bytes ereg in
       let k = min (max 1 burst) elen in
       let start = min (elen / 2) (elen - k) in
       for i = start to start + k - 1 do

@@ -1,6 +1,6 @@
 (** A Nectar fiber frame: the unit the HUB network transports between CABs.
 
-    A frame is a scatter/gather list of [(bytes, off, len)] extents over the
+    A frame is a scatter/gather list of [(region, off, len)] extents over the
     sender's live buffers — typically one extent pointing straight into the
     mailbox buffer holding the datalink frame, so transmit never snapshots
     payload.  Multi-extent frames let a layer prepend a freshly built header
@@ -28,23 +28,27 @@ type t = {
   mutable released : bool;
 }
 
-and extent = { ebytes : Bytes.t; eoff : int; elen : int }
+and extent = { ereg : Nectar_util.Region.t; eoff : int; elen : int }
+(** An extent names its region, not the region's current bytes: the
+    sender's heap may grow the region while the frame is in flight, and
+    every read must see the live backing. *)
 
 val create : id:int -> src:int -> data:Bytes.t -> t
-(** Single-extent frame over all of [data], with a no-op release — for
-    callers owning private bytes (tests, diagnostics). *)
+(** Single-extent frame over all of [data] (wrapped in a fixed region),
+    with a no-op release — for callers owning private bytes (tests,
+    diagnostics). *)
 
 val create_sg :
   id:int ->
   src:int ->
-  extents:(Bytes.t * int * int) list ->
+  extents:(Nectar_util.Region.t * int * int) list ->
   on_release:(unit -> unit) ->
   t
 (** Scatter/gather frame; [on_release] runs (once) from {!release} or
-    {!detach} and drops whatever buffer references back the extents. *)
+    {!detach} and drops whatever buffer references back the extents.
+    Each extent must lie inside its region's current backing. *)
 
 val length : t -> int
-val extents : t -> (Bytes.t * int * int) list
 
 val crc_ok : t -> bool
 (** Receiver-side hardware CRC check: recompute over the extents and
@@ -52,7 +56,8 @@ val crc_ok : t -> bool
 
 val view : t -> pos:int -> len:int -> (Bytes.t * int) option
 (** Borrowed view of [len] bytes at frame offset [pos], when that range
-    lies within a single extent ([None] when it straddles a boundary). *)
+    lies within a single extent ([None] when it straddles a boundary).
+    The bytes are the extent region's current backing: decode at once. *)
 
 val blit : t -> pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 

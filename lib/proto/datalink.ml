@@ -176,7 +176,7 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~on_done =
       dst_cab;
     }
   in
-  Wire.encode_dl msg.Message.mem ~pos:msg.Message.off header;
+  Wire.encode_dl (Message.bytes msg) ~pos:msg.Message.off header;
   t.frames_out_count <- t.frames_out_count + 1;
   (* Zero-copy transmit: the frame's extents point straight into the
      message's buffer (headers and payload in place, paper §5.2) plus any

@@ -24,7 +24,7 @@ type t = {
 }
 
 let icmp_checksum (msg : Message.t) ~pos ~len =
-  Inet_checksum.checksum msg.Message.mem ~pos:(msg.Message.off + pos) ~len
+  Inet_checksum.checksum (Message.bytes msg) ~pos:(msg.Message.off + pos) ~len
 
 (* The mailbox upcall: consume the datagram in place, inside the caller's
    (IP interrupt) context. *)
@@ -55,7 +55,7 @@ let upcall t ctx mbox =
                   (* the reply edits type and checksum fields, so it cannot
                      alias the request buffer: a header-rebuild copy *)
                   Copy_meter.record ~owner:t.owner Copy_meter.Hdr icmp_len;
-                  Message.blit_from reply ~dst_pos:0 ~src:msg.Message.mem
+                  Message.blit_from reply ~dst_pos:0 ~src:(Message.bytes msg)
                     ~src_pos:(msg.Message.off + ip_hdr) ~len:icmp_len;
                   Message.set_u8 reply 0 ty_echo_reply;
                   Message.set_u16 reply 2 0;
@@ -157,7 +157,7 @@ let port_unreachable (ctx : Ctx.t) t ~orig =
           Message.set_u32 msg 4 0;
           Copy_meter.record ~owner:t.owner Copy_meter.Hdr quoted;
           Message.blit_from msg ~dst_pos:header_bytes
-            ~src:orig.Message.mem ~src_pos:orig.Message.off ~len:quoted;
+            ~src:(Message.bytes orig) ~src_pos:orig.Message.off ~len:quoted;
           let ck = icmp_checksum msg ~pos:0 ~len in
           Message.set_u16 msg 2 ck;
           Ipv4.output ctx t.ip ~dst:h.Ipv4.src ~proto:Ipv4.proto_icmp msg)

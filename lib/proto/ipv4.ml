@@ -93,7 +93,7 @@ let encode_header mem ~pos ~total_len ~id ~more_fragments ~frag_off ~ttl
 let read_header (msg : Message.t) =
   if Message.length msg < header_bytes then None
   else
-    let mem = msg.Message.mem and pos = msg.Message.off in
+    let mem = Message.bytes msg and pos = msg.Message.off in
     let ver_ihl = Byte_view.get_u8 mem pos in
     if ver_ihl <> 0x45 then None
     else if not (Inet_checksum.valid mem ~pos ~len:header_bytes) then None
@@ -138,7 +138,7 @@ let fresh_id t =
 let send_datagram ctx t ~id ~more_fragments ~frag_off ~ttl ~proto ~src ~dst
     (msg : Message.t) =
   Message.push_head msg header_bytes;
-  encode_header msg.Message.mem ~pos:msg.Message.off
+  encode_header (Message.bytes msg) ~pos:msg.Message.off
     ~total_len:(Message.length msg) ~id ~more_fragments ~frag_off ~ttl ~proto
     ~src ~dst;
   t.out_count <- t.out_count + 1;
@@ -177,7 +177,7 @@ let output (ctx : Ctx.t) t ?src ~dst ~proto msg =
         let hdr = alloc ctx t 0 in
         let payload = Message.slice msg ~pos:off ~len:n in
         Message.push_head hdr header_bytes;
-        encode_header hdr.Message.mem ~pos:hdr.Message.off
+        encode_header (Message.bytes hdr) ~pos:hdr.Message.off
           ~total_len:(header_bytes + n) ~id ~more_fragments:(not last)
           ~frag_off:off ~ttl ~proto ~src ~dst;
         t.frag_out <- t.frag_out + 1;
@@ -254,17 +254,14 @@ let try_complete t ctx key (r : reass) ~proto =
                 (* copy the first fragment's header, clearing fragmentation
                    fields and re-checksumming *)
                 Copy_meter.record ~owner:t.owner Copy_meter.Hdr header_bytes;
-                Message.blit_to first ~src_pos:0 ~dst:whole.Message.mem
-                  ~dst_pos:whole.Message.off ~len:header_bytes;
-                Byte_view.set_u16 whole.Message.mem (whole.Message.off + 2)
-                  (header_bytes + total);
-                Byte_view.set_u16 whole.Message.mem (whole.Message.off + 6) 0;
-                Byte_view.set_u16 whole.Message.mem (whole.Message.off + 10) 0;
-                let ck =
-                  Inet_checksum.checksum whole.Message.mem
-                    ~pos:whole.Message.off ~len:header_bytes
-                in
-                Byte_view.set_u16 whole.Message.mem (whole.Message.off + 10) ck
+                let mem = Message.bytes whole and pos = whole.Message.off in
+                Message.blit_to first ~src_pos:0 ~dst:mem ~dst_pos:pos
+                  ~len:header_bytes;
+                Byte_view.set_u16 mem (pos + 2) (header_bytes + total);
+                Byte_view.set_u16 mem (pos + 6) 0;
+                Byte_view.set_u16 mem (pos + 10) 0;
+                let ck = Inet_checksum.checksum mem ~pos ~len:header_bytes in
+                Byte_view.set_u16 mem (pos + 10) ck
             | [] -> assert false);
             List.iter
               (fun (off, frag) ->
@@ -273,7 +270,7 @@ let try_complete t ctx key (r : reass) ~proto =
                    landed in separate receive buffers *)
                 Copy_meter.record ~owner:t.owner Copy_meter.Frag n;
                 Message.blit_to frag ~src_pos:header_bytes
-                  ~dst:whole.Message.mem
+                  ~dst:(Message.bytes whole)
                   ~dst_pos:(whole.Message.off + header_bytes + off)
                   ~len:n;
                 Mailbox.dispose ctx frag)

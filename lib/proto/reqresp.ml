@@ -177,7 +177,7 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
                      server costs over the upcall path. *)
                   Nectar_util.Copy_meter.record ~owner:t.owner
                     Nectar_util.Copy_meter.Frag n;
-                  Message.blit_from work ~dst_pos:8 ~src:msg.Message.mem
+                  Message.blit_from work ~dst_pos:8 ~src:(Message.bytes msg)
                     ~src_pos:(msg.Message.off + header_bytes) ~len:n;
                   Mailbox.dispose ctx msg;
                   Mailbox.end_put ctx t.server_work work))

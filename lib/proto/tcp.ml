@@ -144,7 +144,7 @@ let emit (ctx : Ctx.t) c ~flags ~seq ~payload_n =
   | msg ->
   if payload_n > 0 then begin
     Message.adjust_head msg header_bytes;
-    let dst = msg.Message.mem in
+    let dst = Message.bytes msg in
     (* the segment cannot alias the ring: retransmission needs the ring
        contents stable while the segment's frame is in flight *)
     Nectar_util.Copy_meter.record ~owner:t.owner Nectar_util.Copy_meter.Frag
@@ -166,7 +166,7 @@ let emit (ctx : Ctx.t) c ~flags ~seq ~payload_n =
   if t.sw_checksum then begin
     ctx.work (seg_len * Costs.tcp_cksum_ns_per_byte);
     let ck =
-      Ipv4.pseudo_checksum msg.Message.mem ~pos:msg.Message.off ~len:seg_len
+      Ipv4.pseudo_checksum (Message.bytes msg) ~pos:msg.Message.off ~len:seg_len
         ~src:(Ipv4.local_addr t.ip) ~dst:c.raddr ~proto:Ipv4.proto_tcp
     in
     Message.set_u16 msg 16 (if ck = 0 then 0xffff else ck)
@@ -404,7 +404,7 @@ let send_rst ctx t ~dst ~sport ~dport ~seq ~ack_theirs =
   Message.set_u16 msg 18 0;
   if t.sw_checksum then begin
     let ck =
-      Ipv4.pseudo_checksum msg.Message.mem ~pos:msg.Message.off
+      Ipv4.pseudo_checksum (Message.bytes msg) ~pos:msg.Message.off
         ~len:header_bytes ~src:(Ipv4.local_addr t.ip) ~dst
         ~proto:Ipv4.proto_tcp
     in
@@ -548,7 +548,7 @@ let process_segment (ctx : Ctx.t) t msg =
         if not t.sw_checksum then true
         else begin
           ctx.work (seg_len * Costs.tcp_cksum_ns_per_byte);
-          Ipv4.pseudo_checksum msg.Message.mem
+          Ipv4.pseudo_checksum (Message.bytes msg)
             ~pos:(msg.Message.off + Ipv4.header_bytes) ~len:seg_len
             ~src:h.Ipv4.src ~dst:h.Ipv4.dst ~proto:Ipv4.proto_tcp
           = 0

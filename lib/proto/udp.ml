@@ -34,7 +34,7 @@ let server_body t (ctx : Ctx.t) =
               ctx.work (seg_len * Costs.tcp_cksum_ns_per_byte);
               let stored = Message.get_u16 msg (ip_hdr + 6) in
               stored = 0
-              || segment_checksum msg.Message.mem
+              || segment_checksum (Message.bytes msg)
                    ~pos:(msg.Message.off + ip_hdr) ~len:seg_len ~src:h.Ipv4.src
                    ~dst:h.Ipv4.dst ~proto:Ipv4.proto_udp
                  = 0
@@ -111,7 +111,7 @@ let send (ctx : Ctx.t) t ~src_port ~dst ~dst_port msg =
   if t.use_checksum then begin
     ctx.work (udp_len * Costs.tcp_cksum_ns_per_byte);
     let ck =
-      segment_checksum msg.Message.mem ~pos:msg.Message.off ~len:udp_len
+      segment_checksum (Message.bytes msg) ~pos:msg.Message.off ~len:udp_len
         ~src:(Ipv4.local_addr t.ip) ~dst ~proto:Ipv4.proto_udp
     in
     Message.set_u16 msg 6 (if ck = 0 then 0xffff else ck)

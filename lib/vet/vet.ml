@@ -426,7 +426,8 @@ let poison_byte = '\xde'
 type heap_rec = {
   hid : int;
   mutable hname : string;
-  mutable hmem : Bytes.t option;
+  mutable hmem : Nectar_util.Region.t option;
+      (* the region, never its bytes: the heap's growth replaces them *)
   hlive : (int, int) Hashtbl.t;  (* off -> len *)
   hquarantine : (int, int) Hashtbl.t;  (* freed & poisoned: off -> len *)
   hpersistent : (int, unit) Hashtbl.t;
@@ -451,7 +452,7 @@ let heap_rec_of hid =
       Hashtbl.add heaps hid h;
       h
 
-let on_heap_attach ~heap ~name ~mem ~base:_ ~size:_ =
+let on_heap_attach ~heap ~name ~mem =
   if !cfg.heap then begin
     let h = heap_rec_of heap in
     (* keep the first real name: later attaches (one per mailbox sharing
@@ -465,7 +466,8 @@ let on_heap_persistent ~heap ~off =
 
 (* first offset in [off, off+len) whose poison got overwritten, if any,
    with the overwriting byte (its value often identifies the writer) *)
-let poison_damage mem ~off ~len =
+let poison_damage region ~off ~len =
+  let mem = Nectar_util.Region.bytes region in
   let rec scan i =
     if i >= off + len then None
     else if Bytes.get mem i <> poison_byte then
@@ -515,7 +517,8 @@ let on_heap_free ~heap ~off ~live =
       Hashtbl.remove h.hlive off;
       if !cfg.poison && len > 0 then begin
         (match h.hmem with
-        | Some mem -> Bytes.fill mem off len poison_byte
+        | Some mem ->
+            Bytes.fill (Nectar_util.Region.bytes mem) off len poison_byte
         | None -> ());
         Hashtbl.replace h.hquarantine off len
       end

@@ -1,5 +1,6 @@
 open Nectar_sim
 open Nectar_core
+module Region = Nectar_util.Region
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -14,7 +15,7 @@ let nonblocking_ctx eng : Ctx.t =
 (* ---------- Buffer_heap ---------- *)
 
 let test_heap_alloc_free () =
-  let h = Buffer_heap.create ~base:0 ~size:1024 in
+  let h = Buffer_heap.create (Region.create 1024) in
   let a = Option.get (Buffer_heap.alloc h 100) in
   Buffer_heap.check_invariants h;
   let b = Option.get (Buffer_heap.alloc h 200) in
@@ -29,13 +30,13 @@ let test_heap_alloc_free () =
   Buffer_heap.check_invariants h
 
 let test_heap_alignment () =
-  let h = Buffer_heap.create ~base:0 ~size:64 in
+  let h = Buffer_heap.create (Region.create 64) in
   let a = Option.get (Buffer_heap.alloc h 3) in
   Buffer_heap.check_invariants h;
   check_int "rounded to 4" 4 (Buffer_heap.block_size h a)
 
 let test_heap_coalescing () =
-  let h = Buffer_heap.create ~base:0 ~size:300 in
+  let h = Buffer_heap.create (Region.create 300) in
   let a = Option.get (Buffer_heap.alloc h 100) in
   let b = Option.get (Buffer_heap.alloc h 100) in
   let c = Option.get (Buffer_heap.alloc h 100) in
@@ -51,7 +52,7 @@ let test_heap_coalescing () =
   Buffer_heap.check_invariants h
 
 let test_heap_double_free () =
-  let h = Buffer_heap.create ~base:0 ~size:64 in
+  let h = Buffer_heap.create (Region.create 64) in
   let a = Option.get (Buffer_heap.alloc h 8) in
   Buffer_heap.free h a;
   Buffer_heap.check_invariants h;
@@ -60,11 +61,34 @@ let test_heap_double_free () =
       Buffer_heap.free h a);
   Buffer_heap.check_invariants h
 
+(* The heap is the region's one growth site: a block is backed before its
+   offset is returned, growth doubles from 4 KB and stops at the logical
+   size, and placement is the same first fit whatever is backed. *)
+let test_heap_backs_blocks () =
+  let r = Region.create (64 * 1024) in
+  let h = Buffer_heap.create r in
+  check_int "heap spans the region" (64 * 1024) (Buffer_heap.size h);
+  check_int "nothing backed at creation" 0 (Region.resident_bytes r);
+  let a = Option.get (Buffer_heap.alloc h 100) in
+  check_int "first block at 0" 0 a;
+  check_int "first growth backs 4 KB" 4096 (Region.resident_bytes r);
+  let b = Option.get (Buffer_heap.alloc h 5000) in
+  check_int "first fit after a" 100 b;
+  check_int "doubled to cover b" 8192 (Region.resident_bytes r);
+  Buffer_heap.free h b;
+  check_int "free never shrinks" 8192 (Region.resident_bytes r);
+  let c = Option.get (Buffer_heap.alloc h (60 * 1024)) in
+  check_int "same placement" 100 c;
+  check_int "capped at the logical size" (64 * 1024) (Region.resident_bytes r);
+  Alcotest.(check (option int)) "no room for 8 KB more" None
+    (Buffer_heap.alloc h (8 * 1024));
+  Buffer_heap.check_invariants h
+
 let prop_heap_random_ops =
   QCheck2.Test.make ~name:"heap invariants under random alloc/free"
     QCheck2.Gen.(list (pair bool (int_range 1 512)))
     (fun ops ->
-      let h = Buffer_heap.create ~base:0 ~size:8192 in
+      let h = Buffer_heap.create (Region.create 8192) in
       let live = ref [] in
       List.iter
         (fun (is_alloc, n) ->
@@ -87,7 +111,7 @@ let prop_heap_conservation =
     QCheck2.Gen.(list (pair bool (int_range 1 512)))
     (fun ops ->
       let size = 8192 in
-      let h = Buffer_heap.create ~base:0 ~size in
+      let h = Buffer_heap.create (Region.create size) in
       let live = ref [] in
       let conserved () =
         Buffer_heap.check_invariants h;
@@ -111,7 +135,7 @@ let prop_heap_conservation =
 (* ---------- Message ---------- *)
 
 let scratch_message len =
-  let mem = Bytes.make 4096 '\000' in
+  let mem = Region.of_bytes (Bytes.make 4096 '\000') in
   Message.make ~mem ~buf_off:100 ~buf_len:512 ~len ~free_buffer:(fun () -> ()) ()
 
 let test_message_rw () =
@@ -161,7 +185,7 @@ let test_slice_reads_window () =
 
 let test_slice_refcount_pins_buffer () =
   let freed = ref false in
-  let mem = Bytes.make 256 '\000' in
+  let mem = Region.of_bytes (Bytes.make 256 '\000') in
   let m =
     Message.make ~mem ~buf_off:0 ~buf_len:64 ~len:32
       ~free_buffer:(fun () -> freed := true)
@@ -179,6 +203,39 @@ let test_slice_refcount_pins_buffer () =
   Alcotest.check_raises "later retain is a use-after-free"
     (Invalid_argument "Message.retain: message buffer already freed")
     (fun () -> Message.retain m)
+
+(* An in-flight frame over a message's slice reads the region as it is
+   now.  Force the heap to grow after the frame is built, then poison the
+   message's buffer: the frame's hardware CRC must see the poison, not a
+   stale pre-growth copy of the bytes. *)
+let test_frame_sees_grown_memory () =
+  let eng = Engine.create () in
+  let net = Nectar_hub.Network.create eng ~hubs:1 () in
+  let cab = Nectar_cab.Cab.create net ~hub:0 ~port:0 ~name:"cab" in
+  let rt = Runtime.create cab in
+  let mem = Runtime.mem rt in
+  check_int "1 MB CAB" (1 lsl 20) (Region.size mem);
+  let mb = Runtime.create_mailbox rt ~name:"tx" ~cached_buffer_bytes:0 () in
+  let ctx = nonblocking_ctx eng in
+  let m = Option.get (Mailbox.try_begin_put ctx mb 256) in
+  Message.write_string m 0 (String.init 256 (fun i -> Char.chr (i land 0xff)));
+  let s = Message.slice m ~pos:0 ~len:256 in
+  let frame =
+    Nectar_hub.Frame.create_sg ~id:0 ~src:0
+      ~extents:[ Message.Slice.extent s ]
+      ~on_release:(fun () -> Message.Slice.release s)
+  in
+  check_bool "crc ok as sent" true (Nectar_hub.Frame.crc_ok frame);
+  let backed = Region.resident_bytes mem in
+  let big = Option.get (Buffer_heap.alloc (Runtime.heap rt) (200 * 1024)) in
+  check_bool "the allocation grew the backing" true
+    (Region.resident_bytes mem > backed);
+  Bytes.fill (Message.bytes m) m.Message.off 256 '\xde';
+  check_bool "frame reads the poisoned live bytes" false
+    (Nectar_hub.Frame.crc_ok frame);
+  Nectar_hub.Frame.release frame;
+  Buffer_heap.free (Runtime.heap rt) big;
+  Mailbox.abort_put ctx mb m
 
 let test_slice_bounds () =
   let m = scratch_message 32 in
@@ -231,10 +288,9 @@ let prop_slice_refcount_conservation =
     QCheck2.Gen.(list_size (int_range 0 40) (int_range 1 12))
     (fun lens ->
       let eng = Engine.create () in
-      let mem = Bytes.make 8192 '\000' in
-      let heap = Buffer_heap.create ~base:0 ~size:8192 in
+      let heap = Buffer_heap.create (Region.create 8192) in
       let mb =
-        Mailbox.create eng ~heap ~mem ~name:"mb" ~cached_buffer_bytes:0 ()
+        Mailbox.create eng ~heap ~name:"mb" ~cached_buffer_bytes:0 ()
       in
       let ctx = null_ctx eng in
       let baseline = Buffer_heap.live_blocks heap in
@@ -261,9 +317,8 @@ let prop_slice_refcount_conservation =
 
 let test_headroom_prepend () =
   let eng = Engine.create () in
-  let mem = Bytes.make 4096 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:4096 in
-  let mb = Mailbox.create eng ~heap ~mem ~name:"mb" () in
+  let heap = Buffer_heap.create (Region.create 4096) in
+  let mb = Mailbox.create eng ~heap ~name:"mb" () in
   let ctx = null_ctx eng in
   Engine.spawn eng (fun () ->
       let m = Mailbox.begin_put ctx mb ~headroom:12 20 in
@@ -289,10 +344,9 @@ let test_headroom_prepend () =
 
 let make_mailbox ?byte_limit ?cached_buffer_bytes ?upcall () =
   let eng = Engine.create () in
-  let mem = Bytes.make (64 * 1024) '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:(64 * 1024) in
+  let heap = Buffer_heap.create (Region.create (64 * 1024)) in
   let mbox =
-    Mailbox.create eng ~heap ~mem ~name:"mb" ?byte_limit ?cached_buffer_bytes
+    Mailbox.create eng ~heap ~name:"mb" ?byte_limit ?cached_buffer_bytes
       ?upcall ()
   in
   (eng, heap, mbox)
@@ -389,11 +443,10 @@ let test_mailbox_blocking_from_interrupt_forbidden () =
 
 let test_mailbox_upcall_runs_in_caller () =
   let eng = Engine.create () in
-  let mem = Bytes.make 4096 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:4096 in
+  let heap = Buffer_heap.create (Region.create 4096) in
   let upcalled = ref [] in
   let mb =
-    Mailbox.create eng ~heap ~mem ~name:"served"
+    Mailbox.create eng ~heap ~name:"served"
       ~upcall:(fun ctx mb ->
         (* runs as a local call in the writer's context: consume in place *)
         match Mailbox.try_begin_get ctx mb with
@@ -420,13 +473,12 @@ let test_mailbox_upcall_runs_in_caller () =
 
 let test_mailbox_enqueue_zero_copy () =
   let eng = Engine.create () in
-  let mem = Bytes.make 8192 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:8192 in
+  let heap = Buffer_heap.create (Region.create 8192) in
   let src =
-    Mailbox.create eng ~heap ~mem ~name:"ip-input" ~cached_buffer_bytes:0 ()
+    Mailbox.create eng ~heap ~name:"ip-input" ~cached_buffer_bytes:0 ()
   in
   let dst =
-    Mailbox.create eng ~heap ~mem ~name:"udp-input" ~cached_buffer_bytes:0 ()
+    Mailbox.create eng ~heap ~name:"udp-input" ~cached_buffer_bytes:0 ()
   in
   let ctx = null_ctx eng in
   Engine.spawn eng (fun () ->
@@ -470,10 +522,9 @@ let test_mailbox_cached_buffer () =
 
 let test_mailbox_enqueued_cache_buffer_stays_live () =
   let eng = Engine.create () in
-  let mem = Bytes.make 8192 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:8192 in
-  let src = Mailbox.create eng ~heap ~mem ~name:"src" ~cached_buffer_bytes:128 () in
-  let dst = Mailbox.create eng ~heap ~mem ~name:"dst" ~cached_buffer_bytes:0 () in
+  let heap = Buffer_heap.create (Region.create 8192) in
+  let src = Mailbox.create eng ~heap ~name:"src" ~cached_buffer_bytes:128 () in
+  let dst = Mailbox.create eng ~heap ~name:"dst" ~cached_buffer_bytes:0 () in
   let ctx = null_ctx eng in
   Engine.spawn eng (fun () ->
       let m = Mailbox.begin_put ctx src 32 in
@@ -525,9 +576,8 @@ let prop_mailbox_model =
     QCheck2.Gen.(list (pair bool (string_size (int_range 0 200))))
     (fun ops ->
       let eng = Engine.create () in
-      let mem = Bytes.make 65536 '\000' in
-      let heap = Buffer_heap.create ~base:0 ~size:65536 in
-      let mb = Mailbox.create eng ~heap ~mem ~name:"model" () in
+      let heap = Buffer_heap.create (Region.create 65536) in
+      let mb = Mailbox.create eng ~heap ~name:"model" () in
       let ctx = null_ctx eng in
       let model = Queue.create () in
       let ok = ref true in
@@ -770,6 +820,8 @@ let () =
           Alcotest.test_case "alignment" `Quick test_heap_alignment;
           Alcotest.test_case "coalescing" `Quick test_heap_coalescing;
           Alcotest.test_case "double free" `Quick test_heap_double_free;
+          Alcotest.test_case "alloc backs its block" `Quick
+            test_heap_backs_blocks;
           qtest prop_heap_random_ops;
           qtest prop_heap_conservation;
         ] );
@@ -786,6 +838,8 @@ let () =
             test_slice_refcount_pins_buffer;
           Alcotest.test_case "bounds and lifecycle" `Quick test_slice_bounds;
           Alcotest.test_case "headroom prepend" `Quick test_headroom_prepend;
+          Alcotest.test_case "in-flight frame sees heap growth" `Quick
+            test_frame_sees_grown_memory;
           qtest prop_nested_slices_read_same_bytes;
           qtest prop_slice_refcount_conservation;
         ] );

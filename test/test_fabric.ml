@@ -2,6 +2,7 @@ open Nectar_sim
 open Nectar_cab
 module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
+module Region = Nectar_util.Region
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -28,9 +29,9 @@ let test_frame_sg_extents () =
     Frame.create_sg ~id:1 ~src:0
       ~extents:
         [
-          (Bytes.sub whole 0 7, 0, 7);
-          (whole, 7, 13);
-          (Bytes.sub whole 20 5, 0, 5);
+          (Region.of_bytes (Bytes.sub whole 0 7), 0, 7);
+          (Region.of_bytes whole, 7, 13);
+          (Region.of_bytes (Bytes.sub whole 20 5), 0, 5);
         ]
       ~on_release:(fun () -> incr released)
   in
@@ -256,6 +257,30 @@ let test_memory_range_spanning_pages () =
     (Memory.Protection_fault { domain = 1; page = 1; write = true })
     (fun () -> Memory.checked_write m ~pos:0 ~len:1025)
 
+let test_memory_domain0_revoke_restore () =
+  let m = Memory.create () in
+  Memory.checked_write m ~pos:5000 ~len:4;
+  Memory.set_page_perm m ~domain:0 ~page:4 Memory.Read_only;
+  Alcotest.check_raises "revoked domain-0 page rejects writes"
+    (Memory.Protection_fault { domain = 0; page = 4; write = true })
+    (fun () -> Memory.checked_write m ~pos:5000 ~len:4);
+  Memory.checked_read m ~pos:5000 ~len:4;
+  Memory.checked_write m ~pos:3000 ~len:4 (* the other pages keep Read_write *);
+  check_bool "other domains keep their default" true
+    (Memory.page_perm m ~domain:1 ~page:4 = Memory.No_access);
+  Memory.set_page_perm m ~domain:0 ~page:4 Memory.Read_write;
+  Memory.checked_write m ~pos:5000 ~len:4
+
+(* A fresh board holds no data bytes and no permission tables: its 1 MB
+   memory is a few hundred words until the heap or a grant touches it. *)
+let test_memory_fresh_footprint () =
+  let m = Memory.create () in
+  check_int "1 MB logical" (1 lsl 20) (Memory.data_bytes m);
+  check_int "nothing backed" 0 (Memory.resident_bytes m);
+  let words = Obj.reachable_words (Obj.repr m) in
+  check_bool (Printf.sprintf "%d reachable words <= 300" words) true
+    (words <= 300)
+
 (* ---------- VME ---------- *)
 
 let test_vme_pio_timing () =
@@ -350,7 +375,7 @@ let test_cab_frame_exchange () =
       Alcotest.(check string) "header" "HDRx" (Bytes.to_string header);
       let rest = Rx.total p - 4 in
       let dst = Bytes.create rest in
-      Rx.dma_to_memory (Cab.rx b) p ~dst ~dst_pos:0
+      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
         ~on_complete:(fun _ictx ~crc_ok ->
           received := Some (Bytes.to_string dst, crc_ok);
           recv_time := Engine.now eng)
@@ -359,7 +384,7 @@ let test_cab_frame_exchange () =
       Cab.send_frame a
         ~route:(Net.route net ~src:(Cab.node_id a) ~dst:(Cab.node_id b))
         ~header_bytes:4
-        ~extents:[ (payload, 0, Bytes.length payload) ]
+        ~extents:[ (Region.of_bytes payload, 0, Bytes.length payload) ]
         ~on_done:(fun _ -> ())
         ());
   Engine.run eng;
@@ -385,7 +410,7 @@ let test_cab_discard_keeps_fifo_clean () =
         Cab.send_frame a
           ~route:(Net.route net ~src:(Cab.node_id a) ~dst:(Cab.node_id b))
           ~header_bytes:16
-          ~extents:[ (data, 0, 2000) ]
+          ~extents:[ (Region.of_bytes data, 0, 2000) ]
           ~on_done:(fun _ -> ())
           ()
       done);
@@ -402,14 +427,14 @@ let test_cab_large_frame_backpressure () =
   let ok = ref false in
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
       let dst = Bytes.create (Rx.total p) in
-      Rx.dma_to_memory (Cab.rx b) p ~dst ~dst_pos:0
+      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
         ~on_complete:(fun _ictx ~crc_ok -> ok := crc_ok && Bytes.equal dst data)
         ());
   Engine.spawn eng (fun () ->
       Cab.send_frame a
         ~route:(Net.route net ~src:(Cab.node_id a) ~dst:(Cab.node_id b))
         ~header_bytes:16
-        ~extents:[ (data, 0, len) ]
+        ~extents:[ (Region.of_bytes data, 0, len) ]
         ~on_done:(fun _ -> ())
         ());
   Engine.run eng;
@@ -420,7 +445,7 @@ let test_cab_rx_watch_fires_in_order () =
   let events = ref [] in
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
       let dst = Bytes.create (Rx.total p) in
-      Rx.dma_to_memory (Cab.rx b) p ~dst ~dst_pos:0
+      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
         ~watch:[ (64, fun _ -> events := ("start-of-data", Engine.now eng) :: !events) ]
         ~on_complete:(fun _ictx ~crc_ok:_ ->
           events := ("end-of-data", Engine.now eng) :: !events)
@@ -429,7 +454,7 @@ let test_cab_rx_watch_fires_in_order () =
       Cab.send_frame a
         ~route:(Net.route net ~src:(Cab.node_id a) ~dst:(Cab.node_id b))
         ~header_bytes:16
-        ~extents:[ (Bytes.make 8192 'w', 0, 8192) ]
+        ~extents:[ (Region.of_bytes (Bytes.make 8192 'w'), 0, 8192) ]
         ~on_done:(fun _ -> ())
         ());
   Engine.run eng;
@@ -468,6 +493,10 @@ let () =
             test_memory_protection;
           Alcotest.test_case "page spanning" `Quick
             test_memory_range_spanning_pages;
+          Alcotest.test_case "domain 0 revoke and restore" `Quick
+            test_memory_domain0_revoke_restore;
+          Alcotest.test_case "fresh 1 MB footprint" `Quick
+            test_memory_fresh_footprint;
         ] );
       ( "vme",
         [

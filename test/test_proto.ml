@@ -316,9 +316,8 @@ let test_ip_fragment_loss_times_out () =
 let test_ip_header_checksum_rejects_corruption () =
   (* direct unit check on the parser *)
   let eng = Engine.create () in
-  let mem = Bytes.make 1024 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:1024 in
-  let mb = Mailbox.create eng ~heap ~mem ~name:"t" () in
+  let heap = Buffer_heap.create (Nectar_util.Region.create 1024) in
+  let mb = Mailbox.create eng ~heap ~name:"t" () in
   let ctx : Ctx.t =
     { eng; work = (fun _ -> ()); may_block = true; ctx_name = "t"; on_cpu = None }
   in
@@ -334,7 +333,7 @@ let test_ip_header_checksum_rejects_corruption () =
       Message.set_u32 msg 16 (Ipv4.addr_of_cab 1);
       Message.set_u16 msg 10 0;
       let ck =
-        Nectar_util.Inet_checksum.checksum msg.Message.mem
+        Nectar_util.Inet_checksum.checksum (Message.bytes msg)
           ~pos:msg.Message.off ~len:20
       in
       Message.set_u16 msg 10 ck;

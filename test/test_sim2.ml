@@ -184,7 +184,7 @@ let null_ctx eng : Ctx.t =
   { eng; work = (fun _ -> ()); may_block = true; ctx_name = "t"; on_cpu = None }
 
 let test_message_push_head_bounds () =
-  let mem = Bytes.make 256 '\000' in
+  let mem = Nectar_util.Region.of_bytes (Bytes.make 256 '\000') in
   let m = Message.make ~mem ~buf_off:100 ~buf_len:64 ~len:64
       ~free_buffer:(fun () -> ()) () in
   Message.adjust_head m 10;
@@ -194,7 +194,7 @@ let test_message_push_head_bounds () =
     (Invalid_argument "Message.push_head") (fun () -> Message.push_head m 1)
 
 let test_message_blits () =
-  let mem = Bytes.make 256 '\000' in
+  let mem = Nectar_util.Region.of_bytes (Bytes.make 256 '\000') in
   let m = Message.make ~mem ~buf_off:16 ~buf_len:64 ~len:64
       ~free_buffer:(fun () -> ()) () in
   let src = Bytes.of_string "0123456789" in
@@ -207,9 +207,8 @@ let test_message_blits () =
 
 let test_mailbox_queued_bytes () =
   let eng = Engine.create () in
-  let mem = Bytes.make 4096 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:4096 in
-  let mb = Mailbox.create eng ~heap ~mem ~name:"m" ~cached_buffer_bytes:0 () in
+  let heap = Buffer_heap.create (Nectar_util.Region.create 4096) in
+  let mb = Mailbox.create eng ~heap ~name:"m" ~cached_buffer_bytes:0 () in
   let ctx = null_ctx eng in
   Engine.spawn eng (fun () ->
       let m1 = Mailbox.begin_put ctx mb 100 in

@@ -207,6 +207,63 @@ let prop_tcp_conn_injective =
 
 (* ---------- Copy_meter ---------- *)
 
+(* ---------- Region ---------- *)
+
+let test_region_zero_after_growth () =
+  let r = Region.create (1 lsl 20) in
+  check_int "nothing backed" 0 (Region.resident_bytes r);
+  Region.back r 10;
+  check_int "first growth is the 4 KB minimum" 4096 (Region.resident_bytes r);
+  Region.back r 100_000;
+  check_int "doubled past the request" 131_072 (Region.resident_bytes r);
+  Alcotest.(check bool) "untouched bytes read as zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Region.bytes r))
+
+let test_region_growth_keeps_contents () =
+  let r = Region.create 65_536 in
+  Region.back r 4096;
+  let before = Region.bytes r in
+  Bytes.blit_string "nectar" 0 before 4000 6;
+  Region.back r 4097;
+  let after = Region.bytes r in
+  Alcotest.(check bool) "growth replaced the backing" false (before == after);
+  Alcotest.(check string) "contents carried over" "nectar"
+    (Bytes.sub_string after 4000 6);
+  check_int "zero beyond the old backing" 0 (Bytes.get_uint8 after 4096);
+  Region.back r 100;
+  Alcotest.(check bool) "backing an already-backed prefix is a no-op" true
+    (Region.bytes r == after)
+
+let test_region_capped_at_size () =
+  let r = Region.create 10_000 in
+  Region.back r 9_000;
+  check_int "doubling stops at the logical size" 10_000
+    (Region.resident_bytes r);
+  let small = Region.create 300 in
+  Region.back small 1;
+  check_int "a region below the minimum backs its size" 300
+    (Region.resident_bytes small);
+  let fixed = Region.of_bytes (Bytes.make 64 'x') in
+  check_int "a fixed region is all backed" 64 (Region.resident_bytes fixed);
+  Region.back fixed 64;
+  check_int "and never grows" 64 (Region.resident_bytes fixed)
+
+let test_region_out_of_range () =
+  let r = Region.create 8192 in
+  Alcotest.check_raises "beyond the logical size"
+    (Invalid_argument "Region.back: outside the region") (fun () ->
+      Region.back r 8193);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Region.back: outside the region") (fun () ->
+      Region.back r (-1));
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Region.create: negative size") (fun () ->
+      ignore (Region.create (-1)));
+  Region.back r 8;
+  Alcotest.check_raises "past the backing"
+    (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Bytes.get (Region.bytes r) (Region.resident_bytes r)))
+
 let test_copy_meter_counts () =
   Copy_meter.reset ();
   check_int "fresh: no copies" 0 (Copy_meter.copies ());
@@ -338,6 +395,15 @@ let () =
           Alcotest.test_case "basics" `Quick test_heap_basics;
           qtest prop_heap_drains_sorted;
           qtest prop_heap_interleaved_model;
+        ] );
+      ( "region",
+        [
+          Alcotest.test_case "zero after growth" `Quick
+            test_region_zero_after_growth;
+          Alcotest.test_case "growth keeps contents" `Quick
+            test_region_growth_keeps_contents;
+          Alcotest.test_case "capped at size" `Quick test_region_capped_at_size;
+          Alcotest.test_case "out of range" `Quick test_region_out_of_range;
         ] );
       ( "copy_meter",
         [

@@ -29,9 +29,9 @@ let assert_finding ~checker ~sub findings =
     (has ~checker ~sub findings)
 
 let make_mailbox eng ?(cached_buffer_bytes = 0) name =
-  let mem = Bytes.make 8192 '\000' in
-  let heap = Buffer_heap.create ~base:0 ~size:8192 in
-  (Mailbox.create eng ~heap ~mem ~name ~cached_buffer_bytes (), mem)
+  let heap = Buffer_heap.create (Nectar_util.Region.create 8192) in
+  ( Mailbox.create eng ~heap ~name ~cached_buffer_bytes (),
+    Buffer_heap.region heap )
 
 (* ---------- clean run ---------- *)
 
@@ -112,13 +112,12 @@ let test_use_after_enqueue () =
   let _, findings =
     Vet.run (fun () ->
         let eng = Engine.create () in
-        let mem = Bytes.make 8192 '\000' in
-        let heap = Buffer_heap.create ~base:0 ~size:8192 in
+        let heap = Buffer_heap.create (Nectar_util.Region.create 8192) in
         let src =
-          Mailbox.create eng ~heap ~mem ~name:"src" ~cached_buffer_bytes:0 ()
+          Mailbox.create eng ~heap ~name:"src" ~cached_buffer_bytes:0 ()
         in
         let dst =
-          Mailbox.create eng ~heap ~mem ~name:"dst" ~cached_buffer_bytes:0 ()
+          Mailbox.create eng ~heap ~name:"dst" ~cached_buffer_bytes:0 ()
         in
         let ctx = null_ctx eng in
         Engine.spawn eng (fun () ->
@@ -140,7 +139,7 @@ let test_use_after_enqueue () =
 let test_double_free () =
   let _, findings =
     Vet.run (fun () ->
-        let h = Buffer_heap.create ~base:0 ~size:256 in
+        let h = Buffer_heap.create (Nectar_util.Region.create 256) in
         let off = Option.get (Buffer_heap.alloc h 16) in
         Buffer_heap.free h off;
         Alcotest.check_raises "heap still rejects it"
@@ -162,9 +161,76 @@ let test_use_after_free_write () =
             Mailbox.abort_put ctx mb m);
         Engine.run eng;
         (* scribble on the freed (poisoned) block, as a stale DMA would *)
-        Bytes.set mem !freed_off 'X')
+        Bytes.set (Nectar_util.Region.bytes mem) !freed_off 'X')
   in
   assert_finding ~checker:"heap" ~sub:"use-after-free write" findings
+
+(* The seeded bug the refcounted transmit path fixed: a sender disposes
+   its buffer before the tx DMA's dequeue-time snapshot, while a queued
+   frame still aliases it, then rewrites the header for a retransmission
+   and disposes again.  The heap grows between the dispose and the
+   snapshot, so a frame, poison or header write holding the pre-growth
+   bytes would miss the live backing; all three hold the region, so the
+   frame carries the poison and both bugs are still caught. *)
+let test_dispose_before_snapshot_across_growth () =
+  let received = ref "" and grew = ref false and m_off = ref (-1) in
+  let _, findings =
+    Vet.run (fun () ->
+        let eng = Engine.create () in
+        let net = Nectar_hub.Network.create eng ~hubs:1 () in
+        let a = Nectar_cab.Cab.create net ~hub:0 ~port:0 ~name:"a" in
+        let b = Nectar_cab.Cab.create net ~hub:0 ~port:1 ~name:"b" in
+        let rt = Runtime.create a in
+        let mb =
+          Runtime.create_mailbox rt ~name:"tx" ~cached_buffer_bytes:0 ()
+        in
+        let rx = Nectar_cab.Cab.rx b in
+        Nectar_cab.Rx.set_frame_handler rx (fun _ p ->
+            let dst = Bytes.create (Nectar_cab.Rx.total p) in
+            Nectar_cab.Rx.dma_to_memory rx p
+              ~dst:(Nectar_util.Region.of_bytes dst) ~dst_pos:0
+              ~on_complete:(fun _ ~crc_ok:_ -> received := Bytes.to_string dst)
+              ());
+        let ctx = null_ctx eng in
+        Engine.spawn eng (fun () ->
+            let m = Mailbox.begin_put ctx mb 64 in
+            m_off := m.Message.off;
+            (* a live neighbour keeps m's block from coalescing into the
+               free tail, so the big allocation below cannot reuse it *)
+            let keep = Mailbox.begin_put ctx mb 4 in
+            Message.write_string m 0 (String.make 64 'p');
+            Nectar_cab.Cab.send_frame a
+              ~route:
+                (Nectar_hub.Network.route net ~src:(Nectar_cab.Cab.node_id a)
+                   ~dst:(Nectar_cab.Cab.node_id b))
+              ~header_bytes:16
+              ~extents:[ (m.Message.mem, m.Message.off, 64) ]
+              ~on_done:(fun _ -> ())
+              ();
+            Mailbox.dispose ctx m;
+            let mem = Runtime.mem rt in
+            let backed = Nectar_util.Region.resident_bytes mem in
+            let big = Buffer_heap.alloc (Runtime.heap rt) (200 * 1024) in
+            grew := Nectar_util.Region.resident_bytes mem > backed;
+            (* the frame is snapshotted and delivered meanwhile *)
+            Engine.sleep eng (Sim_time.ms 1);
+            Bytes.set (Message.bytes m) m.Message.off 'H';
+            (try Mailbox.dispose ctx m with Invalid_argument _ -> ());
+            Mailbox.abort_put ctx mb keep;
+            Option.iter (Buffer_heap.free (Runtime.heap rt)) big);
+        Engine.run eng)
+  in
+  check_bool "the heap grew between dispose and snapshot" true !grew;
+  Alcotest.(check string) "the frame carried the poisoned live bytes"
+    (String.make 64 '\xde') !received;
+  (* the rewrite ('H' = 0x48) is found in the disposed block itself *)
+  assert_finding ~checker:"heap"
+    ~sub:
+      (Printf.sprintf
+         "freed block at %d was modified at offset %d (found byte 0x48"
+         !m_off !m_off)
+    findings;
+  assert_finding ~checker:"two-phase" ~sub:"double dispose" findings
 
 (* ---------- slice (zero-copy buffer references) ---------- *)
 
@@ -321,6 +387,8 @@ let () =
           Alcotest.test_case "double free" `Quick test_double_free;
           Alcotest.test_case "use-after-free write" `Quick
             test_use_after_free_write;
+          Alcotest.test_case "dispose before snapshot across growth" `Quick
+            test_dispose_before_snapshot_across_growth;
         ] );
       ( "slice",
         [
