@@ -126,7 +126,7 @@ let bytes_per_node ~what (c : Driver.config) =
    a built 256-CAB fleet world (BENCH_perf.json "fleet_scale").  Gated at
    1.5x so allocator or world-build regressions fail CI without making
    the gate machine-sensitive. *)
-let recorded_bytes_per_node = 1_712
+let recorded_bytes_per_node = 1_667
 
 let bytes_per_node_gate ~smoke =
   let b =

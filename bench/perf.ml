@@ -72,6 +72,39 @@ let engine_schedule_cancel () =
   done;
   Engine.run eng
 
+(* ---------- deterministic micro: minor words per context switch ---------- *)
+
+(* Recorded in BENCH_perf.json ("micro"); perf-smoke fails if either count
+   rises above its recorded value.  Counts, not timings: they repeat
+   exactly on any machine with the same compiler. *)
+let recorded_sleep_words = 41.
+let recorded_consume_words = 54.
+
+(* Minor words per [body] call in a one-process loop, measured inside the
+   process after one warm-up call, run loop included. *)
+let words_per_iteration ~n body =
+  let eng = Engine.create () in
+  let words = ref 0. in
+  Engine.spawn eng ~name:"loop" (fun () ->
+      let body = body eng in
+      body ();
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        body ()
+      done;
+      words := Gc.minor_words () -. before);
+  Engine.run eng;
+  !words /. float_of_int n
+
+let engine_sleep_words () =
+  words_per_iteration ~n:10_000 (fun eng () -> Engine.sleep eng 1)
+
+let cpu_consume_words () =
+  words_per_iteration ~n:10_000 (fun eng ->
+      let cpu = Cpu.create eng ~name:"cpu" () in
+      let thread = Cpu.owner cpu ~name:"thread" ~switch_in:0 in
+      fun () -> Cpu.consume cpu thread ~priority:1 10)
+
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
 
 (* Same shape as fig7's RMP point, plus a flush so windowed senders wait
@@ -301,7 +334,8 @@ let check_sweep ~size ~count rows =
 
 (* ---------- JSON ---------- *)
 
-let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sweep ~size
+let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sleep_words ~consume_words
+    ~sweep ~size
     ~(fleet_off : float * int * int) ~(fleet_on : float * int * int)
     ~fleet_cfg ~copy_size
     ~(rmp_copies : int * int * float) ~(tcp_copies : int * int)
@@ -325,6 +359,13 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sweep ~size
     baseline_engine_1k_ns engine_ns
     (baseline_engine_1k_ns /. engine_ns)
     cancel_ns fig7_wall_ms;
+  Printf.bprintf b
+    "  \"micro\": {\n\
+    \    \"note\": \"minor words per blocking call in a one-process loop; \
+     deterministic, perf-smoke fails above these\",\n\
+    \    \"engine_sleep_words\": %.0f, \"cpu_consume_words\": %.0f\n\
+    \  },\n"
+    sleep_words consume_words;
   Printf.bprintf b "  \"windowed_rmp\": { \"msg_bytes\": %d, \"points\": [\n"
     size;
   List.iteri
@@ -393,6 +434,23 @@ let run ?(smoke = false) () =
     (if smoke then "Perf harness (smoke: deterministic counts only)"
      else "Perf harness (fastpath): wall clock + windowed RMP");
   check_compaction ();
+  let sleep_words = engine_sleep_words () in
+  let consume_words = cpu_consume_words () in
+  Printf.printf
+    "  minor words per call (deterministic):\n\
+    \    Engine.sleep  %5.1f  (recorded %.0f)\n\
+    \    Cpu.consume   %5.1f  (recorded %.0f)\n"
+    sleep_words recorded_sleep_words consume_words recorded_consume_words;
+  if smoke then begin
+    check
+      (Printf.sprintf "BENCH_perf.json micro: sleep %.1f words <= %.0f"
+         sleep_words recorded_sleep_words)
+      (sleep_words <= recorded_sleep_words);
+    check
+      (Printf.sprintf "BENCH_perf.json micro: consume %.1f words <= %.0f"
+         consume_words recorded_consume_words)
+      (consume_words <= recorded_consume_words)
+  end;
   let size = if smoke then 1024 else 8192 in
   let count = if smoke then 40 else 183 in
   let sweep =
@@ -518,7 +576,8 @@ let run ?(smoke = false) () =
       (baseline_engine_1k_ns /. engine_ns)
       cancel_ns fig7_wall;
     let js =
-      json_of ~engine_ns ~cancel_ns ~fig7_wall_ms:fig7_wall ~sweep ~size
+      json_of ~engine_ns ~cancel_ns ~fig7_wall_ms:fig7_wall ~sleep_words
+        ~consume_words ~sweep ~size
         ~fleet_off ~fleet_on
         ~fleet_cfg:(senders, fcount, fsize, coal_us)
         ~copy_size:size ~rmp_copies ~tcp_copies ~fo

@@ -11,6 +11,8 @@ type t = {
   coalesced_count : Stats.Counter.t;
   pending : (string, unit) Hashtbl.t; (* latched keys (see post_coalesced) *)
   irq_owner : Cpu.owner;
+  mutable labels : (string * string) list;
+      (* handler name -> its process name, built on the first post *)
 }
 
 type ctx = t
@@ -31,14 +33,27 @@ let create eng cpu ?(dispatch_ns = Costs.irq_dispatch_ns)
        switch-in cost; transparency means returning from an interrupt does
        not re-charge the interrupted thread's context switch. *)
     irq_owner = Cpu.owner ~transparent:true cpu ~name:(name ^ ".irq") ~switch_in:0;
+    labels = [];
   }
 
 let work t span =
   Cpu.consume t.cpu t.irq_owner ~priority:t.priority ~atomic:true span
 
+(* A CAB posts a handful of distinct handler names, so a short list beats
+   a hash table. *)
+let label t name =
+  let rec find = function
+    | (n, l) :: rest -> if String.equal n name then l else find rest
+    | [] ->
+        let l = t.iname ^ ".irq." ^ name in
+        t.labels <- (name, l) :: t.labels;
+        l
+  in
+  find t.labels
+
 let post t ~name fn =
   Stats.Counter.incr t.count;
-  Engine.spawn t.eng ~name:(t.iname ^ ".irq." ^ name) (fun () ->
+  Engine.spawn t.eng ~name:(label t name) (fun () ->
       Resource.with_held t.serial (fun () ->
           (* span covers dispatch + handler: interrupt entry to exit *)
           let tid = Trace.span_begin ~track:(Cpu.owner_name t.irq_owner) name in

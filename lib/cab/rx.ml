@@ -12,6 +12,8 @@ type t = {
   irq : Interrupts.t;
   fifo : Byte_fifo.t;
   rname : string;
+  arrival_name : string; (* per-frame wait queue and DMA process names *)
+  dma_name : string;
   mutable handler : (Interrupts.ctx -> pending -> unit) option;
   mutable drops : int;
   mutable coalesce_ns : Sim_time.span;
@@ -30,6 +32,8 @@ let create eng irq ~fifo ?(coalesce_ns = 0) ~name () =
     irq;
     fifo;
     rname = name;
+    arrival_name = name ^ ".rx-arrival";
+    dma_name = name ^ ".rx-dma";
     handler = None;
     drops = 0;
     coalesce_ns;
@@ -56,7 +60,7 @@ let sink t =
         pframe = fr;
         arrived = 0;
         consumed = 0;
-        arrival = Waitq.create t.eng ~name:(t.rname ^ ".rx-arrival") ();
+        arrival = Waitq.create t.eng ~name:t.arrival_name ();
       }
     in
     Hashtbl.replace table fr.Nectar_hub.Frame.id p;
@@ -111,7 +115,7 @@ let read_bytes t p n =
    that backed its extents. *)
 let drain_loop t p ~deliver ~on_done =
   let len = total p in
-  Engine.spawn t.eng ~name:(t.rname ^ ".rx-dma") (fun () ->
+  Engine.spawn t.eng ~name:t.dma_name (fun () ->
       let tid = Trace.span_begin ~track:t.rname "rx.dma" in
       while p.consumed < len do
         while p.arrived <= p.consumed do

@@ -17,11 +17,20 @@ type request = {
   mutable trace_id : int; (* open Trace span while dispatched; 0 = none *)
 }
 
+(* The request being served is [cur], dispatched at [started], completing
+   by [timer]; an idle CPU has [cur == idle] (a per-CPU sentinel) and
+   [timer] an inert placeholder.  Mutable fields rather than an option of
+   a tuple, so a dispatch allocates nothing beyond its completion event. *)
 type t = {
   eng : Engine.t;
   cname : string;
   ready : request Nectar_util.Binary_heap.t;
-  mutable current : (request * Sim_time.t * Engine.timer) option;
+  idle : request;
+  idle_timer : Engine.timer;
+  mutable cur : request;
+  mutable started : Sim_time.t;
+  mutable timer : Engine.timer;
+  on_complete : unit -> unit; (* the completion event's callback *)
   mutable last_owner : int; (* id; -1 = none *)
   mutable next_owner_id : int;
   mutable next_seq : int;
@@ -39,20 +48,6 @@ let cmp_requests a b =
   if a.priority <> b.priority then Int.compare b.priority a.priority
   else Int.compare a.seq b.seq
 
-let create eng ~name () =
-  {
-    eng;
-    cname = name;
-    ready = Nectar_util.Binary_heap.create ~cmp:cmp_requests ();
-    current = None;
-    last_owner = -1;
-    next_owner_id = 0;
-    next_seq = 0;
-    busy = 0;
-    switch_count = 0;
-    all_owners = [];
-  }
-
 let engine t = t.eng
 
 let owner ?(transparent = false) t ~name ~switch_in =
@@ -64,12 +59,20 @@ let owner ?(transparent = false) t ~name ~switch_in =
 
 let owner_name o = o.oname
 
-let rec start_next t =
-  match Nectar_util.Binary_heap.pop t.ready with
-  | None -> ()
-  | Some req -> start t req
+(* Stop serving [cur] (completed or preempted): account its service and
+   close its trace span. *)
+let stop t =
+  let req = t.cur in
+  let elapsed = Engine.now t.eng - t.started in
+  t.busy <- t.busy + elapsed;
+  req.req_owner.served <- req.req_owner.served + elapsed;
+  Trace.span_end req.trace_id;
+  req.trace_id <- 0;
+  t.cur <- t.idle;
+  t.timer <- t.idle_timer;
+  elapsed
 
-and start t req =
+let start t req =
   let now = Engine.now t.eng in
   Vet_probe.cpu_wait ~cpu:t.cname ~owner:req.req_owner.oname
     ~priority:req.priority ~waited:(now - req.queued_at);
@@ -83,43 +86,78 @@ and start t req =
        context resumes without paying its switch-in again *)
   end;
   req.trace_id <- Trace.span_begin ~track:t.cname req.req_owner.oname;
-  let timer = Engine.after t.eng req.remaining (fun () -> complete t req) in
-  t.current <- Some (req, now, timer)
+  t.cur <- req;
+  t.started <- now;
+  t.timer <- Engine.after t.eng req.remaining t.on_complete
 
-and complete t req =
-  (match t.current with
-  | Some (cur, started, _) when cur == req ->
-      let elapsed = Engine.now t.eng - started in
-      t.busy <- t.busy + elapsed;
-      req.req_owner.served <- req.req_owner.served + elapsed;
-      Trace.span_end req.trace_id;
-      req.trace_id <- 0;
-      t.current <- None
-  | _ -> invalid_arg "Cpu.complete: not current");
+let start_next t =
+  if not (Nectar_util.Binary_heap.is_empty t.ready) then
+    start t (Nectar_util.Binary_heap.pop_exn t.ready)
+
+let complete t =
+  let req = t.cur in
+  if req == t.idle then invalid_arg "Cpu.complete: not current";
+  ignore (stop t);
   req.resume ();
   start_next t
 
+let create eng ~name () =
+  let idle =
+    {
+      req_owner =
+        {
+          id = -1;
+          oname = name;
+          switch_in = 0;
+          transparent = true;
+          served = 0;
+        };
+      priority = min_int;
+      atomic = false;
+      remaining = 0;
+      queued_at = 0;
+      resume = ignore;
+      seq = -1;
+      trace_id = 0;
+    }
+  in
+  let idle_timer = Engine.inert_timer () in
+  let rec t =
+    {
+      eng;
+      cname = name;
+      ready = Nectar_util.Binary_heap.create ~cmp:cmp_requests ();
+      idle;
+      idle_timer;
+      cur = idle;
+      started = 0;
+      timer = idle_timer;
+      on_complete = (fun () -> complete t);
+      last_owner = -1;
+      next_owner_id = 0;
+      next_seq = 0;
+      busy = 0;
+      switch_count = 0;
+      all_owners = [];
+    }
+  in
+  t
+
 let maybe_preempt t incoming =
-  match t.current with
-  | None -> true
-  | Some (cur, started, timer) ->
-      if (not cur.atomic) && incoming.priority > cur.priority then begin
-        Engine.cancel timer;
-        let elapsed = Engine.now t.eng - started in
-        t.busy <- t.busy + elapsed;
-        cur.req_owner.served <- cur.req_owner.served + elapsed;
-        Trace.span_end cur.trace_id;
-        cur.trace_id <- 0;
-        cur.remaining <- cur.remaining - elapsed;
-        (* Guard against a zero-length residue when preempted exactly at
-           completion time (the completion event fires separately). *)
-        if cur.remaining < 0 then cur.remaining <- 0;
-        cur.queued_at <- Engine.now t.eng;
-        Nectar_util.Binary_heap.push t.ready cur;
-        t.current <- None;
-        true
-      end
-      else false
+  let cur = t.cur in
+  if cur == t.idle then true
+  else if (not cur.atomic) && incoming.priority > cur.priority then begin
+    Engine.cancel t.timer;
+    let elapsed = stop t in
+    cur.remaining <- cur.remaining - elapsed;
+    (* Guard against a zero-length residue when preempted exactly at
+       completion time (the completion event fires separately). *)
+    if cur.remaining < 0 then cur.remaining <- 0;
+    cur.queued_at <- Engine.now t.eng;
+    Nectar_util.Binary_heap.push t.ready cur;
+    true
+  end
+  else false
 
 let consume t owner ~priority ?(atomic = false) span =
   if span < 0 then invalid_arg "Cpu.consume: negative span";
@@ -148,9 +186,7 @@ let consume t owner ~priority ?(atomic = false) span =
         else Nectar_util.Binary_heap.push t.ready req)
 
 let busy_time t =
-  match t.current with
-  | Some (_, started, _) -> t.busy + (Engine.now t.eng - started)
-  | None -> t.busy
+  if t.cur == t.idle then t.busy else t.busy + (Engine.now t.eng - t.started)
 
 let owner_time _t o = o.served
 let switches t = t.switch_count

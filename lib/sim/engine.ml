@@ -13,7 +13,20 @@
    compacts — filters the dead entries and re-heapifies in place — whenever
    dead entries outnumber live ones; each cancel pays O(1) amortised.  Each
    event carries a reference to the engine's dead-entry counter so that
-   [cancel], which has no engine argument, can maintain it. *)
+   [cancel], which has no engine argument, can maintain it.
+
+   Process switches are the other hot path: a simulated thread blocks and
+   resumes constantly.  Two things keep that cheap.  One effect handler
+   serves every process of an engine (built in [create]); the process
+   currently executing is the [running] record, which the handler reads, so
+   a spawn allocates one small record and a closure, and no slice builds a
+   handler, a [Fun.protect] or a label string.  And
+   process starts and resumptions — events at the current instant that are
+   never cancelled — skip the heap: they go to a FIFO ring of (seq, label,
+   fn) entries.  Every ring entry is at [clock] and the ring is in seq
+   order, so firing the ring head before the heap top exactly when the top
+   is later, or equal in time with a larger seq, is (time, seq) order: the
+   same firing order as one heap holding everything. *)
 
 (* [live] and [fn] are mutable for cancellation; [dead_cell] is the
    owning engine's dead-entry counter. *)
@@ -29,17 +42,35 @@ type event = {
 type candidate = { c_time : Sim_time.t; c_seq : int; c_label : string }
 type tie_break = candidate array -> int
 
+(* A process's identity.  The wake and yield labels are built on first use
+   ("" until then) and reused by every later sleep and yield. *)
+type proc = {
+  pid : int;
+  name : string;
+  mutable wake_label : string;
+  mutable yield_label : string;
+}
+
 type t = {
   mutable clock : Sim_time.t;
   mutable next_seq : int;
   mutable heap : event array;
   mutable size : int;
   dead : int ref; (* cancelled events still in the heap *)
-  mutable running : (int * string) option;
-      (* (pid, name) of the process currently executing, for context
-         tracking by the vet checkers; None inside timer callbacks *)
+  (* the same-instant lane: a ring of [ring_len] entries from [ring_head],
+     in parallel arrays whose length is a power of two *)
+  mutable ring_seq : int array;
+  mutable ring_label : string array;
+  mutable ring_fn : (unit -> unit) array;
+  mutable ring_head : int;
+  mutable ring_len : int;
+  idle : proc; (* [running] outside any process *)
+  mutable running : proc;
+      (* the process currently executing, for context tracking by the vet
+         checkers; [idle] inside timer callbacks *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
+  handler : (unit, unit) Effect.Deep.handler; (* shared by every process *)
 }
 
 (* Process ids are globally unique (not per engine) so checkers observing
@@ -81,22 +112,112 @@ let dummy_event =
    barrier) — measurably slower than paying the allocation once. *)
 let initial_capacity = 1024
 
+(* The ring rarely holds more than a few entries per runnable process, and
+   set-up builds many small engines, so it starts small. *)
+let initial_ring = 16
+
+(* Effect plumbing: a process performs [Suspend register]; the engine's
+   handler hands [register] a one-shot resume function that queues the
+   continuation on the same-instant lane. *)
+
+type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+
+let suspend register = Effect.perform (Suspend register)
+
+let push_now t label fn =
+  let cap = Array.length t.ring_fn in
+  if t.ring_len = cap then begin
+    let seqs = Array.make (2 * cap) 0 in
+    let labels = Array.make (2 * cap) "" in
+    let fns = Array.make (2 * cap) nothing in
+    for j = 0 to cap - 1 do
+      let i = (t.ring_head + j) land (cap - 1) in
+      seqs.(j) <- t.ring_seq.(i);
+      labels.(j) <- t.ring_label.(i);
+      fns.(j) <- t.ring_fn.(i)
+    done;
+    t.ring_seq <- seqs;
+    t.ring_label <- labels;
+    t.ring_fn <- fns;
+    t.ring_head <- 0
+  end;
+  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_fn - 1) in
+  t.ring_seq.(i) <- t.next_seq;
+  t.ring_label.(i) <- label;
+  t.ring_fn.(i) <- fn;
+  t.ring_len <- t.ring_len + 1;
+  t.next_seq <- t.next_seq + 1
+
+(* Caller guarantees ring_len > 0. *)
+let take_ring t =
+  let i = t.ring_head in
+  let fn = t.ring_fn.(i) in
+  t.ring_fn.(i) <- nothing;
+  t.ring_head <- (i + 1) land (Array.length t.ring_fn - 1);
+  t.ring_len <- t.ring_len - 1;
+  fn
+
+(* One slice of process [p]'s execution, [g a b]: its body up to the first
+   suspend, or one resumption up to the next.  [running] is [p] for its
+   duration and [idle] afterwards, however the slice ends. *)
+let slice t p g a b =
+  t.running <- p;
+  match g a b with
+  | () -> t.running <- t.idle
+  | exception e ->
+      t.running <- t.idle;
+      raise e
+
+let run_body f handler = Effect.Deep.match_with f () handler
+
+let resumer t p k =
+  let resumed = ref false in
+  fun v ->
+    if !resumed then failwith ("Engine: double resume of process " ^ p.name);
+    resumed := true;
+    push_now t p.name (fun () -> slice t p Effect.Deep.continue k v)
+
 let create () =
-  {
-    clock = Sim_time.zero;
-    next_seq = 0;
-    heap = Array.make initial_capacity dummy_event;
-    size = 0;
-    dead = ref 0;
-    running = None;
-    tie_break = None;
-  }
+  let idle = { pid = 0; name = ""; wake_label = ""; yield_label = "" } in
+  let rec t =
+    {
+      clock = Sim_time.zero;
+      next_seq = 0;
+      heap = Array.make initial_capacity dummy_event;
+      size = 0;
+      dead = ref 0;
+      ring_seq = Array.make initial_ring 0;
+      ring_label = Array.make initial_ring "";
+      ring_fn = Array.make initial_ring nothing;
+      ring_head = 0;
+      ring_len = 0;
+      idle;
+      running = idle;
+      tie_break = None;
+      handler =
+        {
+          Effect.Deep.retc = (fun () -> ());
+          exnc = (fun e -> raise (Process_failure (t.running.name, e)));
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Suspend register ->
+                  Some
+                    (fun (k : (a, unit) Effect.Deep.continuation) ->
+                      register (resumer t t.running k))
+              | _ -> None);
+        };
+    }
+  in
+  t
 
 let set_tie_break t policy = t.tie_break <- policy
 
 let now t = t.clock
-let current_pid t = Option.map fst t.running
-let current_process t = Option.map snd t.running
+let current_pid t = if t.running == t.idle then None else Some t.running.pid
+
+let current_process t =
+  if t.running == t.idle then None else Some t.running.name
 
 (* [a] strictly before [b]: earlier time, or same time scheduled earlier. *)
 let[@inline] before (a : event) (b : event) =
@@ -208,9 +329,10 @@ let maybe_compact t =
   if !(t.dead) > t.size - !(t.dead) && t.size >= compact_threshold then
     compact t
 
-(* Every event (timers, sleep and yield wake-ups, process resumptions)
-   is scheduled here; the internal callers all schedule at or after
-   [t.clock], so only [at] validates the time. *)
+(* Every heap event (timers, sleep wake-ups) is scheduled here; the
+   internal callers all schedule at or after [t.clock], so only [at]
+   validates the time.  Process starts, yields and resumptions take the
+   same-instant lane ([push_now]) instead. *)
 let schedule t ~label time fn =
   let ev =
     { time; seq = t.next_seq; label; live = true; fn; dead_cell = t.dead }
@@ -228,6 +350,17 @@ let at t ?(label = "") time fn =
 
 let after t ?label span fn = at t ?label (t.clock + span) fn
 
+(* Never in any heap and never live: cancelling it is a no-op. *)
+let inert_timer () =
+  {
+    time = 0;
+    seq = -1;
+    label = "";
+    live = false;
+    fn = nothing;
+    dead_cell = ref 0;
+  }
+
 (* Any event with [live = true] is still in its engine's heap (the run loop
    marks an event dead before firing it), so a first cancel always accounts
    for one in-heap dead entry; later cancels and cancels of fired timers
@@ -239,82 +372,50 @@ let cancel ev =
     incr ev.dead_cell
   end
 
-(* Effect plumbing: a process performs [Suspend register]; the handler
-   installed by [spawn] turns the continuation into a one-shot resume
-   function that schedules an event on the engine. *)
-
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-
-let suspend register = Effect.perform (Suspend register)
-
 let spawn t ?(name = "proc") f =
   let pid = 1 + Atomic.fetch_and_add pid_counter 1 in
-  (* Every slice of this process's execution (initial body, each resumption)
-     runs with [t.running] set to its identity; suspension returns normally
-     through the effect handler, so the finally always restores. *)
-  let labelled g =
-    let saved = t.running in
-    t.running <- Some (pid, name);
-    Fun.protect ~finally:(fun () -> t.running <- saved) g
-  in
-  let run_body () =
-    let open Effect.Deep in
-    labelled (fun () ->
-        match_with f ()
-          {
-            retc = (fun () -> ());
-            exnc = (fun e -> raise (Process_failure (name, e)));
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Suspend register ->
-                    Some
-                      (fun (k : (a, _) continuation) ->
-                        let resumed = ref false in
-                        let resume v =
-                          if !resumed then
-                            failwith
-                              ("Engine: double resume of process " ^ name);
-                          resumed := true;
-                          ignore
-                            (schedule t ~label:name t.clock (fun () ->
-                                 labelled (fun () -> continue k v)))
-                        in
-                        register resume)
-                | _ -> None);
-          })
-  in
-  ignore (schedule t ~label:name t.clock run_body)
+  let p = { pid; name; wake_label = ""; yield_label = "" } in
+  push_now t name (fun () -> slice t p run_body f t.handler)
 
-(* The wake-up timers get the process name as label (computed here, while
-   [t.running] is still this process) so tie-break candidates and schedule
+(* The wake-up events carry the process name (read here, while [running]
+   is still this process) so tie-break candidates and schedule
    counterexamples read as "consumer.wake" rather than "?". *)
-let running_label t suffix =
-  (match t.running with Some (_, n) -> n | None -> "") ^ suffix
-
 let sleep t span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   if span = 0 then ()
   else
-    let label = running_label t ".wake" in
-    suspend (fun resume ->
-        ignore (schedule t ~label (t.clock + span) (fun () -> resume ())))
+    let p = t.running in
+    if String.length p.wake_label = 0 then p.wake_label <- p.name ^ ".wake";
+    let label = p.wake_label in
+    suspend (fun resume -> ignore (schedule t ~label (t.clock + span) resume))
 
 let yield t =
-  let label = running_label t ".yield" in
-  suspend (fun resume ->
-      ignore (schedule t ~label t.clock (fun () -> resume ())))
+  let p = t.running in
+  if String.length p.yield_label = 0 then p.yield_label <- p.name ^ ".yield";
+  let label = p.yield_label in
+  suspend (fun resume -> push_now t label resume)
 
 (* Policy-driven loop, used only when a tie-break policy is installed (the
-   schedule explorer in [lib/check]).  Each step pops the full set of live
-   events sharing the minimal timestamp (they come off the heap in seq
-   order), asks the policy which fires next when there is a real choice,
-   and pushes the rest back.  O(k log n) extra work per event — irrelevant
-   for the small scenarios the explorer drives, and the default loops below
-   are untouched when no policy is installed. *)
+   schedule explorer in [lib/check]).  Each step first moves the
+   same-instant lane into the heap (as events with their original seqs and
+   labels, so the heap alone holds the pending set), then pops the full set
+   of live events sharing the minimal timestamp (they come off the heap in
+   seq order), asks the policy which fires next when there is a real
+   choice, and pushes the rest back.  O(k log n) extra work per event —
+   irrelevant for the small scenarios the explorer drives, and the default
+   loops below are untouched when no policy is installed. *)
+let spill_ring t =
+  while t.ring_len > 0 do
+    let seq = t.ring_seq.(t.ring_head) in
+    let label = t.ring_label.(t.ring_head) in
+    let fn = take_ring t in
+    push t { time = t.clock; seq; label; live = true; fn; dead_cell = t.dead }
+  done
+
 let run_policy t policy until =
   let continue_run = ref true in
   while !continue_run do
+    spill_ring t;
     (* Drop dead entries off the top so emptiness and tmin are about live
        events only. *)
     while t.size > 0 && not t.heap.(0).live do
@@ -372,6 +473,23 @@ let run_policy t policy until =
     end
   done
 
+(* The ring head (at [clock]) precedes the heap top: (time, seq) order.
+   Caller guarantees ring_len > 0. *)
+let[@inline] ring_first t =
+  t.size = 0
+  ||
+  let top = uget t.heap 0 in
+  top.time > t.clock || top.seq > Array.unsafe_get t.ring_seq t.ring_head
+
+let[@inline] fire_top t =
+  let ev = pop_top t in
+  if ev.live then begin
+    t.clock <- ev.time;
+    ev.live <- false;
+    ev.fn ()
+  end
+  else decr t.dead
+
 let run ?until t =
   match t.tie_break with
   | Some policy -> run_policy t policy until
@@ -380,19 +498,19 @@ let run ?until t =
       | None ->
           (* Hot loop: no bound check beyond emptiness, no option, no limit
              comparison. *)
-          while t.size > 0 do
-            let ev = pop_top t in
-            if ev.live then begin
-              t.clock <- ev.time;
-              ev.live <- false;
-              ev.fn ()
-            end
-            else decr t.dead
+          while t.size > 0 || t.ring_len > 0 do
+            if t.ring_len > 0 && ring_first t then (take_ring t) ()
+            else fire_top t
           done
       | Some u ->
           let continue_run = ref true in
           while !continue_run do
-            if t.size = 0 then begin
+            if t.ring_len > 0 && ring_first t then begin
+              (* the lane is at [clock]; an [until] already behind the
+                 clock leaves it there *)
+              if t.clock > u then continue_run := false else (take_ring t) ()
+            end
+            else if t.size = 0 then begin
               if u > t.clock then t.clock <- u;
               continue_run := false
             end
@@ -400,24 +518,16 @@ let run ?until t =
               t.clock <- u;
               continue_run := false
             end
-            else begin
-              let ev = pop_top t in
-              if ev.live then begin
-                t.clock <- ev.time;
-                ev.live <- false;
-                ev.fn ()
-              end
-              else decr t.dead
-            end
+            else fire_top t
           done)
 
-let pending_events t = t.size - !(t.dead)
-let queued_events t = t.size
+let pending_events t = t.size - !(t.dead) + t.ring_len
+let queued_events t = t.size + t.ring_len
 
 let register_metrics t m ~prefix =
   let open Nectar_util.Metrics in
   counter m (prefix ^ "pending_events") (fun () -> pending_events t);
-  counter m (prefix ^ "queued_events") (fun () -> t.size)
+  counter m (prefix ^ "queued_events") (fun () -> queued_events t)
 
 (* Peek the earliest live event without firing it.  Dead entries on top
    of the heap are popped for free (exactly as the run loops would);
@@ -427,7 +537,9 @@ let next_event_time t =
     ignore (pop_top t);
     decr t.dead
   done;
-  if t.size = 0 then None else Some t.heap.(0).time
+  if t.ring_len > 0 then Some t.clock
+  else if t.size = 0 then None
+  else Some t.heap.(0).time
 
 (* Order-independent digest of the live pending set: heap-array order is an
    implementation accident, so per-event hashes are combined with addition.
@@ -444,14 +556,19 @@ let pending_digest t =
   in
   let acc = ref 0 in
   let count = ref 0 in
+  let add time label =
+    incr count;
+    let h = (time * 0x9e3779b9) lxor fnv label in
+    let h = h lxor (h lsr 29) in
+    let h = h * 0xbf58476d1ce4e5b in
+    acc := !acc + (h lxor (h lsr 32))
+  in
   for i = 0 to t.size - 1 do
     let e = Array.unsafe_get t.heap i in
-    if e.live then begin
-      incr count;
-      let h = (e.time * 0x9e3779b9) lxor fnv e.label in
-      let h = h lxor (h lsr 29) in
-      let h = h * 0xbf58476d1ce4e5b in
-      acc := !acc + (h lxor (h lsr 32))
-    end
+    if e.live then add e.time e.label
+  done;
+  let mask = Array.length t.ring_label - 1 in
+  for j = 0 to t.ring_len - 1 do
+    add t.clock t.ring_label.((t.ring_head + j) land mask)
   done;
   (!acc + (!count * 0x9e3779b97f4a7c1)) land max_int

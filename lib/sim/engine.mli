@@ -8,7 +8,11 @@
 
     Determinism: events at equal times fire in scheduling order (a strictly
     increasing sequence number breaks ties), and nothing in the engine draws
-    randomness, so a simulation is a pure function of its inputs.  The
+    randomness, so a simulation is a pure function of its inputs.  Process
+    starts, yields and resumptions are queued on a separate same-instant
+    lane rather than the timer heap, but they take their sequence numbers
+    from the same counter and the run loop merges the two in exact
+    (time, seq) order, so the lane changes no firing order.  The
     tie-break is a pluggable policy (see {!set_tie_break}); every paper
     table is produced with the default policy. *)
 
@@ -45,6 +49,11 @@ val after : t -> ?label:string -> Sim_time.span -> (unit -> unit) -> timer
 
 val cancel : timer -> unit
 (** Idempotent; cancelling a fired timer is a no-op. *)
+
+val inert_timer : unit -> timer
+(** A fresh timer that never fires (cancelling it is a no-op): the idle
+    value of a mutable timer field.  Fresh, so owners on different nodes
+    share no block. *)
 
 (** {1 Processes} *)
 
@@ -117,8 +126,8 @@ val next_event_time : t -> Sim_time.t option
     entries off the heap top, as the run loop would). *)
 
 val queued_events : t -> int
-(** Physical size of the event heap, including cancelled entries awaiting
-    lazy removal.  The engine compacts when cancelled entries outnumber
+(** Physical size of the event queue (heap plus same-instant lane),
+    including cancelled entries awaiting lazy removal.  The engine compacts when cancelled entries outnumber
     live ones, so this stays within 2x of {!pending_events} (above a small
     constant threshold); exposed so tests can assert the bound. *)
 
