@@ -15,22 +15,18 @@ let spawn_cab_thread stack ~name body =
 
 (* ---------- checks ---------- *)
 
-(* The one assertion sink of the gated benches: a failed check prints
-   its message, and [finish] turns any failure into exit status 1. *)
-let failures = ref 0
+(* A gate's typed verdict on one claim.  The gated benches return lists
+   of these; the scenario registry's runner prints the failed ones and
+   owns the exit status. *)
+type check = { msg : string; ok : bool }
 
-let check what ok =
-  if not ok then begin
-    incr failures;
-    Printf.printf "  FAIL: %s\n" what
-  end
+let check msg ok = { msg; ok }
 
-let finish name =
-  if !failures > 0 then begin
-    Printf.printf "  %s: %d check(s) FAILED\n" name !failures;
-    exit 1
-  end
-  else Printf.printf "  %s: all deterministic checks passed\n" name
+(* A gate's checks in the order it makes them: the function that records
+   one, and the function that lists those recorded so far. *)
+let collector () =
+  let acc = ref [] in
+  ((fun msg ok -> acc := check msg ok :: !acc), fun () -> List.rev !acc)
 
 (* ---------- formatting ---------- *)
 

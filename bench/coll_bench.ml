@@ -12,7 +12,8 @@
    - the tree path's barrier p99 beats the baseline's at every size;
    - the recorded 64-CAB tree barrier p50 reproduces exactly;
    - the CAB data memory backed per CAB after the run stays within 1.5x
-     of the recorded 1024-CAB figure.
+     of the recorded 1024-CAB figure;
+   - every node completes every operation.
 
    The root's per-operation critical path is also span-traced
    ("coll.op" / "coll.host_op" on the root's track) and the mean span
@@ -25,7 +26,7 @@ module Tree = Nectar_coll.Coll.Tree
 module Topology = Nectar_fleet.Topology
 module Stack = Nectar_proto.Stack
 
-let check = Bench_world.check
+open Bench_world
 
 let torus_for cabs =
   match Topology.torus_of_cabs cabs with
@@ -52,27 +53,24 @@ type point = {
 
 let pct s p = Nectar_util.Summary.percentile s p /. 1e3
 
-(* Mean duration of the completed [label] spans in the tracer ring:
-   Span_begin carries the label, Span_end is matched by id. *)
+(* Mean duration of the completed [label] spans in the tracer ring. *)
 let span_mean_us tracer label =
-  let begins = Hashtbl.create 64 in
-  let total = ref 0. and n = ref 0 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.kind with
-      | Trace.Span_begin when e.label = label ->
-          Hashtbl.replace begins e.id e.time
-      | Trace.Span_end -> (
-          match Hashtbl.find_opt begins e.id with
-          | Some t0 ->
-              total := !total +. float_of_int (e.time - t0);
-              incr n
-          | None -> ())
-      | _ -> ())
-    (Trace.events tracer);
-  if !n = 0 then 0. else !total /. float_of_int !n /. 1e3
+  let durations =
+    List.filter_map
+      (fun (sp : Trace.span) ->
+        if sp.s_label = label then Some (sp.s_end - sp.s_begin) else None)
+      (Trace.spans tracer)
+  in
+  match durations with
+  | [] -> 0.
+  | _ ->
+      float_of_int (List.fold_left ( + ) 0 durations)
+      /. float_of_int (List.length durations)
+      /. 1e3
 
-let run_point ~cabs ~ops ~host =
+(* Under [verbose], the tree run also dumps the root stack's metrics
+   registry (the coll service counters included). *)
+let run_point ~check ?(verbose = false) ~cabs ~ops ~host () =
   let w = Coll.World.build (torus_for cabs) in
   let n = Array.length w.Coll.World.colls in
   let root = Tree.root w.Coll.World.tree in
@@ -101,6 +99,12 @@ let run_point ~cabs ~ops ~host =
       (fun s -> Printf.sprintf "coll %d/%s: %s" cabs mode s)
       fmt
   in
+  if verbose && not host then begin
+    let reg = Nectar_util.Metrics.create () in
+    Stack.register_metrics w.Coll.World.stacks.(root) reg;
+    Printf.printf "  %d-CAB tree, root metrics:\n" cabs;
+    Nectar_util.Metrics.dump reg
+  end;
   let wakeups = Runtime.host_notifications w.Coll.World.stacks.(root).Stack.rt in
   let per_op = 3 * ops in
   if host then
@@ -116,9 +120,9 @@ let run_point ~cabs ~ops ~host =
           (what "no wakeups off the root")
           (Runtime.host_notifications st.Stack.rt = 0))
     w.Coll.World.stacks;
-  Array.iter
-    (fun c -> assert (Coll.ops_completed c = per_op))
-    w.Coll.World.colls;
+  check
+    (what "every node completed %d ops" per_op)
+    (Array.for_all (fun c -> Coll.ops_completed c = per_op) w.Coll.World.colls);
   let sp =
     span_mean_us tracer (if host then "coll.host_op" else "coll.op")
   in
@@ -147,12 +151,12 @@ let run_point ~cabs ~ops ~host =
     wall_s = wall;
   }
 
-(* Recorded regression point for perf-smoke (BENCH_perf.json
+(* Recorded regression point for the coll smoke (BENCH_perf.json
    "collectives"): the 64-CAB tree barrier p50, simulated and
    deterministic, asserted exactly. *)
 let recorded_tree_barrier_p50_us_64 = 236.3
 
-(* Recorded regression point for perf-smoke (BENCH_perf.json
+(* Recorded regression point for the coll smoke (BENCH_perf.json
    "collectives"): CAB data memory backed per CAB after a 1024-CAB run.
    The figure is per CAB, so the 64-CAB smoke points are held to it too;
    gated at 1.5x like the fleet build footprint. *)
@@ -160,14 +164,14 @@ let recorded_cab_mem_bytes_per_cab = 4096
 
 type result = { r_points : point list }
 
-let measure ~smoke () =
+let measure ~check ?verbose ~smoke () =
   let ops = if smoke then 3 else 10 in
   let sizes = if smoke then [ 64 ] else [ 64; 256; 1024 ] in
   let points =
     List.concat_map
       (fun cabs ->
-        let tree = run_point ~cabs ~ops ~host:false in
-        let host = run_point ~cabs ~ops ~host:true in
+        let tree = run_point ~check ?verbose ~cabs ~ops ~host:false () in
+        let host = run_point ~check ~cabs ~ops ~host:true () in
         (* the headline claim: combining on the CABs beats hauling every
            arrival across the VME boundary, and the gap grows with n *)
         check
@@ -241,12 +245,12 @@ let json_fragment r =
   Buffer.add_string b "  ] }";
   Buffer.contents b
 
-(* Standalone experiment (the @coll CI alias runs the smoke form). *)
-let run ~smoke () =
-  Bench_world.section
+(* The coll registry entry. *)
+let run ?verbose ~smoke () =
+  let check, checks = collector () in
+  section
     (if smoke then
        "Collectives (smoke: 64 CABs, wakeup + latency + span gates)"
      else "Collectives: 64/256/1024 CABs, tree vs host-driven baseline");
-  let r = measure ~smoke () in
-  print r;
-  Bench_world.finish "coll"
+  print (measure ~check ?verbose ~smoke ());
+  checks ()

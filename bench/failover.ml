@@ -10,7 +10,9 @@
    per cycle — down transition to the first subsequent "rmp.deliver" trace
    instant — is a pure function of the cost model, so its distribution is
    deterministic and the p99 is asserted against the advertised bound
-   (detection + recompute + one RTO, plus the sender's pacing gap). *)
+   (detection + recompute + one RTO, plus the sender's pacing gap).
+   [nectar_cli route --flaps] prints a three-cycle run of the same
+   measurement. *)
 
 open Nectar_sim
 open Nectar_core
@@ -25,6 +27,10 @@ type result = {
   msgs : int;
   msg_bytes : int;
   delivered : int;
+  outage : Sim_time.span;  (** how long the trunk stays dark per cycle *)
+  downs : Sim_time.t list;  (** each cycle's down transition *)
+  blackouts : Sim_time.span option list;
+      (** per cycle: down transition to the next delivery, if any *)
   goodput_steady : float;  (** Mbit/s outside the recovery windows *)
   goodput_flap : float;  (** Mbit/s inside [down, down + bound + gap] *)
   blackout_p50_us : float;
@@ -33,7 +39,9 @@ type result = {
   bound_us : float;  (** detection + recompute + RTO + pacing gap *)
   refusals : int;
   recomputes : int;
+  invalidated : int;
   retransmits : int;
+  stacks : Stack.t array;  (** the reconverged world, for table dumps *)
 }
 
 let percentile sorted p =
@@ -41,15 +49,17 @@ let percentile sorted p =
   sorted.(min (n - 1) (p * (n - 1) / 100))
 
 (* One flap cycle every [period]; the trunk is dark for [outage] of it.
-   Deterministic: no PRNG draws, and tracing consumes no simulated time. *)
-let measure ?(cycles = 25) () =
+   Deterministic: no PRNG draws, and tracing consumes no simulated time.
+   The two CABs sit half a ring apart, so the default route crosses the
+   flapping trunk (hub 0, port 14). *)
+let measure ?(hubs = 4) ?(cycles = 25) () =
   let gap = Sim_time.us 200 and msg_bytes = 512 in
   let period = Sim_time.ms 8 and outage = Sim_time.ms 2 in
   let first_down = Sim_time.ms 5 in
   let w =
-    World.build ~hubs:4
-      ~trunks:(Topology.ring_trunks ~hubs:4)
-      ~seats:[ (0, 2); (2, 2) ]
+    World.build ~hubs
+      ~trunks:(Topology.ring_trunks ~hubs)
+      ~seats:[ (0, 2); (hubs / 2, 2) ]
       ~stack:(fun rt -> Stack.create rt ~rmp_window:4 ())
       ()
   in
@@ -107,12 +117,15 @@ let measure ?(cycles = 25) () =
       let blackouts =
         List.map
           (fun d ->
-            match List.find_opt (fun t -> t > d) deliveries with
-            | Some t -> t - d
-            | None -> max_int)
+            Option.map (fun t -> t - d)
+              (List.find_opt (fun t -> t > d) deliveries))
           downs
       in
-      let sorted = Array.of_list (List.sort compare blackouts) in
+      let sorted =
+        Array.of_list
+          (List.sort compare
+             (List.map (Option.value ~default:max_int) blackouts))
+      in
       (* goodput inside vs outside the recovery windows [d, d + bound] *)
       let in_window t = List.exists (fun d -> t > d && t <= d + bound) downs in
       let flap_time = cycles * bound in
@@ -126,6 +139,9 @@ let measure ?(cycles = 25) () =
         msgs;
         msg_bytes;
         delivered = !got;
+        outage;
+        downs;
+        blackouts;
         goodput_steady =
           mbps ~bytes:(n_steady * msg_bytes) ~ns:(span - flap_time);
         goodput_flap = mbps ~bytes:(n_flap * msg_bytes) ~ns:flap_time;
@@ -135,7 +151,9 @@ let measure ?(cycles = 25) () =
         bound_us = Sim_time.to_us bound;
         refusals = Router.route_down_refusals a.Stack.router;
         recomputes = Router.recomputes a.Stack.router;
+        invalidated = Router.invalidated a.Stack.router;
         retransmits = Rmp.retransmits a.Stack.rmp;
+        stacks = w.stacks;
       })
 
 let print r =
@@ -149,17 +167,37 @@ let print r =
     (fmt_mbps r.goodput_flap) r.blackout_p50_us r.blackout_p99_us
     r.blackout_max_us r.bound_us r.recomputes r.refusals r.retransmits
 
+(* Recorded regression point (BENCH_perf.json "failover"): the blackout
+   distribution of the 25-cycle run, simulated and deterministic. *)
+let recorded_blackout_p50_us = 40.
+let recorded_blackout_p99_us = 5093.
+
+let gate ~check r =
+  check
+    (Printf.sprintf "failover: delivered %d/%d" r.delivered r.msgs)
+    (r.delivered = r.msgs);
+  check
+    (Printf.sprintf "failover: max blackout %.0f us inside bound %.0f us"
+       r.blackout_max_us r.bound_us)
+    (r.blackout_max_us <= r.bound_us);
+  check
+    (Printf.sprintf "failover: %d recomputes for %d flap cycles" r.recomputes
+       r.cycles)
+    (r.recomputes = 2 * r.cycles);
+  check
+    (Printf.sprintf
+       "BENCH_perf.json failover: p50 %.0f us, p99 %.0f us (recorded %.0f, \
+        %.0f)"
+       r.blackout_p50_us r.blackout_p99_us recorded_blackout_p50_us
+       recorded_blackout_p99_us)
+    (Float.round r.blackout_p50_us = recorded_blackout_p50_us
+    && Float.round r.blackout_p99_us = recorded_blackout_p99_us)
+
+(* The failover/blackout registry entry. *)
 let run () =
+  let check, checks = collector () in
   section "Failover: goodput and blackout under a flapping ring trunk";
   let r = measure () in
   print r;
-  let ok =
-    r.delivered = r.msgs
-    && r.blackout_max_us <= r.bound_us
-    && r.recomputes = 2 * r.cycles
-  in
-  if not ok then begin
-    Printf.printf "  failover: FAIL (delivery or blackout bound violated)\n";
-    exit 1
-  end
-  else Printf.printf "  failover: every blackout inside the bound\n"
+  gate ~check r;
+  checks ()

@@ -14,13 +14,13 @@
      gated only on a machine with >= 4 cores.
 
    Both record a build footprint (bytes per node of a built, unrun
-   world); perf-smoke re-gates the fleet one. *)
+   world); the fleet smoke gates it against BENCH_perf.json. *)
 
 module Topology = Nectar_fleet.Topology
 module Workload = Nectar_fleet.Workload
 module Driver = Nectar_fleet.Driver
 
-let check = Bench_world.check
+open Bench_world
 
 (* ---------- fleet points ---------- *)
 
@@ -61,7 +61,7 @@ type point = {
   final_ns : int;
 }
 
-let run_point ~pattern (c : Driver.config) ~determinism =
+let run_point ~check ~pattern (c : Driver.config) ~determinism =
   let t0 = Unix.gettimeofday () in
   let r = Driver.run c in
   let wall = Unix.gettimeofday () -. t0 in
@@ -115,22 +115,22 @@ let run_point ~pattern (c : Driver.config) ~determinism =
 (* Bytes per node reachable from a built, unrun world.  A heap walk, so
    the figure depends neither on GC timing nor on what earlier runs (and
    their finished domains) left on the heap. *)
-let bytes_per_node ~what (c : Driver.config) =
+let bytes_per_node ~check ~what (c : Driver.config) =
   let nodes = Topology.node_count (Topology.build c.topo) in
   let words = Obj.reachable_words (Obj.repr (Driver.build c)) in
   let b = words * (Sys.word_size / 8) / nodes in
   check (Printf.sprintf "%s %d B/node sane" what b) (b > 0 && b < 2_000_000);
   b
 
-(* Recorded regression point for perf-smoke: resident bytes per node of
+(* Recorded regression point for the fleet smoke: resident bytes per node of
    a built 256-CAB fleet world (BENCH_perf.json "fleet_scale").  Gated at
    1.5x so allocator or world-build regressions fail CI without making
    the gate machine-sensitive. *)
 let recorded_bytes_per_node = 1_667
 
-let bytes_per_node_gate ~smoke =
+let bytes_per_node_gate ~check ~smoke =
   let b =
-    bytes_per_node ~what:"fleet: build footprint"
+    bytes_per_node ~check ~what:"fleet: build footprint"
       (cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:1)
   in
   if smoke then
@@ -145,11 +145,11 @@ let bytes_per_node_gate ~smoke =
 
 type result = { r_points : point list; r_bytes_per_node : int; r_cores : int }
 
-let measure ~smoke () =
-  let b = bytes_per_node_gate ~smoke in
+let measure ~check ~smoke () =
+  let b = bytes_per_node_gate ~check ~smoke in
   let points =
     if smoke then
-      [ run_point ~pattern:"incast"
+      [ run_point ~check ~pattern:"incast"
           (cfg ~cabs:256 ~pattern:"incast" ~msgs:4 ~domains:2)
           ~determinism:true ]
     else
@@ -160,7 +160,7 @@ let measure ~smoke () =
               (* the acceptance point: the 1024-CAB world re-runs and
                  must reproduce bit-for-bit *)
               let determinism = cabs = 1024 && pattern = "incast" in
-              run_point ~pattern (cfg ~cabs ~pattern ~msgs ~domains:4)
+              run_point ~check ~pattern (cfg ~cabs ~pattern ~msgs ~domains:4)
                 ~determinism)
             [ "incast"; "all-to-all"; "hotspot" ])
         [ (256, 400); (512, 400); (1024, 400) ]
@@ -215,15 +215,15 @@ let json_fragment r =
   Buffer.add_string b "  ] }";
   Buffer.contents b
 
-(* Standalone experiment (the @fleet CI alias runs the smoke form). *)
+(* The fleet registry entry. *)
 let run ~smoke () =
-  Bench_world.section
+  let check, checks = collector () in
+  section
     (if smoke then
        "Fleet scale (smoke: 256 CABs, conservation + determinism + footprint)"
      else "Fleet scale: 256/512/1024 CABs x incast/all-to-all/hotspot");
-  let r = measure ~smoke () in
-  print r;
-  Bench_world.finish "fleet"
+  print (measure ~check ~smoke ());
+  checks ()
 
 (* ---------- parallel scaling sweep ---------- *)
 
@@ -254,12 +254,12 @@ type scaling = {
 
 let speedup s p = (List.hd s.s_points).wall_s /. p.wall_s
 
-let measure_scaling ~smoke () =
+let measure_scaling ~check ~smoke () =
   let msgs = if smoke then 4 else 32 in
   let points =
     List.map
       (fun domains ->
-        run_point ~pattern:"all-to-all" (scaling_cfg ~msgs ~domains)
+        run_point ~check ~pattern:"all-to-all" (scaling_cfg ~msgs ~domains)
           ~determinism:(domains > 1))
       (if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ])
   in
@@ -269,7 +269,8 @@ let measure_scaling ~smoke () =
       s_msgs = msgs;
       s_lookahead_ns = c.lookahead_ns;
       s_cores = Domain.recommended_domain_count ();
-      s_bytes_per_node = bytes_per_node ~what:"scaling: engine footprint" c;
+      s_bytes_per_node =
+        bytes_per_node ~check ~what:"scaling: engine footprint" c;
       s_points = points;
     }
   in
@@ -324,11 +325,11 @@ let scaling_json_fragment s =
   Buffer.add_string b "  ] }";
   Buffer.contents b
 
-(* Standalone experiment (the @parallel CI alias runs the smoke form). *)
+(* The parallel registry entry. *)
 let run_scaling ~smoke () =
-  Bench_world.section
+  let check, checks = collector () in
+  section
     (if smoke then "Parallel scaling (smoke: 2 domains, determinism gates)"
      else "Parallel scaling: 64-CAB torus over 1/2/4/8 domains");
-  let s = measure_scaling ~smoke () in
-  print_scaling s;
-  Bench_world.finish "scaling"
+  print_scaling (measure_scaling ~check ~smoke ());
+  checks ()

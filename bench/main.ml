@@ -1,9 +1,14 @@
-(* Bench harness: regenerates every table and figure of the paper's
-   evaluation (section 6) plus the design-choice ablations.
+(* Paper reproducer: regenerates every table and figure of the paper's
+   evaluation (section 6) plus the design-choice ablations, the engine
+   micro-benchmarks and the chaos degradation JSON.  The simulator's
+   gates and the beyond-the-paper sweeps are entries of the scenario
+   registry instead ([nectar_cli run --list]).
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig7    -- one experiment
 *)
+
+open Nectar_bench
 
 let experiments =
   [
@@ -14,24 +19,13 @@ let experiments =
     ("ablations", Ablations.run);
     ("micro", Micro.run);
     ("chaos", Chaos.run);
-    (* beyond-the-paper experiments; not in the default list so the
-       default run keeps producing exactly the paper tables *)
-    ("failover", Failover.run);
-    ("perf", Perf.run ~smoke:false);
-    ("perf-smoke", Perf.run ~smoke:true);
-    ("scaling", Fleet_bench.run_scaling ~smoke:false);
-    ("scaling-smoke", Fleet_bench.run_scaling ~smoke:true);
-    ("fleet", Fleet_bench.run ~smoke:false);
-    ("fleet-smoke", Fleet_bench.run ~smoke:true);
-    ("coll", Coll_bench.run ~smoke:false);
-    ("coll-smoke", Coll_bench.run ~smoke:true);
   ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
-    | _ -> [ "table1"; "fig6"; "fig7"; "fig8"; "ablations"; "micro"; "chaos" ]
+    | _ -> List.map fst experiments
   in
   Printf.printf
     "Nectar communication processor: reproduction of the SIGCOMM'90\n\

@@ -14,12 +14,14 @@
      pure functions of the cost model — so they double as regression
      counters.
 
-   [run ~smoke:true] (the `perf-smoke` experiment, wired into ci.sh) runs
-   shrunken simulated scenarios and asserts only deterministic counts —
-   never wall-clock thresholds, which would make CI flaky.  The full
-   `perf` experiment also writes BENCH_perf.json to the current
-   directory; the checked-in copy at the repo root is the recorded
-   regression point. *)
+   [run ~smoke:true] (the perf registry entry under [--smoke], run by
+   ci.sh) runs shrunken simulated scenarios and asserts only
+   deterministic counts — never wall-clock thresholds, which would make
+   CI flaky.  The failover, scaling, fleet and collectives sections are
+   registry entries of their own, which carry their BENCH_perf.json
+   gates; the full run measures them again to write BENCH_perf.json to
+   the current directory.  The checked-in copy at the repo root is the
+   recorded regression point. *)
 
 open Nectar_sim
 open Nectar_core
@@ -74,7 +76,7 @@ let engine_schedule_cancel () =
 
 (* ---------- deterministic micro: minor words per context switch ---------- *)
 
-(* Recorded in BENCH_perf.json ("micro"); perf-smoke fails if either count
+(* Recorded in BENCH_perf.json ("micro"); the smoke run fails if either count
    rises above its recorded value.  Counts, not timings: they repeat
    exactly on any machine with the same compiler. *)
 let recorded_sleep_words = 41.
@@ -196,7 +198,7 @@ module Copy_meter = Nectar_util.Copy_meter
 
 (* Per-message copy cost of the 8 KB CAB-to-CAB RMP path.  Counters are
    deterministic, so the exact values are asserted (also from ci.sh via
-   perf-smoke).  Before the zero-copy data path, every transmitted frame
+   the smoke run).  Before the zero-copy data path, every transmitted frame
    was snapshotted with [Bytes.sub] at the tx DMA — the "before" figure is
    therefore the measured copies plus one copy of every wire byte. *)
 let copies_rmp ~size ~count =
@@ -251,7 +253,7 @@ let site_bytes report name =
   | Some (_, _, bytes) -> bytes
   | None -> 0
 
-let check_copies ~size ~count =
+let check_copies ~check ~size ~count =
   (* RMP: the only remaining copy is the application string entering the
      mailbox buffer; the frame, both headers, and delivery are in place *)
   let rmp_report, rmp_after, rmp_wire = copies_rmp ~size ~count in
@@ -301,7 +303,7 @@ let check_copies ~size ~count =
 
 (* The compaction bound: a schedule-mostly-cancel storm must not let the
    heap grow past 2x the live events (plus the small threshold). *)
-let check_compaction () =
+let check_compaction ~check =
   let eng = Engine.create () in
   let live = ref 0 in
   for i = 1 to 10_000 do
@@ -314,7 +316,7 @@ let check_compaction () =
     (p = !live && q <= (2 * p) + 64);
   Engine.run eng
 
-let check_sweep ~size ~count rows =
+let check_sweep ~check ~size ~count rows =
   List.iter
     (fun (win, (tput, got, retx, failed)) ->
       check
@@ -429,11 +431,13 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sleep_words ~consume_words
 
 (* ---------- driver ---------- *)
 
-let run ?(smoke = false) () =
+(* The perf registry entry. *)
+let run ~smoke () =
+  let check, checks = collector () in
   section
     (if smoke then "Perf harness (smoke: deterministic counts only)"
      else "Perf harness (fastpath): wall clock + windowed RMP");
-  check_compaction ();
+  check_compaction ~check;
   let sleep_words = engine_sleep_words () in
   let consume_words = cpu_consume_words () in
   Printf.printf
@@ -454,7 +458,7 @@ let run ?(smoke = false) () =
   let size = if smoke then 1024 else 8192 in
   let count = if smoke then 40 else 183 in
   let sweep =
-    check_sweep ~size ~count
+    check_sweep ~check ~size ~count
       (List.map
          (fun win ->
            (win, windowed_run ~window:win ~ack_delay:0 ~size ~count))
@@ -493,7 +497,7 @@ let run ?(smoke = false) () =
   in
   let copy_count = if smoke then 20 else 100 in
   let ((rmp_after, rmp_before, reduction) as rmp_copies), tcp_copies =
-    check_copies ~size ~count:copy_count
+    check_copies ~check ~size ~count:copy_count
   in
   let tcp_after, tcp_before = tcp_copies in
   Printf.printf
@@ -519,46 +523,18 @@ let run ?(smoke = false) () =
     \    coalesce off    %8s Mbit/s  (one interrupt per frame)\n\
     \    coalesce %3dus  %8s Mbit/s  (%d frames in %d batches)\n"
     senders fcount fsize (fmt_mbps off_t) coal_us (fmt_mbps on_t) on_got on_b;
-  (* Failover: simulated and deterministic, so the same full-size run backs
-     both the smoke regression gate and the recorded JSON. *)
-  let fo = Failover.measure () in
-  Failover.print fo;
-  check
-    (Printf.sprintf "failover: delivered %d/%d" fo.Failover.delivered
-       fo.Failover.msgs)
-    (fo.Failover.delivered = fo.Failover.msgs);
-  check
-    (Printf.sprintf "failover: max blackout %.0f us inside bound %.0f us"
-       fo.Failover.blackout_max_us fo.Failover.bound_us)
-    (fo.Failover.blackout_max_us <= fo.Failover.bound_us);
-  check
-    (Printf.sprintf "failover: %d recomputes for %d flap cycles"
-       fo.Failover.recomputes fo.Failover.cycles)
-    (fo.Failover.recomputes = 2 * fo.Failover.cycles);
-  if smoke then
-    (* BENCH_perf.json regression gate: the recorded blackout distribution
-       must reproduce exactly *)
-    check
-      (Printf.sprintf
-         "BENCH_perf.json failover: p50 %.0f us, p99 %.0f us (recorded 40, \
-          5093)"
-         fo.Failover.blackout_p50_us fo.Failover.blackout_p99_us)
-      (Float.round fo.Failover.blackout_p50_us = 40.
-      && Float.round fo.Failover.blackout_p99_us = 5093.);
-  (* Parallel-engine scaling: deterministic delivery/conservation/
-     determinism gates run in both modes (the smoke form is 2 domains);
-     wall-clock speedup is recorded, and asserted only on >= 4 cores. *)
-  let scaling = Fleet_bench.measure_scaling ~smoke () in
-  Fleet_bench.print_scaling scaling;
-  (* Fleet scale: 256-1024-CAB worlds and the footprint gate
-     (the smoke form is the @fleet CI alias's workload). *)
-  let fleet_scale = Fleet_bench.measure ~smoke () in
-  Fleet_bench.print fleet_scale;
-  (* Collectives: tree vs host-driven baseline, single-wakeup and tail
-     latency gates (the smoke form is the @coll CI alias's workload). *)
-  let collectives = Coll_bench.measure ~smoke () in
-  Coll_bench.print collectives;
   if not smoke then begin
+    (* The sections with registry entries of their own, measured again at
+       full size for the JSON. *)
+    let fo = Failover.measure () in
+    Failover.print fo;
+    Failover.gate ~check fo;
+    let scaling = Fleet_bench.measure_scaling ~check ~smoke () in
+    Fleet_bench.print_scaling scaling;
+    let fleet_scale = Fleet_bench.measure ~check ~smoke () in
+    Fleet_bench.print fleet_scale;
+    let collectives = Coll_bench.measure ~check ~smoke () in
+    Coll_bench.print collectives;
     let engine_ns = time_ns engine_1k_events in
     let cancel_ns = time_ns engine_schedule_cancel in
     let fig7_wall =
@@ -590,4 +566,4 @@ let run ?(smoke = false) () =
     close_out oc;
     Printf.printf "  wrote BENCH_perf.json\n"
   end;
-  finish "perf"
+  checks ()

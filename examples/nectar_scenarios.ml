@@ -1,6 +1,6 @@
 (* Every example scenario as a callable function, so the same worlds can
    run standalone (the thin mains in this directory), under the vet
-   checkers (`nectar_cli vet`), or from tests.  Parameters default to the
+   checkers (`nectar_cli run vet`), or from tests.  Parameters default to the
    standalone sizes; the printed commentary is part of each scenario. *)
 
 open Nectar_sim

@@ -1,4 +1,4 @@
-(** The checked-in scenario suite for [nectar_cli check] and the tests.
+(** The checked-in scenario suite for [nectar_cli run check] and the tests.
 
     {1 Explorer scenarios}
 
@@ -28,7 +28,7 @@
     scheduler's send conduits (the sanctioned cross-domain boundary),
     and a planted counter array shared by both partitions' sinks must
     be reported.  This is the go/no-go gate the parallel engine ships
-    behind, wired into ci.sh via the @parallel alias. *)
+    behind, run by ci.sh as the [check/partitioned-2dom] registry entry. *)
 
 val all : Explore.scenario list
 val find : string -> Explore.scenario option

@@ -47,8 +47,8 @@ val lookup : t -> src:int -> dst:int -> proto:int -> int list
 
 (** {1 Verification}
 
-    Obligations checked at compile time (the [@failover] gate and CLI run
-    {!verify} after building a topology) and after every recompute:
+    Obligations checked at compile time (the [failover/route-verify]
+    registry entry runs {!verify} after building a topology) and after every recompute:
     reachability — every pair connected in the live topology has a route;
     loop-freedom — no route revisits a HUB; and no cached route crosses a
     downed port. *)
