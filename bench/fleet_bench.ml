@@ -126,7 +126,7 @@ let bytes_per_node ~check ~what (c : Driver.config) =
    a built 256-CAB fleet world (BENCH_perf.json "fleet_scale").  Gated at
    1.5x so allocator or world-build regressions fail CI without making
    the gate machine-sensitive. *)
-let recorded_bytes_per_node = 1_667
+let recorded_bytes_per_node = 1_508
 
 let bytes_per_node_gate ~check ~smoke =
   let b =

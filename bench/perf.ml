@@ -76,11 +76,13 @@ let engine_schedule_cancel () =
 
 (* ---------- deterministic micro: minor words per context switch ---------- *)
 
-(* Recorded in BENCH_perf.json ("micro"); the smoke run fails if either count
+(* Recorded in BENCH_perf.json ("micro"); the smoke run fails if any count
    rises above its recorded value.  Counts, not timings: they repeat
    exactly on any machine with the same compiler. *)
-let recorded_sleep_words = 41.
-let recorded_consume_words = 54.
+let recorded_sleep_words = 9.
+let recorded_yield_words = 2.
+let recorded_consume_words = 21.
+let recorded_timed_wait_words = 27.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -101,11 +103,35 @@ let words_per_iteration ~n body =
 let engine_sleep_words () =
   words_per_iteration ~n:10_000 (fun eng () -> Engine.sleep eng 1)
 
+let engine_yield_words () =
+  words_per_iteration ~n:10_000 (fun eng () -> Engine.yield eng)
+
 let cpu_consume_words () =
   words_per_iteration ~n:10_000 (fun eng ->
       let cpu = Cpu.create eng ~name:"cpu" () in
       let thread = Cpu.owner cpu ~name:"thread" ~switch_in:0 in
       fun () -> Cpu.consume cpu thread ~priority:1 10)
+
+(* park, time out, resume; the signal drains the dead entry *)
+let waitq_timed_wait_words () =
+  words_per_iteration ~n:10_000 (fun eng ->
+      let q = Waitq.create eng () in
+      fun () ->
+        ignore (Waitq.wait_timeout q 1);
+        ignore (Waitq.signal q))
+
+(* (name, JSON key, measure, recorded) for each micro count *)
+let micro_counts =
+  [
+    ("Engine.sleep", "engine_sleep_words", engine_sleep_words,
+     recorded_sleep_words);
+    ("Engine.yield", "engine_yield_words", engine_yield_words,
+     recorded_yield_words);
+    ("Cpu.consume", "cpu_consume_words", cpu_consume_words,
+     recorded_consume_words);
+    ("Waitq.wait_timeout", "waitq_timed_wait_words", waitq_timed_wait_words,
+     recorded_timed_wait_words);
+  ]
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
 
@@ -336,7 +362,7 @@ let check_sweep ~check ~size ~count rows =
 
 (* ---------- JSON ---------- *)
 
-let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sleep_words ~consume_words
+let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
     ~sweep ~size
     ~(fleet_off : float * int * int) ~(fleet_on : float * int * int)
     ~fleet_cfg ~copy_size
@@ -365,9 +391,12 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~sleep_words ~consume_words
     "  \"micro\": {\n\
     \    \"note\": \"minor words per blocking call in a one-process loop; \
      deterministic, perf-smoke fails above these\",\n\
-    \    \"engine_sleep_words\": %.0f, \"cpu_consume_words\": %.0f\n\
+    \    %s\n\
     \  },\n"
-    sleep_words consume_words;
+    (String.concat ", "
+       (List.map
+          (fun (_, key, words, _) -> Printf.sprintf "\"%s\": %.0f" key words)
+          micro));
   Printf.bprintf b "  \"windowed_rmp\": { \"msg_bytes\": %d, \"points\": [\n"
     size;
   List.iteri
@@ -438,23 +467,21 @@ let run ~smoke () =
     (if smoke then "Perf harness (smoke: deterministic counts only)"
      else "Perf harness (fastpath): wall clock + windowed RMP");
   check_compaction ~check;
-  let sleep_words = engine_sleep_words () in
-  let consume_words = cpu_consume_words () in
-  Printf.printf
-    "  minor words per call (deterministic):\n\
-    \    Engine.sleep  %5.1f  (recorded %.0f)\n\
-    \    Cpu.consume   %5.1f  (recorded %.0f)\n"
-    sleep_words recorded_sleep_words consume_words recorded_consume_words;
-  if smoke then begin
-    check
-      (Printf.sprintf "BENCH_perf.json micro: sleep %.1f words <= %.0f"
-         sleep_words recorded_sleep_words)
-      (sleep_words <= recorded_sleep_words);
-    check
-      (Printf.sprintf "BENCH_perf.json micro: consume %.1f words <= %.0f"
-         consume_words recorded_consume_words)
-      (consume_words <= recorded_consume_words)
-  end;
+  let micro =
+    List.map
+      (fun (name, key, measure, recorded) -> (name, key, measure (), recorded))
+      micro_counts
+  in
+  Printf.printf "  minor words per call (deterministic):\n";
+  List.iter
+    (fun (name, _, words, recorded) ->
+      Printf.printf "    %-18s %5.1f  (recorded %.0f)\n" name words recorded;
+      if smoke then
+        check
+          (Printf.sprintf "BENCH_perf.json micro: %s %.1f words <= %.0f" name
+             words recorded)
+          (words <= recorded))
+    micro;
   let size = if smoke then 1024 else 8192 in
   let count = if smoke then 40 else 183 in
   let sweep =
@@ -552,8 +579,8 @@ let run ~smoke () =
       (baseline_engine_1k_ns /. engine_ns)
       cancel_ns fig7_wall;
     let js =
-      json_of ~engine_ns ~cancel_ns ~fig7_wall_ms:fig7_wall ~sleep_words
-        ~consume_words ~sweep ~size
+      json_of ~engine_ns ~cancel_ns ~fig7_wall_ms:fig7_wall ~micro ~sweep
+        ~size
         ~fleet_off ~fleet_on
         ~fleet_cfg:(senders, fcount, fsize, coal_us)
         ~copy_size:size ~rmp_copies ~tcp_copies ~fo

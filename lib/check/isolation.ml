@@ -9,9 +9,10 @@
    - effect continuations (Cont_tag) hold a raw fiber-stack pointer, and a
      lazy mid-force (Forcing_tag) holds runtime bookkeeping: both are
      treated as leaves — their identity still participates in sharing
-     detection, their insides are never inspected.  Suspended processes
-     (wait queues hold resume closures capturing continuations) make these
-     blocks routinely reachable from node state. *)
+     detection, their insides are never inspected.  Parked processes
+     (wait queues hold wakers, which lead to the process record and its
+     continuation) make these blocks routinely reachable from node
+     state. *)
 
 (* Physical-identity table: equality is (==); the hash is structural with
    bounded fuel, which is sound (collisions land in the same bucket and are

@@ -12,7 +12,7 @@ type request = {
   atomic : bool;
   mutable remaining : Sim_time.span; (* includes any pending switch-in cost *)
   mutable queued_at : Sim_time.t; (* last time it entered the ready queue *)
-  resume : unit -> unit;
+  waker : Engine.waker; (* the consuming process, woken on completion *)
   seq : int;
   mutable trace_id : int; (* open Trace span while dispatched; 0 = none *)
 }
@@ -98,7 +98,7 @@ let complete t =
   let req = t.cur in
   if req == t.idle then invalid_arg "Cpu.complete: not current";
   ignore (stop t);
-  req.resume ();
+  Engine.wake t.eng req.waker;
   start_next t
 
 let create eng ~name () =
@@ -116,7 +116,7 @@ let create eng ~name () =
       atomic = false;
       remaining = 0;
       queued_at = 0;
-      resume = ignore;
+      waker = Engine.no_waker;
       seq = -1;
       trace_id = 0;
     }
@@ -162,28 +162,29 @@ let maybe_preempt t incoming =
 let consume t owner ~priority ?(atomic = false) span =
   if span < 0 then invalid_arg "Cpu.consume: negative span";
   if span = 0 then ()
-  else
-    Engine.suspend (fun resume ->
-        let req =
-          {
-            req_owner = owner;
-            priority;
-            atomic;
-            remaining = span;
-            queued_at = Engine.now t.eng;
-            resume;
-            seq = t.next_seq;
-            trace_id = 0;
-          }
-        in
-        t.next_seq <- t.next_seq + 1;
-        if maybe_preempt t req then begin
-          (* CPU is (now) idle: this request may still not be the best one
-             if a preemption just queued the loser; pick properly. *)
-          Nectar_util.Binary_heap.push t.ready req;
-          start_next t
-        end
-        else Nectar_util.Binary_heap.push t.ready req)
+  else begin
+    let req =
+      {
+        req_owner = owner;
+        priority;
+        atomic;
+        remaining = span;
+        queued_at = Engine.now t.eng;
+        waker = Engine.waker t.eng;
+        seq = t.next_seq;
+        trace_id = 0;
+      }
+    in
+    t.next_seq <- t.next_seq + 1;
+    if maybe_preempt t req then begin
+      (* CPU is (now) idle: this request may still not be the best one
+         if a preemption just queued the loser; pick properly. *)
+      Nectar_util.Binary_heap.push t.ready req;
+      start_next t
+    end
+    else Nectar_util.Binary_heap.push t.ready req;
+    Engine.block t.eng
+  end
 
 let busy_time t =
   if t.cur == t.idle then t.busy else t.busy + (Engine.now t.eng - t.started)

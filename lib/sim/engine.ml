@@ -16,17 +16,21 @@
    [cancel], which has no engine argument, can maintain it.
 
    Process switches are the other hot path: a simulated thread blocks and
-   resumes constantly.  Two things keep that cheap.  One effect handler
-   serves every process of an engine (built in [create]); the process
-   currently executing is the [running] record, which the handler reads, so
-   a spawn allocates one small record and a closure, and no slice builds a
-   handler, a [Fun.protect] or a label string.  And
-   process starts and resumptions — events at the current instant that are
-   never cancelled — skip the heap: they go to a FIFO ring of (seq, label,
-   fn) entries.  Every ring entry is at [clock] and the ring is in seq
-   order, so firing the ring head before the heap top exactly when the top
-   is later, or equal in time with a larger seq, is (time, seq) order: the
-   same firing order as one heap holding everything. *)
+   resumes constantly, so parking allocates nothing in the engine beyond
+   the continuation block the runtime makes.  One effect handler serves
+   every process of an engine (built in [create]) and its [Some] answer to
+   [Block] is preallocated: it stores the continuation in the [running]
+   process's own record, in place, with no option.  Process starts, yields
+   and resumptions — events at the current instant that are never
+   cancelled — skip the heap: they go to a FIFO ring of (seq, kind, proc)
+   entries in three parallel arrays, two of them unboxed ints, whose
+   labels are derived from the kind and the process.  Every ring entry is
+   at [clock] and the ring is in seq order, so firing the ring head before
+   the heap top exactly when the top is later, or equal in time with a
+   larger seq, is (time, seq) order: the same firing order as one heap
+   holding everything.  The proc array is never cleared on a take: a
+   stale slot only keeps a small record alive until the ring wraps, and
+   skipping that store saves a write barrier per switch. *)
 
 (* [live] and [fn] are mutable for cancellation; [dead_cell] is the
    owning engine's dead-entry counter. *)
@@ -42,12 +46,23 @@ type event = {
 type candidate = { c_time : Sim_time.t; c_seq : int; c_label : string }
 type tie_break = candidate array -> int
 
-(* A process's identity.  The wake and yield labels are built on first use
-   ("" until then) and reused by every later sleep and yield. *)
+(* A process: its identity and its parking state.  The wake and yield
+   labels and the sleep wake-up callback are built on first use ("" and
+   [nothing] until then) and reused by every later sleep and yield.  [k]
+   is the parked continuation ([never_parked] before the first parking);
+   [parked] is set while [k] is waiting to be resumed.  [gen] numbers the
+   parkings: a waker is good for the parking whose [gen] it carries, and
+   every wake, sleep and yield moves [gen] on, so a second or stale wake
+   is caught. *)
 type proc = {
   pid : int;
   name : string;
+  mutable body : unit -> unit; (* until the start entry fires *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  mutable parked : bool;
+  mutable gen : int;
   mutable wake_label : string;
+  mutable wake_fn : unit -> unit;
   mutable yield_label : string;
 }
 
@@ -60,18 +75,21 @@ type t = {
   (* the same-instant lane: a ring of [ring_len] entries from [ring_head],
      in parallel arrays whose length is a power of two *)
   mutable ring_seq : int array;
-  mutable ring_label : string array;
-  mutable ring_fn : (unit -> unit) array;
+  mutable ring_kind : int array; (* [kind_start | kind_yield | kind_resume] *)
+  mutable ring_proc : proc array;
   mutable ring_head : int;
   mutable ring_len : int;
-  idle : proc; (* [running] outside any process *)
   mutable running : proc;
       (* the process currently executing, for context tracking by the vet
-         checkers; [idle] inside timer callbacks *)
+         checkers; [nobody] inside timer callbacks *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
+  park : ((unit, unit) Effect.Deep.continuation -> unit) option;
+      (* the handler's answer to [Block], built once *)
   handler : (unit, unit) Effect.Deep.handler; (* shared by every process *)
 }
+
+type waker = No_waker | Waker of { wp : proc; wgen : int }
 
 (* Process ids are globally unique (not per engine) so checkers observing
    several engines in one program never see a collision.  Atomic because
@@ -116,69 +134,126 @@ let initial_capacity = 1024
    set-up builds many small engines, so it starts small. *)
 let initial_ring = 16
 
-(* Effect plumbing: a process performs [Suspend register]; the engine's
-   handler hands [register] a one-shot resume function that queues the
-   continuation on the same-instant lane. *)
+(* Effect plumbing: a parking process performs [Block]; the engine's
+   handler stores the continuation in the process record.  Whoever holds
+   the process's waker later queues a resume entry on the same-instant
+   lane, and the run loop continues [k] from there. *)
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Block : unit Effect.t
 
-let suspend register = Effect.perform (Suspend register)
+(* The [k] of a process that has not parked yet: a real continuation,
+   captured once at start-up and never resumed ([parked] guards every
+   resumption). *)
+let never_parked : (unit, unit) Effect.Deep.continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Block
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Block ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
 
-let push_now t label fn =
-  let cap = Array.length t.ring_fn in
+let kind_start = 0
+let kind_yield = 1
+let kind_resume = 2
+
+let new_proc ~pid ~name body =
+  {
+    pid;
+    name;
+    body;
+    k = never_parked;
+    parked = false;
+    gen = 0;
+    wake_label = "";
+    wake_fn = nothing;
+    yield_label = "";
+  }
+
+(* [running] outside any process, and the filler of unused [ring_proc]
+   slots.  Never parked, started or resumed ([self] refuses it), so one
+   record serves every engine; and being global it is long promoted when a
+   growing ring needs it ([Array.make] of a large array with a young
+   filler forces a minor collection). *)
+let nobody = new_proc ~pid:0 ~name:"" nothing
+
+let push_ring t kind p =
+  let cap = Array.length t.ring_seq in
   if t.ring_len = cap then begin
     let seqs = Array.make (2 * cap) 0 in
-    let labels = Array.make (2 * cap) "" in
-    let fns = Array.make (2 * cap) nothing in
+    let kinds = Array.make (2 * cap) 0 in
+    let procs = Array.make (2 * cap) nobody in
     for j = 0 to cap - 1 do
       let i = (t.ring_head + j) land (cap - 1) in
       seqs.(j) <- t.ring_seq.(i);
-      labels.(j) <- t.ring_label.(i);
-      fns.(j) <- t.ring_fn.(i)
+      kinds.(j) <- t.ring_kind.(i);
+      procs.(j) <- t.ring_proc.(i)
     done;
     t.ring_seq <- seqs;
-    t.ring_label <- labels;
-    t.ring_fn <- fns;
+    t.ring_kind <- kinds;
+    t.ring_proc <- procs;
     t.ring_head <- 0
   end;
-  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_fn - 1) in
-  t.ring_seq.(i) <- t.next_seq;
-  t.ring_label.(i) <- label;
-  t.ring_fn.(i) <- fn;
+  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_seq - 1) in
+  Array.unsafe_set t.ring_seq i t.next_seq;
+  Array.unsafe_set t.ring_kind i kind;
+  Array.unsafe_set t.ring_proc i p;
   t.ring_len <- t.ring_len + 1;
   t.next_seq <- t.next_seq + 1
 
-(* Caller guarantees ring_len > 0. *)
-let take_ring t =
-  let i = t.ring_head in
-  let fn = t.ring_fn.(i) in
-  t.ring_fn.(i) <- nothing;
-  t.ring_head <- (i + 1) land (Array.length t.ring_fn - 1);
-  t.ring_len <- t.ring_len - 1;
-  fn
+let ring_label kind p = if kind = kind_yield then p.yield_label else p.name
 
 (* One slice of process [p]'s execution, [g a b]: its body up to the first
-   suspend, or one resumption up to the next.  [running] is [p] for its
-   duration and [idle] afterwards, however the slice ends. *)
+   parking, or one resumption up to the next.  [running] is [p] for its
+   duration and [nobody] afterwards, however the slice ends. *)
 let slice t p g a b =
   t.running <- p;
   match g a b with
-  | () -> t.running <- t.idle
+  | () -> t.running <- nobody
   | exception e ->
-      t.running <- t.idle;
+      t.running <- nobody;
       raise e
 
 let run_body f handler = Effect.Deep.match_with f () handler
 
-let resumer t p k =
-  let resumed = ref false in
-  fun v ->
-    if !resumed then failwith ("Engine: double resume of process " ^ p.name);
-    resumed := true;
-    push_now t p.name (fun () -> slice t p Effect.Deep.continue k v)
+(* Fire one lane entry: start [p]; take the yield step, which queues the
+   resumption behind everything already at this instant; or continue its
+   parked [k]. *)
+let run_entry t kind p =
+  if kind = kind_start then begin
+    let f = p.body in
+    p.body <- nothing;
+    slice t p run_body f t.handler
+  end
+  else if kind = kind_yield then push_ring t kind_resume p
+  else begin
+    if not p.parked then
+      failwith ("Engine: process " ^ p.name ^ " woken while not parked");
+    p.parked <- false;
+    slice t p Effect.Deep.continue p.k ()
+  end
+
+(* Dequeue the head entry and return its slot, which stays intact until a
+   later push reuses it.  Caller guarantees ring_len > 0. *)
+let take_ring t =
+  let i = t.ring_head in
+  t.ring_head <- (i + 1) land (Array.length t.ring_seq - 1);
+  t.ring_len <- t.ring_len - 1;
+  i
+
+let fire_ring t =
+  let i = take_ring t in
+  run_entry t (Array.unsafe_get t.ring_kind i) (Array.unsafe_get t.ring_proc i)
 
 let create () =
-  let idle = { pid = 0; name = ""; wake_label = ""; yield_label = "" } in
   let rec t =
     {
       clock = Sim_time.zero;
@@ -187,13 +262,18 @@ let create () =
       size = 0;
       dead = ref 0;
       ring_seq = Array.make initial_ring 0;
-      ring_label = Array.make initial_ring "";
-      ring_fn = Array.make initial_ring nothing;
+      ring_kind = Array.make initial_ring 0;
+      ring_proc = Array.make initial_ring nobody;
       ring_head = 0;
       ring_len = 0;
-      idle;
-      running = idle;
+      running = nobody;
       tie_break = None;
+      park =
+        Some
+          (fun k ->
+            let p = t.running in
+            p.k <- k;
+            p.parked <- true);
       handler =
         {
           Effect.Deep.retc = (fun () -> ());
@@ -201,10 +281,9 @@ let create () =
           effc =
             (fun (type a) (eff : a Effect.t) ->
               match eff with
-              | Suspend register ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      register (resumer t t.running k))
+              | Block ->
+                  (t.park
+                    : ((a, unit) Effect.Deep.continuation -> unit) option)
               | _ -> None);
         };
     }
@@ -214,10 +293,10 @@ let create () =
 let set_tie_break t policy = t.tie_break <- policy
 
 let now t = t.clock
-let current_pid t = if t.running == t.idle then None else Some t.running.pid
+let current_pid t = if t.running == nobody then None else Some t.running.pid
 
 let current_process t =
-  if t.running == t.idle then None else Some t.running.name
+  if t.running == nobody then None else Some t.running.name
 
 (* [a] strictly before [b]: earlier time, or same time scheduled earlier. *)
 let[@inline] before (a : event) (b : event) =
@@ -332,7 +411,7 @@ let maybe_compact t =
 (* Every heap event (timers, sleep wake-ups) is scheduled here; the
    internal callers all schedule at or after [t.clock], so only [at]
    validates the time.  Process starts, yields and resumptions take the
-   same-instant lane ([push_now]) instead. *)
+   same-instant lane ([push_ring]) instead. *)
 let schedule t ~label time fn =
   let ev =
     { time; seq = t.next_seq; label; live = true; fn; dead_cell = t.dead }
@@ -374,26 +453,55 @@ let cancel ev =
 
 let spawn t ?(name = "proc") f =
   let pid = 1 + Atomic.fetch_and_add pid_counter 1 in
-  let p = { pid; name; wake_label = ""; yield_label = "" } in
-  push_now t name (fun () -> slice t p run_body f t.handler)
+  push_ring t kind_start (new_proc ~pid ~name f)
 
-(* The wake-up events carry the process name (read here, while [running]
-   is still this process) so tie-break candidates and schedule
-   counterexamples read as "consumer.wake" rather than "?". *)
+(* The calling process; parking outside one is a caller error. *)
+let self t what =
+  let p = t.running in
+  if p == nobody then invalid_arg ("Engine." ^ what ^ ": not in a process");
+  p
+
+let waker t =
+  let p = self t "waker" in
+  Waker { wp = p; wgen = p.gen }
+
+let no_waker = No_waker
+
+let block t =
+  ignore (self t "block");
+  Effect.perform Block
+
+let wake t = function
+  | Waker { wp = p; wgen } ->
+      if wgen <> p.gen then
+        failwith ("Engine: double resume of process " ^ p.name);
+      p.gen <- p.gen + 1;
+      push_ring t kind_resume p
+  | No_waker -> invalid_arg "Engine.wake: no process"
+
+(* A sleep is two events, as a general parking would be: the wake-up timer
+   (labelled "<name>.wake" so tie-break candidates and schedule
+   counterexamples read as "consumer.wake" rather than "?") queues the
+   resumption on the lane. *)
 let sleep t span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
-  if span = 0 then ()
-  else
-    let p = t.running in
-    if String.length p.wake_label = 0 then p.wake_label <- p.name ^ ".wake";
-    let label = p.wake_label in
-    suspend (fun resume -> ignore (schedule t ~label (t.clock + span) resume))
+  if span > 0 then begin
+    let p = self t "sleep" in
+    if String.length p.wake_label = 0 then begin
+      p.wake_label <- p.name ^ ".wake";
+      p.wake_fn <- (fun () -> push_ring t kind_resume p)
+    end;
+    p.gen <- p.gen + 1;
+    ignore (schedule t ~label:p.wake_label (t.clock + span) p.wake_fn);
+    Effect.perform Block
+  end
 
 let yield t =
-  let p = t.running in
+  let p = self t "yield" in
   if String.length p.yield_label = 0 then p.yield_label <- p.name ^ ".yield";
-  let label = p.yield_label in
-  suspend (fun resume -> push_now t label resume)
+  p.gen <- p.gen + 1;
+  push_ring t kind_yield p;
+  Effect.perform Block
 
 (* Policy-driven loop, used only when a tie-break policy is installed (the
    schedule explorer in [lib/check]).  Each step first moves the
@@ -406,10 +514,17 @@ let yield t =
    loops below are untouched when no policy is installed. *)
 let spill_ring t =
   while t.ring_len > 0 do
-    let seq = t.ring_seq.(t.ring_head) in
-    let label = t.ring_label.(t.ring_head) in
-    let fn = take_ring t in
-    push t { time = t.clock; seq; label; live = true; fn; dead_cell = t.dead }
+    let i = take_ring t in
+    let kind = t.ring_kind.(i) and p = t.ring_proc.(i) in
+    push t
+      {
+        time = t.clock;
+        seq = t.ring_seq.(i);
+        label = ring_label kind p;
+        live = true;
+        fn = (fun () -> run_entry t kind p);
+        dead_cell = t.dead;
+      }
   done
 
 let run_policy t policy until =
@@ -499,7 +614,7 @@ let run ?until t =
           (* Hot loop: no bound check beyond emptiness, no option, no limit
              comparison. *)
           while t.size > 0 || t.ring_len > 0 do
-            if t.ring_len > 0 && ring_first t then (take_ring t) ()
+            if t.ring_len > 0 && ring_first t then fire_ring t
             else fire_top t
           done
       | Some u ->
@@ -508,7 +623,7 @@ let run ?until t =
             if t.ring_len > 0 && ring_first t then begin
               (* the lane is at [clock]; an [until] already behind the
                  clock leaves it there *)
-              if t.clock > u then continue_run := false else (take_ring t) ()
+              if t.clock > u then continue_run := false else fire_ring t
             end
             else if t.size = 0 then begin
               if u > t.clock then t.clock <- u;
@@ -567,8 +682,9 @@ let pending_digest t =
     let e = Array.unsafe_get t.heap i in
     if e.live then add e.time e.label
   done;
-  let mask = Array.length t.ring_label - 1 in
+  let mask = Array.length t.ring_seq - 1 in
   for j = 0 to t.ring_len - 1 do
-    add t.clock t.ring_label.((t.ring_head + j) land mask)
+    let i = (t.ring_head + j) land mask in
+    add t.clock (ring_label t.ring_kind.(i) t.ring_proc.(i))
   done;
   (!acc + (!count * 0x9e3779b97f4a7c1)) land max_int

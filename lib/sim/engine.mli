@@ -2,9 +2,11 @@
 
     An engine owns a virtual clock and a cancellable event queue.  Simulation
     actors ("processes") are ordinary OCaml functions run under an effect
-    handler; inside a process, {!suspend} parks the process and hands out a
-    one-shot resume function, from which all blocking abstractions (sleeps,
-    wait queues, resources, the CPU model) are built.
+    handler.  A process parks with {!block} after handing its {!waker} to
+    whoever will resume it; every blocking abstraction (sleeps, yields, wait
+    queues, resources, the CPU model) is built from that one mechanism.
+    Parking stores the continuation in the process's own record, so a
+    context switch allocates no closure in the engine.
 
     Determinism: events at equal times fire in scheduling order (a strictly
     increasing sequence number breaks ties), and nothing in the engine draws
@@ -61,17 +63,52 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a process at the current time (it begins running when the event
     loop reaches its start event). *)
 
-val suspend : ((('a -> unit) -> unit)) -> 'a
-(** [suspend register] parks the calling process and calls [register resume].
-    [resume v] (callable exactly once, from anywhere) schedules the process
-    to continue with value [v] at the then-current simulated time.  Must be
-    called from within a process. *)
+(** {2 Parking}
+
+    The pattern: take the calling process's waker, hand it to whoever will
+    wake the process (a queue entry, a CPU request, a timer callback), then
+    block.  Results travel beside the waker (in the queue entry, say), not
+    through the resumption.
+
+    {[
+      let w = Engine.waker eng in
+      Queue.add w waiters;
+      Engine.block eng
+      (* resumed here once someone calls [Engine.wake eng w] *)
+    ]} *)
+
+type waker
+(** A one-shot token for one parking of one process: 3 words. *)
+
+val waker : t -> waker
+(** The calling process's waker for its next {!block}.  Raises
+    [Invalid_argument] outside a process. *)
+
+val block : t -> unit
+(** Park the calling process until its waker is woken.  Raises
+    [Invalid_argument] outside a process. *)
+
+val wake : t -> waker -> unit
+(** Queue the waker's process to resume at the current simulated time, on
+    the same-instant lane.  Callable from anywhere on the process's own
+    engine — a timer callback, another process, or the parking process
+    itself between {!waker} and {!block} (the resumption then fires once it
+    has blocked).  One-shot: waking the same waker twice, or a waker of an
+    earlier parking (the process has been resumed, slept or yielded since),
+    raises [Failure "Engine: double resume of process <name>"]. *)
+
+val no_waker : waker
+(** A waker of no process, for the idle value of a waker field: waking it
+    raises [Invalid_argument].  An immediate, so owners share no block. *)
 
 val sleep : t -> Sim_time.span -> unit
-(** Block the calling process for a simulated duration. *)
+(** Block the calling process for a simulated duration: it parks like
+    {!block}, and its wake-up timer queues the resumption (two events). *)
 
 val yield : t -> unit
-(** Let other events scheduled at the current time run first. *)
+(** Let other events scheduled at the current time run first: the process
+    parks, and its resumption is queued behind everything already queued
+    at this instant. *)
 
 (** {1 Same-time tie-break policy}
 

@@ -3,7 +3,7 @@ type t = {
   capacity : int;
   mutable held : int;
   waiters : Waitq.t;
-  mutable busy_since : Sim_time.t option;
+  mutable busy_since : Sim_time.t; (* -1 while no unit is held *)
   mutable busy_total : Sim_time.span;
 }
 
@@ -14,13 +14,13 @@ let create eng ?(capacity = 1) ?(name = "resource") () =
     capacity;
     held = 0;
     waiters = Waitq.create eng ~name ();
-    busy_since = None;
+    busy_since = -1;
     busy_total = 0;
   }
 
 let note_acquired t =
   t.held <- t.held + 1;
-  if t.busy_since = None then t.busy_since <- Some (Engine.now t.eng)
+  if t.busy_since < 0 then t.busy_since <- Engine.now t.eng
 
 let free_now t = t.held < t.capacity && Waitq.waiters t.waiters = 0
 
@@ -43,10 +43,8 @@ let release t =
   if not (Waitq.signal t.waiters) then begin
     t.held <- t.held - 1;
     if t.held = 0 then begin
-      (match t.busy_since with
-      | Some since -> t.busy_total <- t.busy_total + (Engine.now t.eng - since)
-      | None -> ());
-      t.busy_since <- None
+      t.busy_total <- t.busy_total + (Engine.now t.eng - t.busy_since);
+      t.busy_since <- -1
     end
   end
 
@@ -69,6 +67,5 @@ let in_use t = t.held
 let queue_length t = Waitq.waiters t.waiters
 
 let busy_time t =
-  match t.busy_since with
-  | Some since -> t.busy_total + (Engine.now t.eng - since)
-  | None -> t.busy_total
+  if t.busy_since < 0 then t.busy_total
+  else t.busy_total + (Engine.now t.eng - t.busy_since)

@@ -7,6 +7,9 @@
 type t
 
 val create : Engine.t -> ?name:string -> unit -> t
+(** [name] labels the queue at its call site only; the queue does not keep
+    it (a resident string per queue would cost every node of a large world
+    for a field nothing reads). *)
 
 val wait : t -> unit
 (** Park the calling process until some other actor calls [signal]. *)
@@ -29,3 +32,4 @@ val broadcast : t -> int
 (** Wake all current waiters; returns how many were woken. *)
 
 val waiters : t -> int
+(** Waiters still to be woken (not timed out).  O(1). *)

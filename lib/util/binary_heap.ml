@@ -48,20 +48,18 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
+(* The root, without building an option: [Cpu] pops one per dispatch. *)
 let pop_exn t =
-  match pop t with Some x -> x | None -> invalid_arg "Binary_heap.pop_exn"
+  if t.size = 0 then invalid_arg "Binary_heap.pop_exn";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  top
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let iter f t =
   for i = 0 to t.size - 1 do

@@ -240,10 +240,15 @@ let test_burst_corruption_crc () =
 (* ---------- DSM under loss ---------- *)
 
 let run_on (stack : Stack.t) f =
-  Engine.suspend (fun resume ->
-      ignore
-        (Thread.create (Runtime.cab stack.Stack.rt) ~name:"dsm-op" (fun ctx ->
-             resume (f ctx))))
+  let eng = Runtime.engine stack.Stack.rt in
+  let w = Engine.waker eng in
+  let result = ref None in
+  ignore
+    (Thread.create (Runtime.cab stack.Stack.rt) ~name:"dsm-op" (fun ctx ->
+         result := Some (f ctx);
+         Engine.wake eng w));
+  Engine.block eng;
+  Option.get !result
 
 let test_dsm_under_loss () =
   let w = World.build () in

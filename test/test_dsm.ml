@@ -16,10 +16,15 @@ let check_string = Alcotest.(check string)
 (* run [f] in a fresh thread on [stack], returning its result to the
    calling simulation process *)
 let run_on stack f =
-  Engine.suspend (fun resume ->
-      ignore
-        (Thread.create (Runtime.cab stack.Stack.rt) ~name:"dsm-op"
-           (fun ctx -> resume (f ctx))))
+  let eng = Runtime.engine stack.Stack.rt in
+  let w = Engine.waker eng in
+  let result = ref None in
+  ignore
+    (Thread.create (Runtime.cab stack.Stack.rt) ~name:"dsm-op" (fun ctx ->
+         result := Some (f ctx);
+         Engine.wake eng w));
+  Engine.block eng;
+  Option.get !result
 
 let test_write_then_remote_read () =
   let w = World.build ~seats:(World.ports 2) () in

@@ -81,16 +81,96 @@ let test_run_until () =
   Engine.run eng;
   Alcotest.(check bool) "event runs later" true !fired
 
+(* A value travels beside the waker, not through the resumption. *)
 let test_suspend_resume_value () =
   let eng = Engine.create () in
-  let resumer = ref (fun (_ : int) -> ()) in
+  let parked = ref Engine.no_waker in
+  let slot = ref 0 in
   let got = ref 0 in
   Engine.spawn eng (fun () ->
-      let v = Engine.suspend (fun resume -> resumer := resume) in
-      got := v + 1);
-  ignore (Engine.after eng (us 3) (fun () -> !resumer 41));
+      parked := Engine.waker eng;
+      Engine.block eng;
+      got := !slot + 1);
+  ignore
+    (Engine.after eng (us 3) (fun () ->
+         slot := 41;
+         Engine.wake eng !parked));
   Engine.run eng;
-  check_int "resumed with value" 42 !got
+  check_int "resumed with value" 42 !got;
+  check_int "at the waker's time" (us 3) (Engine.now eng)
+
+(* ---------- parking: the one-shot contract ---------- *)
+
+let double_resume = Failure "Engine: double resume of process parker"
+
+let test_double_wake_fails () =
+  let eng = Engine.create () in
+  let w = ref Engine.no_waker in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      w := Engine.waker eng;
+      Engine.block eng);
+  ignore
+    (Engine.after eng 1 (fun () ->
+         Engine.wake eng !w;
+         Engine.wake eng !w));
+  Alcotest.check_raises "second wake of one parking" double_resume (fun () ->
+      Engine.run eng)
+
+(* A waker outlives its parking: once the process has been resumed, or has
+   slept or yielded since, waking it again must fail, not resume whatever
+   parking the process is in now. *)
+let test_stale_wake_fails () =
+  let eng = Engine.create () in
+  let first = ref Engine.no_waker and second = ref Engine.no_waker in
+  let resumed = ref 0 in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      first := Engine.waker eng;
+      Engine.block eng;
+      incr resumed;
+      second := Engine.waker eng;
+      Engine.block eng;
+      incr resumed);
+  ignore (Engine.after eng 1 (fun () -> Engine.wake eng !first));
+  ignore (Engine.after eng 2 (fun () -> Engine.wake eng !first));
+  Alcotest.check_raises "stale wake of a re-parked process" double_resume
+    (fun () -> Engine.run eng);
+  check_int "the first parking resumed once" 1 !resumed;
+  Engine.wake eng !second;
+  Engine.run eng;
+  check_int "the current waker still resumes" 2 !resumed;
+  (* a waker taken but never blocked on goes stale at the next sleep *)
+  let eng = Engine.create () in
+  let orphan = ref Engine.no_waker in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      orphan := Engine.waker eng;
+      Engine.sleep eng 5);
+  ignore (Engine.after eng 1 (fun () -> Engine.wake eng !orphan));
+  Alcotest.check_raises "orphan waker during a sleep" double_resume (fun () ->
+      Engine.run eng)
+
+(* The parking process may wake itself between [waker] and [block] (a
+   release callback that signals its own queue): the resumption is queued
+   and taken once it has blocked. *)
+let test_wake_before_block () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.spawn eng ~name:"self" (fun () ->
+      let w = Engine.waker eng in
+      Engine.wake eng w;
+      log := "woken" :: !log;
+      Engine.block eng;
+      log := "resumed" :: !log);
+  Engine.spawn eng ~name:"other" (fun () -> log := "other" :: !log);
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "resumes after the block, in seq order" [ "woken"; "other"; "resumed" ]
+    (List.rev !log);
+  Alcotest.check_raises "no_waker wakes nobody"
+    (Invalid_argument "Engine.wake: no process") (fun () ->
+      Engine.wake eng Engine.no_waker);
+  Alcotest.check_raises "block outside a process"
+    (Invalid_argument "Engine.block: not in a process") (fun () ->
+      Engine.block eng)
 
 (* ---------- Waitq ---------- *)
 
@@ -143,6 +223,70 @@ let test_waitq_broadcast () =
   ignore (Engine.after eng (us 1) (fun () -> ignore (Waitq.broadcast q)));
   Engine.run eng;
   check_int "all woken" 4 !woken
+
+(* A signal and the timeout land at one instant: the order of their events
+   decides the outcome, and the process resumes exactly once with it. *)
+let test_waitq_signal_timeout_same_instant () =
+  let run ~signal_first =
+    let eng = Engine.create () in
+    let q = Waitq.create eng () in
+    let outcomes = ref [] and found = ref false in
+    let signal () = found := Waitq.signal q in
+    (* scheduled before the wait, the signal precedes the wait's timer at
+       5 us; scheduled later (from 1 us), it follows it *)
+    if signal_first then ignore (Engine.at eng (us 5) signal)
+    else
+      ignore
+        (Engine.at eng (us 1) (fun () -> ignore (Engine.at eng (us 5) signal)));
+    Engine.spawn eng (fun () ->
+        outcomes := Waitq.wait_timeout q (us 5) :: !outcomes);
+    Engine.run eng;
+    check_int "resumed once" 1 (List.length !outcomes);
+    check_int "at the shared instant" (us 5) (Engine.now eng);
+    check_int "no waiter left" 0 (Waitq.waiters q);
+    check_int "no event left" 0 (Engine.pending_events eng);
+    (List.hd !outcomes, !found)
+  in
+  let tag, found = run ~signal_first:true in
+  Alcotest.(check bool) "earlier signal wins" true (tag = `Signaled);
+  Alcotest.(check bool) "and finds the waiter" true found;
+  let tag, found = run ~signal_first:false in
+  Alcotest.(check bool) "earlier timeout wins" true (tag = `Timeout);
+  Alcotest.(check bool) "and the late signal finds nobody" false found
+
+(* [waiters] is a count kept by every path that adds or retires a waiter;
+   a timed-out entry stays queued but no longer counts. *)
+let test_waitq_live_count () =
+  let eng = Engine.create () in
+  let q = Waitq.create eng () in
+  let seen = ref [] in
+  let note tag = seen := (tag, Waitq.waiters q) :: !seen in
+  for _ = 1 to 2 do
+    Engine.spawn eng (fun () -> Waitq.wait q)
+  done;
+  Engine.spawn eng (fun () ->
+      Waitq.wait_releasing q ~release:(fun () -> note "inside release"));
+  Engine.spawn eng (fun () -> ignore (Waitq.wait_timeout q (us 5)));
+  Engine.spawn eng (fun () -> ignore (Waitq.wait_timeout q (us 50)));
+  ignore (Engine.at eng (us 1) (fun () -> note "all parked"));
+  ignore (Engine.at eng (us 6) (fun () -> note "after a timeout"));
+  ignore
+    (Engine.at eng (us 7) (fun () ->
+         ignore (Waitq.signal q);
+         note "after a signal"));
+  ignore
+    (Engine.at eng (us 8) (fun () ->
+         note (Printf.sprintf "broadcast woke %d" (Waitq.broadcast q))));
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "live waiters through each path"
+    [
+      ("inside release", 3); ("all parked", 5); ("after a timeout", 4);
+      ("after a signal", 3); ("broadcast woke 3", 0);
+    ]
+    (List.rev !seen);
+  check_int "the dead entry was skipped, the 50 us timer cancelled" 0
+    (Engine.pending_events eng)
 
 (* ---------- Resource ---------- *)
 
@@ -662,6 +806,58 @@ let test_soup_order_pinned () =
       (4242, "67528184944e7db7e4eee36ace57d843", 790, 206);
     ]
 
+(* A spawn- and yield-heavy soup: every step either yields, spawns a child
+   (which itself yields and spawns, to a bounded depth), or sleeps 0-1 ns,
+   so nearly every event is a lane entry — starts, yield steps and
+   resumptions — interleaved with a few sleep wake-ups. *)
+let spawn_soup_log ?policy ~seed () =
+  let eng = Engine.create () in
+  let rng = Rng.create ~seed in
+  let log = Buffer.create 65536 in
+  let events = ref 0 in
+  let spawned = ref 0 in
+  let rec actor name depth steps () =
+    for step = 1 to steps do
+      incr events;
+      Printf.bprintf log "%d %s %d\n" (Engine.now eng) name step;
+      match Rng.int rng 6 with
+      | 0 | 1 | 2 -> Engine.yield eng
+      | 3 | 4 when !spawned < 300 && depth < 5 ->
+          incr spawned;
+          let child = Printf.sprintf "%s.%d" name step in
+          Engine.spawn eng ~name:child
+            (actor child (depth + 1) (1 + Rng.int rng 6));
+          if Rng.bool rng then Engine.yield eng
+      | _ -> Engine.sleep eng (Rng.int rng 2)
+    done
+  in
+  for i = 0 to 5 do
+    let name = Printf.sprintf "s%d" i in
+    Engine.spawn eng ~name (actor name 0 30)
+  done;
+  Engine.set_tie_break eng policy;
+  Engine.run eng;
+  (Digest.to_hex (Digest.string (Buffer.contents log)), !events, Engine.now eng)
+
+(* Digests recorded with the engine before processes parked in their own
+   record (one closure per resumption): the lane layout must not move a
+   single event. *)
+let test_spawn_soup_order_pinned () =
+  List.iter
+    (fun (seed, want_digest, want_events, want_time) ->
+      let want = (want_digest, want_events, want_time) in
+      Alcotest.(check (triple string int int))
+        (Printf.sprintf "seed %d: (log digest, events, final time)" seed)
+        want (spawn_soup_log ~seed ());
+      Alcotest.(check (triple string int int))
+        (Printf.sprintf "seed %d: identity policy" seed)
+        want
+        (spawn_soup_log ~policy:(fun _ -> 0) ~seed ()))
+    [
+      (1990, "8635e7e4dc91d4439150f99a375934ac", 1212, 6);
+      (4242, "a7e635209bba89e4e28b5a4d58c3c7b5", 1185, 5);
+    ]
+
 (* Far more same-instant work than the lane's initial 16 slots, with
    heap timers at the same instant interleaved: the lane grows and wraps
    and still fires in creation (seq) order, as the all-heap policy loop
@@ -741,9 +937,10 @@ let test_failure_mid_instant_resumes () =
 
 (* Minor words per blocking call in a one-process loop, measured inside
    the process (so engine set-up is outside the window) and including the
-   run loop's share.  The bounds sit a few words above the measured 41 and
-   54, so a context switch that allocates a handler, a label or an event
-   record again fails here. *)
+   run loop's share.  Each bound sits two words above the measured count
+   (sleep 9, yield 2, consume 21, timed wait 27), so a context switch that
+   allocates a closure, a handler, a label or an option again fails
+   here. *)
 let words_per_iteration ~n body =
   let eng = Engine.create () in
   let words = ref 0. in
@@ -762,23 +959,28 @@ let words_per_iteration ~n body =
 let sleep_words () =
   words_per_iteration ~n:10_000 (fun eng () -> Engine.sleep eng 1)
 
+let yield_words () =
+  words_per_iteration ~n:10_000 (fun eng () -> Engine.yield eng)
+
 let consume_words () =
   words_per_iteration ~n:10_000 (fun eng ->
       let cpu = Cpu.create eng ~name:"cpu" () in
       let thread = Cpu.owner cpu ~name:"thread" ~switch_in:0 in
       fun () -> Cpu.consume cpu thread ~priority:1 10)
 
-let test_sleep_alloc_pin () =
-  let w = sleep_words () in
-  Alcotest.(check bool)
-    (Printf.sprintf "Engine.sleep allocates %.1f <= 48 words" w)
-    true (w <= 48.)
+(* park, time out, resume; the signal drains the dead entry *)
+let timed_wait_words () =
+  words_per_iteration ~n:10_000 (fun eng ->
+      let q = Waitq.create eng () in
+      fun () ->
+        ignore (Waitq.wait_timeout q 1);
+        ignore (Waitq.signal q))
 
-let test_consume_alloc_pin () =
-  let w = consume_words () in
+let alloc_pin what measure bound () =
+  let w = measure () in
   Alcotest.(check bool)
-    (Printf.sprintf "Cpu.consume allocates %.1f <= 70 words" w)
-    true (w <= 70.)
+    (Printf.sprintf "%s allocates %.1f <= %.0f words" what w bound)
+    true (w <= bound)
 
 (* ---------- rng snapshots ---------- *)
 
@@ -926,6 +1128,15 @@ let () =
             test_waitq_signal_skips_dead_entry;
           Alcotest.test_case "signal after all dead" `Quick
             test_waitq_signal_after_all_dead;
+          Alcotest.test_case "signal and timeout at one instant" `Quick
+            test_waitq_signal_timeout_same_instant;
+          Alcotest.test_case "live waiter count" `Quick test_waitq_live_count;
+        ] );
+      ( "parking",
+        [
+          Alcotest.test_case "double wake fails" `Quick test_double_wake_fails;
+          Alcotest.test_case "stale wake fails" `Quick test_stale_wake_fails;
+          Alcotest.test_case "wake before block" `Quick test_wake_before_block;
         ] );
       ( "tie-break",
         [
@@ -936,14 +1147,21 @@ let () =
         ] );
       ( "alloc pin",
         [
-          Alcotest.test_case "sleep minor words" `Quick test_sleep_alloc_pin;
+          Alcotest.test_case "sleep minor words" `Quick
+            (alloc_pin "Engine.sleep" sleep_words 11.);
           Alcotest.test_case "cpu consume minor words" `Quick
-            test_consume_alloc_pin;
+            (alloc_pin "Cpu.consume" consume_words 23.);
+          Alcotest.test_case "yield minor words" `Quick
+            (alloc_pin "Engine.yield" yield_words 4.);
+          Alcotest.test_case "timed wait minor words" `Quick
+            (alloc_pin "Waitq.wait_timeout" timed_wait_words 29.);
         ] );
       ( "order pin",
         [
           Alcotest.test_case "process soup firing log" `Quick
             test_soup_order_pinned;
+          Alcotest.test_case "spawn/yield soup firing log" `Quick
+            test_spawn_soup_order_pinned;
           Alcotest.test_case "same-instant lane grows in order" `Quick
             test_lane_grows_in_order;
           Alcotest.test_case "failure mid-instant, then resume" `Quick
