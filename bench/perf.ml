@@ -74,15 +74,19 @@ let engine_schedule_cancel () =
   done;
   Engine.run eng
 
-(* ---------- deterministic micro: minor words per context switch ---------- *)
+(* ---------- deterministic micro: minor words per call ---------- *)
 
 (* Recorded in BENCH_perf.json ("micro"); the smoke run fails if any count
    rises above its recorded value.  Counts, not timings: they repeat
-   exactly on any machine with the same compiler. *)
+   exactly on any machine with the same compiler.  The two per-byte
+   kernels are pinned at zero: a kernel that starts boxing its int32 or
+   int64 loads fails here instead of silently losing its speed. *)
 let recorded_sleep_words = 9.
 let recorded_yield_words = 2.
 let recorded_consume_words = 21.
 let recorded_timed_wait_words = 27.
+let recorded_crc32_8k_words = 0.
+let recorded_inet_checksum_8k_words = 0.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -120,6 +124,17 @@ let waitq_timed_wait_words () =
         ignore (Waitq.wait_timeout q 1);
         ignore (Waitq.signal q))
 
+let crc32_8k_words () =
+  words_per_iteration ~n:1_000 (fun _ ->
+      let buf = Bytes.make 8192 '\x5a' in
+      fun () -> ignore (Nectar_util.Crc32.digest buf ~pos:0 ~len:8192))
+
+let inet_checksum_8k_words () =
+  words_per_iteration ~n:1_000 (fun _ ->
+      let buf = Bytes.make 8192 '\x5a' in
+      fun () ->
+        ignore (Nectar_util.Inet_checksum.checksum buf ~pos:0 ~len:8192))
+
 (* (name, JSON key, measure, recorded) for each micro count *)
 let micro_counts =
   [
@@ -131,6 +146,9 @@ let micro_counts =
      recorded_consume_words);
     ("Waitq.wait_timeout", "waitq_timed_wait_words", waitq_timed_wait_words,
      recorded_timed_wait_words);
+    ("Crc32 8 KB", "crc32_8k_words", crc32_8k_words, recorded_crc32_8k_words);
+    ("Inet_checksum 8 KB", "inet_checksum_8k_words", inet_checksum_8k_words,
+     recorded_inet_checksum_8k_words);
   ]
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
@@ -389,8 +407,9 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
     cancel_ns fig7_wall_ms;
   Printf.bprintf b
     "  \"micro\": {\n\
-    \    \"note\": \"minor words per blocking call in a one-process loop; \
-     deterministic, perf-smoke fails above these\",\n\
+    \    \"note\": \"minor words per call in a one-process loop (blocking \
+     calls; 8 KB CRC-32 and checksum kernels); deterministic, perf-smoke \
+     fails above these\",\n\
     \    %s\n\
     \  },\n"
     (String.concat ", "

@@ -795,12 +795,12 @@ let audit_partitioned ~plant () =
         Net.transmit net ~src:local ~route:[ 13; 0 ] frame);
     Net.set_remote_forward net
       (Some
-         (fun ~link ~at ~route ~src ~frame_id ~payload ->
-           send ~dst:link ~time:at (at, route, src, frame_id, payload)));
-    let ep_receive ~time ~src:_ (_, route, src, frame_id, payload) =
+         (fun ~link ~at ~route ~src ~frame_id ~wire_crc ~payload ->
+           send ~dst:link ~time:at (route, src, frame_id, wire_crc, payload)));
+    let ep_receive ~time ~src:_ (route, src, frame_id, wire_crc, payload) =
       ignore
         (Engine.at eng time (fun () ->
-             Net.inject net ~hub:0 ~src ~frame_id ~route payload))
+             Net.inject net ~hub:0 ~src ~frame_id ~wire_crc ~route payload))
     in
     ({ Parallel.ep_engine = eng; ep_receive }, w)
   in

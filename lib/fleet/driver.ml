@@ -58,6 +58,7 @@ type handoff = {
   h_route : int list;
   h_src : int;
   h_fid : int;
+  h_crc : int; (* the sender's wire CRC *)
   h_payload : string;
 }
 
@@ -156,15 +157,15 @@ let build_partition cfg topo ~self ~send =
   done;
   Net.set_remote_forward net
     (Some
-       (fun ~link ~at ~route ~src ~frame_id ~payload ->
+       (fun ~link ~at ~route ~src ~frame_id ~wire_crc ~payload ->
          send ~dst:(owner link) ~time:at
            { h_hub = link; h_route = route; h_src = src; h_fid = frame_id;
-             h_payload = payload }));
+             h_crc = wire_crc; h_payload = payload }));
   let ep_receive ~time ~src:_ m =
     ignore
       (Engine.at eng time (fun () ->
            Net.inject net ~hub:(local m.h_hub) ~src:m.h_src ~frame_id:m.h_fid
-             ~route:m.h_route m.h_payload))
+             ~wire_crc:m.h_crc ~route:m.h_route m.h_payload))
   in
   ({ Parallel.ep_engine = eng; ep_receive }, part)
 

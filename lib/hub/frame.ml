@@ -19,11 +19,13 @@ let crc_of extents =
         ~len:e.elen)
     0 extents
 
-let of_extents ~id ~src ~on_release extents =
+let of_extents ?wire_crc ~id ~src ~on_release extents =
   let total = List.fold_left (fun acc e -> acc + e.elen) 0 extents in
   if total = 0 then invalid_arg "Frame.create_sg: empty frame";
-  { id; src; extents; total; wire_crc = crc_of extents; on_release;
-    released = false }
+  let wire_crc =
+    match wire_crc with Some c -> c | None -> crc_of extents
+  in
+  { id; src; extents; total; wire_crc; on_release; released = false }
 
 let create_sg ~id ~src ~extents ~on_release =
   of_extents ~id ~src ~on_release
@@ -34,9 +36,15 @@ let create_sg ~id ~src ~extents ~on_release =
          { ereg; eoff; elen })
        extents)
 
+let private_extent data =
+  [ { ereg = Region.of_bytes data; eoff = 0; elen = Bytes.length data } ]
+
 let create ~id ~src ~data =
-  of_extents ~id ~src ~on_release:(fun () -> ())
-    [ { ereg = Region.of_bytes data; eoff = 0; elen = Bytes.length data } ]
+  of_extents ~id ~src ~on_release:(fun () -> ()) (private_extent data)
+
+let of_wire ~id ~src ~wire_crc ~data =
+  of_extents ~wire_crc ~id ~src ~on_release:(fun () -> ())
+    (private_extent data)
 
 let length t = t.total
 let crc_ok t = crc_of t.extents = t.wire_crc

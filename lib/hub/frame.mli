@@ -38,6 +38,12 @@ val create : id:int -> src:int -> data:Bytes.t -> t
     with a no-op release — for callers owning private bytes (tests,
     diagnostics). *)
 
+val of_wire : id:int -> src:int -> wire_crc:int -> data:Bytes.t -> t
+(** Like {!create}, but keeping the sender's [wire_crc] instead of
+    computing one: a frame rebuilt on the far side of a partition cut
+    from its payload snapshot, whose bytes fault injection may have
+    damaged before the cut. *)
+
 val create_sg :
   id:int ->
   src:int ->

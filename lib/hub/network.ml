@@ -28,7 +28,8 @@ type node = { sink : sink; node_hub : int; node_port : int }
 type t = {
   eng : Engine.t;
   hubs : hub array;
-  mutable nodes : node array;
+  mutable nodes : node array; (* doubling; the first [n_nodes] are live *)
+  mutable n_nodes : int;
   fiber_ns_per_byte : int;
   hub_setup_ns : int;
   hop_latency_ns : int;
@@ -41,6 +42,7 @@ type t = {
     route:int list ->
     src:node_id ->
     frame_id:int ->
+    wire_crc:int ->
     payload:string ->
     unit)
     option;
@@ -82,6 +84,7 @@ let create eng ?(ports_per_hub = 16) ?(fiber_ns_per_byte = 80)
     eng;
     hubs = Array.init hubs make_hub;
     nodes = [||];
+    n_nodes = 0;
     fiber_ns_per_byte;
     hub_setup_ns;
     hop_latency_ns;
@@ -142,15 +145,23 @@ let set_remote_forward t hook = t.remote_forward <- hook
 let attach_node t ~hub ~port:p sink =
   let port = port t hub p in
   if port.peer <> Free then invalid_arg "Network.attach_node: port in use";
-  let id = Array.length t.nodes in
+  let id = t.n_nodes in
+  let n = { sink; node_hub = hub; node_port = p } in
+  if id = Array.length t.nodes then begin
+    (* the new node fills the spare slots; only [n_nodes] are read *)
+    let grown = Array.make (max 8 (2 * id)) n in
+    Array.blit t.nodes 0 grown 0 id;
+    t.nodes <- grown
+  end;
   port.peer <- To_node id;
-  t.nodes <- Array.append t.nodes [| { sink; node_hub = hub; node_port = p } |];
+  t.nodes.(id) <- n;
+  t.n_nodes <- id + 1;
   id
 
-let node_count t = Array.length t.nodes
+let node_count t = t.n_nodes
 
 let node t id =
-  if id < 0 || id >= Array.length t.nodes then
+  if id < 0 || id >= t.n_nodes then
     invalid_arg "Network: bad node id";
   t.nodes.(id)
 
@@ -318,19 +329,21 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
          forward with a fixed latency, not a cut-through circuit — the
          far side re-acquires its own hops when the frame arrives.  The
          payload snapshot is the one sanctioned copy across domains; the
-         local frame's life ends here (the network is its last local
-         holder). *)
+         sender's CRC travels with it, so damage done before the cut
+         still fails the far receiver's check.  The local frame's life
+         ends here (the network is its last local holder). *)
       Engine.sleep t.eng (total * t.fiber_ns_per_byte);
       let payload = Bytes.create total in
       Frame.blit frame ~pos:0 ~dst:payload ~dst_pos:0 ~len:total;
       let fid = frame.Frame.id and fsrc = frame.Frame.src in
+      let wire_crc = frame.Frame.wire_crc in
       Frame.release frame;
       Stats.Counter.incr t.remote_out;
       (match t.remote_forward with
       | Some hook ->
           hook ~link
             ~at:(Engine.now t.eng + boundary.remote_latency)
-            ~route:rest ~src:fsrc ~frame_id:fid
+            ~route:rest ~src:fsrc ~frame_id:fid ~wire_crc
             ~payload:(Bytes.unsafe_to_string payload)
       | None ->
           invalid_arg
@@ -366,19 +379,23 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
   Trace.span_end tid
 
 (* Continue a frame that crossed a partition boundary: rebuild it from
-   the payload snapshot and deliver along the remainder of its source
-   route, from the entry hub, under this partition's contention.  Runs
-   as a fresh process (it blocks on controllers, ports and the
-   destination FIFO exactly like a source-side transfer). *)
-let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~route:route_ports
-    payload =
+   the payload snapshot and the sender's CRC, and deliver along the
+   remainder of its source route, from the entry hub, under this
+   partition's contention.  Runs as a fresh process (it blocks on
+   controllers, ports and the destination FIFO exactly like a
+   source-side transfer). *)
+let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~wire_crc
+    ~route:route_ports payload =
   if hub < 0 || hub >= Array.length t.hubs then
     invalid_arg "Network.inject: bad entry hub";
   if route_ports = [] then invalid_arg "Network.inject: empty route";
   Stats.Counter.incr t.remote_in;
   Engine.spawn t.eng ~name:"net.inject" (fun () ->
       let tid = Trace.span_begin ~track:"net" "wire" in
-      let frame = Frame.create ~id:frame_id ~src ~data:(Bytes.of_string payload) in
+      let frame =
+        Frame.of_wire ~id:frame_id ~src ~wire_crc
+          ~data:(Bytes.of_string payload)
+      in
       let hops, target = resolve_from t ~hub route_ports in
       let link_down = List.exists (fun (_, p) -> not p.up) hops in
       let verdict = if link_down then `Drop else `Deliver in

@@ -64,17 +64,15 @@ val connect_hubs : t -> int * int -> int * int -> unit
     up to the boundary port, serializes the frame, then calls the
     installed {!set_remote_forward} hook with a payload snapshot — an
     immutable string, the one sanctioned cross-domain copy — plus the
-    remainder of the source route.  The receiving side calls {!inject},
-    which rebuilds the frame and finishes delivery from the entry hub
-    under that partition's own contention.
+    sender-side [wire_crc] and the remainder of the source route.  The
+    receiving side calls {!inject}, which rebuilds the frame with that
+    CRC (so corruption before the cut still fails the far receiver's
+    {!Frame.crc_ok}) and finishes delivery from the entry hub under that
+    partition's own contention.
 
     A remote trunk is store-and-forward with a fixed [latency_ns]
     (the parallel scheduler's lookahead must be <= the minimum such
-    latency), unlike the cut-through local circuit.  One modelling
-    limitation, by design: the sender-side CRC snapshot does not travel
-    with the payload, so corruption verdicts applied before a boundary
-    are not observable by the final receiver — chaos campaigns that
-    exercise corruption pin their tables on single-partition worlds. *)
+    latency), unlike the cut-through local circuit. *)
 
 val connect_remote : t -> int * int -> link:int -> latency_ns:int -> unit
 (** [connect_remote t (hub, port) ~link ~latency_ns] marks a port as the
@@ -89,6 +87,7 @@ val set_remote_forward :
   route:int list ->
   src:node_id ->
   frame_id:int ->
+  wire_crc:int ->
   payload:string ->
   unit)
   option ->
@@ -105,13 +104,15 @@ val inject :
   hub:int ->
   src:node_id ->
   frame_id:int ->
+  wire_crc:int ->
   route:int list ->
   string ->
   unit
 (** Continue a frame that crossed a partition boundary: rebuild it from
-    the payload snapshot and deliver along [route] starting at the entry
-    [hub].  Spawns its own process (call it from a timer at the hand-off
-    [at] time); [src] and [frame_id] are the sender-partition values, so
+    the payload snapshot and the sender's [wire_crc] (no CRC is
+    recomputed) and deliver along [route] starting at the entry [hub].
+    Spawns its own process (call it from a timer at the hand-off [at]
+    time); [src] and [frame_id] are the sender-partition values, so
     traces and dedup keys survive the crossing.  The route may cross a
     further remote port — multi-partition paths chain hand-offs. *)
 

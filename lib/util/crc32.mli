@@ -6,7 +6,9 @@
 val digest : ?init:int -> Bytes.t -> pos:int -> len:int -> int
 (** [digest b ~pos ~len] is the CRC-32 of the [len] bytes of [b] starting at
     [pos].  [init] (default 0) allows chaining: [digest ~init:(digest a) b]
-    equals the digest of the concatenation of [a] and [b]. *)
+    equals the digest of the concatenation of [a] and [b].  Raises
+    [Invalid_argument] if the range is outside [b] or [init] is outside
+    [[0, 2^32)]. *)
 
 val digest_string : string -> int
 (** [digest_string s] is the CRC-32 of all of [s]. *)

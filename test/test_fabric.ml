@@ -194,6 +194,47 @@ let test_fault_injection () =
   check_bool "corrupted frame arrives" true (List.mem_assoc 2 !finished);
   check_bool "but fails hardware CRC" false (Frame.crc_ok f2)
 
+(* A frame corrupted on the near side of a partition cut must still fail
+   the hardware CRC on the far side: the handoff carries the sender's
+   CRC, it is not recomputed over the damaged bytes. *)
+let test_corruption_crosses_cut () =
+  let eng = Engine.create () in
+  let near = Net.create eng ~hubs:1 () and far = Net.create eng ~hubs:1 () in
+  let sink_a, _, _ = make_sink eng "a" in
+  let a = Net.attach_node near ~hub:0 ~port:0 sink_a in
+  Net.connect_remote near (0, 13) ~link:0 ~latency_ns:1_000;
+  let verdicts = ref [] in
+  let fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"b" in
+  let sink_b =
+    {
+      Net.in_fifo = fifo;
+      on_frame_start = (fun _ -> ());
+      on_chunk =
+        (fun fr ~arrived:_ ~last ->
+          Byte_fifo.pop fifo (Byte_fifo.level fifo);
+          if last then verdicts := (fr.Frame.id, Frame.crc_ok fr) :: !verdicts);
+    }
+  in
+  ignore (Net.attach_node far ~hub:0 ~port:0 sink_b);
+  Net.set_remote_forward near
+    (Some
+       (fun ~link:_ ~at ~route ~src ~frame_id ~wire_crc ~payload ->
+         ignore
+           (Engine.at eng at (fun () ->
+                Net.inject far ~hub:0 ~src ~frame_id ~wire_crc ~route
+                  payload))));
+  let send id verdict =
+    Net.set_fault_hook near (Some (fun _ -> verdict));
+    Engine.spawn eng (fun () ->
+        Net.transmit near ~src:a ~route:[ 13; 0 ]
+          (Frame.create ~id ~src:a ~data:(Bytes.make 300 'c')));
+    Engine.run eng
+  in
+  send 0 `Deliver;
+  send 1 `Corrupt;
+  Alcotest.(check (list (pair int bool)))
+    "far-side CRC verdicts" [ (0, true); (1, false) ] (List.rev !verdicts)
+
 (* Random-topology routing: build a random connected HUB graph, attach two
    nodes, and check that BFS source routes exist and deliver. *)
 let prop_random_topology_routes =
@@ -485,6 +526,8 @@ let () =
           Alcotest.test_case "multi-hub route" `Quick test_multi_hub_route;
           Alcotest.test_case "unreachable" `Quick test_unreachable_route;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
+          Alcotest.test_case "corruption crosses a partition cut" `Quick
+            test_corruption_crosses_cut;
           QCheck_alcotest.to_alcotest prop_random_topology_routes;
         ] );
       ( "memory",

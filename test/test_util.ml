@@ -18,7 +18,13 @@ let test_crc_known_vectors () =
 let test_crc_range () =
   let b = Bytes.of_string "xxhelloyy" in
   check_int "sub-range" (Crc32.digest_string "hello")
-    (Crc32.digest b ~pos:2 ~len:5)
+    (Crc32.digest b ~pos:2 ~len:5);
+  List.iter
+    (fun init ->
+      Alcotest.check_raises "init outside 32 bits"
+        (Invalid_argument "Crc32.digest") (fun () ->
+          ignore (Crc32.digest ~init b ~pos:0 ~len:9)))
+    [ -1; 1 lsl 32 ]
 
 let prop_crc_chaining =
   QCheck2.Test.make ~name:"crc32 chaining equals concatenation"
@@ -80,6 +86,151 @@ let prop_inet_detects_word_change =
       QCheck2.assume (w' <> w && not (w lxor w' = 0xffff));
       Bytes.set_uint16_be b off w';
       Inet_checksum.checksum b ~pos:0 ~len <> before)
+
+(* ---------- Differential: kernels vs byte-at-a-time references ---------- *)
+
+(* Bitwise CRC-32 (reflected 0xedb88320), one byte at a time, no tables. *)
+let ref_crc ?(init = 0) b ~pos ~len =
+  let c = ref (init lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+(* Unfolded sum of big-endian 16-bit words, an odd last byte padded. *)
+let ref_sum ?(init = 0) b ~pos ~len =
+  let acc = ref init in
+  for k = 0 to (len / 2) - 1 do
+    acc := !acc + Bytes.get_uint16_be b (pos + (2 * k))
+  done;
+  if len land 1 = 1 then
+    acc := !acc + (Char.code (Bytes.get b (pos + len - 1)) lsl 8);
+  !acc
+
+let random_bytes st n =
+  Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every start offset 0-15 against every length 0-300, random [?init]:
+   each alignment meets every 8-byte block boundary and every tail
+   length. *)
+let test_kernels_every_alignment () =
+  let st = Random.State.make [| 1071 |] in
+  let b = random_bytes st 320 in
+  for pos = 0 to 15 do
+    for len = 0 to 300 do
+      let crc_init = Random.State.bits st land 0xffffffff in
+      let sum_init = Random.State.bits st in
+      let where = Printf.sprintf " pos %d len %d" pos len in
+      check_int ("crc32" ^ where) (ref_crc ~init:crc_init b ~pos ~len)
+        (Crc32.digest ~init:crc_init b ~pos ~len);
+      check_int ("sum" ^ where) (ref_sum ~init:sum_init b ~pos ~len)
+        (Inet_checksum.sum ~init:sum_init b ~pos ~len);
+      let expect = Inet_checksum.finish (ref_sum b ~pos ~len) in
+      check_int ("checksum" ^ where) expect
+        (Inet_checksum.checksum b ~pos ~len);
+      Alcotest.(check bool) ("valid" ^ where) (expect = 0)
+        (Inet_checksum.valid b ~pos ~len)
+    done
+  done
+
+(* All-ones bytes fill every 16-bit lane of the checksum's bulk loop to
+   its limit; lengths around the fold period and an 8 KB segment catch a
+   lane that overflows before it is folded. *)
+let test_sum_saturated_lanes () =
+  let b = Bytes.make 9000 '\xff' in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun pos ->
+          check_int (Printf.sprintf "sum pos %d len %d" pos len)
+            (ref_sum b ~pos ~len) (Inet_checksum.sum b ~pos ~len))
+        [ 0; 1; 7 ])
+    [ 1016; 1023; 1024; 1025; 1032; 2048; 2056; 4097; 8192; 8193 ]
+
+let test_crc_check_vector_every_offset () =
+  let st = Random.State.make [| 0xcbf4 |] in
+  for off = 0 to 63 do
+    let b = random_bytes st (off + 9 + 11) in
+    Bytes.blit_string "123456789" 0 b off 9;
+    check_int (Printf.sprintf "check vector at %d" off) 0xcbf43926
+      (Crc32.digest b ~pos:off ~len:9)
+  done
+
+let gen_range =
+  QCheck2.Gen.(
+    let* s = string_size (int_range 0 600) in
+    let n = String.length s in
+    let* pos = int_bound n in
+    let* len = int_bound (n - pos) in
+    let* init = int_bound 0xffffffff in
+    return (Bytes.of_string s, pos, len, init))
+
+let prop_crc_chained_ranges =
+  QCheck2.Test.make ~count:300 ~name:"crc32 chained over a random split"
+    QCheck2.Gen.(pair gen_range small_nat)
+    (fun ((b, pos, len, init), cut) ->
+      let cut = if len = 0 then 0 else cut mod (len + 1) in
+      let first = Crc32.digest ~init b ~pos ~len:cut in
+      Crc32.digest ~init:first b ~pos:(pos + cut) ~len:(len - cut)
+      = ref_crc ~init b ~pos ~len)
+
+(* Chaining through [init] holds when the first range has even length. *)
+let prop_sum_chained_even_split =
+  QCheck2.Test.make ~count:300 ~name:"sum chained over an even split"
+    QCheck2.Gen.(pair gen_range small_nat)
+    (fun ((b, pos, len, init), cut) ->
+      let cut = if len = 0 then 0 else cut mod (len + 1) land lnot 1 in
+      let first = Inet_checksum.sum ~init b ~pos ~len:cut in
+      Inet_checksum.sum ~init:first b ~pos:(pos + cut) ~len:(len - cut)
+      = ref_sum ~init b ~pos ~len)
+
+(* A scatter/gather frame whose extents start and end on odd offsets:
+   the wire CRC is the reference CRC of the concatenated bytes, and a bit
+   flipped in any extent fails the receiver's check. *)
+let prop_frame_sg_crc =
+  QCheck2.Test.make ~count:200 ~name:"Frame.crc_ok over odd extent boundaries"
+    QCheck2.Gen.(
+      triple
+        (string_size (int_range 1 400))
+        (list_size (int_range 1 6) small_nat)
+        small_nat)
+    (fun (s, cuts, flip) ->
+      let n = String.length s in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> (2 * c + 1) mod n) cuts)
+      in
+      let rec pieces from = function
+        | [] -> [ (from, n - from) ]
+        | c :: rest when c > from -> (from, c - from) :: pieces c rest
+        | _ :: rest -> pieces from rest
+      in
+      let extents =
+        List.mapi
+          (fun i (off, len) ->
+            (* each piece sits at an odd offset inside its own region *)
+            let pad = (2 * i) + 1 in
+            let r = Bytes.make (pad + len + 3) '\x5a' in
+            Bytes.blit_string s off r pad len;
+            (Region.of_bytes r, pad, len))
+          (pieces 0 cuts)
+      in
+      let f =
+        Nectar_hub.Frame.create_sg ~id:0 ~src:0 ~extents
+          ~on_release:(fun () -> ())
+      in
+      let whole = Bytes.of_string s in
+      let intact =
+        f.Nectar_hub.Frame.wire_crc = ref_crc whole ~pos:0 ~len:n
+        && Nectar_hub.Frame.crc_ok f
+      in
+      let r, pad, len = List.nth extents (flip mod List.length extents) in
+      let i = pad + (flip mod len) in
+      let rb = Region.bytes r in
+      Bytes.set_uint8 rb i (Bytes.get_uint8 rb i lxor (1 lsl (flip mod 8)));
+      intact && not (Nectar_hub.Frame.crc_ok f))
 
 (* ---------- Byte_view ---------- *)
 
@@ -382,6 +533,18 @@ let () =
           Alcotest.test_case "odd length" `Quick test_inet_odd_length;
           qtest prop_inet_valid_after_insert;
           qtest prop_inet_detects_word_change;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "every alignment and tail" `Quick
+            test_kernels_every_alignment;
+          Alcotest.test_case "saturated checksum lanes" `Quick
+            test_sum_saturated_lanes;
+          Alcotest.test_case "check vector at every offset" `Quick
+            test_crc_check_vector_every_offset;
+          qtest prop_crc_chained_ranges;
+          qtest prop_sum_chained_even_split;
+          qtest prop_frame_sg_crc;
         ] );
       ( "byte_view",
         [
