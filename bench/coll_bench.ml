@@ -103,7 +103,7 @@ let run_point ~check ?(verbose = false) ~cabs ~ops ~host () =
     let reg = Nectar_util.Metrics.create () in
     Stack.register_metrics w.Coll.World.stacks.(root) reg;
     Printf.printf "  %d-CAB tree, root metrics:\n" cabs;
-    Nectar_util.Metrics.dump reg
+    print_string (Nectar_util.Metrics.render reg)
   end;
   let wakeups = Runtime.host_notifications w.Coll.World.stacks.(root).Stack.rt in
   let per_op = 3 * ops in

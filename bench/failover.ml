@@ -20,6 +20,7 @@ open Nectar_proto
 open Bench_world
 module Chaos = Nectar_chaos.Chaos
 module Router = Nectar_route.Router
+module Summary = Nectar_util.Summary
 module Topology = Nectar_fleet.Topology
 
 type result = {
@@ -43,10 +44,6 @@ type result = {
   retransmits : int;
   stacks : Stack.t array;  (** the reconverged world, for table dumps *)
 }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (p * (n - 1) / 100))
 
 (* One flap cycle every [period]; the trunk is dark for [outage] of it.
    Deterministic: no PRNG draws, and tracing consumes no simulated time.
@@ -111,7 +108,7 @@ let measure ?(hubs = 4) ?(cycles = 25) () =
       Engine.run w.eng;
       let deliveries = Trace.occurrences tracer "rmp.deliver" in
       let bound =
-        Router.blackout_bound_ns a.Stack.router ~rto_ns:(Rmp.rto a.Stack.rmp)
+        Router.blackout_bound_ns ~rto_ns:(Rmp.rto a.Stack.rmp)
         + gap
       in
       let blackouts =
@@ -145,9 +142,9 @@ let measure ?(hubs = 4) ?(cycles = 25) () =
         goodput_steady =
           mbps ~bytes:(n_steady * msg_bytes) ~ns:(span - flap_time);
         goodput_flap = mbps ~bytes:(n_flap * msg_bytes) ~ns:flap_time;
-        blackout_p50_us = Sim_time.to_us (percentile sorted 50);
-        blackout_p99_us = Sim_time.to_us (percentile sorted 99);
-        blackout_max_us = Sim_time.to_us (percentile sorted 100);
+        blackout_p50_us = Sim_time.to_us (Summary.nearest_rank sorted 50);
+        blackout_p99_us = Sim_time.to_us (Summary.nearest_rank sorted 99);
+        blackout_max_us = Sim_time.to_us (Summary.nearest_rank sorted 100);
         bound_us = Sim_time.to_us bound;
         refusals = Router.route_down_refusals a.Stack.router;
         recomputes = Router.recomputes a.Stack.router;

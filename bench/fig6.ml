@@ -62,7 +62,7 @@ let run () =
   in
   (* round-trip control channel so rounds do not overlap: receiver tells the
      sender (out of band, zero sim cost) when it is done *)
-  let round_done = Waitq.create eng ~name:"f6-round" () in
+  let round_done = Waitq.create eng in
   Host.spawn_process (Cab_driver.host drv_b) ~name:"reader" (fun ctx ->
       for _ = 1 to iterations do
         let m = Hostlib.begin_get ctx h_in in

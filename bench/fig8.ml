@@ -130,7 +130,7 @@ let netdev_throughput size =
     let rt = Runtime.create cab in
     let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
     let drv = Cab_driver.attach host rt in
-    (host, Netdev.create drv ())
+    (host, Netdev.create drv)
   in
   let host_a, nd_a = make 0 in
   let host_b, nd_b = make 1 in

@@ -246,7 +246,6 @@ let scaling_cfg ~msgs ~domains =
 
 type scaling = {
   s_msgs : int;
-  s_lookahead_ns : int;
   s_cores : int;
   s_bytes_per_node : int;
   s_points : point list;
@@ -267,7 +266,6 @@ let measure_scaling ~check ~smoke () =
   let s =
     {
       s_msgs = msgs;
-      s_lookahead_ns = c.lookahead_ns;
       s_cores = Domain.recommended_domain_count ();
       s_bytes_per_node =
         bytes_per_node ~check ~what:"scaling: engine footprint" c;
@@ -311,7 +309,7 @@ let scaling_json_fragment s =
     \    \"lookahead_ns\": %d, \"mem_bytes_per_node\": %d, \"cores\": %d,\n\
     \    \"points\": [\n"
     s.s_cores (List.hd s.s_points).cabs scaling_rows scaling_cols s.s_msgs
-    s.s_lookahead_ns s.s_bytes_per_node s.s_cores;
+    Driver.lookahead_ns s.s_bytes_per_node s.s_cores;
   List.iteri
     (fun i p ->
       Printf.bprintf b

@@ -119,7 +119,7 @@ let cpu_consume_words () =
 (* park, time out, resume; the signal drains the dead entry *)
 let waitq_timed_wait_words () =
   words_per_iteration ~n:10_000 (fun eng ->
-      let q = Waitq.create eng () in
+      let q = Waitq.create eng in
       fun () ->
         ignore (Waitq.wait_timeout q 1);
         ignore (Waitq.signal q))
@@ -156,12 +156,9 @@ let micro_counts =
 (* Same shape as fig7's RMP point, plus a flush so windowed senders wait
    for their tail acks.  Returns (Mbit/s, delivered, retransmits,
    failed_sends). *)
-let windowed_run ~window ~ack_delay ~size ~count =
+let windowed_run ~window ~size ~count =
   let w =
-    World.build
-      ~stack:(fun rt ->
-        Stack.create rt ~rmp_window:window ~rmp_ack_delay:ack_delay ())
-      ()
+    World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:window ()) ()
   in
   let port = 900 in
   let inbox =
@@ -507,7 +504,7 @@ let run ~smoke () =
     check_sweep ~check ~size ~count
       (List.map
          (fun win ->
-           (win, windowed_run ~window:win ~ack_delay:0 ~size ~count))
+           (win, windowed_run ~window:win ~size ~count))
          [ 1; 4; 16 ])
   in
   Printf.printf "  windowed RMP, %d B x %d msgs (simulated):\n" size count;
@@ -523,7 +520,7 @@ let run ~smoke () =
     List.iter
       (fun (win, want) ->
         let tput, got, retx, failed =
-          windowed_run ~window:win ~ack_delay:0 ~size:8192 ~count:183
+          windowed_run ~window:win ~size:8192 ~count:183
         in
         let r = Float.round (tput *. 10.) /. 10. in
         check
@@ -585,7 +582,7 @@ let run ~smoke () =
     let cancel_ns = time_ns engine_schedule_cancel in
     let fig7_wall =
       time_ns ~samples:3 ~inner:1 (fun () ->
-          ignore (windowed_run ~window:1 ~ack_delay:0 ~size:8192 ~count:183))
+          ignore (windowed_run ~window:1 ~size:8192 ~count:183))
       /. 1e6
     in
     Printf.printf

@@ -256,12 +256,12 @@ let run_throughput tproto size total_kb =
 
 let run_info () =
   let us_of ns = Printf.sprintf "%.1f us" (float_of_int ns /. 1000.) in
-  Printf.printf "Calibration constants (lib/cab/costs.ml):\n";
+  Printf.printf "Calibration constants (lib/hub/network.ml, lib/cab/costs.ml):\n";
   List.iter
     (fun (k, v) -> Printf.printf "  %-28s %s\n" k v)
     [
-      ("fiber", "100 Mbit/s (80 ns/byte)");
-      ("hub connection setup", "700 ns");
+      ("fiber", Printf.sprintf "100 Mbit/s (%d ns/byte)" Net.fiber_ns_per_byte);
+      ("hub connection setup", Printf.sprintf "%d ns" Net.hub_setup_ns);
       ("CAB CPU", "16.5 MHz SPARC");
       ("context switch", us_of Costs.ctx_switch_ns);
       ("interrupt dispatch", us_of Costs.irq_dispatch_ns);
@@ -303,7 +303,7 @@ let run_trace_scenario ~iterations ~payload =
   let h_in =
     Hostlib.attach drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
   in
-  let round_done = Waitq.create eng ~name:"trace-round" () in
+  let round_done = Waitq.create eng in
   Host.spawn_process host_b ~name:"reader" (fun ctx ->
       for _ = 1 to iterations do
         let m = Hostlib.begin_get ctx h_in in
@@ -407,7 +407,7 @@ let print_trace ~iterations (tracer, reg) =
       Printf.printf "  %-24s %6d %12s\n" label count (Sim_time.to_string total))
     (Trace.rollup tracer);
   Printf.printf "\nmetrics:\n";
-  Nectar_util.Metrics.dump reg
+  print_string (Nectar_util.Metrics.render reg)
 
 let run_trace out iterations =
   let ((tracer, _) as traced) = run_trace_scenario ~iterations ~payload:64 in

@@ -13,9 +13,8 @@
      it stays a review concern).  A doc reference written "[compare]" is
      not flagged;
    - no stdout printing in lib/ (Printf.printf, Format.printf,
-     print_string/endline/newline) except in modules whose name contains
-     "debug" or "dump" — libraries report through Metrics/Trace/return
-     values, not the terminal;
+     print_string/endline/newline) — libraries report through
+     Metrics/Trace/return values, not the terminal;
    - no ignored Message.t values (an ignored message is a leaked buffer);
    - no bare failwith in lib/core or lib/proto (raise a typed exception
      such as Buffer_heap.Corrupt, or use invalid_arg for caller errors);
@@ -211,11 +210,7 @@ let check_source path =
     && List.exists (fun d -> has_prefix (d ^ "/") path) no_toplevel_mutable_dirs
     && not (List.mem path toplevel_mutable_whitelist)
   in
-  let base = Filename.basename path in
-  let stdout_banned =
-    has_prefix (mli_required_dir ^ "/") path
-    && not (contains base "debug" || contains base "dump")
-  in
+  let stdout_banned = has_prefix (mli_required_dir ^ "/") path in
   List.iteri
     (fun i line ->
       let ln = i + 1 in
@@ -243,9 +238,7 @@ let check_source path =
           (fun pat ->
             if contains line pat then
               flag path ln
-                (pat
-               ^ " in a library: report through Metrics/Trace, or move the \
-                  printer to a *debug*/*dump* module"))
+                (pat ^ " in a library: report through Metrics/Trace"))
           pat_stdout_printers;
       if contains line pat_ignore && contains line pat_msg_t then
         flag path ln

@@ -3,24 +3,7 @@
 # the scenario registry (bin/registry.ml) at CI sizes, then a one-second
 # run of each perfbench workload, which must report correct output and
 # no failed operations.  `nectar_cli run --list` names every entry.
-#
-# Old gate -> registry entry:
-#   @vet      nectar_lint lib                 -> nectar_lint lib (below)
-#   @vet      nectar_cli vet                  -> vet/*
-#   @chaos    nectar_cli chaos --seed 1990    -> chaos/*
-#   @check    nectar_cli check --smoke        -> check/*
-#   @failover nectar_cli route --verify       -> failover/route-verify
-#   @failover chaos --only flap-failover      -> chaos/flap-failover
-#   @parallel bench scaling-smoke             -> parallel
-#   @parallel check partitioned-2dom          -> check/partitioned-2dom
-#   @parallel check planted-partition-alias   -> check/planted-partition-alias
-#   @fleet    bench fleet-smoke               -> fleet
-#   @coll     bench coll-smoke                -> coll
-#   @coll     nectar_cli coll --baseline      -> coll
-#   bench perf-smoke                          -> perf, failover/blackout
-#                                                (its scaling, fleet and coll
-#                                                re-runs: parallel, fleet, coll)
-#   nectar_cli trace --check                  -> trace
+# Ends by printing the .ml+.mli line counts of lib/bin/bench/test.
 set -eux
 
 dune build @all
@@ -31,3 +14,7 @@ for w in rpc_host_64 tcp_host_8k fleet_hotspot_256 coll_1024; do
   python3 perfbench/run.py --workload "$w" --seconds 1 | tail -n 1 |
     python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'
 done
+set +x
+lines() { find "$@" -name '*.ml' -o -name '*.mli' | xargs cat | wc -l; }
+for d in lib bin bench test; do echo "$d $(lines "$d")"; done
+echo "total $(lines lib bin bench test)"

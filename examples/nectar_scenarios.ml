@@ -300,7 +300,7 @@ let netdev_vs_offload ?(rounds = 16) () =
       let rt = Runtime.create cab in
       let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
       let drv = Cab_driver.attach host rt in
-      (host, Netdev.create drv ())
+      (host, Netdev.create drv)
     in
     let host_c, nd_c = make 0 in
     let host_s, nd_s = make 1 in

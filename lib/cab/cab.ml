@@ -56,7 +56,7 @@ let tx_dma_process t () =
     let remaining = ref req.len in
     while !remaining > 0 do
       let n = min !remaining (Byte_fifo.capacity t.out_fifo) in
-      let n = min n Costs.chunk_bytes in
+      let n = min n Nectar_hub.Network.chunk_bytes in
       Byte_fifo.push t.out_fifo n;
       Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
       remaining := !remaining - n
@@ -78,7 +78,7 @@ let fiber_tx_process t () =
        output FIFO. *)
     let remaining = ref (Nectar_hub.Frame.length item.frame) in
     while !remaining > 0 do
-      let n = min !remaining Costs.chunk_bytes in
+      let n = min !remaining Nectar_hub.Network.chunk_bytes in
       Byte_fifo.pop t.out_fifo n;
       remaining := !remaining - n
     done
@@ -88,13 +88,8 @@ let create ?data_bytes net ~hub ~port ~name =
   let eng = Nectar_hub.Network.engine net in
   let cab_cpu = Cpu.create eng ~name:(name ^ ".cpu") () in
   let irq_ctl = Interrupts.create eng cab_cpu ~name () in
-  let in_fifo =
-    Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:(name ^ ".in-fifo")
-  in
-  let out_fifo =
-    Byte_fifo.create eng ~capacity:Costs.fifo_bytes
-      ~name:(name ^ ".out-fifo")
-  in
+  let in_fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"in" in
+  let out_fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"out" in
   let rx_engine = Rx.create eng irq_ctl ~fifo:in_fifo ~name () in
   let t =
     {
@@ -109,9 +104,9 @@ let create ?data_bytes net ~hub ~port ~name =
       rx_engine;
       nid = -1;
       tx_queue = Queue.create ();
-      tx_ready = Waitq.create eng ~name:(name ^ ".tx-ready") ();
+      tx_ready = Waitq.create eng;
       fiber_queue = Queue.create ();
-      fiber_ready = Waitq.create eng ~name:(name ^ ".fiber-ready") ();
+      fiber_ready = Waitq.create eng;
       vme_bus = None;
       tx_count = Stats.Counter.create ();
     }

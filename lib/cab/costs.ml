@@ -1,13 +1,7 @@
 let us n = n * 1_000
 
-(* Fabric *)
-let fiber_ns_per_byte = 80 (* 100 Mbit/s *)
-let hub_setup_ns = 700
-let hub_hop_latency_ns = 300
-let chunk_bytes = 512
-let fifo_bytes = 4096
-
 (* CAB *)
+let fifo_bytes = 4096
 let cab_cycle_ns = 61 (* 16.5 MHz *)
 let cab_cycles n = n * cab_cycle_ns
 let mem_dma_ns_per_byte = 9 (* 35 ns SRAM cycle over a 32-bit path *)

@@ -3,25 +3,13 @@
     Constants annotated "paper" are taken directly from the paper; the rest
     are derived so that the benches land on the published end-to-end numbers
     (Table 1, Figures 6-8) — see DESIGN.md section 5.  All times are in
-    nanoseconds. *)
+    nanoseconds.  The fabric's constants (fiber rate, HUB setup, chunk
+    size) are in [Nectar_hub.Network]. *)
 
-(** {1 Fabric (paper section 2.1)} *)
-
-(** paper: 100 Mbit/s fiber. *)
-val fiber_ns_per_byte : int
-
-(** paper: 700 ns connection setup per HUB. *)
-val hub_setup_ns : int
-
-val hub_hop_latency_ns : int
-
-(** Event granularity of streamed transfers. *)
-val chunk_bytes : int
+(** {1 CAB (paper sections 2.2 and 3.1)} *)
 
 (** CAB input/output FIFO capacity. *)
 val fifo_bytes : int
-
-(** {1 CAB (paper sections 2.2 and 3.1)} *)
 
 (** paper: 16.5 MHz SPARC. *)
 val cab_cycle_ns : int

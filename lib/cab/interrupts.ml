@@ -24,7 +24,7 @@ let create eng cpu ?(dispatch_ns = Costs.irq_dispatch_ns)
     cpu;
     dispatch_ns;
     priority;
-    serial = Resource.create eng ~name:(name ^ ".irq-serial") ();
+    serial = Resource.create eng ();
     iname = name;
     count = Stats.Counter.create ();
     coalesced_count = Stats.Counter.create ();

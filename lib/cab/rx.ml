@@ -12,8 +12,7 @@ type t = {
   irq : Interrupts.t;
   fifo : Byte_fifo.t;
   rname : string;
-  arrival_name : string; (* per-frame wait queue and DMA process names *)
-  dma_name : string;
+  dma_name : string; (* the per-frame DMA process name *)
   mutable handler : (Interrupts.ctx -> pending -> unit) option;
   mutable drops : int;
   mutable coalesce_ns : Sim_time.span;
@@ -32,7 +31,6 @@ let create eng irq ~fifo ?(coalesce_ns = 0) ~name () =
     irq;
     fifo;
     rname = name;
-    arrival_name = name ^ ".rx-arrival";
     dma_name = name ^ ".rx-dma";
     handler = None;
     drops = 0;
@@ -60,7 +58,7 @@ let sink t =
         pframe = fr;
         arrived = 0;
         consumed = 0;
-        arrival = Waitq.create t.eng ~name:t.arrival_name ();
+        arrival = Waitq.create t.eng;
       }
     in
     Hashtbl.replace table fr.Nectar_hub.Frame.id p;

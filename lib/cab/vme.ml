@@ -12,7 +12,7 @@ type t = {
 let create eng ~name =
   {
     eng;
-    bus_res = Resource.create eng ~name:(name ^ ".vme") ();
+    bus_res = Resource.create eng ();
     vname = name ^ ".vme";
     moved = Stats.Counter.create ();
     fault = None;

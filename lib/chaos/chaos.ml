@@ -466,8 +466,7 @@ let flap_failover ~seed =
          pacing and wire time between reconvergence and the next frame. *)
       let bound ~outage =
         outage
-        + Router.blackout_bound_ns a.Stack.router
-            ~rto_ns:(Rmp.rto a.Stack.rmp)
+        + Router.blackout_bound_ns ~rto_ns:(Rmp.rto a.Stack.rmp)
         + Sim_time.ms 1
       in
       let b1 = blackout_after down1 and b2 = blackout_after down2 in

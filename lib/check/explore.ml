@@ -140,7 +140,10 @@ type outcome = {
   stats : stats;
 }
 
-let explore ?(max_runs = 2000) ?(max_depth = 400) scenario =
+(* Decisions into a run beyond which alternatives are not expanded. *)
+let max_depth = 400
+
+let explore ?(max_runs = 2000) scenario =
   (* Choice nodes already expanded, keyed by state fingerprint.  Reaching a
      fingerprinted node again — usually via a commuting reordering of
      independent events — skips re-expansion: the sleep-set-style pruning. *)

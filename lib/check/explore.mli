@@ -77,8 +77,8 @@ type outcome = {
   stats : stats;
 }
 
-val explore : ?max_runs:int -> ?max_depth:int -> scenario -> outcome
+val explore : ?max_runs:int -> scenario -> outcome
 (** Depth-first enumeration from the default run.  [max_runs] (default
-    2000) bounds replays; [max_depth] (default 400) stops expanding
-    alternatives beyond that many decisions into a run.  Exhausting either
-    budget sets [budget_exhausted] rather than failing silently. *)
+    2000) bounds replays; alternatives more than 400 decisions into a run
+    are not expanded.  Exhausting either budget sets [budget_exhausted]
+    rather than failing silently. *)

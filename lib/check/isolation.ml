@@ -84,8 +84,10 @@ let scannable o =
 type owner = { ow_node : string; ow_path : string; mutable ow_next : owner option }
 (* single-linked owner list per block; the common case is length 1 *)
 
-let audit ~nodes ?(boundary = []) ?(max_literal_bytes = 0)
-    ?(max_blocks = 4_000_000) () =
+(* Blocks one audit may visit before it gives up. *)
+let max_blocks = 4_000_000
+
+let audit ~nodes ?(boundary = []) ?(max_literal_bytes = 0) () =
   let seen : owner Phys.t = Phys.create 4096 in
   let bound : unit Phys.t = Phys.create 16 in
   List.iter

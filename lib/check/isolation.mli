@@ -43,7 +43,6 @@ val audit :
   nodes:(string * Obj.t list) list ->
   ?boundary:(string * Obj.t) list ->
   ?max_literal_bytes:int ->
-  ?max_blocks:int ->
   unit ->
   report
 (** Walk each node's roots in turn.  [boundary] objects terminate descent
@@ -59,9 +58,8 @@ val audit :
     (top-level functions, code only) and boxed float constants are always
     exempt; exemption counts are reported for transparency.
 
-    [max_blocks] (default 4,000,000) bounds the walk and raises
-    [Invalid_argument] when exceeded — a runaway graph should fail loudly,
-    not hang. *)
+    The walk visits at most 4,000,000 blocks and raises [Invalid_argument]
+    beyond that — a runaway graph should fail loudly, not hang. *)
 
 val clean : report -> bool
 val pp_report : Format.formatter -> report -> unit

@@ -31,7 +31,7 @@ let signal_reorder ~buggy () =
   let cell = ref 0 in
   let observed = ref [] in
   let consumer_done = ref false in
-  let ready = Waitq.create eng ~name:"ready" () in
+  let ready = Waitq.create eng in
   Engine.spawn eng ~name:"consumer" (fun () ->
       Waitq.wait ready;
       observed := !cell :: !observed;
@@ -89,7 +89,7 @@ let signal_reorder ~buggy () =
 let lost_wakeup ~buggy () =
   let eng = Engine.create () in
   let queue = Queue.create () in
-  let ready = Waitq.create eng ~name:"ready" () in
+  let ready = Waitq.create eng in
   let got = ref [] in
   let consumer_done = ref false in
   Engine.spawn eng ~name:"producer" (fun () ->
@@ -759,9 +759,7 @@ let audit_partitioned ~plant () =
     let net = Net.create eng ~hubs:1 () in
     Net.connect_remote net (0, 13) ~link:(1 - self) ~latency_ns;
     let w = { pw_eng = eng; pw_net = net; pw_delivered = 0 } in
-    let fifo =
-      Byte_fifo.create eng ~capacity:4096 ~name:(sprintf "part%d-in" self)
-    in
+    let fifo = Byte_fifo.create eng ~capacity:4096 ~name:"part-in" in
     (* built apart so the clean variant's sink closure does not capture
        the counter array at all *)
     let planted_bump =

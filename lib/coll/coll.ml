@@ -385,7 +385,7 @@ let attach ?(combine = ( + )) stack ~tree =
       track = cab_name ^ ".coll";
       mbox =
         Runtime.create_mailbox run ~name:(cab_name ^ ".coll") ~port ();
-      wq = Waitq.create (Runtime.engine run) ~name:(cab_name ^ ".coll-wq") ();
+      wq = Waitq.create (Runtime.engine run);
       combine;
       next_seq = 0;
       base_seq = 0;

@@ -13,7 +13,7 @@ module Mutex = struct
   let create eng ~name =
     incr lid_counter;
     {
-      res = Resource.create eng ~name ();
+      res = Resource.create eng ();
       held_by = None;
       lid = !lid_counter;
       lname = name;
@@ -52,7 +52,7 @@ end
 module Condvar = struct
   type t = { q : Waitq.t; cname : string }
 
-  let create eng ~name = { q = Waitq.create eng ~name (); cname = name }
+  let create eng ~name = { q = Waitq.create eng; cname = name }
 
   (* Entering the wait queue and releasing the mutex must be atomic (no
      suspension point between the caller's predicate check and the queue

@@ -52,8 +52,8 @@ let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
     in_use = 0;
     overflow_drop_count = 0;
     queue = Queue.create ();
-    space_q = Waitq.create eng ~name:(name ^ ".space") ();
-    data_q = Waitq.create eng ~name:(name ^ ".data") ();
+    space_q = Waitq.create eng;
+    data_q = Waitq.create eng;
     upcall;
     on_space_freed = None;
     cache;

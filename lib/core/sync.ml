@@ -7,7 +7,7 @@ type t = { mutable st : state; wq : Waitq.t; sname : string }
 
 let alloc (ctx : Ctx.t) eng ~name =
   ctx.work Costs.sync_op_ns;
-  { st = Empty; wq = Waitq.create eng ~name (); sname = name }
+  { st = Empty; wq = Waitq.create eng; sname = name }
 
 let write (ctx : Ctx.t) t v =
   (* The check-and-mark is atomic on the CAB (interrupts masked); the

@@ -38,7 +38,7 @@ let create cab ?(priority = System) ~name body =
         Cpu.owner (Cab.cpu cab) ~name ~switch_in:Costs.ctx_switch_ns;
       prio = priority;
       tname = name;
-      finish_q = Waitq.create eng ~name:(name ^ ".join") ();
+      finish_q = Waitq.create eng;
       finished = false;
       masked = false;
     }

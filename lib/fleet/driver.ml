@@ -6,17 +6,19 @@ type config = {
   topo : Topology.spec;
   workload : Workload.t;
   domains : int;
-  lookahead_ns : int;
   frame_bytes : int;
-  fifo_capacity : int;
 }
 
-let config ?(domains = 1) ?(lookahead_ns = 20_000) ?(frame_bytes = 256)
-    ?(fifo_capacity = 64 * 1024) ~topo ~workload () =
+let lookahead_ns = 20_000
+
+(* Each sink's input FIFO.  A sink drains every frame on its last chunk,
+   so this only has to exceed the largest frame. *)
+let fifo_capacity = 64 * 1024
+
+let config ?(domains = 1) ?(frame_bytes = 256) ~topo ~workload () =
   if domains < 1 then invalid_arg "Driver: need >= 1 domain";
   if frame_bytes < 16 then
     invalid_arg "Driver: frames must fit the 8-byte send stamp";
-  if lookahead_ns <= 0 then invalid_arg "Driver: lookahead must be positive";
   (match topo with
   | Topology.Torus { rows; _ } when domains > 1 ->
       if rows mod domains <> 0 then
@@ -27,7 +29,7 @@ let config ?(domains = 1) ?(lookahead_ns = 20_000) ?(frame_bytes = 256)
         invalid_arg
           "Driver: only the torus has contiguous cuts; run fat-tree and \
            irregular fleets single-domain");
-  { topo; workload; domains; lookahead_ns; frame_bytes; fifo_capacity }
+  { topo; workload; domains; frame_bytes }
 
 (* ---------- partitioned worlds ---------- *)
 
@@ -82,10 +84,10 @@ let build_partition cfg topo ~self ~send =
       else begin
         if la then
           Net.connect_remote net (local ha, pa) ~link:hb
-            ~latency_ns:cfg.lookahead_ns;
+            ~latency_ns:lookahead_ns;
         if lb then
           Net.connect_remote net (local hb, pb) ~link:ha
-            ~latency_ns:cfg.lookahead_ns
+            ~latency_ns:lookahead_ns
       end)
     (Topology.trunks topo);
   let part =
@@ -100,10 +102,7 @@ let build_partition cfg topo ~self ~send =
   let stamp_scratch = Bytes.create 8 in
   let attach n =
     let hub, port = Topology.attachment topo n in
-    let fifo =
-      Byte_fifo.create eng ~capacity:cfg.fifo_capacity
-        ~name:(Printf.sprintf "cab%d" n)
-    in
+    let fifo = Byte_fifo.create eng ~capacity:fifo_capacity ~name:"cab" in
     let sink =
       {
         Net.in_fifo = fifo;
@@ -194,10 +193,6 @@ type result = {
 
 let sum = Array.fold_left ( + ) 0
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0 else sorted.((n - 1) * p / 100)
-
 (* Per-sender goodput spread: goodput_i = delivered_i / completion
    time_i, spread = (max - min) / mean over senders with deliveries.
    A finished closed loop delivers every sender's full quota, so raw
@@ -225,7 +220,7 @@ let run cfg =
   let topo = Topology.build cfg.topo in
   let nodes = Topology.node_count topo in
   let out =
-    Parallel.run ~lookahead:cfg.lookahead_ns ~domains:cfg.domains
+    Parallel.run ~lookahead:lookahead_ns ~domains:cfg.domains
       ~build:(fun ~self ~send -> build_partition cfg topo ~self ~send)
       ()
   in
@@ -270,8 +265,8 @@ let run cfg =
     per_sender;
     per_sender_last;
     spread = sender_spread cfg.workload ~nodes per_sender per_sender_last;
-    lat_p50 = percentile lat 50;
-    lat_p99 = percentile lat 99;
+    lat_p50 = Nectar_util.Summary.nearest_rank lat 50;
+    lat_p99 = Nectar_util.Summary.nearest_rank lat 99;
     lat_max = (if Array.length lat = 0 then 0 else lat.(Array.length lat - 1));
     port_waits = sum (Array.map (fun p -> Net.port_waits p.p_net) parts);
     port_wait_ns = sum (Array.map (fun p -> Net.port_wait_ns p.p_net) parts);

@@ -15,25 +15,24 @@
     Deterministic at a fixed domain count — {!deterministic_eq} is the
     double-run gate the fleet bench asserts. *)
 
+val lookahead_ns : int
+(** Boundary-trunk latency = scheduler lookahead: 20 us. *)
+
 type config = {
   topo : Topology.spec;
   workload : Workload.t;
   domains : int;
-  lookahead_ns : int;  (** boundary-trunk latency = scheduler lookahead *)
   frame_bytes : int;  (** >= 16, for the 8-byte send stamp *)
-  fifo_capacity : int;
 }
 
 val config :
   ?domains:int ->
-  ?lookahead_ns:int ->
   ?frame_bytes:int ->
-  ?fifo_capacity:int ->
   topo:Topology.spec ->
   workload:Workload.t ->
   unit ->
   config
-(** Defaults: 1 domain, 20us lookahead, 256-byte frames.
+(** Defaults: 1 domain, 256-byte frames.
     @raise Invalid_argument if [domains > 1] on a non-torus shape or
     torus rows don't divide into row blocks. *)
 

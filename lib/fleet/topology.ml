@@ -90,8 +90,6 @@ let fat_tree_trunks ~leaves ~spines =
 
 (* ---------- building ---------- *)
 
-let ports_per_hub = 16
-
 let build_torus ~rows ~cols ~seats =
   if rows < 1 || cols < 1 then invalid_arg "Topology: empty torus";
   if seats < 1 || seats > 12 then
@@ -109,7 +107,7 @@ let build_torus ~rows ~cols ~seats =
   }
 
 let build_fat_tree ~leaves ~spines ~seats =
-  if seats < 1 || seats + spines > ports_per_hub then
+  if seats < 1 || seats + spines > Net.ports_per_hub then
     invalid_arg "Topology: fat-tree seats collide with the uplink band";
   {
     tspec = Fat_tree { leaves; spines; seats };
@@ -131,9 +129,9 @@ let build_fat_tree ~leaves ~spines ~seats =
 let build_irregular ~hubs ~degree ~seed ~seats =
   if hubs < 2 then invalid_arg "Topology: irregular mesh needs >= 2 hubs";
   if degree < 2 then invalid_arg "Topology: irregular degree must be >= 2";
-  if seats < 1 || seats > ports_per_hub - 2 then
+  if seats < 1 || seats > Net.ports_per_hub - 2 then
     invalid_arg "Topology: irregular seats must leave >= 2 trunk ports";
-  let next_port = Array.make hubs (ports_per_hub - 1) in
+  let next_port = Array.make hubs (Net.ports_per_hub - 1) in
   let has_port h = next_port.(h) >= seats in
   let take_port h =
     let p = next_port.(h) in

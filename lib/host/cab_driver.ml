@@ -97,11 +97,11 @@ module Cond = struct
     mutable blocked : int;
   }
 
-  let create drv ~name =
+  let create drv =
     {
       drv;
       value = 0;
-      changed = Waitq.create (Host.engine drv.drv_host) ~name ();
+      changed = Waitq.create (Host.engine drv.drv_host);
       blocked = 0;
     }
 
@@ -148,7 +148,7 @@ let rpc (ctx : Ctx.t) t fn =
     {
       fn;
       result = None;
-      done_q = Waitq.create (Host.engine t.drv_host) ~name:"rpc-done" ();
+      done_q = Waitq.create (Host.engine t.drv_host);
     }
   in
   Hashtbl.replace t.rpc_slots id slot;

@@ -29,7 +29,7 @@ val vme : t -> Nectar_cab.Vme.t
 module Cond : sig
   type cond
 
-  val create : t -> name:string -> cond
+  val create : t -> cond
 
   val signal : cond -> unit
   (** Callable from CAB contexts (threads or interrupt handlers): bumps the

@@ -23,7 +23,7 @@ and t = {
 let create eng =
   {
     eng;
-    medium = Resource.create eng ~name:"ether" ();
+    medium = Resource.create eng ();
     stations = [];
     frame_count = 0;
   }
@@ -56,7 +56,7 @@ let attach seg host =
       st_host = host;
       ports = Hashtbl.create 8;
       rx_backlog = Queue.create ();
-      rx_ready = Waitq.create seg.eng ~name:"ether-softnet" ();
+      rx_ready = Waitq.create seg.eng;
     }
   in
   seg.stations <- seg.stations @ [ s ];
@@ -68,7 +68,7 @@ let station_id s = s.sid
 let bind s ~port =
   if Hashtbl.mem s.ports port then invalid_arg "Ethernet.bind: port in use";
   Hashtbl.replace s.ports port
-    (Queue.create (), Waitq.create (Host.engine s.st_host) ~name:"eth-sock" ())
+    (Queue.create (), Waitq.create (Host.engine s.st_host))
 
 (* Receive side of one frame: interface interrupt, then hand to the
    station's softnet process. *)

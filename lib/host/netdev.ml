@@ -73,10 +73,10 @@ let host_softnet t (ctx : Ctx.t) =
     | None -> ()
   done
 
-let create drv ?dl () =
+let create drv =
   let rt = Cab_driver.runtime drv in
   let host = Cab_driver.host drv in
-  let dl = match dl with Some dl -> dl | None -> Datalink.create rt in
+  let dl = Datalink.create rt in
   let tx_pool =
     Runtime.create_mailbox rt ~name:"netdev-tx-pool" ~byte_limit:(64 * 1024)
       ~cached_buffer_bytes:0 ()
@@ -103,7 +103,7 @@ let create drv ?dl () =
         Hostlib.attach drv tx_pool ~mode:Hostlib.Shared_memory ~readers:`Cab;
       rx_pool;
       host_rx = Queue.create ();
-      rx_cond = Cab_driver.Cond.create drv ~name:"netdev-rx";
+      rx_cond = Cab_driver.Cond.create drv;
       ports = Hashtbl.create 8;
       out_count = 0;
       in_count = 0;
@@ -121,8 +121,7 @@ let create drv ?dl () =
 let bind t ~port =
   if Hashtbl.mem t.ports port then invalid_arg "Netdev.bind: port in use";
   Hashtbl.replace t.ports port
-    (Queue.create (), Waitq.create (Host.engine (Cab_driver.host t.drv))
-                        ~name:"netdev-sock" ())
+    (Queue.create (), Waitq.create (Host.engine (Cab_driver.host t.drv)))
 
 let send_datagram (ctx : Ctx.t) t ~dst_cab ~port payload =
   let n = String.length payload in

@@ -1,5 +1,3 @@
-open Nectar_proto
-
 (** Network-device mode (paper §5.1): the CAB as a conventional network
     interface, with all protocol processing on the host.
 
@@ -22,9 +20,8 @@ type t
 
 val mtu : int
 
-val create : Cab_driver.t -> ?dl:Datalink.t -> unit -> t
-(** Builds its own datalink layer unless sharing one ([?dl]) with an
-    offloaded stack on the same CAB. *)
+val create : Cab_driver.t -> t
+(** Builds its own datalink layer on the driver's CAB. *)
 
 val bind : t -> port:int -> unit
 

@@ -97,7 +97,7 @@ let create drv stack =
       accept_h =
         Hostlib.attach drv accept_mb ~mode:Hostlib.Shared_memory
           ~readers:`Host;
-      ctl_lock = Resource.create eng ~name:"sockd-ctl-lock" ();
+      ctl_lock = Resource.create eng ();
       send_h = None;
       recv_hs = Hashtbl.create 16;
     }

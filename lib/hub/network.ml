@@ -30,10 +30,6 @@ type t = {
   hubs : hub array;
   mutable nodes : node array; (* doubling; the first [n_nodes] are live *)
   mutable n_nodes : int;
-  fiber_ns_per_byte : int;
-  hub_setup_ns : int;
-  hop_latency_ns : int;
-  chunk : int;
   mutable fault : (Frame.t -> fault_verdict) option;
   mutable link_watchers : (hub:int -> port:int -> up:bool -> unit) list;
   mutable remote_forward :
@@ -59,21 +55,22 @@ type t = {
   port_wait_ns_total : Stats.Counter.t;
 }
 
-let create eng ?(ports_per_hub = 16) ?(fiber_ns_per_byte = 80)
-    ?(hub_setup_ns = 700) ?(hop_latency_ns = 300) ?(chunk_bytes = 512) ~hubs
-    () =
+(* The fabric hardware (paper section 2.1). *)
+let ports_per_hub = 16
+let fiber_ns_per_byte = 80 (* 100 Mbit/s *)
+let hub_setup_ns = 700
+let hop_latency_ns = 300
+let chunk_bytes = 512
+
+let create eng ~hubs () =
   if hubs < 1 then invalid_arg "Network.create: need at least one hub";
-  let make_hub h =
+  let make_hub _ =
     {
-      controller =
-        Resource.create eng ~name:(Printf.sprintf "hub%d.controller" h) ();
+      controller = Resource.create eng ();
       ports =
-        Array.init ports_per_hub (fun p ->
+        Array.init ports_per_hub (fun _ ->
             {
-              out_res =
-                Resource.create eng
-                  ~name:(Printf.sprintf "hub%d.port%d" h p)
-                  ();
+              out_res = Resource.create eng ();
               peer = Free;
               up = true;
               remote_latency = 0;
@@ -85,10 +82,6 @@ let create eng ?(ports_per_hub = 16) ?(fiber_ns_per_byte = 80)
     hubs = Array.init hubs make_hub;
     nodes = [||];
     n_nodes = 0;
-    fiber_ns_per_byte;
-    hub_setup_ns;
-    hop_latency_ns;
-    chunk = chunk_bytes;
     fault = None;
     link_watchers = [];
     remote_forward = None;
@@ -106,9 +99,7 @@ let create eng ?(ports_per_hub = 16) ?(fiber_ns_per_byte = 80)
   }
 
 let engine t = t.eng
-let chunk_bytes t = t.chunk
 let hub_count t = Array.length t.hubs
-let ports_per_hub t = Array.length t.hubs.(0).ports
 
 let port t hub p =
   if hub < 0 || hub >= Array.length t.hubs then
@@ -261,14 +252,14 @@ let node_up t id =
 (* Chunk plan: a small first chunk so the start-of-packet event fires as soon
    as the datalink header is in, a small second chunk covering typical
    protocol headers, then full chunks. *)
-let chunk_plan t ~header_bytes total =
+let chunk_plan ~header_bytes total =
   let rec plan off acc =
     if off >= total then List.rev acc
     else
       let n =
         if off = 0 then min header_bytes total
         else if off = header_bytes then min 64 (total - off)
-        else min t.chunk (total - off)
+        else min chunk_bytes (total - off)
       in
       plan (off + n) (n :: acc)
   in
@@ -290,15 +281,15 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
     (fun (h, p) ->
       let hop_start = Engine.now t.eng in
       Resource.with_held t.hubs.(h).controller (fun () ->
-          Engine.sleep t.eng t.hub_setup_ns);
+          Engine.sleep t.eng hub_setup_ns);
       Resource.acquire p.out_res;
-      let waited = Engine.now t.eng - hop_start - t.hub_setup_ns in
+      let waited = Engine.now t.eng - hop_start - hub_setup_ns in
       if waited > 0 then begin
         Stats.Counter.incr t.port_waits_count;
         Stats.Counter.add t.port_wait_ns_total waited
       end)
     hops;
-  Engine.sleep t.eng (t.hop_latency_ns * List.length hops);
+  Engine.sleep t.eng (hop_latency_ns * List.length hops);
   let total = Frame.length frame in
   let header_bytes = min header_bytes total in
   (match (verdict, target) with
@@ -307,7 +298,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
          far side, or blackholed by a downed link); wire time still passes,
          and the sender-side buffer references die here — the receiving CAB
          will never drain this frame, so the network is its last holder. *)
-      Engine.sleep t.eng (total * t.fiber_ns_per_byte);
+      Engine.sleep t.eng (total * fiber_ns_per_byte);
       Frame.release frame
   | (`Deliver | `Corrupt | `Corrupt_burst _), Local dst ->
       Stats.Counter.incr t.delivered;
@@ -315,13 +306,13 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       let arrived = ref 0 in
       List.iter
         (fun n ->
-          Engine.sleep t.eng (n * t.fiber_ns_per_byte);
+          Engine.sleep t.eng (n * fiber_ns_per_byte);
           Byte_fifo.push dst_sink.in_fifo n;
           let first = !arrived = 0 in
           arrived := !arrived + n;
           if first then dst_sink.on_frame_start frame;
           dst_sink.on_chunk frame ~arrived:!arrived ~last:(!arrived = total))
-        (chunk_plan t ~header_bytes total)
+        (chunk_plan ~header_bytes total)
   | (`Deliver | `Corrupt | `Corrupt_burst _), Remote { link; boundary; rest }
     ->
       (* Serialize onto the boundary fiber, then hand the whole frame to
@@ -332,7 +323,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
          sender's CRC travels with it, so damage done before the cut
          still fails the far receiver's check.  The local frame's life
          ends here (the network is its last local holder). *)
-      Engine.sleep t.eng (total * t.fiber_ns_per_byte);
+      Engine.sleep t.eng (total * fiber_ns_per_byte);
       let payload = Bytes.create total in
       Frame.blit frame ~pos:0 ~dst:payload ~dst_pos:0 ~len:total;
       let fid = frame.Frame.id and fsrc = frame.Frame.src in

@@ -10,11 +10,14 @@
 
     Transfer model: cut-through circuit switching.  [transmit] (called from
     the sending CAB's fiber-output process) issues a controller command per
-    hop (700 ns each), holds every output port along the path, then streams
-    the frame in chunks at fiber rate (100 Mbit/s) directly into the
-    destination node's input FIFO.  A full destination FIFO blocks the
-    stream — the HUB's low-level flow control — and, transitively, any
-    traffic contending for the held ports. *)
+    hop ({!hub_setup_ns} each), holds every output port along the path,
+    then streams the frame in chunks ({!chunk_bytes}) at fiber rate
+    ({!fiber_ns_per_byte}) directly into the destination node's input
+    FIFO.  A full destination FIFO blocks the stream — the HUB's low-level
+    flow control — and, transitively, any traffic contending for the held
+    ports.
+
+    The fabric's hardware constants are defined here and nowhere else. *)
 
 type t
 
@@ -36,19 +39,26 @@ type fault_verdict = [ `Deliver | `Drop | `Corrupt | `Corrupt_burst of int ]
     [`Corrupt_burst k] flips a bit in each of [k] contiguous bytes (a
     noise burst); both are caught by the receiver's hardware CRC. *)
 
-val create :
-  Nectar_sim.Engine.t ->
-  ?ports_per_hub:int ->
-  ?fiber_ns_per_byte:int ->
-  ?hub_setup_ns:int ->
-  ?hop_latency_ns:int ->
-  ?chunk_bytes:int ->
-  hubs:int ->
-  unit ->
-  t
+(** {1 Fabric constants (paper section 2.1)} *)
+
+val ports_per_hub : int
+(** paper: a HUB is a 16x16 crossbar. *)
+
+val fiber_ns_per_byte : int
+(** paper: 100 Mbit/s fiber. *)
+
+val hub_setup_ns : int
+(** paper: 700 ns connection setup per HUB. *)
+
+val hop_latency_ns : int
+(** Propagation through one HUB once its circuit is set up. *)
+
+val chunk_bytes : int
+(** Event granularity of streamed transfers. *)
+
+val create : Nectar_sim.Engine.t -> hubs:int -> unit -> t
 
 val engine : t -> Nectar_sim.Engine.t
-val chunk_bytes : t -> int
 
 val connect_hubs : t -> int * int -> int * int -> unit
 (** [connect_hubs t (hub_a, port_a) (hub_b, port_b)] joins two HUBs with a
@@ -146,7 +156,6 @@ type port_peer =
     network, identified by an opaque link id (see {!connect_remote}). *)
 
 val hub_count : t -> int
-val ports_per_hub : t -> int
 val peer : t -> hub:int -> port:int -> port_peer
 val port_up : t -> hub:int -> port:int -> bool
 val node_attachment : t -> node_id -> int * int

@@ -239,9 +239,7 @@ let host_proxy n drv =
           resp_h =
             Hostlib.attach drv resp_mb ~mode:Hostlib.Shared_memory
               ~readers:`Host;
-          plock =
-            Nectar_sim.Resource.create (Runtime.engine rt)
-              ~name:"nectarine-rpc-lock" ();
+          plock = Nectar_sim.Resource.create (Runtime.engine rt) ();
         }
       in
       n.rpc_proxy <- Some p;

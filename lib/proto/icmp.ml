@@ -100,17 +100,14 @@ let create ip =
   Ipv4.register ip ~proto:Ipv4.proto_icmp input;
   t
 
-let ping (ctx : Ctx.t) t ~dst ?(payload_bytes = 32)
-    ?(timeout = Sim_time.ms 100) () =
+(* How long [ping] waits for the echo reply. *)
+let ping_timeout = Sim_time.ms 100
+
+let ping (ctx : Ctx.t) t ~dst ?(payload_bytes = 32) () =
   Ctx.assert_may_block ctx "Icmp.ping";
   let ident = t.next_ping in
   t.next_ping <- ident + 1;
-  let p =
-    {
-      ping_q = Waitq.create (Runtime.engine t.rt) ~name:"ping" ();
-      replied = false;
-    }
-  in
+  let p = { ping_q = Waitq.create (Runtime.engine t.rt); replied = false } in
   Hashtbl.replace t.pings ident p;
   let len = header_bytes + payload_bytes in
   let req = Ipv4.alloc ctx t.ip len in
@@ -132,7 +129,7 @@ let ping (ctx : Ctx.t) t ~dst ?(payload_bytes = 32)
       Some (Engine.now (Runtime.engine t.rt) - started)
     end
     else
-      match Waitq.wait_timeout p.ping_q timeout with
+      match Waitq.wait_timeout p.ping_q ping_timeout with
       | `Signaled -> await ()
       | `Timeout ->
           Hashtbl.remove t.pings ident;

@@ -13,10 +13,9 @@ val ping :
   t ->
   dst:Ipv4.addr ->
   ?payload_bytes:int ->
-  ?timeout:Nectar_sim.Sim_time.span ->
   unit ->
   Nectar_sim.Sim_time.span option
-(** Echo round trip; [None] on timeout. *)
+(** Echo round trip; [None] when no reply comes within 100 ms. *)
 
 val port_unreachable :
   Nectar_core.Ctx.t -> t -> orig:Nectar_core.Message.t -> unit

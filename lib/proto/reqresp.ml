@@ -246,7 +246,7 @@ let call (ctx : Ctx.t) t ~dst_cab ~dst_port request =
   t.next_txn <- txn + 1;
   let p =
     {
-      resp_q = Waitq.create (Runtime.engine t.rt) ~name:"reqresp-call" ();
+      resp_q = Waitq.create (Runtime.engine t.rt);
       response = None;
     }
   in

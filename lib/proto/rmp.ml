@@ -8,6 +8,9 @@ let header_bytes = 12
 let ty_data = 0
 let ty_ack = 1
 
+(* Retransmissions before a send gives up. *)
+let max_retries = 8
+
 exception Delivery_timeout of { dst_cab : int; dst_port : int }
 
 (* A data message the windowed sender has transmitted but not yet retired.
@@ -44,17 +47,13 @@ type t = {
   rt : Runtime.t;
   input : Mailbox.t;
   rto : Sim_time.span;
-  max_retries : int;
   window : int;
-  ack_delay : Sim_time.span; (* ack coalescing delay; windowed mode only *)
   channels : (int, channel) Hashtbl.t; (* Int_key.cab_port (dst_cab, dst_port) *)
   expected : (int, int) Hashtbl.t;
       (* Int_key.cab_port (src_cab, dst_port) -> next expected seq *)
   stash : (int, (int, Message.t) Hashtbl.t) Hashtbl.t;
       (* windowed receiver: out-of-order frames held until the gap fills,
          keyed like [expected], inner table seq -> message *)
-  ack_timers : (int, unit) Hashtbl.t;
-      (* receiver channels with a coalesced ack pending *)
   mutable delivered_count : int;
   mutable dup_count : int;
   mutable retx_count : int;
@@ -80,17 +79,14 @@ let channel t ~dst_cab ~dst_port =
       let eng = Runtime.engine t.rt in
       let c =
         {
-          busy =
-            Resource.create eng
-              ~name:(Printf.sprintf "rmp-ch-%d-%d" dst_cab dst_port)
-              ();
+          busy = Resource.create eng ();
           next_seq = 1;
           acked = 0;
-          ack_q = Waitq.create eng ~name:"rmp-ack" ();
+          ack_q = Waitq.create eng;
           ch_dst_cab = dst_cab;
           ch_dst_port = dst_port;
           inflight = Queue.create ();
-          window_q = Waitq.create eng ~name:"rmp-window" ();
+          window_q = Waitq.create eng;
           daemon = false;
           failed = false;
         }
@@ -146,7 +142,7 @@ let daemon_body t c (dctx : Ctx.t) =
           (* Signaled (ack progress: head may have been retired) or timed
              out (head due for retransmission): either way, re-examine. *)
           ignore (Waitq.wait_timeout c.ack_q (deadline - now))
-        else if e.if_tries >= t.max_retries then begin
+        else if e.if_tries >= max_retries then begin
           (* Retry budget exhausted: latch the channel as failed and
              abandon the whole window; [send]/[flush] surface it. *)
           c.failed <- true;
@@ -191,29 +187,11 @@ let deliver t ctx (msg : Message.t) ~dst_port =
       Mailbox.enqueue ctx msg mbox
   | None -> Mailbox.dispose ctx msg
 
-(* Cumulative ack for a receive channel, optionally coalesced: within
-   [ack_delay] of the first unacknowledged delivery, further deliveries
-   ride on the same pending ack.  The timer fires outside interrupt
-   context, so the ack itself is posted as an interrupt (acks charge
-   interrupt-level CPU, like all RMP protocol work). *)
-let schedule_ack t ctx ~src_cab ~dst_port key =
-  let cum_seq () =
-    Option.value (Hashtbl.find_opt t.expected key) ~default:1 - 1
-  in
-  if t.ack_delay = 0 then
-    send_ack t ctx ~dst_cab:src_cab ~dst_port ~seq:(cum_seq ())
-  else if not (Hashtbl.mem t.ack_timers key) then begin
-    Hashtbl.replace t.ack_timers key ();
-    ignore
-      (Engine.after (Runtime.engine t.rt) t.ack_delay (fun () ->
-           Nectar_cab.Interrupts.post
-             (Nectar_cab.Cab.irq (Runtime.cab t.rt))
-             ~name:"rmp-coalesced-ack"
-             (fun ictx ->
-               Hashtbl.remove t.ack_timers key;
-               let ctx = Ctx.of_interrupt ictx in
-               send_ack t ctx ~dst_cab:src_cab ~dst_port ~seq:(cum_seq ()))))
-  end
+(* Cumulative ack for a windowed receive channel: the highest in-order
+   sequence number delivered so far. *)
+let send_cum_ack t ctx ~src_cab ~dst_port key =
+  let cum_seq = Option.value (Hashtbl.find_opt t.expected key) ~default:1 - 1 in
+  send_ack t ctx ~dst_cab:src_cab ~dst_port ~seq:cum_seq
 
 let stash_for t key =
   match Hashtbl.find_opt t.stash key with
@@ -231,7 +209,7 @@ let windowed_data t ctx (msg : Message.t) ~src_cab ~dst_port ~seq key =
   let expected = Option.value (Hashtbl.find_opt t.expected key) ~default:1 in
   if seq < expected then begin
     t.dup_count <- t.dup_count + 1;
-    schedule_ack t ctx ~src_cab ~dst_port key;
+    send_cum_ack t ctx ~src_cab ~dst_port key;
     Mailbox.dispose ctx msg
   end
   else if seq = expected then begin
@@ -248,7 +226,7 @@ let windowed_data t ctx (msg : Message.t) ~src_cab ~dst_port ~seq key =
       | None -> continue_drain := false
     done;
     Hashtbl.replace t.expected key !next;
-    schedule_ack t ctx ~src_cab ~dst_port key
+    send_cum_ack t ctx ~src_cab ~dst_port key
   end
   else begin
     (* gap: the frame for [expected] was lost or reordered *)
@@ -263,7 +241,7 @@ let windowed_data t ctx (msg : Message.t) ~src_cab ~dst_port ~seq key =
       Mailbox.dispose ctx msg
     else Hashtbl.replace s seq msg;
     (* re-ack the cumulative front so a lost ack cannot stall the sender *)
-    schedule_ack t ctx ~src_cab ~dst_port key
+    send_cum_ack t ctx ~src_cab ~dst_port key
   end
 
 (* Interrupt-level input processing for both DATA and ACK frames. *)
@@ -329,10 +307,8 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
       windowed_data t ctx msg ~src_cab ~dst_port ~seq key
   end
 
-let create dl ?(rto = Sim_time.ms 5) ?(max_retries = 8) ?(window = 1)
-    ?(ack_delay = 0) () =
+let create dl ?(rto = Sim_time.ms 5) ?(window = 1) () =
   if window < 1 then invalid_arg "Rmp.create: window must be >= 1";
-  if ack_delay < 0 then invalid_arg "Rmp.create: negative ack_delay";
   let rt = Datalink.runtime dl in
   let input =
     (* a windowed receiver may hold a stash of out-of-order frames on top
@@ -347,13 +323,10 @@ let create dl ?(rto = Sim_time.ms 5) ?(max_retries = 8) ?(window = 1)
       rt;
       input;
       rto;
-      max_retries;
       window;
-      ack_delay;
       channels = Hashtbl.create 8;
       expected = Hashtbl.create 8;
       stash = Hashtbl.create 8;
-      ack_timers = Hashtbl.create 8;
       delivered_count = 0;
       dup_count = 0;
       retx_count = 0;
@@ -396,7 +369,7 @@ let stop_and_wait_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
         if !sender_done && !queued = 0 then Mailbox.dispose ctx msg
       in
       let rec attempt tries =
-        if tries > t.max_retries then begin
+        if tries > max_retries then begin
           sender_done := true;
           release ctx;
           raise (Delivery_timeout { dst_cab; dst_port })

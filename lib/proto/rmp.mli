@@ -10,12 +10,12 @@
 
     [create ~window:n] with [n > 1] enables a beyond-the-paper sliding
     window: up to [n] unacknowledged messages per channel, cumulative
-    acknowledgements, a per-channel retransmit daemon (head-of-window
-    only — the receiver stashes out-of-order frames, so one head
-    retransmission repairs a loss), and optional ack coalescing
-    ([ack_delay]).  Windowed {!send} returns once the message is admitted
-    to the window and transmitted; use {!flush} to wait for
-    acknowledgement of everything sent.
+    acknowledgements (one per arriving data frame) and a per-channel
+    retransmit daemon (head-of-window only — the receiver stashes
+    out-of-order frames, so one head retransmission repairs a loss).
+    Windowed {!send} returns once the message is admitted to the window
+    and transmitted; use {!flush} to wait for acknowledgement of
+    everything sent.
 
     Delivery semantics at every window size: exactly-once, in order, per
     channel; duplicate frames from retransmissions are acknowledged but
@@ -28,18 +28,11 @@ val header_bytes : int
 exception Delivery_timeout of { dst_cab : int; dst_port : int }
 
 val create :
-  Datalink.t ->
-  ?rto:Nectar_sim.Sim_time.span ->
-  ?max_retries:int ->
-  ?window:int ->
-  ?ack_delay:Nectar_sim.Sim_time.span ->
-  unit ->
-  t
-(** [window] (default 1) is the per-channel limit on unacknowledged
-    messages; 1 is the paper's stop-and-wait, byte-for-byte.  [ack_delay]
-    (default 0, windowed mode only) coalesces acknowledgements: deliveries
-    within [ack_delay] of the first unacknowledged one share a single
-    cumulative ack frame. *)
+  Datalink.t -> ?rto:Nectar_sim.Sim_time.span -> ?window:int -> unit -> t
+(** [rto] (default 5 ms) is the retransmission interval; a message is
+    retransmitted at most 8 times.  [window] (default 1) is the
+    per-channel limit on unacknowledged messages; 1 is the paper's
+    stop-and-wait, byte-for-byte. *)
 
 val alloc : Nectar_core.Ctx.t -> t -> int -> Nectar_core.Message.t
 

@@ -16,31 +16,25 @@ type t = {
   mutable services : (string * (Nectar_util.Metrics.t -> unit)) list;
 }
 
-let create rt ?(tcp_checksum = true) ?(udp_checksum = true) ?mtu ?tcp_mss
-    ?tcp_input_mode ?rpc_rto ?rpc_retries ?rmp_window ?rmp_ack_delay ?rmp_rto
-    ?rmp_retries ?router ?route_policy ?route_detection_ns ?route_recompute_ns
-    () =
+let create rt ?(tcp_checksum = true) ?mtu ?tcp_mss ?tcp_input_mode ?rpc_rto
+    ?rpc_retries ?rmp_window ?rmp_rto ?router () =
   let router =
     match router with
     | Some r -> r
     | None ->
-        Nectar_route.Router.create ?policy:route_policy
-          ?detection_ns:route_detection_ns ?recompute_ns:route_recompute_ns
+        Nectar_route.Router.create
           (Nectar_cab.Cab.network (Nectar_core.Runtime.cab rt))
   in
   let dl = Datalink.create ~router rt in
   let ip = Ipv4.create dl ?mtu () in
   let icmp = Icmp.create ip in
-  let udp = Udp.create ip ~checksum:udp_checksum ~icmp () in
+  let udp = Udp.create ip ~icmp () in
   let tcp =
     Tcp.create ip ~software_checksum:tcp_checksum ?mss:tcp_mss
       ?input_mode:tcp_input_mode ()
   in
   let dgram = Dgram.create dl in
-  let rmp =
-    Rmp.create dl ?window:rmp_window ?ack_delay:rmp_ack_delay ?rto:rmp_rto
-      ?max_retries:rmp_retries ()
-  in
+  let rmp = Rmp.create dl ?window:rmp_window ?rto:rmp_rto () in
   let reqresp = Reqresp.create dl ?rto:rpc_rto ?max_retries:rpc_retries () in
   { rt; router; dl; ip; icmp; udp; tcp; dgram; rmp; reqresp; services = [] }
 

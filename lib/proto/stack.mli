@@ -21,32 +21,26 @@ type t = {
 val create :
   Nectar_core.Runtime.t ->
   ?tcp_checksum:bool ->
-  ?udp_checksum:bool ->
   ?mtu:int ->
   ?tcp_mss:int ->
   ?tcp_input_mode:[ `Thread | `Interrupt ] ->
   ?rpc_rto:Nectar_sim.Sim_time.span ->
   ?rpc_retries:int ->
   ?rmp_window:int ->
-  ?rmp_ack_delay:Nectar_sim.Sim_time.span ->
   ?rmp_rto:Nectar_sim.Sim_time.span ->
-  ?rmp_retries:int ->
   ?router:Nectar_route.Router.t ->
-  ?route_policy:Nectar_route.Policy.t ->
-  ?route_detection_ns:Nectar_sim.Sim_time.span ->
-  ?route_recompute_ns:Nectar_sim.Sim_time.span ->
   unit ->
   t
-(** [rmp_window]/[rmp_ack_delay] select the beyond-the-paper sliding-window
-    RMP (see {!Rmp.create}); the defaults keep the paper's stop-and-wait.
-    [rmp_rto]/[rmp_retries] tune its retry budget — wide fan-in (many
-    senders converging on one CAB, e.g. the collective baselines) needs a
-    patient RTO, or every sender's retransmissions amplify the incast.
+(** [rmp_window] selects the beyond-the-paper sliding-window RMP (see
+    {!Rmp.create}); the default keeps the paper's stop-and-wait.
+    [rmp_rto] sets its retransmission interval — wide fan-in (many senders
+    converging on one CAB, e.g. the collective baselines) needs a patient
+    RTO, or every sender's retransmissions amplify the incast.  UDP always
+    checksums.
 
     [router] shares an existing route database across stacks; otherwise a
-    private one is built from [route_policy] (default: empty policy —
-    plain shortest path, byte-identical to [Network.route]) with the
-    given detection/recompute lags (see {!Nectar_route.Router.create}). *)
+    private one is built with the empty policy — plain shortest path,
+    byte-identical to [Network.route] (see {!Nectar_route.Router.create}). *)
 
 val node_id : t -> int
 val addr : t -> Ipv4.addr

@@ -196,15 +196,8 @@ let outstanding c =
   Seq.gt c.snd_nxt c.snd_una
   || (match c.st with Syn_sent | Syn_rcvd -> true | _ -> false)
 
-let debug = Tcp_debug.enabled
-
 (* Push out as much as the peer's window and our buffer allow. *)
 let rec tcp_output ctx c =
-  if !debug then
-    Tcp_debug.printf "[%d] out c%d st=%s una=%d nxt=%d wnd=%d sb=%d\n"
-      (Engine.now (Runtime.engine c.tcp.rt)) c.id (state_to_string c.st)
-      (Seq.mask (c.snd_una - c.iss)) (Seq.mask (c.snd_nxt - c.iss)) c.snd_wnd
-      c.sb_len;
   let in_flight = Seq.mask (c.snd_nxt - c.snd_una) in
   let fin_adj = if c.fin_sent then 1 else 0 in
   let unsent = c.sb_len - (in_flight - fin_adj) in
@@ -640,11 +633,6 @@ let timer_thread t (ctx : Ctx.t) =
           (fun c ->
             Lock.Mutex.with_lock ctx c.lock (fun () ->
                 if outstanding c || c.sb_len > 0 then begin
-                  if !debug then
-                    Tcp_debug.printf "[%d] TIMER c%d rto=%d una=%d nxt=%d wnd=%d sb=%d\n"
-                      (Engine.now (Runtime.engine t.rt)) c.id c.rto
-                      (Seq.mask (c.snd_una - c.iss))
-                      (Seq.mask (c.snd_nxt - c.iss)) c.snd_wnd c.sb_len;
                   t.retx <- t.retx + 1;
                   Nectar_sim.Trace.instant ~track:t.owner "tcp.retx";
                   c.rto <- Int.min max_rto (c.rto * 2);

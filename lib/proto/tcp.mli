@@ -87,8 +87,5 @@ val send_request_mailbox : t -> Nectar_core.Mailbox.t
 val conn_by_id : t -> int -> conn option
 val conn_id : conn -> int
 
-val debug : bool ref
-(** Temporary tracing for bench calibration. *)
-
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit
 (** Register segment/retransmission counters as [<prefix>tcp.*]. *)

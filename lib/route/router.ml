@@ -6,11 +6,13 @@ exception No_route of { src : int; dst : int }
 
 type entry = { path : int list; crossed : (int * int) list }
 
+(* Failure-detection lag and table recompute time (see [on_link_transition]). *)
+let detection_ns = Sim_time.us 100
+let recompute_ns = Sim_time.us 25
+
 type t = {
   net : Net.t;
   policy : Policy.t;
-  detection_ns : Sim_time.span;
-  recompute_ns : Sim_time.span;
   table : (int, entry) Hashtbl.t;
   mutable generation : int;
   mutable compiles : int;
@@ -68,7 +70,7 @@ let enumerate t ~src ~dst ~avoid_hubs ~avoid_links ~cap =
   then []
   else begin
     let hubs = Net.hub_count net in
-    let nports = Net.ports_per_hub net in
+    let nports = Net.ports_per_hub in
     let avoided = Array.make hubs false in
     List.iter
       (fun h ->
@@ -131,7 +133,7 @@ let walk_route t ~src ~dst ports =
     match ports with
     | [] -> Error "route ends before reaching a node"
     | pi :: rest -> (
-        if pi < 0 || pi >= Net.ports_per_hub net then
+        if pi < 0 || pi >= Net.ports_per_hub then
           Error (Printf.sprintf "port index %d out of range" pi)
         else
           match Net.peer net ~hub:h ~port:pi with
@@ -258,9 +260,11 @@ let live_reachable t ~src ~dst =
   | [] -> false
   | _ :: _ -> true
 
-let default_protos = [ 0 ]
+(* The one protocol number [verify] and [table_lines] compile every pair
+   for. *)
+let proto = 0
 
-let verify ?(protos = default_protos) t =
+let verify t =
   let net = t.net in
   let errors = ref [] in
   let err e = errors := e :: !errors in
@@ -268,26 +272,23 @@ let verify ?(protos = default_protos) t =
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then
-        List.iter
-          (fun proto ->
-            (* fresh compile (read-only: never touches the cache) *)
-            match compile t ~src ~dst ~proto with
-            | None ->
-                if live_reachable t ~src ~dst then
-                  err (Unreachable { src; dst; proto })
-            | Some path -> (
-                match walk_route t ~src ~dst path with
-                | Error reason -> err (Malformed { src; dst; proto; reason })
-                | Ok crossed ->
-                    let seen = Hashtbl.create 8 in
-                    let loop = ref false in
-                    List.iter
-                      (fun h ->
-                        if Hashtbl.mem seen h then loop := true
-                        else Hashtbl.add seen h ())
-                      (hub_sequence crossed);
-                    if !loop then err (Looping { src; dst; proto; path })))
-          protos
+        (* fresh compile (read-only: never touches the cache) *)
+        match compile t ~src ~dst ~proto with
+        | None ->
+            if live_reachable t ~src ~dst then
+              err (Unreachable { src; dst; proto })
+        | Some path -> (
+            match walk_route t ~src ~dst path with
+            | Error reason -> err (Malformed { src; dst; proto; reason })
+            | Ok crossed ->
+                let seen = Hashtbl.create 8 in
+                let loop = ref false in
+                List.iter
+                  (fun h ->
+                    if Hashtbl.mem seen h then loop := true
+                    else Hashtbl.add seen h ())
+                  (hub_sequence crossed);
+                if !loop then err (Looping { src; dst; proto; path }))
     done
   done;
   (* The cached database must never serve a route crossing a downed port:
@@ -350,21 +351,18 @@ let recompute t ~up =
 let on_link_transition t ~hub:_ ~port:_ ~up =
   let eng = Net.engine t.net in
   ignore
-    (Engine.after eng ~label:"route.detect" t.detection_ns (fun () ->
+    (Engine.after eng ~label:"route.detect" detection_ns (fun () ->
          Trace.instant ~track:"route"
            (if up then "route.link_up_detected" else "route.link_down_detected");
          ignore
-           (Engine.after eng ~label:"route.recompute" t.recompute_ns (fun () ->
+           (Engine.after eng ~label:"route.recompute" recompute_ns (fun () ->
                 recompute t ~up))))
 
-let create ?(policy = Policy.default) ?(detection_ns = Sim_time.us 100)
-    ?(recompute_ns = Sim_time.us 25) net =
+let create ?(policy = Policy.default) net =
   let t =
     {
       net;
       policy;
-      detection_ns;
-      recompute_ns;
       table = Hashtbl.create 64;
       generation = 0;
       compiles = 0;
@@ -388,33 +386,25 @@ let invalidated t = t.invalidated
 let route_down_refusals t = t.route_down_count
 let no_route_refusals t = t.no_route_count
 let verify_failures t = t.verify_failure_count
-let detection_ns t = t.detection_ns
-let recompute_ns t = t.recompute_ns
+let blackout_bound_ns ~rto_ns = detection_ns + recompute_ns + rto_ns
 
-let blackout_bound_ns t ~rto_ns =
-  t.detection_ns + t.recompute_ns + rto_ns
-
-let table_lines ?(protos = default_protos) t =
+let table_lines t =
   let n = Net.node_count t.net in
   let lines = ref [] in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then
-        List.iter
-          (fun proto ->
-            let status =
-              match compile t ~src ~dst ~proto with
-              | Some path ->
-                  Printf.sprintf "[%s]"
-                    (String.concat ";" (List.map string_of_int path))
-              | None ->
-                  if Net.route_opt t.net ~src ~dst = None then "NO-ROUTE"
-                  else "ROUTE-DOWN"
-            in
-            lines :=
-              Printf.sprintf "%d -> %d proto %d: %s" src dst proto status
-              :: !lines)
-          protos
+        let status =
+          match compile t ~src ~dst ~proto with
+          | Some path ->
+              Printf.sprintf "[%s]"
+                (String.concat ";" (List.map string_of_int path))
+          | None ->
+              if Net.route_opt t.net ~src ~dst = None then "NO-ROUTE"
+              else "ROUTE-DOWN"
+        in
+        lines :=
+          Printf.sprintf "%d -> %d proto %d: %s" src dst proto status :: !lines
     done
   done;
   List.rev !lines

@@ -8,8 +8,8 @@
     lexicographic shortest-path enumeration *is* the BFS first-visit
     path), so static scenarios — every paper table — are unchanged.
 
-    Failure model: a link transition is detected [detection_ns] after it
-    happens and recomputed tables are in service [recompute_ns] later.
+    Failure model: a link transition is detected 100 us after it happens
+    and recomputed tables are in service 25 us later.
     Inside that window a sender either blackholes on the wire (stale
     cached route — the fabric counts it in [link_down_drops]) or gets a
     typed {!Route_down} refusal (fresh compile against the live
@@ -29,16 +29,11 @@ exception No_route of { src : int; dst : int }
 (** The pair is partitioned in the static topology: no sequence of trunks
     joins their HUBs at all. *)
 
-val create :
-  ?policy:Policy.t ->
-  ?detection_ns:Nectar_sim.Sim_time.span ->
-  ?recompute_ns:Nectar_sim.Sim_time.span ->
-  Nectar_hub.Network.t ->
-  t
+val create : ?policy:Policy.t -> Nectar_hub.Network.t -> t
 (** Build a router over [net] and register its link-state monitor
-    ([Network.on_link_change]).  Defaults: empty policy (pure shortest
-    path), detection 100 us, recompute 25 us.  Creation schedules no
-    engine events; only a real link transition does. *)
+    ([Network.on_link_change]).  Default: empty policy (pure shortest
+    path).  Creation schedules no engine events; only a real link
+    transition does. *)
 
 val lookup : t -> src:int -> dst:int -> proto:int -> int list
 (** The source route for a flow, compiled and cached on first use.
@@ -65,9 +60,8 @@ type verify_error =
           detection window *)
   | Malformed of { src : int; dst : int; proto : int; reason : string }
 
-val verify : ?protos:int list -> t -> verify_error list
-(** Audit every ordered node pair (default [protos = [0]]; pass real
-    protocol numbers when the policy keys on them).  Read-only: fresh
+val verify : t -> verify_error list
+(** Audit every ordered node pair for protocol 0.  Read-only: fresh
     compiles, never touches the cache.  Pairs whose endpoints are down or
     physically partitioned in the live topology are skipped — that is the
     fabric's fault, not the policy's. *)
@@ -83,21 +77,19 @@ val invalidate_all : t -> unit
 val generation : t -> int
 (** Incremented on every recompute/flush. *)
 
-val blackout_bound_ns : t -> rto_ns:Nectar_sim.Sim_time.span -> Nectar_sim.Sim_time.span
+val blackout_bound_ns : rto_ns:Nectar_sim.Sim_time.span -> Nectar_sim.Sim_time.span
 (** The guaranteed blackout bound for a flow with a surviving alternate
     path: detection + recompute + one retransmission interval. *)
-
-val detection_ns : t -> Nectar_sim.Sim_time.span
-val recompute_ns : t -> Nectar_sim.Sim_time.span
 
 (** {1 Introspection and accounting} *)
 
 val network : t -> Nectar_hub.Network.t
 val policy : t -> Policy.t
 
-val table_lines : ?protos:int list -> t -> string list
-(** One line per flow: the compiled route, or the typed refusal it would
-    get ([ROUTE-DOWN] / [NO-ROUTE]).  Fresh compiles; cache untouched. *)
+val table_lines : t -> string list
+(** One line per node pair (protocol 0): the compiled route, or the typed
+    refusal it would get ([ROUTE-DOWN] / [NO-ROUTE]).  Fresh compiles;
+    cache untouched. *)
 
 val compiles : t -> int
 val recomputes : t -> int

@@ -7,15 +7,15 @@ type t = {
   data : Waitq.t;
 }
 
-let create eng ~capacity ~name =
+let create eng ~capacity ~name:_ =
   if capacity <= 0 then invalid_arg "Byte_fifo.create";
   {
     eng;
     cap = capacity;
     fill = 0;
     high = 0;
-    room = Waitq.create eng ~name:(name ^ ".room") ();
-    data = Waitq.create eng ~name:(name ^ ".data") ();
+    room = Waitq.create eng;
+    data = Waitq.create eng;
   }
 
 let capacity t = t.cap

@@ -8,6 +8,8 @@
 type t
 
 val create : Engine.t -> capacity:int -> name:string -> t
+(** [name] is not kept: nothing reads it.  The label survives only for
+    source compatibility with existing callers. *)
 
 val capacity : t -> int
 val level : t -> int

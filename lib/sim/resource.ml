@@ -7,13 +7,13 @@ type t = {
   mutable busy_total : Sim_time.span;
 }
 
-let create eng ?(capacity = 1) ?(name = "resource") () =
+let create eng ?(capacity = 1) () =
   if capacity < 1 then invalid_arg "Resource.create";
   {
     eng;
     capacity;
     held = 0;
-    waiters = Waitq.create eng ~name ();
+    waiters = Waitq.create eng;
     busy_since = -1;
     busy_total = 0;
   }

@@ -5,7 +5,7 @@
 
 type t
 
-val create : Engine.t -> ?capacity:int -> ?name:string -> unit -> t
+val create : Engine.t -> ?capacity:int -> unit -> t
 
 val acquire : t -> unit
 (** Block until one unit is available, then take it. *)

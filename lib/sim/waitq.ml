@@ -12,7 +12,7 @@ type entry = Plain of Engine.waker | Timed of timed * Engine.timer
 
 type t = { eng : Engine.t; entries : entry Queue.t; mutable live : int }
 
-let create eng ?name:_ () = { eng; entries = Queue.create (); live = 0 }
+let create eng = { eng; entries = Queue.create (); live = 0 }
 
 let enqueue t e =
   Queue.add e t.entries;

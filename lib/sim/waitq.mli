@@ -6,10 +6,7 @@
 
 type t
 
-val create : Engine.t -> ?name:string -> unit -> t
-(** [name] labels the queue at its call site only; the queue does not keep
-    it (a resident string per queue would cost every node of a large world
-    for a field nothing reads). *)
+val create : Engine.t -> t
 
 val wait : t -> unit
 (** Park the calling process until some other actor calls [signal]. *)

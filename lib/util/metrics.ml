@@ -69,20 +69,22 @@ let snapshot t =
   Hashtbl.fold (fun name e acc -> (name, read e) :: acc) t.entries []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let dump ?(out = stdout) t =
+let render t =
   let snap = snapshot t in
   let width =
     List.fold_left (fun w (name, _) -> Stdlib.max w (String.length name)) 0 snap
   in
+  let out = Buffer.create 1024 in
   List.iter
     (fun (name, v) ->
       match v with
-      | Count n -> Printf.fprintf out "  %-*s %d\n" width name n
-      | Gauge g -> Printf.fprintf out "  %-*s %.3f\n" width name g
+      | Count n -> Printf.bprintf out "  %-*s %d\n" width name n
+      | Gauge g -> Printf.bprintf out "  %-*s %.3f\n" width name g
       | Hist h ->
-          if h.n = 0 then Printf.fprintf out "  %-*s n=0\n" width name
+          if h.n = 0 then Printf.bprintf out "  %-*s n=0\n" width name
           else
-            Printf.fprintf out
+            Printf.bprintf out
               "  %-*s n=%d mean=%.1f stddev=%.1f min=%.1f max=%.1f\n" width
               name h.n h.mean h.stddev h.min h.max)
-    snap
+    snap;
+  Buffer.contents out

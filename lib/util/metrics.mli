@@ -4,7 +4,7 @@
     datalink [drops_bad_len], mailbox [overflow_drops], RMP
     [failed_sends], Rx [completion_batches], CPU [owners_report] — each
     with its own accessor.  [Metrics] puts them behind one
-    {!snapshot}/{!dump} API so benches, chaos campaigns, and the CLI
+    {!snapshot}/{!render} API so benches, chaos campaigns, and the CLI
     report from a single source of truth.
 
     Counters and gauges are registered as thunks reading the component's
@@ -46,5 +46,5 @@ val merge : t -> t -> unit
 val snapshot : t -> (string * value) list
 (** All metrics, sorted by name; thunks are read at call time. *)
 
-val dump : ?out:out_channel -> t -> unit
-(** Print the snapshot as aligned [name value] lines (stdout default). *)
+val render : t -> string
+(** The snapshot as aligned [name value] lines, one per metric. *)

@@ -60,6 +60,10 @@ let percentile t p =
   let frac = idx -. floor idx in
   (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
 
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0 else sorted.((n - 1) * p / 100)
+
 (* Chan's parallel combine of two Welford states.  Empty sides are the
    edge cases: an empty [src] leaves [into] untouched, an empty [into]
    takes [src] verbatim — never mixing real samples with the

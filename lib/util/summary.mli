@@ -23,6 +23,12 @@ val percentile : t -> float -> float
 (** [percentile t 0.99]; requires [keep_samples].
     @raise Invalid_argument if empty or [p] is outside [\[0,1\]]. *)
 
+val nearest_rank : int array -> int -> int
+(** [nearest_rank sorted p] is the [p]th percentile ([p] in [0..100]) of
+    an ascending array by nearest rank, [sorted.((n - 1) * p / 100)]; 0
+    when the array is empty.  No interpolation, so integer latencies stay
+    integers. *)
+
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] with the parallel Welford combine: exact
     count/sum/mean/m2 and min/max, stable at large offsets.  An empty

@@ -18,7 +18,7 @@ let test_host_cond_poll () =
   let drv = World.add_host w 0 in
   let eng = w.eng and host = Cab_driver.host drv in
   let woke_at = ref (-1) in
-  let cond = Cab_driver.Cond.create drv ~name:"c" in
+  let cond = Cab_driver.Cond.create drv in
   Host.spawn_process host ~name:"waiter" (fun ctx ->
       Cab_driver.Cond.wait_poll ctx cond ~since:0;
       woke_at := Engine.now eng);
@@ -33,7 +33,7 @@ let test_host_cond_block () =
   let drv = World.add_host w 0 in
   let eng = w.eng and host = Cab_driver.host drv in
   let woke_at = ref (-1) in
-  let cond = Cab_driver.Cond.create drv ~name:"c" in
+  let cond = Cab_driver.Cond.create drv in
   Host.spawn_process host ~name:"waiter" (fun ctx ->
       Cab_driver.Cond.wait_block ctx cond ~since:0;
       woke_at := Engine.now eng);
@@ -270,7 +270,7 @@ let netdev_world () =
     let rt = Runtime.create cab in
     let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
     let drv = Cab_driver.attach host rt in
-    let nd = Netdev.create drv () in
+    let nd = Netdev.create drv in
     (host, nd)
   in
   let a = make 0 in

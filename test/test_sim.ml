@@ -176,7 +176,7 @@ let test_wake_before_block () =
 
 let test_waitq_fifo_wakeup () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let log = ref [] in
   for i = 1 to 3 do
     Engine.spawn eng (fun () ->
@@ -194,7 +194,7 @@ let test_waitq_fifo_wakeup () =
 
 let test_waitq_timeout () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let out = ref `Signaled in
   Engine.spawn eng (fun () -> out := Waitq.wait_timeout q (us 7));
   Engine.run eng;
@@ -203,7 +203,7 @@ let test_waitq_timeout () =
 
 let test_waitq_signal_beats_timeout () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let out = ref `Timeout in
   Engine.spawn eng (fun () -> out := Waitq.wait_timeout q (us 100));
   ignore (Engine.after eng (us 5) (fun () -> ignore (Waitq.signal q)));
@@ -213,7 +213,7 @@ let test_waitq_signal_beats_timeout () =
 
 let test_waitq_broadcast () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let woken = ref 0 in
   for _ = 1 to 4 do
     Engine.spawn eng (fun () ->
@@ -229,7 +229,7 @@ let test_waitq_broadcast () =
 let test_waitq_signal_timeout_same_instant () =
   let run ~signal_first =
     let eng = Engine.create () in
-    let q = Waitq.create eng () in
+    let q = Waitq.create eng in
     let outcomes = ref [] and found = ref false in
     let signal () = found := Waitq.signal q in
     (* scheduled before the wait, the signal precedes the wait's timer at
@@ -258,7 +258,7 @@ let test_waitq_signal_timeout_same_instant () =
    a timed-out entry stays queued but no longer counts. *)
 let test_waitq_live_count () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let seen = ref [] in
   let note tag = seen := (tag, Waitq.waiters q) :: !seen in
   for _ = 1 to 2 do
@@ -493,7 +493,7 @@ let scenario_trace seed =
   let eng = Engine.create () in
   let rng = Rng.create ~seed in
   let cpu = Cpu.create eng ~name:"c" () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let log = Buffer.create 256 in
   for i = 0 to 9 do
     let o = Cpu.owner cpu ~name:(string_of_int i) ~switch_in:(us 2) in
@@ -556,6 +556,15 @@ let test_summary_percentile_edges () =
   Alcotest.check_raises "p<0 rejected"
     (Invalid_argument "Summary.percentile: p outside [0,1]") (fun () ->
       ignore (Summary.percentile s (-0.1)))
+
+let test_summary_nearest_rank () =
+  check_int "empty" 0 (Summary.nearest_rank [||] 50);
+  check_int "n = 1" 9 (Summary.nearest_rank [| 9 |] 99);
+  let a = Array.init 10 (fun i -> 10 * (i + 1)) in
+  List.iter
+    (fun (p, want) ->
+      check_int (Printf.sprintf "p = %d" p) want (Summary.nearest_rank a p))
+    [ (0, 10); (50, 50); (99, 90); (100, 100) ]
 
 let test_summary_empty_min_max () =
   let s = Summary.create () in
@@ -629,7 +638,7 @@ let test_rng_bounds () =
    cancelled timer, nested sleeps.  Used to pin the engine.mli contract
    that the identity policy reproduces the default seq-order run exactly. *)
 let build_pin_world eng log =
-  let q = Waitq.create eng ~name:"pin" () in
+  let q = Waitq.create eng in
   Engine.spawn eng ~name:"w1" (fun () ->
       Waitq.wait q;
       log := ("w1", Engine.now eng) :: !log);
@@ -730,7 +739,7 @@ let soup_log ?policy ~seed () =
     incr events;
     Printf.bprintf log "%d %s %d\n" (Engine.now eng) actor step
   in
-  let q = Waitq.create eng ~name:"soup" () in
+  let q = Waitq.create eng in
   let cpu = Cpu.create eng ~name:"soup-cpu" () in
   let owners =
     Array.init 3 (fun i ->
@@ -971,7 +980,7 @@ let consume_words () =
 (* park, time out, resume; the signal drains the dead entry *)
 let timed_wait_words () =
   words_per_iteration ~n:10_000 (fun eng ->
-      let q = Waitq.create eng () in
+      let q = Waitq.create eng in
       fun () ->
         ignore (Waitq.wait_timeout q 1);
         ignore (Waitq.signal q))
@@ -1026,14 +1035,14 @@ let test_rng_copy_independent () =
 
 let test_waitq_signal_empty () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   Alcotest.(check bool) "signal with no waiter is lost" false (Waitq.signal q);
   check_int "broadcast with no waiter wakes none" 0 (Waitq.broadcast q);
   check_int "no waiters" 0 (Waitq.waiters q)
 
 let test_waitq_signal_skips_dead_entry () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let out = ref `Signaled in
   let woke = ref false in
   let signal_found = ref false in
@@ -1054,7 +1063,7 @@ let test_waitq_signal_skips_dead_entry () =
 
 let test_waitq_signal_after_all_dead () =
   let eng = Engine.create () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let out = ref `Signaled in
   let late_signal = ref true in
   Engine.spawn eng (fun () -> out := Waitq.wait_timeout q (us 5));
@@ -1206,6 +1215,8 @@ let () =
             test_summary_welford_offset;
           Alcotest.test_case "summary percentile edges" `Quick
             test_summary_percentile_edges;
+          Alcotest.test_case "summary nearest rank" `Quick
+            test_summary_nearest_rank;
           Alcotest.test_case "summary empty min/max" `Quick
             test_summary_empty_min_max;
           Alcotest.test_case "summary parallel merge" `Quick

@@ -17,7 +17,7 @@ let test_wait_releasing_atomicity () =
      release and wait are separated by a suspension point *)
   let eng = Engine.create () in
   let r = Resource.create eng () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let woken = ref false in
   Engine.spawn eng ~name:"waiter" (fun () ->
       Resource.acquire r;
@@ -35,7 +35,7 @@ let test_wait_releasing_atomicity () =
 let test_wait_timeout_releasing () =
   let eng = Engine.create () in
   let r = Resource.create eng () in
-  let q = Waitq.create eng () in
+  let q = Waitq.create eng in
   let result = ref `Signaled in
   Engine.spawn eng (fun () ->
       Resource.acquire r;
