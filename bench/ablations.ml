@@ -19,20 +19,7 @@ open Bench_world
 (* 1 -------------------------------------------------------------- *)
 
 let netdev_udp_rtt () =
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let make i =
-    let cab =
-      Nectar_cab.Cab.create net ~hub:0 ~port:i
-        ~name:(Printf.sprintf "cab%d" i)
-    in
-    let rt = Runtime.create cab in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    (host, Netdev.create drv)
-  in
-  let host_a, nd_a = make 0 in
-  let host_b, nd_b = make 1 in
+  let eng, (host_a, nd_a), (host_b, nd_b) = netdev_pair () in
   Netdev.bind nd_a ~port:9;
   Netdev.bind nd_b ~port:9;
   Host.spawn_process host_b ~name:"echo" (fun ctx ->
@@ -49,10 +36,10 @@ let netdev_udp_rtt () =
         samples := (Engine.now eng - t0) :: !samples
       done);
   Engine.run eng;
-  Table1.mean_rtt !samples
+  Table1.mean_rtt (List.rev !samples)
 
 let socket_vs_mailbox () =
-  let mailbox = Table1.host_dgram_rtt () in
+  let mailbox = Table1.rtt Dgram ~host:true in
   let socket = netdev_udp_rtt () in
   section "Ablation: mailbox interface vs UNIX socket path (64-byte RTT)";
   Printf.printf "  mailbox datagram RTT:        %s\n" (fmt_us mailbox);
@@ -102,21 +89,8 @@ let shared_vs_rpc () =
 (* 3 -------------------------------------------------------------- *)
 
 let rpc_rtt_with_mode mode =
-  let w = World.build () in
-  Reqresp.register_server w.stacks.(1).Stack.reqresp ~port:902 ~mode
-    (fun _ req -> req);
-  let samples = ref [] in
-  spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
-      for _ = 1 to 12 do
-        let t0 = Engine.now w.eng in
-        ignore
-          (Reqresp.call ctx w.stacks.(0).Stack.reqresp
-             ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:902
-             (String.make 64 'x'));
-        samples := (Engine.now w.eng - t0) :: !samples
-      done);
-  Engine.run w.eng;
-  Table1.mean_rtt !samples
+  Table1.mean_rtt
+    (echo_rtt (World.build ()) (Rpc mode) ~host:false ~payload:64 ~rounds:12)
 
 let upcall_vs_thread () =
   let thread = rpc_rtt_with_mode Reqresp.Thread_server in
@@ -132,64 +106,21 @@ let upcall_vs_thread () =
 (* 4 -------------------------------------------------------------- *)
 
 let tcp_mode_numbers input_mode =
+  let world tcp_mss =
+    World.build
+      ~stack:(fun rt -> Stack.create rt ?tcp_mss ~tcp_input_mode:input_mode ())
+      ()
+  in
   (* throughput at 8 KB *)
+  let r = bulk (world (Some 8192)) Tcp ~size:8192 ~count:150 in
   let tput =
-    let w =
-      World.build
-        ~stack:(fun rt ->
-          Stack.create rt ~tcp_mss:8192 ~tcp_input_mode:input_mode ())
-        ()
-    in
-    let k = 150 in
-    let total = k * 8192 in
-    let done_at = ref 0 and started = ref 0 in
-    Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
-        spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-            let received = ref 0 in
-            while !received < total do
-              received :=
-                !received + String.length (Tcp.recv_string ctx conn)
-            done;
-            done_at := Engine.now w.eng));
-    spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-        let conn =
-          Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
-            ~dst_port:80 ()
-        in
-        started := Engine.now w.eng;
-        let payload = String.make 8192 't' in
-        for _ = 1 to k do
-          Tcp.send ctx conn payload
-        done);
-    Engine.run w.eng;
-    mbps ~bytes:total ~ns:(!done_at - !started)
+    Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
+      ~elapsed:(r.last_arrival - r.started)
   in
   (* small-message round trip *)
   let rtt =
-    let w =
-      World.build
-        ~stack:(fun rt -> Stack.create rt ~tcp_input_mode:input_mode ())
-        ()
-    in
-    let samples = ref [] in
-    Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
-        spawn_cab_thread w.stacks.(1) ~name:"echo" (fun ctx ->
-            for _ = 1 to 12 do
-              Tcp.send ctx conn (Tcp.recv_string ctx conn)
-            done));
-    spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
-        let conn =
-          Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
-            ~dst_port:80 ()
-        in
-        for _ = 1 to 12 do
-          let t0 = Engine.now w.eng in
-          Tcp.send ctx conn (String.make 64 'x');
-          ignore (Tcp.recv_string ctx conn);
-          samples := (Engine.now w.eng - t0) :: !samples
-        done);
-    Engine.run w.eng;
-    Table1.mean_rtt !samples
+    Table1.mean_rtt
+      (echo_rtt (world None) Tcp ~host:false ~payload:64 ~rounds:12)
   in
   (tput, rtt)
 
@@ -255,13 +186,6 @@ let mailbox_cache_benefit () =
 let preemption_necessity () =
   let rtt_with_hog ~app_priority =
     let w = World.build () in
-    let port = 900 in
-    let inbox_a =
-      Runtime.create_mailbox w.stacks.(0).Stack.rt ~name:"in-a" ~port ()
-    in
-    let inbox_b =
-      Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"in-b" ~port ()
-    in
     (* the hog: a compute task on B's CAB, 5 ms of work at a time *)
     ignore
       (Thread.create (Runtime.cab w.stacks.(1).Stack.rt) ~priority:app_priority
@@ -269,27 +193,7 @@ let preemption_necessity () =
            for _ = 1 to 100 do
              ctx.work (Sim_time.ms 5)
            done));
-    spawn_cab_thread w.stacks.(1) ~name:"echo" (fun ctx ->
-        for _ = 1 to 8 do
-          let m = Mailbox.begin_get ctx inbox_b in
-          let s = Message.to_string m in
-          Mailbox.end_get ctx m;
-          Dgram.send_string ctx w.stacks.(1).Stack.dgram
-            ~dst_cab:(Stack.node_id w.stacks.(0)) ~dst_port:port s
-        done);
-    let samples = ref [] in
-    spawn_cab_thread w.stacks.(0) ~name:"client" (fun ctx ->
-        for _ = 1 to 8 do
-          let t0 = Engine.now w.eng in
-          Dgram.send_string ctx w.stacks.(0).Stack.dgram
-            ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:port
-            (String.make 64 'x');
-          let m = Mailbox.begin_get ctx inbox_a in
-          Mailbox.end_get ctx m;
-          samples := (Engine.now w.eng - t0) :: !samples
-        done);
-    Engine.run ~until:(Sim_time.s 2) w.eng;
-    let s = List.rev !samples in
+    let s = echo_rtt w Dgram ~host:false ~payload:64 ~rounds:8 in
     List.fold_left ( + ) 0 s / max 1 (List.length s)
   in
   let preemptive = rtt_with_hog ~app_priority:Thread.App in

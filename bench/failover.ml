@@ -140,8 +140,11 @@ let measure ?(hubs = 4) ?(cycles = 25) () =
         downs;
         blackouts;
         goodput_steady =
-          mbps ~bytes:(n_steady * msg_bytes) ~ns:(span - flap_time);
-        goodput_flap = mbps ~bytes:(n_flap * msg_bytes) ~ns:flap_time;
+          Stats.Throughput.mbit_per_s ~bytes_moved:(n_steady * msg_bytes)
+            ~elapsed:(span - flap_time);
+        goodput_flap =
+          Stats.Throughput.mbit_per_s ~bytes_moved:(n_flap * msg_bytes)
+            ~elapsed:flap_time;
         blackout_p50_us = Sim_time.to_us (Summary.nearest_rank sorted 50);
         blackout_p99_us = Sim_time.to_us (Summary.nearest_rank sorted 99);
         blackout_max_us = Sim_time.to_us (Summary.nearest_rank sorted 100);

@@ -68,7 +68,7 @@ let run () =
         let m = Hostlib.begin_get ctx h_in in
         mark "t4";
         let s = Hostlib.read_string ctx h_in m in
-        Table1.touch ctx (String.length s);
+        touch ctx (String.length s);
         mark "td";
         Hostlib.end_get ctx h_in m;
         mark "t5";
@@ -77,7 +77,7 @@ let run () =
   Host.spawn_process (Cab_driver.host drv_a) ~name:"writer" (fun ctx ->
       for _ = 1 to iterations do
         mark "t0";
-        Table1.touch ctx payload_bytes;
+        touch ctx payload_bytes;
         mark "ta";
         let m = Hostlib.begin_put ctx h_send payload_bytes in
         mark "tb";

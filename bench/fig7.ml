@@ -7,74 +7,28 @@
    behind; full TCP is limited by its software checksums. *)
 
 open Nectar_sim
-open Nectar_core
-open Nectar_proto
 open Bench_world
 
 let sizes = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
 
 let message_count size = max 100 (min 600 (1_500_000 / size))
 
-(* ---------- RMP ---------- *)
-
-let rmp_throughput size =
-  let w = World.build () in
-  let port = 900 in
-  let inbox =
-    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"f7-inbox" ~port
-      ~byte_limit:(128 * 1024) ()
-  in
-  let k = message_count size in
-  let done_at = ref 0 in
-  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-      for _ = 1 to k do
-        let m = Mailbox.begin_get ctx inbox in
-        Mailbox.end_get ctx m
-      done;
-      done_at := Engine.now w.eng);
-  let started = ref 0 in
-  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-      started := Engine.now w.eng;
-      let payload = String.make size 'r' in
-      for _ = 1 to k do
-        Rmp.send_string ctx w.stacks.(0).Stack.rmp
-          ~dst_cab:(Stack.node_id w.stacks.(1)) ~dst_port:port payload
-      done);
-  Engine.run w.eng;
-  mbps ~bytes:(k * size) ~ns:(!done_at - !started)
-
-(* ---------- TCP ---------- *)
-
-let tcp_throughput ~checksum size =
-  (* mss = message size: one segment per application write, like the
-     original implementation the figure measured *)
+(* Mbit/s of [count] [size]-byte messages, from the first send to the
+   last arrival.  TCP runs with mss = message size: one segment per
+   application write, like the original implementation the figure
+   measured. *)
+let throughput transport ~checksum ~size ~count =
   let w =
-    World.build
-      ~stack:(fun rt -> Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
-      ()
+    if transport = Tcp then
+      World.build
+        ~stack:(fun rt ->
+          Nectar_proto.Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
+        ()
+    else World.build ()
   in
-  let k = message_count size in
-  let total = k * size in
-  let done_at = ref 0 and started = ref 0 in
-  Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
-      spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-          let received = ref 0 in
-          while !received < total do
-            received := !received + String.length (Tcp.recv_string ctx conn)
-          done;
-          done_at := Engine.now w.eng));
-  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-      let conn =
-        Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
-          ~dst_port:80 ()
-      in
-      started := Engine.now w.eng;
-      let payload = String.make size 't' in
-      for _ = 1 to k do
-        Tcp.send ctx conn payload
-      done);
-  Engine.run w.eng;
-  mbps ~bytes:total ~ns:(!done_at - !started)
+  let r = bulk w transport ~size ~count in
+  Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
+    ~elapsed:(r.last_arrival - r.started)
 
 let run () =
   section "Figure 7: CAB-to-CAB throughput (Mbit/s) vs message size";
@@ -82,9 +36,10 @@ let run () =
   row4 "------------" "------" "-------------" "---";
   List.iter
     (fun size ->
-      let tcp = tcp_throughput ~checksum:true size in
-      let tcp_nc = tcp_throughput ~checksum:false size in
-      let rmp = rmp_throughput size in
+      let count = message_count size in
+      let tcp = throughput Tcp ~checksum:true ~size ~count in
+      let tcp_nc = throughput Tcp ~checksum:false ~size ~count in
+      let rmp = throughput Rmp ~checksum:true ~size ~count in
       row4 (string_of_int size) (fmt_mbps tcp) (fmt_mbps tcp_nc)
         (fmt_mbps rmp))
     sizes;

@@ -62,7 +62,8 @@ let rmp_throughput size =
         Hostlib.end_put ctx h_send m
       done);
   Engine.run w.eng;
-  mbps ~bytes:(k * size) ~ns:(!done_at - !started)
+  Stats.Throughput.mbit_per_s ~bytes_moved:(k * size)
+    ~elapsed:(!done_at - !started)
 
 (* ---------- TCP over the host path ---------- *)
 
@@ -115,25 +116,13 @@ let tcp_throughput size =
         Hostlib.end_put ctx send_req m
       done);
   Engine.run w.eng;
-  mbps ~bytes:total ~ns:(!done_at - !started)
+  Stats.Throughput.mbit_per_s ~bytes_moved:total
+    ~elapsed:(!done_at - !started)
 
 (* ---------- network-device mode ---------- *)
 
 let netdev_throughput size =
-  let eng = Engine.create () in
-  let net = Nectar_hub.Network.create eng ~hubs:1 () in
-  let make i =
-    let cab =
-      Nectar_cab.Cab.create net ~hub:0 ~port:i
-        ~name:(Printf.sprintf "cab%d" i)
-    in
-    let rt = Runtime.create cab in
-    let host = Host.create eng ~name:(Printf.sprintf "host%d" i) in
-    let drv = Cab_driver.attach host rt in
-    (host, Netdev.create drv)
-  in
-  let host_a, nd_a = make 0 in
-  let host_b, nd_b = make 1 in
+  let eng, (host_a, nd_a), (host_b, nd_b) = netdev_pair () in
   Netdev.bind nd_a ~port:11;
   Netdev.bind nd_b ~port:10;
   let k = max 40 (min 200 (300_000 / size)) in
@@ -150,7 +139,7 @@ let netdev_throughput size =
       Host_stream.run_sender ctx io ~data_port:10 ~ack_port:11 ~total ();
       t1 := Engine.now eng);
   Engine.run eng;
-  mbps ~bytes:total ~ns:(!t1 - !t0)
+  Stats.Throughput.mbit_per_s ~bytes_moved:total ~elapsed:(!t1 - !t0)
 
 (* ---------- Ethernet ---------- *)
 
@@ -175,7 +164,7 @@ let ethernet_throughput size =
       Host_stream.run_sender ctx io ~data_port:10 ~ack_port:11 ~total ();
       t1 := Engine.now eng);
   Engine.run eng;
-  mbps ~bytes:total ~ns:(!t1 - !t0)
+  Stats.Throughput.mbit_per_s ~bytes_moved:total ~elapsed:(!t1 - !t0)
 
 let run () =
   section "Figure 8: host-to-host throughput (Mbit/s) vs message size";

@@ -153,39 +153,18 @@ let micro_counts =
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
 
-(* Same shape as fig7's RMP point, plus a flush so windowed senders wait
+(* Fig7's RMP loop at a given window; flushed, so windowed senders wait
    for their tail acks.  Returns (Mbit/s, delivered, retransmits,
    failed_sends). *)
 let windowed_run ~window ~size ~count =
   let w =
     World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:window ()) ()
   in
-  let port = 900 in
-  let inbox =
-    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"perf-inbox" ~port
-      ~byte_limit:(256 * 1024) ()
-  in
-  let got = ref 0 and done_at = ref 0 and started = ref 0 in
-  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-      for _ = 1 to count do
-        let m = Mailbox.begin_get ctx inbox in
-        Mailbox.end_get ctx m;
-        incr got
-      done;
-      done_at := Engine.now w.eng);
-  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-      started := Engine.now w.eng;
-      let payload = String.make size 'p' in
-      let dst_cab = Stack.node_id w.stacks.(1) in
-      for _ = 1 to count do
-        Rmp.send_string ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port
-          payload
-      done;
-      Rmp.flush ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port);
-  Engine.run w.eng;
+  let r = bulk w Rmp ~size ~count in
   let rmp = w.stacks.(0).Stack.rmp in
-  ( mbps ~bytes:(count * size) ~ns:(!done_at - !started),
-    !got,
+  ( Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
+      ~elapsed:(r.last_arrival - r.started),
+    r.delivered / size,
     Rmp.retransmits rmp,
     Rmp.failed_sends rmp )
 
@@ -231,7 +210,10 @@ let fleet_run ~senders ~window ~size ~count ~coalesce_ns =
     srcs;
   Engine.run eng;
   let batches = Rx.completion_batches (Cab.rx (Runtime.cab sink.Stack.rt)) in
-  (mbps ~bytes:(total * size) ~ns:(!done_at - !started), !got, batches)
+  ( Stats.Throughput.mbit_per_s ~bytes_moved:(total * size)
+      ~elapsed:(!done_at - !started),
+    !got,
+    batches )
 
 (* ---------- simulated: copy accounting (zero-copy data path) ---------- *)
 
@@ -241,52 +223,15 @@ module Copy_meter = Nectar_util.Copy_meter
    deterministic, so the exact values are asserted (also from ci.sh via
    the smoke run).  Before the zero-copy data path, every transmitted frame
    was snapshotted with [Bytes.sub] at the tx DMA — the "before" figure is
-   therefore the measured copies plus one copy of every wire byte. *)
-let copies_rmp ~size ~count =
+   therefore the measured copies plus one copy of every wire byte.
+   TCP runs with mss = message size: one segment per application write,
+   as in fig7. *)
+let copies transport ~size ~count =
   Copy_meter.reset ();
-  let w = World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:1 ()) () in
-  let port = 910 in
-  let inbox =
-    Runtime.create_mailbox w.stacks.(1).Stack.rt ~name:"copy-inbox" ~port
-      ~byte_limit:(256 * 1024) ()
+  let w =
+    World.build ~stack:(fun rt -> Stack.create rt ~tcp_mss:size ()) ()
   in
-  spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-      for _ = 1 to count do
-        let m = Mailbox.begin_get ctx inbox in
-        Mailbox.end_get ctx m
-      done);
-  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-      let payload = String.make size 'c' in
-      let dst_cab = Stack.node_id w.stacks.(1) in
-      for _ = 1 to count do
-        Rmp.send_string ctx w.stacks.(0).Stack.rmp ~dst_cab ~dst_port:port
-          payload
-      done);
-  Engine.run w.eng;
-  (Copy_meter.report (), Copy_meter.bytes_copied (), Net.bytes_sent w.net)
-
-(* Per-segment copy cost of CAB-to-CAB TCP (mss = message size, one segment
-   per application write, as in fig7). *)
-let copies_tcp ~size ~count =
-  Copy_meter.reset ();
-  let w = World.build ~stack:(fun rt -> Stack.create rt ~tcp_mss:size ()) () in
-  let total = count * size in
-  Tcp.listen w.stacks.(1).Stack.tcp ~port:80 ~on_accept:(fun conn ->
-      spawn_cab_thread w.stacks.(1) ~name:"sink" (fun ctx ->
-          let received = ref 0 in
-          while !received < total do
-            received := !received + String.length (Tcp.recv_string ctx conn)
-          done));
-  spawn_cab_thread w.stacks.(0) ~name:"source" (fun ctx ->
-      let conn =
-        Tcp.connect ctx w.stacks.(0).Stack.tcp ~dst:(Stack.addr w.stacks.(1))
-          ~dst_port:80 ()
-      in
-      let payload = String.make size 't' in
-      for _ = 1 to count do
-        Tcp.send ctx conn payload
-      done);
-  Engine.run w.eng;
+  ignore (bulk w transport ~size ~count);
   (Copy_meter.report (), Copy_meter.bytes_copied (), Net.bytes_sent w.net)
 
 let site_bytes report name =
@@ -297,7 +242,7 @@ let site_bytes report name =
 let check_copies ~check ~size ~count =
   (* RMP: the only remaining copy is the application string entering the
      mailbox buffer; the frame, both headers, and delivery are in place *)
-  let rmp_report, rmp_after, rmp_wire = copies_rmp ~size ~count in
+  let rmp_report, rmp_after, rmp_wire = copies Rmp ~size ~count in
   let app = site_bytes rmp_report "app" in
   check
     (Printf.sprintf "rmp copies: app only (%d B app of %d B total)" app
@@ -324,7 +269,7 @@ let check_copies ~check ~size ~count =
     (reduction >= 0.5);
   (* TCP: the sndbuf ring keeps two payload copies (in and out — the ring
      must survive for retransmission) plus the receiver's string API *)
-  let tcp_report, tcp_after, tcp_wire = copies_tcp ~size ~count in
+  let tcp_report, tcp_after, tcp_wire = copies Tcp ~size ~count in
   check
     (Printf.sprintf "tcp copies: frag %d B, app %d B"
        (site_bytes tcp_report "frag")

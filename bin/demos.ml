@@ -12,6 +12,9 @@ module Cab = Nectar_cab.Cab
 module Costs = Nectar_cab.Costs
 
 module World = Nectar_fleet.World
+module Table1 = Nectar_bench.Table1
+module Fig7 = Nectar_bench.Fig7
+open Nectar_bench.Bench_world
 module Topology = Nectar_fleet.Topology
 
 (* ---------- ping ---------- *)
@@ -43,214 +46,35 @@ let run_ping hubs count payload =
   Engine.run eng;
   Printf.printf "answered by the remote CAB's ICMP upcall (no thread)\n"
 
-(* ---------- latency ---------- *)
+(* ---------- latency and throughput ---------- *)
 
-type proto = Dgram_p | Rmp_p | Rpc_p | Udp_p
+(* Table 1's echo loop and Figure 7's bulk loop at the size and count
+   asked for; at Table 1's and Figure 7's sizes they print the tables'
+   values. *)
 
-let transport_send proto ctx (s : Stack.t) ~dst_cab ~dst_port payload =
-  match proto with
-  | Dgram_p -> Dgram.send_string ctx s.Stack.dgram ~dst_cab ~dst_port payload
-  | Rmp_p -> Rmp.send_string ctx s.Stack.rmp ~dst_cab ~dst_port payload
-  | Udp_p ->
-      Udp.send_string ctx s.Stack.udp ~src_port:dst_port
-        ~dst:(Ipv4.addr_of_cab dst_cab) ~dst_port payload
-  | Rpc_p -> invalid_arg "rpc handled separately"
-
-let run_latency proto payload rounds host_level =
-  let w = World.build () in
-  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
-  let port = 900 in
-  let samples = ref [] in
-  let record t0 = samples := (Engine.now eng - t0) :: !samples in
-  (if proto = Rpc_p then begin
-     Reqresp.register_server b.Stack.reqresp ~port
-       ~mode:Reqresp.Thread_server (fun _ req -> req);
-     if host_level then begin
-       let drv = World.add_host w 0 in
-       let na = Nectarine.host_node drv a in
-       Nectarine.spawn na ~name:"client" (fun ctx ->
-           for _ = 1 to rounds do
-             let t0 = Engine.now eng in
-             ignore
-               (Nectarine.call ctx na
-                  ~dst:{ Nectarine.cab = Stack.node_id b; port }
-                  (String.make payload 'x'));
-             record t0
-           done)
-     end
-     else
-       ignore
-         (Thread.create (Runtime.cab a.Stack.rt) ~name:"client" (fun ctx ->
-              for _ = 1 to rounds do
-                let t0 = Engine.now eng in
-                ignore
-                  (Reqresp.call ctx a.Stack.reqresp
-                     ~dst_cab:(Stack.node_id b) ~dst_port:port
-                     (String.make payload 'x'));
-                record t0
-              done))
-   end
-   else begin
-     let make_inbox s =
-       let mb = Runtime.create_mailbox s.Stack.rt ~name:"cli-inbox" ~port () in
-       if proto = Udp_p then Udp.bind s.Stack.udp ~port mb;
-       mb
-     in
-     let inbox_a = make_inbox a and inbox_b = make_inbox b in
-     if host_level then begin
-       let drv_a = World.add_host w 0 in
-       let drv_b = World.add_host w 1 in
-       let host_a = Cab_driver.host drv_a and host_b = Cab_driver.host drv_b in
-       let ha = Hostlib.attach drv_a inbox_a ~mode:Hostlib.Shared_memory ~readers:`Host in
-       let hb = Hostlib.attach drv_b inbox_b ~mode:Hostlib.Shared_memory ~readers:`Host in
-       (* each side sends through a CAB thread serving a request mailbox *)
-       let send_srv s =
-         let mb = Runtime.create_mailbox s.Stack.rt ~name:"cli-send" () in
-         ignore
-           (Thread.create (Runtime.cab s.Stack.rt) ~name:"send-srv" (fun ctx ->
-                while true do
-                  let m = Mailbox.begin_get ctx mb in
-                  let dst_cab = Message.get_u16 m 0 in
-                  let payload =
-                    Message.read_string m ~pos:2 ~len:(Message.length m - 2)
-                  in
-                  Mailbox.end_get ctx m;
-                  transport_send proto ctx s ~dst_cab ~dst_port:port payload
-                done));
-         mb
-       in
-       let srv_a = send_srv a and srv_b = send_srv b in
-       let hsa = Hostlib.attach drv_a srv_a ~mode:Hostlib.Shared_memory ~readers:`Cab in
-       let hsb = Hostlib.attach drv_b srv_b ~mode:Hostlib.Shared_memory ~readers:`Cab in
-       let host_send h ~dst_cab payload =
-         fun ctx ->
-           let m = Hostlib.begin_put ctx h (2 + String.length payload) in
-           Message.set_u16 m 0 dst_cab;
-           Hostlib.write_string ctx h m ~pos:2 payload;
-           Hostlib.end_put ctx h m
-       in
-       Host.spawn_process host_b ~name:"echo" (fun ctx ->
-           for _ = 1 to rounds do
-             let m = Hostlib.begin_get ctx hb in
-             let s = Hostlib.read_string ctx hb m in
-             Hostlib.end_get ctx hb m;
-             (host_send hsb ~dst_cab:(Stack.node_id a) s) ctx
-           done);
-       Host.spawn_process host_a ~name:"client" (fun ctx ->
-           for _ = 1 to rounds do
-             let t0 = Engine.now eng in
-             (host_send hsa ~dst_cab:(Stack.node_id b)
-                (String.make payload 'x'))
-               ctx;
-             let m = Hostlib.begin_get ctx ha in
-             Hostlib.end_get ctx ha m;
-             record t0
-           done)
-     end
-     else begin
-       ignore
-         (Thread.create (Runtime.cab b.Stack.rt) ~name:"echo" (fun ctx ->
-              for _ = 1 to rounds do
-                let m = Mailbox.begin_get ctx inbox_b in
-                let s = Message.to_string m in
-                Mailbox.end_get ctx m;
-                transport_send proto ctx b ~dst_cab:(Stack.node_id a)
-                  ~dst_port:port s
-              done));
-       ignore
-         (Thread.create (Runtime.cab a.Stack.rt) ~name:"client" (fun ctx ->
-              for _ = 1 to rounds do
-                let t0 = Engine.now eng in
-                transport_send proto ctx a ~dst_cab:(Stack.node_id b)
-                  ~dst_port:port
-                  (String.make payload 'x');
-                let m = Mailbox.begin_get ctx inbox_a in
-                Mailbox.end_get ctx m;
-                record t0
-              done))
-     end
-   end);
-  Engine.run eng;
-  let warm = List.filteri (fun i _ -> i >= 3) (List.rev !samples) in
-  let n = List.length warm in
-  let mean = List.fold_left ( + ) 0 warm / max 1 n in
+let run_latency transport payload rounds host =
+  let samples = echo_rtt (World.build ()) transport ~host ~payload ~rounds in
   Printf.printf "%s %d-byte round trip (%s level, %d rounds): mean %s\n"
-    (match proto with
-    | Dgram_p -> "datagram"
-    | Rmp_p -> "rmp"
-    | Rpc_p -> "rpc"
-    | Udp_p -> "udp")
+    (match transport with
+    | Dgram -> "datagram"
+    | Rmp -> "rmp"
+    | Udp -> "udp"
+    | Rpc _ -> "rpc"
+    | Tcp -> "tcp")
     payload
-    (if host_level then "host" else "CAB")
-    n (Sim_time.to_string mean)
+    (if host then "host" else "CAB")
+    (max 0 (rounds - Table1.warmup))
+    (Sim_time.to_string (Table1.mean_rtt samples))
 
-(* ---------- throughput ---------- *)
-
-type tproto = Tcp_t | Tcp_nocksum_t | Rmp_t
-
-let run_throughput tproto size total_kb =
-  let checksum = tproto <> Tcp_nocksum_t in
-  let w =
-    World.build
-      ~stack:(fun rt -> Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
-      ()
-  in
-  let eng = w.eng and a = w.stacks.(0) and b = w.stacks.(1) in
-  let total = total_kb * 1024 in
-  let k = max 1 (total / size) in
-  let started = ref 0 and done_at = ref 0 in
-  (match tproto with
-  | Rmp_t ->
-      let port = 900 in
-      let inbox =
-        Runtime.create_mailbox b.Stack.rt ~name:"sink" ~port
-          ~byte_limit:(128 * 1024) ()
-      in
-      ignore
-        (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
-             for _ = 1 to k do
-               let m = Mailbox.begin_get ctx inbox in
-               Mailbox.end_get ctx m
-             done;
-             done_at := Engine.now eng));
-      ignore
-        (Thread.create (Runtime.cab a.Stack.rt) ~name:"source" (fun ctx ->
-             started := Engine.now eng;
-             let payload = String.make size 'r' in
-             for _ = 1 to k do
-               Rmp.send_string ctx a.Stack.rmp ~dst_cab:(Stack.node_id b)
-                 ~dst_port:port payload
-             done))
-  | Tcp_t | Tcp_nocksum_t ->
-      Tcp.listen b.Stack.tcp ~port:80 ~on_accept:(fun conn ->
-          ignore
-            (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
-                 let received = ref 0 in
-                 while !received < k * size do
-                   received :=
-                     !received + String.length (Tcp.recv_string ctx conn)
-                 done;
-                 done_at := Engine.now eng)));
-      ignore
-        (Thread.create (Runtime.cab a.Stack.rt) ~name:"source" (fun ctx ->
-             let conn =
-               Tcp.connect ctx a.Stack.tcp ~dst:(Stack.addr b) ~dst_port:80 ()
-             in
-             started := Engine.now eng;
-             let payload = String.make size 't' in
-             for _ = 1 to k do
-               Tcp.send ctx conn payload
-             done)));
-  Engine.run eng;
-  Printf.printf
-    "%s, %d x %d bytes CAB-to-CAB: %.1f Mbit/s (of 100 physical)\n"
-    (match tproto with
-    | Tcp_t -> "TCP/IP"
-    | Tcp_nocksum_t -> "TCP w/o checksum"
-    | Rmp_t -> "RMP")
-    k size
-    (Stats.Throughput.mbit_per_s ~bytes_moved:(k * size)
-       ~elapsed:(!done_at - !started))
+let run_throughput (transport, checksum) size total_kb =
+  let count = max 1 (total_kb * 1024 / size) in
+  Printf.printf "%s, %d x %d bytes CAB-to-CAB: %.1f Mbit/s (of 100 physical)\n"
+    (match (transport, checksum) with
+    | Tcp, true -> "TCP/IP"
+    | Tcp, false -> "TCP w/o checksum"
+    | _ -> "RMP")
+    count size
+    (Fig7.throughput transport ~checksum ~size ~count)
 
 (* ---------- info ---------- *)
 

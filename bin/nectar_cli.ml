@@ -8,14 +8,25 @@
 *)
 
 open Cmdliner
+module Bench_world = Nectar_bench.Bench_world
 
 let proto_conv =
   Arg.enum
-    Demos.[ ("dgram", Dgram_p); ("rmp", Rmp_p); ("rpc", Rpc_p); ("udp", Udp_p) ]
+    Bench_world.
+      [
+        ("dgram", Dgram);
+        ("rmp", Rmp);
+        ("rpc", Rpc Nectar_proto.Reqresp.Thread_server);
+        ("udp", Udp);
+      ]
 
+(* a transport and whether TCP checksums in software *)
 let tproto_conv =
   Arg.enum
-    Demos.[ ("tcp", Tcp_t); ("tcp-nocksum", Tcp_nocksum_t); ("rmp", Rmp_t) ]
+    Bench_world.
+      [
+        ("tcp", (Tcp, true)); ("tcp-nocksum", (Tcp, false)); ("rmp", (Rmp, true));
+      ]
 
 let ping_cmd =
   let hubs = Arg.(value & opt int 1 & info [ "hubs" ] ~doc:"HUBs in the chain.") in
@@ -26,7 +37,7 @@ let ping_cmd =
 
 let latency_cmd =
   let proto =
-    Arg.(value & opt proto_conv Demos.Dgram_p & info [ "protocol"; "p" ]
+    Arg.(value & opt proto_conv Bench_world.Dgram & info [ "protocol"; "p" ]
            ~doc:"Transport: $(b,dgram), $(b,rmp), $(b,rpc) or $(b,udp).")
   in
   let payload = Arg.(value & opt int 64 & info [ "payload" ] ~doc:"Payload bytes.") in
@@ -40,7 +51,8 @@ let latency_cmd =
 
 let throughput_cmd =
   let proto =
-    Arg.(value & opt tproto_conv Demos.Rmp_t & info [ "protocol"; "p" ]
+    Arg.(value & opt tproto_conv Bench_world.(Rmp, true)
+         & info [ "protocol"; "p" ]
            ~doc:"Transport: $(b,tcp), $(b,tcp-nocksum) or $(b,rmp).")
   in
   let size = Arg.(value & opt int 8192 & info [ "size" ] ~doc:"Message bytes.") in

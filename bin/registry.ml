@@ -69,15 +69,22 @@ let vet_scenarios : (string * bool * (unit -> unit)) list =
     ("integration-mesh", true, fun () -> Nectar_scenarios.integration_mesh ());
     ("integration-mixed", true, fun () -> Nectar_scenarios.integration_mixed ());
     ("cli-ping", true, fun () -> Demos.run_ping 2 4 64);
-    ("cli-latency-rmp", true, fun () -> Demos.(run_latency Rmp_p 64 8 false));
-    ("cli-latency-rpc", true, fun () -> Demos.(run_latency Rpc_p 64 8 false));
-    ("cli-latency-host", true, fun () -> Demos.(run_latency Dgram_p 64 8 true));
+    ( "cli-latency-rmp",
+      true,
+      fun () -> Demos.run_latency Bench_world.Rmp 64 8 false );
+    ( "cli-latency-rpc",
+      true,
+      fun () ->
+        Demos.run_latency Bench_world.(Rpc Reqresp.Thread_server) 64 8 false );
+    ( "cli-latency-host",
+      true,
+      fun () -> Demos.run_latency Bench_world.Dgram 64 8 true );
     ( "cli-throughput-rmp",
       true,
-      fun () -> Demos.(run_throughput Rmp_t 8192 256) );
+      fun () -> Demos.run_throughput Bench_world.(Rmp, true) 8192 256 );
     ( "cli-throughput-tcp",
       true,
-      fun () -> Demos.(run_throughput Tcp_t 8192 256) );
+      fun () -> Demos.run_throughput Bench_world.(Tcp, true) 8192 256 );
   ]
 
 let vet_entry (name, quiesced, f) =
