@@ -352,7 +352,7 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
   let rng = Rng.create ~seed:1990 in
 
   (* every node accepts reliable messages on port 700 and drains them *)
-  let rmp_received = Stats.Counter.create () in
+  let rmp_received = ref 0 in
   Array.iter
     (fun s ->
       let inbox =
@@ -362,13 +362,13 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
         (Thread.create (Runtime.cab s.Stack.rt) ~name:"drain" (fun ctx ->
              while true do
                let m = Mailbox.begin_get ctx inbox in
-               Stats.Counter.incr rmp_received;
+               incr rmp_received;
                Mailbox.end_get ctx m
              done)))
     stacks;
 
   (* chatter: each node sends reliable messages to random peers *)
-  let rmp_sent = Stats.Counter.create () in
+  let rmp_sent = ref 0 in
   Array.iteri
     (fun i s ->
       let node_rng = Rng.split rng in
@@ -380,14 +380,14 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
                if peer <> i then begin
                  Rmp.send_string ctx s.Stack.rmp ~dst_cab:peer ~dst_port:700
                    (String.make (16 + Rng.int node_rng 2000) 'c');
-                 Stats.Counter.incr rmp_sent
+                 incr rmp_sent
                end;
                Engine.sleep eng (Sim_time.us (500 + Rng.int node_rng 4000))
              done)))
     stacks;
 
   (* ping: each node pings its successor periodically *)
-  let pings_ok = Stats.Counter.create () in
+  let pings_ok = ref 0 in
   Array.iteri
     (fun i s ->
       ignore
@@ -399,14 +399,14 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
                     ~dst:(Ipv4.addr_of_cab ((i + 1) mod nodes))
                     ()
                 with
-               | Some _ -> Stats.Counter.incr pings_ok
+               | Some _ -> incr pings_ok
                | None -> ());
                Engine.sleep eng (Sim_time.ms 10)
              done)))
     stacks;
 
   (* bulk TCP across the trunk *)
-  let tcp_bytes = Stats.Counter.create () in
+  let tcp_bytes = ref 0 in
   for p = 0 to tcp_pairs - 1 do
     let src = stacks.(p) and dst = stacks.(nodes - 1 - p) in
     Tcp.listen dst.Stack.tcp ~port:80 ~on_accept:(fun conn ->
@@ -414,7 +414,7 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
           (Thread.create (Runtime.cab dst.Stack.rt) ~name:"sink" (fun ctx ->
                while true do
                  let s = Tcp.recv_string ctx conn in
-                 Stats.Counter.add tcp_bytes (String.length s)
+                 tcp_bytes := !tcp_bytes + String.length s
                done)));
     ignore
       (Thread.create (Runtime.cab src.Stack.rt) ~name:"bulk" (fun ctx ->
@@ -432,12 +432,12 @@ let deployment ?(nodes = 25) ?(run_for = Sim_time.ms 200) ?(tcp_pairs = 3) ()
   Printf.printf "deployment: %d CABs on 2 HUBs, %s of mixed traffic\n" nodes
     (Sim_time.to_string run_for);
   Printf.printf "  RMP messages:   %d sent, %d delivered\n"
-    (Stats.Counter.value rmp_sent)
-    (Stats.Counter.value rmp_received);
+    !rmp_sent
+    !rmp_received;
   Printf.printf "  ICMP echoes:    %d answered\n"
-    (Stats.Counter.value pings_ok);
+    !pings_ok;
   Printf.printf "  TCP bulk:       %d KB across the trunk (%d connections)\n"
-    (Stats.Counter.value tcp_bytes / 1024)
+    (!tcp_bytes / 1024)
     tcp_pairs;
   let frames = Net.frames_sent net and bytes = Net.bytes_sent net in
   Printf.printf "  fabric:         %d frames, %.1f MB total\n" frames
@@ -458,7 +458,7 @@ let integration_mesh ?(nodes = 6) ?(messages = 8) () =
   let w = World.build ~seats:(World.ports nodes) () in
   let eng = w.eng and stacks = w.stacks in
   let expected = messages * (nodes - 1) in
-  let received = Stats.Counter.create () in
+  let received = ref 0 in
   Array.iter
     (fun s ->
       let inbox =
@@ -468,7 +468,7 @@ let integration_mesh ?(nodes = 6) ?(messages = 8) () =
         (Thread.create (Runtime.cab s.Stack.rt) ~name:"drain" (fun ctx ->
              for _ = 1 to expected do
                let m = Mailbox.begin_get ctx inbox in
-               Stats.Counter.incr received;
+               incr received;
                Mailbox.end_get ctx m
              done)))
     stacks;
@@ -488,7 +488,7 @@ let integration_mesh ?(nodes = 6) ?(messages = 8) () =
   Engine.run eng;
   Printf.printf "integration-mesh: %d nodes, %d/%d messages delivered\n"
     nodes
-    (Stats.Counter.value received)
+    !received
     (nodes * expected)
 
 (* A single-CAB workload exercising the raw runtime surface end to end —

@@ -27,7 +27,7 @@ type t = {
   fiber_queue : fiber_item Queue.t;
   fiber_ready : Waitq.t;
   mutable vme_bus : Vme.t option;
-  tx_count : Stats.Counter.t;
+  mutable tx_count : int;
 }
 
 let tx_dma_process t () =
@@ -63,7 +63,7 @@ let tx_dma_process t () =
     done;
     Trace.span_end tid;
     Interrupts.post t.irq_ctl ~name:"tx-done" req.on_done;
-    Stats.Counter.incr t.tx_count
+    t.tx_count <- t.tx_count + 1
   done
 
 let fiber_tx_process t () =
@@ -108,7 +108,7 @@ let create ?data_bytes net ~hub ~port ~name =
       fiber_queue = Queue.create ();
       fiber_ready = Waitq.create eng;
       vme_bus = None;
-      tx_count = Stats.Counter.create ();
+      tx_count = 0;
     }
   in
   t.nid <- Nectar_hub.Network.attach_node net ~hub ~port (Rx.sink rx_engine);
@@ -145,5 +145,5 @@ let send_frame t ~route ~header_bytes ?(release = fun () -> ()) ~extents
   Queue.add { route; header_bytes; extents; len; release; on_done } t.tx_queue;
   ignore (Waitq.signal t.tx_ready)
 
-let frames_tx t = Stats.Counter.value t.tx_count
+let frames_tx t = t.tx_count
 let in_fifo_level t = Byte_fifo.level t.in_fifo

@@ -7,8 +7,8 @@ type t = {
   priority : int;
   serial : Resource.t; (* handlers run to completion, one at a time *)
   iname : string;
-  count : Stats.Counter.t;
-  coalesced_count : Stats.Counter.t;
+  mutable count : int;
+  mutable coalesced_count : int;
   pending : (string, unit) Hashtbl.t; (* latched keys (see post_coalesced) *)
   irq_owner : Cpu.owner;
   mutable labels : (string * string) list;
@@ -26,8 +26,8 @@ let create eng cpu ?(dispatch_ns = Costs.irq_dispatch_ns)
     priority;
     serial = Resource.create eng ();
     iname = name;
-    count = Stats.Counter.create ();
-    coalesced_count = Stats.Counter.create ();
+    count = 0;
+    coalesced_count = 0;
     pending = Hashtbl.create 8;
     (* The dispatch cost is charged explicitly, so the owner itself has no
        switch-in cost; transparency means returning from an interrupt does
@@ -52,7 +52,7 @@ let label t name =
   find t.labels
 
 let post t ~name fn =
-  Stats.Counter.incr t.count;
+  t.count <- t.count + 1;
   Engine.spawn t.eng ~name:(label t name) (fun () ->
       Resource.with_held t.serial (fun () ->
           (* span covers dispatch + handler: interrupt entry to exit *)
@@ -74,7 +74,7 @@ let post t ~name fn =
    toward "operation complete", exactly one handler dispatch (and so one
    host notification) results per key. *)
 let post_coalesced t ~key ~name fn =
-  if Hashtbl.mem t.pending key then Stats.Counter.incr t.coalesced_count
+  if Hashtbl.mem t.pending key then t.coalesced_count <- t.coalesced_count + 1
   else begin
     Hashtbl.replace t.pending key ();
     post t ~name (fun ictx ->
@@ -82,6 +82,6 @@ let post_coalesced t ~key ~name fn =
         fn ictx)
   end
 
-let posted t = Stats.Counter.value t.count
-let coalesced t = Stats.Counter.value t.coalesced_count
+let posted t = t.count
+let coalesced t = t.coalesced_count
 let ctx_engine (t : ctx) = t.eng

@@ -4,7 +4,7 @@ type t = {
   eng : Engine.t;
   bus_res : Resource.t;
   vname : string; (* trace track for bus crossings *)
-  moved : Stats.Counter.t;
+  mutable moved : int;
   mutable fault : (unit -> bool) option;
   mutable error_count : int;
 }
@@ -14,7 +14,7 @@ let create eng ~name =
     eng;
     bus_res = Resource.create eng ();
     vname = name ^ ".vme";
-    moved = Stats.Counter.create ();
+    moved = 0;
     fault = None;
     error_count = 0;
   }
@@ -52,7 +52,7 @@ let pio t ~cpu ~owner ~priority ~bytes =
     if not (bus_errored t) then remaining := !remaining - n
   done;
   Trace.span_end tid;
-  Stats.Counter.add t.moved bytes
+  t.moved <- t.moved + bytes
 
 let pio_words t ~cpu ~owner ~priority ~words =
   pio t ~cpu ~owner ~priority ~bytes:(words * 4)
@@ -67,7 +67,7 @@ let dma t ~bytes =
     done_ := not (bus_errored t)
   done;
   Trace.span_end tid;
-  Stats.Counter.add t.moved bytes
+  t.moved <- t.moved + bytes
 
-let bytes_moved t = Stats.Counter.value t.moved
+let bytes_moved t = t.moved
 let bus_errors t = t.error_count

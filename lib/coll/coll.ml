@@ -187,9 +187,9 @@ type t = {
   mutable base_seq : int; (* baseline operations *)
   ops : (int, opstate) Hashtbl.t;
   base_ops : (int, opstate) Hashtbl.t;
-  ops_count : Stats.Counter.t;
-  up_count : Stats.Counter.t;
-  down_count : Stats.Counter.t;
+  mutable ops_count : int;
+  mutable up_count : int;
+  mutable down_count : int;
 }
 
 let rank t = t.trank
@@ -212,8 +212,8 @@ let gc tbl seq st = if st.consumed && st.proto_done then Hashtbl.remove tbl seq
 
 let send ctx t ~dst ~op ~seq ~value payload =
   (if op = op_reduce_up || op = op_bcast_ack || op = op_base_arrive then
-     Stats.Counter.incr t.up_count
-   else Stats.Counter.incr t.down_count);
+     t.up_count <- t.up_count + 1
+   else t.down_count <- t.down_count + 1);
   Rmp.send_string ctx t.stack.Stack.rmp ~dst_cab:dst ~dst_port:port
     (encode ~op ~seq ~value payload)
 
@@ -391,35 +391,29 @@ let attach ?(combine = ( + )) stack ~tree =
       base_seq = 0;
       ops = Hashtbl.create 16;
       base_ops = Hashtbl.create 16;
-      ops_count = Stats.Counter.create ();
-      up_count = Stats.Counter.create ();
-      down_count = Stats.Counter.create ();
+      ops_count = 0;
+      up_count = 0;
+      down_count = 0;
     }
   in
   Stack.register_service stack ~name:"coll" (fun reg ->
       let prefix = cab_name ^ "." in
-      Metrics.counter reg (prefix ^ "coll.ops") (fun () ->
-          Stats.Counter.value t.ops_count);
-      Metrics.counter reg (prefix ^ "coll.up_msgs") (fun () ->
-          Stats.Counter.value t.up_count);
-      Metrics.counter reg (prefix ^ "coll.down_msgs") (fun () ->
-          Stats.Counter.value t.down_count);
+      Metrics.counter reg (prefix ^ "coll.ops") (fun () -> t.ops_count);
+      Metrics.counter reg (prefix ^ "coll.up_msgs") (fun () -> t.up_count);
+      Metrics.counter reg (prefix ^ "coll.down_msgs") (fun () -> t.down_count);
       Metrics.counter reg (prefix ^ "coll.host_wakeups") (fun () ->
           Runtime.host_notifications run));
   ignore (Runtime.spawn_thread run ~name:(cab_name ^ ".coll-daemon") (daemon t));
   t
 
 let register_metrics t reg ~prefix =
-  Metrics.counter reg (prefix ^ "coll.ops") (fun () ->
-      Stats.Counter.value t.ops_count);
-  Metrics.counter reg (prefix ^ "coll.up_msgs") (fun () ->
-      Stats.Counter.value t.up_count);
-  Metrics.counter reg (prefix ^ "coll.down_msgs") (fun () ->
-      Stats.Counter.value t.down_count)
+  Metrics.counter reg (prefix ^ "coll.ops") (fun () -> t.ops_count);
+  Metrics.counter reg (prefix ^ "coll.up_msgs") (fun () -> t.up_count);
+  Metrics.counter reg (prefix ^ "coll.down_msgs") (fun () -> t.down_count)
 
-let ops_completed t = Stats.Counter.value t.ops_count
-let up_messages t = Stats.Counter.value t.up_count
-let down_messages t = Stats.Counter.value t.down_count
+let ops_completed t = t.ops_count
+let up_messages t = t.up_count
+let down_messages t = t.down_count
 
 (* ---------- tree operations ---------- *)
 
@@ -443,7 +437,7 @@ let reduce ctx t value =
   let result = await ctx t st in
   st.consumed <- true;
   gc t.ops seq st;
-  Stats.Counter.incr t.ops_count;
+  t.ops_count <- t.ops_count + 1;
   result
 
 let barrier ctx t = ignore (reduce ctx t 1)
@@ -487,7 +481,7 @@ let bcast ctx t payload_opt =
   in
   st.consumed <- true;
   gc t.ops seq st;
-  Stats.Counter.incr t.ops_count;
+  t.ops_count <- t.ops_count + 1;
   result
 
 (* ---------- host-driven baseline ---------- *)
@@ -531,7 +525,7 @@ let host_op ctx t ~value ~payload_opt =
   let result = await ctx t st in
   st.consumed <- true;
   gc t.base_ops seq st;
-  Stats.Counter.incr t.ops_count;
+  t.ops_count <- t.ops_count + 1;
   (result, st.payload)
 
 let host_barrier ctx t = ignore (host_op ctx t ~value:1 ~payload_opt:None)

@@ -20,9 +20,9 @@ type t = {
   mutable upcall : (Ctx.t -> t -> unit) option;
   mutable on_space_freed : (unit -> unit) option;
   cache : cached_buffer option;
-  put_count : Stats.Counter.t;
-  get_count : Stats.Counter.t;
-  cache_hit_count : Stats.Counter.t;
+  mutable put_count : int;
+  mutable get_count : int;
+  mutable cache_hit_count : int;
 }
 
 let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
@@ -57,9 +57,9 @@ let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
     upcall;
     on_space_freed = None;
     cache;
-    put_count = Stats.Counter.create ();
-    get_count = Stats.Counter.create ();
-    cache_hit_count = Stats.Counter.create ();
+    put_count = 0;
+    get_count = 0;
+    cache_hit_count = 0;
   }
 
 let name t = t.mname
@@ -92,7 +92,7 @@ let take_buffer t (ctx : Ctx.t) n =
   match t.cache with
   | Some c when (not c.busy) && n <= c.clen ->
       c.busy <- true;
-      Stats.Counter.incr t.cache_hit_count;
+      t.cache_hit_count <- t.cache_hit_count + 1;
       Some (c.coff, c.clen, (fun () -> c.busy <- false), true)
   | _ -> (
       ctx.work Costs.heap_alloc_ns;
@@ -159,7 +159,7 @@ let begin_put ctx t ?(headroom = 0) n =
 let queue_message (ctx : Ctx.t) t (msg : Message.t) =
   msg.state <- Message.Queued;
   Queue.add msg t.queue;
-  Stats.Counter.incr t.put_count;
+  t.put_count <- t.put_count + 1;
   ignore (Waitq.signal t.data_q);
   match t.upcall with
   | Some u ->
@@ -219,7 +219,7 @@ let try_begin_get (ctx : Ctx.t) t =
       (* a capacity-bounded mailbox admits a blocked writer as soon as a
          slot opens, not only when the reader finishes with the bytes *)
       if t.capacity <> None then ignore (Waitq.broadcast t.space_q);
-      Stats.Counter.incr t.get_count;
+      t.get_count <- t.get_count + 1;
       Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:t.mname
         Vet_hook.Begin_get;
       Some msg
@@ -269,9 +269,9 @@ let queued_bytes t =
 
 let bytes_in_use t = t.in_use
 let overflow_drops t = t.overflow_drop_count
-let puts t = Stats.Counter.value t.put_count
-let gets t = Stats.Counter.value t.get_count
-let cache_hits t = Stats.Counter.value t.cache_hit_count
+let puts t = t.put_count
+let gets t = t.get_count
+let cache_hits t = t.cache_hit_count
 
 let register_metrics t reg ~prefix =
   let base = prefix ^ "mbox." ^ name t ^ "." in

@@ -1,4 +1,3 @@
-open Nectar_sim
 open Nectar_cab
 
 type t = {
@@ -9,8 +8,8 @@ type t = {
   mutable host_notifier : (opcode:int -> param:int -> unit) option;
   mutable signal_fault : (unit -> bool) option;
   mutable signals_lost_count : int;
-  host_notify_count : Stats.Counter.t;
-  cab_signal_count : Stats.Counter.t;
+  mutable host_notify_count : int;
+  mutable cab_signal_count : int;
 }
 
 let create cab =
@@ -27,8 +26,8 @@ let create cab =
     host_notifier = None;
     signal_fault = None;
     signals_lost_count = 0;
-    host_notify_count = Stats.Counter.create ();
-    cab_signal_count = Stats.Counter.create ();
+    host_notify_count = 0;
+    cab_signal_count = 0;
   }
 
 let cab t = t.rcab
@@ -87,7 +86,7 @@ let signal_lost t =
   | _ -> false
 
 let post_to_cab t ~opcode ~param =
-  Stats.Counter.incr t.cab_signal_count;
+  t.cab_signal_count <- t.cab_signal_count + 1;
   match Hashtbl.find_opt t.opcodes opcode with
   | None -> invalid_arg "Runtime.post_to_cab: unregistered opcode"
   | Some fn ->
@@ -101,12 +100,12 @@ let set_host_notifier t n = t.host_notifier <- n
 let set_signal_fault t hook = t.signal_fault <- hook
 
 let notify_host t ~opcode ~param =
-  Stats.Counter.incr t.host_notify_count;
+  t.host_notify_count <- t.host_notify_count + 1;
   match t.host_notifier with
   | Some fn -> if not (signal_lost t) then fn ~opcode ~param
   | None -> ()
 
 let signals_lost t = t.signals_lost_count
 
-let host_notifications t = Stats.Counter.value t.host_notify_count
-let cab_signals t = Stats.Counter.value t.cab_signal_count
+let host_notifications t = t.host_notify_count
+let cab_signals t = t.cab_signal_count

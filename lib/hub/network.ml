@@ -43,16 +43,16 @@ type t = {
     unit)
     option;
   mutable frame_ids : int;
-  frames : Stats.Counter.t;
-  bytes : Stats.Counter.t;
-  delivered : Stats.Counter.t;
-  fault_drops_count : Stats.Counter.t;
-  corrupted : Stats.Counter.t;
-  link_down_count : Stats.Counter.t;
-  remote_out : Stats.Counter.t;
-  remote_in : Stats.Counter.t;
-  port_waits_count : Stats.Counter.t;
-  port_wait_ns_total : Stats.Counter.t;
+  mutable frames : int;
+  mutable bytes : int;
+  mutable delivered : int;
+  mutable fault_drops_count : int;
+  mutable corrupted : int;
+  mutable link_down_count : int;
+  mutable remote_out : int;
+  mutable remote_in : int;
+  mutable port_waits_count : int;
+  mutable port_wait_ns_total : int;
 }
 
 (* The fabric hardware (paper section 2.1). *)
@@ -86,16 +86,16 @@ let create eng ~hubs () =
     link_watchers = [];
     remote_forward = None;
     frame_ids = 0;
-    frames = Stats.Counter.create ();
-    bytes = Stats.Counter.create ();
-    delivered = Stats.Counter.create ();
-    fault_drops_count = Stats.Counter.create ();
-    corrupted = Stats.Counter.create ();
-    link_down_count = Stats.Counter.create ();
-    remote_out = Stats.Counter.create ();
-    remote_in = Stats.Counter.create ();
-    port_waits_count = Stats.Counter.create ();
-    port_wait_ns_total = Stats.Counter.create ();
+    frames = 0;
+    bytes = 0;
+    delivered = 0;
+    fault_drops_count = 0;
+    corrupted = 0;
+    link_down_count = 0;
+    remote_out = 0;
+    remote_in = 0;
+    port_waits_count = 0;
+    port_wait_ns_total = 0;
   }
 
 let engine t = t.eng
@@ -285,8 +285,8 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       Resource.acquire p.out_res;
       let waited = Engine.now t.eng - hop_start - hub_setup_ns in
       if waited > 0 then begin
-        Stats.Counter.incr t.port_waits_count;
-        Stats.Counter.add t.port_wait_ns_total waited
+        t.port_waits_count <- t.port_waits_count + 1;
+        t.port_wait_ns_total <- t.port_wait_ns_total + waited
       end)
     hops;
   Engine.sleep t.eng (hop_latency_ns * List.length hops);
@@ -301,7 +301,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       Engine.sleep t.eng (total * fiber_ns_per_byte);
       Frame.release frame
   | (`Deliver | `Corrupt | `Corrupt_burst _), Local dst ->
-      Stats.Counter.incr t.delivered;
+      t.delivered <- t.delivered + 1;
       let dst_sink = (node t dst).sink in
       let arrived = ref 0 in
       List.iter
@@ -329,7 +329,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       let fid = frame.Frame.id and fsrc = frame.Frame.src in
       let wire_crc = frame.Frame.wire_crc in
       Frame.release frame;
-      Stats.Counter.incr t.remote_out;
+      t.remote_out <- t.remote_out + 1;
       (match t.remote_forward with
       | Some hook ->
           hook ~link
@@ -348,10 +348,10 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
   in
   (match verdict with
   | `Corrupt ->
-      Stats.Counter.incr t.corrupted;
+      t.corrupted <- t.corrupted + 1;
       Frame.corrupt frame
   | `Corrupt_burst k ->
-      Stats.Counter.incr t.corrupted;
+      t.corrupted <- t.corrupted + 1;
       Frame.corrupt ~burst:k frame
   | `Deliver | `Drop -> ());
   let src_node = node t src in
@@ -361,12 +361,12 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
     || List.exists (fun (_, p) -> not p.up) hops
   in
   let verdict = if link_down then `Drop else verdict in
-  if link_down then Stats.Counter.incr t.link_down_count
-  else if verdict = `Drop then Stats.Counter.incr t.fault_drops_count;
+  if link_down then t.link_down_count <- t.link_down_count + 1
+  else if verdict = `Drop then t.fault_drops_count <- t.fault_drops_count + 1;
   let total = Frame.length frame in
   run_circuit t ~hops ~target ~verdict ~header_bytes frame;
-  Stats.Counter.incr t.frames;
-  Stats.Counter.add t.bytes total;
+  t.frames <- t.frames + 1;
+  t.bytes <- t.bytes + total;
   Trace.span_end tid
 
 (* Continue a frame that crossed a partition boundary: rebuild it from
@@ -380,7 +380,7 @@ let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~wire_crc
   if hub < 0 || hub >= Array.length t.hubs then
     invalid_arg "Network.inject: bad entry hub";
   if route_ports = [] then invalid_arg "Network.inject: empty route";
-  Stats.Counter.incr t.remote_in;
+  t.remote_in <- t.remote_in + 1;
   Engine.spawn t.eng ~name:"net.inject" (fun () ->
       let tid = Trace.span_begin ~track:"net" "wire" in
       let frame =
@@ -390,7 +390,7 @@ let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~wire_crc
       let hops, target = resolve_from t ~hub route_ports in
       let link_down = List.exists (fun (_, p) -> not p.up) hops in
       let verdict = if link_down then `Drop else `Deliver in
-      if link_down then Stats.Counter.incr t.link_down_count;
+      if link_down then t.link_down_count <- t.link_down_count + 1;
       run_circuit t ~hops ~target ~verdict ~header_bytes frame;
       Trace.span_end tid)
 
@@ -401,16 +401,16 @@ let next_frame_id t =
   t.frame_ids <- id + 1;
   id
 
-let frames_sent t = Stats.Counter.value t.frames
-let bytes_sent t = Stats.Counter.value t.bytes
-let frames_delivered t = Stats.Counter.value t.delivered
-let fault_drops t = Stats.Counter.value t.fault_drops_count
-let frames_corrupted t = Stats.Counter.value t.corrupted
-let link_down_drops t = Stats.Counter.value t.link_down_count
-let remote_handoffs t = Stats.Counter.value t.remote_out
-let remote_injections t = Stats.Counter.value t.remote_in
-let port_waits t = Stats.Counter.value t.port_waits_count
-let port_wait_ns t = Stats.Counter.value t.port_wait_ns_total
+let frames_sent t = t.frames
+let bytes_sent t = t.bytes
+let frames_delivered t = t.delivered
+let fault_drops t = t.fault_drops_count
+let frames_corrupted t = t.corrupted
+let link_down_drops t = t.link_down_count
+let remote_handoffs t = t.remote_out
+let remote_injections t = t.remote_in
+let port_waits t = t.port_waits_count
+let port_wait_ns t = t.port_wait_ns_total
 
 let register_metrics t reg ~prefix =
   let c name read = Nectar_util.Metrics.counter reg (prefix ^ name) read in
