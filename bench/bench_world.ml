@@ -37,13 +37,13 @@ let inbox transport (s : Stack.t) =
   end
   else Runtime.create_mailbox s.rt ~name:"inbox" ~port ()
 
-let send_to transport ctx (s : Stack.t) ~dst_cab payload =
+let send_to transport ctx (s : Stack.t) ~dst_cab ~dst_port payload =
   match transport with
-  | Dgram -> Dgram.send_string ctx s.dgram ~dst_cab ~dst_port:port payload
-  | Rmp -> Rmp.send_string ctx s.rmp ~dst_cab ~dst_port:port payload
+  | Dgram -> Dgram.send_string ctx s.dgram ~dst_cab ~dst_port payload
+  | Rmp -> Rmp.send_string ctx s.rmp ~dst_cab ~dst_port payload
   | Udp ->
       Udp.send_string ctx s.udp ~src_port:port ~dst:(Ipv4.addr_of_cab dst_cab)
-        ~dst_port:port payload
+        ~dst_port payload
   | Rpc _ | Tcp -> invalid_arg "Bench_world.send_to: not a datagram transport"
 
 (* The host's cost of building or consuming an [n]-byte message in place. *)
@@ -61,10 +61,11 @@ let host_sender drv transport (s : Stack.t) =
       while true do
         let m = Mailbox.begin_get ctx mb in
         let dst_cab = Message.get_u16 m 0 in
+        let dst_port = Message.get_u16 m 2 in
         let len = Message.length m - 4 in
         let payload = Message.read_string m ~pos:4 ~len in
         Mailbox.end_get ctx m;
-        send_to transport ctx s ~dst_cab payload
+        send_to transport ctx s ~dst_cab ~dst_port payload
       done);
   let h = Hostlib.attach drv mb ~mode:Hostlib.Shared_memory ~readers:`Cab in
   fun ctx ~dst_cab payload ->
@@ -99,11 +100,12 @@ let echo_rtt (w : World.t) transport ~host ~payload ~rounds =
             let m = Mailbox.begin_get ctx inbox_b in
             let s = Message.to_string m in
             Mailbox.end_get ctx m;
-            send_to transport ctx b ~dst_cab:(Stack.node_id a) s
+            send_to transport ctx b ~dst_cab:(Stack.node_id a) ~dst_port:port s
           done);
       spawn_cab_thread a ~name:"client"
         (timed (fun ctx ->
-             send_to transport ctx a ~dst_cab:(Stack.node_id b) msg;
+             send_to transport ctx a ~dst_cab:(Stack.node_id b) ~dst_port:port
+               msg;
              Mailbox.end_get ctx (Mailbox.begin_get ctx inbox_a)))
   | (Dgram | Rmp | Udp), true ->
       let drv_a = World.add_host w 0 in

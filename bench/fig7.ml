@@ -19,12 +19,10 @@ let message_count size = max 100 (min 600 (1_500_000 / size))
    measured. *)
 let throughput transport ~checksum ~size ~count =
   let w =
-    if transport = Tcp then
-      World.build
-        ~stack:(fun rt ->
-          Nectar_proto.Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
-        ()
-    else World.build ()
+    World.build
+      ~stack:(fun rt ->
+        Nectar_proto.Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
+      ()
   in
   let r = bulk w transport ~size ~count in
   Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered

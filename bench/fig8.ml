@@ -116,8 +116,7 @@ let tcp_throughput size =
         Hostlib.end_put ctx send_req m
       done);
   Engine.run w.eng;
-  Stats.Throughput.mbit_per_s ~bytes_moved:total
-    ~elapsed:(!done_at - !started)
+  Stats.Throughput.mbit_per_s ~bytes_moved:total ~elapsed:(!done_at - !started)
 
 (* ---------- network-device mode ---------- *)
 
