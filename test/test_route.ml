@@ -90,6 +90,42 @@ let test_route_opt_and_no_route () =
     (Net.route_opt w.net ~src:a ~dst:b
     = Some (Net.route w.net ~src:a ~dst:b))
 
+(* ---------- refusal classification ---------- *)
+
+(* hub0 <-> hub1 is wired but its one trunk is down on hub0's side; hub2
+   shares no trunk with anyone.  The table and the typed refusals must
+   tell the wired-but-dark pair from the unwired ones. *)
+let test_refusal_classification () =
+  let eng = Engine.create () in
+  let net = Net.create eng ~hubs:3 () in
+  Net.connect_hubs net (0, 15) (1, 14);
+  let a = Cab.node_id (Cab.create net ~hub:0 ~port:2 ~name:"a") in
+  let b = Cab.node_id (Cab.create net ~hub:1 ~port:2 ~name:"b") in
+  let c = Cab.node_id (Cab.create net ~hub:2 ~port:2 ~name:"c") in
+  Net.set_link_up net ~hub:0 ~port:15 false;
+  let r = Router.create net in
+  Alcotest.(check (list string))
+    "table classifies every pair"
+    [
+      "0 -> 1 proto 0: ROUTE-DOWN";
+      "0 -> 2 proto 0: NO-ROUTE";
+      "1 -> 0 proto 0: [14;2]";
+      "1 -> 2 proto 0: NO-ROUTE";
+      "2 -> 0 proto 0: NO-ROUTE";
+      "2 -> 1 proto 0: NO-ROUTE";
+    ]
+    (Router.table_lines r);
+  check_bool "wired pair with its trunk down raises Route_down" true
+    (match Router.lookup r ~src:a ~dst:b ~proto:0 with
+    | _ -> false
+    | exception Router.Route_down { src; dst } -> src = a && dst = b);
+  check_bool "unwired pair raises No_route" true
+    (match Router.lookup r ~src:a ~dst:c ~proto:0 with
+    | _ -> false
+    | exception Router.No_route { src; dst } -> src = a && dst = c);
+  check_int "one Route_down refusal" 1 (Router.route_down_refusals r);
+  check_int "one No_route refusal" 1 (Router.no_route_refusals r)
+
 (* ---------- verifier obligations ---------- *)
 
 let ring4 () =
@@ -333,6 +369,8 @@ let () =
             test_lookup_pins_network_route;
           Alcotest.test_case "route_opt and No_route" `Quick
             test_route_opt_and_no_route;
+          Alcotest.test_case "refusal classification" `Quick
+            test_refusal_classification;
         ] );
       ( "verifier",
         [
