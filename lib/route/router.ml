@@ -221,11 +221,19 @@ let compile t ~src ~dst ~proto =
   in
   try_prefs rule.Policy.prefer
 
-let key ~src ~dst ~proto = (((src lsl 12) lor dst) lsl 8) lor proto
+(* The cache key packs src (30 bits), dst (12) and proto (8); [verify]
+   decodes it.  An out-of-range component would land on another flow's
+   entry, so it is refused instead. *)
+let key ~src ~dst ~proto =
+  if src lor dst lor proto < 0 || src > 0x3fff_ffff || dst > 0xfff
+     || proto > 0xff
+  then invalid_arg "Router.lookup: flow component out of range";
+  (((src lsl 12) lor dst) lsl 8) lor proto
 
 let lookup t ~src ~dst ~proto =
   if src = dst then invalid_arg "Router.lookup: src = dst";
-  match Hashtbl.find_opt t.table (key ~src ~dst ~proto) with
+  let key = key ~src ~dst ~proto in
+  match Hashtbl.find_opt t.table key with
   | Some e -> e.path
   | None -> (
       match compile t ~src ~dst ~proto with
@@ -240,7 +248,7 @@ let lookup t ~src ~dst ~proto =
                              ^ reason)
           in
           t.compiles <- t.compiles + 1;
-          Hashtbl.replace t.table (key ~src ~dst ~proto) { path; crossed };
+          Hashtbl.replace t.table key { path; crossed };
           path
       | None ->
           if Net.route_opt t.net ~src ~dst = None then begin

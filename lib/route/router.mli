@@ -38,7 +38,9 @@ val create : ?policy:Policy.t -> Nectar_hub.Network.t -> t
 val lookup : t -> src:int -> dst:int -> proto:int -> int list
 (** The source route for a flow, compiled and cached on first use.
     Raises {!Route_down} or {!No_route} (and counts the refusal) when the
-    policy yields nothing.  [Invalid_argument] when [src = dst]. *)
+    policy yields nothing.  [Invalid_argument] when [src = dst], or when
+    a component is outside the cache key's range: [src] 30 bits, [dst]
+    12 bits, [proto] 8 bits. *)
 
 (** {1 Verification}
 

@@ -126,6 +126,24 @@ let test_refusal_classification () =
   check_int "one Route_down refusal" 1 (Router.route_down_refusals r);
   check_int "one No_route refusal" 1 (Router.no_route_refusals r)
 
+(* ---------- cache key range ---------- *)
+
+(* The cache key packs dst into 12 bits and proto into 8: a flow outside
+   that range must be refused, not served another flow's cached route. *)
+let test_key_out_of_range () =
+  let w = chain2 () in
+  let r = Router.create w.net in
+  ignore (Router.lookup r ~src:1 ~dst:0 ~proto:0);
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Router.lookup: flow component out of range")
+      (fun () -> ignore (f ()))
+  in
+  refused "dst 4096" (fun () -> Router.lookup r ~src:0 ~dst:4096 ~proto:0);
+  refused "proto 256" (fun () -> Router.lookup r ~src:0 ~dst:1 ~proto:256);
+  refused "negative proto" (fun () -> Router.lookup r ~src:0 ~dst:1 ~proto:(-1));
+  check_int "only the in-range flow compiled" 1 (Router.compiles r)
+
 (* ---------- verifier obligations ---------- *)
 
 let ring4 () =
@@ -371,6 +389,8 @@ let () =
             test_route_opt_and_no_route;
           Alcotest.test_case "refusal classification" `Quick
             test_refusal_classification;
+          Alcotest.test_case "cache key out of range" `Quick
+            test_key_out_of_range;
         ] );
       ( "verifier",
         [
