@@ -18,10 +18,6 @@
    - no ignored Message.t values (an ignored message is a leaked buffer);
    - no bare failwith in lib/core or lib/proto (raise a typed exception
      such as Buffer_heap.Corrupt, or use invalid_arg for caller errors);
-   - no direct Network.route / Net.route calls in lib/ outside lib/route
-     and lib/hub — transports go through Router.lookup so routing policy
-     and live link state apply (a "[Network.route]" doc reference is not
-     flagged);
    - no Network.create / Net.create in lib/ outside lib/hub, lib/check
      (bare-CAB and partitioned worlds), lib/fleet/world.ml (the one
      stack-level world builder) and lib/fleet/driver.ml (the wire-level
@@ -77,7 +73,6 @@ let pat_stdout_printers =
     "print_" ^ "newline";
   ]
 
-let pats_net_route = [ "Network." ^ "route"; "Net." ^ "route" ]
 let pats_net_create = [ "Network." ^ "create"; "Net." ^ "create" ]
 
 (* qualified constructors matched by substring; the bare [ref] needs
@@ -107,7 +102,6 @@ let toplevel_mutable_whitelist =
     "lib/core/buffer_heap.ml";
     "lib/core/message.ml";
   ]
-let route_allowed_dirs = [ "lib/route"; "lib/hub" ]
 let net_create_allowed_dirs = [ "lib/hub"; "lib/check" ]
 let net_create_allowed_files = [ "lib/fleet/world.ml"; "lib/fleet/driver.ml" ]
 let no_poly_compare_dirs = [ "lib/sim"; "lib/core" ]
@@ -193,11 +187,6 @@ let check_source path =
     Filename.check_suffix path ".ml"
     && List.exists (fun d -> has_prefix (d ^ "/") path) no_poly_compare_dirs
   in
-  let route_banned =
-    has_prefix (mli_required_dir ^ "/") path
-    && not
-         (List.exists (fun d -> has_prefix (d ^ "/") path) route_allowed_dirs)
-  in
   let net_create_banned =
     has_prefix (mli_required_dir ^ "/") path
     && not
@@ -243,15 +232,6 @@ let check_source path =
       if contains line pat_ignore && contains line pat_msg_t then
         flag path ln
           ("ignored Message" ^ ".t: an unreleased message leaks its buffer");
-      if route_banned then
-        List.iter
-          (fun pat ->
-            if contains_unbracketed line pat then
-              flag path ln
-                ("direct " ^ pat
-               ^ " outside lib/route: go through Router.lookup so routing \
-                  policy and live link state apply"))
-          pats_net_route;
       if net_create_banned then
         List.iter
           (fun pat ->

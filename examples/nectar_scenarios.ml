@@ -198,7 +198,8 @@ let tcp_file_transfer ?(file_bytes = 1024 * 1024) ?(mtu = 1500) ?(mss = 4096)
   Printf.printf "route %d -> %d via ports %s\n" (Stack.node_id src)
     (Stack.node_id dst)
     (String.concat "," (List.map string_of_int
-         (Net.route net ~src:(Stack.node_id src) ~dst:(Stack.node_id dst))));
+         (Nectar_route.Router.lookup src.Stack.router ~src:(Stack.node_id src)
+            ~dst:(Stack.node_id dst) ~proto:0)));
 
   (* corrupt every Nth frame: the CAB hardware CRC drops it, transports
      recover *)

@@ -224,10 +224,6 @@ let attach_all t net sink_for =
 
 (* ---------- deadlock-safe source routes ---------- *)
 
-(* Same fixed multiplicative mix as the router's ECMP spreading, so a
-   flow's spine is stable and deterministic. *)
-let flow_hash ~src ~dst = (((src * 1103515245) + dst) * 1103515245) land max_int
-
 let route t ~src ~dst =
   if src = dst then invalid_arg "Topology.route: src = dst";
   let src_hub, _ = attachment t src in
@@ -238,8 +234,9 @@ let route t ~src ~dst =
   | Fat_tree { spines; _ } ->
       if src_hub = dst_hub then [ dst_port ]
       else
-        (* up on the flow's spine, down to the destination leaf *)
-        let s = flow_hash ~src ~dst mod spines in
+        (* up on the flow's spine (the router's ECMP hash, so it is
+           stable and deterministic), down to the destination leaf *)
+        let s = Policy.flow_hash ~src ~dst ~proto:0 mod spines in
         [ 15 - s; 15 - dst_hub; dst_port ]
   | Irregular _ ->
       if src_hub = dst_hub then [ dst_port ]

@@ -156,44 +156,6 @@ let node t id =
     invalid_arg "Network: bad node id";
   t.nodes.(id)
 
-(* BFS over hubs to build a source route: the per-HUB output-port list the
-   real system keeps in its route database. *)
-let route t ~src ~dst =
-  let src_hub = (node t src).node_hub in
-  let dst_node = node t dst in
-  if src = dst then invalid_arg "Network.route: src = dst";
-  let visited = Array.make (Array.length t.hubs) false in
-  let prev = Array.make (Array.length t.hubs) None in
-  let q = Queue.create () in
-  Queue.add src_hub q;
-  visited.(src_hub) <- true;
-  while not (Queue.is_empty q) do
-    let h = Queue.take q in
-    Array.iteri
-      (fun pi p ->
-        match p.peer with
-        | To_hub (h2, _) when not visited.(h2) ->
-            visited.(h2) <- true;
-            prev.(h2) <- Some (h, pi);
-            Queue.add h2 q
-        | To_hub _ | To_node _ | Free | To_remote _ -> ())
-      t.hubs.(h).ports
-  done;
-  if not visited.(dst_node.node_hub) then raise Not_found;
-  let rec unwind h acc =
-    if h = src_hub then acc
-    else
-      match prev.(h) with
-      | Some (ph, pport) -> unwind ph (pport :: acc)
-      | None -> raise Not_found
-  in
-  unwind dst_node.node_hub [] @ [ dst_node.node_port ]
-
-let route_opt t ~src ~dst =
-  match route t ~src ~dst with
-  | r -> Some r
-  | exception Not_found -> None
-
 let peer t ~hub ~port:p = (port t hub p).peer
 let port_up t ~hub ~port:p = (port t hub p).up
 

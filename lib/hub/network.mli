@@ -5,8 +5,8 @@
     nodes (CABs) attached to HUB ports; HUB-to-HUB links join ports of two
     HUBs.  CABs address each other with *source routes* — the list of output
     ports to take at each HUB along the path — exactly as in the paper; the
-    route database a real deployment configures by hand is computed here with
-    a BFS over the topology.
+    route database a real deployment configures by hand is compiled by the
+    routing layer (lib/route) with a BFS over the topology accessors below.
 
     Transfer model: cut-through circuit switching.  [transmit] (called from
     the sending CAB's fiber-output process) issues a controller command per
@@ -131,19 +131,10 @@ val attach_node : t -> hub:int -> port:int -> sink -> node_id
 
 val node_count : t -> int
 
-val route : t -> src:node_id -> dst:node_id -> int list
-(** Shortest source route (one output-port index per HUB traversed).
-    Raises [Not_found] if unreachable. *)
-
-val route_opt : t -> src:node_id -> dst:node_id -> int list option
-(** Like {!route} but [None] on a partitioned pair instead of raising, so
-    callers can surface a typed no-route error rather than let [Not_found]
-    escape the engine loop.  Still [Invalid_argument] when [src = dst]. *)
-
 (** {1 Topology introspection}
 
-    Read-only accessors used by the routing-policy compiler (lib/route) to
-    enumerate paths itself rather than going through {!route}. *)
+    Read-only accessors the routing-policy compiler (lib/route) builds
+    source routes from. *)
 
 type port_peer =
   | Free

@@ -37,6 +37,12 @@ let ecube_route ~rows ~cols ~src_hub ~dst_hub =
   in
   col_hops @ row_hops
 
+(* A fixed multiplicative mix of the flow tuple, so a flow's pick among
+   equal-cost paths is stable and deterministic across runs. *)
+let flow_hash ~src ~dst ~proto =
+  let x = (((src * 1103515245) + dst) * 1103515245) + proto in
+  x land max_int
+
 type rule = { where : predicate; prefer : preference list; ecmp : bool }
 
 type t = rule list

@@ -70,6 +70,12 @@ val ecube_route : rows:int -> cols:int -> src_hub:int -> dst_hub:int -> int list
     directly for global routes that cross partition boundaries.
     @raise Invalid_argument if a hub lies outside the grid. *)
 
+val flow_hash : src:int -> dst:int -> proto:int -> int
+(** A non-negative mix of the flow tuple that picks among equal-cost
+    paths: stable for a flow and deterministic across runs.  The router's
+    ECMP split and the fat tree's spine choice (lib/fleet's [Topology],
+    with [proto = 0]) both key on it. *)
+
 type rule = { where : predicate; prefer : preference list; ecmp : bool }
 (** [ecmp] splits flows across all equal-cost paths of the winning
     preference (deterministically, keyed by the flow tuple) instead of
@@ -79,7 +85,8 @@ type t = rule list
 
 val default : t
 (** The empty policy: every flow routes shortest-path, byte-identical to
-    [Network.route]. *)
+    the router's BFS answer (the lexicographically smallest shortest port
+    list). *)
 
 val matches : predicate -> src:int -> dst:int -> proto:int -> bool
 

@@ -43,28 +43,22 @@ let string_of_error = function
   | Malformed { src; dst; proto; reason } ->
       Printf.sprintf "malformed: %d->%d proto %d: %s" src dst proto reason
 
-(* ECMP flow spreading: a fixed multiplicative mix of the flow tuple, so
-   the chosen equal-cost path is stable for a flow and deterministic
-   across runs. *)
-let flow_hash ~src ~dst ~proto =
-  let x = (((src * 1103515245) + dst) * 1103515245) + proto in
-  x land max_int
-
 (* All shortest live paths src->dst in lexicographic port-sequence order,
-   up to [cap].  Index 0 with no constraints on an all-up topology is
-   exactly [Network.route]'s answer: BFS first-visit (FIFO queue, ports
-   scanned in index order) discovers every hub along its lexicographically
-   smallest shortest path.  Liveness mirrors [Network.transmit]'s checks
+   up to [cap].  This is the one BFS that builds a source route.  Index 0
+   with no constraints is the BFS first-visit path (FIFO queue, ports
+   scanned in index order): every hub is discovered along its
+   lexicographically smallest shortest path.  Liveness is [up], which
+   defaults to the port state and mirrors [Network.transmit]'s checks
    precisely — the source attachment, each trunk's *output* port and the
    destination attachment must be up; the peer-side input port is not
    consulted, matching the wire's directional drop semantics. *)
-let enumerate t ~src ~dst ~avoid_hubs ~avoid_links ~cap =
+let enumerate ?(up = Net.port_up) t ~src ~dst ~avoid_hubs ~avoid_links ~cap =
   let net = t.net in
   let src_hub, src_port = Net.node_attachment net src in
   let dst_hub, dst_port = Net.node_attachment net dst in
   if
-    (not (Net.port_up net ~hub:src_hub ~port:src_port))
-    || (not (Net.port_up net ~hub:dst_hub ~port:dst_port))
+    (not (up net ~hub:src_hub ~port:src_port))
+    || (not (up net ~hub:dst_hub ~port:dst_port))
     || List.mem (src_hub, src_port) avoid_links
     || List.mem (dst_hub, dst_port) avoid_links
   then []
@@ -78,7 +72,7 @@ let enumerate t ~src ~dst ~avoid_hubs ~avoid_links ~cap =
           avoided.(h) <- true)
       avoid_hubs;
     let edge_ok h pi h2 =
-      Net.port_up net ~hub:h ~port:pi
+      up net ~hub:h ~port:pi
       && (not avoided.(h2))
       && not (List.mem (h, pi) avoid_links)
     in
@@ -214,12 +208,24 @@ let compile t ~src ~dst ~proto =
         | paths ->
             let n = List.length paths in
             let i =
-              if rule.Policy.ecmp && n > 1 then flow_hash ~src ~dst ~proto mod n
+              if rule.Policy.ecmp && n > 1 then
+                Policy.flow_hash ~src ~dst ~proto mod n
               else 0
             in
             Some (List.nth paths i))
   in
   try_prefs rule.Policy.prefer
+
+(* Is the pair connected, ignoring policy?  In the *live* topology by
+   default: the verifier's test, so a physically partitioned pair (e.g.
+   mid-campaign, both trunks down) is not blamed on the policy.  [wired]
+   takes every port as up, telling a pair with no trunk path at all
+   ([No_route]) from a wired pair whose links are down ([Route_down]). *)
+let reachable ?up t ~src ~dst =
+  enumerate ?up t ~src ~dst ~avoid_hubs:[] ~avoid_links:[] ~cap:1 <> []
+
+let wired t ~src ~dst =
+  reachable ~up:(fun _ ~hub:_ ~port:_ -> true) t ~src ~dst
 
 (* The cache key packs src (30 bits), dst (12) and proto (8); [verify]
    decodes it.  An out-of-range component would land on another flow's
@@ -251,22 +257,14 @@ let lookup t ~src ~dst ~proto =
           Hashtbl.replace t.table key { path; crossed };
           path
       | None ->
-          if Net.route_opt t.net ~src ~dst = None then begin
-            t.no_route_count <- t.no_route_count + 1;
-            raise (No_route { src; dst })
-          end
-          else begin
+          if wired t ~src ~dst then begin
             t.route_down_count <- t.route_down_count + 1;
             raise (Route_down { src; dst })
+          end
+          else begin
+            t.no_route_count <- t.no_route_count + 1;
+            raise (No_route { src; dst })
           end)
-
-(* Is the pair connected in the *live* topology, ignoring policy?  Used by
-   the verifier so a physically partitioned pair (e.g. mid-campaign, both
-   trunks down) is not blamed on the policy. *)
-let live_reachable t ~src ~dst =
-  match enumerate t ~src ~dst ~avoid_hubs:[] ~avoid_links:[] ~cap:1 with
-  | [] -> false
-  | _ :: _ -> true
 
 (* The one protocol number [verify] and [table_lines] compile every pair
    for. *)
@@ -283,7 +281,7 @@ let verify t =
         (* fresh compile (read-only: never touches the cache) *)
         match compile t ~src ~dst ~proto with
         | None ->
-            if live_reachable t ~src ~dst then
+            if reachable t ~src ~dst then
               err (Unreachable { src; dst; proto })
         | Some path -> (
             match walk_route t ~src ~dst path with
@@ -408,8 +406,7 @@ let table_lines t =
               Printf.sprintf "[%s]"
                 (String.concat ";" (List.map string_of_int path))
           | None ->
-              if Net.route_opt t.net ~src ~dst = None then "NO-ROUTE"
-              else "ROUTE-DOWN"
+              if wired t ~src ~dst then "ROUTE-DOWN" else "NO-ROUTE"
         in
         lines :=
           Printf.sprintf "%d -> %d proto %d: %s" src dst proto status :: !lines

@@ -4,9 +4,11 @@
     The paper's deployments configure source routes by hand, once; this
     module replaces that with a compile-on-lookup cache over the policy.
     On an all-up topology under the default policy every compiled route is
-    byte-identical to [Network.route]'s BFS answer (index 0 of the
-    lexicographic shortest-path enumeration *is* the BFS first-visit
-    path), so static scenarios — every paper table — are unchanged.
+    the empty policy's BFS answer (index 0 of the lexicographic
+    shortest-path enumeration *is* the BFS first-visit path, the
+    lexicographically smallest shortest port list), so static scenarios —
+    every paper table — are unchanged.  This BFS is the only code that
+    builds a source route.
 
     Failure model: a link transition is detected 100 us after it happens
     and recomputed tables are in service 25 us later.

@@ -1,5 +1,5 @@
 (* The routing-policy layer (lib/route): compiled tables pinned to
-   [Network.route], typed refusals, the verifier's obligations (loop
+   hand-written shortest routes, typed refusals, the verifier's obligations (loop
    freedom, reachability, no stale route past a downed port), link-state
    recompute, and the [set_link_up] edge cases on the fabric itself. *)
 
@@ -33,62 +33,119 @@ let pairs n =
         (List.init n Fun.id))
     (List.init n Fun.id)
 
-(* ---------- default policy pins Network.route ---------- *)
+(* ---------- default policy: smallest shortest path ---------- *)
 
 (* The whole byte-identical guarantee: on an all-up topology the default
-   policy's compiled route equals the BFS answer for every pair, on both
-   a chain (one path) and a ring (two arcs, lex tie-break). *)
-let test_lookup_pins_network_route () =
-  let worlds =
+   policy compiles, for every pair, the lexicographically smallest
+   shortest port list.  The expected routes are written out by hand, on
+   both a chain (one path) and a ring (two arcs at distance 2: the lex
+   tie-break takes port 14 over port 15). *)
+let test_default_policy_routes () =
+  let cases =
     [
       ( "chain",
         World.build ~hubs:3
           ~trunks:(Topology.chain_trunks ~hubs:3)
           ~seats:[ (0, 2); (1, 2); (2, 2) ]
-          () );
+          (),
+        [
+          ((0, 1), [ 15; 2 ]); ((0, 2), [ 15; 15; 2 ]);
+          ((1, 0), [ 14; 2 ]); ((1, 2), [ 15; 2 ]);
+          ((2, 0), [ 14; 14; 2 ]); ((2, 1), [ 14; 2 ]);
+        ] );
       ( "ring",
         World.build ~hubs:4
           ~trunks:(Topology.ring_trunks ~hubs:4)
           ~seats:[ (0, 2); (1, 2); (2, 2); (3, 2) ]
-          () );
+          (),
+        [
+          ((0, 1), [ 15; 2 ]); ((0, 2), [ 14; 14; 2 ]); ((0, 3), [ 14; 2 ]);
+          ((1, 0), [ 14; 2 ]); ((1, 2), [ 15; 2 ]); ((1, 3), [ 14; 14; 2 ]);
+          ((2, 0), [ 14; 14; 2 ]); ((2, 1), [ 14; 2 ]); ((2, 3), [ 15; 2 ]);
+          ((3, 0), [ 15; 2 ]); ((3, 1), [ 14; 14; 2 ]); ((3, 2), [ 14; 2 ]);
+        ] );
     ]
   in
   List.iter
-    (fun (name, (w : World.t)) ->
+    (fun (name, (w : World.t), expected) ->
       let r = Router.create w.net in
-      let n = Array.length w.stacks in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": every pair listed")
+        (pairs (Array.length w.stacks))
+        (List.map fst expected);
       List.iter
-        (fun (src, dst) ->
+        (fun ((src, dst), route) ->
           Alcotest.(check (list int))
-            (Printf.sprintf "%s %d->%d matches Network.route" name src dst)
-            (Net.route w.net ~src ~dst)
+            (Printf.sprintf "%s %d->%d" name src dst)
+            route
             (Router.lookup r ~src ~dst ~proto:0))
-        (pairs n))
-    worlds
+        expected)
+    cases
 
-(* ---------- route_opt and typed refusals ---------- *)
+(* ---------- lookup on bare fabrics ---------- *)
 
-let test_route_opt_and_no_route () =
+let test_three_hop_chain_route () =
+  let eng = Engine.create () in
+  let net = Net.create eng ~hubs:3 () in
+  Net.connect_hubs net (0, 15) (1, 14);
+  Net.connect_hubs net (1, 15) (2, 14);
+  let a = Cab.node_id (Cab.create net ~hub:0 ~port:0 ~name:"a") in
+  let b = Cab.node_id (Cab.create net ~hub:2 ~port:3 ~name:"b") in
+  Alcotest.(check (list int))
+    "one output port per HUB" [ 15; 15; 3 ]
+    (Router.lookup (Router.create net) ~src:a ~dst:b ~proto:0)
+
+let test_unwired_no_route () =
   (* two HUBs with no trunk between them: a physically partitioned pair *)
   let eng = Engine.create () in
   let net = Net.create eng ~hubs:2 () in
   let a = Cab.node_id (Cab.create net ~hub:0 ~port:2 ~name:"a") in
   let b = Cab.node_id (Cab.create net ~hub:1 ~port:2 ~name:"b") in
-  check_bool "route_opt None on a partitioned pair" true
-    (Net.route_opt net ~src:a ~dst:b = None);
   let r = Router.create net in
   check_bool "lookup raises No_route" true
     (match Router.lookup r ~src:a ~dst:b ~proto:0 with
     | _ -> false
     | exception Router.No_route { src; dst } -> src = a && dst = b);
-  check_int "the refusal is counted" 1 (Router.no_route_refusals r);
-  (* and on a connected pair route_opt agrees with route *)
-  let w = chain2 () in
-  let a = Stack.node_id w.stacks.(0)
-  and b = Stack.node_id w.stacks.(1) in
-  check_bool "route_opt = Some route when connected" true
-    (Net.route_opt w.net ~src:a ~dst:b
-    = Some (Net.route w.net ~src:a ~dst:b))
+  check_int "the refusal is counted" 1 (Router.no_route_refusals r)
+
+(* Random-topology routing: build a random tree of HUBs, seat two CABs,
+   and check that the looked-up source route exists, takes at most one
+   output port per HUB and delivers. *)
+let prop_random_tree_routes =
+  QCheck2.Test.make ~count:25 ~name:"routes deliver on random trees"
+    QCheck2.Gen.(pair (int_range 2 6) (int_bound 10_000))
+    (fun (hubs, seed) ->
+      let eng = Engine.create () in
+      let net = Net.create eng ~hubs () in
+      let rng = Rng.create ~seed in
+      (* random tree over the hubs: connect hub i to a random earlier hub *)
+      let next_port = Array.make hubs 8 in
+      for h = 1 to hubs - 1 do
+        let parent = Rng.int rng h in
+        Net.connect_hubs net (parent, next_port.(parent)) (h, next_port.(h));
+        next_port.(parent) <- next_port.(parent) + 1;
+        next_port.(h) <- next_port.(h) + 1
+      done;
+      let a = Cab.create net ~hub:(Rng.int rng hubs) ~port:0 ~name:"a" in
+      let b = Cab.create net ~hub:(Rng.int rng hubs) ~port:1 ~name:"b" in
+      let delivered = ref 0 in
+      Nectar_cab.Rx.set_frame_handler (Cab.rx b) (fun _ p ->
+          incr delivered;
+          Nectar_cab.Rx.discard (Cab.rx b) p);
+      let route =
+        Router.lookup (Router.create net) ~src:(Cab.node_id a)
+          ~dst:(Cab.node_id b) ~proto:0
+      in
+      List.length route <= hubs
+      && begin
+        Engine.spawn eng (fun () ->
+            Cab.send_frame a ~route ~header_bytes:16
+              ~extents:[ (Nectar_util.Region.of_bytes (Bytes.make 64 'r'), 0, 64) ]
+              ~on_done:(fun _ -> ())
+              ());
+        Engine.run eng;
+        !delivered = 1
+      end)
 
 (* ---------- refusal classification ---------- *)
 
@@ -383,14 +440,20 @@ let () =
     [
       ( "policy-pinning",
         [
-          Alcotest.test_case "lookup = Network.route" `Quick
-            test_lookup_pins_network_route;
-          Alcotest.test_case "route_opt and No_route" `Quick
-            test_route_opt_and_no_route;
+          Alcotest.test_case "default = smallest shortest path" `Quick
+            test_default_policy_routes;
           Alcotest.test_case "refusal classification" `Quick
             test_refusal_classification;
           Alcotest.test_case "cache key out of range" `Quick
             test_key_out_of_range;
+        ] );
+      ( "lookup",
+        [
+          Alcotest.test_case "three-hop chain route" `Quick
+            test_three_hop_chain_route;
+          Alcotest.test_case "unwired HUBs raise No_route" `Quick
+            test_unwired_no_route;
+          QCheck_alcotest.to_alcotest prop_random_tree_routes;
         ] );
       ( "verifier",
         [

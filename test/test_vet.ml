@@ -200,9 +200,7 @@ let test_dispose_before_snapshot_across_growth () =
             let keep = Mailbox.begin_put ctx mb 4 in
             Message.write_string m 0 (String.make 64 'p');
             Nectar_cab.Cab.send_frame a
-              ~route:
-                (Nectar_hub.Network.route net ~src:(Nectar_cab.Cab.node_id a)
-                   ~dst:(Nectar_cab.Cab.node_id b))
+              ~route:[ 1 ]
               ~header_bytes:16
               ~extents:[ (m.Message.mem, m.Message.off, 64) ]
               ~on_done:(fun _ -> ())
