@@ -31,7 +31,8 @@ val create : ?router:Nectar_route.Router.t -> Nectar_core.Runtime.t -> t
 (** [router] is the live route database every transmit consults (shared
     across CABs when passed explicitly, e.g. by [Stack.create]); by
     default a private router with the empty policy is built, which
-    compiles exactly [Network.route]'s shortest paths. *)
+    compiles exactly the empty policy's BFS answer: the lexicographically
+    smallest shortest path. *)
 
 val runtime : t -> Nectar_core.Runtime.t
 

@@ -18,14 +18,8 @@ type t = {
 
 let create rt ?(tcp_checksum = true) ?mtu ?tcp_mss ?tcp_input_mode ?rpc_rto
     ?rpc_retries ?rmp_window ?rmp_rto ?router () =
-  let router =
-    match router with
-    | Some r -> r
-    | None ->
-        Nectar_route.Router.create
-          (Nectar_cab.Cab.network (Nectar_core.Runtime.cab rt))
-  in
-  let dl = Datalink.create ~router rt in
+  let dl = Datalink.create ?router rt in
+  let router = Datalink.router dl in
   let ip = Ipv4.create dl ?mtu () in
   let icmp = Icmp.create ip in
   let udp = Udp.create ip ~icmp () in

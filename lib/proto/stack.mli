@@ -38,9 +38,10 @@ val create :
     RTO, or every sender's retransmissions amplify the incast.  UDP always
     checksums.
 
-    [router] shares an existing route database across stacks; otherwise a
-    private one is built with the empty policy — plain shortest path,
-    byte-identical to [Network.route] (see {!Nectar_route.Router.create}). *)
+    [router] shares an existing route database across stacks; otherwise
+    {!Datalink.create} builds a private one with the empty policy — plain
+    shortest path, byte-identical to the empty policy's BFS answer (see
+    {!Nectar_route.Router.create}). *)
 
 val node_id : t -> int
 val addr : t -> Ipv4.addr
