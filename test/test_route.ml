@@ -1,7 +1,8 @@
 (* The routing-policy layer (lib/route): compiled tables pinned to
-   hand-written shortest routes, typed refusals, the verifier's obligations (loop
-   freedom, reachability, no stale route past a downed port), link-state
-   recompute, and the [set_link_up] edge cases on the fabric itself. *)
+   hand-written shortest routes, typed refusals, the verifier's
+   obligations (loop freedom, reachability, no stale route past a downed
+   port), link-state recompute, and the [set_link_up] edge cases on the
+   fabric itself. *)
 
 open Nectar_sim
 open Nectar_core
