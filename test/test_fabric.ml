@@ -3,6 +3,7 @@ open Nectar_cab
 module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
 module Region = Nectar_util.Region
+module Router = Nectar_route.Router
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -155,6 +156,18 @@ let test_multi_hub_route () =
   (* 3 hubs: 3 x 700 setup + 3 x 300 hop latency + 100 x 80 serialization *)
   check_int "multi-hop timing" ((3 * 700) + (3 * 300) + 8000) !done_at;
   check_int "delivered" 1 (List.length !finished)
+
+let test_unreachable_route () =
+  let eng = Engine.create () in
+  let net = Net.create eng ~hubs:2 () in
+  let sink_a, _, _ = make_sink eng "a" in
+  let sink_b, _, _ = make_sink eng "b" in
+  let a = Net.attach_node net ~hub:0 ~port:0 sink_a in
+  let b = Net.attach_node net ~hub:1 ~port:0 sink_b in
+  check_bool "no path between unconnected hubs" true
+    (match Router.lookup (Router.create net) ~src:a ~dst:b ~proto:0 with
+    | _ -> false
+    | exception Router.No_route { src; dst } -> src = a && dst = b)
 
 let test_fault_injection () =
   let eng = Engine.create () in
@@ -477,6 +490,7 @@ let () =
             test_start_of_packet_early;
           Alcotest.test_case "port contention" `Quick test_port_contention;
           Alcotest.test_case "multi-hub route" `Quick test_multi_hub_route;
+          Alcotest.test_case "unreachable" `Quick test_unreachable_route;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "corruption crosses a partition cut" `Quick
             test_corruption_crosses_cut;

@@ -96,19 +96,6 @@ let test_three_hop_chain_route () =
     "one output port per HUB" [ 15; 15; 3 ]
     (Router.lookup (Router.create net) ~src:a ~dst:b ~proto:0)
 
-let test_unwired_no_route () =
-  (* two HUBs with no trunk between them: a physically partitioned pair *)
-  let eng = Engine.create () in
-  let net = Net.create eng ~hubs:2 () in
-  let a = Cab.node_id (Cab.create net ~hub:0 ~port:2 ~name:"a") in
-  let b = Cab.node_id (Cab.create net ~hub:1 ~port:2 ~name:"b") in
-  let r = Router.create net in
-  check_bool "lookup raises No_route" true
-    (match Router.lookup r ~src:a ~dst:b ~proto:0 with
-    | _ -> false
-    | exception Router.No_route { src; dst } -> src = a && dst = b);
-  check_int "the refusal is counted" 1 (Router.no_route_refusals r)
-
 (* Random-topology routing: build a random tree of HUBs, seat two CABs,
    and check that the looked-up source route exists, takes at most one
    output port per HUB and delivers. *)
@@ -147,6 +134,32 @@ let prop_random_tree_routes =
         Engine.run eng;
         !delivered = 1
       end)
+
+(* ---------- route or typed refusal ---------- *)
+
+(* The option-shaped contract of a lookup: a physically partitioned pair
+   is refused with No_route (and counted), a connected pair gets its
+   route. *)
+let test_route_opt_and_no_route () =
+  (* two HUBs with no trunk between them: a physically partitioned pair *)
+  let eng = Engine.create () in
+  let net = Net.create eng ~hubs:2 () in
+  let a = Cab.node_id (Cab.create net ~hub:0 ~port:2 ~name:"a") in
+  let b = Cab.node_id (Cab.create net ~hub:1 ~port:2 ~name:"b") in
+  let r = Router.create net in
+  check_bool "lookup raises No_route" true
+    (match Router.lookup r ~src:a ~dst:b ~proto:0 with
+    | _ -> false
+    | exception Router.No_route { src; dst } -> src = a && dst = b);
+  check_int "the refusal is counted" 1 (Router.no_route_refusals r);
+  (* and on a connected pair the lookup answers with the route *)
+  let w = chain2 () in
+  let r = Router.create w.net in
+  Alcotest.(check (list int))
+    "connected pair gets its route" [ 15; 2 ]
+    (Router.lookup r ~src:(Stack.node_id w.stacks.(0))
+       ~dst:(Stack.node_id w.stacks.(1)) ~proto:0);
+  check_int "no refusal on a connected pair" 0 (Router.no_route_refusals r)
 
 (* ---------- refusal classification ---------- *)
 
@@ -443,6 +456,8 @@ let () =
         [
           Alcotest.test_case "default = smallest shortest path" `Quick
             test_default_policy_routes;
+          Alcotest.test_case "route_opt and No_route" `Quick
+            test_route_opt_and_no_route;
           Alcotest.test_case "refusal classification" `Quick
             test_refusal_classification;
           Alcotest.test_case "cache key out of range" `Quick
@@ -452,8 +467,6 @@ let () =
         [
           Alcotest.test_case "three-hop chain route" `Quick
             test_three_hop_chain_route;
-          Alcotest.test_case "unwired HUBs raise No_route" `Quick
-            test_unwired_no_route;
           QCheck_alcotest.to_alcotest prop_random_tree_routes;
         ] );
       ( "verifier",
