@@ -174,6 +174,134 @@ let test_rmp_window1_is_stop_and_wait () =
   check_bool "counters equal" true (counters_d = counters_1);
   check_int "final simulated time equal" end_d end_1
 
+(* ---------- ack while a retransmitted copy is still queued ---------- *)
+
+(* An 8 KB frame spends ~655 us on the wire, so with a 150 us RTO every
+   message is retransmitted while its first copy is still going out, and
+   the ack (or response) arrives with later copies still in the transmit
+   queue.  Those copies must carry the sender's own bytes to the end —
+   never a recycled buffer's — and vet must see no use-after-free.  The
+   sender pauses after each window-full so the queued copies drain before
+   the next message, which would otherwise wait behind them past its
+   retry budget. *)
+let overlap_bytes = 8192
+let overlap_rto = Sim_time.us 150
+let overlap_pause = Sim_time.ms 20
+
+(* payload of message [i]: its index, then [stamp i] to the end *)
+let stamp i = Char.chr (i land 0xff)
+
+let stamped_ok s i =
+  let n = String.length s in
+  n = overlap_bytes
+  && String.get_int32_le s 0 = Int32.of_int i
+  && String.for_all (fun c -> c = stamp i) (String.sub s 4 (n - 4))
+
+let stamped_payload i =
+  let b = Bytes.make overlap_bytes (stamp i) in
+  Bytes.set_int32_le b 0 (Int32.of_int i);
+  Bytes.to_string b
+
+let test_rmp_ack_overtakes_queued_retx () =
+  List.iter
+    (fun window ->
+      let name fmt = Printf.sprintf "%s at window %d" fmt window in
+      let count = 8 in
+      let outcome, findings =
+        Nectar_vet.Vet.run (fun () ->
+            let w =
+              World.build
+                ~stack:(fun rt ->
+                  Stack.create rt ~rmp_window:window ~rmp_rto:overlap_rto ())
+                ()
+            in
+            let a = w.stacks.(0) and b = w.stacks.(1) in
+            let inbox =
+              Runtime.create_mailbox b.Stack.rt ~name:"sink" ~port
+                ~byte_limit:(256 * 1024) ()
+            in
+            let got = ref [] in
+            ignore
+              (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
+                   while true do
+                     let m = Mailbox.begin_get ctx inbox in
+                     let s = Message.read_string m ~pos:0 ~len:(Message.length m) in
+                     got := (String.get_int32_le s 0 |> Int32.to_int, s) :: !got;
+                     Mailbox.end_get ctx m
+                   done));
+            let dst_cab = Stack.node_id b in
+            ignore
+              (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
+                   for i = 1 to count do
+                     let msg = Rmp.alloc ctx a.Stack.rmp overlap_bytes in
+                     Message.write_string msg 0 (stamped_payload i);
+                     Rmp.send ctx a.Stack.rmp ~dst_cab ~dst_port:port msg;
+                     if i mod window = 0 then begin
+                       Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port;
+                       Engine.sleep ctx.Ctx.eng overlap_pause
+                     end
+                   done));
+            Engine.run w.eng;
+            (List.rev !got, Rmp.retransmits a.Stack.rmp,
+             Rmp.duplicates b.Stack.rmp, Rmp.failed_sends a.Stack.rmp))
+      in
+      check_int (name "vet clean") 0 (List.length findings);
+      let got, retx, dups, failed =
+        match outcome with Ok r -> r | Error e -> raise e
+      in
+      check_bool (name "retransmitted") true (retx > 0);
+      check_bool (name "duplicates reached the receiver") true (dups > 0);
+      check_int (name "no abandoned sends") 0 failed;
+      check_bool (name "in order, exactly once") true
+        (List.map fst got = List.init count (fun i -> i + 1));
+      check_bool (name "every payload matches its sequence number") true
+        (List.for_all (fun (i, s) -> stamped_ok s i) got))
+    [ 1; 4 ]
+
+let test_rpc_response_overtakes_queued_retx () =
+  let count = 8 in
+  let outcome, findings =
+    Nectar_vet.Vet.run (fun () ->
+        let w =
+          World.build ~stack:(fun rt -> Stack.create rt ~rpc_rto:overlap_rto ()) ()
+        in
+        let a = w.stacks.(0) and b = w.stacks.(1) in
+        let served = ref [] in
+        Reqresp.register_server b.Stack.reqresp ~port
+          ~mode:Reqresp.Upcall_server (fun _ req ->
+            let i = String.get_int32_le req 0 |> Int32.to_int in
+            served := (i, req) :: !served;
+            string_of_int i);
+        let answers = ref [] in
+        ignore
+          (Thread.create (Runtime.cab a.Stack.rt) ~name:"caller" (fun ctx ->
+               for i = 1 to count do
+                 let r =
+                   Reqresp.call ctx a.Stack.reqresp ~dst_cab:(Stack.node_id b)
+                     ~dst_port:port (stamped_payload i)
+                 in
+                 answers := r :: !answers;
+                 Engine.sleep ctx.Ctx.eng overlap_pause
+               done));
+        Engine.run w.eng;
+        ( List.rev !served,
+          List.rev !answers,
+          Datalink.frames_out a.Stack.dl - count,
+          Reqresp.duplicate_requests b.Stack.reqresp ))
+  in
+  check_int "vet clean" 0 (List.length findings);
+  let served, answers, retx, dups =
+    match outcome with Ok r -> r | Error e -> raise e
+  in
+  check_bool "retransmitted" true (retx > 0);
+  check_bool "duplicates reached the server" true (dups > 0);
+  check_bool "each request served once, in order" true
+    (List.map fst served = List.init count (fun i -> i + 1));
+  check_bool "every request matches its sequence number" true
+    (List.for_all (fun (i, s) -> stamped_ok s i) served);
+  check_bool "every response answers its own call" true
+    (answers = List.init count (fun i -> string_of_int (i + 1)))
+
 (* ---------- request-response sweeps ---------- *)
 
 let rpc_run ~drop ~seed ~count =
@@ -492,11 +620,15 @@ let () =
             test_rmp_windowed_loss_sweep;
           Alcotest.test_case "window 1 = stop-and-wait" `Quick
             test_rmp_window1_is_stop_and_wait;
+          Alcotest.test_case "ack overtakes queued retransmit" `Quick
+            test_rmp_ack_overtakes_queued_retx;
         ] );
       ( "rpc",
         [
           Alcotest.test_case "loss sweep" `Quick test_rpc_loss_sweep;
           Alcotest.test_case "blackhole" `Quick test_rpc_blackhole;
+          Alcotest.test_case "response overtakes queued retransmit" `Quick
+            test_rpc_response_overtakes_queued_retx;
         ] );
       ( "wire",
         [
