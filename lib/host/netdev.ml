@@ -29,7 +29,7 @@ let cab_tx_thread tx_pool dl (ctx : Ctx.t) =
     ctx.work (Sim_time.us 10);
     let dst_cab = Message.get_u16 msg 0 in
     Datalink.output ctx dl ~dst_cab ~proto:Wire.proto_netdev ~msg
-      ~on_done:Mailbox.dispose
+      ~free:true
   done
 
 (* CAB receive server thread: moves arrived packets to the host side and

@@ -150,7 +150,7 @@ let alloc_frame_blocking (ctx : Ctx.t) t n =
     Mailbox.begin_put ctx t.tx_pool ~headroom:Wire.dl_header_bytes n
   else match alloc_frame ctx t n with Some msg -> msg | None -> raise No_buffer
 
-let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~on_done =
+let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
   if dst_cab = Cab.node_id t.cab then
     invalid_arg
       (Printf.sprintf "Datalink.output: loopback not supported (%s, dst %d)"
@@ -181,9 +181,10 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~on_done =
   (* Zero-copy transmit: the frame's extents point straight into the
      message's buffer (headers and payload in place, paper §5.2) plus any
      payload slices carved out of other messages.  The head buffer is
-     pinned with a reference for the frame's lifetime — [on_done] only
-     means the transmit descriptor completed; the physical bytes stay until
-     the frame dies at the receiver (or on a faulted wire). *)
+     pinned with a reference for the frame's lifetime, so the bytes stay
+     until the frame dies at the receiver (or on a faulted wire) whenever
+     the sender disposes; [free] only moves the sender's own dispose to
+     the transmit-done interrupt. *)
   Message.retain msg;
   let extents =
     (msg.Message.mem, msg.Message.off, Message.length msg)
@@ -194,15 +195,18 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~on_done =
       Message.release msg;
       List.iter Message.Slice.release tail)
     ~extents
-    ~on_done:(fun ictx -> on_done (Ctx.of_interrupt ictx) msg) ();
+    ~on_done:
+      (if free then fun ictx -> Mailbox.dispose (Ctx.of_interrupt ictx) msg
+       else ignore)
+    ();
   (* Restore the caller's view of the message (transport header + payload):
      the frame extent was captured above, and reliable protocols re-send the
      same message on retransmission. *)
   Message.adjust_head msg Wire.dl_header_bytes;
   Nectar_sim.Trace.span_end tid
 
-let output (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~on_done =
-  output_sg ctx t ~dst_cab ~proto ~msg ~tail:[] ~on_done
+let output (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~free =
+  output_sg ctx t ~dst_cab ~proto ~msg ~tail:[] ~free
 
 let drops_no_buffer t = t.no_buffer
 let drops_bad_proto t = t.bad_proto

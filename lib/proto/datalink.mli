@@ -12,10 +12,11 @@
     drop it.  Frames failing the hardware CRC are freed and counted.
 
     Transmit: [output] prepends the datalink header into the message's
-    reserved headroom and hands the frame to the CAB transmit DMA; the
-    caller's [on_done] runs at interrupt level when the buffer is free
-    (the paper's "free the data area once sent" flag is [on_done =
-    dispose]). *)
+    reserved headroom and hands the frame to the CAB transmit DMA.  The
+    frame holds a reference on the buffer until it dies, so a sender may
+    dispose at any time after [output] returns; [~free:true] is the
+    paper's "free the data area once sent" flag (the datalink disposes at
+    transmit-done), [~free:false] leaves the buffer with the sender. *)
 
 type t
 
@@ -60,22 +61,28 @@ val output :
   dst_cab:int ->
   proto:int ->
   msg:Nectar_core.Message.t ->
-  on_done:(Nectar_core.Ctx.t -> Nectar_core.Message.t -> unit) ->
+  free:bool ->
   unit
 (** Send a message (allocated with headroom, e.g. by [alloc_frame]) to a
     remote CAB.  Zero-copy: the frame references the message's buffer in
-    place (a reference pins the buffer until the frame's life ends — the
-    receiver drains it or the wire swallows it), so [on_done] signals
-    transmit-descriptor completion, not that the bytes are unreferenced.
+    place, and that reference keeps the bytes live until the frame's life
+    ends (the receiver drains it or the wire swallows it), however early
+    the sender disposes.  [free] is the paper's "free the data area once
+    sent" flag: [true] hands the message over, and it is disposed at
+    interrupt level when the transmit descriptor completes; [false] leaves
+    it with the caller, which keeps it (a reliable sender re-sends the
+    same message) and disposes it once, when its exchange ends.
     Loopback to the local CAB is not supported: Nectar CABs talk to
     themselves through local mailboxes, never the fabric.
 
     Raises [Router.Route_down] when the route database currently has no
     live path for the flow, and [Router.No_route] when the pair is
     statically partitioned — both *before* touching the message, so the
-    caller's view and refcounts are unchanged and the same buffer can be
+    caller's view and refcounts are unchanged, the message is still the
+    caller's to dispose whatever [free] says, and the same buffer can be
     re-sent after reconvergence.  Reliable transports absorb [Route_down]
-    into their retransmission machinery. *)
+    into their retransmission machinery and raise [No_route] to their
+    caller. *)
 
 val output_sg :
   Nectar_core.Ctx.t ->
@@ -84,7 +91,7 @@ val output_sg :
   proto:int ->
   msg:Nectar_core.Message.t ->
   tail:Nectar_core.Message.Slice.t list ->
-  on_done:(Nectar_core.Ctx.t -> Nectar_core.Message.t -> unit) ->
+  free:bool ->
   unit
 (** Like {!output} but the wire payload is [msg] (headers) followed by the
     [tail] slices, as scatter/gather extents — IP fragmentation sends a

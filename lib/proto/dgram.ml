@@ -75,7 +75,7 @@ let send (ctx : Ctx.t) t ~dst_cab ~dst_port ?(src_port = 0) msg =
   write_header msg ~dst_port ~src_port;
   try
     Datalink.output ctx t.dl ~dst_cab ~proto:Wire.proto_dgram ~msg
-      ~on_done:Mailbox.dispose
+      ~free:true
   with Router.Route_down _ | Router.No_route _ ->
     (* unreliable datagram: a refused route is a local drop, counted —
        exactly what the wire would have done to it a window later *)

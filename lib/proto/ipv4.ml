@@ -144,7 +144,7 @@ let send_datagram ctx t ~id ~more_fragments ~frag_off ~ttl ~proto ~src ~dst
   t.out_count <- t.out_count + 1;
   try
     Datalink.output ctx t.dl ~dst_cab:(cab_of_addr dst) ~proto:Wire.proto_ip
-      ~msg ~on_done:Mailbox.dispose
+      ~msg ~free:true
   with Router.Route_down _ | Router.No_route _ ->
     (* IP is best-effort: a refused route is a local drop, counted; the
        transports above (TCP RTO) recover on their own clock *)
@@ -185,7 +185,7 @@ let output (ctx : Ctx.t) t ?src ~dst ~proto msg =
         (try
            Datalink.output_sg ctx t.dl ~dst_cab:(cab_of_addr dst)
              ~proto:Wire.proto_ip ~msg:hdr ~tail:[ payload ]
-             ~on_done:Mailbox.dispose
+             ~free:true
          with Router.Route_down _ | Router.No_route _ ->
            (* the refused fragment never became a frame: slice ownership
               only transfers on a successful send, so release both the

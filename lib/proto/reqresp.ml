@@ -78,7 +78,7 @@ let send_response t ctx ~dst_cab ~dst_port ~txn response =
       write_header msg ~ty:ty_response ~dst_port ~txn;
       try
         Datalink.output ctx t.dl ~dst_cab ~proto:Wire.proto_reqresp ~msg
-          ~on_done:Mailbox.dispose
+          ~free:true
       with Router.Route_down _ | Router.No_route _ ->
         (* no live return path: drop the response — the reply cache
            answers the client's retransmitted request after recovery *)
@@ -259,16 +259,9 @@ let call (ctx : Ctx.t) t ~dst_cab ~dst_port request =
     (String.length request);
   Message.write_string msg header_bytes request;
   write_header msg ~ty:ty_request ~dst_port ~txn;
-  (* As in [Rmp.send], the request buffer must outlive every queued copy of
-     the frame: the tx DMA snapshots the bytes only when the transmit queue
-     drains down to the frame, so disposing at response time while a
-     retransmission is still queued would put recycled memory on the wire. *)
-  let queued = ref 0 and caller_done = ref false in
-  let release ctx = if !caller_done && !queued = 0 then Mailbox.dispose ctx msg in
   let finish () =
     Hashtbl.remove t.pending_calls txn;
-    caller_done := true;
-    release ctx
+    Mailbox.dispose ctx msg
   in
   let rec attempt tries =
     if tries > t.max_retries then begin
@@ -277,18 +270,14 @@ let call (ctx : Ctx.t) t ~dst_cab ~dst_port request =
       raise (Call_timeout { dst_cab; dst_port })
     end;
     if tries > 0 then Nectar_sim.Trace.instant ~track:t.owner "rpc.retx";
-    incr queued;
     (try
        Datalink.output ctx t.dl ~dst_cab ~proto:Wire.proto_reqresp ~msg
-         ~on_done:(fun ctx _ ->
-           decr queued;
-           release ctx)
+         ~free:false
      with
     | Router.Route_down _ ->
         (* blackout window: treat like a lost request, retry after RTO *)
-        decr queued
+        ()
     | Router.No_route _ as e ->
-        decr queued;
         finish ();
         Nectar_sim.Trace.span_end trace_id;
         raise e);

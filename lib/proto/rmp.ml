@@ -13,15 +13,11 @@ let max_retries = 8
 
 exception Delivery_timeout of { dst_cab : int; dst_port : int }
 
-(* A data message the windowed sender has transmitted but not yet retired.
-   The buffer must outlive every queued tx copy (the DMA snapshots at queue
-   drain, not at queue time), so disposal waits for both the cumulative ack
-   ([done_]) and the last queued copy ([queued = 0]). *)
+(* A data message the windowed sender has transmitted but not yet retired;
+   the sender disposes it when it is acked or abandoned. *)
 type inflight = {
   if_seq : int;
   if_msg : Message.t;
-  mutable if_queued : int; (* tx copies still in the transmit queue *)
-  mutable if_done : bool; (* acked or abandoned *)
   mutable if_sent_at : Sim_time.t; (* last (re)transmission time *)
   mutable if_tries : int; (* retransmissions so far *)
 }
@@ -101,30 +97,22 @@ let send_ack t ctx ~dst_cab ~dst_port ~seq =
       write_header ack ~ty:ty_ack ~dst_port ~seq;
       try
         Datalink.output ctx t.dl ~dst_cab ~proto:Wire.proto_rmp ~msg:ack
-          ~on_done:Mailbox.dispose
+          ~free:true
       with Router.Route_down _ | Router.No_route _ ->
         (* no live return path: drop the ack, the sender retransmits *)
         Mailbox.dispose ctx ack)
 
 (* {2 Windowed sender} *)
 
-let release_entry ctx entry =
-  if entry.if_done && entry.if_queued = 0 then Mailbox.dispose ctx entry.if_msg
-
+(* A [Route_down] refusal (before the wire) is left to the retransmit
+   daemon, which retries after the next RTO, by when routes may have
+   reconverged.  [No_route] is raised: see [windowed_send]. *)
 let transmit t ctx c entry =
-  entry.if_queued <- entry.if_queued + 1;
   entry.if_sent_at <- Engine.now (Runtime.engine t.rt);
   try
     Datalink.output ctx t.dl ~dst_cab:c.ch_dst_cab ~proto:Wire.proto_rmp
-      ~msg:entry.if_msg
-      ~on_done:(fun ctx _ ->
-        entry.if_queued <- entry.if_queued - 1;
-        release_entry ctx entry)
-  with Router.Route_down _ | Router.No_route _ ->
-    (* typed refusal before the wire: roll back the queued count (the
-       frame was never handed to the DMA) and let the retransmit daemon
-       retry after the next RTO, by when routes may have reconverged *)
-    entry.if_queued <- entry.if_queued - 1
+      ~msg:entry.if_msg ~free:false
+  with Router.Route_down _ -> ()
 
 (* Retransmit daemon: one system thread per windowed channel.  Only the
    head of the window is retransmitted — cumulative acks mean a head
@@ -149,8 +137,7 @@ let daemon_body t c (dctx : Ctx.t) =
           Queue.iter
             (fun e ->
               t.failed_count <- t.failed_count + 1;
-              e.if_done <- true;
-              release_entry dctx e)
+              Mailbox.dispose dctx e.if_msg)
             c.inflight;
           Queue.clear c.inflight;
           ignore (Waitq.broadcast c.window_q)
@@ -257,14 +244,13 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
       if seq > c.acked then begin
         c.acked <- seq;
         (* retire acknowledged window entries (empty when window = 1: the
-           blocked sender owns its buffer) *)
+           blocked sender disposes its own buffer) *)
         let continue_retire = ref (not (Queue.is_empty c.inflight)) in
         while !continue_retire do
           match Queue.peek_opt c.inflight with
           | Some e when e.if_seq <= c.acked ->
               ignore (Queue.pop c.inflight);
-              e.if_done <- true;
-              release_entry ctx e;
+              Mailbox.dispose ctx e.if_msg;
               ignore (Waitq.broadcast c.window_q)
           | _ -> continue_retire := false
         done;
@@ -348,7 +334,7 @@ let alloc ctx t n =
   msg
 
 (* Stop-and-wait send (window = 1): blocks until the ack, exactly the
-   paper's protocol. *)
+   paper's protocol.  The buffer is disposed once, when the exchange ends. *)
 let stop_and_wait_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
   let c = channel t ~dst_cab ~dst_port in
   Resource.with_held c.busy (fun () ->
@@ -357,21 +343,9 @@ let stop_and_wait_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
       c.next_seq <- seq + 1;
       Message.push_head msg header_bytes;
       write_header msg ~ty:ty_data ~dst_port ~seq;
-      (* The tx DMA reads the frame out of the buffer only when the transmit
-         queue drains down to it, so the buffer must outlive every queued
-         copy — not merely the ACK: under congestion the ACK for an earlier
-         copy can arrive while a retransmission is still queued.  Disposing
-         then would let the allocator recycle the bytes under the queued
-         frame, and the eventual snapshot would carry another message's
-         data onto the wire. *)
-      let queued = ref 0 and sender_done = ref false in
-      let release ctx =
-        if !sender_done && !queued = 0 then Mailbox.dispose ctx msg
-      in
       let rec attempt tries =
         if tries > max_retries then begin
-          sender_done := true;
-          release ctx;
+          Mailbox.dispose ctx msg;
           raise (Delivery_timeout { dst_cab; dst_port })
         end;
         (* [Datalink.output] restores the message to this view after queueing
@@ -382,24 +356,19 @@ let stop_and_wait_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
             ~track:(Nectar_cab.Cab.name (Runtime.cab t.rt))
             "rmp.retx"
         end;
-        incr queued;
         (try
            Datalink.output ctx t.dl ~dst_cab ~proto:Wire.proto_rmp ~msg
-             ~on_done:(fun ctx _ ->
-               decr queued;
-               release ctx)
+             ~free:false
          with
         | Router.Route_down _ ->
             (* refused before the wire (blackout window): wait out the RTO
                exactly like a frame lost on the wire, then retry — by then
                the routes may have reconverged onto an alternate path *)
-            decr queued
+            ()
         | Router.No_route _ as e ->
             (* statically partitioned: no amount of retrying helps;
                surface the typed error with the buffer reclaimed *)
-            decr queued;
-            sender_done := true;
-            release ctx;
+            Mailbox.dispose ctx msg;
             raise e);
         let rec await () =
           if c.acked >= seq then ()
@@ -411,36 +380,43 @@ let stop_and_wait_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
         await ()
       in
       attempt 0;
-      sender_done := true;
-      release ctx)
+      Mailbox.dispose ctx msg)
 
 (* Windowed send: blocks only for window admission; the ack, retransmission
    and buffer disposal are handled asynchronously (ack handler + daemon). *)
 let windowed_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
   let c = channel t ~dst_cab ~dst_port in
   Resource.with_held c.busy (fun () ->
-      if c.failed then raise (Delivery_timeout { dst_cab; dst_port });
-      ctx.work Costs.rmp_ns;
-      while Queue.length c.inflight >= t.window && not c.failed do
-        Waitq.wait c.window_q
-      done;
-      if c.failed then raise (Delivery_timeout { dst_cab; dst_port });
+      if not c.failed then begin
+        ctx.work Costs.rmp_ns;
+        while Queue.length c.inflight >= t.window && not c.failed do
+          Waitq.wait c.window_q
+        done
+      end;
+      if c.failed then begin
+        (* a latched failure ends this message's exchange before it starts *)
+        Mailbox.dispose ctx msg;
+        raise (Delivery_timeout { dst_cab; dst_port })
+      end;
       let seq = c.next_seq in
       c.next_seq <- seq + 1;
       Message.push_head msg header_bytes;
       write_header msg ~ty:ty_data ~dst_port ~seq;
-      let entry =
-        {
-          if_seq = seq;
-          if_msg = msg;
-          if_queued = 0;
-          if_done = false;
-          if_sent_at = 0;
-          if_tries = 0;
-        }
-      in
+      let entry = { if_seq = seq; if_msg = msg; if_sent_at = 0; if_tries = 0 } in
       Queue.add entry c.inflight;
-      transmit t ctx c entry;
+      (try transmit t ctx c entry
+       with Router.No_route _ as e ->
+         (* statically partitioned, as at window 1: no retry helps, so
+            undo the send — [next_seq] too, or the receiver's in-order
+            stash would wait forever on a seq that never went out — and
+            surface the typed error with the buffer reclaimed *)
+         let rest = Queue.create () in
+         Queue.iter (fun x -> if x != entry then Queue.add x rest) c.inflight;
+         Queue.clear c.inflight;
+         Queue.transfer rest c.inflight;
+         c.next_seq <- seq;
+         Mailbox.dispose ctx msg;
+         raise e);
       ensure_daemon t c;
       (* wake the daemon so its retransmit deadline covers the new head *)
       ignore (Waitq.broadcast c.ack_q))

@@ -43,14 +43,18 @@ val send :
   dst_port:int ->
   Nectar_core.Message.t ->
   unit
-(** Reliable send.  With [window = 1]: blocks until the message is
-    acknowledged (the buffer is then freed) and raises {!Delivery_timeout}
-    after the retry budget.  With [window > 1]: blocks only while the
-    window is full; acknowledgement, retransmission and buffer disposal
-    happen asynchronously, and a channel whose retry budget was exhausted
-    raises {!Delivery_timeout} on this and every later send (the failure
-    latches — see {!flush}).  Concurrent senders on one channel are
-    serialised FIFO. *)
+(** Reliable send.  The message is RMP's from here on: it is disposed
+    once, when its exchange ends — acknowledged, given up, or refused.
+    With [window = 1]: blocks until the message is acknowledged and
+    raises {!Delivery_timeout} after the retry budget.  With
+    [window > 1]: blocks only while the window is full; acknowledgement,
+    retransmission and disposal happen asynchronously, and a channel
+    whose retry budget was exhausted raises {!Delivery_timeout} on this
+    and every later send (the failure latches — see {!flush}).  At every
+    window a statically partitioned destination raises
+    [Router.No_route] at once, with nothing sent or retried; a
+    [Router.Route_down] refusal is retried like a lost frame.
+    Concurrent senders on one channel are serialised FIFO. *)
 
 val flush : Nectar_core.Ctx.t -> t -> dst_cab:int -> dst_port:int -> unit
 (** Block until every message sent on the channel has been acknowledged.

@@ -160,6 +160,38 @@ let test_rmp_windowed_loss_sweep () =
         [ 0.0; 0.05; 0.2 ])
     [ 1; 4; 16 ]
 
+(* A windowed channel whose retry budget ran out refuses every later send
+   with Delivery_timeout, and the refused message is reclaimed like any
+   other that ended its exchange: vet's quiesced teardown finds no leaked
+   put. *)
+let test_rmp_windowed_latched_refusal_reclaims () =
+  let outcome, findings =
+    Nectar_vet.Vet.run ~quiesced:true (fun () ->
+        let w = World.build ~stack:(windowed_opts ~window:4) () in
+        let a = w.stacks.(0) and b = w.stacks.(1) in
+        wire_faults ~drop:1.0 ~seed:7 w;
+        let sent = ref 0 and refused = ref 0 in
+        ignore
+          (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
+               for _ = 1 to 8 do
+                 match
+                   Rmp.send_string ctx a.Stack.rmp ~dst_cab:(Stack.node_id b)
+                     ~dst_port:port "into the void"
+                 with
+                 | () -> incr sent
+                 | exception Rmp.Delivery_timeout _ -> incr refused
+               done));
+        Engine.run w.eng;
+        (!sent, !refused, Rmp.failed_sends a.Stack.rmp))
+  in
+  check_int "vet clean" 0 (List.length findings);
+  let sent, refused, failed =
+    match outcome with Ok r -> r | Error e -> raise e
+  in
+  check_int "a window-full admitted" 4 sent;
+  check_int "the window abandoned" 4 failed;
+  check_int "every later send refused" 4 refused
+
 (* A stack built with ~rmp_window:1 must be byte-identical to the default
    stop-and-wait: same counters and the same final simulated time. *)
 let test_rmp_window1_is_stop_and_wait () =
@@ -620,6 +652,8 @@ let () =
             test_rmp_windowed_loss_sweep;
           Alcotest.test_case "window 1 = stop-and-wait" `Quick
             test_rmp_window1_is_stop_and_wait;
+          Alcotest.test_case "windowed latched refusal reclaims" `Quick
+            test_rmp_windowed_latched_refusal_reclaims;
           Alcotest.test_case "ack overtakes queued retransmit" `Quick
             test_rmp_ack_overtakes_queued_retx;
         ] );

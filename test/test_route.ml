@@ -433,6 +433,53 @@ let test_flap_during_inflight_send () =
   check_bool "no buffer-lifecycle findings" true
     (List.for_all (fun f -> f.Vet.severity = Vet.Info) findings)
 
+(* No_route is not absorbed by RMP at any window: no retry can cross a
+   static partition, so [send] raises it at once with the buffer
+   reclaimed (vet's quiesced teardown would report a leaked one), nothing
+   is retransmitted, no send is counted as abandoned and [flush] has
+   nothing to wait for. *)
+let test_rmp_raises_no_route () =
+  List.iter
+    (fun window ->
+      let name fmt = Printf.sprintf "%s at window %d" fmt window in
+      let result, findings =
+        Vet.run ~quiesced:true (fun () ->
+            let w =
+              World.build ~hubs:2 ~trunks:[]
+                ~seats:[ (0, 2); (1, 2) ]
+                ~stack:(fun rt -> Stack.create rt ~rmp_window:window ())
+                ()
+            in
+            let a = w.stacks.(0) and b = w.stacks.(1) in
+            let dst_cab = Stack.node_id b in
+            let raised = ref false and flushed = ref false in
+            ignore
+              (Thread.create (Runtime.cab a.Stack.rt) ~name:"partitioned"
+                 (fun ctx ->
+                   (try
+                      Rmp.send_string ctx a.Stack.rmp ~dst_cab ~dst_port:port
+                        "across the partition"
+                    with Router.No_route _ -> raised := true);
+                   Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port;
+                   flushed := true));
+            Engine.run w.eng;
+            ( !raised,
+              !flushed,
+              Rmp.retransmits a.Stack.rmp,
+              Rmp.failed_sends a.Stack.rmp,
+              Net.frames_sent w.net ))
+      in
+      check_int (name "vet clean") 0 (List.length findings);
+      match result with
+      | Error e -> Alcotest.failf "run raised %s" (Printexc.to_string e)
+      | Ok (raised, flushed, retx, failed, sent) ->
+          check_bool (name "send raised No_route") true raised;
+          check_bool (name "flush returned") true flushed;
+          check_int (name "no retransmits") 0 retx;
+          check_int (name "no abandoned sends") 0 failed;
+          check_int (name "nothing reached the wire") 0 sent)
+    [ 1; 4 ]
+
 (* Route_down absorbed by the unreliable transport: a counted local drop,
    never an escaping exception. *)
 let test_dgram_absorbs_refusal () =
@@ -496,6 +543,8 @@ let () =
         [
           Alcotest.test_case "flap during in-flight send" `Quick
             test_flap_during_inflight_send;
+          Alcotest.test_case "rmp raises No_route" `Quick
+            test_rmp_raises_no_route;
           Alcotest.test_case "dgram absorbs refusal" `Quick
             test_dgram_absorbs_refusal;
         ] );
