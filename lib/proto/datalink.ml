@@ -160,6 +160,14 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
      and refcounts exactly as they were, so retransmission machinery can
      re-send the same buffer once the routes reconverge. *)
   let route = route_to t ~dst_cab ~proto in
+  (* The frame's reference on the buffer is taken before any work: the
+     setup below can be preempted, and an interrupt or higher-priority
+     thread (an RMP ack, the windowed give-up) may dispose [msg] while
+     [output] is still running.  The reference keeps the bytes until the
+     frame dies at the receiver (or on a faulted wire), whenever the
+     sender disposes; [free] only moves the sender's own dispose to the
+     transmit-done interrupt. *)
+  Message.retain msg;
   let tid = Nectar_sim.Trace.span_begin ~track:(Cab.name t.cab) "dl.tx" in
   ctx.work Costs.dl_tx_setup_ns;
   let tail_len =
@@ -180,12 +188,7 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
   t.frames_out_count <- t.frames_out_count + 1;
   (* Zero-copy transmit: the frame's extents point straight into the
      message's buffer (headers and payload in place, paper §5.2) plus any
-     payload slices carved out of other messages.  The head buffer is
-     pinned with a reference for the frame's lifetime, so the bytes stay
-     until the frame dies at the receiver (or on a faulted wire) whenever
-     the sender disposes; [free] only moves the sender's own dispose to
-     the transmit-done interrupt. *)
-  Message.retain msg;
+     payload slices carved out of other messages. *)
   let extents =
     (msg.Message.mem, msg.Message.off, Message.length msg)
     :: List.map Message.Slice.extent tail

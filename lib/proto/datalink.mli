@@ -13,8 +13,9 @@
 
     Transmit: [output] prepends the datalink header into the message's
     reserved headroom and hands the frame to the CAB transmit DMA.  The
-    frame holds a reference on the buffer until it dies, so a sender may
-    dispose at any time after [output] returns; [~free:true] is the
+    frame holds a reference on the buffer from the start of [output] until
+    it dies, so a sender may dispose at any time, even from another
+    context while [output] is still running; [~free:true] is the
     paper's "free the data area once sent" flag (the datalink disposes at
     transmit-done), [~free:false] leaves the buffer with the sender. *)
 
@@ -67,7 +68,10 @@ val output :
     remote CAB.  Zero-copy: the frame references the message's buffer in
     place, and that reference keeps the bytes live until the frame's life
     ends (the receiver drains it or the wire swallows it), however early
-    the sender disposes.  [free] is the paper's "free the data area once
+    the sender disposes.  The reference is taken once the route is found,
+    before [output] does any work, so it covers the whole of [output]:
+    another context (an interrupt, a higher-priority thread) may dispose
+    the message while [output] is still running.  [free] is the paper's "free the data area once
     sent" flag: [true] hands the message over, and it is disposed at
     interrupt level when the transmit descriptor completes; [false] leaves
     it with the caller, which keeps it (a reliable sender re-sends the

@@ -114,6 +114,12 @@ let transmit t ctx c entry =
       ~msg:entry.if_msg ~free:false
   with Router.Route_down _ -> ()
 
+(* End an entry's exchange unacknowledged: a latched channel gives up on
+   the message. *)
+let abandon t ctx e =
+  t.failed_count <- t.failed_count + 1;
+  Mailbox.dispose ctx e.if_msg
+
 (* Retransmit daemon: one system thread per windowed channel.  Only the
    head of the window is retransmitted — cumulative acks mean a head
    retransmission is exactly what fills the receiver's gap (the receiver
@@ -134,11 +140,7 @@ let daemon_body t c (dctx : Ctx.t) =
           (* Retry budget exhausted: latch the channel as failed and
              abandon the whole window; [send]/[flush] surface it. *)
           c.failed <- true;
-          Queue.iter
-            (fun e ->
-              t.failed_count <- t.failed_count + 1;
-              Mailbox.dispose dctx e.if_msg)
-            c.inflight;
+          Queue.iter (abandon t dctx) c.inflight;
           Queue.clear c.inflight;
           ignore (Waitq.broadcast c.window_q)
         end
@@ -399,27 +401,27 @@ let windowed_send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
         raise (Delivery_timeout { dst_cab; dst_port })
       end;
       let seq = c.next_seq in
-      c.next_seq <- seq + 1;
       Message.push_head msg header_bytes;
       write_header msg ~ty:ty_data ~dst_port ~seq;
       let entry = { if_seq = seq; if_msg = msg; if_sent_at = 0; if_tries = 0 } in
-      Queue.add entry c.inflight;
+      (* The entry joins the window only once transmitted: a [No_route]
+         refusal (statically partitioned, as at window 1: no retry helps)
+         then leaves nothing to undo, and [seq] is not consumed, so the
+         receiver's in-order stash never waits on a seq that never went
+         out. *)
       (try transmit t ctx c entry
        with Router.No_route _ as e ->
-         (* statically partitioned, as at window 1: no retry helps, so
-            undo the send — [next_seq] too, or the receiver's in-order
-            stash would wait forever on a seq that never went out — and
-            surface the typed error with the buffer reclaimed *)
-         let rest = Queue.create () in
-         Queue.iter (fun x -> if x != entry then Queue.add x rest) c.inflight;
-         Queue.clear c.inflight;
-         Queue.transfer rest c.inflight;
-         c.next_seq <- seq;
          Mailbox.dispose ctx msg;
          raise e);
-      ensure_daemon t c;
-      (* wake the daemon so its retransmit deadline covers the new head *)
-      ignore (Waitq.broadcast c.ack_q))
+      c.next_seq <- seq + 1;
+      (* the daemon may have latched the channel while [transmit] ran *)
+      if c.failed then abandon t ctx entry
+      else begin
+        Queue.add entry c.inflight;
+        ensure_daemon t c;
+        (* wake the daemon so its retransmit deadline covers the new head *)
+        ignore (Waitq.broadcast c.ack_q)
+      end)
 
 let send (ctx : Ctx.t) t ~dst_cab ~dst_port msg =
   Ctx.assert_may_block ctx "Rmp.send";

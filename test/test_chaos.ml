@@ -334,6 +334,203 @@ let test_rpc_response_overtakes_queued_retx () =
   check_bool "every response answers its own call" true
     (answers = List.init count (fun i -> string_of_int (i + 1)))
 
+(* The overlap above, checked on the wire: after each exchange the sender
+   at once allocates a scribble buffer of the same size from the transmit
+   pool and fills it with 0xee, then holds it while the finished message's
+   queued copies drain.  Had that message's buffer been freed while a copy
+   still pointed at it, the scribble would recycle the block and the copy
+   would go out carrying 0xee.  A tap on the wire checks that every
+   full-size frame from the sender carries a self-consistent stamped
+   payload, and the receiver counts no damaged frame. *)
+let queued_copies_keep_their_bytes ~stack ~send () =
+  let count = 6 in
+  let outcome, findings =
+    Nectar_vet.Vet.run (fun () ->
+        let w = World.build ~stack () in
+        let a = w.stacks.(0) and b = w.stacks.(1) in
+        let src = Stack.node_id a in
+        let tapped = ref 0 and bad = ref 0 in
+        Net.set_fault_hook w.net
+          (Some
+             (fun f ->
+               let n = Nectar_hub.Frame.length f in
+               if f.Nectar_hub.Frame.src = src && n >= overlap_bytes then begin
+                 let p = Bytes.create overlap_bytes in
+                 Nectar_hub.Frame.blit f ~pos:(n - overlap_bytes) ~dst:p
+                   ~dst_pos:0 ~len:overlap_bytes;
+                 incr tapped;
+                 let i = Int32.to_int (Bytes.get_int32_le p 0) in
+                 if not (i >= 1 && i <= count && stamped_ok (Bytes.to_string p) i)
+                 then incr bad
+               end;
+               `Deliver));
+        let inbox =
+          Runtime.create_mailbox b.Stack.rt ~name:"sink" ~port
+            ~byte_limit:(256 * 1024) ()
+        in
+        ignore
+          (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
+               while true do
+                 Mailbox.end_get ctx (Mailbox.begin_get ctx inbox)
+               done));
+        Reqresp.register_server b.Stack.reqresp ~port
+          ~mode:Reqresp.Upcall_server (fun _ _ -> "ok");
+        ignore
+          (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
+               for i = 1 to count do
+                 send ctx a ~dst_cab:(Stack.node_id b) i;
+                 let scribble = Rmp.alloc ctx a.Stack.rmp overlap_bytes in
+                 Message.write_string scribble 0
+                   (String.make overlap_bytes '\xee');
+                 Engine.sleep ctx.Ctx.eng overlap_pause;
+                 Mailbox.dispose ctx scribble
+               done));
+        Engine.run w.eng;
+        ( !tapped,
+          !bad,
+          Datalink.drops_bad_len b.Stack.dl
+          + Datalink.drops_bad_proto b.Stack.dl
+          + Datalink.drops_crc b.Stack.dl ))
+  in
+  check_int "vet clean" 0 (List.length findings);
+  let tapped, bad, damaged =
+    match outcome with Ok r -> r | Error e -> raise e
+  in
+  check_bool "retransmitted copies on the wire" true (tapped > count);
+  check_int "every copy carries its own message's bytes" 0 bad;
+  check_int "no damaged frame at the receiver" 0 damaged
+
+let test_rmp_queued_copies_keep_their_bytes () =
+  List.iter
+    (fun window ->
+      queued_copies_keep_their_bytes
+        ~stack:(fun rt ->
+          Stack.create rt ~rmp_window:window ~rmp_rto:overlap_rto ())
+        ~send:(fun ctx (a : Stack.t) ~dst_cab i ->
+          let msg = Rmp.alloc ctx a.Stack.rmp overlap_bytes in
+          Message.write_string msg 0 (stamped_payload i);
+          Rmp.send ctx a.Stack.rmp ~dst_cab ~dst_port:port msg;
+          Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port)
+        ())
+    [ 1; 4 ]
+
+let test_rpc_queued_copies_keep_their_bytes () =
+  queued_copies_keep_their_bytes
+    ~stack:(fun rt -> Stack.create rt ~rpc_rto:overlap_rto ())
+    ~send:(fun ctx (a : Stack.t) ~dst_cab i ->
+      ignore
+        (Reqresp.call ctx a.Stack.reqresp ~dst_cab ~dst_port:port
+           (stamped_payload i)))
+    ()
+
+(* ---------- disposal while [Datalink.output] is still running ---------- *)
+
+(* The windowed daemon retransmits the head while its ack is on the way
+   back.  When the ack's interrupt lands inside the retransmission's
+   transmit setup, it retires the entry and disposes the message while
+   [Datalink.output] is still running, so the frame's reference must
+   already be held there.  The RTO is swept a microsecond at a time so
+   that some run puts the ack in that window. *)
+let test_rmp_ack_during_retx_setup () =
+  let retransmitted = ref 0 in
+  for rto_us = 40 to 200 do
+    let name fmt = Printf.sprintf "%s at rto %d us" fmt rto_us in
+    let outcome, findings =
+      Nectar_vet.Vet.run (fun () ->
+          let w =
+            World.build
+              ~stack:(fun rt ->
+                Stack.create rt ~rmp_window:4 ~rmp_rto:(Sim_time.us rto_us) ())
+              ()
+          in
+          let a = w.stacks.(0) and b = w.stacks.(1) in
+          let inbox =
+            Runtime.create_mailbox b.Stack.rt ~name:"sink" ~port
+              ~byte_limit:(64 * 1024) ()
+          in
+          let got = ref [] in
+          ignore
+            (Thread.create (Runtime.cab b.Stack.rt) ~name:"sink" (fun ctx ->
+                 while true do
+                   let m = Mailbox.begin_get ctx inbox in
+                   got := Message.read_string m ~pos:0 ~len:(Message.length m)
+                          :: !got;
+                   Mailbox.end_get ctx m
+                 done));
+          let dst_cab = Stack.node_id b in
+          ignore
+            (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
+                 Rmp.send_string ctx a.Stack.rmp ~dst_cab ~dst_port:port "once";
+                 Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port));
+          Engine.run w.eng;
+          (!got, Rmp.retransmits a.Stack.rmp, Rmp.failed_sends a.Stack.rmp))
+    in
+    check_int (name "vet clean") 0 (List.length findings);
+    let got, retx, failed =
+      match outcome with Ok r -> r | Error e -> raise e
+    in
+    if retx > 0 then incr retransmitted;
+    check_int (name "no abandoned sends") 0 failed;
+    check_bool (name "delivered exactly once") true (got = [ "once" ])
+  done;
+  check_bool "some runs retransmitted" true (!retransmitted > 0)
+
+(* The daemon latches a blackholed channel while a second sender is
+   inside [transmit]: the message, not yet in the window, is given up
+   with the rest of it (counted, disposed) at once, not retransmitted on
+   a channel that has already failed.  The second send is swept a
+   microsecond at a time across the latch, found by a first run with one
+   message. *)
+let latch_rto = Sim_time.us 100
+
+let latch_run ~second_at =
+  Nectar_vet.Vet.run (fun () ->
+      let w = World.build ~stack:(fun rt ->
+          Stack.create rt ~rmp_window:4 ~rmp_rto:latch_rto ()) ()
+      in
+      let a = w.stacks.(0) and b = w.stacks.(1) in
+      wire_faults ~drop:1.0 ~seed:7 w;
+      let dst_cab = Stack.node_id b in
+      let refused = ref 0 and latched_at = ref (-1) in
+      ignore
+        (Thread.create (Runtime.cab a.Stack.rt) ~name:"src" (fun ctx ->
+             let send s =
+               try Rmp.send_string ctx a.Stack.rmp ~dst_cab ~dst_port:port s
+               with Rmp.Delivery_timeout _ -> incr refused
+             in
+             send "first";
+             Option.iter
+               (fun at ->
+                 Engine.sleep ctx.Ctx.eng (max 0 (at - Engine.now ctx.Ctx.eng));
+                 send "second")
+               second_at;
+             try Rmp.flush ctx a.Stack.rmp ~dst_cab ~dst_port:port
+             with Rmp.Delivery_timeout _ -> latched_at := Engine.now ctx.Ctx.eng));
+      Engine.run w.eng;
+      ( !refused,
+        !latched_at,
+        Rmp.failed_sends a.Stack.rmp,
+        Rmp.retransmits a.Stack.rmp ))
+
+let test_rmp_latch_during_send () =
+  let latched_at, retx =
+    match latch_run ~second_at:None with
+    | Ok (_, at, 1, retx), [] when at > 0 -> (at, retx)
+    | _ -> Alcotest.fail "probe: one abandoned send, clean, expected"
+  in
+  for us = -80 to 5 do
+    let second_at = latched_at + Sim_time.us us in
+    let name fmt = Printf.sprintf "%s, second send at latch %+d us" fmt us in
+    let outcome, findings = latch_run ~second_at:(Some second_at) in
+    check_int (name "vet clean") 0 (List.length findings);
+    let refused, at, failed, retx' =
+      match outcome with Ok r -> r | Error e -> raise e
+    in
+    check_bool (name "flush raised") true (at > 0);
+    check_int (name "both messages refused or abandoned") 2 (refused + failed);
+    check_int (name "nothing retransmitted after the latch") retx retx'
+  done
+
 (* ---------- request-response sweeps ---------- *)
 
 let rpc_run ~drop ~seed ~count =
@@ -656,6 +853,12 @@ let () =
             test_rmp_windowed_latched_refusal_reclaims;
           Alcotest.test_case "ack overtakes queued retransmit" `Quick
             test_rmp_ack_overtakes_queued_retx;
+          Alcotest.test_case "queued copies keep their bytes" `Quick
+            test_rmp_queued_copies_keep_their_bytes;
+          Alcotest.test_case "ack during retransmit setup" `Quick
+            test_rmp_ack_during_retx_setup;
+          Alcotest.test_case "latch during windowed send" `Quick
+            test_rmp_latch_during_send;
         ] );
       ( "rpc",
         [
@@ -663,6 +866,8 @@ let () =
           Alcotest.test_case "blackhole" `Quick test_rpc_blackhole;
           Alcotest.test_case "response overtakes queued retransmit" `Quick
             test_rpc_response_overtakes_queued_retx;
+          Alcotest.test_case "queued request copies keep their bytes" `Quick
+            test_rpc_queued_copies_keep_their_bytes;
         ] );
       ( "wire",
         [
