@@ -112,10 +112,8 @@ let tcp_mode_numbers input_mode =
       ()
   in
   (* throughput at 8 KB *)
-  let r = bulk (world (Some 8192)) Tcp ~size:8192 ~count:150 in
   let tput =
-    Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
-      ~elapsed:(r.last_arrival - r.started)
+    goodput (bulk (world (Some 8192)) Tcp ~host:false ~size:8192 ~count:150)
   in
   (* small-message round trip *)
   let rtt =

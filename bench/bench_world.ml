@@ -3,12 +3,13 @@
    time — absolute hardware truth comes from the cost
    model in Nectar_cab.Costs (see DESIGN.md section 5).
 
-   The paper measures two things between a pair of CABs: round-trip
-   latency (Table 1) and one-way throughput (Figure 7).  [echo_rtt] and
-   [bulk] are those two loops, run on stacks 0 and 1 of a caller-built
-   world, so stack options, wire faults and competing threads reach them
-   through the world.  Both return raw measurements; every caller does
-   its own arithmetic on them. *)
+   The paper measures two things between a pair of CABs or hosts:
+   round-trip latency (Table 1) and one-way throughput (Figures 7 and 8).
+   [echo_rtt] and [bulk] are those two loops, run on stacks 0 and 1 of a
+   caller-built world ([bulk] also N:1, every other stack into stack 1),
+   so stack options, wire faults and competing threads reach them through
+   the world.  Both return raw measurements; [goodput] is the one
+   throughput figure taken from a transfer. *)
 
 open Nectar_sim
 open Nectar_core
@@ -21,7 +22,7 @@ let spawn_cab_thread stack ~name body =
     (Thread.create (Runtime.cab stack.Stack.rt) ~priority:Thread.System ~name
        body)
 
-(* ---------- the two two-CAB loops ---------- *)
+(* ---------- the echo loop and the bulk loop ---------- *)
 
 type transport = Dgram | Rmp | Udp | Rpc of Reqresp.server_mode | Tcp
 
@@ -174,7 +175,7 @@ let echo_rtt (w : World.t) transport ~host ~payload ~rounds =
   Engine.run w.eng;
   List.rev !samples
 
-(* What one bulk transfer measured: when the source started sending
+(* What one bulk transfer measured: when the first source started sending
    (after connection set-up), when the last byte reached the sink, the
    bytes delivered, and the sends that ended in a typed error. *)
 type bulk = {
@@ -184,26 +185,52 @@ type bulk = {
   errors : int;
 }
 
-(* [count] messages of [size] bytes from a source thread on stack 0 to a
-   sink thread on stack 1, over RMP (then flushed, for windowed senders)
-   or one TCP connection.  RMP counts each failed send and goes on; a
-   TCP error ends the source.  Bytes that never arrive leave the sink
-   waiting, which ends the run. *)
-let bulk (w : World.t) transport ~size ~count =
-  let a = w.stacks.(0) and b = w.stacks.(1) in
-  let total = size * count and payload = String.make size 'b' in
-  let started = ref 0 and last_arrival = ref 0 in
+(* A transfer's goodput: Mbit/s of the bytes delivered from the first send
+   to the last arrival. *)
+let goodput r =
+  Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
+    ~elapsed:(r.last_arrival - r.started)
+
+(* [count] messages of [size] bytes from every stack but stack 1 to one
+   sink on stack 1, over RMP (then flushed, for windowed senders) or one
+   TCP connection per source.  The ends are CAB threads or, with [host]
+   (two stacks only), a host process on stack 0 and one on stack 1: RMP
+   then crosses a CAB send-server that forwards each message whole, and
+   TCP connects from a CAB thread before the hosts use its send-request
+   and receive mailboxes.  RMP counts each failed send and goes on; a TCP
+   error ends its source.  Bytes that never arrive leave the sink waiting,
+   which ends the run. *)
+let bulk (w : World.t) transport ~host ~size ~count =
+  let b = w.stacks.(1) in
+  let sources = List.filteri (fun i _ -> i <> 1) (Array.to_list w.stacks) in
+  if host && List.length sources <> 1 then
+    invalid_arg "Bench_world.bulk: a host-level transfer needs two stacks";
+  let total = size * count * List.length sources
+  and payload = String.make size 'b' in
+  let started = ref None and last_arrival = ref 0 in
   let delivered = ref 0 and errors = ref 0 in
+  let start () =
+    if !started = None then started := Some (Engine.now w.eng)
+  in
   let arrived n =
     delivered := !delivered + n;
     last_arrival := Engine.now w.eng
   in
-  (match transport with
-  | Rmp ->
-      let inbox =
-        Runtime.create_mailbox b.rt ~name:"sink" ~port
-          ~byte_limit:(128 * 1024) ()
-      in
+  let dst_cab = Stack.node_id b in
+  let reliably f = try f () with Rmp.Delivery_timeout _ -> incr errors in
+  let rmp_send ctx (a : Stack.t) payload =
+    reliably (fun () ->
+        Rmp.send_string ctx a.rmp ~dst_cab ~dst_port:port payload)
+  in
+  let sink_mailbox () =
+    Runtime.create_mailbox b.rt ~name:"sink" ~port ~byte_limit:(128 * 1024) ()
+  in
+  let connect ctx (a : Stack.t) =
+    Tcp.connect ctx a.tcp ~dst:(Stack.addr b) ~dst_port:port ()
+  in
+  (match (transport, host) with
+  | Rmp, false ->
+      let inbox = sink_mailbox () in
       spawn_cab_thread b ~name:"sink" (fun ctx ->
           while !delivered < total do
             let m = Mailbox.begin_get ctx inbox in
@@ -211,38 +238,93 @@ let bulk (w : World.t) transport ~size ~count =
             Mailbox.end_get ctx m;
             arrived n
           done);
-      spawn_cab_thread a ~name:"source" (fun ctx ->
-          started := Engine.now w.eng;
-          let dst_cab = Stack.node_id b in
-          let reliably f =
-            try f () with Rmp.Delivery_timeout _ -> incr errors
-          in
-          for _ = 1 to count do
-            reliably (fun () ->
-                Rmp.send_string ctx a.rmp ~dst_cab ~dst_port:port payload)
-          done;
-          reliably (fun () -> Rmp.flush ctx a.rmp ~dst_cab ~dst_port:port))
-  | Tcp ->
+      List.iter
+        (fun (a : Stack.t) ->
+          spawn_cab_thread a ~name:"source" (fun ctx ->
+              start ();
+              for _ = 1 to count do
+                rmp_send ctx a payload
+              done;
+              reliably (fun () -> Rmp.flush ctx a.rmp ~dst_cab ~dst_port:port)))
+        sources
+  | Tcp, false ->
       Tcp.listen b.tcp ~port ~on_accept:(fun conn ->
           spawn_cab_thread b ~name:"sink" (fun ctx ->
               while !delivered < total do
                 arrived (String.length (Tcp.recv_string ctx conn))
               done));
-      spawn_cab_thread a ~name:"source" (fun ctx ->
-          try
-            let conn =
-              Tcp.connect ctx a.tcp ~dst:(Stack.addr b) ~dst_port:port ()
-            in
-            started := Engine.now w.eng;
-            for _ = 1 to count do
-              Tcp.send ctx conn payload
-            done
-          with Tcp.Connection_timed_out | Tcp.Connection_reset -> incr errors)
-  | Dgram | Udp | Rpc _ ->
+      List.iter
+        (fun a ->
+          spawn_cab_thread a ~name:"source" (fun ctx ->
+              try
+                let conn = connect ctx a in
+                start ();
+                for _ = 1 to count do
+                  Tcp.send ctx conn payload
+                done
+              with Tcp.Connection_timed_out | Tcp.Connection_reset ->
+                incr errors))
+        sources
+  | (Rmp | Tcp), true ->
+      let a = w.stacks.(0) in
+      let drv_a = World.add_host w 0 in
+      let drv_b = World.add_host w 1 in
+      (* the host source's send mailbox, the connection id TCP's send
+         requests carry, and the host sink's receive mailbox *)
+      let send_mb, conn_id, inbox =
+        if transport = Rmp then begin
+          let inbox = sink_mailbox () in
+          let send_mb =
+            Runtime.create_mailbox a.rt ~name:"send-server"
+              ~byte_limit:(128 * 1024) ()
+          in
+          spawn_cab_thread a ~name:"send-server" (fun ctx ->
+              while true do
+                let m = Mailbox.begin_get ctx send_mb in
+                let s = Message.read_string m ~pos:0 ~len:(Message.length m) in
+                Mailbox.end_get ctx m;
+                rmp_send ctx a s
+              done);
+          (send_mb, None, inbox)
+        end
+        else begin
+          let accepted = ref None and conn = ref None in
+          Tcp.listen b.tcp ~port ~on_accept:(fun c -> accepted := Some c);
+          spawn_cab_thread a ~name:"connector" (fun ctx ->
+              conn := Some (connect ctx a));
+          Engine.run w.eng;
+          ( Tcp.send_request_mailbox a.tcp,
+            Some (Tcp.conn_id (Option.get !conn)),
+            Tcp.recv_mailbox (Option.get !accepted) )
+        end
+      in
+      let h_send =
+        Hostlib.attach drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
+      in
+      let h_in =
+        Hostlib.attach drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
+      in
+      Host.spawn_process (Cab_driver.host drv_b) ~name:"sink" (fun ctx ->
+          while !delivered < total do
+            let m = Hostlib.begin_get ctx h_in in
+            let n = String.length (Hostlib.read_string ctx h_in m) in
+            Hostlib.end_get ctx h_in m;
+            arrived n
+          done);
+      let hdr = if conn_id = None then 0 else 4 in
+      Host.spawn_process (Cab_driver.host drv_a) ~name:"source" (fun ctx ->
+          start ();
+          for _ = 1 to count do
+            let m = Hostlib.begin_put ctx h_send (hdr + size) in
+            Option.iter (Message.set_u32 m 0) conn_id;
+            Hostlib.write_string ctx h_send m ~pos:hdr payload;
+            Hostlib.end_put ctx h_send m
+          done)
+  | (Dgram | Udp | Rpc _), _ ->
       invalid_arg "Bench_world.bulk: not a reliable stream transport");
   Engine.run w.eng;
   {
-    started = !started;
+    started = Option.value !started ~default:0;
     last_arrival = !last_arrival;
     delivered = !delivered;
     errors = !errors;
@@ -262,6 +344,24 @@ let netdev_pair () =
   in
   let pa = make 0 in
   (eng, pa, make 1)
+
+(* Figure 8's netdev and Ethernet columns: 40 to 200 messages' worth of
+   bytes through Host_stream from the host process on [a] to the one on
+   [b], in datagrams of at most [size] bytes; Mbit/s from the sender's
+   start to its last ack. *)
+let stream_throughput eng ~size (host_a, io_a) (host_b, io_b) =
+  let total = max 40 (min 200 (300_000 / size)) * size in
+  let t0 = ref 0 and t1 = ref 0 in
+  Host.spawn_process host_b ~name:"sink" (fun ctx ->
+      Host_stream.run_receiver ctx io_b ~data_port:10 ~ack_port:11 ~total);
+  Host.spawn_process host_a ~name:"source" (fun ctx ->
+      t0 := Engine.now eng;
+      let mtu = min size io_a.Host_stream.stream_mtu in
+      let io_a = { io_a with Host_stream.stream_mtu = mtu } in
+      Host_stream.run_sender ctx io_a ~data_port:10 ~ack_port:11 ~total ();
+      t1 := Engine.now eng);
+  Engine.run eng;
+  Stats.Throughput.mbit_per_s ~bytes_moved:total ~elapsed:(!t1 - !t0)
 
 (* ---------- checks ---------- *)
 

@@ -37,7 +37,10 @@ let point transport drop =
   in
   drop_faults w drop;
   let a = w.stacks.(0) in
-  let r = bulk w transport ~size:msg_bytes ~count:(total_bytes / msg_bytes) in
+  let r =
+    bulk w transport ~host:false ~size:msg_bytes
+      ~count:(total_bytes / msg_bytes)
+  in
   {
     drop;
     goodput =

@@ -29,7 +29,18 @@ let warmup = 4
 
 let mark label = Trace.instant ~track:"fig6" label
 
-let run () =
+(* The figure's world, ready to run: the tracer installed, a host writer
+   on stack 0 sending [iterations] datagrams through a CAB send-server, a
+   host reader on stack 1, and the two mailboxes the datagrams cross.
+   [nectar_cli trace] runs the same build. *)
+type scenario = {
+  world : World.t;
+  tracer : Trace.t;
+  send_mb : Mailbox.t;
+  inbox : Mailbox.t;
+}
+
+let build ~iterations =
   let w = World.build () in
   let drv_a = World.add_host w 0 in
   let drv_b = World.add_host w 1 in
@@ -88,7 +99,11 @@ let run () =
         mark "t1";
         Waitq.wait round_done
       done);
-  Engine.run eng;
+  { world = w; tracer; send_mb; inbox }
+
+let run () =
+  let { world; tracer; _ } = build ~iterations in
+  Engine.run world.eng;
   Trace.uninstall ();
   let occ label =
     let times = Array.of_list (Trace.occurrences tracer label) in

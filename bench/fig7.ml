@@ -6,27 +6,25 @@
    100 Mbit/s physical bandwidth at 8 KB; TCP w/o checksum is close
    behind; full TCP is limited by its software checksums. *)
 
-open Nectar_sim
 open Bench_world
 
 let sizes = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
 
 let message_count size = max 100 (min 600 (1_500_000 / size))
 
-(* Mbit/s of [count] [size]-byte messages, from the first send to the
-   last arrival.  TCP runs with mss = message size: one segment per
-   application write, like the original implementation the figure
-   measured. *)
-let throughput transport ~checksum ~size ~count =
+(* Mbit/s of [count] [size]-byte messages from stack 0 to stack 1, from
+   the first send to the last arrival, between CAB threads or, with
+   [host], host processes (Figure 8).  TCP runs with mss = message size:
+   one segment per application write, like the original implementation
+   the figures measured. *)
+let throughput ~host transport ~checksum ~size ~count =
   let w =
     World.build
       ~stack:(fun rt ->
         Nectar_proto.Stack.create rt ~tcp_checksum:checksum ~tcp_mss:size ())
       ()
   in
-  let r = bulk w transport ~size ~count in
-  Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
-    ~elapsed:(r.last_arrival - r.started)
+  goodput (bulk w transport ~host ~size ~count)
 
 let run () =
   section "Figure 7: CAB-to-CAB throughput (Mbit/s) vs message size";
@@ -35,9 +33,9 @@ let run () =
   List.iter
     (fun size ->
       let count = message_count size in
-      let tcp = throughput Tcp ~checksum:true ~size ~count in
-      let tcp_nc = throughput Tcp ~checksum:false ~size ~count in
-      let rmp = throughput Rmp ~checksum:true ~size ~count in
+      let tcp = throughput ~host:false Tcp ~checksum:true ~size ~count in
+      let tcp_nc = throughput ~host:false Tcp ~checksum:false ~size ~count in
+      let rmp = throughput ~host:false Rmp ~checksum:true ~size ~count in
       row4 (string_of_int size) (fmt_mbps tcp) (fmt_mbps tcp_nc)
         (fmt_mbps rmp))
     sizes;

@@ -160,19 +160,19 @@ let windowed_run ~window ~size ~count =
   let w =
     World.build ~stack:(fun rt -> Stack.create rt ~rmp_window:window ()) ()
   in
-  let r = bulk w Rmp ~size ~count in
+  let r = bulk w Rmp ~host:false ~size ~count in
   let rmp = w.stacks.(0).Stack.rmp in
-  ( Stats.Throughput.mbit_per_s ~bytes_moved:r.delivered
-      ~elapsed:(r.last_arrival - r.started),
+  ( goodput r,
     r.delivered / size,
     Rmp.retransmits rmp,
     Rmp.failed_sends rmp )
 
 (* ---------- simulated: multi-CAB fleet with rx coalescing ---------- *)
 
-(* [senders] CABs blast one sink over windowed RMP; the sink's receive
-   engine optionally coalesces completion interrupts ([coalesce_ns]).
-   Returns (aggregate Mbit/s, delivered, completion batches). *)
+(* [senders] CABs blast one sink (stack 1) over windowed RMP; the sink's
+   receive engine optionally coalesces completion interrupts
+   ([coalesce_ns]).  Returns (aggregate Mbit/s, delivered, completion
+   batches). *)
 let fleet_run ~senders ~window ~size ~count ~coalesce_ns =
   let w =
     World.build
@@ -180,40 +180,10 @@ let fleet_run ~senders ~window ~size ~count ~coalesce_ns =
       ~stack:(fun rt -> Stack.create rt ~rmp_window:window ())
       ()
   in
-  let eng = w.eng and sink = w.stacks.(0) in
-  let srcs = List.init senders (fun i -> w.stacks.(i + 1)) in
-  Rx.set_coalesce_ns (Cab.rx (Runtime.cab sink.Stack.rt)) coalesce_ns;
-  let port = 700 in
-  let inbox =
-    Runtime.create_mailbox sink.Stack.rt ~name:"fleet-inbox" ~port
-      ~byte_limit:(512 * 1024) ()
-  in
-  let total = senders * count in
-  let got = ref 0 and done_at = ref 0 and started = ref 0 in
-  spawn_cab_thread sink ~name:"fleet-sink" (fun ctx ->
-      for _ = 1 to total do
-        let m = Mailbox.begin_get ctx inbox in
-        Mailbox.end_get ctx m;
-        incr got
-      done;
-      done_at := Engine.now eng);
-  List.iteri
-    (fun i st ->
-      spawn_cab_thread st ~name:(Printf.sprintf "fleet-src%d" i) (fun ctx ->
-          if !started = 0 then started := Engine.now eng;
-          let payload = String.make size 'f' in
-          let dst_cab = Stack.node_id sink in
-          for _ = 1 to count do
-            Rmp.send_string ctx st.Stack.rmp ~dst_cab ~dst_port:port payload
-          done;
-          Rmp.flush ctx st.Stack.rmp ~dst_cab ~dst_port:port))
-    srcs;
-  Engine.run eng;
-  let batches = Rx.completion_batches (Cab.rx (Runtime.cab sink.Stack.rt)) in
-  ( Stats.Throughput.mbit_per_s ~bytes_moved:(total * size)
-      ~elapsed:(!done_at - !started),
-    !got,
-    batches )
+  let rx = Cab.rx (Runtime.cab w.stacks.(1).Stack.rt) in
+  Rx.set_coalesce_ns rx coalesce_ns;
+  let r = bulk w Rmp ~host:false ~size ~count in
+  (goodput r, r.delivered / size, Rx.completion_batches rx)
 
 (* ---------- simulated: copy accounting (zero-copy data path) ---------- *)
 
@@ -231,7 +201,7 @@ let copies transport ~size ~count =
   let w =
     World.build ~stack:(fun rt -> Stack.create rt ~tcp_mss:size ()) ()
   in
-  ignore (bulk w transport ~size ~count);
+  ignore (bulk w transport ~host:false ~size ~count);
   (Copy_meter.report (), Copy_meter.bytes_copied (), Net.bytes_sent w.net)
 
 let site_bytes report name =

@@ -6,13 +6,13 @@
 open Nectar_sim
 open Nectar_core
 open Nectar_proto
-open Nectar_host
 module Net = Nectar_hub.Network
 module Cab = Nectar_cab.Cab
 module Costs = Nectar_cab.Costs
 
 module World = Nectar_fleet.World
 module Table1 = Nectar_bench.Table1
+module Fig6 = Nectar_bench.Fig6
 module Fig7 = Nectar_bench.Fig7
 open Nectar_bench.Bench_world
 module Topology = Nectar_fleet.Topology
@@ -74,7 +74,7 @@ let run_throughput (transport, checksum) size total_kb =
     | Tcp, false -> "TCP w/o checksum"
     | _ -> "RMP")
     count size
-    (Fig7.throughput transport ~checksum ~size ~count)
+    (Fig7.throughput ~host:false transport ~checksum ~size ~count)
 
 (* ---------- info ---------- *)
 
@@ -98,60 +98,23 @@ let run_info () =
 
 (* ---------- trace ---------- *)
 
-(* The Figure 6 scenario (one-way 64-byte host-to-host datagrams), run
-   under an installed tracer: every layer's spans land in the ring, and we
-   emit them as Chrome trace-event JSON plus a per-stage rollup. *)
-let run_trace_scenario ~iterations ~payload =
-  let w = World.build () in
-  let eng = w.eng and net = w.net and a = w.stacks.(0) and b = w.stacks.(1) in
-  let port = 900 in
-  let tracer = Trace.create eng in
-  Trace.install tracer;
-  let inbox = Runtime.create_mailbox b.Stack.rt ~name:"trace-inbox" ~port () in
-  let send_mb = Runtime.create_mailbox a.Stack.rt ~name:"trace-send" () in
-  ignore
-    (Thread.create (Runtime.cab a.Stack.rt) ~name:"send-server" (fun ctx ->
-         while true do
-           let m = Mailbox.begin_get ctx send_mb in
-           let payload = Message.read_string m ~pos:0 ~len:(Message.length m) in
-           Mailbox.end_get ctx m;
-           Dgram.send_string ctx a.Stack.dgram ~dst_cab:(Stack.node_id b)
-             ~dst_port:port payload
-         done));
-  let drv_a = World.add_host w 0 in
-  let drv_b = World.add_host w 1 in
-  let host_a = Cab_driver.host drv_a and host_b = Cab_driver.host drv_b in
-  let h_send =
-    Hostlib.attach drv_a send_mb ~mode:Hostlib.Shared_memory ~readers:`Cab
-  in
-  let h_in =
-    Hostlib.attach drv_b inbox ~mode:Hostlib.Shared_memory ~readers:`Host
-  in
-  let round_done = Waitq.create eng in
-  Host.spawn_process host_b ~name:"reader" (fun ctx ->
-      for _ = 1 to iterations do
-        let m = Hostlib.begin_get ctx h_in in
-        ignore (Hostlib.read_string ctx h_in m);
-        Hostlib.end_get ctx h_in m;
-        ignore (Waitq.signal round_done)
-      done);
-  Host.spawn_process host_a ~name:"writer" (fun ctx ->
-      for _ = 1 to iterations do
-        let m = Hostlib.begin_put ctx h_send payload in
-        Hostlib.write_string ctx h_send m ~pos:0 (String.make payload 'x');
-        Hostlib.end_put ctx h_send m;
-        Waitq.wait round_done
-      done);
+(* Figure 6's own scenario (one-way 64-byte host-to-host datagrams),
+   [iterations] rounds under its installed tracer: every layer's spans
+   land in the ring, and we emit them as Chrome trace-event JSON plus a
+   per-stage rollup. *)
+let run_trace_scenario ~iterations =
+  let { Fig6.world = w; tracer; send_mb; inbox } = Fig6.build ~iterations in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
   let reg = Nectar_util.Metrics.create () in
   Stack.register_metrics a reg;
   Stack.register_metrics b reg;
-  Net.register_metrics net reg ~prefix:"";
-  Engine.register_metrics eng reg ~prefix:"engine.";
+  Net.register_metrics w.net reg ~prefix:"";
+  Engine.register_metrics w.eng reg ~prefix:"engine.";
   Nectar_util.Copy_meter.reset ();
   Nectar_util.Copy_meter.register_metrics reg ~prefix:"";
   Mailbox.register_metrics inbox reg ~prefix:(Cab.name (Runtime.cab b.Stack.rt) ^ ".");
   Mailbox.register_metrics send_mb reg ~prefix:(Cab.name (Runtime.cab a.Stack.rt) ^ ".");
-  Engine.run eng;
+  Engine.run w.eng;
   Trace.uninstall ();
   (tracer, reg)
 
@@ -223,8 +186,8 @@ let chrome_json tracer =
 (* The per-stage span rollup and the metrics dump of a traced run. *)
 let print_trace ~iterations (tracer, reg) =
   Printf.printf
-    "trace: fig6 scenario, %d x 64-byte datagrams host-to-host (%d events)\n\n"
-    iterations (Trace.recorded tracer);
+    "trace: fig6 scenario, %d x %d-byte datagrams host-to-host (%d events)\n\n"
+    iterations Fig6.payload_bytes (Trace.recorded tracer);
   Printf.printf "  %-24s %6s %12s\n" "stage" "count" "total";
   List.iter
     (fun (label, count, total) ->
@@ -234,7 +197,7 @@ let print_trace ~iterations (tracer, reg) =
   print_string (Nectar_util.Metrics.render reg)
 
 let run_trace out iterations =
-  let ((tracer, _) as traced) = run_trace_scenario ~iterations ~payload:64 in
+  let ((tracer, _) as traced) = run_trace_scenario ~iterations in
   (match out with
   | Some path ->
       let oc = open_out path in

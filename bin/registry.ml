@@ -410,9 +410,7 @@ let json_valid s =
    not overflow. *)
 let trace_check _ =
   let iterations = 4 in
-  let ((tracer, _) as traced) =
-    Demos.run_trace_scenario ~iterations ~payload:64
-  in
+  let ((tracer, _) as traced) = Demos.run_trace_scenario ~iterations in
   Demos.print_trace ~iterations traced;
   let spans = Trace.spans tracer in
   let begins, ends =

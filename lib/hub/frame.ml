@@ -1,4 +1,5 @@
 module Region = Nectar_util.Region
+module Vet_probe = Nectar_sim.Vet_probe
 
 type extent = { ereg : Region.t; eoff : int; elen : int }
 
@@ -12,18 +13,24 @@ type t = {
   mutable released : bool;
 }
 
-let crc_of extents =
-  List.fold_left
-    (fun acc e ->
-      Nectar_util.Crc32.digest ~init:acc (Region.bytes e.ereg) ~pos:e.eoff
-        ~len:e.elen)
-    0 extents
+(* Every read of a frame's extents reports the range to vet first, so a
+   read of a buffer its owner already freed is found where it happens.
+   Top-level recursion, not a closure: with no hook installed a read
+   allocates nothing. *)
+let rec crc_of id acc = function
+  | [] -> acc
+  | e :: rest ->
+      Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:e.eoff ~len:e.elen;
+      crc_of id
+        (Nectar_util.Crc32.update acc (Region.bytes e.ereg) ~pos:e.eoff
+           ~len:e.elen)
+        rest
 
 let of_extents ?wire_crc ~id ~src ~on_release extents =
   let total = List.fold_left (fun acc e -> acc + e.elen) 0 extents in
   if total = 0 then invalid_arg "Frame.create_sg: empty frame";
   let wire_crc =
-    match wire_crc with Some c -> c | None -> crc_of extents
+    match wire_crc with Some c -> c | None -> crc_of id 0 extents
   in
   { id; src; extents; total; wire_crc; on_release; released = false }
 
@@ -47,7 +54,7 @@ let of_wire ~id ~src ~wire_crc ~data =
     (private_extent data)
 
 let length t = t.total
-let crc_ok t = crc_of t.extents = t.wire_crc
+let crc_ok t = crc_of t.id 0 t.extents = t.wire_crc
 
 let view t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.total then
@@ -55,28 +62,36 @@ let view t ~pos ~len =
   let rec find off = function
     | [] -> None
     | e :: rest ->
-        if pos >= off && pos + len <= off + e.elen then
-          Some (Region.bytes e.ereg, e.eoff + (pos - off))
+        if pos >= off && pos + len <= off + e.elen then begin
+          let eoff = e.eoff + (pos - off) in
+          Vet_probe.dma_read ~frame:t.id ~region:e.ereg ~off:eoff ~len;
+          Some (Region.bytes e.ereg, eoff)
+        end
         else find (off + e.elen) rest
   in
   find 0 t.extents
 
+(* [len] bytes from frame offset [pos] into [dst], the extent list
+   starting at frame offset [off]. *)
+let rec blit_extents id dst off dst_pos pos len = function
+  | [] -> ()
+  | e :: rest ->
+      if len = 0 then ()
+      else if pos >= off + e.elen then
+        blit_extents id dst (off + e.elen) dst_pos pos len rest
+      else begin
+        let src = e.eoff + (pos - off) in
+        let n = min len (e.elen - (pos - off)) in
+        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:src ~len:n;
+        Bytes.blit (Region.bytes e.ereg) src dst dst_pos n;
+        blit_extents id dst (off + e.elen) (dst_pos + n) (pos + n) (len - n)
+          rest
+      end
+
 let blit t ~pos ~dst ~dst_pos ~len =
   if pos < 0 || len < 0 || pos + len > t.total then
     invalid_arg "Frame.blit: outside frame";
-  let rec go off dst_pos pos len = function
-    | [] -> ()
-    | e :: rest ->
-        if len = 0 then ()
-        else if pos >= off + e.elen then go (off + e.elen) dst_pos pos len rest
-        else begin
-          let e_start = pos - off in
-          let n = min len (e.elen - e_start) in
-          Bytes.blit (Region.bytes e.ereg) (e.eoff + e_start) dst dst_pos n;
-          go (off + e.elen) (dst_pos + n) (pos + n) (len - n) rest
-        end
-  in
-  go 0 dst_pos pos len t.extents
+  blit_extents t.id dst 0 dst_pos pos len t.extents
 
 (* Privatise the frame's bytes: copy every extent into fresh storage and
    drop the references to the source buffers right away.  Fault injection

@@ -3,6 +3,8 @@ type hooks = {
     cpu:string -> owner:string -> priority:int -> waited:Sim_time.span -> unit;
   interrupt_enter : pid:int -> name:string -> unit;
   interrupt_exit : pid:int -> unit;
+  dma_read :
+    frame:int -> region:Nectar_util.Region.t -> off:int -> len:int -> unit;
 }
 
 let hooks : hooks option ref = ref None
@@ -30,3 +32,8 @@ let interrupt_exit eng =
       match Engine.current_pid eng with
       | Some pid -> h.interrupt_exit ~pid
       | None -> ())
+
+let dma_read ~frame ~region ~off ~len =
+  match !hooks with
+  | None -> ()
+  | Some h -> h.dma_read ~frame ~region ~off ~len

@@ -15,6 +15,11 @@ type hooks = {
       (** process [pid] entered an interrupt handler body *)
   interrupt_exit : pid:int -> unit;
       (** process [pid] left the interrupt handler body *)
+  dma_read :
+    frame:int -> region:Nectar_util.Region.t -> off:int -> len:int -> unit;
+      (** the bytes [\[off, off + len)] of [region] were read through
+          frame [frame]'s extents: its CRC, the rx DMA drain, a partition
+          handoff or a fault-injection snapshot *)
 }
 
 val install : hooks -> unit
@@ -30,3 +35,6 @@ val interrupt_enter : Engine.t -> name:string -> unit
 (** Tag the currently running process as interrupt context. *)
 
 val interrupt_exit : Engine.t -> unit
+
+val dma_read :
+  frame:int -> region:Nectar_util.Region.t -> off:int -> len:int -> unit

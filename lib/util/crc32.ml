@@ -30,7 +30,7 @@ let mask32 = 0xffffffff
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let digest ?(init = 0) b ~pos ~len =
+let update init b ~pos ~len =
   (* an [init] wider than 32 bits would index past the tables *)
   if pos < 0 || len < 0 || pos + len > Bytes.length b || init < 0
      || init > mask32
@@ -63,6 +63,8 @@ let digest ?(init = 0) b ~pos ~len =
     incr i
   done;
   !c lxor mask32
+
+let digest ?(init = 0) b ~pos ~len = update init b ~pos ~len
 
 let digest_string s =
   digest (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

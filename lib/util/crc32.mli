@@ -10,5 +10,9 @@ val digest : ?init:int -> Bytes.t -> pos:int -> len:int -> int
     [Invalid_argument] if the range is outside [b] or [init] is outside
     [[0, 2^32)]. *)
 
+val update : int -> Bytes.t -> pos:int -> len:int -> int
+(** [update crc b ~pos ~len] is [digest ~init:crc b ~pos ~len], for a
+    caller that must not box its [init] (a per-frame read path). *)
+
 val digest_string : string -> int
 (** [digest_string s] is the CRC-32 of all of [s]. *)

@@ -525,6 +525,42 @@ let on_heap_free ~heap ~off ~live =
     end
   end
 
+(* The message whose buffer last sat at [off] of heap [hid]: uids grow,
+   so the newest message record naming that block. *)
+let last_owner hid off =
+  Hashtbl.fold
+    (fun _ r acc ->
+      if r.mbuf <> Some (hid, off) then acc
+      else
+        match acc with
+        | Some best when best.muid > r.muid -> acc
+        | _ -> Some r)
+    msgs None
+
+(* A read through a frame's extents (CRC, rx DMA drain, partition
+   handoff, fault snapshot) must not touch a quarantined block of the heap
+   bound to the extent's region; private regions belong to no heap. *)
+let on_dma_read ~frame ~region ~off ~len =
+  if !cfg.heap && !cfg.poison then
+    Hashtbl.iter
+      (fun _ h ->
+        match h.hmem with
+        | Some mem when mem == region ->
+            Hashtbl.iter
+              (fun qoff qlen ->
+                if off < qoff + qlen && qoff < off + len then
+                  emit checker_heap Error
+                    (Printf.sprintf
+                       "DMA read of freed range in %s: frame %d read the \
+                        block at %d (%d bytes) after %s freed it"
+                       h.hname frame qoff qlen
+                       (match last_owner h.hid qoff with
+                       | Some r -> msg_desc r
+                       | None -> "its owner")))
+              h.hquarantine
+        | _ -> ())
+      heaps
+
 (* ------------------------------------------------------------------ *)
 (* Starvation watchdog                                                 *)
 
@@ -592,6 +628,7 @@ let install ?(config = default_config) () =
       Vet_probe.cpu_wait = on_cpu_wait;
       interrupt_enter = on_interrupt_enter;
       interrupt_exit = on_interrupt_exit;
+      dma_read = on_dma_read;
     }
 
 let uninstall () =

@@ -14,8 +14,10 @@
       zero-copy path.
     - {b heap}: shadow-tracks buffer-heap blocks, poisons freed ranges in
       CAB data memory and verifies the poison on reallocation
-      (use-after-free writes), reports double frees and leaked message
-      buffers at teardown.
+      (use-after-free writes), reports DMA reads of a freed range (any
+      read of a frame's extents that overlaps a quarantined block, with
+      the frame and the block's last owner), double frees and leaked
+      message buffers at teardown.
     - {b interrupt}: knows which simulation processes are inside rx-DMA or
       signal-queue upcall handlers and reports any blocking operation or
       contended lock acquire they attempt.

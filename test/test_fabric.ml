@@ -56,6 +56,39 @@ let test_frame_sg_extents () =
     (Invalid_argument "Frame.release: frame already released") (fun () ->
       Frame.release sg)
 
+(* The rx DMA drain, the partition handoff and the CRC check read a
+   frame's extents on every frame; with no vet hook installed those reads
+   must allocate nothing, or the vet hook has made every run slower. *)
+let test_frame_reads_allocate_nothing () =
+  check_bool "no vet hook installed" false (Vet_probe.installed ());
+  let whole = Bytes.make 1500 'a' in
+  let f =
+    Frame.create_sg ~id:0 ~src:0
+      ~extents:
+        [
+          (Region.of_bytes (Bytes.sub whole 0 24), 0, 24);
+          (Region.of_bytes whole, 24, 1476);
+        ]
+      ~on_release:(fun () -> ())
+  in
+  let out = Bytes.create 1500 in
+  let reads () =
+    Frame.blit f ~pos:0 ~dst:out ~dst_pos:0 ~len:1500;
+    Frame.blit f ~pos:20 ~dst:out ~dst_pos:0 ~len:8;
+    ignore (Frame.crc_ok f)
+  in
+  reads ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    reads ()
+  done;
+  let words = Gc.minor_words () -. before in
+  (* 30k reads: one word per read would be 30k; allow a small constant
+     for the Gc calls themselves *)
+  check_bool
+    (Printf.sprintf "blit and crc_ok allocation-free (%.0f words)" words)
+    true (words < 64.)
+
 (* ---------- Network helpers ---------- *)
 
 let make_sink eng name =
@@ -479,6 +512,8 @@ let () =
       ( "frame",
         [
           Alcotest.test_case "hardware crc" `Quick test_frame_crc;
+          Alcotest.test_case "reads allocate nothing" `Quick
+            test_frame_reads_allocate_nothing;
           Alcotest.test_case "scatter/gather extents" `Quick
             test_frame_sg_extents;
         ] );

@@ -230,6 +230,50 @@ let test_dispose_before_snapshot_across_growth () =
     findings;
   assert_finding ~checker:"two-phase" ~sub:"double dispose" findings
 
+(* A frame's extents still point into a message buffer its owner has
+   freed: the DMA engines' reads of it (the hardware CRC, the rx drain)
+   are reported with the frame and the block's last owner, while the same
+   reads of the live block, and of a private region, are not. *)
+let test_dma_read_of_freed_block () =
+  let uid = ref 0 and off = ref 0 and live_clean = ref false in
+  let _, findings =
+    Vet.run (fun () ->
+        let eng = Engine.create () in
+        let mb, mem = make_mailbox eng "mb" in
+        let ctx = null_ctx eng in
+        Engine.spawn eng (fun () ->
+            let m = Mailbox.begin_put ctx mb 64 in
+            uid := m.Message.uid;
+            off := m.Message.off;
+            Message.write_string m 0 (String.make 64 'p');
+            let frame =
+              Nectar_hub.Frame.create_sg ~id:7 ~src:0
+                ~extents:[ (mem, m.Message.off, 64) ]
+                ~on_release:(fun () -> ())
+            in
+            let private_frame =
+              Nectar_hub.Frame.create ~id:8 ~src:0 ~data:(Bytes.make 64 'q')
+            in
+            let dst = Bytes.create 64 in
+            Nectar_hub.Frame.blit frame ~pos:0 ~dst ~dst_pos:0 ~len:64;
+            live_clean := Vet.failures () = [];
+            Mailbox.abort_put ctx mb m;
+            ignore (Nectar_hub.Frame.crc_ok frame);
+            Nectar_hub.Frame.blit frame ~pos:8 ~dst ~dst_pos:0 ~len:16;
+            ignore (Nectar_hub.Frame.crc_ok private_frame);
+            Nectar_hub.Frame.release frame;
+            Nectar_hub.Frame.release private_frame);
+        Engine.run eng)
+  in
+  check_bool "reads of the live block are clean" true !live_clean;
+  assert_finding ~checker:"heap"
+    ~sub:
+      (Printf.sprintf "frame 7 read the block at %d (64 bytes) after message#%d"
+         !off !uid)
+    findings;
+  check_bool "the private frame is not reported" false
+    (has ~checker:"heap" ~sub:"frame 8" findings)
+
 (* ---------- slice (zero-copy buffer references) ---------- *)
 
 let test_slice_double_release () =
@@ -385,6 +429,8 @@ let () =
           Alcotest.test_case "double free" `Quick test_double_free;
           Alcotest.test_case "use-after-free write" `Quick
             test_use_after_free_write;
+          Alcotest.test_case "DMA read of freed block" `Quick
+            test_dma_read_of_freed_block;
           Alcotest.test_case "dispose before snapshot across growth" `Quick
             test_dispose_before_snapshot_across_growth;
         ] );
