@@ -64,13 +64,12 @@ let engine_1k_events () =
   Engine.run eng
 
 (* The RTO pattern: most timers are cancelled before they fire (every ack
-   cancels a retransmit timer).  Exercises lazy cancellation and the
-   dead-entry compaction path. *)
+   cancels a retransmit timer).  Exercises eager removal from the heap. *)
 let engine_schedule_cancel () =
   let eng = Engine.create () in
   for i = 1 to 1000 do
     let tm = Engine.at eng (i + 1000) (fun () -> ()) in
-    if i mod 8 <> 0 then Engine.cancel tm
+    if i mod 8 <> 0 then Engine.cancel eng tm
   done;
   Engine.run eng
 
@@ -81,10 +80,10 @@ let engine_schedule_cancel () =
    exactly on any machine with the same compiler.  The two per-byte
    kernels are pinned at zero: a kernel that starts boxing its int32 or
    int64 loads fails here instead of silently losing its speed. *)
-let recorded_sleep_words = 9.
+let recorded_sleep_words = 2.
 let recorded_yield_words = 2.
-let recorded_consume_words = 21.
-let recorded_timed_wait_words = 27.
+let recorded_consume_words = 14.
+let recorded_timed_wait_words = 20.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 
@@ -257,20 +256,21 @@ let check_copies ~check ~size ~count =
   ( (rmp_after / count, rmp_before / count, reduction),
     (tcp_after / count, (tcp_after + tcp_wire) / count) )
 
-(* The compaction bound: a schedule-mostly-cancel storm must not let the
-   heap grow past 2x the live events (plus the small threshold). *)
-let check_compaction ~check =
+(* Eager cancellation: after a schedule-mostly-cancel storm the queue
+   holds exactly the live timers, and only they fire. *)
+let check_cancel_storm ~check =
   let eng = Engine.create () in
-  let live = ref 0 in
+  let live = ref 0 and fired = ref 0 in
   for i = 1 to 10_000 do
-    let tm = Engine.at eng (i + 10_000) (fun () -> ()) in
-    if i mod 10 <> 0 then Engine.cancel tm else incr live
+    let tm = Engine.at eng (i + 10_000) (fun () -> incr fired) in
+    if i mod 10 <> 0 then Engine.cancel eng tm else incr live
   done;
-  let q = Engine.queued_events eng and p = Engine.pending_events eng in
+  let p = Engine.pending_events eng in
+  Engine.run eng;
   check
-    (Printf.sprintf "compaction bound (queued %d, pending %d)" q p)
-    (p = !live && q <= (2 * p) + 64);
-  Engine.run eng
+    (Printf.sprintf "cancel storm (pending %d, fired %d, live %d)" p !fired
+       !live)
+    (p = !live && !fired = !live)
 
 let check_sweep ~check ~size ~count rows =
   List.iter
@@ -397,7 +397,7 @@ let run ~smoke () =
   section
     (if smoke then "Perf harness (smoke: deterministic counts only)"
      else "Perf harness (fastpath): wall clock + windowed RMP");
-  check_compaction ~check;
+  check_cancel_storm ~check;
   let micro =
     List.map
       (fun (name, key, measure, recorded) -> (name, key, measure (), recorded))

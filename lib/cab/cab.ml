@@ -55,8 +55,8 @@ let tx_dma_process t () =
     ignore (Waitq.signal t.fiber_ready);
     let remaining = ref req.len in
     while !remaining > 0 do
-      let n = min !remaining (Byte_fifo.capacity t.out_fifo) in
-      let n = min n Nectar_hub.Network.chunk_bytes in
+      let n = Int.min !remaining (Byte_fifo.capacity t.out_fifo) in
+      let n = Int.min n Nectar_hub.Network.chunk_bytes in
       Byte_fifo.push t.out_fifo n;
       Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
       remaining := !remaining - n
@@ -78,7 +78,7 @@ let fiber_tx_process t () =
        output FIFO. *)
     let remaining = ref (Nectar_hub.Frame.length item.frame) in
     while !remaining > 0 do
-      let n = min !remaining Nectar_hub.Network.chunk_bytes in
+      let n = Int.min !remaining Nectar_hub.Network.chunk_bytes in
       Byte_fifo.pop t.out_fifo n;
       remaining := !remaining - n
     done

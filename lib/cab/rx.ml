@@ -1,4 +1,5 @@
 open Nectar_sim
+module Tbl = Nectar_util.Int_key.Tbl
 
 type pending = {
   pframe : Nectar_hub.Frame.t;
@@ -51,7 +52,7 @@ let arrived p = p.arrived
 let total p = Nectar_hub.Frame.length p.pframe
 
 let sink t =
-  let table : (int, pending) Hashtbl.t = Hashtbl.create 8 in
+  let table : pending Tbl.t = Tbl.create 8 in
   let on_frame_start fr =
     let p =
       {
@@ -61,17 +62,17 @@ let sink t =
         arrival = Waitq.create t.eng;
       }
     in
-    Hashtbl.replace table fr.Nectar_hub.Frame.id p;
+    Tbl.replace table fr.Nectar_hub.Frame.id p;
     match t.handler with
     | Some fn -> Interrupts.post t.irq ~name:"rx-frame" (fun ictx -> fn ictx p)
     | None -> failwith (t.rname ^ ": frame arrived with no rx handler")
   in
   let on_chunk fr ~arrived ~last =
-    match Hashtbl.find_opt table fr.Nectar_hub.Frame.id with
+    match Tbl.find_opt table fr.Nectar_hub.Frame.id with
     | None -> failwith (t.rname ^ ": chunk for unknown frame")
     | Some p ->
         p.arrived <- arrived;
-        if last then Hashtbl.remove table fr.Nectar_hub.Frame.id;
+        if last then Tbl.remove table fr.Nectar_hub.Frame.id;
         ignore (Waitq.broadcast p.arrival)
   in
   { Nectar_hub.Network.in_fifo = t.fifo; on_frame_start; on_chunk }
@@ -88,16 +89,17 @@ let consume t p n =
 
 let read_view t p n =
   let pos = consume t p n in
-  match Nectar_hub.Frame.view p.pframe ~pos ~len:n with
-  | Some (bytes, off) -> (bytes, off)
-  | None ->
-      (* the requested range straddles a scatter/gather extent boundary, so
-         no borrowed view exists; fall back to a (counted) copy *)
-      Nectar_util.Copy_meter.record ~owner:t.rname Nectar_util.Copy_meter.Rxread
-        n;
-      let scratch = Bytes.create n in
-      Nectar_hub.Frame.blit p.pframe ~pos ~dst:scratch ~dst_pos:0 ~len:n;
-      (scratch, 0)
+  let ((_, off) as view) = Nectar_hub.Frame.view p.pframe ~pos ~len:n in
+  if off >= 0 then view
+  else begin
+    (* the requested range straddles a scatter/gather extent boundary, so
+       no borrowed view exists; fall back to a (counted) copy *)
+    Nectar_util.Copy_meter.record ~owner:t.rname Nectar_util.Copy_meter.Rxread
+      n;
+    let scratch = Bytes.create n in
+    Nectar_hub.Frame.blit p.pframe ~pos ~dst:scratch ~dst_pos:0 ~len:n;
+    (scratch, 0)
+  end
 
 let read_bytes t p n =
   let pos = consume t p n in

@@ -55,11 +55,11 @@ val read_view : t -> pending -> int -> Bytes.t * int
     store and offset) of the popped span inside the frame's scatter/gather
     extents — for frames on the zero-copy path, that is the sending CAB's
     mailbox buffer itself.  The datalink header decode runs per frame at
-    interrupt level, so it must not allocate.  When the span straddles an
-    extent boundary (it never does for the datalink header, which leads the
-    first extent) the implementation falls back to a metered copy.  The
-    view aliases the frame buffer: decode from it immediately, before the
-    frame is recycled. *)
+    interrupt level, so it allocates only the returned pair.  When the span
+    straddles an extent boundary (it never does for the datalink header,
+    which leads the first extent) the implementation falls back to a
+    metered copy.  The view aliases the frame buffer: decode from it
+    immediately, before the frame is recycled. *)
 
 val dma_to_memory :
   t ->

@@ -37,7 +37,7 @@ let pio t ~cpu ~owner ~priority ~bytes =
   let tid = Trace.span_begin ~track:t.vname "vme.pio" in
   let remaining = ref bytes in
   while !remaining > 0 do
-    let n = min !remaining Costs.vme_pio_batch_bytes in
+    let n = Int.min !remaining Costs.vme_pio_batch_bytes in
     let words = (n + 3) / 4 in
     (* [Resource.with_held] inlined: no closure per batch *)
     Resource.acquire t.bus_res;

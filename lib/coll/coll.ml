@@ -5,6 +5,7 @@ module Cab = Nectar_cab.Cab
 module Interrupts = Nectar_cab.Interrupts
 module Costs = Nectar_cab.Costs
 module Net = Nectar_hub.Network
+module Tbl = Nectar_util.Int_key.Tbl
 module Topology = Nectar_fleet.Topology
 module Byte_view = Nectar_util.Byte_view
 module Metrics = Nectar_util.Metrics
@@ -185,8 +186,8 @@ type t = {
   combine : int -> int -> int;
   mutable next_seq : int; (* tree operations *)
   mutable base_seq : int; (* baseline operations *)
-  ops : (int, opstate) Hashtbl.t;
-  base_ops : (int, opstate) Hashtbl.t;
+  ops : opstate Tbl.t;
+  base_ops : opstate Tbl.t;
   mutable ops_count : int;
   mutable up_count : int;
   mutable down_count : int;
@@ -199,14 +200,14 @@ let is_root t = t.tparent < 0
 let size t = Tree.size t.ttree
 
 let op_state tbl seq =
-  match Hashtbl.find_opt tbl seq with
+  match Tbl.find_opt tbl seq with
   | Some st -> st
   | None ->
       let st = fresh_op () in
-      Hashtbl.replace tbl seq st;
+      Tbl.replace tbl seq st;
       st
 
-let gc tbl seq st = if st.consumed && st.proto_done then Hashtbl.remove tbl seq
+let gc tbl seq st = if st.consumed && st.proto_done then Tbl.remove tbl seq
 
 (* ---------- sends ---------- *)
 
@@ -389,8 +390,8 @@ let attach ?(combine = ( + )) stack ~tree =
       combine;
       next_seq = 0;
       base_seq = 0;
-      ops = Hashtbl.create 16;
-      base_ops = Hashtbl.create 16;
+      ops = Tbl.create 16;
+      base_ops = Tbl.create 16;
       ops_count = 0;
       up_count = 0;
       down_count = 0;

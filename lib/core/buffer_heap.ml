@@ -1,3 +1,4 @@
+module Tbl = Nectar_util.Int_key.Tbl
 let align = 4
 
 exception Corrupt of string
@@ -9,7 +10,7 @@ type t = {
   region : Nectar_util.Region.t;
   size : int;
   mutable free_list : (int * int) list; (* (offset, length), sorted, coalesced *)
-  live : (int, int) Hashtbl.t; (* offset -> allocated length *)
+  live : int Tbl.t; (* offset -> allocated length *)
   mutable allocated : int;
   mutable fault : (int -> bool) option; (* n -> inject allocation failure? *)
   mutable faulted : int;
@@ -28,7 +29,7 @@ let create region =
     region;
     size;
     free_list = [ (0, size) ];
-    live = Hashtbl.create 64;
+    live = Tbl.create 64;
     allocated = 0;
     fault = None;
     faulted = 0;
@@ -53,7 +54,7 @@ let alloc t n =
     | (off, len) :: rest when len >= n ->
         let remainder = if len = n then [] else [ (off + n, len - n) ] in
         t.free_list <- List.rev_append acc (remainder @ rest);
-        Hashtbl.replace t.live off n;
+        Tbl.replace t.live off n;
         t.allocated <- t.allocated + n;
         (* the region's one growth site: every block, live or freed, lies
            inside the backing from here on *)
@@ -65,13 +66,13 @@ let alloc t n =
   first_fit [] t.free_list
 
 let free t off =
-  match Hashtbl.find_opt t.live off with
+  match Tbl.find_opt t.live off with
   | None ->
       Vet_hook.heap_free ~heap:t.uid ~off ~live:false;
       invalid_arg "Buffer_heap.free: not a live allocation"
   | Some len ->
       Vet_hook.heap_free ~heap:t.uid ~off ~live:true;
-      Hashtbl.remove t.live off;
+      Tbl.remove t.live off;
       t.allocated <- t.allocated - len;
       (* insert sorted, coalescing with neighbours *)
       let rec insert = function
@@ -89,13 +90,13 @@ let free t off =
       t.free_list <- insert t.free_list
 
 let block_size t off =
-  match Hashtbl.find_opt t.live off with
+  match Tbl.find_opt t.live off with
   | Some len -> len
   | None -> invalid_arg "Buffer_heap.block_size: not a live allocation"
 
 let set_fault_hook t hook = t.fault <- hook
 let failed_allocs t = t.faulted
-let live_blocks t = Hashtbl.length t.live
+let live_blocks t = Tbl.length t.live
 let allocated_bytes t = t.allocated
 let free_bytes t = t.size - t.allocated
 
@@ -104,7 +105,7 @@ let largest_free_block t =
 
 let check_invariants t =
   let regions =
-    Hashtbl.fold (fun off len acc -> (off, len) :: acc) t.live []
+    Tbl.fold (fun off len acc -> (off, len) :: acc) t.live []
     @ t.free_list
   in
   let sorted =

@@ -96,7 +96,7 @@ let take_buffer t (ctx : Ctx.t) n =
       Some (c.coff, c.clen, (fun () -> c.busy <- false), true)
   | _ -> (
       ctx.work Costs.heap_alloc_ns;
-      match Buffer_heap.alloc t.heap (max 4 n) with
+      match Buffer_heap.alloc t.heap (Int.max 4 n) with
       | Some off ->
           Some
             ( off,

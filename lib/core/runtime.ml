@@ -1,10 +1,11 @@
 open Nectar_cab
+module Tbl = Nectar_util.Int_key.Tbl
 
 type t = {
   rcab : Cab.t;
   rheap : Buffer_heap.t;
-  ports : (int, Mailbox.t) Hashtbl.t;
-  opcodes : (int, Ctx.t -> param:int -> unit) Hashtbl.t;
+  ports : Mailbox.t Tbl.t;
+  opcodes : (Ctx.t -> param:int -> unit) Tbl.t;
   mutable host_notifier : (opcode:int -> param:int -> unit) option;
   mutable signal_fault : (unit -> bool) option;
   mutable signals_lost_count : int;
@@ -21,8 +22,8 @@ let create cab =
   {
     rcab = cab;
     rheap;
-    ports = Hashtbl.create 16;
-    opcodes = Hashtbl.create 16;
+    ports = Tbl.create 16;
+    opcodes = Tbl.create 16;
     host_notifier = None;
     signal_fault = None;
     signals_lost_count = 0;
@@ -47,20 +48,20 @@ let create_mailbox t ~name ?port ?byte_limit ?capacity ?overflow
   in
   (match port with
   | Some p ->
-      if Hashtbl.mem t.ports p then
+      if Tbl.mem t.ports p then
         invalid_arg
           (Printf.sprintf "Runtime: port %d already bound on %s" p
              (Cab.name t.rcab));
-      Hashtbl.replace t.ports p mbox
+      Tbl.replace t.ports p mbox
   | None -> ());
   mbox
 
-let mailbox_at t ~port = Hashtbl.find_opt t.ports port
+let mailbox_at t ~port = Tbl.find_opt t.ports port
 
 let register_opcode t ~opcode fn =
-  if Hashtbl.mem t.opcodes opcode then
+  if Tbl.mem t.opcodes opcode then
     invalid_arg "Runtime.register_opcode: opcode already registered";
-  Hashtbl.replace t.opcodes opcode fn
+  Tbl.replace t.opcodes opcode fn
 
 (* Opcodes handed out per runtime, lowest free first, so fixed opcodes
    registered on the same runtime (the host driver's RPC opcode) are
@@ -68,7 +69,7 @@ let register_opcode t ~opcode fn =
 let first_dynamic_opcode = 100
 
 let register_free_opcode t fn =
-  let rec free op = if Hashtbl.mem t.opcodes op then free (op + 1) else op in
+  let rec free op = if Tbl.mem t.opcodes op then free (op + 1) else op in
   let opcode = free first_dynamic_opcode in
   register_opcode t ~opcode fn;
   opcode
@@ -87,7 +88,7 @@ let signal_lost t =
 
 let post_to_cab t ~opcode ~param =
   t.cab_signal_count <- t.cab_signal_count + 1;
-  match Hashtbl.find_opt t.opcodes opcode with
+  match Tbl.find_opt t.opcodes opcode with
   | None -> invalid_arg "Runtime.post_to_cab: unregistered opcode"
   | Some fn ->
       if not (signal_lost t) then

@@ -29,7 +29,7 @@ type hooks = {
 let hooks : hooks option ref = ref None
 let install h = hooks := Some h
 let uninstall () = hooks := None
-let installed () = !hooks <> None
+let installed () = Option.is_some !hooks
 
 let lock_attempt ctx ~lock ~name ~contended =
   match !hooks with

@@ -73,7 +73,7 @@ let zipf_cdf ~alpha n =
   if n > 0 then cdf.(n - 1) <- 1.0;
   cdf
 
-let zipf_draw cdf u =
+let zipf_draw (cdf : float array) (u : float) =
   let n = Array.length cdf in
   if n = 0 then invalid_arg "Workload.zipf_draw: empty CDF";
   let lo = ref 0 and hi = ref (n - 1) in

@@ -1,6 +1,7 @@
 open Nectar_sim
 open Nectar_core
 module Costs = Nectar_cab.Costs
+module Tbl = Nectar_util.Int_key.Tbl
 
 let opcode_rpc_call = 240
 
@@ -10,7 +11,7 @@ type t = {
   drv_host : Host.t;
   rt : Runtime.t;
   drv_vme : Nectar_cab.Vme.t;
-  rpc_slots : (int, rpc_slot) Hashtbl.t;
+  rpc_slots : rpc_slot Tbl.t;
   mutable next_rpc : int;
   mutable to_host : int;
   mutable to_cab : int;
@@ -28,7 +29,7 @@ let attach host rt =
       drv_host = host;
       rt;
       drv_vme;
-      rpc_slots = Hashtbl.create 16;
+      rpc_slots = Tbl.create 16;
       next_rpc = 1;
       to_host = 0;
       to_cab = 0;
@@ -46,7 +47,7 @@ let attach host rt =
            (fun ictx -> Nectar_cab.Interrupts.work ictx Costs.signal_queue_op_ns)));
   (* host -> CAB RPC service *)
   Runtime.register_opcode rt ~opcode:opcode_rpc_call (fun cctx ~param ->
-      match Hashtbl.find_opt t.rpc_slots param with
+      match Tbl.find_opt t.rpc_slots param with
       | Some slot ->
           slot.result <- Some (slot.fn cctx);
           ignore (Waitq.broadcast slot.done_q)
@@ -151,12 +152,12 @@ let rpc (ctx : Ctx.t) t fn =
       done_q = Waitq.create (Host.engine t.drv_host);
     }
   in
-  Hashtbl.replace t.rpc_slots id slot;
+  Tbl.replace t.rpc_slots id slot;
   signal_cab ctx t ~opcode:opcode_rpc_call ~param:id;
   let rec await () =
     match slot.result with
     | Some r ->
-        Hashtbl.remove t.rpc_slots id;
+        Tbl.remove t.rpc_slots id;
         poll_iteration ctx t;
         r
     | None ->

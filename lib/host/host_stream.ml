@@ -32,16 +32,16 @@ let run_sender ctx io ~data_port ~ack_port ~total ?(window = 8) () =
     while !unacked > window - 1 do
       (* cumulative acks: one ack covers up to [ack_every] packets *)
       let credits = int_of_string (io.recv ctx ~port:ack_port) in
-      unacked := max 0 (!unacked - credits)
+      unacked := Int.max 0 (!unacked - credits)
     done;
-    let n = min io.stream_mtu (total - !sent) in
+    let n = Int.min io.stream_mtu (total - !sent) in
     io.send ctx ~port:data_port (String.make n 'd');
     sent := !sent + n;
     incr unacked
   done;
   while !unacked > 0 do
     let credits = int_of_string (io.recv ctx ~port:ack_port) in
-    unacked := max 0 (!unacked - credits)
+    unacked := Int.max 0 (!unacked - credits)
   done
 
 let run_receiver ctx io ~data_port ~ack_port ~total =

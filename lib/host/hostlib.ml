@@ -1,6 +1,7 @@
 open Nectar_sim
 open Nectar_core
 module Costs = Nectar_cab.Costs
+module Tbl = Nectar_util.Int_key.Tbl
 
 type mode = Shared_memory | Rpc
 
@@ -12,7 +13,7 @@ type handle = {
   opcode : int;
   htrack : string; (* trace track: the host this handle belongs to *)
   pending_end_put : Message.t Queue.t; (* messages handed to the CAB side *)
-  rpc_msgs : (int, Message.t) Hashtbl.t;
+  rpc_msgs : Message.t Tbl.t;
   mutable next_msg_id : int;
 }
 
@@ -45,7 +46,7 @@ let attach drv mbox ~mode ~readers =
     opcode;
     htrack = Host.name (Cab_driver.host drv);
     pending_end_put;
-    rpc_msgs = Hashtbl.create 8;
+    rpc_msgs = Tbl.create 8;
     next_msg_id = 1;
   }
 
@@ -62,13 +63,13 @@ let bookkeeping_bytes = 16
 let rpc_stash h msg =
   let id = h.next_msg_id in
   h.next_msg_id <- id + 1;
-  Hashtbl.replace h.rpc_msgs id msg;
+  Tbl.replace h.rpc_msgs id msg;
   id
 
 let rpc_take h id =
-  match Hashtbl.find_opt h.rpc_msgs id with
+  match Tbl.find_opt h.rpc_msgs id with
   | Some msg ->
-      Hashtbl.remove h.rpc_msgs id;
+      Tbl.remove h.rpc_msgs id;
       msg
   | None -> invalid_arg "Hostlib: unknown rpc message id"
 

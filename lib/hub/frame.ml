@@ -56,20 +56,26 @@ let of_wire ~id ~src ~wire_crc ~data =
 let length t = t.total
 let crc_ok t = crc_of t.id 0 t.extents = t.wire_crc
 
+let straddles = (Bytes.empty, -1)
+
+(* The extent holding frame range [pos, pos + len), searching from the
+   extent at frame offset [off].  Top-level recursion with no option: a
+   view allocates only the pair it returns. *)
+let rec view_from id pos len off = function
+  | [] -> straddles
+  | e :: rest ->
+      if pos >= off + e.elen then view_from id pos len (off + e.elen) rest
+      else if pos + len > off + e.elen then straddles
+      else begin
+        let eoff = e.eoff + (pos - off) in
+        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:eoff ~len;
+        (Region.bytes e.ereg, eoff)
+      end
+
 let view t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.total then
     invalid_arg "Frame.view: outside frame";
-  let rec find off = function
-    | [] -> None
-    | e :: rest ->
-        if pos >= off && pos + len <= off + e.elen then begin
-          let eoff = e.eoff + (pos - off) in
-          Vet_probe.dma_read ~frame:t.id ~region:e.ereg ~off:eoff ~len;
-          Some (Region.bytes e.ereg, eoff)
-        end
-        else find (off + e.elen) rest
-  in
-  find 0 t.extents
+  view_from t.id pos len 0 t.extents
 
 (* [len] bytes from frame offset [pos] into [dst], the extent list
    starting at frame offset [off]. *)
@@ -81,7 +87,7 @@ let rec blit_extents id dst off dst_pos pos len = function
         blit_extents id dst (off + e.elen) dst_pos pos len rest
       else begin
         let src = e.eoff + (pos - off) in
-        let n = min len (e.elen - (pos - off)) in
+        let n = Int.min len (e.elen - (pos - off)) in
         Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:src ~len:n;
         Bytes.blit (Region.bytes e.ereg) src dst dst_pos n;
         blit_extents id dst (off + e.elen) (dst_pos + n) (pos + n) (len - n)

@@ -60,10 +60,11 @@ val crc_ok : t -> bool
 (** Receiver-side hardware CRC check: recompute over the extents and
     compare with the sender-side snapshot. *)
 
-val view : t -> pos:int -> len:int -> (Bytes.t * int) option
-(** Borrowed view of [len] bytes at frame offset [pos], when that range
-    lies within a single extent ([None] when it straddles a boundary).
-    The bytes are the extent region's current backing: decode at once. *)
+val view : t -> pos:int -> len:int -> Bytes.t * int
+(** Borrowed view [(bytes, off)] of [len] bytes at frame offset [pos], when
+    that range lies within a single extent; [off] is [-1] when it straddles
+    a boundary.  The bytes are the extent region's current backing: decode
+    at once.  Allocates only the returned pair. *)
 
 val blit : t -> pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 

@@ -219,9 +219,9 @@ let chunk_plan ~header_bytes total =
     if off >= total then List.rev acc
     else
       let n =
-        if off = 0 then min header_bytes total
-        else if off = header_bytes then min 64 (total - off)
-        else min chunk_bytes (total - off)
+        if off = 0 then Int.min header_bytes total
+        else if off = header_bytes then Int.min 64 (total - off)
+        else Int.min chunk_bytes (total - off)
       in
       plan (off + n) (n :: acc)
   in
@@ -253,7 +253,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
     hops;
   Engine.sleep t.eng (hop_latency_ns * List.length hops);
   let total = Frame.length frame in
-  let header_bytes = min header_bytes total in
+  let header_bytes = Int.min header_bytes total in
   (match (verdict, target) with
   | `Drop, _ ->
       (* The frame crosses the wire but is never delivered (e.g. lost at the
@@ -324,7 +324,10 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
   in
   let verdict = if link_down then `Drop else verdict in
   if link_down then t.link_down_count <- t.link_down_count + 1
-  else if verdict = `Drop then t.fault_drops_count <- t.fault_drops_count + 1;
+  else (
+    match verdict with
+    | `Drop -> t.fault_drops_count <- t.fault_drops_count + 1
+    | `Deliver | `Corrupt | `Corrupt_burst _ -> ());
   let total = Frame.length frame in
   run_circuit t ~hops ~target ~verdict ~header_bytes frame;
   t.frames <- t.frames + 1;

@@ -64,7 +64,7 @@ let rx_frame t ictx pending =
             | None -> []
             | Some f ->
                 let proto_hdr =
-                  min b.proto_header_len hdr.Wire.payload_len
+                  Int.min b.proto_header_len hdr.Wire.payload_len
                 in
                 [
                   ( Wire.dl_header_bytes + proto_hdr,

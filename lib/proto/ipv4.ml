@@ -49,7 +49,7 @@ type t = {
   ip_mtu : int;
   default_ttl : int;
   addr : addr;
-  bindings : (int, Mailbox.t) Hashtbl.t;
+  bindings : Mailbox.t Int_key.Tbl.t;
   reass_table : (int * int * int * int, reass) Hashtbl.t;
   reass_timeout : Sim_time.span;
   mutable next_id : int;
@@ -68,9 +68,9 @@ let local_addr t = t.addr
 let mtu t = t.ip_mtu
 
 let register t ~proto mailbox =
-  if Hashtbl.mem t.bindings proto then
+  if Int_key.Tbl.mem t.bindings proto then
     invalid_arg "Ipv4.register: protocol already registered";
-  Hashtbl.replace t.bindings proto mailbox
+  Int_key.Tbl.replace t.bindings proto mailbox
 
 (* ---------- header encode / decode ---------- *)
 
@@ -172,7 +172,7 @@ let output (ctx : Ctx.t) t ?src ~dst ~proto msg =
     let rec slice off =
       if off < payload_len then begin
         ctx.work Costs.ip_frag_ns;
-        let n = min max_payload (payload_len - off) in
+        let n = Int.min max_payload (payload_len - off) in
         let last = off + n >= payload_len in
         let hdr = alloc ctx t 0 in
         let payload = Message.slice msg ~pos:off ~len:n in
@@ -219,7 +219,7 @@ let purge_stale t ctx now =
     stale
 
 let deliver t ctx (msg : Message.t) ~proto =
-  match Hashtbl.find_opt t.bindings proto with
+  match Int_key.Tbl.find_opt t.bindings proto with
   | Some mbox ->
       t.in_count <- t.in_count + 1;
       Mailbox.enqueue ctx msg mbox
@@ -342,7 +342,7 @@ let create dl ?(mtu = 65535) ?(ttl = 32) () =
       ip_mtu = mtu;
       default_ttl = ttl;
       addr = addr_of_cab (Runtime.node_id rt);
-      bindings = Hashtbl.create 8;
+      bindings = Int_key.Tbl.create 8;
       reass_table = Hashtbl.create 8;
       reass_timeout = Sim_time.ms 500;
       next_id = 1;

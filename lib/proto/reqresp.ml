@@ -2,6 +2,7 @@ open Nectar_core
 open Nectar_sim
 module Costs = Nectar_cab.Costs
 module Router = Nectar_route.Router
+module Tbl = Nectar_util.Int_key.Tbl
 
 let header_bytes = 12
 
@@ -17,11 +18,11 @@ type server = {
   handler : Ctx.t -> string -> string;
   (* at-most-once duplicate cache, keyed by
      [Int_key.cab_txn (client_cab, txn)] *)
-  replies : (int, string) Hashtbl.t;
+  replies : string Tbl.t;
   reply_order : int Queue.t;
   (* requests whose handler is still running: retransmitted duplicates are
      dropped, not re-executed *)
-  in_flight : (int, unit) Hashtbl.t;
+  in_flight : unit Tbl.t;
 }
 
 and server_mode = Thread_server | Upcall_server
@@ -34,8 +35,8 @@ type t = {
   rto : Sim_time.span;
   max_retries : int;
   mutable next_txn : int;
-  pending_calls : (int, pending) Hashtbl.t;
-  servers : (int, server) Hashtbl.t;
+  pending_calls : pending Tbl.t;
+  servers : server Tbl.t;
   server_work : Mailbox.t; (* thread-mode request queue *)
   mutable server_thread : Thread.t option;
   mutable completed : int;
@@ -57,13 +58,13 @@ let write_header (msg : Message.t) ~ty ~dst_port ~txn =
 let reply_cache_cap = 128
 
 let cache_reply server ~client_cab ~txn response =
-  if Hashtbl.length server.replies >= reply_cache_cap then begin
+  if Tbl.length server.replies >= reply_cache_cap then begin
     match Queue.take_opt server.reply_order with
-    | Some oldest -> Hashtbl.remove server.replies oldest
+    | Some oldest -> Tbl.remove server.replies oldest
     | None -> ()
   end;
   let key = Nectar_util.Int_key.cab_txn ~cab:client_cab ~txn in
-  Hashtbl.replace server.replies key response;
+  Tbl.replace server.replies key response;
   Queue.add key server.reply_order
 
 let send_response t ctx ~dst_cab ~dst_port ~txn response =
@@ -88,18 +89,18 @@ let run_handler t ctx server ~client_cab ~dst_port ~txn request =
   Nectar_sim.Trace.instant ~track:t.owner "rpc.serve";
   ctx.Ctx.work Costs.reqresp_ns;
   let key = Nectar_util.Int_key.cab_txn ~cab:client_cab ~txn in
-  match Hashtbl.find_opt server.replies key with
+  match Tbl.find_opt server.replies key with
   | Some cached ->
       t.dups <- t.dups + 1;
       send_response t ctx ~dst_cab:client_cab ~dst_port ~txn cached
   | None ->
-      if Hashtbl.mem server.in_flight key then
+      if Tbl.mem server.in_flight key then
         (* a retransmission of a request still executing: at-most-once *)
         t.dups <- t.dups + 1
       else begin
-        Hashtbl.replace server.in_flight key ();
+        Tbl.replace server.in_flight key ();
         let response = server.handler ctx request in
-        Hashtbl.remove server.in_flight key;
+        Tbl.remove server.in_flight key;
         t.served <- t.served + 1;
         cache_reply server ~client_cab ~txn response;
         send_response t ctx ~dst_cab:client_cab ~dst_port ~txn response
@@ -118,7 +119,7 @@ let server_thread_body t (ctx : Ctx.t) =
       (Message.length m - 8);
     let request = Message.read_string m ~pos:8 ~len:(Message.length m - 8) in
     Mailbox.end_get ctx m;
-    match Hashtbl.find_opt t.servers dst_port with
+    match Tbl.find_opt t.servers dst_port with
     | Some server -> run_handler t ctx server ~client_cab ~dst_port ~txn request
     | None -> ()
   done
@@ -131,7 +132,7 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
     let dst_port = Message.get_u16 msg 2 in
     let txn = Message.get_u32 msg 4 in
     if ty = ty_response then begin
-      (match Hashtbl.find_opt t.pending_calls txn with
+      (match Tbl.find_opt t.pending_calls txn with
       | Some p when p.response = None ->
           Nectar_util.Copy_meter.record ~owner:t.owner
             Nectar_util.Copy_meter.App
@@ -145,7 +146,7 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
       Mailbox.dispose ctx msg
     end
     else begin
-      match Hashtbl.find_opt t.servers dst_port with
+      match Tbl.find_opt t.servers dst_port with
       | None -> Mailbox.dispose ctx msg
       | Some server -> (
           match server.mode with
@@ -203,8 +204,8 @@ let create dl ?(rto = Sim_time.ms 5) ?(max_retries = 8) () =
       rto;
       max_retries;
       next_txn = 1;
-      pending_calls = Hashtbl.create 16;
-      servers = Hashtbl.create 8;
+      pending_calls = Tbl.create 16;
+      servers = Tbl.create 8;
       server_work;
       server_thread = None;
       completed = 0;
@@ -222,15 +223,15 @@ let create dl ?(rto = Sim_time.ms 5) ?(max_retries = 8) () =
   t
 
 let register_server t ~port ~mode handler =
-  if Hashtbl.mem t.servers port then
+  if Tbl.mem t.servers port then
     invalid_arg "Reqresp.register_server: port already served";
-  Hashtbl.replace t.servers port
+  Tbl.replace t.servers port
     {
       mode;
       handler;
-      replies = Hashtbl.create 64;
+      replies = Tbl.create 64;
       reply_order = Queue.create ();
-      in_flight = Hashtbl.create 8;
+      in_flight = Tbl.create 8;
     };
   if mode = Thread_server && t.server_thread = None then
     t.server_thread <-
@@ -250,7 +251,7 @@ let call (ctx : Ctx.t) t ~dst_cab ~dst_port request =
       response = None;
     }
   in
-  Hashtbl.replace t.pending_calls txn p;
+  Tbl.replace t.pending_calls txn p;
   let msg =
     Datalink.alloc_frame_blocking ctx t.dl
       (header_bytes + String.length request)
@@ -260,7 +261,7 @@ let call (ctx : Ctx.t) t ~dst_cab ~dst_port request =
   Message.write_string msg header_bytes request;
   write_header msg ~ty:ty_request ~dst_port ~txn;
   let finish () =
-    Hashtbl.remove t.pending_calls txn;
+    Tbl.remove t.pending_calls txn;
     Mailbox.dispose ctx msg
   in
   let rec attempt tries =

@@ -2,6 +2,7 @@ open Nectar_core
 open Nectar_sim
 module Costs = Nectar_cab.Costs
 module Router = Nectar_route.Router
+module Tbl = Nectar_util.Int_key.Tbl
 
 let header_bytes = 12
 
@@ -44,10 +45,10 @@ type t = {
   input : Mailbox.t;
   rto : Sim_time.span;
   window : int;
-  channels : (int, channel) Hashtbl.t; (* Int_key.cab_port (dst_cab, dst_port) *)
-  expected : (int, int) Hashtbl.t;
+  channels : channel Tbl.t; (* Int_key.cab_port (dst_cab, dst_port) *)
+  expected : int Tbl.t;
       (* Int_key.cab_port (src_cab, dst_port) -> next expected seq *)
-  stash : (int, (int, Message.t) Hashtbl.t) Hashtbl.t;
+  stash : Message.t Tbl.t Tbl.t;
       (* windowed receiver: out-of-order frames held until the gap fills,
          keyed like [expected], inner table seq -> message *)
   mutable delivered_count : int;
@@ -69,7 +70,7 @@ let write_header (msg : Message.t) ~ty ~dst_port ~seq =
 
 let channel t ~dst_cab ~dst_port =
   let key = Nectar_util.Int_key.cab_port ~cab:dst_cab ~port:dst_port in
-  match Hashtbl.find_opt t.channels key with
+  match Tbl.find_opt t.channels key with
   | Some c -> c
   | None ->
       let eng = Runtime.engine t.rt in
@@ -87,7 +88,7 @@ let channel t ~dst_cab ~dst_port =
           failed = false;
         }
       in
-      Hashtbl.replace t.channels key c;
+      Tbl.replace t.channels key c;
       c
 
 let send_ack t ctx ~dst_cab ~dst_port ~seq =
@@ -179,15 +180,15 @@ let deliver t ctx (msg : Message.t) ~dst_port =
 (* Cumulative ack for a windowed receive channel: the highest in-order
    sequence number delivered so far. *)
 let send_cum_ack t ctx ~src_cab ~dst_port key =
-  let cum_seq = Option.value (Hashtbl.find_opt t.expected key) ~default:1 - 1 in
+  let cum_seq = Option.value (Tbl.find_opt t.expected key) ~default:1 - 1 in
   send_ack t ctx ~dst_cab:src_cab ~dst_port ~seq:cum_seq
 
 let stash_for t key =
-  match Hashtbl.find_opt t.stash key with
+  match Tbl.find_opt t.stash key with
   | Some s -> s
   | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.replace t.stash key s;
+      let s = Tbl.create 8 in
+      Tbl.replace t.stash key s;
       s
 
 (* Windowed data path: in-order frames are delivered immediately and drain
@@ -195,7 +196,7 @@ let stash_for t key =
    single head retransmission repairs a loss without resending the rest of
    the window. *)
 let windowed_data t ctx (msg : Message.t) ~src_cab ~dst_port ~seq key =
-  let expected = Option.value (Hashtbl.find_opt t.expected key) ~default:1 in
+  let expected = Option.value (Tbl.find_opt t.expected key) ~default:1 in
   if seq < expected then begin
     t.dup_count <- t.dup_count + 1;
     send_cum_ack t ctx ~src_cab ~dst_port key;
@@ -205,30 +206,30 @@ let windowed_data t ctx (msg : Message.t) ~src_cab ~dst_port ~seq key =
     deliver t ctx msg ~dst_port;
     let next = ref (seq + 1) in
     let s = stash_for t key in
-    let continue_drain = ref (Hashtbl.length s > 0) in
+    let continue_drain = ref (Tbl.length s > 0) in
     while !continue_drain do
-      match Hashtbl.find_opt s !next with
+      match Tbl.find_opt s !next with
       | Some stashed ->
-          Hashtbl.remove s !next;
+          Tbl.remove s !next;
           deliver t ctx stashed ~dst_port;
           incr next
       | None -> continue_drain := false
     done;
-    Hashtbl.replace t.expected key !next;
+    Tbl.replace t.expected key !next;
     send_cum_ack t ctx ~src_cab ~dst_port key
   end
   else begin
     (* gap: the frame for [expected] was lost or reordered *)
     let s = stash_for t key in
-    if Hashtbl.mem s seq then begin
+    if Tbl.mem s seq then begin
       t.dup_count <- t.dup_count + 1;
       Mailbox.dispose ctx msg
     end
-    else if Hashtbl.length s >= 2 * t.window then
+    else if Tbl.length s >= 2 * t.window then
       (* stash full (sender far ahead): drop without acknowledging; the
          sender's retransmissions will resupply *)
       Mailbox.dispose ctx msg
-    else Hashtbl.replace s seq msg;
+    else Tbl.replace s seq msg;
     (* re-ack the cumulative front so a lost ack cannot stall the sender *)
     send_cum_ack t ctx ~src_cab ~dst_port key
   end
@@ -271,7 +272,7 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
     else if t.window = 1 then begin
       let key = Nectar_util.Int_key.cab_port ~cab:src_cab ~port:dst_port in
       let expected =
-        Option.value (Hashtbl.find_opt t.expected key) ~default:1
+        Option.value (Tbl.find_opt t.expected key) ~default:1
       in
       if seq < expected then begin
         (* duplicate from a retransmission: re-ack, drop *)
@@ -280,7 +281,7 @@ let end_of_data t ctx (msg : Message.t) ~src_cab =
         Mailbox.dispose ctx msg
       end
       else begin
-        Hashtbl.replace t.expected key (seq + 1);
+        Tbl.replace t.expected key (seq + 1);
         send_ack t ctx ~dst_cab:src_cab ~dst_port ~seq;
         Message.adjust_head msg header_bytes;
         match Runtime.mailbox_at t.rt ~port:dst_port with
@@ -312,9 +313,9 @@ let create dl ?(rto = Sim_time.ms 5) ?(window = 1) () =
       input;
       rto;
       window;
-      channels = Hashtbl.create 8;
-      expected = Hashtbl.create 8;
-      stash = Hashtbl.create 8;
+      channels = Tbl.create 8;
+      expected = Tbl.create 8;
+      stash = Tbl.create 8;
       delivered_count = 0;
       dup_count = 0;
       retx_count = 0;

@@ -2,6 +2,7 @@ open Nectar_core
 open Nectar_sim
 module Costs = Nectar_cab.Costs
 module Seq = Tcp_seq
+module Tbl = Nectar_util.Int_key.Tbl
 
 let header_bytes = 20
 
@@ -86,9 +87,9 @@ and t = {
   sw_checksum : bool;
   mss : int;
   window_limit : int;
-  conns : (int, conn) Hashtbl.t; (* Int_key.tcp_conn (lport, raddr, rport) *)
-  by_id : (int, conn) Hashtbl.t;
-  listeners : (int, conn -> unit) Hashtbl.t;
+  conns : conn Tbl.t; (* Int_key.tcp_conn (lport, raddr, rport) *)
+  by_id : conn Tbl.t;
+  listeners : (conn -> unit) Tbl.t;
   timer_lock : Lock.Mutex.t;
   timer_cv : Lock.Condvar.t;
   mutable timer_gen : int; (* bumped by arm_rtx; guards lost wakeups *)
@@ -122,13 +123,14 @@ let with_conn (ctx : Ctx.t) c f =
 (* ---------- segment output ---------- *)
 
 let rcv_window c =
-  max 0 (min c.tcp.window_limit 0xffff - Mailbox.bytes_in_use c.recv_mb)
+  Int.max 0
+    (Int.min c.tcp.window_limit 0xffff - Mailbox.bytes_in_use c.recv_mb)
 
 (* Copy [n] bytes of the ring starting at send-sequence [seq] into [dst]. *)
 let sndbuf_read c ~seq ~dst ~dst_pos ~n =
   let cap = Bytes.length c.sndbuf in
   let first = (c.sb_start + Seq.mask (seq - c.snd_una)) mod cap in
-  let run = min n (cap - first) in
+  let run = Int.min n (cap - first) in
   Bytes.blit c.sndbuf first dst dst_pos run;
   if run < n then Bytes.blit c.sndbuf 0 dst (dst_pos + run) (n - run)
 
@@ -206,9 +208,9 @@ let rec tcp_output ctx c =
      final remainder — a window fractionally short of a segment otherwise
      splinters the stream into mss-1/1-byte pairs, each costing a wire
      round trip. *)
-  if unsent > 0 && window_room >= min unsent c.tcp.mss && not c.fin_sent
+  if unsent > 0 && window_room >= Int.min unsent c.tcp.mss && not c.fin_sent
   then begin
-    let n = min (min unsent window_room) c.tcp.mss in
+    let n = Int.min (Int.min unsent window_room) c.tcp.mss in
     let seq = c.snd_nxt in
     c.snd_nxt <- Seq.add c.snd_nxt n;
     if c.rtt_sample = None then c.rtt_sample <- Some (c.snd_nxt, now c);
@@ -227,7 +229,7 @@ let rec tcp_output ctx c =
     arm_rtx c;
     emit ctx c ~flags:(fl_fin lor fl_ack) ~seq ~payload_n:0
   end
-  else if unsent > 0 && in_flight = 0 && window_room < min unsent c.tcp.mss
+  else if unsent > 0 && in_flight = 0 && window_room < Int.min unsent c.tcp.mss
   then
     (* window too small to send, nothing in flight: arm the probe timer so
        the transfer cannot stall forever *)
@@ -310,15 +312,15 @@ let make_conn t ~lport ~raddr ~rport ~st ~iss ~rcv_nxt =
                    emit ctx c ~flags:fl_ack ~seq:c.snd_nxt ~payload_n:0
                | _ -> ())
          end));
-  Hashtbl.replace t.conns (Nectar_util.Int_key.tcp_conn ~lport ~raddr ~rport) c;
-  Hashtbl.replace t.by_id id c;
+  Tbl.replace t.conns (Nectar_util.Int_key.tcp_conn ~lport ~raddr ~rport) c;
+  Tbl.replace t.by_id id c;
   c
 
 let remove_conn c =
   let t = c.tcp in
-  Hashtbl.remove t.conns
+  Tbl.remove t.conns
     (Nectar_util.Int_key.tcp_conn ~lport:c.lport ~raddr:c.raddr ~rport:c.rport);
-  Hashtbl.remove t.by_id c.id;
+  Tbl.remove t.by_id c.id;
   disarm_rtx c
 
 let enter_time_wait c =
@@ -423,7 +425,7 @@ let process_ack c ~ack ~wnd =
     let ctl = (if was_syn then 1 else 0) in
     let fin_acked = c.fin_sent && Seq.ge ack c.snd_nxt in
     let ctl = ctl + if fin_acked then 1 else 0 in
-    let data_acked = min c.sb_len (acked - ctl) in
+    let data_acked = Int.min c.sb_len (acked - ctl) in
     if data_acked > 0 then begin
       c.sb_start <- (c.sb_start + data_acked) mod Bytes.length c.sndbuf;
       c.sb_len <- c.sb_len - data_acked;
@@ -553,7 +555,7 @@ let process_segment (ctx : Ctx.t) t msg =
       end
       else begin
         match
-          Hashtbl.find_opt t.conns
+          Tbl.find_opt t.conns
             (Nectar_util.Int_key.tcp_conn ~lport:dport ~raddr:h.Ipv4.src
                ~rport:sport)
         with
@@ -566,10 +568,10 @@ let process_segment (ctx : Ctx.t) t msg =
             if not consumed then Mailbox.dispose ctx msg
         | None ->
             (if flags land fl_rst <> 0 then ()
-             else if flags land fl_syn <> 0 && Hashtbl.mem t.listeners dport
+             else if flags land fl_syn <> 0 && Tbl.mem t.listeners dport
              then begin
                (* passive open *)
-               let on_accept = Hashtbl.find t.listeners dport in
+               let on_accept = Tbl.find t.listeners dport in
                let c =
                  make_conn t ~lport:dport ~raddr:h.Ipv4.src ~rport:sport
                    ~st:Syn_rcvd ~iss:(fresh_iss t) ~rcv_nxt:(Seq.add seq 1)
@@ -604,7 +606,7 @@ let timer_thread t (ctx : Ctx.t) =
     let gen = t.timer_gen in
     let now_ns = Engine.now (Runtime.engine t.rt) in
     let next =
-      Hashtbl.fold
+      Tbl.fold
         (fun _ c acc ->
           match c.rtx_deadline with
           | Some d -> ( match acc with Some a -> Some (min a d) | None -> Some d)
@@ -622,7 +624,7 @@ let timer_thread t (ctx : Ctx.t) =
     | Some _ ->
         (* fire expired deadlines *)
         let expired =
-          Hashtbl.fold
+          Tbl.fold
             (fun _ c acc ->
               match c.rtx_deadline with
               | Some d when d <= now_ns -> c :: acc
@@ -658,14 +660,14 @@ let timer_thread t (ctx : Ctx.t) =
                   | Closing | Last_ack ->
                       c.data_tries <- c.data_tries + 1;
                       let in_flight_data =
-                        min c.sb_len (Seq.mask (c.snd_nxt - c.snd_una))
+                        Int.min c.sb_len (Seq.mask (c.snd_nxt - c.snd_una))
                       in
                       if in_flight_data > 0 then begin
                         (* go-back-N: everything past the lost segment was
                            discarded by the receiver (no out-of-order
                            queueing), so roll snd_nxt back; the data re-flows
                            at full rate once this segment is acked *)
-                        let n = min in_flight_data t.mss in
+                        let n = Int.min in_flight_data t.mss in
                         c.snd_nxt <- Seq.add c.snd_una n;
                         if c.fin_sent then c.fin_sent <- false;
                         emit ctx c ~flags:fl_ack ~seq:c.snd_una ~payload_n:n
@@ -677,7 +679,7 @@ let timer_thread t (ctx : Ctx.t) =
                       else if c.sb_len > 0 then begin
                         (* zero-window probe: push one segment anyway; the
                            peer's ACK will reopen the window *)
-                        let n = min c.sb_len t.mss in
+                        let n = Int.min c.sb_len t.mss in
                         let seqp = c.snd_nxt in
                         c.snd_nxt <- Seq.add c.snd_nxt n;
                         emit ctx c ~flags:fl_ack ~seq:seqp ~payload_n:n
@@ -697,7 +699,7 @@ let rec send_thread t (ctx : Ctx.t) =
       (Message.length m - 4);
     let data = Message.read_string m ~pos:4 ~len:(Message.length m - 4) in
     Mailbox.end_get ctx m;
-    match Hashtbl.find_opt t.by_id cid with
+    match Tbl.find_opt t.by_id cid with
     | Some c -> send_locked ctx c data
     | None -> ()
   done
@@ -724,10 +726,10 @@ and send_locked (ctx : Ctx.t) c data =
         let free = sndbuf_cap - c.sb_len in
         if free = 0 then Lock.Condvar.wait ctx c.space c.lock
         else begin
-          let n = min free (len - !pos) in
+          let n = Int.min free (len - !pos) in
           let cap = Bytes.length c.sndbuf in
           let widx = (c.sb_start + c.sb_len) mod cap in
-          let run = min n (cap - widx) in
+          let run = Int.min n (cap - widx) in
           Nectar_util.Copy_meter.record ~owner:c.tcp.owner
             Nectar_util.Copy_meter.App n;
           Bytes.blit_string data !pos c.sndbuf widx run;
@@ -763,9 +765,9 @@ let create ip ?(software_checksum = true) ?(mss = 8192) ?(window = 0xffff)
       sw_checksum = software_checksum;
       mss;
       window_limit = window;
-      conns = Hashtbl.create 32;
-      by_id = Hashtbl.create 32;
-      listeners = Hashtbl.create 8;
+      conns = Tbl.create 32;
+      by_id = Tbl.create 32;
+      listeners = Tbl.create 8;
       timer_lock = Lock.Mutex.create eng ~name:"tcp-timer-lock";
       timer_cv = Lock.Condvar.create eng ~name:"tcp-timer-cv";
       timer_gen = 0;
@@ -800,8 +802,8 @@ let create ip ?(software_checksum = true) ?(mss = 8192) ?(window = 0xffff)
   t
 
 let listen t ~port ~on_accept =
-  if Hashtbl.mem t.listeners port then invalid_arg "Tcp.listen: port in use";
-  Hashtbl.replace t.listeners port on_accept
+  if Tbl.mem t.listeners port then invalid_arg "Tcp.listen: port in use";
+  Tbl.replace t.listeners port on_accept
 
 let connect (ctx : Ctx.t) t ~dst ~dst_port ?src_port () =
   Ctx.assert_may_block ctx "Tcp.connect";
@@ -881,5 +883,5 @@ let register_metrics t reg ~prefix =
   c "tcp.retransmissions" (fun () -> retransmissions t)
 let bad_checksums t = t.bad_cksum
 let send_request_mailbox t = t.send_req
-let conn_by_id t id = Hashtbl.find_opt t.by_id id
+let conn_by_id t id = Tbl.find_opt t.by_id id
 let conn_id c = c.id

@@ -1,5 +1,6 @@
 open Nectar_sim
 module Net = Nectar_hub.Network
+module Tbl = Nectar_util.Int_key.Tbl
 
 exception Route_down of { src : int; dst : int }
 exception No_route of { src : int; dst : int }
@@ -13,7 +14,7 @@ let recompute_ns = Sim_time.us 25
 type t = {
   net : Net.t;
   policy : Policy.t;
-  table : (int, entry) Hashtbl.t;
+  table : entry Tbl.t;
   mutable generation : int;
   mutable compiles : int;
   mutable recomputes : int;
@@ -239,7 +240,7 @@ let key ~src ~dst ~proto =
 let lookup t ~src ~dst ~proto =
   if src = dst then invalid_arg "Router.lookup: src = dst";
   let key = key ~src ~dst ~proto in
-  match Hashtbl.find_opt t.table key with
+  match Tbl.find_opt t.table key with
   | Some e -> e.path
   | None -> (
       match compile t ~src ~dst ~proto with
@@ -254,7 +255,7 @@ let lookup t ~src ~dst ~proto =
                              ^ reason)
           in
           t.compiles <- t.compiles + 1;
-          Hashtbl.replace t.table key { path; crossed };
+          Tbl.replace t.table key { path; crossed };
           path
       | None ->
           if wired t ~src ~dst then begin
@@ -300,7 +301,7 @@ let verify t =
   (* The cached database must never serve a route crossing a downed port:
      stale entries are only legal inside the detection window, and this is
      exactly what a mid-window audit reports. *)
-  Hashtbl.iter
+  Tbl.iter
     (fun k e ->
       let proto = k land 0xff in
       let dst = (k lsr 8) land 0xfff in
@@ -320,22 +321,22 @@ let verify t =
    port would leave the table transiently crossing the other dark links
    (which the verifier would rightly flag). *)
 let invalidate_stale t =
-  let before = Hashtbl.length t.table in
-  Hashtbl.filter_map_inplace
+  let before = Tbl.length t.table in
+  Tbl.filter_map_inplace
     (fun _ e -> if crossed_all_up t.net e.crossed then Some e else None)
     t.table;
-  t.invalidated <- t.invalidated + (before - Hashtbl.length t.table)
+  t.invalidated <- t.invalidated + (before - Tbl.length t.table)
 
 let invalidate_all t =
-  t.invalidated <- t.invalidated + Hashtbl.length t.table;
-  Hashtbl.reset t.table;
+  t.invalidated <- t.invalidated + Tbl.length t.table;
+  Tbl.reset t.table;
   t.generation <- t.generation + 1
 
 let recompute t ~up =
   if up then begin
     (* a restored link can improve any route: flush the database *)
-    t.invalidated <- t.invalidated + Hashtbl.length t.table;
-    Hashtbl.reset t.table
+    t.invalidated <- t.invalidated + Tbl.length t.table;
+    Tbl.reset t.table
   end
   else invalidate_stale t;
   t.generation <- t.generation + 1;
@@ -369,7 +370,7 @@ let create ?(policy = Policy.default) net =
     {
       net;
       policy;
-      table = Hashtbl.create 64;
+      table = Tbl.create 64;
       generation = 0;
       compiles = 0;
       recomputes = 0;

@@ -17,17 +17,17 @@ type request = {
   mutable trace_id : int; (* open Trace span while dispatched; 0 = none *)
 }
 
-(* The request being served is [cur], dispatched at [started], completing
-   by [timer]; an idle CPU has [cur == idle] (a per-CPU sentinel) and
-   [timer] an inert placeholder.  Mutable fields rather than an option of
-   a tuple, so a dispatch allocates nothing beyond its completion event. *)
+(* While [serving], the request being served is [cur], dispatched at
+   [started], completing by [timer]; an idle CPU has [timer] the inert
+   timer and [cur] the last request served (a sentinel before the first).
+   Mutable fields rather than an option of a tuple, so a dispatch
+   allocates nothing, and going idle stores no pointer. *)
 type t = {
   eng : Engine.t;
   cname : string;
   ready : request Nectar_util.Binary_heap.t;
-  idle : request;
-  idle_timer : Engine.timer;
   mutable cur : request;
+  mutable serving : bool;
   mutable started : Sim_time.t;
   mutable timer : Engine.timer;
   on_complete : unit -> unit; (* the completion event's callback *)
@@ -68,8 +68,8 @@ let stop t =
   req.req_owner.served <- req.req_owner.served + elapsed;
   Trace.span_end req.trace_id;
   req.trace_id <- 0;
-  t.cur <- t.idle;
-  t.timer <- t.idle_timer;
+  t.serving <- false;
+  t.timer <- Engine.inert_timer;
   elapsed
 
 let start t req =
@@ -87,6 +87,7 @@ let start t req =
   end;
   req.trace_id <- Trace.span_begin ~track:t.cname req.req_owner.oname;
   t.cur <- req;
+  t.serving <- true;
   t.started <- now;
   t.timer <- Engine.after t.eng req.remaining t.on_complete
 
@@ -96,7 +97,7 @@ let start_next t =
 
 let complete t =
   let req = t.cur in
-  if req == t.idle then invalid_arg "Cpu.complete: not current";
+  if not t.serving then invalid_arg "Cpu.complete: not current";
   ignore (stop t);
   Engine.wake t.eng req.waker;
   start_next t
@@ -121,17 +122,15 @@ let create eng ~name () =
       trace_id = 0;
     }
   in
-  let idle_timer = Engine.inert_timer () in
   let rec t =
     {
       eng;
       cname = name;
       ready = Nectar_util.Binary_heap.create ~cmp:cmp_requests ();
-      idle;
-      idle_timer;
       cur = idle;
+      serving = false;
       started = 0;
-      timer = idle_timer;
+      timer = Engine.inert_timer;
       on_complete = (fun () -> complete t);
       last_owner = -1;
       next_owner_id = 0;
@@ -145,9 +144,9 @@ let create eng ~name () =
 
 let maybe_preempt t incoming =
   let cur = t.cur in
-  if cur == t.idle then true
+  if not t.serving then true
   else if (not cur.atomic) && incoming.priority > cur.priority then begin
-    Engine.cancel t.timer;
+    Engine.cancel t.eng t.timer;
     let elapsed = stop t in
     cur.remaining <- cur.remaining - elapsed;
     (* Guard against a zero-length residue when preempted exactly at
@@ -177,17 +176,21 @@ let consume t owner ~priority ?(atomic = false) span =
     in
     t.next_seq <- t.next_seq + 1;
     if maybe_preempt t req then begin
-      (* CPU is (now) idle: this request may still not be the best one
-         if a preemption just queued the loser; pick properly. *)
-      Nectar_util.Binary_heap.push t.ready req;
-      start_next t
+      (* CPU is (now) idle.  With nothing else ready this request is the
+         pick; otherwise it may still not be the best one (a preemption
+         just queued the loser), so pick properly. *)
+      if Nectar_util.Binary_heap.is_empty t.ready then start t req
+      else begin
+        Nectar_util.Binary_heap.push t.ready req;
+        start_next t
+      end
     end
     else Nectar_util.Binary_heap.push t.ready req;
     Engine.block t.eng
   end
 
 let busy_time t =
-  if t.cur == t.idle then t.busy else t.busy + (Engine.now t.eng - t.started)
+  if t.serving then t.busy + (Engine.now t.eng - t.started) else t.busy
 
 let owner_time _t o = o.served
 let switches t = t.switch_count

@@ -1,19 +1,30 @@
 (* The event queue is the hottest data structure in the simulator: every
    sleep, DMA chunk, timer and process resumption passes through it.  It is
    therefore a hand-specialised binary min-heap rather than the generic
-   [Nectar_util.Binary_heap]: ordering is two monomorphic int comparisons
-   (time, then sequence number) inlined into the sift loops — no closure
-   call, no polymorphic [compare] — and the run loop peeks and pops without
-   allocating options.
+   [Nectar_util.Binary_heap], and it holds no per-event record.
 
-   Cancellation is O(1): a cancelled event is only marked dead and popped
-   (for free) when its time comes.  Workloads dominated by the
-   schedule-then-cancel pattern (an RTO timer per message, almost always
-   cancelled by the ack) would grow the heap without bound, so the heap
-   compacts — filters the dead entries and re-heapifies in place — whenever
-   dead entries outnumber live ones; each cancel pays O(1) amortised.  Each
-   event carries a reference to the engine's dead-entry counter so that
-   [cancel], which has no engine argument, can maintain it.
+   The heap is three [int array]s indexed by heap position: time, seq and
+   the event's slot.  Ordering is two monomorphic int comparisons (time,
+   then sequence number) inlined into the sift loops, and a sift moves only
+   ints: no write barrier, no pointer chase per comparison.  The callback
+   and label live in slot-indexed arrays, written once when the event is
+   scheduled; the slot's heap position lives in a third, so any event can
+   be found in O(1) and removed in O(log n).  Free slots form a stack
+   threaded through that position array, above a high-water mark.  All
+   the arrays start at 16 entries and double together: set-up builds many
+   small engines, and pre-sizing them measured slower there.  (An earlier
+   note here measured parallel key arrays ~1.8x slower than an array of
+   event records; that variant reached the arrays through [let uget =
+   Array.unsafe_get] aliases, which compile to a generic call per access.
+   Typed [external]s below compile to single loads and stores, and with
+   them this layout measured faster than the record heap.)
+
+   A timer handle is an immediate int naming the slot and the event's seq,
+   so scheduling allocates nothing beyond the caller's closure and storing
+   a handle costs no write barrier.  A handle is live while its slot still
+   holds that seq at a heap position; cancelling a fired, cancelled, inert
+   or reused-slot handle is therefore a no-op.  Cancellation is eager: the
+   heap holds live events only, so it never grows past the pending set.
 
    Process switches are the other hot path: a simulated thread blocks and
    resumes constantly, so parking allocates nothing in the engine beyond
@@ -31,17 +42,6 @@
    holding everything.  The proc array is never cleared on a take: a
    stale slot only keeps a small record alive until the ring wraps, and
    skipping that store saves a write barrier per switch. *)
-
-(* [live] and [fn] are mutable for cancellation; [dead_cell] is the
-   owning engine's dead-entry counter. *)
-type event = {
-  time : Sim_time.t;
-  seq : int;
-  label : string; (* diagnostic name, shown to tie-break policies *)
-  mutable live : bool;
-  mutable fn : unit -> unit;
-  dead_cell : int ref; (* shared with the owning engine's queue *)
-}
 
 type candidate = { c_time : Sim_time.t; c_seq : int; c_label : string }
 type tie_break = candidate array -> int
@@ -69,9 +69,19 @@ type proc = {
 type t = {
   mutable clock : Sim_time.t;
   mutable next_seq : int;
-  mutable heap : event array;
+  (* the timer heap, by position: [size] events keyed (time, seq) *)
+  mutable h_time : int array;
+  mutable h_seq : int array;
+  mutable h_slot : int array;
   mutable size : int;
-  dead : int ref; (* cancelled events still in the heap *)
+  (* by slot: callback, label (diagnostic, shown to tie-break policies) and
+     heap position; a free slot's position cell links to the next free
+     slot *)
+  mutable s_fn : (unit -> unit) array;
+  mutable s_label : string array;
+  mutable s_pos : int array;
+  mutable free : int; (* top of the free-slot stack; -1 = empty *)
+  mutable used : int; (* high-water mark: slots below it were handed out *)
   (* the same-instant lane: a ring of [ring_len] entries from [ring_head],
      in parallel arrays whose length is a power of two *)
   mutable ring_seq : int array;
@@ -98,7 +108,11 @@ type waker = No_waker | Waker of { wp : proc; wgen : int }
    (same values in the same order). *)
 let pid_counter = Atomic.make 0
 
-type timer = event
+type timer = int
+
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+let[@inline] handle seq slot = (seq lsl slot_bits) lor slot
 
 exception Process_failure of string * exn
 
@@ -112,23 +126,8 @@ let () =
 
 let nothing () = ()
 
-(* Placeholder for unused array slots; never scheduled, so its shared
-   cells are inert. *)
-let dummy_event =
-  {
-    time = 0;
-    seq = 0;
-    label = "";
-    live = false;
-    fn = nothing;
-    dead_cell = ref 0;
-  }
-
-(* Start with room for 1k events (8 KB).  Any simulation that does work
-   reaches hundreds of queued events immediately, and growing there through
-   doubling would copy ~1k event pointers (each through the GC write
-   barrier) — measurably slower than paying the allocation once. *)
-let initial_capacity = 1024
+(* Every heap and slot array starts this small and doubles. *)
+let initial_capacity = 16
 
 (* The ring rarely holds more than a few entries per runnable process, and
    set-up builds many small engines, so it starts small. *)
@@ -205,7 +204,7 @@ let push_ring t kind p =
   let i = (t.ring_head + t.ring_len) land (Array.length t.ring_seq - 1) in
   Array.unsafe_set t.ring_seq i t.next_seq;
   Array.unsafe_set t.ring_kind i kind;
-  Array.unsafe_set t.ring_proc i p;
+  if Array.unsafe_get t.ring_proc i != p then Array.unsafe_set t.ring_proc i p;
   t.ring_len <- t.ring_len + 1;
   t.next_seq <- t.next_seq + 1
 
@@ -258,9 +257,15 @@ let create () =
     {
       clock = Sim_time.zero;
       next_seq = 0;
-      heap = Array.make initial_capacity dummy_event;
+      h_time = Array.make initial_capacity 0;
+      h_seq = Array.make initial_capacity 0;
+      h_slot = Array.make initial_capacity 0;
       size = 0;
-      dead = ref 0;
+      s_fn = Array.make initial_capacity nothing;
+      s_label = Array.make initial_capacity "";
+      s_pos = Array.make initial_capacity 0;
+      free = -1;
+      used = 0;
       ring_seq = Array.make initial_ring 0;
       ring_kind = Array.make initial_ring 0;
       ring_proc = Array.make initial_ring nobody;
@@ -298,128 +303,128 @@ let current_pid t = if t.running == nobody then None else Some t.running.pid
 let current_process t =
   if t.running == nobody then None else Some t.running.name
 
-(* [a] strictly before [b]: earlier time, or same time scheduled earlier. *)
-let[@inline] before (a : event) (b : event) =
-  a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Unchecked int-array access for the heap.  Every index is bounded by
+   [size] or [used] (each <= the arrays' common length) or derives from a
+   parent/child index of one that is.  Typed externals, not [let] aliases
+   of [Array.unsafe_get]: an alias is a generic call per access. *)
+external iget : int array -> int -> int = "%array_unsafe_get"
+external iset : int array -> int -> int -> unit = "%array_unsafe_set"
 
-(* The sift loops below use unsafe indexing: every index is bounded by
-   [size] (itself <= [Array.length heap]) or derives from a parent/child
-   index of one that is. *)
-let uget = Array.unsafe_get
-let uset = Array.unsafe_set
+(* (t1, s1) strictly before (t2, s2): earlier time, or same time scheduled
+   earlier.  Annotated: an unannotated comparison is polymorphic, and
+   inlining does not specialise it. *)
+let[@inline] before (t1 : int) (s1 : int) (t2 : int) (s2 : int) =
+  t1 < t2 || (t1 = t2 && s1 < s2)
 
-let rec sift_up h i (ev : event) =
-  if i = 0 then uset h 0 ev
+let[@inline] place t i time seq slot =
+  iset t.h_time i time;
+  iset t.h_seq i seq;
+  iset t.h_slot i slot;
+  iset t.s_pos slot i
+
+let[@inline] move t ~src ~dst =
+  place t dst (iget t.h_time src) (iget t.h_seq src) (iget t.h_slot src)
+
+(* Fill the hole at position [i] with (time, seq, slot), moving it up past
+   every later parent. *)
+let rec sift_up t i time seq slot =
+  if i = 0 then place t 0 time seq slot
   else
-    let parent = (i - 1) / 2 in
-    if before ev (uget h parent) then begin
-      uset h i (uget h parent);
-      sift_up h parent ev
+    let p = (i - 1) / 2 in
+    if before time seq (iget t.h_time p) (iget t.h_seq p) then begin
+      move t ~src:p ~dst:i;
+      sift_up t p time seq slot
     end
-    else uset h i ev
+    else place t i time seq slot
 
-let rec sift_down h size i (ev : event) =
-  let l = (2 * i) + 1 in
-  if l >= size then uset h i ev
-  else begin
-    let r = l + 1 in
-    let c = if r < size && before (uget h r) (uget h l) then r else l in
-    if before (uget h c) ev then begin
-      uset h i (uget h c);
-      sift_down h size c ev
-    end
-    else uset h i ev
-  end
+let insert t time seq slot =
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t i time seq slot
 
-let push t ev =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let nh = Array.make (max 16 (cap * 2)) dummy_event in
-    Array.blit t.heap 0 nh 0 t.size;
-    t.heap <- nh
-  end;
-  t.size <- t.size + 1;
-  sift_up t.heap (t.size - 1) ev
-
-(* Caller guarantees size > 0.  Returns the root without (re)building any
-   option.  Bottom-up deletion: walk the hole down the min-child path to a
-   leaf (one comparison per level), then bubble the displaced last element
-   back up (usually zero steps, since a heap's last element is
-   leaf-large) — about half the comparisons of the textbook sift-down, and
-   pops dominate the engine's profile.  (A variant keeping the (time, seq)
-   keys in parallel unboxed int arrays was measured ~1.8x slower here:
-   tripling the stores per sift level costs more than the saved pointer
-   chases, since the event records are minor-heap-contiguous anyway.) *)
-let pop_top t =
-  let h = t.heap in
-  let top = uget h 0 in
+(* Remove the event at position [i].  Bottom-up deletion: walk the hole
+   down the min-child path to a leaf (one comparison per level), then
+   bubble the displaced last event up from there (usually zero steps,
+   since a heap's last event is leaf-large; it may rise past [i] when [i]
+   is not the root) — about half the comparisons of the textbook
+   sift-down, and pops dominate the engine's profile. *)
+let remove_at t i =
   let n = t.size - 1 in
   t.size <- n;
-  let last = uget h n in
-  uset h n dummy_event;
-  if n > 0 then begin
-    let i = ref 0 in
-    let l = ref 1 in
+  if i < n then begin
+    let hole = ref i in
+    let l = ref ((2 * i) + 1) in
     while !l < n do
       let r = !l + 1 in
-      let c = if r < n && before (uget h r) (uget h !l) then r else !l in
-      uset h !i (uget h c);
-      i := c;
+      let c =
+        if
+          r < n
+          && before (iget t.h_time r) (iget t.h_seq r) (iget t.h_time !l)
+               (iget t.h_seq !l)
+        then r
+        else !l
+      in
+      move t ~src:c ~dst:!hole;
+      hole := c;
       l := (2 * c) + 1
     done;
-    let j = ref !i in
-    let stop = ref false in
-    while (not !stop) && !j > 0 do
-      let p = (!j - 1) / 2 in
-      if before last (uget h p) then begin
-        uset h !j (uget h p);
-        j := p
-      end
-      else stop := true
-    done;
-    uset h !j last
-  end;
-  top
+    sift_up t !hole (iget t.h_time n) (iget t.h_seq n) (iget t.h_slot n)
+  end
 
-(* Filter out dead entries and re-heapify in place: O(live), run only when
-   the dead outnumber the live, so each cancel costs O(1) amortised. *)
-let compact t =
-  let h = t.heap in
-  let live = ref 0 in
-  for i = 0 to t.size - 1 do
-    if h.(i).live then begin
-      h.(!live) <- h.(i);
-      incr live
+let grow t =
+  let cap = Array.length t.h_time in
+  if cap > slot_mask then failwith "Engine: too many pending events";
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.h_time <- extend t.h_time 0;
+  t.h_seq <- extend t.h_seq 0;
+  t.h_slot <- extend t.h_slot 0;
+  t.s_fn <- extend t.s_fn nothing;
+  t.s_label <- extend t.s_label "";
+  t.s_pos <- extend t.s_pos 0
+
+(* Queue [fn] at (time, seq) in a fresh slot; returns its handle.  Every
+   live slot holds a heap event, so a full heap means no free slot. *)
+let add t ~label time seq fn =
+  if t.size = Array.length t.h_time then grow t;
+  let slot =
+    if t.free >= 0 then begin
+      let s = t.free in
+      t.free <- iget t.s_pos s;
+      s
     end
-  done;
-  for i = !live to t.size - 1 do
-    h.(i) <- dummy_event
-  done;
-  t.size <- !live;
-  t.dead := 0;
-  for i = (t.size / 2) - 1 downto 0 do
-    let ev = h.(i) in
-    sift_down h t.size i ev
-  done
+    else begin
+      let s = t.used in
+      t.used <- s + 1;
+      s
+    end
+  in
+  Array.unsafe_set t.s_fn slot fn;
+  (* a freed slot keeps its label, often the very string rescheduled
+     into it (a sleeper's wake label, [""]): skip that store's barrier *)
+  if Array.unsafe_get t.s_label slot != label then
+    Array.unsafe_set t.s_label slot label;
+  insert t time seq slot;
+  handle seq slot
 
-let compact_threshold = 64
-
-let maybe_compact t =
-  if !(t.dead) > t.size - !(t.dead) && t.size >= compact_threshold then
-    compact t
+(* The slot's event has left the heap: drop its callback and stack the
+   slot.  The label stays until reuse (a stale string, no closure). *)
+let[@inline] free_slot t slot =
+  Array.unsafe_set t.s_fn slot nothing;
+  iset t.s_pos slot t.free;
+  t.free <- slot
 
 (* Every heap event (timers, sleep wake-ups) is scheduled here; the
    internal callers all schedule at or after [t.clock], so only [at]
    validates the time.  Process starts, yields and resumptions take the
    same-instant lane ([push_ring]) instead. *)
 let schedule t ~label time fn =
-  let ev =
-    { time; seq = t.next_seq; label; live = true; fn; dead_cell = t.dead }
-  in
-  t.next_seq <- t.next_seq + 1;
-  push t ev;
-  maybe_compact t;
-  ev
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  add t ~label time seq fn
 
 let at t ?(label = "") time fn =
   if time < t.clock then
@@ -429,26 +434,25 @@ let at t ?(label = "") time fn =
 
 let after t ?label span fn = at t ?label (t.clock + span) fn
 
-(* Never in any heap and never live: cancelling it is a no-op. *)
-let inert_timer () =
-  {
-    time = 0;
-    seq = -1;
-    label = "";
-    live = false;
-    fn = nothing;
-    dead_cell = ref 0;
-  }
-
-(* Any event with [live = true] is still in its engine's heap (the run loop
-   marks an event dead before firing it), so a first cancel always accounts
-   for one in-heap dead entry; later cancels and cancels of fired timers
+(* Its slot is out of range or its seq never comes: cancelling is a
    no-op. *)
-let cancel ev =
-  if ev.live then begin
-    ev.live <- false;
-    ev.fn <- nothing;
-    incr ev.dead_cell
+let inert_timer = -1
+
+(* A live handle is the handle of the event at its slot's heap position;
+   a seq names one event for the engine's lifetime, so no fired,
+   cancelled or reused-slot handle passes the check.  (A free slot's
+   position cell holds a stack link, hence the range test.) *)
+let cancel t tm =
+  let slot = tm land slot_mask in
+  if slot < t.used then begin
+    let pos = iget t.s_pos slot in
+    if
+      pos >= 0 && pos < t.size
+      && handle (iget t.h_seq pos) (iget t.h_slot pos) = tm
+    then begin
+      remove_at t pos;
+      free_slot t slot
+    end
   end
 
 let spawn t ?(name = "proc") f =
@@ -507,84 +511,72 @@ let yield t =
    schedule explorer in [lib/check]).  Each step first moves the
    same-instant lane into the heap (as events with their original seqs and
    labels, so the heap alone holds the pending set), then pops the full set
-   of live events sharing the minimal timestamp (they come off the heap in
-   seq order), asks the policy which fires next when there is a real
-   choice, and pushes the rest back.  O(k log n) extra work per event —
-   irrelevant for the small scenarios the explorer drives, and the default
-   loops below are untouched when no policy is installed. *)
+   of events sharing the minimal timestamp (they come off the heap in seq
+   order, keeping their slots), asks the policy which fires next when
+   there is a real choice, and puts the rest back.  O(k log n) extra work
+   per event — irrelevant for the small scenarios the explorer drives, and
+   the default loops below are untouched when no policy is installed. *)
 let spill_ring t =
   while t.ring_len > 0 do
     let i = take_ring t in
     let kind = t.ring_kind.(i) and p = t.ring_proc.(i) in
-    push t
-      {
-        time = t.clock;
-        seq = t.ring_seq.(i);
-        label = ring_label kind p;
-        live = true;
-        fn = (fun () -> run_entry t kind p);
-        dead_cell = t.dead;
-      }
+    ignore
+      (add t ~label:(ring_label kind p) t.clock t.ring_seq.(i) (fun () ->
+           run_entry t kind p))
   done
 
 let run_policy t policy until =
   let continue_run = ref true in
   while !continue_run do
     spill_ring t;
-    (* Drop dead entries off the top so emptiness and tmin are about live
-       events only. *)
-    while t.size > 0 && not t.heap.(0).live do
-      ignore (pop_top t);
-      decr t.dead
-    done;
     if t.size = 0 then begin
       (match until with Some u when u > t.clock -> t.clock <- u | _ -> ());
       continue_run := false
     end
     else begin
-      let tmin = t.heap.(0).time in
+      let tmin = t.h_time.(0) in
       match until with
       | Some u when tmin > u ->
           t.clock <- u;
           continue_run := false
       | _ ->
           let scratch = ref [] in
-          let k = ref 0 in
-          while t.size > 0 && t.heap.(0).time = tmin do
-            let ev = pop_top t in
-            if ev.live then begin
-              scratch := ev :: !scratch;
-              incr k
-            end
-            else decr t.dead
+          while t.size > 0 && t.h_time.(0) = tmin do
+            scratch := (t.h_seq.(0), t.h_slot.(0)) :: !scratch;
+            remove_at t 0
           done;
-          let cands = Array.of_list (List.rev !scratch) in
           (* seq order: pop order at equal time *)
+          let cands = Array.of_list (List.rev !scratch) in
+          let k = Array.length cands in
           let chosen =
-            if !k = 1 then 0
+            if k = 1 then 0
             else begin
               let view =
                 Array.map
-                  (fun e ->
-                    { c_time = e.time; c_seq = e.seq; c_label = e.label })
+                  (fun (seq, slot) ->
+                    { c_time = tmin; c_seq = seq; c_label = t.s_label.(slot) })
                   cands
               in
               let i = policy view in
-              if i < 0 || i >= !k then
+              if i < 0 || i >= k then
                 invalid_arg
                   (Printf.sprintf
-                     "Engine: tie-break policy chose %d of %d candidates" i !k);
+                     "Engine: tie-break policy chose %d of %d candidates" i k);
               i
             end
           in
-          (* Reinsert the losers before firing: the fired event may cancel
-             or depend on them, and they keep their original seqs so the
-             later relative order is preserved. *)
-          Array.iteri (fun i e -> if i <> chosen then push t e) cands;
-          let ev = cands.(chosen) in
-          t.clock <- ev.time;
-          ev.live <- false;
-          ev.fn ()
+          (* Reinsert the losers before firing, in their own slots with
+             their original seqs: the fired event may cancel or depend on
+             them, their handles stay good, and the later relative order is
+             preserved. *)
+          Array.iteri
+            (fun i (seq, slot) -> if i <> chosen then insert t tmin seq slot)
+            cands;
+          let slot = snd cands.(chosen) in
+          let fn = t.s_fn.(slot) in
+          t.clock <- tmin;
+          free_slot t slot;
+          fn ()
     end
   done
 
@@ -592,18 +584,16 @@ let run_policy t policy until =
    Caller guarantees ring_len > 0. *)
 let[@inline] ring_first t =
   t.size = 0
-  ||
-  let top = uget t.heap 0 in
-  top.time > t.clock || top.seq > Array.unsafe_get t.ring_seq t.ring_head
+  || iget t.h_time 0 > t.clock
+  || iget t.h_seq 0 > Array.unsafe_get t.ring_seq t.ring_head
 
 let[@inline] fire_top t =
-  let ev = pop_top t in
-  if ev.live then begin
-    t.clock <- ev.time;
-    ev.live <- false;
-    ev.fn ()
-  end
-  else decr t.dead
+  let slot = iget t.h_slot 0 in
+  let fn = Array.unsafe_get t.s_fn slot in
+  t.clock <- iget t.h_time 0;
+  remove_at t 0;
+  free_slot t slot;
+  fn ()
 
 let run ?until t =
   match t.tie_break with
@@ -629,34 +619,25 @@ let run ?until t =
               if u > t.clock then t.clock <- u;
               continue_run := false
             end
-            else if t.heap.(0).time > u then begin
+            else if t.h_time.(0) > u then begin
               t.clock <- u;
               continue_run := false
             end
             else fire_top t
           done)
 
-let pending_events t = t.size - !(t.dead) + t.ring_len
-let queued_events t = t.size + t.ring_len
+let pending_events t = t.size + t.ring_len
 
 let register_metrics t m ~prefix =
-  let open Nectar_util.Metrics in
-  counter m (prefix ^ "pending_events") (fun () -> pending_events t);
-  counter m (prefix ^ "queued_events") (fun () -> queued_events t)
+  Nectar_util.Metrics.counter m (prefix ^ "pending_events") (fun () ->
+      pending_events t)
 
-(* Peek the earliest live event without firing it.  Dead entries on top
-   of the heap are popped for free (exactly as the run loops would);
-   amortised against the cancels that created them. *)
 let next_event_time t =
-  while t.size > 0 && not t.heap.(0).live do
-    ignore (pop_top t);
-    decr t.dead
-  done;
   if t.ring_len > 0 then Some t.clock
   else if t.size = 0 then None
-  else Some t.heap.(0).time
+  else Some t.h_time.(0)
 
-(* Order-independent digest of the live pending set: heap-array order is an
+(* Order-independent digest of the pending set: heap-array order is an
    implementation accident, so per-event hashes are combined with addition.
    Event seqs are deliberately excluded — two runs that reach the same
    semantic state through commuting reorderings number their events
@@ -679,8 +660,7 @@ let pending_digest t =
     acc := !acc + (h lxor (h lsr 32))
   in
   for i = 0 to t.size - 1 do
-    let e = Array.unsafe_get t.heap i in
-    if e.live then add e.time e.label
+    add t.h_time.(i) t.s_label.(t.h_slot.(i))
   done;
   let mask = Array.length t.ring_seq - 1 in
   for j = 0 to t.ring_len - 1 do

@@ -39,7 +39,11 @@ val current_process : t -> string option
 
 (** {1 Timers} *)
 
-type timer
+type timer [@@immediate]
+(** A handle on one event scheduled on one engine: an immediate (slot and
+    sequence number), so scheduling allocates nothing beyond the callback
+    and storing a handle needs no write barrier.  It stays good only while
+    that event is pending. *)
 
 val at : t -> ?label:string -> Sim_time.t -> (unit -> unit) -> timer
 (** Schedule a callback at an absolute time (>= now).  Callbacks run outside
@@ -49,13 +53,15 @@ val at : t -> ?label:string -> Sim_time.t -> (unit -> unit) -> timer
 
 val after : t -> ?label:string -> Sim_time.span -> (unit -> unit) -> timer
 
-val cancel : timer -> unit
-(** Idempotent; cancelling a fired timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** Remove the event from [t]'s queue at once, in O(log n); the timer
+    must come from [t].
+    Cancelling a fired, already-cancelled or {!inert_timer} handle is a
+    no-op, even when a later event has taken over the handle's slot. *)
 
-val inert_timer : unit -> timer
-(** A fresh timer that never fires (cancelling it is a no-op): the idle
-    value of a mutable timer field.  Fresh, so owners on different nodes
-    share no block. *)
+val inert_timer : timer
+(** A timer that never fires (cancelling it is a no-op): the idle value of
+    a timer field. *)
 
 (** {1 Processes} *)
 
@@ -142,7 +148,7 @@ val set_tie_break : t -> tie_break option -> unit
     path. *)
 
 val pending_digest : t -> int
-(** Order-independent hash of the live pending-event set (times and labels,
+(** Order-independent hash of the pending-event set (times and labels,
     not seqs) — one ingredient of the explorer's state fingerprint.  O(n)
     over the queue. *)
 
@@ -154,20 +160,12 @@ val run : ?until:Sim_time.t -> t -> unit
     simply never resume — this is normal for server-style processes. *)
 
 val pending_events : t -> int
-(** Live (not-cancelled) events still scheduled.  O(1). *)
+(** Events still scheduled (cancelled ones are gone at once).  O(1). *)
 
 val next_event_time : t -> Sim_time.t option
-(** Time of the earliest live pending event, without firing it — the
+(** Time of the earliest pending event, without firing it — the
     per-partition ingredient of the parallel scheduler's global
-    next-window computation.  Amortised O(1) (it pops already-cancelled
-    entries off the heap top, as the run loop would). *)
-
-val queued_events : t -> int
-(** Physical size of the event queue (heap plus same-instant lane),
-    including cancelled entries awaiting lazy removal.  The engine compacts when cancelled entries outnumber
-    live ones, so this stays within 2x of {!pending_events} (above a small
-    constant threshold); exposed so tests can assert the bound. *)
+    next-window computation.  O(1), and a pure read. *)
 
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit
-(** Register [<prefix>pending_events] and [<prefix>queued_events] on the
-    registry. *)
+(** Register [<prefix>pending_events] on the registry. *)

@@ -39,15 +39,24 @@ let create ?(capacity = 65536) eng =
 
 (* Domain-local: each domain of the parallel engine installs its own
    tracer over its own engine, so recording never crosses domains (and
-   never needs a lock).  Reading [None] from the key is one DLS array
-   load — the disabled path stays allocation-free (pinned by the
-   zero-alloc test, which also runs inside a spawned domain). *)
+   never needs a lock).  [installs] counts the domains with a tracer
+   installed: while it reads 0 the recording calls return before the DLS
+   lookup, one atomic load and no allocation (pinned by the zero-alloc
+   test, which also runs inside a spawned domain). *)
 let current : t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let install t = Domain.DLS.set current (Some t)
-let uninstall () = Domain.DLS.set current None
-let installed () = Domain.DLS.get current <> None
+let installs = Atomic.make 0
+
+let installed () = Option.is_some (Domain.DLS.get current)
+
+let install t =
+  if not (installed ()) then Atomic.incr installs;
+  Domain.DLS.set current (Some t)
+
+let uninstall () =
+  if installed () then Atomic.decr installs;
+  Domain.DLS.set current None
 
 let record t ~kind ~id ~label ~track =
   let slot = t.written mod t.cap in
@@ -59,23 +68,27 @@ let record t ~kind ~id ~label ~track =
   t.written <- t.written + 1
 
 let span_begin ~track label =
-  match Domain.DLS.get current with
-  | None -> 0
-  | Some t ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      record t ~kind:0 ~id ~label ~track;
-      id
+  if Atomic.get installs = 0 then 0
+  else
+    match Domain.DLS.get current with
+    | None -> 0
+    | Some t ->
+        let id = t.next_id in
+        t.next_id <- id + 1;
+        record t ~kind:0 ~id ~label ~track;
+        id
 
 let span_end id =
-  match Domain.DLS.get current with
-  | None -> ()
-  | Some t -> if id > 0 then record t ~kind:1 ~id ~label:"" ~track:""
+  if id > 0 then
+    match Domain.DLS.get current with
+    | None -> ()
+    | Some t -> record t ~kind:1 ~id ~label:"" ~track:""
 
 let instant ~track label =
-  match Domain.DLS.get current with
-  | None -> ()
-  | Some t -> record t ~kind:2 ~id:0 ~label ~track
+  if Atomic.get installs > 0 then
+    match Domain.DLS.get current with
+    | None -> ()
+    | Some t -> record t ~kind:2 ~id:0 ~label ~track
 
 let recorded t = t.written
 let dropped t = if t.written <= t.cap then 0 else t.written - t.cap

@@ -10,7 +10,7 @@ type hooks = {
 let hooks : hooks option ref = ref None
 let install h = hooks := Some h
 let uninstall () = hooks := None
-let installed () = !hooks <> None
+let installed () = Option.is_some !hooks
 
 let cpu_wait ~cpu ~owner ~priority ~waited =
   match !hooks with

@@ -55,7 +55,7 @@ let rec signal t =
         if r.pending then begin
           r.pending <- false;
           t.live <- t.live - 1;
-          Engine.cancel tm;
+          Engine.cancel t.eng tm;
           Engine.wake t.eng r.tw;
           true
         end

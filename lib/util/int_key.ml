@@ -17,3 +17,10 @@ let[@inline] tcp_conn ~lport ~raddr ~rport =
     || lport lor rport > 0xffff
   then bad "tcp_conn";
   (raddr lsl 32) lor (lport lsl 16) lor rport
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)

@@ -23,3 +23,8 @@ val tcp_conn : lport:int -> raddr:int -> rport:int -> int
     derives every address from [Ipv4.addr_of_cab] (0x0a01_0000-based), so
     the range never binds in practice; real 32-bit addresses with the top
     bits set would need a different scheme. *)
+
+(** Hash tables keyed by an int: the generic [Hashtbl]'s bucket placement
+    ([Hashtbl.hash], so the same iteration order), with [Int.equal] in
+    place of a polymorphic-compare C call per probe. *)
+module Tbl : Hashtbl.S with type key = int

@@ -43,13 +43,12 @@ let test_frame_sg_extents () =
   Frame.blit sg ~pos:0 ~dst:out ~dst_pos:0 ~len:(Bytes.length whole);
   Alcotest.(check string) "blit crosses extents" (Bytes.to_string whole)
     (Bytes.to_string out);
-  (match Frame.view sg ~pos:7 ~len:13 with
-  | Some (mem, off) ->
-      Alcotest.(check string) "view within one extent" "payload bytes"
-        (Bytes.sub_string mem off 13)
-  | None -> Alcotest.fail "view within an extent must exist");
-  check_bool "view straddling extents is refused" true
-    (Frame.view sg ~pos:5 ~len:6 = None);
+  let mem, off = Frame.view sg ~pos:7 ~len:13 in
+  check_bool "view within an extent exists" true (off >= 0);
+  Alcotest.(check string) "view within one extent" "payload bytes"
+    (Bytes.sub_string mem off 13);
+  check_int "view straddling extents is refused" (-1)
+    (snd (Frame.view sg ~pos:5 ~len:6));
   Frame.release sg;
   check_int "on_release fired once" 1 !released;
   Alcotest.check_raises "double release rejected"
@@ -88,6 +87,31 @@ let test_frame_reads_allocate_nothing () =
   check_bool
     (Printf.sprintf "blit and crc_ok allocation-free (%.0f words)" words)
     true (words < 64.)
+
+(* The datalink decodes every received frame's header through a view:
+   over a single extent it allocates at most the pair it returns. *)
+let test_frame_header_view_allocates_pair () =
+  check_bool "no vet hook installed" false (Vet_probe.installed ());
+  let whole = Bytes.make 1500 'a' in
+  let f =
+    Frame.create_sg ~id:0 ~src:0
+      ~extents:
+        [ (Region.of_bytes whole, 0, 24); (Region.of_bytes whole, 24, 1476) ]
+      ~on_release:(fun () -> ())
+  in
+  let offs = ref 0 in
+  let view () = offs := !offs + snd (Frame.view f ~pos:0 ~len:12) in
+  view ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    view ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "every view found its extent" 0 !offs;
+  check_bool
+    (Printf.sprintf "header view allocates %.2f <= 3 words" words)
+    true (words <= 3.)
 
 (* ---------- Network helpers ---------- *)
 
@@ -514,6 +538,8 @@ let () =
           Alcotest.test_case "hardware crc" `Quick test_frame_crc;
           Alcotest.test_case "reads allocate nothing" `Quick
             test_frame_reads_allocate_nothing;
+          Alcotest.test_case "header view allocates only its pair" `Quick
+            test_frame_header_view_allocates_pair;
           Alcotest.test_case "scatter/gather extents" `Quick
             test_frame_sg_extents;
         ] );

@@ -56,7 +56,7 @@ let test_next_event_time () =
   ignore (Engine.at eng (us 50) (fun () -> ()));
   Alcotest.(check (option int)) "earliest" (Some (us 30))
     (Engine.next_event_time eng);
-  Engine.cancel tm;
+  Engine.cancel eng tm;
   Alcotest.(check (option int)) "skips cancelled" (Some (us 50))
     (Engine.next_event_time eng);
   Engine.run eng;

@@ -32,7 +32,7 @@ let test_timer_cancel () =
   let eng = Engine.create () in
   let fired = ref false in
   let tm = Engine.after eng (us 5) (fun () -> fired := true) in
-  ignore (Engine.after eng (us 1) (fun () -> Engine.cancel tm));
+  ignore (Engine.after eng (us 1) (fun () -> Engine.cancel eng tm));
   Engine.run eng;
   Alcotest.(check bool) "cancelled timer silent" false !fired
 
@@ -669,7 +669,7 @@ let build_pin_world eng log =
          (fun () -> log := ("t" ^ string_of_int i, Engine.now eng) :: !log))
   done;
   let tm = Engine.after eng (us 2) (fun () -> log := ("never", 0) :: !log) in
-  ignore (Engine.after eng (us 1) (fun () -> Engine.cancel tm))
+  ignore (Engine.after eng (us 1) (fun () -> Engine.cancel eng tm))
 
 let run_pin_world policy =
   let eng = Engine.create () in
@@ -772,7 +772,7 @@ let soup_log ?policy ~seed () =
           ignore
             (Engine.after eng 0 ~label:(name ^ ".c") (fun () ->
                  record (name ^ ".c") step;
-                 if cancel_it then Option.iter Engine.cancel !victim));
+                 if cancel_it then Option.iter (Engine.cancel eng) !victim));
           victim :=
             Some
               (Engine.after eng 0 ~label:(name ^ ".v") (fun () ->
@@ -942,14 +942,213 @@ let test_failure_mid_instant_resumes () =
     ]
     (List.rev !log)
 
+(* ---------- reference model of the event queue ---------- *)
+
+(* Random programs of timers, cancels, spawns, yields and sleeps, run on
+   the engine and on a model that keeps the pending events in a plain
+   list and always fires the least (time, seq).  Both log
+   every timer firing and process step with the clock and the pending
+   count; the logs must agree.  A cancel names a handle by creation index
+   (-1: the inert timer), so it may hit a pending, fired, cancelled or
+   slot-reused handle, from outside or from inside a callback.  Under the
+   [last] policy every tie goes to the latest-scheduled candidate, so the
+   losers go back into the queue and must stay cancellable. *)
+type act =
+  | Sched of int * act list (* delay, acts run when it fires *)
+  | Cancel of int
+  | Spawn of step list
+
+and step = Yield | Sleep of int | Act of act
+
+let show_list f l = String.concat " " (List.map f l)
+
+let rec show_act = function
+  | Sched (d, acts) -> Printf.sprintf "S%d[%s]" d (show_list show_act acts)
+  | Cancel k -> Printf.sprintf "C%d" k
+  | Spawn steps -> Printf.sprintf "P{%s}" (show_list show_step steps)
+
+and show_step = function
+  | Yield -> "y"
+  | Sleep d -> Printf.sprintf "z%d" d
+  | Act a -> show_act a
+
+let gen_program =
+  let open QCheck2.Gen in
+  let delay = int_bound 3 in
+  let cancel = map (fun k -> Cancel k) (int_range (-1) 24) in
+  let rec act depth =
+    if depth = 0 then oneof [ map (fun d -> Sched (d, [])) delay; cancel ]
+    else
+      frequency
+        [
+          ( 3,
+            map2
+              (fun d acts -> Sched (d, acts))
+              delay
+              (list_size (int_bound 3) (act (depth - 1))) );
+          (3, cancel);
+          ( 1,
+            map (fun s -> Spawn s) (list_size (int_bound 4) (step (depth - 1)))
+          );
+        ]
+  and step depth =
+    frequency
+      [
+        (1, pure Yield);
+        (1, map (fun d -> Sleep d) delay);
+        (2, map (fun a -> Act a) (act depth));
+      ]
+  in
+  list_size (int_range 1 12) (act 3)
+
+(* the handle a cancel names, among the [count] made so far *)
+let nth_handle k count = if k < 0 || count = 0 then -1 else k mod count
+
+type log_entry = Fired of int | Step of int * int
+
+let run_engine ~last prog =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note e =
+    log := (e, Engine.now eng, Engine.pending_events eng) :: !log
+  in
+  let handles = Hashtbl.create 16 and pids = ref 0 in
+  let rec act = function
+    | Sched (d, acts) ->
+        let id = Hashtbl.length handles in
+        Hashtbl.replace handles id
+          (Engine.after eng d (fun () ->
+               note (Fired id);
+               List.iter act acts))
+    | Cancel k ->
+        Engine.cancel eng
+          (match nth_handle k (Hashtbl.length handles) with
+          | -1 -> Engine.inert_timer
+          | i -> Hashtbl.find handles i)
+    | Spawn steps ->
+        let pid = !pids in
+        incr pids;
+        Engine.spawn eng (fun () ->
+            note (Step (pid, 0));
+            List.iteri
+              (fun i s ->
+                (match s with
+                | Yield -> Engine.yield eng
+                | Sleep d -> Engine.sleep eng d
+                | Act a -> act a);
+                note (Step (pid, i + 1)))
+              steps)
+  in
+  List.iter act prog;
+  if last then
+    Engine.set_tie_break eng (Some (fun cands -> Array.length cands - 1));
+  Engine.run eng;
+  (List.rev !log, Engine.now eng, Engine.pending_events eng)
+
+(* What each queued model event does when it fires. *)
+type mev =
+  | M_timer of int * act list (* handle id *)
+  | M_start of int * step array
+  | M_park of int * step array * int
+      (* a sleep's timer or a yield entry: queues the resumption after
+         step i *)
+  | M_resume of int * step array * int
+
+let run_model ~last prog =
+  let clock = ref 0 and seq = ref 0 and queue = ref [] in
+  let log = ref [] and handles = ref 0 and pids = ref 0 in
+  let note e = log := (e, !clock, List.length !queue) :: !log in
+  let push time ev =
+    queue := (time, !seq, ev) :: !queue;
+    incr seq
+  in
+  let rec act = function
+    | Sched (d, acts) ->
+        push (!clock + d) (M_timer (!handles, acts));
+        incr handles
+    | Cancel k ->
+        let h = nth_handle k !handles in
+        queue :=
+          List.filter
+            (function _, _, M_timer (id, _) -> id <> h | _ -> true)
+            !queue
+    | Spawn steps ->
+        push !clock (M_start (!pids, Array.of_list steps));
+        incr pids
+  (* run process [pid] from step [i] up to its next parking *)
+  and steps_from pid steps i =
+    if i < Array.length steps then
+      match steps.(i) with
+      | Yield -> push !clock (M_park (pid, steps, i))
+      | Sleep d when d > 0 -> push (!clock + d) (M_park (pid, steps, i))
+      | Sleep _ ->
+          note (Step (pid, i + 1));
+          steps_from pid steps (i + 1)
+      | Act a ->
+          act a;
+          note (Step (pid, i + 1));
+          steps_from pid steps (i + 1)
+  in
+  List.iter act prog;
+  let better (t1, s1, _) (t2, s2, _) =
+    t1 < t2 || (t1 = t2 && if last then s1 > s2 else s1 < s2)
+  in
+  while !queue <> [] do
+    let time, s, ev =
+      List.fold_left
+        (fun best e -> if better e best then e else best)
+        (List.hd !queue) !queue
+    in
+    queue := List.filter (fun (_, s', _) -> s' <> s) !queue;
+    clock := time;
+    match ev with
+    | M_timer (id, acts) ->
+        note (Fired id);
+        List.iter act acts
+    | M_start (pid, steps) ->
+        note (Step (pid, 0));
+        steps_from pid steps 0
+    | M_park (pid, steps, i) -> push !clock (M_resume (pid, steps, i))
+    | M_resume (pid, steps, i) ->
+        note (Step (pid, i + 1));
+        steps_from pid steps (i + 1)
+  done;
+  (List.rev !log, !clock, 0)
+
+let prop_queue_matches_model ~last =
+  QCheck2.Test.make ~count:500
+    ~name:
+      (if last then "queue matches reference model under a policy"
+       else "queue matches reference model")
+    ~print:(show_list show_act) gen_program
+    (fun prog -> run_engine ~last prog = run_model ~last prog)
+
+(* After a tie-break choice the losers go back into the queue; a cancel of
+   one of them from the chosen callback must still take effect. *)
+let test_policy_loser_cancel () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let fire name () = log := name :: !log in
+  let a = Engine.at eng (us 1) ~label:"a" (fire "a") in
+  ignore (Engine.at eng (us 1) ~label:"b" (fire "b"));
+  ignore
+    (Engine.at eng (us 1) ~label:"c" (fun () ->
+         fire "c" ();
+         Engine.cancel eng a));
+  Engine.set_tie_break eng (Some (fun cands -> Array.length cands - 1));
+  Engine.run eng;
+  Alcotest.(check (list string)) "cancelled loser never fires" [ "c"; "b" ]
+    (List.rev !log);
+  check_int "queue drained" 0 (Engine.pending_events eng)
+
 (* ---------- allocation pins ---------- *)
 
 (* Minor words per blocking call in a one-process loop, measured inside
    the process (so engine set-up is outside the window) and including the
    run loop's share.  Each bound sits two words above the measured count
-   (sleep 9, yield 2, consume 21, timed wait 27), so a context switch that
-   allocates a closure, a handler, a label or an option again fails
-   here. *)
+   (sleep 2, yield 2, consume 14, timed wait 20), so a context switch that
+   allocates a closure, a handler, a label, an option or an event record
+   again fails here. *)
 let words_per_iteration ~n body =
   let eng = Engine.create () in
   let words = ref 0. in
@@ -984,6 +1183,27 @@ let timed_wait_words () =
       fun () ->
         ignore (Waitq.wait_timeout q 1);
         ignore (Waitq.signal q))
+
+(* Scheduling a timer and firing it allocate nothing beyond the
+   callback, which is built once here: the handle is an immediate and the
+   queue keeps no per-event record.  Measured outside any process. *)
+let after_fire_words () =
+  let eng = Engine.create () in
+  let fired = ref 0 in
+  let callback () = incr fired in
+  let once () =
+    ignore (Engine.after eng 1 callback);
+    Engine.run eng
+  in
+  once ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every timer fired" (n + 1) !fired;
+  words /. float_of_int n
 
 let alloc_pin what measure bound () =
   let w = measure () in
@@ -1123,6 +1343,10 @@ let () =
           Alcotest.test_case "run ~until" `Quick test_run_until;
           Alcotest.test_case "suspend/resume value" `Quick
             test_suspend_resume_value;
+          qtest (prop_queue_matches_model ~last:false);
+          qtest (prop_queue_matches_model ~last:true);
+          Alcotest.test_case "policy loser cancel" `Quick
+            test_policy_loser_cancel;
         ] );
       ( "waitq",
         [
@@ -1157,13 +1381,15 @@ let () =
       ( "alloc pin",
         [
           Alcotest.test_case "sleep minor words" `Quick
-            (alloc_pin "Engine.sleep" sleep_words 11.);
+            (alloc_pin "Engine.sleep" sleep_words 4.);
           Alcotest.test_case "cpu consume minor words" `Quick
-            (alloc_pin "Cpu.consume" consume_words 23.);
+            (alloc_pin "Cpu.consume" consume_words 16.);
           Alcotest.test_case "yield minor words" `Quick
             (alloc_pin "Engine.yield" yield_words 4.);
           Alcotest.test_case "timed wait minor words" `Quick
-            (alloc_pin "Waitq.wait_timeout" timed_wait_words 29.);
+            (alloc_pin "Waitq.wait_timeout" timed_wait_words 22.);
+          Alcotest.test_case "after and fire minor words" `Quick
+            (alloc_pin "Engine.after + fire" after_fire_words 0.);
         ] );
       ( "order pin",
         [

@@ -140,32 +140,26 @@ let test_pending_events_counts_live_only () =
   let t1 = Engine.after eng (us 10) (fun () -> ()) in
   let _t2 = Engine.after eng (us 20) (fun () -> ()) in
   check_int "two live" 2 (Engine.pending_events eng);
-  Engine.cancel t1;
+  Engine.cancel eng t1;
   check_int "one live after cancel" 1 (Engine.pending_events eng);
   Engine.run eng
 
-let test_cancel_storm_compacts () =
+let test_cancel_storm_exact () =
   (* The RTO pattern: thousands of timers scheduled and almost all
-     cancelled before firing.  Lazy cancellation must not let dead entries
-     accumulate: the physical heap stays within 2x of the live events
-     (plus the engine's small compaction threshold), and the events that
-     do fire are unaffected. *)
+     cancelled before firing.  Cancellation is eager, so the queue holds
+     exactly the live timers, and the events that do fire are
+     unaffected. *)
   let eng = Engine.create () in
   let fired = ref 0 in
   let live = ref 0 in
   for i = 1 to 10_000 do
     let tm = Engine.after eng (us i) (fun () -> incr fired) in
-    if i mod 10 <> 0 then Engine.cancel tm else incr live
+    if i mod 10 <> 0 then Engine.cancel eng tm else incr live
   done;
-  check_int "live events" !live (Engine.pending_events eng);
-  check_bool
-    (Printf.sprintf "heap bounded (queued %d, pending %d)"
-       (Engine.queued_events eng) (Engine.pending_events eng))
-    true
-    (Engine.queued_events eng <= (2 * Engine.pending_events eng) + 64);
+  check_int "pending = live" !live (Engine.pending_events eng);
   Engine.run eng;
   check_int "only live timers fired" !live !fired;
-  check_int "drained" 0 (Engine.queued_events eng)
+  check_int "drained" 0 (Engine.pending_events eng)
 
 let test_spawned_during_run () =
   let eng = Engine.create () in
@@ -278,8 +272,8 @@ let () =
         [
           Alcotest.test_case "pending events" `Quick
             test_pending_events_counts_live_only;
-          Alcotest.test_case "cancel storm compacts" `Quick
-            test_cancel_storm_compacts;
+          Alcotest.test_case "cancel storm is exact" `Quick
+            test_cancel_storm_exact;
           Alcotest.test_case "spawn during run" `Quick test_spawned_during_run;
         ] );
       ( "core-extras",
