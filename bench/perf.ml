@@ -82,8 +82,8 @@ let engine_schedule_cancel () =
    int64 loads fails here instead of silently losing its speed. *)
 let recorded_sleep_words = 2.
 let recorded_yield_words = 2.
-let recorded_consume_words = 14.
-let recorded_timed_wait_words = 20.
+let recorded_consume_words = 2.
+let recorded_timed_wait_words = 17.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 

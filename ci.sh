@@ -8,6 +8,13 @@
 # Ends by printing the .ml+.mli line counts of lib/bin/bench/test.
 set -eux
 
+# dune-workspace selects the release profile; the dev profile's -opaque
+# would stop cross-module inlining without failing anything else.
+if dune rules _build/default/lib/sim/.nectar_sim.objs/native/nectar_sim__Engine.cmx |
+  grep -q -- -opaque; then
+  echo "ci: libraries build with -opaque (dev profile); see dune-workspace" >&2
+  exit 1
+fi
 dune build @all
 dune runtest
 dune exec bin/nectar_lint.exe -- lib

@@ -1,7 +1,7 @@
 (* The event queue is the hottest data structure in the simulator: every
    sleep, DMA chunk, timer and process resumption passes through it.  It is
-   therefore a hand-specialised binary min-heap rather than the generic
-   [Nectar_util.Binary_heap], and it holds no per-event record.
+   therefore a hand-specialised binary min-heap, and it holds no per-event
+   record.
 
    The heap is three [int array]s indexed by heap position: time, seq and
    the event's slot.  Ordering is two monomorphic int comparisons (time,
@@ -27,21 +27,28 @@
    heap holds live events only, so it never grows past the pending set.
 
    Process switches are the other hot path: a simulated thread blocks and
-   resumes constantly, so parking allocates nothing in the engine beyond
-   the continuation block the runtime makes.  One effect handler serves
-   every process of an engine (built in [create]) and its [Some] answer to
-   [Block] is preallocated: it stores the continuation in the [running]
-   process's own record, in place, with no option.  Process starts, yields
-   and resumptions — events at the current instant that are never
-   cancelled — skip the heap: they go to a FIFO ring of (seq, kind, proc)
-   entries in three parallel arrays, two of them unboxed ints, whose
-   labels are derived from the kind and the process.  Every ring entry is
-   at [clock] and the ring is in seq order, so firing the ring head before
-   the heap top exactly when the top is later, or equal in time with a
-   larger seq, is (time, seq) order: the same firing order as one heap
-   holding everything.  The proc array is never cleared on a take: a
-   stale slot only keeps a small record alive until the ring wraps, and
-   skipping that store saves a write barrier per switch. *)
+   resumes constantly, so a process is a slot too.  [spawn] puts its
+   record in a slot-indexed [procs] array (the one pointer store of its
+   lifetime) and the handler's [retc] frees the slot.  A waker is an
+   immediate: the slot and a generation.  Generations come from one
+   engine-wide counter and are never reused; [p_gen] holds the current
+   parking's, and every wake, sleep and yield takes a fresh one, so a
+   second wake, a stale waker, or a waker of a finished process whose
+   slot now holds another process all fail the check.  [running] is the
+   executing process's slot.  One effect handler serves every process of
+   an engine (built in [create]) and its [Some] answer to [Block] is
+   preallocated: it stores the continuation in the running process's own
+   record, in place, with no option.  Process starts, yields and
+   resumptions — events at the current instant that are never cancelled —
+   skip the heap: they go to a FIFO ring of (seq, kind, slot) entries in
+   three [int array]s, whose labels are derived from the kind and the
+   process; a resume entry's kind carries the process's pid, so an entry
+   outliving its process never resumes the slot's next one.  Every ring
+   entry is at [clock] and the ring is in seq order, so firing the ring
+   head before the heap top exactly when the top is later, or equal in
+   time with a larger seq, is (time, seq) order: the same firing order as
+   one heap holding everything.  So a park, a wake and a lane entry store
+   no pointer; the park handler's [k] store is the one left per switch. *)
 
 type candidate = { c_time : Sim_time.t; c_seq : int; c_label : string }
 type tie_break = candidate array -> int
@@ -50,17 +57,16 @@ type tie_break = candidate array -> int
    labels and the sleep wake-up callback are built on first use ("" and
    [nothing] until then) and reused by every later sleep and yield.  [k]
    is the parked continuation ([never_parked] before the first parking);
-   [parked] is set while [k] is waiting to be resumed.  [gen] numbers the
-   parkings: a waker is good for the parking whose [gen] it carries, and
-   every wake, sleep and yield moves [gen] on, so a second or stale wake
-   is caught. *)
+   [parked] is set while [k] is waiting to be resumed.  [first_gen] is
+   the generation it was spawned with: a waker of its slot with an older
+   one belonged to an earlier process. *)
 type proc = {
   pid : int;
   name : string;
+  first_gen : int;
   mutable body : unit -> unit; (* until the start entry fires *)
   mutable k : (unit, unit) Effect.Deep.continuation;
   mutable parked : bool;
-  mutable gen : int;
   mutable wake_label : string;
   mutable wake_fn : unit -> unit;
   mutable yield_label : string;
@@ -82,16 +88,24 @@ type t = {
   mutable s_pos : int array;
   mutable free : int; (* top of the free-slot stack; -1 = empty *)
   mutable used : int; (* high-water mark: slots below it were handed out *)
+  (* processes, by slot: the record, and the current parking's generation
+     (>= 0); a free slot's generation cell holds [-2 - next free slot] *)
+  mutable procs : proc array;
+  mutable p_gen : int array;
+  mutable p_free : int; (* top of the free process-slot stack; -1 = empty *)
+  mutable p_used : int; (* high-water mark of process slots *)
+  mutable next_gen : int;
   (* the same-instant lane: a ring of [ring_len] entries from [ring_head],
      in parallel arrays whose length is a power of two *)
   mutable ring_seq : int array;
-  mutable ring_kind : int array; (* [kind_start | kind_yield | kind_resume] *)
-  mutable ring_proc : proc array;
+  mutable ring_kind : int array;
+      (* [kind_start | kind_yield], or [kind_resume] tagged with the pid *)
+  mutable ring_slot : int array;
   mutable ring_head : int;
   mutable ring_len : int;
-  mutable running : proc;
-      (* the process currently executing, for context tracking by the vet
-         checkers; [nobody] inside timer callbacks *)
+  mutable running : int;
+      (* the slot of the process currently executing, for parking and for
+         context tracking by the vet checkers; -1 inside timer callbacks *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
   park : ((unit, unit) Effect.Deep.continuation -> unit) option;
@@ -99,7 +113,8 @@ type t = {
   handler : (unit, unit) Effect.Deep.handler; (* shared by every process *)
 }
 
-type waker = No_waker | Waker of { wp : proc; wgen : int }
+(* Generation [lsl slot_bits] slot; [no_waker] is negative. *)
+type waker = int
 
 (* Process ids are globally unique (not per engine) so checkers observing
    several engines in one program never see a collision.  Atomic because
@@ -164,84 +179,109 @@ let kind_start = 0
 let kind_yield = 1
 let kind_resume = 2
 
-let new_proc ~pid ~name body =
+(* A resume entry's kind: the pid names the process it is for. *)
+let[@inline] resume_kind p = (p.pid lsl 2) lor kind_resume
+
+let new_proc ~pid ~name ~gen body =
   {
     pid;
     name;
+    first_gen = gen;
     body;
     k = never_parked;
     parked = false;
-    gen = 0;
     wake_label = "";
     wake_fn = nothing;
     yield_label = "";
   }
 
-(* [running] outside any process, and the filler of unused [ring_proc]
-   slots.  Never parked, started or resumed ([self] refuses it), so one
-   record serves every engine; and being global it is long promoted when a
-   growing ring needs it ([Array.make] of a large array with a young
-   filler forces a minor collection). *)
-let nobody = new_proc ~pid:0 ~name:"" nothing
+(* The filler of unused [procs] slots.  Never parked, started or resumed,
+   so one record serves every engine; and being global it is long
+   promoted when a growing array needs it ([Array.make] of a large array
+   with a young filler forces a minor collection). *)
+let nobody = new_proc ~pid:0 ~name:"" ~gen:(-1) nothing
 
-let push_ring t kind p =
+(* Unchecked int-array access.  Every index is bounded by a size, a
+   high-water mark or a ring mask (each <= its array's length) or derives
+   from a parent/child index of one that is.  Typed externals, not [let]
+   aliases of [Array.unsafe_get]: an alias is a generic call per
+   access. *)
+external iget : int array -> int -> int = "%array_unsafe_get"
+external iset : int array -> int -> int -> unit = "%array_unsafe_set"
+
+let[@inline] proc t slot = Array.unsafe_get t.procs slot
+
+let push_ring t kind slot =
   let cap = Array.length t.ring_seq in
   if t.ring_len = cap then begin
     let seqs = Array.make (2 * cap) 0 in
     let kinds = Array.make (2 * cap) 0 in
-    let procs = Array.make (2 * cap) nobody in
+    let slots = Array.make (2 * cap) 0 in
     for j = 0 to cap - 1 do
       let i = (t.ring_head + j) land (cap - 1) in
       seqs.(j) <- t.ring_seq.(i);
       kinds.(j) <- t.ring_kind.(i);
-      procs.(j) <- t.ring_proc.(i)
+      slots.(j) <- t.ring_slot.(i)
     done;
     t.ring_seq <- seqs;
     t.ring_kind <- kinds;
-    t.ring_proc <- procs;
+    t.ring_slot <- slots;
     t.ring_head <- 0
   end;
   let i = (t.ring_head + t.ring_len) land (Array.length t.ring_seq - 1) in
-  Array.unsafe_set t.ring_seq i t.next_seq;
-  Array.unsafe_set t.ring_kind i kind;
-  if Array.unsafe_get t.ring_proc i != p then Array.unsafe_set t.ring_proc i p;
+  iset t.ring_seq i t.next_seq;
+  iset t.ring_kind i kind;
+  iset t.ring_slot i slot;
   t.ring_len <- t.ring_len + 1;
   t.next_seq <- t.next_seq + 1
 
-let ring_label kind p = if kind = kind_yield then p.yield_label else p.name
+let ring_label t kind slot =
+  let p = proc t slot in
+  if kind = kind_yield then p.yield_label else p.name
 
-(* One slice of process [p]'s execution, [g a b]: its body up to the first
-   parking, or one resumption up to the next.  [running] is [p] for its
-   duration and [nobody] afterwards, however the slice ends. *)
-let slice t p g a b =
-  t.running <- p;
-  match g a b with
-  | () -> t.running <- nobody
+(* One slice of the process in [slot]: its body up to the first parking,
+   or one resumption up to the next.  [running] is [slot] for its
+   duration and -1 afterwards, however the slice ends.  Two bodies rather
+   than one taking the step as a function: a generic step costs an
+   indirect call per slice. *)
+let start_slice t slot p =
+  let f = p.body in
+  p.body <- nothing;
+  t.running <- slot;
+  match Effect.Deep.match_with f () t.handler with
+  | () -> t.running <- -1
   | exception e ->
-      t.running <- nobody;
+      t.running <- -1;
       raise e
 
-let run_body f handler = Effect.Deep.match_with f () handler
+let resume_slice t slot p =
+  t.running <- slot;
+  match Effect.Deep.continue p.k () with
+  | () -> t.running <- -1
+  | exception e ->
+      t.running <- -1;
+      raise e
 
-(* Fire one lane entry: start [p]; take the yield step, which queues the
-   resumption behind everything already at this instant; or continue its
-   parked [k]. *)
-let run_entry t kind p =
-  if kind = kind_start then begin
-    let f = p.body in
-    p.body <- nothing;
-    slice t p run_body f t.handler
-  end
-  else if kind = kind_yield then push_ring t kind_resume p
+(* Fire one lane entry: start the process; take the yield step, which
+   queues the resumption behind everything already at this instant; or
+   continue its parked [k]. *)
+let run_entry t kind slot =
+  let p = proc t slot in
+  if kind = kind_start then start_slice t slot p
+  else if kind = kind_yield then push_ring t (resume_kind p) slot
   else begin
+    if kind lsr 2 <> p.pid then
+      failwith
+        (Printf.sprintf "Engine: process #%d woken after it finished"
+           (kind lsr 2));
     if not p.parked then
       failwith ("Engine: process " ^ p.name ^ " woken while not parked");
     p.parked <- false;
-    slice t p Effect.Deep.continue p.k ()
+    resume_slice t slot p
   end
 
-(* Dequeue the head entry and return its slot, which stays intact until a
-   later push reuses it.  Caller guarantees ring_len > 0. *)
+(* Dequeue the head entry and return its index, which stays intact until
+   a later push reuses it.  Caller guarantees ring_len > 0. *)
 let take_ring t =
   let i = t.ring_head in
   t.ring_head <- (i + 1) land (Array.length t.ring_seq - 1);
@@ -250,7 +290,14 @@ let take_ring t =
 
 let fire_ring t =
   let i = take_ring t in
-  run_entry t (Array.unsafe_get t.ring_kind i) (Array.unsafe_get t.ring_proc i)
+  run_entry t (iget t.ring_kind i) (iget t.ring_slot i)
+
+(* A finished (or failed) process gives its slot back.  Its record stays
+   in [procs] until the slot is reused; the free link in [p_gen] is
+   negative, so no waker of it matches any more. *)
+let free_proc t slot =
+  iset t.p_gen slot (-2 - t.p_free);
+  t.p_free <- slot
 
 let create () =
   let rec t =
@@ -266,23 +313,32 @@ let create () =
       s_pos = Array.make initial_capacity 0;
       free = -1;
       used = 0;
+      procs = Array.make initial_capacity nobody;
+      p_gen = Array.make initial_capacity 0;
+      p_free = -1;
+      p_used = 0;
+      next_gen = 0;
       ring_seq = Array.make initial_ring 0;
       ring_kind = Array.make initial_ring 0;
-      ring_proc = Array.make initial_ring nobody;
+      ring_slot = Array.make initial_ring 0;
       ring_head = 0;
       ring_len = 0;
-      running = nobody;
+      running = -1;
       tie_break = None;
       park =
         Some
           (fun k ->
-            let p = t.running in
+            let p = proc t t.running in
             p.k <- k;
             p.parked <- true);
       handler =
         {
-          Effect.Deep.retc = (fun () -> ());
-          exnc = (fun e -> raise (Process_failure (t.running.name, e)));
+          Effect.Deep.retc = (fun () -> free_proc t t.running);
+          exnc =
+            (fun e ->
+              let slot = t.running in
+              free_proc t slot;
+              raise (Process_failure ((proc t slot).name, e)));
           effc =
             (fun (type a) (eff : a Effect.t) ->
               match eff with
@@ -298,17 +354,11 @@ let create () =
 let set_tie_break t policy = t.tie_break <- policy
 
 let now t = t.clock
-let current_pid t = if t.running == nobody then None else Some t.running.pid
+let current_pid t =
+  if t.running < 0 then None else Some (proc t t.running).pid
 
 let current_process t =
-  if t.running == nobody then None else Some t.running.name
-
-(* Unchecked int-array access for the heap.  Every index is bounded by
-   [size] or [used] (each <= the arrays' common length) or derives from a
-   parent/child index of one that is.  Typed externals, not [let] aliases
-   of [Array.unsafe_get]: an alias is a generic call per access. *)
-external iget : int array -> int -> int = "%array_unsafe_get"
-external iset : int array -> int -> int -> unit = "%array_unsafe_set"
+  if t.running < 0 then None else Some (proc t t.running).name
 
 (* (t1, s1) strictly before (t2, s2): earlier time, or same time scheduled
    earlier.  Annotated: an unannotated comparison is polymorphic, and
@@ -402,18 +452,19 @@ let add t ~label time seq fn =
       s
     end
   in
-  Array.unsafe_set t.s_fn slot fn;
-  (* a freed slot keeps its label, often the very string rescheduled
-     into it (a sleeper's wake label, [""]): skip that store's barrier *)
+  (* a freed slot keeps its callback and label, often the very ones
+     rescheduled into it (a sleeper's wake-up, a CPU's completion, [""]):
+     skip those stores' barriers *)
+  if Array.unsafe_get t.s_fn slot != fn then Array.unsafe_set t.s_fn slot fn;
   if Array.unsafe_get t.s_label slot != label then
     Array.unsafe_set t.s_label slot label;
   insert t time seq slot;
   handle seq slot
 
-(* The slot's event has left the heap: drop its callback and stack the
-   slot.  The label stays until reuse (a stale string, no closure). *)
+(* The slot's event has left the heap: stack the slot.  Its callback and
+   label stay until reuse; clearing them would cost a barrier per event,
+   and the free stack hands the most recently freed slots out first. *)
 let[@inline] free_slot t slot =
-  Array.unsafe_set t.s_fn slot nothing;
   iset t.s_pos slot t.free;
   t.free <- slot
 
@@ -455,33 +506,76 @@ let cancel t tm =
     end
   end
 
+let[@inline] fresh_gen t =
+  let g = t.next_gen in
+  t.next_gen <- g + 1;
+  g
+
+(* A process slot from the free stack, else above the high-water mark. *)
+let alloc_proc t =
+  if t.p_free >= 0 then begin
+    let s = t.p_free in
+    t.p_free <- -2 - iget t.p_gen s;
+    s
+  end
+  else begin
+    let cap = Array.length t.procs in
+    if t.p_used = cap then begin
+      if cap > slot_mask then failwith "Engine: too many processes";
+      let procs = Array.make (2 * cap) nobody in
+      let gens = Array.make (2 * cap) 0 in
+      Array.blit t.procs 0 procs 0 cap;
+      Array.blit t.p_gen 0 gens 0 cap;
+      t.procs <- procs;
+      t.p_gen <- gens
+    end;
+    let s = t.p_used in
+    t.p_used <- s + 1;
+    s
+  end
+
 let spawn t ?(name = "proc") f =
   let pid = 1 + Atomic.fetch_and_add pid_counter 1 in
-  push_ring t kind_start (new_proc ~pid ~name f)
+  let gen = fresh_gen t in
+  let slot = alloc_proc t in
+  Array.unsafe_set t.procs slot (new_proc ~pid ~name ~gen f);
+  iset t.p_gen slot gen;
+  push_ring t kind_start slot
 
-(* The calling process; parking outside one is a caller error. *)
+(* The calling process's slot; parking outside one is a caller error. *)
 let self t what =
-  let p = t.running in
-  if p == nobody then invalid_arg ("Engine." ^ what ^ ": not in a process");
-  p
+  let slot = t.running in
+  if slot < 0 then invalid_arg ("Engine." ^ what ^ ": not in a process");
+  slot
 
 let waker t =
-  let p = self t "waker" in
-  Waker { wp = p; wgen = p.gen }
+  let slot = self t "waker" in
+  (iget t.p_gen slot lsl slot_bits) lor slot
 
-let no_waker = No_waker
+let no_waker = -1
 
 let block t =
   ignore (self t "block");
   Effect.perform Block
 
-let wake t = function
-  | Waker { wp = p; wgen } ->
-      if wgen <> p.gen then
-        failwith ("Engine: double resume of process " ^ p.name);
-      p.gen <- p.gen + 1;
-      push_ring t kind_resume p
-  | No_waker -> invalid_arg "Engine.wake: no process"
+(* [w] is not the current parking of a live process of [t]: name the
+   process when the waker is still its own. *)
+let stale_wake t w =
+  let slot = w land slot_mask in
+  let who =
+    if slot < t.p_used && w lsr slot_bits >= (proc t slot).first_gen then
+      "process " ^ (proc t slot).name
+    else "a finished process"
+  in
+  failwith ("Engine: double resume of " ^ who)
+
+let wake t w =
+  if w < 0 then invalid_arg "Engine.wake: no process";
+  let slot = w land slot_mask in
+  if slot >= t.p_used || iget t.p_gen slot <> w lsr slot_bits then
+    stale_wake t w;
+  iset t.p_gen slot (fresh_gen t);
+  push_ring t (resume_kind (proc t slot)) slot
 
 (* A sleep is two events, as a general parking would be: the wake-up timer
    (labelled "<name>.wake" so tie-break candidates and schedule
@@ -490,21 +584,24 @@ let wake t = function
 let sleep t span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   if span > 0 then begin
-    let p = self t "sleep" in
+    let slot = self t "sleep" in
+    let p = proc t slot in
     if String.length p.wake_label = 0 then begin
       p.wake_label <- p.name ^ ".wake";
-      p.wake_fn <- (fun () -> push_ring t kind_resume p)
+      let kind = resume_kind p in
+      p.wake_fn <- (fun () -> push_ring t kind slot)
     end;
-    p.gen <- p.gen + 1;
+    iset t.p_gen slot (fresh_gen t);
     ignore (schedule t ~label:p.wake_label (t.clock + span) p.wake_fn);
     Effect.perform Block
   end
 
 let yield t =
-  let p = self t "yield" in
+  let slot = self t "yield" in
+  let p = proc t slot in
   if String.length p.yield_label = 0 then p.yield_label <- p.name ^ ".yield";
-  p.gen <- p.gen + 1;
-  push_ring t kind_yield p;
+  iset t.p_gen slot (fresh_gen t);
+  push_ring t kind_yield slot;
   Effect.perform Block
 
 (* Policy-driven loop, used only when a tie-break policy is installed (the
@@ -519,10 +616,10 @@ let yield t =
 let spill_ring t =
   while t.ring_len > 0 do
     let i = take_ring t in
-    let kind = t.ring_kind.(i) and p = t.ring_proc.(i) in
+    let kind = t.ring_kind.(i) and slot = t.ring_slot.(i) in
     ignore
-      (add t ~label:(ring_label kind p) t.clock t.ring_seq.(i) (fun () ->
-           run_entry t kind p))
+      (add t ~label:(ring_label t kind slot) t.clock t.ring_seq.(i) (fun () ->
+           run_entry t kind slot))
   done
 
 let run_policy t policy until =
@@ -585,7 +682,7 @@ let run_policy t policy until =
 let[@inline] ring_first t =
   t.size = 0
   || iget t.h_time 0 > t.clock
-  || iget t.h_seq 0 > Array.unsafe_get t.ring_seq t.ring_head
+  || iget t.h_seq 0 > iget t.ring_seq t.ring_head
 
 let[@inline] fire_top t =
   let slot = iget t.h_slot 0 in
@@ -665,6 +762,6 @@ let pending_digest t =
   let mask = Array.length t.ring_seq - 1 in
   for j = 0 to t.ring_len - 1 do
     let i = (t.ring_head + j) land mask in
-    add t.clock (ring_label t.ring_kind.(i) t.ring_proc.(i))
+    add t.clock (ring_label t t.ring_kind.(i) t.ring_slot.(i))
   done;
   (!acc + (!count * 0x9e3779b97f4a7c1)) land max_int

@@ -5,8 +5,9 @@
     handler.  A process parks with {!block} after handing its {!waker} to
     whoever will resume it; every blocking abstraction (sleeps, yields, wait
     queues, resources, the CPU model) is built from that one mechanism.
-    Parking stores the continuation in the process's own record, so a
-    context switch allocates no closure in the engine.
+    A process is a slot in per-engine arrays and its waker an immediate,
+    so a context switch allocates nothing in the engine beyond the
+    continuation, which parking stores in the process's own record.
 
     Determinism: events at equal times fire in scheduling order (a strictly
     increasing sequence number breaks ties), and nothing in the engine draws
@@ -83,8 +84,10 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
       (* resumed here once someone calls [Engine.wake eng w] *)
     ]} *)
 
-type waker
-(** A one-shot token for one parking of one process: 3 words. *)
+type waker [@@immediate]
+(** A one-shot token for one parking of one process: an immediate (the
+    process's slot and a generation drawn from an engine-wide counter), so
+    taking one allocates nothing and storing one needs no write barrier. *)
 
 val waker : t -> waker
 (** The calling process's waker for its next {!block}.  Raises
@@ -101,7 +104,9 @@ val wake : t -> waker -> unit
     itself between {!waker} and {!block} (the resumption then fires once it
     has blocked).  One-shot: waking the same waker twice, or a waker of an
     earlier parking (the process has been resumed, slept or yielded since),
-    raises [Failure "Engine: double resume of process <name>"]. *)
+    raises [Failure "Engine: double resume of process <name>"]; a waker
+    of a process that has finished raises it too, even once another
+    process holds its slot ([... of a finished process] when it does). *)
 
 val no_waker : waker
 (** A waker of no process, for the idle value of a waker field: waking it

@@ -172,6 +172,85 @@ let test_wake_before_block () =
     (Invalid_argument "Engine.block: not in a process") (fun () ->
       Engine.block eng)
 
+(* A process slot is reused by the next spawn once its process has
+   finished.  Each case below runs one process to completion, spawns a
+   second that takes over its slot and parks, and then checks that
+   nothing left over from the first reaches the second. *)
+
+(* The successor parks and records whether it was ever resumed; its own
+   waker goes to [w]. *)
+let spawn_successor eng w resumed =
+  Engine.spawn eng ~name:"successor" (fun () ->
+      w := Engine.waker eng;
+      Engine.block eng;
+      resumed := true)
+
+let finished_wake = Failure "Engine: double resume of a finished process"
+
+(* A waker that resumed its parking, kept after its process finished. *)
+let test_finished_waker_after_reuse () =
+  let eng = Engine.create () in
+  let w = ref Engine.no_waker and ws = ref Engine.no_waker in
+  let resumed = ref false in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      w := Engine.waker eng;
+      Engine.block eng);
+  ignore (Engine.after eng 1 (fun () -> Engine.wake eng !w));
+  ignore (Engine.after eng 2 (fun () -> spawn_successor eng ws resumed));
+  ignore (Engine.after eng 3 (fun () -> Engine.wake eng !w));
+  Alcotest.check_raises "finished process's waker" finished_wake (fun () ->
+      Engine.run eng);
+  Alcotest.(check bool) "successor still parked" false !resumed;
+  Engine.wake eng !ws;
+  Engine.run eng;
+  Alcotest.(check bool) "its own waker resumes it" true !resumed
+
+(* A waker taken and never blocked on: its process exits, and the waker
+   must not wake the slot's next process. *)
+let test_orphan_waker_after_exit () =
+  let eng = Engine.create () in
+  let w = ref Engine.no_waker and ws = ref Engine.no_waker in
+  let resumed = ref false in
+  Engine.spawn eng ~name:"quitter" (fun () -> w := Engine.waker eng);
+  ignore (Engine.after eng 1 (fun () -> spawn_successor eng ws resumed));
+  ignore (Engine.after eng 2 (fun () -> Engine.wake eng !w));
+  Alcotest.check_raises "exited process's waker" finished_wake (fun () ->
+      Engine.run eng);
+  Alcotest.(check bool) "successor still parked" false !resumed
+
+(* A resumption queued for a process that then exits without blocking
+   outlives it on the lane.  A policy that defers the stale entry lets
+   the successor take the slot and park first; the entry must then fail,
+   not resume the successor. *)
+let test_stale_lane_entry () =
+  let eng = Engine.create () in
+  let ws = ref Engine.no_waker in
+  let resumed = ref false and quitter = ref 0 in
+  Engine.spawn eng ~name:"quitter" (fun () ->
+      quitter := Option.get (Engine.current_pid eng);
+      ignore
+        (Engine.at eng ~label:"respawn" 0 (fun () ->
+             spawn_successor eng ws resumed));
+      Engine.wake eng (Engine.waker eng));
+  (* fire anything before the quitter's own resumption *)
+  let defer_quitter cands =
+    let rec pick i =
+      if i = Array.length cands then 0
+      else if cands.(i).Engine.c_label <> "quitter" then i
+      else pick (i + 1)
+    in
+    pick 0
+  in
+  Engine.set_tie_break eng (Some defer_quitter);
+  let outcome =
+    match Engine.run eng with () -> "no failure" | exception Failure m -> m
+  in
+  Alcotest.(check string)
+    "stale resume entry"
+    (Printf.sprintf "Engine: process #%d woken after it finished" !quitter)
+    outcome;
+  Alcotest.(check bool) "successor still parked" false !resumed
+
 (* ---------- Waitq ---------- *)
 
 let test_waitq_fifo_wakeup () =
@@ -486,6 +565,177 @@ let prop_cpu_work_conservation =
         jobs;
       Engine.run eng;
       Cpu.busy_time cpu = !total)
+
+(* ---------- reference model of the CPU ---------- *)
+
+(* Random single-consume processes on one CPU, checked against a plain-
+   list model of a preemptive-resume priority CPU.  Each process sleeps
+   to its arrival time (>= 1) and consumes once, as one of a few owners
+   (switch-in cost, some transparent).  Arrivals tie with each other and
+   with completions often.  The model's instant order follows the
+   engine's: every process's wake-up timer was scheduled at time 0, so a
+   completion at [t] (its timer scheduled later) fires after them but
+   before any process they resume, and the arrivals at [t] then consume
+   in spawn order.  A completion therefore dispatches before the
+   arrivals of its instant are queued. *)
+type cpu_job = {
+  j_arrive : int;
+  j_owner : int;
+  j_prio : int;
+  j_atomic : bool;
+  j_span : int;
+}
+
+type model_req = {
+  m_job : int;
+  m_seq : int;
+  mutable m_left : int;
+}
+
+let cpu_model ~owners jobs =
+  let jobs = Array.of_list jobs in
+  let n = Array.length jobs in
+  let done_at = Array.make n (-1) in
+  let served = Array.make (Array.length owners) 0 in
+  let busy = ref 0 and switches = ref 0 and last = ref (-1) in
+  let seq = ref 0 and now = ref 0 in
+  let ready = ref [] and cur = ref None in
+  let arrived = Array.make n false in
+  (* best: highest priority, then lowest seq *)
+  let better a b =
+    let pa = jobs.(a.m_job).j_prio and pb = jobs.(b.m_job).j_prio in
+    pa > pb || (pa = pb && a.m_seq < b.m_seq)
+  in
+  let take_best () =
+    match !ready with
+    | [] -> None
+    | r :: rest ->
+        let best = List.fold_left (fun b x -> if better x b then x else b) r rest in
+        ready := List.filter (fun x -> x != best) !ready;
+        Some best
+  in
+  let dispatch r =
+    let o = jobs.(r.m_job).j_owner in
+    let sw, transparent = owners.(o) in
+    if !last <> o && not transparent then begin
+      if !last >= 0 then incr switches;
+      r.m_left <- r.m_left + sw;
+      last := o
+    end;
+    cur := Some (r, !now)
+  in
+  let stop r started =
+    let elapsed = !now - started in
+    busy := !busy + elapsed;
+    let o = jobs.(r.m_job).j_owner in
+    served.(o) <- served.(o) + elapsed;
+    cur := None;
+    elapsed
+  in
+  let dispatch_best () = Option.iter dispatch (take_best ()) in
+  let arrive i =
+    arrived.(i) <- true;
+    let r = { m_job = i; m_seq = !seq; m_left = jobs.(i).j_span } in
+    incr seq;
+    (match !cur with
+    | None -> ready := r :: !ready
+    | Some (c, started) ->
+        if (not jobs.(c.m_job).j_atomic) && jobs.(i).j_prio > jobs.(c.m_job).j_prio
+        then begin
+          let elapsed = stop c started in
+          c.m_left <- max 0 (c.m_left - elapsed);
+          ready := r :: c :: !ready
+        end
+        else ready := r :: !ready);
+    if !cur = None then dispatch_best ()
+  in
+  let next_arrival () =
+    let t = ref max_int in
+    Array.iteri
+      (fun i j -> if (not arrived.(i)) && j.j_arrive < !t then t := j.j_arrive)
+      jobs;
+    !t
+  in
+  let rec loop () =
+    let ta = next_arrival () in
+    let tc =
+      match !cur with Some (r, started) -> started + r.m_left | None -> max_int
+    in
+    if ta = max_int && tc = max_int then ()
+    else begin
+      if tc <= ta then begin
+        now := tc;
+        match !cur with
+        | Some (r, started) ->
+            ignore (stop r started);
+            done_at.(r.m_job) <- tc;
+            dispatch_best ()
+        | None -> ()
+      end
+      else begin
+        now := ta;
+        Array.iteri (fun i j -> if (not arrived.(i)) && j.j_arrive = ta then arrive i) jobs
+      end;
+      loop ()
+    end
+  in
+  loop ();
+  (Array.to_list done_at, !busy, !switches, Array.to_list served)
+
+let cpu_engine ~owners jobs =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~name:"c" () in
+  let os =
+    Array.mapi
+      (fun i (switch_in, transparent) ->
+        Cpu.owner ~transparent cpu ~name:(string_of_int i) ~switch_in)
+      owners
+  in
+  let done_at = Array.make (List.length jobs) (-1) in
+  List.iteri
+    (fun i j ->
+      Engine.spawn eng (fun () ->
+          Engine.sleep eng j.j_arrive;
+          Cpu.consume cpu os.(j.j_owner) ~priority:j.j_prio ~atomic:j.j_atomic
+            j.j_span;
+          done_at.(i) <- Engine.now eng))
+    jobs;
+  Engine.run eng;
+  ( Array.to_list done_at,
+    Cpu.busy_time cpu,
+    Cpu.switches cpu,
+    Array.to_list (Array.map (Cpu.owner_time cpu) os) )
+
+let prop_cpu_matches_model =
+  let open QCheck2.Gen in
+  let gen =
+    let* owners =
+      array_size (int_range 1 3) (pair (int_range 0 5) (map (( = ) 0) (int_bound 3)))
+    in
+    let job =
+      let* j_arrive = int_range 1 40
+      and* j_owner = int_bound (Array.length owners - 1)
+      and* j_prio = int_bound 3
+      and* j_atomic = map (( = ) 0) (int_bound 3)
+      and* j_span = int_range 1 20 in
+      return { j_arrive; j_owner; j_prio; j_atomic; j_span }
+    in
+    let* jobs = list_size (int_range 1 12) job in
+    return (owners, jobs)
+  in
+  QCheck2.Test.make ~count:500 ~name:"cpu matches preemptive-resume model"
+    ~print:(fun (owners, jobs) ->
+      String.concat "; "
+        (Array.to_list
+           (Array.map (fun (s, tr) -> Printf.sprintf "owner sw=%d tr=%b" s tr) owners)
+        @ List.map
+            (fun j ->
+              Printf.sprintf "job @%d o%d p%d%s %d" j.j_arrive j.j_owner j.j_prio
+                (if j.j_atomic then " atomic" else "")
+                j.j_span)
+            jobs))
+    gen
+    (fun (owners, jobs) -> cpu_engine ~owners jobs = cpu_model ~owners jobs)
 
 (* ---------- Determinism ---------- *)
 
@@ -1146,9 +1396,9 @@ let test_policy_loser_cancel () =
 (* Minor words per blocking call in a one-process loop, measured inside
    the process (so engine set-up is outside the window) and including the
    run loop's share.  Each bound sits two words above the measured count
-   (sleep 2, yield 2, consume 14, timed wait 20), so a context switch that
-   allocates a closure, a handler, a label, an option or an event record
-   again fails here. *)
+   (sleep 2, yield 2, consume 2, timed wait 17), so a context switch that
+   allocates a closure, a handler, a label, an option, an event record, a
+   CPU request or a boxed waker again fails here. *)
 let words_per_iteration ~n body =
   let eng = Engine.create () in
   let words = ref 0. in
@@ -1204,6 +1454,34 @@ let after_fire_words () =
   let words = Gc.minor_words () -. before in
   check_int "every timer fired" (n + 1) !fired;
   words /. float_of_int n
+
+(* Taking a waker and waking a parked process with it allocate nothing:
+   a waker is an immediate and the lane entry is three ints.  Measured
+   around the two calls only, in two processes that take turns. *)
+let waker_wake_words () =
+  let eng = Engine.create () in
+  let n = 10_000 in
+  let w = ref Engine.no_waker in
+  let words = ref 0. in
+  let measure i f =
+    let before = Gc.minor_words () in
+    f ();
+    let d = Gc.minor_words () -. before in
+    (* the first round is warm-up *)
+    if i > 0 then words := !words +. d
+  in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      for i = 0 to n do
+        measure i (fun () -> w := Engine.waker eng);
+        Engine.block eng
+      done);
+  Engine.spawn eng ~name:"waker" (fun () ->
+      for i = 0 to n do
+        measure i (fun () -> Engine.wake eng !w);
+        Engine.yield eng
+      done);
+  Engine.run eng;
+  !words /. float_of_int n
 
 let alloc_pin what measure bound () =
   let w = measure () in
@@ -1370,6 +1648,12 @@ let () =
           Alcotest.test_case "double wake fails" `Quick test_double_wake_fails;
           Alcotest.test_case "stale wake fails" `Quick test_stale_wake_fails;
           Alcotest.test_case "wake before block" `Quick test_wake_before_block;
+          Alcotest.test_case "finished waker after slot reuse" `Quick
+            test_finished_waker_after_reuse;
+          Alcotest.test_case "orphan waker after exit" `Quick
+            test_orphan_waker_after_exit;
+          Alcotest.test_case "stale lane entry after slot reuse" `Quick
+            test_stale_lane_entry;
         ] );
       ( "tie-break",
         [
@@ -1383,13 +1667,15 @@ let () =
           Alcotest.test_case "sleep minor words" `Quick
             (alloc_pin "Engine.sleep" sleep_words 4.);
           Alcotest.test_case "cpu consume minor words" `Quick
-            (alloc_pin "Cpu.consume" consume_words 16.);
+            (alloc_pin "Cpu.consume" consume_words 4.);
           Alcotest.test_case "yield minor words" `Quick
             (alloc_pin "Engine.yield" yield_words 4.);
           Alcotest.test_case "timed wait minor words" `Quick
-            (alloc_pin "Waitq.wait_timeout" timed_wait_words 22.);
+            (alloc_pin "Waitq.wait_timeout" timed_wait_words 19.);
           Alcotest.test_case "after and fire minor words" `Quick
             (alloc_pin "Engine.after + fire" after_fire_words 0.);
+          Alcotest.test_case "waker and wake minor words" `Quick
+            (alloc_pin "Engine.waker + wake" waker_wake_words 0.);
         ] );
       ( "order pin",
         [
@@ -1431,6 +1717,7 @@ let () =
           Alcotest.test_case "owner accounting" `Quick
             test_cpu_owner_accounting;
           qtest prop_cpu_work_conservation;
+          qtest prop_cpu_matches_model;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded replay" `Quick test_determinism ] );

@@ -261,56 +261,6 @@ let test_hex_dump () =
   Alcotest.(check bool) "contains hex" true (contains dump "41 42 43 00 ff");
   Alcotest.(check bool) "contains ascii gutter" true (contains dump "|ABC..|")
 
-(* ---------- Binary_heap ---------- *)
-
-let prop_heap_drains_sorted =
-  QCheck2.Test.make ~name:"heap pop order is sorted"
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Binary_heap.create ~cmp:compare () in
-      List.iter (Binary_heap.push h) xs;
-      let rec drain acc =
-        match Binary_heap.pop h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_interleaved_model =
-  QCheck2.Test.make ~name:"heap matches sorted-list model under mixed ops"
-    QCheck2.Gen.(list (pair bool int))
-    (fun ops ->
-      let h = Binary_heap.create ~cmp:compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Binary_heap.push h v;
-            model := List.sort compare (v :: !model);
-            true
-          end
-          else
-            match (Binary_heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, m :: rest ->
-                model := rest;
-                x = m
-            | _ -> false)
-        ops)
-
-let test_heap_basics () =
-  let h = Binary_heap.create ~cmp:compare () in
-  Alcotest.(check bool) "empty" true (Binary_heap.is_empty h);
-  Binary_heap.push h 3;
-  Binary_heap.push h 1;
-  Binary_heap.push h 2;
-  check_int "len" 3 (Binary_heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Binary_heap.peek h);
-  check_int "pop" 1 (Binary_heap.pop_exn h);
-  check_int "pop" 2 (Binary_heap.pop_exn h);
-  check_int "pop" 3 (Binary_heap.pop_exn h);
-  Alcotest.(check (option int)) "pop empty" None (Binary_heap.pop h)
-
 (* ---------- Int_key ---------- *)
 
 let test_int_key_rejects_out_of_range () =
@@ -552,12 +502,6 @@ let () =
           Alcotest.test_case "hex dump" `Quick test_hex_dump;
           qtest prop_u16_roundtrip;
           qtest prop_u32_roundtrip;
-        ] );
-      ( "binary_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_heap_basics;
-          qtest prop_heap_drains_sorted;
-          qtest prop_heap_interleaved_model;
         ] );
       ( "region",
         [
