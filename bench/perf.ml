@@ -86,6 +86,7 @@ let recorded_consume_words = 2.
 let recorded_timed_wait_words = 17.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
+let recorded_transmit_hop_words = 2.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -134,6 +135,49 @@ let inet_checksum_8k_words () =
       fun () ->
         ignore (Nectar_util.Inet_checksum.checksum buf ~pos:0 ~len:8192))
 
+(* Minor words per [Net.transmit] of a pre-built 256 B frame along a line
+   of [hops] HUBs (hub i port 1 -> hub i+1 port 2, source on hub 0 port
+   0, destination on the last hub's port 3); the sink drains and
+   releases each frame as its last chunk lands. *)
+let transmit_words ~hops =
+  let n = 1_000 in
+  words_per_iteration ~n (fun eng ->
+      let net = Net.create eng ~hubs:hops () in
+      for h = 0 to hops - 2 do
+        Net.connect_hubs net (h, 1) (h + 1, 2)
+      done;
+      let sink () =
+        let fifo =
+          Byte_fifo.create eng ~capacity:Nectar_cab.Costs.fifo_bytes
+            ~name:"sink"
+        in
+        {
+          Net.in_fifo = fifo;
+          on_frame_start = (fun _ -> ());
+          on_chunk =
+            (fun fr ~arrived:_ ~last ->
+              ignore (Byte_fifo.try_pop fifo (Byte_fifo.level fifo));
+              if last then Nectar_hub.Frame.release fr);
+        }
+      in
+      let src = Net.attach_node net ~hub:0 ~port:0 (sink ()) in
+      ignore (Net.attach_node net ~hub:(hops - 1) ~port:3 (sink ()));
+      let route = List.init (hops - 1) (fun _ -> 1) @ [ 3 ] in
+      (* one frame per call, the warm-up's included *)
+      let frames =
+        Array.init (n + 1) (fun id ->
+            Nectar_hub.Frame.create ~id ~src ~data:(Bytes.make 256 'w'))
+      in
+      let next = ref 0 in
+      fun () ->
+        Net.transmit net ~src ~route frames.(!next);
+        incr next)
+
+(* What each hop beyond the first adds: its controller command's timed
+   parking, nothing else. *)
+let net_transmit_hop_words () =
+  (transmit_words ~hops:6 -. transmit_words ~hops:1) /. 5.
+
 (* (name, JSON key, measure, recorded) for each micro count *)
 let micro_counts =
   [
@@ -148,6 +192,8 @@ let micro_counts =
     ("Crc32 8 KB", "crc32_8k_words", crc32_8k_words, recorded_crc32_8k_words);
     ("Inet_checksum 8 KB", "inet_checksum_8k_words", inet_checksum_8k_words,
      recorded_inet_checksum_8k_words);
+    ("Net.transmit hop", "net_transmit_hop_words", net_transmit_hop_words,
+     recorded_transmit_hop_words);
   ]
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
@@ -320,8 +366,9 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
   Printf.bprintf b
     "  \"micro\": {\n\
     \    \"note\": \"minor words per call in a one-process loop (blocking \
-     calls; 8 KB CRC-32 and checksum kernels); deterministic, perf-smoke \
-     fails above these\",\n\
+     calls; 8 KB CRC-32 and checksum kernels; each HUB hop of a 256 B \
+     transmit beyond the first); deterministic, perf-smoke fails above \
+     these\",\n\
     \    %s\n\
     \  },\n"
     (String.concat ", "

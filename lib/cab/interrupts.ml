@@ -41,31 +41,38 @@ let work t span =
 
 (* A CAB posts a handful of distinct handler names, so a short list beats
    a hash table. *)
-let label t name =
-  let rec find = function
-    | (n, l) :: rest -> if String.equal n name then l else find rest
-    | [] ->
-        let l = t.iname ^ ".irq." ^ name in
-        t.labels <- (name, l) :: t.labels;
-        l
-  in
-  find t.labels
+let rec find_label t name = function
+  | (n, l) :: rest -> if String.equal n name then l else find_label t name rest
+  | [] ->
+      let l = t.iname ^ ".irq." ^ name in
+      t.labels <- (name, l) :: t.labels;
+      l
+
+let label t name = find_label t name t.labels
+
+let run_handler t ~name fn =
+  (* span covers dispatch + handler: interrupt entry to exit *)
+  let tid = Trace.span_begin ~track:(Cpu.owner_name t.irq_owner) name in
+  work t t.dispatch_ns;
+  (if Vet_probe.installed () then begin
+     Vet_probe.interrupt_enter t.eng ~name:(t.iname ^ "." ^ name);
+     Fun.protect
+       ~finally:(fun () -> Vet_probe.interrupt_exit t.eng)
+       (fun () -> fn t)
+   end
+   else fn t);
+  Trace.span_end tid
 
 let post t ~name fn =
   t.count <- t.count + 1;
   Engine.spawn t.eng ~name:(label t name) (fun () ->
-      Resource.with_held t.serial (fun () ->
-          (* span covers dispatch + handler: interrupt entry to exit *)
-          let tid = Trace.span_begin ~track:(Cpu.owner_name t.irq_owner) name in
-          work t t.dispatch_ns;
-          (if Vet_probe.installed () then begin
-             Vet_probe.interrupt_enter t.eng ~name:(t.iname ^ "." ^ name);
-             Fun.protect
-               ~finally:(fun () -> Vet_probe.interrupt_exit t.eng)
-               (fun () -> fn t)
-           end
-           else fn t);
-          Trace.span_end tid))
+      (* [Resource.with_held] inlined: no closure per post *)
+      Resource.acquire t.serial;
+      match run_handler t ~name fn with
+      | () -> Resource.release t.serial
+      | exception e ->
+          Resource.release t.serial;
+          raise e)
 
 (* Level-triggered posting: a key already latched (posted, handler not yet
    entered) absorbs repeat posts — the hardware line stays asserted, the
@@ -84,4 +91,5 @@ let post_coalesced t ~key ~name fn =
 
 let posted t = t.count
 let coalesced t = t.coalesced_count
+let ctx (t : t) : ctx = t
 let ctx_engine (t : ctx) = t.eng

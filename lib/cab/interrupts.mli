@@ -32,6 +32,11 @@ val post : t -> name:string -> (ctx -> unit) -> unit
 val work : ctx -> Nectar_sim.Sim_time.span -> unit
 (** Charge handler CPU time (at interrupt priority, atomic). *)
 
+val ctx : t -> ctx
+(** The context every handler posted on this controller receives.  It is
+    the same value for every post, so code that wraps it (the runtime's
+    interrupt [Ctx.t]) can build its wrapper once per controller. *)
+
 val ctx_engine : ctx -> Nectar_sim.Engine.t
 
 val post_coalesced : t -> key:string -> name:string -> (ctx -> unit) -> unit

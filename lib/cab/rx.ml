@@ -155,9 +155,16 @@ let post_completion t cb =
     end
   end
 
+(* Watches fire in offset order; most frames carry none or one, which
+   need no sort. *)
+let by_offset ((a : int), _) (b, _) = Int.compare a b
+
 let dma_to_memory t p ~dst ~dst_pos ?(watch = []) ~on_complete () =
   let base = p.consumed in
-  let remaining_watches = ref (List.sort compare watch) in
+  let watch =
+    match watch with [] | [ _ ] -> watch | _ -> List.sort by_offset watch
+  in
+  let remaining_watches = ref watch in
   let deliver ~pos ~len =
     (* the modelled receive-DMA engine: hardware moves these bytes, so this
        is not a software copy and is not metered *)

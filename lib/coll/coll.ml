@@ -235,9 +235,8 @@ let complete_op t seq st =
     (Cab.irq (Runtime.cab run))
     ~key:(Printf.sprintf "coll-done#%d" seq)
     ~name:"coll-done"
-    (fun ictx ->
-      let ictx = Ctx.of_interrupt ictx in
-      ictx.Ctx.work Costs.signal_queue_op_ns;
+    (fun _ ->
+      (Runtime.interrupt_ctx run).Ctx.work Costs.signal_queue_op_ns;
       Runtime.notify_host run ~opcode:done_opcode ~param:seq)
 
 let release t st ~result =

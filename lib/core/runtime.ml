@@ -4,6 +4,9 @@ module Tbl = Nectar_util.Int_key.Tbl
 type t = {
   rcab : Cab.t;
   rheap : Buffer_heap.t;
+  ictx : Ctx.t;
+      (* every interrupt handler on this CAB runs in this one context:
+         [Ctx.t] is immutable, so it is built once, not per handler run *)
   ports : Mailbox.t Tbl.t;
   opcodes : (Ctx.t -> param:int -> unit) Tbl.t;
   mutable host_notifier : (opcode:int -> param:int -> unit) option;
@@ -22,6 +25,7 @@ let create cab =
   {
     rcab = cab;
     rheap;
+    ictx = Ctx.of_interrupt (Interrupts.ctx (Cab.irq cab));
     ports = Tbl.create 16;
     opcodes = Tbl.create 16;
     host_notifier = None;
@@ -34,6 +38,7 @@ let create cab =
 let cab t = t.rcab
 let engine t = Cab.engine t.rcab
 let heap t = t.rheap
+let interrupt_ctx t = t.ictx
 let mem t = Memory.region (Cab.memory t.rcab)
 let node_id t = Cab.node_id t.rcab
 
@@ -92,10 +97,9 @@ let post_to_cab t ~opcode ~param =
   | None -> invalid_arg "Runtime.post_to_cab: unregistered opcode"
   | Some fn ->
       if not (signal_lost t) then
-        Interrupts.post (Cab.irq t.rcab) ~name:"cab-signal" (fun ictx ->
-            let ctx = Ctx.of_interrupt ictx in
-            ctx.work Costs.signal_queue_op_ns;
-            fn ctx ~param)
+        Interrupts.post (Cab.irq t.rcab) ~name:"cab-signal" (fun _ ->
+            t.ictx.work Costs.signal_queue_op_ns;
+            fn t.ictx ~param)
 
 let set_host_notifier t n = t.host_notifier <- n
 let set_signal_fault t hook = t.signal_fault <- hook

@@ -12,6 +12,11 @@ val create : Nectar_cab.Cab.t -> t
 val cab : t -> Nectar_cab.Cab.t
 val engine : t -> Nectar_sim.Engine.t
 val heap : t -> Buffer_heap.t
+
+val interrupt_ctx : t -> Ctx.t
+(** The context of code running in one of this CAB's interrupt handlers
+    ({!Ctx.of_interrupt} of the CAB's controller), built once per CAB. *)
+
 val mem : t -> Nectar_util.Region.t
 (** The CAB's data memory, which the heap grows; index its
     {!Nectar_util.Region.bytes} right away, never keep them. *)

@@ -250,7 +250,9 @@ let run cfg =
     Array.concat
       (Array.to_list (Array.map (fun p -> Array.sub p.p_lat.sbuf 0 p.p_lat.slen) parts))
   in
-  Array.sort Int.compare lat;
+  (* a merge sort: [Array.sort]'s heap sort is ~1.4x slower on these
+     tens of thousands of ints, and equal ints are indistinguishable *)
+  Array.stable_sort Int.compare lat;
   {
     nodes;
     total_msgs = Workload.total_messages cfg.workload ~nodes;

@@ -230,7 +230,7 @@ let route t ~src ~dst =
   let dst_hub, dst_port = attachment t dst in
   match t.tspec with
   | Torus { rows; cols; _ } ->
-      Policy.ecube_route ~rows ~cols ~src_hub ~dst_hub @ [ dst_port ]
+      Policy.ecube_route_onto ~rows ~cols ~src_hub ~dst_hub [ dst_port ]
   | Fat_tree { spines; _ } ->
       if src_hub = dst_hub then [ dst_port ]
       else
@@ -243,7 +243,7 @@ let route t ~src ~dst =
       else begin
         (* climb both ends to the spanning-tree LCA, then descend *)
         let ups = ref [] (* reversed: deepest-first src-side up ports *)
-        and downs = ref [] (* LCA-side-first dst-side down ports *) in
+        and downs = ref [ dst_port ] (* LCA-side first, attachment last *) in
         let a = ref src_hub and b = ref dst_hub in
         while t.depth.(!a) > t.depth.(!b) do
           ups := t.up_port.(!a) :: !ups;
@@ -259,7 +259,7 @@ let route t ~src ~dst =
           downs := t.down_port.(!b) :: !downs;
           b := t.parent.(!b)
         done;
-        List.rev !ups @ !downs @ [ dst_port ]
+        List.rev_append !ups !downs
       end
 
 (* ---------- collective spanning tree ---------- *)

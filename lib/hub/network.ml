@@ -1,3 +1,14 @@
+(* The Nectar fabric (paper section 2.1): HUB crossbars joined by fiber,
+   CABs on HUB ports, frames sent along source routes by cut-through
+   circuit switching.
+
+   A frame's trip allocates nothing per hop or per chunk.  The source
+   route (an [int list] of output ports) is validated by one walk, then
+   walked again in place: [acquire_hops] takes each HUB's controller and
+   output port in route order, [stream] pushes the chunks (sizes by
+   arithmetic, [chunk_at]), and [release_hops] gives the ports back in
+   reverse route order.  [transmit] and [inject] share all of it. *)
+
 open Nectar_sim
 
 type node_id = int
@@ -170,23 +181,24 @@ type route_target =
   | Local of node_id
   | Remote of { link : int; boundary : port; rest : int list }
 
-let resolve_from t ~hub route_ports =
-  let rec walk hub_idx ports acc =
-    match ports with
-    | [] -> invalid_arg "Network.transmit: empty route"
-    | pi :: rest -> (
-        let p = port t hub_idx pi in
-        match p.peer with
-        | Free -> invalid_arg "Network.transmit: route into unconnected port"
-        | To_node n ->
-            if rest <> [] then
-              invalid_arg "Network.transmit: route continues past a node";
-            (List.rev ((hub_idx, p) :: acc), Local n)
-        | To_remote link ->
-            (List.rev ((hub_idx, p) :: acc), Remote { link; boundary = p; rest })
-        | To_hub (h2, _) -> walk h2 rest ((hub_idx, p) :: acc))
-  in
-  walk hub route_ports []
+(* The one validating walk over a source route: bounds-checks every hop
+   and returns where the route ends, how many HUBs it crosses and
+   whether any of their output ports is down.  The circuit then walks
+   the same list in place ([acquire_hops], [release_hops]). *)
+let rec check_route t hub_idx route_ports hops down =
+  match route_ports with
+  | [] -> invalid_arg "Network.transmit: empty route"
+  | pi :: rest -> (
+      let p = port t hub_idx pi in
+      let hops = hops + 1 and down = down || not p.up in
+      match p.peer with
+      | Free -> invalid_arg "Network.transmit: route into unconnected port"
+      | To_node n ->
+          if rest <> [] then
+            invalid_arg "Network.transmit: route continues past a node";
+          (Local n, hops, down)
+      | To_remote link -> (Remote { link; boundary = p; rest }, hops, down)
+      | To_hub (h2, _) -> check_route t h2 rest hops down)
 
 let on_link_change t f = t.link_watchers <- f :: t.link_watchers
 
@@ -211,47 +223,77 @@ let node_up t id =
   let n = node t id in
   (port t n.node_hub n.node_port).up
 
-(* Chunk plan: a small first chunk so the start-of-packet event fires as soon
-   as the datalink header is in, a small second chunk covering typical
-   protocol headers, then full chunks. *)
-let chunk_plan ~header_bytes total =
-  let rec plan off acc =
-    if off >= total then List.rev acc
-    else
-      let n =
-        if off = 0 then Int.min header_bytes total
-        else if off = header_bytes then Int.min 64 (total - off)
-        else Int.min chunk_bytes (total - off)
-      in
-      plan (off + n) (n :: acc)
-  in
-  plan 0 []
+(* Chunk sizes: a small first chunk so the start-of-packet event fires as
+   soon as the datalink header is in, a small second chunk covering
+   typical protocol headers, then full chunks.  [chunk_at] is the size of
+   the chunk starting at [off]. *)
+let chunk_at ~header_bytes total off =
+  if off = 0 then Int.min header_bytes total
+  else if off = header_bytes then Int.min 64 (total - off)
+  else Int.min chunk_bytes (total - off)
 
-(* Hold the circuit and stream: one controller command per HUB, every
-   output port held for the duration of the transfer, bytes at fiber
-   rate.  Shared by [transmit] (source side) and [inject] (continuation
-   of a frame that crossed a partition boundary). *)
-let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
-  (* Contention accounting: circuit setup takes exactly [hub_setup_ns]
-     per hop when every controller and output port is idle; any simulated
-     time beyond that was spent queued behind other circuits.  Measured
-     per hop so a multi-hop circuit charges each contended port its own
-     wait (one [port_waits] tick per contended port) instead of lumping
-     the whole overrun onto the first hop.  The fleet bench reads this as
-     HUB port contention. *)
-  List.iter
-    (fun (h, p) ->
+(* Circuit setup, in route order: one controller command per HUB, then
+   that HUB's output port, held until the frame has streamed through.
+   This is the one place a circuit takes ports.  A tail loop, so a
+   process parked on a port keeps a one-frame stack however long its
+   route.
+
+   Contention accounting: setup takes exactly [hub_setup_ns] per hop when
+   every controller and port is idle; any time beyond that was spent
+   queued behind other circuits, and is charged to the hop that waited
+   (one [port_waits] tick per contended port).  The fleet bench reads
+   this as HUB port contention. *)
+let rec acquire_hops t hub_idx route_ports =
+  match route_ports with
+  | [] -> ()
+  | pi :: rest -> (
+      let h = t.hubs.(hub_idx) in
+      let p = h.ports.(pi) in
       let hop_start = Engine.now t.eng in
-      Resource.with_held t.hubs.(h).controller (fun () ->
-          Engine.sleep t.eng hub_setup_ns);
+      Resource.use h.controller hub_setup_ns;
       Resource.acquire p.out_res;
       let waited = Engine.now t.eng - hop_start - hub_setup_ns in
       if waited > 0 then begin
         t.port_waits_count <- t.port_waits_count + 1;
         t.port_wait_ns_total <- t.port_wait_ns_total + waited
-      end)
-    hops;
-  Engine.sleep t.eng (hop_latency_ns * List.length hops);
+      end;
+      match p.peer with
+      | To_hub (h2, _) -> acquire_hops t h2 rest
+      | Free | To_node _ | To_remote _ -> ())
+
+(* Tear the circuit down in reverse route order: the destination side's
+   port first, the source HUB's last.  Never parks, so the recursion's
+   depth is never kept on a parked stack. *)
+let rec release_hops t hub_idx route_ports =
+  match route_ports with
+  | [] -> ()
+  | pi :: rest ->
+      let p = t.hubs.(hub_idx).ports.(pi) in
+      (match p.peer with
+      | To_hub (h2, _) -> release_hops t h2 rest
+      | Free | To_node _ | To_remote _ -> ());
+      Resource.release p.out_res
+
+(* Stream the frame into the destination FIFO chunk by chunk, at fiber
+   rate; a full FIFO blocks the push (the HUB's flow control). *)
+let rec stream t sink frame ~header_bytes total off =
+  if off < total then begin
+    let n = chunk_at ~header_bytes total off in
+    Engine.sleep t.eng (n * fiber_ns_per_byte);
+    Byte_fifo.push sink.in_fifo n;
+    let arrived = off + n in
+    if off = 0 then sink.on_frame_start frame;
+    sink.on_chunk frame ~arrived ~last:(arrived = total);
+    stream t sink frame ~header_bytes total arrived
+  end
+
+(* Hold the circuit and stream: shared by [transmit] (source side) and
+   [inject] (continuation of a frame that crossed a partition boundary).
+   [route_ports] starts at HUB [hub] and crosses [hops] HUBs. *)
+let run_circuit t ~hub ~route_ports ~hops ~target ~verdict ~header_bytes
+    frame =
+  acquire_hops t hub route_ports;
+  Engine.sleep t.eng (hop_latency_ns * hops);
   let total = Frame.length frame in
   let header_bytes = Int.min header_bytes total in
   (match (verdict, target) with
@@ -264,17 +306,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       Frame.release frame
   | (`Deliver | `Corrupt | `Corrupt_burst _), Local dst ->
       t.delivered <- t.delivered + 1;
-      let dst_sink = (node t dst).sink in
-      let arrived = ref 0 in
-      List.iter
-        (fun n ->
-          Engine.sleep t.eng (n * fiber_ns_per_byte);
-          Byte_fifo.push dst_sink.in_fifo n;
-          let first = !arrived = 0 in
-          arrived := !arrived + n;
-          if first then dst_sink.on_frame_start frame;
-          dst_sink.on_chunk frame ~arrived:!arrived ~last:(!arrived = total))
-        (chunk_plan ~header_bytes total)
+      stream t (node t dst).sink frame ~header_bytes total 0
   | (`Deliver | `Corrupt | `Corrupt_burst _), Remote { link; boundary; rest }
     ->
       (* Serialize onto the boundary fiber, then hand the whole frame to
@@ -301,7 +333,7 @@ let run_circuit t ~hops ~target ~verdict ~header_bytes frame =
       | None ->
           invalid_arg
             "Network: frame reached a remote link with no forward hook"));
-  List.iter (fun (_, p) -> Resource.release p.out_res) (List.rev hops)
+  release_hops t hub route_ports
 
 let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
   let tid = Trace.span_begin ~track:"net" "wire" in
@@ -317,11 +349,9 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
       Frame.corrupt ~burst:k frame
   | `Deliver | `Drop -> ());
   let src_node = node t src in
-  let hops, target = resolve_from t ~hub:src_node.node_hub route_ports in
-  let link_down =
-    (not (port t src_node.node_hub src_node.node_port).up)
-    || List.exists (fun (_, p) -> not p.up) hops
-  in
+  let hub = src_node.node_hub in
+  let target, hops, hop_down = check_route t hub route_ports 0 false in
+  let link_down = (not (port t hub src_node.node_port).up) || hop_down in
   let verdict = if link_down then `Drop else verdict in
   if link_down then t.link_down_count <- t.link_down_count + 1
   else (
@@ -329,7 +359,7 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
     | `Drop -> t.fault_drops_count <- t.fault_drops_count + 1
     | `Deliver | `Corrupt | `Corrupt_burst _ -> ());
   let total = Frame.length frame in
-  run_circuit t ~hops ~target ~verdict ~header_bytes frame;
+  run_circuit t ~hub ~route_ports ~hops ~target ~verdict ~header_bytes frame;
   t.frames <- t.frames + 1;
   t.bytes <- t.bytes + total;
   Trace.span_end tid
@@ -352,11 +382,11 @@ let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~wire_crc
         Frame.of_wire ~id:frame_id ~src ~wire_crc
           ~data:(Bytes.of_string payload)
       in
-      let hops, target = resolve_from t ~hub route_ports in
-      let link_down = List.exists (fun (_, p) -> not p.up) hops in
+      let target, hops, link_down = check_route t hub route_ports 0 false in
       let verdict = if link_down then `Drop else `Deliver in
       if link_down then t.link_down_count <- t.link_down_count + 1;
-      run_circuit t ~hops ~target ~verdict ~header_bytes frame;
+      run_circuit t ~hub ~route_ports ~hops ~target ~verdict ~header_bytes
+        frame;
       Trace.span_end tid)
 
 let set_fault_hook t hook = t.fault <- hook

@@ -9,13 +9,16 @@
     routing layer (lib/route) with a BFS over the topology accessors below.
 
     Transfer model: cut-through circuit switching.  [transmit] (called from
-    the sending CAB's fiber-output process) issues a controller command per
-    hop ({!hub_setup_ns} each), holds every output port along the path,
-    then streams the frame in chunks ({!chunk_bytes}) at fiber rate
-    ({!fiber_ns_per_byte}) directly into the destination node's input
-    FIFO.  A full destination FIFO blocks the stream — the HUB's low-level
-    flow control — and, transitively, any traffic contending for the held
-    ports.
+    the sending CAB's fiber-output process) walks the source route in
+    place, in route order: at each HUB a controller command
+    ({!hub_setup_ns}), then that HUB's output port, held while it waits
+    for the next.  With the whole path held it streams the frame in
+    chunks ({!chunk_bytes}) at fiber rate ({!fiber_ns_per_byte}) directly
+    into the destination node's input FIFO, then releases the ports in
+    reverse route order, the destination side's first.  A full
+    destination FIFO blocks the stream — the HUB's low-level flow
+    control — and, transitively, any traffic contending for the held
+    ports.  Nothing is allocated per hop or per chunk.
 
     The fabric's hardware constants are defined here and nowhere else. *)
 

@@ -30,8 +30,8 @@ type t = {
 
 (* Start-of-packet interrupt handler: read and parse the datalink header,
    allocate buffer space in the protocol's input mailbox, program DMA. *)
-let rx_frame t ictx pending =
-  let ctx = Ctx.of_interrupt ictx in
+let rx_frame t _ pending =
+  let ctx = Runtime.interrupt_ctx t.rt in
   Nectar_sim.Trace.instant ~track:(Cab.name t.cab) "dl.rx";
   ctx.work Costs.dl_rx_header_ns;
   t.frames_in_count <- t.frames_in_count + 1;
@@ -66,15 +66,11 @@ let rx_frame t ictx pending =
                 let proto_hdr =
                   Int.min b.proto_header_len hdr.Wire.payload_len
                 in
-                [
-                  ( Wire.dl_header_bytes + proto_hdr,
-                    fun ictx -> f (Ctx.of_interrupt ictx) );
-                ]
+                [ (Wire.dl_header_bytes + proto_hdr, fun _ -> f ctx) ]
           in
           Rx.dma_to_memory rx pending ~dst:msg.Message.mem
             ~dst_pos:msg.Message.off ~watch
-            ~on_complete:(fun ictx ~crc_ok ->
-              let ctx = Ctx.of_interrupt ictx in
+            ~on_complete:(fun _ ~crc_ok ->
               if crc_ok then b.end_of_data ctx msg ~src_cab:hdr.Wire.src_cab
               else begin
                 t.crc_drops <- t.crc_drops + 1;
@@ -199,7 +195,7 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
       List.iter Message.Slice.release tail)
     ~extents
     ~on_done:
-      (if free then fun ictx -> Mailbox.dispose (Ctx.of_interrupt ictx) msg
+      (if free then fun _ -> Mailbox.dispose (Runtime.interrupt_ctx t.rt) msg
        else ignore)
     ();
   (* Restore the caller's view of the message (transport header + payload):

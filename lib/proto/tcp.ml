@@ -304,9 +304,9 @@ let make_conn t ~lport ~raddr ~rport ~st ~iss ~rcv_nxt =
            Nectar_cab.Interrupts.post
              (Nectar_cab.Cab.irq (Runtime.cab t.rt))
              ~name:"tcp-wnd-update"
-             (fun ictx ->
+             (fun _ ->
                c.wnd_update_pending <- false;
-               let ctx = Ctx.of_interrupt ictx in
+               let ctx = Runtime.interrupt_ctx t.rt in
                match c.st with
                | Established | Fin_wait_1 | Fin_wait_2 ->
                    emit ctx c ~flags:fl_ack ~seq:c.snd_nxt ~payload_n:0

@@ -19,23 +19,24 @@ type preference =
    south 13, north 12): all column correction first, then all row
    correction, never using the wrap trunks.  Pure arithmetic on the grid
    coordinates — no topology object needed — so partitioned worlds and
-   benches can share the exact port lists the router compiles. *)
-let ecube_route ~rows ~cols ~src_hub ~dst_hub =
-  if rows < 1 || cols < 1 then invalid_arg "Policy.ecube_route: empty grid";
+   benches can share the exact port lists the router compiles.  Built
+   back to front in one pass: the row hops are consed onto [tail], then
+   the column hops onto those. *)
+let ecube_route_onto ~rows ~cols ~src_hub ~dst_hub tail =
+  if rows < 1 || cols < 1 then
+    invalid_arg "Policy.ecube_route_onto: empty grid";
   let hubs = rows * cols in
   if src_hub < 0 || src_hub >= hubs || dst_hub < 0 || dst_hub >= hubs then
-    invalid_arg "Policy.ecube_route: hub outside the grid";
+    invalid_arg "Policy.ecube_route_onto: hub outside the grid";
   let r1 = src_hub / cols and c1 = src_hub mod cols in
   let r2 = dst_hub / cols and c2 = dst_hub mod cols in
-  let col_hops =
-    if c2 > c1 then List.init (c2 - c1) (fun _ -> 15)
-    else List.init (c1 - c2) (fun _ -> 14)
+  let rec onto port n acc =
+    if n <= 0 then acc else onto port (n - 1) (port :: acc)
   in
-  let row_hops =
-    if r2 > r1 then List.init (r2 - r1) (fun _ -> 13)
-    else List.init (r1 - r2) (fun _ -> 12)
+  let rows_done =
+    if r2 > r1 then onto 13 (r2 - r1) tail else onto 12 (r1 - r2) tail
   in
-  col_hops @ row_hops
+  if c2 > c1 then onto 15 (c2 - c1) rows_done else onto 14 (c1 - c2) rows_done
 
 (* A fixed multiplicative mix of the flow tuple, so a flow's pick among
    equal-cost paths is stable and deterministic across runs. *)

@@ -63,11 +63,14 @@ type preference =
           hops).  The verifier accepts these routes like any other: they
           are walkable, loop-free and live-port-only by construction. *)
 
-val ecube_route : rows:int -> cols:int -> src_hub:int -> dst_hub:int -> int list
-(** The dimension-ordered hub-to-hub port list (excluding the destination
-    node's attachment port, which depends on the seat, not the grid).
-    Pure arithmetic on grid coordinates: partitioned fleet worlds use it
-    directly for global routes that cross partition boundaries.
+val ecube_route_onto :
+  rows:int -> cols:int -> src_hub:int -> dst_hub:int -> int list -> int list
+(** [ecube_route_onto ~rows ~cols ~src_hub ~dst_hub tail] is the
+    dimension-ordered hub-to-hub port list followed by [tail], built in
+    one pass.  The tail is the destination node's attachment port, which
+    depends on the seat, not the grid.  Pure arithmetic on grid
+    coordinates: partitioned fleet worlds use it directly for global
+    routes that cross partition boundaries.
     @raise Invalid_argument if a hub lies outside the grid. *)
 
 val flow_hash : src:int -> dst:int -> proto:int -> int

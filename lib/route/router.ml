@@ -191,7 +191,7 @@ let paths_for_pref t ~src ~dst ~cap = function
       if src_hub >= rows * cols || dst_hub >= rows * cols then []
       else
         let ps =
-          Policy.ecube_route ~rows ~cols ~src_hub ~dst_hub @ [ dst_port ]
+          Policy.ecube_route_onto ~rows ~cols ~src_hub ~dst_hub [ dst_port ]
         in
         if static_usable t ~src ~dst ps then [ ps ] else []
 

@@ -293,6 +293,167 @@ let test_corruption_crosses_cut () =
   Alcotest.(check (list (pair int bool)))
     "far-side CRC verdicts" [ (0, true); (1, false) ] (List.rev !verdicts)
 
+(* ---------- Circuit order ---------- *)
+
+(* hub0 -> hub1 -> hub2 over ports 15 -> 14, plus a spare hub0 -> hub1
+   trunk on 13 -> 12, so a second circuit can share just the middle hop
+   of the first *)
+let three_hub_line eng =
+  let net = Net.create eng ~hubs:3 () in
+  Net.connect_hubs net (0, 15) (1, 14);
+  Net.connect_hubs net (1, 15) (2, 14);
+  Net.connect_hubs net (0, 13) (1, 12);
+  net
+
+(* A circuit tears down from the destination side: the waiter queued on
+   its last hop's port resumes before the one queued on its first hop's,
+   though both are handed their ports at the same instant. *)
+let test_circuit_releases_last_hop_first () =
+  let eng = Engine.create () in
+  let net = three_hub_line eng in
+  let attach hub port name =
+    let sink, _, finished = make_sink eng name in
+    (Net.attach_node net ~hub ~port sink, finished)
+  in
+  let a, _ = attach 0 0 "a" in
+  let first_waiter, _ = attach 0 1 "b" in
+  let last_waiter, _ = attach 2 5 "c" in
+  let _, to_d = attach 2 3 "d" in
+  let _, to_e = attach 2 4 "e" in
+  (* the same-instant events, in the order the default policy fires them
+     (ascending index); recorded whenever two or more compete *)
+  let instants = ref [] in
+  Engine.set_tie_break eng
+    (Some
+       (fun cands ->
+         instants :=
+           ( cands.(0).Engine.c_time,
+             Array.to_list (Array.map (fun c -> c.Engine.c_label) cands) )
+           :: !instants;
+         0));
+  let send ~name ~src ~route ~at id =
+    Engine.spawn eng ~name (fun () ->
+        Engine.sleep eng at;
+        Net.transmit net ~src ~route
+          (Frame.create ~id ~src ~data:(Bytes.make 1000 'o')))
+  in
+  send ~name:"circuit" ~src:a ~route:[ 15; 15; 3 ] ~at:0 0;
+  (* both queue once the circuit holds all three of its ports (2.1 us) *)
+  send ~name:"first-hop-waiter" ~src:first_waiter ~route:[ 15; 15; 4 ]
+    ~at:3_000 1;
+  send ~name:"last-hop-waiter" ~src:last_waiter ~route:[ 3 ] ~at:3_000 2;
+  Engine.run eng;
+  check_int "all three frames delivered" 3
+    (List.length !to_d + List.length !to_e);
+  let released =
+    (3 * Net.hub_setup_ns) + (3 * Net.hop_latency_ns)
+    + (1000 * Net.fiber_ns_per_byte)
+  in
+  let waiter l = l = "first-hop-waiter" || l = "last-hop-waiter" in
+  let resumed =
+    match List.rev !instants |> List.filter (fun (at, _) -> at = released) with
+    | (_, labels) :: _ -> List.filter waiter labels
+    | [] -> []
+  in
+  Alcotest.(check (list string))
+    "ports come back last hop first"
+    [ "last-hop-waiter"; "first-hop-waiter" ]
+    resumed
+
+(* A second circuit that shares only the first circuit's middle port
+   takes its own first hop, runs the middle HUB's controller command, and
+   only then waits — at the middle port. *)
+let test_circuit_waits_at_shared_hop () =
+  let eng = Engine.create () in
+  let net = three_hub_line eng in
+  let sink_a, _, _ = make_sink eng "a" in
+  let sink_b, _, _ = make_sink eng "b" in
+  let sink_d, _, to_d = make_sink eng "d" in
+  let sink_e, _, to_e = make_sink eng "e" in
+  let a = Net.attach_node net ~hub:0 ~port:0 sink_a in
+  let b = Net.attach_node net ~hub:0 ~port:1 sink_b in
+  ignore (Net.attach_node net ~hub:2 ~port:3 sink_d);
+  ignore (Net.attach_node net ~hub:2 ~port:4 sink_e);
+  Engine.spawn eng (fun () ->
+      Net.transmit net ~src:a ~route:[ 15; 15; 3 ]
+        (Frame.create ~id:0 ~src:a ~data:(Bytes.make 1000 'a')));
+  (* starts once the first circuit holds the middle port (1.4 us) *)
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 1_500;
+      Net.transmit net ~src:b ~route:[ 13; 15; 4 ]
+        (Frame.create ~id:1 ~src:b ~data:(Bytes.make 100 'b')));
+  Engine.run eng;
+  let setup = Net.hub_setup_ns and hop = Net.hop_latency_ns in
+  let wire n = n * Net.fiber_ns_per_byte in
+  let first_done = (3 * setup) + (3 * hop) + wire 1000 in
+  check_int "first circuit uncontended" first_done (List.assoc 0 !to_d);
+  (* the middle port frees at [first_done]; what remains is the last
+     HUB's setup, the propagation and the bytes *)
+  check_int "second circuit resumes at the middle hop"
+    (first_done + setup + (3 * hop) + wire 100)
+    (List.assoc 1 !to_e);
+  check_int "one contended port" 1 (Net.port_waits net);
+  check_int "waited from its middle setup to the release"
+    (first_done - (1_500 + (2 * setup)))
+    (Net.port_wait_ns net)
+
+(* A port that is down anywhere along the route, not only at either end,
+   blackholes the frame: it still holds the circuit for its wire time,
+   and is counted as a link-down drop, on the source side and after a
+   partition crossing alike. *)
+let test_down_trunk_mid_route () =
+  let eng = Engine.create () in
+  let net = three_hub_line eng in
+  let sink_a, _, _ = make_sink eng "a" in
+  let sink_d, _, to_d = make_sink eng "d" in
+  let a = Net.attach_node net ~hub:0 ~port:0 sink_a in
+  ignore (Net.attach_node net ~hub:2 ~port:3 sink_d);
+  Net.set_link_up net ~hub:1 ~port:15 false;
+  let done_at = ref (-1) in
+  Engine.spawn eng (fun () ->
+      Net.transmit net ~src:a ~route:[ 15; 15; 3 ]
+        (Frame.create ~id:0 ~src:a ~data:(Bytes.make 100 'x'));
+      done_at := Engine.now eng);
+  Engine.run eng;
+  check_int "never delivered" 0 (List.length !to_d);
+  check_int "counted as a link-down drop" 1 (Net.link_down_drops net);
+  check_int "wire time still passes"
+    ((3 * Net.hub_setup_ns) + (3 * Net.hop_latency_ns)
+    + (100 * Net.fiber_ns_per_byte))
+    !done_at;
+  let payload = String.make 100 'y' in
+  Net.inject net ~hub:0 ~src:a ~frame_id:1
+    ~wire_crc:(Nectar_util.Crc32.digest_string payload)
+    ~route:[ 15; 15; 3 ] payload;
+  Engine.run eng;
+  check_int "an injected frame is blackholed too" 0 (List.length !to_d);
+  check_int "and counted" 2 (Net.link_down_drops net);
+  Net.set_link_up net ~hub:1 ~port:15 true;
+  Engine.spawn eng (fun () ->
+      Net.transmit net ~src:a ~route:[ 15; 15; 3 ]
+        (Frame.create ~id:2 ~src:a ~data:(Bytes.make 100 'z')));
+  Engine.run eng;
+  check_int "delivered once the trunk is back" 1 (List.length !to_d)
+
+(* ---------- Allocation pins ---------- *)
+
+(* A frame's trip through the fabric allocates nothing per hop or per
+   chunk: what a transmit allocates is its route check's result, and the
+   continuation of each timed parking (one controller command per hop).
+   Frames are built before the measured loop (see [Perf.transmit_words],
+   which BENCH_perf.json's [net_transmit_hop_words] records). *)
+let test_transmit_allocation () =
+  check_bool "no vet hook installed" false (Vet_probe.installed ());
+  let transmit_words = Nectar_bench.Perf.transmit_words in
+  let one = transmit_words ~hops:1 and six = transmit_words ~hops:6 in
+  check_bool
+    (Printf.sprintf "1-hop 256 B transmit allocates %.1f <= 18 words" one)
+    true (one <= 18.);
+  let per_hop = (six -. one) /. 5. in
+  check_bool
+    (Printf.sprintf "each further hop allocates %.1f <= 2 words" per_hop)
+    true (per_hop <= 2.)
+
 (* ---------- Memory protection ---------- *)
 
 let test_memory_protection () =
@@ -555,6 +716,14 @@ let () =
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "corruption crosses a partition cut" `Quick
             test_corruption_crosses_cut;
+          Alcotest.test_case "circuit releases last hop first" `Quick
+            test_circuit_releases_last_hop_first;
+          Alcotest.test_case "circuit waits at the shared hop" `Quick
+            test_circuit_waits_at_shared_hop;
+          Alcotest.test_case "down trunk mid-route" `Quick
+            test_down_trunk_mid_route;
+          Alcotest.test_case "transmit allocates nothing per hop" `Quick
+            test_transmit_allocation;
         ] );
       ( "memory",
         [

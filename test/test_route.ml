@@ -496,6 +496,35 @@ let test_dgram_absorbs_refusal () =
     (Dgram.route_drops a.Stack.dgram);
   check_int "nothing reached the wire" 0 (Net.frames_sent w.net)
 
+(* The e-cube builder conses its hops onto the caller's tail in one pass;
+   its port lists are the dimension-ordered ones: all column hops (east
+   15 or west 14), then all row hops (south 13 or north 12). *)
+let test_ecube_one_pass () =
+  let rows = 4 and cols = 5 in
+  let reference src dst =
+    let r1 = src / cols and c1 = src mod cols in
+    let r2 = dst / cols and c2 = dst mod cols in
+    List.init (abs (c2 - c1)) (fun _ -> if c2 > c1 then 15 else 14)
+    @ List.init (abs (r2 - r1)) (fun _ -> if r2 > r1 then 13 else 12)
+  in
+  for src_hub = 0 to (rows * cols) - 1 do
+    for dst_hub = 0 to (rows * cols) - 1 do
+      let name = Printf.sprintf "hub %d -> hub %d" src_hub dst_hub in
+      Alcotest.(check (list int))
+        name
+        (reference src_hub dst_hub)
+        (Policy.ecube_route_onto ~rows ~cols ~src_hub ~dst_hub []);
+      Alcotest.(check (list int))
+        (name ^ " onto a tail")
+        (reference src_hub dst_hub @ [ 3 ])
+        (Policy.ecube_route_onto ~rows ~cols ~src_hub ~dst_hub [ 3 ])
+    done
+  done;
+  Alcotest.check_raises "outside the grid"
+    (Invalid_argument "Policy.ecube_route_onto: hub outside the grid")
+    (fun () ->
+      ignore (Policy.ecube_route_onto ~rows ~cols ~src_hub:0 ~dst_hub:20 []))
+
 let () =
   Alcotest.run "route"
     [
@@ -529,6 +558,8 @@ let () =
         ] );
       ( "ecmp",
         [ Alcotest.test_case "deterministic split" `Quick test_ecmp_deterministic ] );
+      ( "ecube",
+        [ Alcotest.test_case "one-pass builder" `Quick test_ecube_one_pass ] );
       ( "link-state",
         [
           Alcotest.test_case "recompute on flap" `Quick test_recompute_on_flap;
