@@ -4,6 +4,7 @@ module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
 module Region = Nectar_util.Region
 module Router = Nectar_route.Router
+module World = Nectar_fleet.World
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -691,6 +692,136 @@ let test_cab_rx_watch_fires_in_order () =
       Alcotest.failf "unexpected events: %s"
         (String.concat "," (List.map fst evs))
 
+(* ---------- frame-path order pin ---------- *)
+
+module Stack = Nectar_proto.Stack
+module Datalink = Nectar_proto.Datalink
+
+(* The whole CAB frame path under a recording tie-break policy that
+   always answers 0 (the default order): CABs 0 and 2 send back-to-back
+   64 B and 8 KB datagrams into CAB 1, so its rx DMAs and queued
+   interrupts overlap; then one frame the fault hook corrupts, an RMP
+   exchange whose first data frame the hook drops (one retransmit), and
+   one [output_sg] with a slice tail.  The log holds every same-instant
+   choice (time and candidate labels in order), the trace of every
+   handler, DMA and datalink span, and a delivery log (time, dst, length,
+   CRC verdict).  Returns (log digest, choices, final time). *)
+let frame_path_log () =
+  let w =
+    World.build ~seats:(World.ports 3)
+      ~stack:(fun rt -> Stack.create rt ~rmp_rto:(us 400) ())
+      ()
+  in
+  let eng = w.World.eng in
+  let log = Buffer.create 65536 in
+  let choices = ref 0 in
+  let dls = Array.map (fun (s : Stack.t) -> s.dl) w.World.stacks in
+  let crc_seen = Array.make (Array.length dls) 0 in
+  let note_crc_drops () =
+    Array.iteri
+      (fun i dl ->
+        let d = Datalink.drops_crc dl in
+        if d <> crc_seen.(i) then begin
+          crc_seen.(i) <- d;
+          Printf.bprintf log "deliver %d cab-%d crc-bad %d\n" (Engine.now eng)
+            i d
+        end)
+      dls
+  in
+  Engine.set_tie_break eng
+    (Some
+       (fun cands ->
+         incr choices;
+         note_crc_drops ();
+         Printf.bprintf log "%d" cands.(0).Engine.c_time;
+         Array.iter (fun c -> Printf.bprintf log " %s" c.Engine.c_label) cands;
+         Buffer.add_char log '\n';
+         0));
+  let corrupt_next = ref false and drop_next = ref false in
+  Net.set_fault_hook w.World.net
+    (Some
+       (fun _ ->
+         if !corrupt_next then begin
+           corrupt_next := false;
+           `Corrupt
+         end
+         else if !drop_next then begin
+           drop_next := false;
+           `Drop
+         end
+         else `Deliver));
+  let tracer = Trace.create ~capacity:(1 lsl 20) eng in
+  Trace.install tracer;
+  let port = 700 in
+  let s0 = w.World.stacks.(0) and s1 = w.World.stacks.(1) in
+  let s2 = w.World.stacks.(2) in
+  let inbox =
+    Nectar_core.Runtime.create_mailbox s1.Stack.rt ~name:"pin-inbox" ~port
+      ~byte_limit:(256 * 1024) ()
+  in
+  let thread (s : Stack.t) name body =
+    ignore (Nectar_core.Runtime.spawn_thread s.rt ~name body)
+  in
+  thread s1 "pin-sink" (fun ctx ->
+      while true do
+        let m = Nectar_core.Mailbox.begin_get ctx inbox in
+        Printf.bprintf log "deliver %d cab-1 %d crc-ok\n" (Engine.now eng)
+          (Nectar_core.Message.length m);
+        Nectar_core.Mailbox.end_get ctx m
+      done);
+  let dgram ctx (s : Stack.t) n =
+    Nectar_proto.Dgram.send_string ctx s.dgram ~dst_cab:1 ~dst_port:port
+      (String.make n 'p')
+  in
+  thread s2 "pin-side" (fun ctx ->
+      List.iter (dgram ctx s2) [ 64; 64; 8192; 64 ]);
+  thread s0 "pin-main" (fun ctx ->
+      List.iter (dgram ctx s0) [ 8192; 64; 8192; 64 ];
+      Engine.sleep eng (Sim_time.ms 3);
+      corrupt_next := true;
+      dgram ctx s0 64;
+      dgram ctx s0 64;
+      Engine.sleep eng (Sim_time.ms 3);
+      drop_next := true;
+      Nectar_proto.Rmp.send_string ctx s0.rmp ~dst_cab:1 ~dst_port:port
+        (String.make 200 'r');
+      Engine.sleep eng (Sim_time.ms 1);
+      (* a datagram header message plus a slice of another message *)
+      let dl = s0.dl in
+      let hdr = Datalink.alloc_frame_blocking ctx dl 8 in
+      let body = Datalink.alloc_frame_blocking ctx dl 100 in
+      Nectar_core.Message.write_string body 0 (String.make 100 's');
+      let tail = Nectar_core.Message.slice body ~pos:20 ~len:60 in
+      Nectar_core.Mailbox.dispose ctx body;
+      Nectar_core.Message.set_u16 hdr 0 port;
+      Nectar_core.Message.set_u16 hdr 2 0;
+      Nectar_core.Message.set_u16 hdr 4 60;
+      Nectar_core.Message.set_u16 hdr 6 0;
+      Datalink.output_sg ctx dl ~dst_cab:1 ~proto:Nectar_proto.Wire.proto_dgram
+        ~msg:hdr ~tail:[ tail ] ~free:true);
+  Fun.protect ~finally:Trace.uninstall (fun () -> Engine.run eng);
+  note_crc_drops ();
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.kind with
+      | Trace.Span_begin ->
+          Printf.bprintf log "B %d %s %s\n" e.time e.track e.label
+      | Trace.Span_end -> Printf.bprintf log "E %d\n" e.time
+      | Trace.Instant -> Printf.bprintf log "I %d %s %s\n" e.time e.track e.label)
+    (Trace.events tracer);
+  check_int "trace dropped nothing" 0 (Trace.dropped tracer);
+  check_int "one retransmit" 1 (Nectar_proto.Rmp.retransmits s0.rmp);
+  check_int "one CRC drop" 1 (Datalink.drops_crc s1.dl);
+  (Digest.to_hex (Digest.string (Buffer.contents log)), !choices, Engine.now eng)
+
+(* Pinned before the CAB frame path lost its per-frame closures, queue
+   cells and side tables: that work must not move one event. *)
+let test_frame_path_order_pinned () =
+  Alcotest.(check (triple string int int))
+    "(log digest, choices, final time)"
+    ("abfed4febf151c6527f07e815d19ac6d", 81, 7941508)
+    (frame_path_log ())
+
 let () =
   Alcotest.run "nectar_fabric"
     [
@@ -758,5 +889,7 @@ let () =
             test_cab_large_frame_backpressure;
           Alcotest.test_case "rx watch order" `Quick
             test_cab_rx_watch_fires_in_order;
+          Alcotest.test_case "frame path order pinned" `Quick
+            test_frame_path_order_pinned;
         ] );
     ]
