@@ -87,6 +87,7 @@ let recorded_timed_wait_words = 17.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 let recorded_transmit_hop_words = 2.
+let recorded_cab_datagram_words = 502.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -178,6 +179,39 @@ let transmit_words ~hops =
 let net_transmit_hop_words () =
   (transmit_words ~hops:6 -. transmit_words ~hops:1) /. 5.
 
+(* Minor words per 64 B [Dgram] datagram from CAB 0 to CAB 1, end to end:
+   the sender's thread, both CABs' DMA, fiber and interrupt processes and
+   a sink thread on CAB 1.  Sends are 200 us apart, so frames never
+   overlap; the difference between 2 000 and 1 000 sends cancels set-up
+   and start-up. *)
+let cab_datagram_run ~sends =
+  let w = World.build () in
+  let a = w.stacks.(0) and b = w.stacks.(1) in
+  let inbox = Runtime.create_mailbox b.rt ~name:"sink" ~port () in
+  let received = ref 0 in
+  spawn_cab_thread b ~name:"sink" (fun ctx ->
+      while true do
+        Mailbox.end_get ctx (Mailbox.begin_get ctx inbox);
+        incr received
+      done);
+  spawn_cab_thread a ~name:"source" (fun ctx ->
+      for _ = 1 to sends do
+        let m = Dgram.alloc ctx a.dgram 64 in
+        Message.set_u32 m 0 !received;
+        Dgram.send ctx a.dgram ~dst_cab:(Stack.node_id b) ~dst_port:port m;
+        Engine.sleep w.eng (Sim_time.us 200)
+      done);
+  let before = Gc.minor_words () in
+  Engine.run w.eng;
+  let words = Gc.minor_words () -. before in
+  if !received <> sends then
+    failwith (Printf.sprintf "cab_datagram_words: %d of %d delivered"
+                !received sends);
+  words
+
+let cab_datagram_words () =
+  (cab_datagram_run ~sends:2_000 -. cab_datagram_run ~sends:1_000) /. 1_000.
+
 (* (name, JSON key, measure, recorded) for each micro count *)
 let micro_counts =
   [
@@ -194,6 +228,8 @@ let micro_counts =
      recorded_inet_checksum_8k_words);
     ("Net.transmit hop", "net_transmit_hop_words", net_transmit_hop_words,
      recorded_transmit_hop_words);
+    ("CAB datagram", "cab_datagram_words", cab_datagram_words,
+     recorded_cab_datagram_words);
   ]
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)

@@ -1,15 +1,6 @@
 open Nectar_sim
 
-type tx_req = {
-  route : int list;
-  header_bytes : int;
-  extents : (Nectar_util.Region.t * int * int) list;
-  len : int;
-  release : unit -> unit;
-  on_done : Interrupts.ctx -> unit;
-}
-
-type fiber_item = { frame : Nectar_hub.Frame.t; froute : int list; fhdr : int }
+module Frame = Nectar_hub.Frame
 
 type t = {
   cname : string;
@@ -22,38 +13,38 @@ type t = {
   out_fifo : Byte_fifo.t;
   rx_engine : Rx.t;
   mutable nid : Nectar_hub.Network.node_id;
-  tx_queue : tx_req Queue.t;
+  tx_queue : Frame.t Nectar_util.Ring.t; (* descriptors awaiting tx DMA *)
   tx_ready : Waitq.t;
-  fiber_queue : fiber_item Queue.t;
+  fiber_queue : Frame.t Nectar_util.Ring.t; (* latched, awaiting the fiber *)
   fiber_ready : Waitq.t;
   mutable vme_bus : Vme.t option;
   mutable tx_count : int;
+  closure_ops : ((unit -> unit) * (Interrupts.ctx -> unit)) Frame.ops;
+      (* [send_frame]'s owner operations: its two closures *)
 }
+
+(* The tx-done interrupt: the descriptor is complete. *)
+let tx_done _ f = Frame.sent f
 
 let tx_dma_process t () =
   while true do
-    while Queue.is_empty t.tx_queue do
+    while Nectar_util.Ring.is_empty t.tx_queue do
       Waitq.wait t.tx_ready
     done;
-    let req = Queue.take t.tx_queue in
+    let frame = Nectar_util.Ring.pop t.tx_queue in
     let tid = Trace.span_begin ~track:t.cname "tx.dma" in
     (* Zero-copy: the frame's scatter/gather extents reference the sender's
-       buffers directly (the hardware CRC is latched here, at dequeue time);
-       the simulated DMA then reads them out of memory into the output FIFO
-       at memory speed.  The buffer references travel with the frame and are
-       dropped when the receiver drains it (or the wire swallows it) — the
-       sender's [on_done] still fires right after the output-FIFO DMA, as
-       the hardware's descriptor-complete interrupt always did. *)
-    let frame =
-      Nectar_hub.Frame.create_sg
-        ~id:(Nectar_hub.Network.next_frame_id t.net)
-        ~src:t.nid ~extents:req.extents ~on_release:req.release
-    in
-    Queue.add
-      { frame; froute = req.route; fhdr = req.header_bytes }
-      t.fiber_queue;
+       buffers directly (the frame id and the hardware CRC are latched
+       here, at dequeue time); the simulated DMA then reads them out of
+       memory into the output FIFO at memory speed.  The buffer references
+       travel with the frame and are dropped when the receiver drains it
+       (or the wire swallows it) — the sender's [sent] still runs right
+       after the output-FIFO DMA, as the hardware's descriptor-complete
+       interrupt always did. *)
+    Frame.latch frame ~id:(Nectar_hub.Network.next_frame_id t.net);
+    Nectar_util.Ring.push t.fiber_queue frame;
     ignore (Waitq.signal t.fiber_ready);
-    let remaining = ref req.len in
+    let remaining = ref (Frame.length frame) in
     while !remaining > 0 do
       let n = Int.min !remaining (Byte_fifo.capacity t.out_fifo) in
       let n = Int.min n Nectar_hub.Network.chunk_bytes in
@@ -62,21 +53,20 @@ let tx_dma_process t () =
       remaining := !remaining - n
     done;
     Trace.span_end tid;
-    Interrupts.post t.irq_ctl ~name:"tx-done" req.on_done;
+    Interrupts.post_with t.irq_ctl ~name:"tx-done" tx_done frame;
     t.tx_count <- t.tx_count + 1
   done
 
 let fiber_tx_process t () =
   while true do
-    while Queue.is_empty t.fiber_queue do
+    while Nectar_util.Ring.is_empty t.fiber_queue do
       Waitq.wait t.fiber_ready
     done;
-    let item = Queue.take t.fiber_queue in
-    Nectar_hub.Network.transmit t.net ~header_bytes:item.fhdr ~src:t.nid
-      ~route:item.froute item.frame;
+    let frame = Nectar_util.Ring.pop t.fiber_queue in
+    Nectar_hub.Network.transmit_frame t.net frame;
     (* The wire has carried the whole frame: those bytes have left the
        output FIFO. *)
-    let remaining = ref (Nectar_hub.Frame.length item.frame) in
+    let remaining = ref (Frame.length frame) in
     while !remaining > 0 do
       let n = Int.min !remaining Nectar_hub.Network.chunk_bytes in
       Byte_fifo.pop t.out_fifo n;
@@ -103,12 +93,18 @@ let create ?data_bytes net ~hub ~port ~name =
       out_fifo;
       rx_engine;
       nid = -1;
-      tx_queue = Queue.create ();
+      tx_queue = Nectar_util.Ring.create ~dummy:Frame.filler;
       tx_ready = Waitq.create eng;
-      fiber_queue = Queue.create ();
+      fiber_queue = Nectar_util.Ring.create ~dummy:Frame.filler;
       fiber_ready = Waitq.create eng;
       vme_bus = None;
       tx_count = 0;
+      closure_ops =
+        (let ictx = Interrupts.ctx irq_ctl in
+         {
+           Frame.release = (fun (release, _) -> release ());
+           sent = (fun (_, on_done) -> on_done ictx);
+         });
     }
   in
   t.nid <- Nectar_hub.Network.attach_node net ~hub ~port (Rx.sink rx_engine);
@@ -138,12 +134,32 @@ let crash t = Nectar_hub.Network.set_node_up t.net t.nid false
 let restart t = Nectar_hub.Network.set_node_up t.net t.nid true
 let powered t = Nectar_hub.Network.node_up t.net t.nid
 
-let send_frame t ~route ~header_bytes ?(release = fun () -> ()) ~extents
+let send t frame =
+  if Frame.header_bytes frame < 1 then
+    invalid_arg "Cab.send: header_bytes must be at least 1";
+  if Frame.length frame <= 0 then invalid_arg "Cab.send: empty frame";
+  Nectar_util.Ring.push t.tx_queue frame;
+  ignore (Waitq.signal t.tx_ready)
+
+let no_release () = ()
+
+let send_frame t ~route ~header_bytes ?(release = no_release) ~extents
     ~on_done () =
   let len = List.fold_left (fun acc (_, _, n) -> acc + n) 0 extents in
   if len <= 0 then invalid_arg "Cab.send_frame: empty frame";
-  Queue.add { route; header_bytes; extents; len; release; on_done } t.tx_queue;
-  ignore (Waitq.signal t.tx_ready)
+  if header_bytes < 1 then
+    invalid_arg "Cab.send_frame: header_bytes must be at least 1";
+  match extents with
+  | [] -> assert false
+  | (reg, off, len) :: rest ->
+      let tail =
+        List.map
+          (fun (ereg, eoff, elen) -> { Frame.ereg; eoff; elen })
+          rest
+      in
+      send t
+        (Frame.outgoing ~src:t.nid ~route ~header_bytes reg ~off ~len ~tail
+           (Frame.Owner { value = (release, on_done); ops = t.closure_ops }))
 
 let frames_tx t = t.tx_count
 let in_fifo_level t = Byte_fifo.level t.in_fifo

@@ -4,15 +4,17 @@
     FIFOs, transmit and receive DMA, hardware CRC (in {!Nectar_hub.Frame}),
     the interrupt controller and the VME interface, attached to a HUB port.
 
-    The transmit path mirrors the hardware pipeline: {!send_frame} enqueues
-    a descriptor whose scatter/gather extents reference CAB memory in place
-    (zero-copy); the DMA engine reads the frame out of memory into the
-    output FIFO (after which [on_done] fires at interrupt level — the
-    descriptor is complete, and the frame's [release] callback frees the
-    retained buffer references once the frame's life ends); a fiber process
-    drains the FIFO onto the wire through the HUB circuit, stalling on FIFO
-    underrun or destination backpressure.  The CPU is never charged for any
-    of this — the paper's central hardware point. *)
+    The transmit path mirrors the hardware pipeline: {!send} enqueues a
+    descriptor — the frame record itself, whose extents reference CAB
+    memory in place (zero-copy) — on a ring; the DMA engine latches the
+    frame's id and CRC, reads it out of memory into the output FIFO (after
+    which the owner's [sent] runs at interrupt level — the descriptor is
+    complete, and the owner's [release] frees the retained buffer
+    references once the frame's life ends) and passes the frame on a
+    second ring to a fiber process, which drains the FIFO onto the wire
+    through the HUB circuit, stalling on FIFO underrun or destination
+    backpressure.  The CPU is never charged for any of this — the paper's
+    central hardware point. *)
 
 type t
 
@@ -55,6 +57,17 @@ val restart : t -> unit
 
 val powered : t -> bool
 
+val send : t -> Nectar_hub.Frame.t -> unit
+(** Queue a frame built with {!Nectar_hub.Frame.outgoing} from this CAB's
+    {!node_id}.  Returns immediately; the frame's owner [sent] runs at
+    interrupt level once transmit DMA has finished reading the data (the
+    *descriptor* is then done — but with the frame aliasing the sender's
+    buffer, the bytes themselves are pinned until the frame dies, which is
+    what the owner's [release] observes).  [release] runs exactly once when
+    the frame's life ends: after the receiving CAB drains it, or on the
+    wire for dropped/blackholed frames.  Raises [Invalid_argument] for an
+    empty frame or a header size below 1. *)
+
 val send_frame :
   t ->
   route:int list ->
@@ -64,17 +77,13 @@ val send_frame :
   on_done:(Interrupts.ctx -> unit) ->
   unit ->
   unit
-(** Queue a frame for transmission as scatter/gather [extents] referencing
-    CAB memory directly — no snapshot is taken; the zero-copy tx path.
-    Returns immediately; [on_done] runs at interrupt level once transmit
-    DMA has finished reading the data (the *descriptor* is then done — but
-    with the frame aliasing the sender's buffer, the bytes themselves are
-    pinned until the frame dies, which is what [release] observes).
-    [release] fires exactly once when the frame's life ends: after the
-    receiving CAB drains it, or on the wire for dropped/blackholed frames;
-    callers drop their retained buffer references there.  [header_bytes] is
-    the size of the frame's headers, used to time the receiver's
-    start-of-packet event. *)
+(** {!send} with closures: a frame over scatter/gather [extents]
+    referencing CAB memory directly — no snapshot is taken.  [on_done]
+    runs as the owner's [sent], [release] (default a no-op) as its
+    [release]; callers drop their retained buffer references there.
+    [header_bytes] (at least 1, [Invalid_argument] otherwise) is the size
+    of the frame's headers, used to time the receiver's start-of-packet
+    event. *)
 
 val frames_tx : t -> int
 

@@ -50,7 +50,7 @@ let rec find_label t name = function
 
 let label t name = find_label t name t.labels
 
-let run_handler t ~name fn =
+let run_handler t ~name handler arg =
   (* span covers dispatch + handler: interrupt entry to exit *)
   let tid = Trace.span_begin ~track:(Cpu.owner_name t.irq_owner) name in
   work t t.dispatch_ns;
@@ -58,21 +58,27 @@ let run_handler t ~name fn =
      Vet_probe.interrupt_enter t.eng ~name:(t.iname ^ "." ^ name);
      Fun.protect
        ~finally:(fun () -> Vet_probe.interrupt_exit t.eng)
-       (fun () -> fn t)
+       (fun () -> handler t arg)
    end
-   else fn t);
+   else handler t arg);
   Trace.span_end tid
 
-let post t ~name fn =
+(* The body of one posted interrupt's process: [Resource.with_held]
+   inlined, so nothing but the process's own closure is built per post. *)
+let serve t name handler arg =
+  Resource.acquire t.serial;
+  match run_handler t ~name handler arg with
+  | () -> Resource.release t.serial
+  | exception e ->
+      Resource.release t.serial;
+      raise e
+
+let post_with t ~name handler arg =
   t.count <- t.count + 1;
-  Engine.spawn t.eng ~name:(label t name) (fun () ->
-      (* [Resource.with_held] inlined: no closure per post *)
-      Resource.acquire t.serial;
-      match run_handler t ~name fn with
-      | () -> Resource.release t.serial
-      | exception e ->
-          Resource.release t.serial;
-          raise e)
+  Engine.spawn t.eng ~name:(label t name) (fun () -> serve t name handler arg)
+
+let apply ctx fn = fn ctx
+let post t ~name fn = post_with t ~name apply fn
 
 (* Level-triggered posting: a key already latched (posted, handler not yet
    entered) absorbs repeat posts — the hardware line stays asserted, the

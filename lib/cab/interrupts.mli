@@ -24,10 +24,15 @@ val create :
   unit ->
   t
 
+val post_with : t -> name:string -> (ctx -> 'a -> unit) -> 'a -> unit
+(** Queue an interrupt whose handler is [handler arg].  May be called from
+    processes or timer callbacks.  The handler must not block (no waiting
+    operations); it may charge CPU via {!work} and wake threads.  Each post
+    is one process; a static [handler] with the per-post state in [arg]
+    (the CAB's frame path passes the frame) builds no other closure. *)
+
 val post : t -> name:string -> (ctx -> unit) -> unit
-(** Queue an interrupt whose handler is [fn].  May be called from processes
-    or timer callbacks.  The handler must not block (no waiting operations);
-    it may charge CPU via {!work} and wake threads. *)
+(** {!post_with} of a closure: [post t ~name fn] runs [fn ctx]. *)
 
 val work : ctx -> Nectar_sim.Sim_time.span -> unit
 (** Charge handler CPU time (at interrupt priority, atomic). *)

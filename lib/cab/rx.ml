@@ -1,12 +1,17 @@
 open Nectar_sim
-module Tbl = Nectar_util.Int_key.Tbl
+module Frame = Nectar_hub.Frame
 
-type pending = {
-  pframe : Nectar_hub.Frame.t;
-  mutable arrived : int; (* bytes pushed into the FIFO so far *)
-  mutable consumed : int; (* bytes popped out of the FIFO so far *)
-  arrival : Waitq.t;
+type pending = Frame.t
+
+type 'a client = {
+  next_watch : 'a -> int;
+  watched : Interrupts.ctx -> pending -> 'a -> unit;
+  completed : Interrupts.ctx -> pending -> 'a -> unit;
 }
+
+(* A frame's receive state while its DMA runs and until its completion
+   interrupt: the client and its value. *)
+type Frame.rx += Receiving : { value : 'a; client : 'a client } -> Frame.rx
 
 type t = {
   eng : Engine.t;
@@ -15,12 +20,13 @@ type t = {
   rname : string;
   dma_name : string; (* the per-frame DMA process name *)
   mutable handler : (Interrupts.ctx -> pending -> unit) option;
+  mutable view_off : int; (* where the last [read_view] span starts *)
   mutable drops : int;
   mutable coalesce_ns : Sim_time.span;
-  (* receive-completion coalescing (inert at [coalesce_ns = 0]): completion
-     callbacks gather here for up to [coalesce_ns], then run in one
+  (* receive-completion coalescing (inert at [coalesce_ns = 0]): completed
+     frames gather here for up to [coalesce_ns], then complete in one
      interrupt — one dispatch charge for the whole batch *)
-  mutable batch : (Interrupts.ctx -> unit) list; (* newest first *)
+  mutable batch : pending list; (* newest first *)
   mutable batch_armed : bool;
   mutable batches : int;
 }
@@ -34,6 +40,7 @@ let create eng irq ~fifo ?(coalesce_ns = 0) ~name () =
     rname = name;
     dma_name = name ^ ".rx-dma";
     handler = None;
+    view_off = 0;
     drops = 0;
     coalesce_ns;
     batch = [];
@@ -47,38 +54,30 @@ let set_coalesce_ns t ns =
 
 let set_frame_handler t fn = t.handler <- Some fn
 
-let frame p = p.pframe
-let arrived p = p.arrived
-let total p = Nectar_hub.Frame.length p.pframe
+let frame (p : pending) = p
+let arrived (p : pending) = p.arrived
+let total p = Frame.length p
 
+(* The fabric's side: the start-of-packet interrupt gets the frame
+   itself, and each chunk wakes the DMA parked on the frame, if any. *)
 let sink t =
-  let table : pending Tbl.t = Tbl.create 8 in
-  let on_frame_start fr =
-    let p =
-      {
-        pframe = fr;
-        arrived = 0;
-        consumed = 0;
-        arrival = Waitq.create t.eng;
-      }
-    in
-    Tbl.replace table fr.Nectar_hub.Frame.id p;
+  let on_frame_start (f : Frame.t) =
     match t.handler with
-    | Some fn -> Interrupts.post t.irq ~name:"rx-frame" (fun ictx -> fn ictx p)
+    | Some fn -> Interrupts.post_with t.irq ~name:"rx-frame" fn f
     | None -> failwith (t.rname ^ ": frame arrived with no rx handler")
   in
-  let on_chunk fr ~arrived ~last =
-    match Tbl.find_opt table fr.Nectar_hub.Frame.id with
-    | None -> failwith (t.rname ^ ": chunk for unknown frame")
-    | Some p ->
-        p.arrived <- arrived;
-        if last then Tbl.remove table fr.Nectar_hub.Frame.id;
-        ignore (Waitq.broadcast p.arrival)
+  let on_chunk (f : Frame.t) ~arrived ~last:_ =
+    f.arrived <- arrived;
+    let w = f.waiter in
+    if w != Engine.no_waker then begin
+      f.waiter <- Engine.no_waker;
+      Engine.wake t.eng w
+    end
   in
   { Nectar_hub.Network.in_fifo = t.fifo; on_frame_start; on_chunk }
 
 (* Take [n] bytes out of the input FIFO, returning their frame offset. *)
-let consume t p n =
+let consume t (p : pending) n =
   if p.consumed + n > p.arrived then
     invalid_arg (t.rname ^ ": Rx.read_view beyond arrived data");
   if not (Byte_fifo.try_pop t.fifo n) then
@@ -87,110 +86,158 @@ let consume t p n =
   p.consumed <- p.consumed + n;
   pos
 
-let read_view t p n =
-  let pos = consume t p n in
-  let ((_, off) as view) = Nectar_hub.Frame.view p.pframe ~pos ~len:n in
-  if off >= 0 then view
-  else begin
-    (* the requested range straddles a scatter/gather extent boundary, so
-       no borrowed view exists; fall back to a (counted) copy *)
-    Nectar_util.Copy_meter.record ~owner:t.rname Nectar_util.Copy_meter.Rxread
-      n;
-    let scratch = Bytes.create n in
-    Nectar_hub.Frame.blit p.pframe ~pos ~dst:scratch ~dst_pos:0 ~len:n;
-    (scratch, 0)
-  end
-
-let read_bytes t p n =
-  let pos = consume t p n in
+let copy_out t p ~pos n =
   Nectar_util.Copy_meter.record ~owner:t.rname Nectar_util.Copy_meter.Rxread n;
   let out = Bytes.create n in
-  Nectar_hub.Frame.blit p.pframe ~pos ~dst:out ~dst_pos:0 ~len:n;
+  Frame.blit p ~pos ~dst:out ~dst_pos:0 ~len:n;
   out
 
-(* Copy loop shared by DMA-to-memory and discard: consume bytes as they
-   arrive, at memory-DMA speed, invoking [deliver] for each span.  Once the
-   whole frame has been drained the receiving CAB is its last holder, so
-   the frame is released here — dropping the sender-side buffer references
-   that backed its extents. *)
-let drain_loop t p ~deliver ~on_done =
-  let len = total p in
-  Engine.spawn t.eng ~name:t.dma_name (fun () ->
-      let tid = Trace.span_begin ~track:t.rname "rx.dma" in
-      while p.consumed < len do
-        while p.arrived <= p.consumed do
-          Waitq.wait p.arrival
-        done;
-        let n = p.arrived - p.consumed in
-        Byte_fifo.pop t.fifo n;
-        Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
-        deliver ~pos:p.consumed ~len:n;
-        p.consumed <- p.consumed + n
-      done;
-      Trace.span_end tid;
-      (* [on_done] first: it captures the hardware CRC verdict from the
-         frame's extents, and the release below may drop the last reference
-         to the sender-side buffer backing them *)
-      on_done ();
-      Nectar_hub.Frame.release p.pframe)
-
-(* Run [cb] at interrupt level, either on its own ([coalesce_ns = 0]: one
-   dispatch per completion, the paper's behaviour) or folded into a batch
-   flushed [coalesce_ns] after its first member arrived. *)
-let post_completion t cb =
-  if t.coalesce_ns = 0 then Interrupts.post t.irq ~name:"rx-done" cb
+let read_view t (p : pending) n =
+  let pos = consume t p n in
+  if pos + n <= p.len then begin
+    t.view_off <- p.off + pos;
+    Frame.inline_bytes p ~pos ~len:n
+  end
   else begin
-    t.batch <- cb :: t.batch;
+    (* the span is not in the inline extent, so no borrowed view is
+       kept; fall back to a (counted) copy *)
+    t.view_off <- 0;
+    copy_out t p ~pos n
+  end
+
+let view_offset t = t.view_off
+let read_bytes t p n = copy_out t p ~pos:(consume t p n) n
+
+(* The interrupt handlers of a received frame: static, the frame is the
+   argument. *)
+let watched ictx (p : pending) =
+  match p.rx with
+  | Receiving { value; client } -> client.watched ictx p value
+  | _ -> ()
+
+let completed ictx (p : pending) =
+  match p.rx with
+  | Receiving { value; client } -> client.completed ictx p value
+  | _ -> ()
+
+let rec complete_all ictx = function
+  | [] -> ()
+  | p :: rest ->
+      completed ictx p;
+      complete_all ictx rest
+
+(* Complete [p] at interrupt level, either on its own ([coalesce_ns = 0]:
+   one dispatch per completion, the paper's behaviour) or folded into a
+   batch flushed [coalesce_ns] after its first member arrived. *)
+let post_completion t p =
+  if t.coalesce_ns = 0 then Interrupts.post_with t.irq ~name:"rx-done" completed p
+  else begin
+    t.batch <- p :: t.batch;
     if not t.batch_armed then begin
       t.batch_armed <- true;
       ignore
         (Engine.after t.eng t.coalesce_ns (fun () ->
              t.batch_armed <- false;
-             let cbs = List.rev t.batch in
+             let ps = List.rev t.batch in
              t.batch <- [];
              t.batches <- t.batches + 1;
              Trace.instant ~track:t.rname "rx.batch";
-             Interrupts.post t.irq ~name:"rx-done-batch" (fun ictx ->
-                 List.iter (fun cb -> cb ictx) cbs)))
+             Interrupts.post_with t.irq ~name:"rx-done-batch" complete_all ps))
     end
   end
 
-(* Watches fire in offset order; most frames carry none or one, which
-   need no sort. *)
+(* The DMA process of one frame, shared by [receive] and [discard]:
+   consume bytes as they arrive, at memory-DMA speed, copying each span
+   into [dst] at [base] plus its frame offset when receiving.  Once the
+   whole frame has been drained the receiving CAB is its last holder, so
+   the frame is released here — dropping the sender-side buffer
+   references that backed its extents. *)
+let dma t (p : pending) dst base watch_at =
+  let tid = Trace.span_begin ~track:t.rname "rx.dma" in
+  let len = Frame.length p in
+  let watch = ref watch_at in
+  while p.consumed < len do
+    while p.arrived <= p.consumed do
+      p.waiter <- Engine.waker t.eng;
+      Engine.block t.eng
+    done;
+    let n = p.arrived - p.consumed in
+    Byte_fifo.pop t.fifo n;
+    Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
+    (match p.rx with
+    | Receiving { value; client } ->
+        (* the modelled receive-DMA engine: hardware moves these bytes,
+           so this is not a software copy and is not metered *)
+        Frame.blit p ~pos:p.consumed ~dst:(Nectar_util.Region.bytes dst)
+          ~dst_pos:(base + p.consumed) ~len:n;
+        p.consumed <- p.consumed + n;
+        while p.consumed >= !watch do
+          Interrupts.post_with t.irq ~name:"rx-watch" watched p;
+          watch := client.next_watch value
+        done
+    | _ -> p.consumed <- p.consumed + n)
+  done;
+  Trace.span_end tid;
+  (match p.rx with
+  | Receiving _ ->
+      (* the verdict first: the release below may drop the last reference
+         to the sender-side buffer behind the extents *)
+      Frame.set_crc_verdict p (Frame.crc_ok p);
+      post_completion t p
+  | _ -> ());
+  Frame.release p
+
+let receive t (p : pending) ~dst ~dst_pos ~watch_at client value =
+  p.rx <- Receiving { value; client };
+  let base = dst_pos - p.consumed in
+  Engine.spawn t.eng ~name:t.dma_name (fun () -> dma t p dst base watch_at)
+
+(* [dma_to_memory]'s closures ride in the frame as the client value; the
+   watches fire in offset order, popped as each is raised and run. *)
+type closures = {
+  mutable offsets : int list;
+  mutable fns : (Interrupts.ctx -> unit) list;
+  on_complete : Interrupts.ctx -> crc_ok:bool -> unit;
+}
+
+let pop_offset c =
+  match c.offsets with
+  | o :: rest ->
+      c.offsets <- rest;
+      o
+  | [] -> max_int
+
+let closure_client =
+  {
+    next_watch = pop_offset;
+    watched =
+      (fun ictx _ c ->
+        match c.fns with
+        | fn :: rest ->
+            c.fns <- rest;
+            fn ictx
+        | [] -> ());
+    completed =
+      (fun ictx p c -> c.on_complete ictx ~crc_ok:(Frame.crc_verdict p));
+  }
+
 let by_offset ((a : int), _) (b, _) = Int.compare a b
 
 let dma_to_memory t p ~dst ~dst_pos ?(watch = []) ~on_complete () =
-  let base = p.consumed in
   let watch =
     match watch with [] | [ _ ] -> watch | _ -> List.sort by_offset watch
   in
-  let remaining_watches = ref watch in
-  let deliver ~pos ~len =
-    (* the modelled receive-DMA engine: hardware moves these bytes, so this
-       is not a software copy and is not metered *)
-    Nectar_hub.Frame.blit p.pframe ~pos ~dst:(Nectar_util.Region.bytes dst)
-      ~dst_pos:(dst_pos + pos - base) ~len;
-    let copied_to = pos + len in
-    let rec fire () =
-      match !remaining_watches with
-      | (off, fn) :: rest when off <= copied_to ->
-          remaining_watches := rest;
-          Interrupts.post t.irq ~name:"rx-watch" fn;
-          fire ()
-      | _ -> ()
-    in
-    fire ()
+  let c =
+    { offsets = List.map fst watch; fns = List.map snd watch; on_complete }
   in
-  let on_done () =
-    let ok = Nectar_hub.Frame.crc_ok p.pframe in
-    post_completion t (fun ictx -> on_complete ictx ~crc_ok:ok)
-  in
-  drain_loop t p ~deliver ~on_done
+  receive t p ~dst ~dst_pos ~watch_at:(pop_offset c) closure_client c
+
+let no_dst = Nectar_util.Region.of_bytes Bytes.empty
 
 let discard t p =
   t.drops <- t.drops + 1;
   Trace.instant ~track:t.rname "rx.drop";
-  drain_loop t p ~deliver:(fun ~pos:_ ~len:_ -> ()) ~on_done:(fun () -> ())
+  Engine.spawn t.eng ~name:t.dma_name (fun () -> dma t p no_dst 0 max_int)
 
 let dropped_frames t = t.drops
 let completion_batches t = t.batches

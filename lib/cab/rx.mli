@@ -2,17 +2,23 @@
     DMA (paper §2.2, §4.1).
 
     The network fabric pushes frame bytes into the CAB's input FIFO; the
-    first chunk triggers a start-of-packet interrupt carrying a {!pending}
-    descriptor.  The datalink handler reads the header with {!read_bytes},
-    then either programs {!dma_to_memory} — which copies the rest of the
-    frame into CAB memory as it arrives, firing *watch* callbacks when given
-    frame offsets have landed (the start-of-data upcall) and a completion
-    callback with the hardware CRC verdict (the end-of-data upcall) — or
-    {!discard}s the frame. *)
+    first chunk triggers a start-of-packet interrupt carrying the frame.
+    The datalink handler reads the header with {!read_view} (in place) or
+    {!read_bytes} (a copy), then either programs receive DMA — which
+    copies the rest of the frame into CAB memory as it arrives, raising a
+    *watch* interrupt once a given frame offset has landed (the
+    start-of-data upcall) and a completion interrupt with the hardware CRC
+    verdict (the end-of-data upcall) — or {!discard}s the frame.
+
+    The frame record itself carries the receive state: its arrival
+    counters, the waker of the DMA waiting on it, and the client's value
+    ({!receive}), so a received frame costs the receiver one record for
+    that value and one process per DMA and per interrupt. *)
 
 type t
 
-type pending
+type pending = Nectar_hub.Frame.t
+(** A frame whose first chunk has arrived. *)
 
 val create :
   Nectar_sim.Engine.t ->
@@ -23,8 +29,8 @@ val create :
   unit ->
   t
 (** [coalesce_ns] (default 0) enables receive-completion interrupt
-    coalescing: completion callbacks arriving within [coalesce_ns] of the
-    first unflushed one are delivered in a single interrupt, paying one
+    coalescing: completions arriving within [coalesce_ns] of the first
+    unflushed one are delivered in a single interrupt, paying one
     dispatch charge for the whole batch.  0 keeps the paper's
     one-interrupt-per-frame behaviour exactly. *)
 
@@ -50,16 +56,51 @@ val read_bytes : t -> pending -> int -> Bytes.t
     yet — callers read only within the first chunk from the start-of-packet
     handler. *)
 
-val read_view : t -> pending -> int -> Bytes.t * int
-(** Like {!read_bytes}, but zero-copy: returns a borrowed view (backing
-    store and offset) of the popped span inside the frame's scatter/gather
-    extents — for frames on the zero-copy path, that is the sending CAB's
-    mailbox buffer itself.  The datalink header decode runs per frame at
-    interrupt level, so it allocates only the returned pair.  When the span
-    straddles an extent boundary (it never does for the datalink header,
-    which leads the first extent) the implementation falls back to a
-    metered copy.  The view aliases the frame buffer: decode from it
-    immediately, before the frame is recycled. *)
+val read_view : t -> pending -> int -> Bytes.t
+(** Like {!read_bytes}, but zero-copy: returns the backing store of the
+    popped span, which starts at {!view_offset} in it — for frames on the
+    zero-copy path, the sending CAB's mailbox buffer itself.  The datalink
+    header decode runs per frame at interrupt level, so this allocates
+    nothing.  When the span does not lie in the frame's inline extent (it
+    always does for the datalink header, which leads it) the
+    implementation falls back to a metered copy.  The view aliases the
+    frame buffer: decode from it immediately, before the frame is
+    recycled. *)
+
+val view_offset : t -> int
+(** Where the span of the last {!read_view} starts in its result. *)
+
+type 'a client = {
+  next_watch : 'a -> int;
+      (** the next watch offset once a watch interrupt has been raised
+          ([max_int]: none) *)
+  watched : Interrupts.ctx -> pending -> 'a -> unit;
+      (** a watch interrupt ("rx-watch") *)
+  completed : Interrupts.ctx -> pending -> 'a -> unit;
+      (** the completion interrupt ("rx-done"); the hardware CRC verdict
+          is {!Nectar_hub.Frame.crc_verdict} *)
+}
+(** A receiver of DMA'd frames: static handlers, with the per-frame state
+    in the value given to {!receive}. *)
+
+val receive :
+  t ->
+  pending ->
+  dst:Nectar_util.Region.t ->
+  dst_pos:int ->
+  watch_at:int ->
+  'a client ->
+  'a ->
+  unit
+(** Program receive DMA for the rest of the frame.  Returns immediately;
+    the copy tracks arrival.  Once bytes up to frame offset [watch_at]
+    ([max_int]: none) have been copied, the client's [watched] runs at
+    interrupt level, and then its [next_watch] gives the next offset;
+    [completed] runs at interrupt level after the last byte.  Each
+    arriving span lands in [dst]'s backing as of its arrival, so the
+    destination region may grow meanwhile.  The drained frame is
+    {!Nectar_hub.Frame.release}d (the receiver is its last holder),
+    returning the sender-side buffer references behind its extents. *)
 
 val dma_to_memory :
   t ->
@@ -70,19 +111,14 @@ val dma_to_memory :
   on_complete:(Interrupts.ctx -> crc_ok:bool -> unit) ->
   unit ->
   unit
-(** Program receive DMA for the rest of the frame.  Returns immediately;
-    the copy tracks arrival.  Each [(frame_offset, fn)] watch fires (at
+(** {!receive} with closures: each [(frame_offset, fn)] watch fires (at
     interrupt level) once bytes up to [frame_offset] have been copied;
     [on_complete] fires (at interrupt level) after the last byte, with the
-    hardware CRC check result.  Each arriving span lands in [dst]'s backing
-    as of its arrival, so the destination region may grow meanwhile.  The
-    drained frame is {!Nectar_hub.Frame.release}d
-    (the receiver is its last holder), returning the sender-side buffer
-    references behind its extents. *)
+    hardware CRC check result. *)
 
 val discard : t -> pending -> unit
 (** Drain the rest of the frame from the FIFO without storing it, then
-    release the frame like {!dma_to_memory} does. *)
+    release the frame like {!receive} does. *)
 
 val dropped_frames : t -> int
 (** Frames discarded (for the datalink's statistics). *)

@@ -658,7 +658,20 @@ let find name = List.find_opt (fun (s : Explore.scenario) -> s.name = name) all
      threads with the same string literals, which the compiler interns into
      single constant blocks; every mutable buffer in this codebase lives in
      a node's CAB memory, whose backing is at least 4 KB, far above the
-     threshold. *)
+     threshold.
+   - fillers: the module-level values that pad vacated cells of every
+     node's rings (the frame filler of CAB transmit rings, the message
+     filler of mailbox queues) and the runtime's one empty array, the
+     initial array of every ring and wait queue that has not grown yet.
+     Stored into cells, never written through, like the engine's
+     dummy-event padding. *)
+
+let fillers =
+  [
+    ("frame-filler", Obj.repr Frame.filler);
+    ("message-filler", Obj.repr Message.dummy);
+    ("empty-array", Obj.repr (Array.make 0 ()));
+  ]
 
 type audit_case = {
   a_name : string;
@@ -719,7 +732,7 @@ let audit_world ~plant () =
         (Nectar_core.Buffer_heap.alloc heap_a (64 * 1024)));
   Isolation.audit
     ~nodes:[ ("cab-a", [ Obj.repr a ]); ("cab-b", [ Obj.repr b ]) ]
-    ~boundary:[ ("engine", Obj.repr eng); ("network", Obj.repr net) ]
+    ~boundary:(("engine", Obj.repr eng) :: ("network", Obj.repr net) :: fillers)
     ~max_literal_bytes:64 ()
 
 (* Partitioned world: two single-hub partitions joined by one boundary
@@ -736,6 +749,7 @@ let audit_world ~plant () =
      scheduler's send conduit, which closes over the SPSC channel matrix
      and window bookkeeping — the one sanctioned synchronization point,
      exactly what Parallel.run promises to confine sharing to.
+   - the fillers of the datagram world's whitelist.
 
    The planted variant gives both partitions' sinks a slot in one shared
    counter array (created outside the run): the audit must flag it. *)
@@ -809,12 +823,13 @@ let audit_partitioned ~plant () =
   Isolation.audit
     ~nodes:[ ("part-0", [ Obj.repr w0 ]); ("part-1", [ Obj.repr w1 ]) ]
     ~boundary:
-      [
-        ("engine-0", Obj.repr w0.pw_eng);
-        ("engine-1", Obj.repr w1.pw_eng);
-        ("send-0", conduit 0);
-        ("send-1", conduit 1);
-      ]
+      ([
+         ("engine-0", Obj.repr w0.pw_eng);
+         ("engine-1", Obj.repr w1.pw_eng);
+         ("send-0", conduit 0);
+         ("send-1", conduit 1);
+       ]
+      @ fillers)
     ~max_literal_bytes:64 ()
 
 let audits : audit_case list =

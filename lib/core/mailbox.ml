@@ -1,8 +1,6 @@
 open Nectar_sim
 module Costs = Nectar_cab.Costs
 
-type cached_buffer = { coff : int; clen : int; mutable busy : bool }
-
 type overflow = [ `Block | `Drop ]
 
 type t = {
@@ -12,18 +10,26 @@ type t = {
   limit : int;
   capacity : int option;
   overflow : overflow;
-  mutable in_use : int;
+  acct : Message.owner; (* the bytes charged here, and their release *)
   mutable overflow_drop_count : int;
-  queue : Message.t Queue.t;
+  queue : Message.t Nectar_util.Ring.t;
   space_q : Waitq.t;
   data_q : Waitq.t;
   mutable upcall : (Ctx.t -> t -> unit) option;
   mutable on_space_freed : (unit -> unit) option;
-  cache : cached_buffer option;
+  cache : Message.cached option;
+  heap_source : Message.source; (* built once: a message holds no closure *)
+  cache_source : Message.source;
   mutable put_count : int;
   mutable get_count : int;
   mutable cache_hit_count : int;
 }
+
+(* Bytes left the mailbox's accounting: admit blocked writers, run the
+   hook. *)
+let space_freed t () =
+  ignore (Waitq.broadcast t.space_q);
+  match t.on_space_freed with Some f -> f () | None -> ()
 
 let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
     ?(overflow = `Block) ?(cached_buffer_bytes = 128) ?upcall () =
@@ -39,76 +45,79 @@ let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
       match Buffer_heap.alloc heap cached_buffer_bytes with
       | Some coff ->
           Vet_hook.heap_persistent ~heap:(Buffer_heap.uid heap) ~off:coff;
-          Some { coff; clen = cached_buffer_bytes; busy = false }
+          Some { Message.coff; clen = cached_buffer_bytes; busy = false }
       | None -> invalid_arg "Mailbox.create: heap exhausted"
   in
-  {
-    mname = name;
-    eng;
-    heap;
-    limit = byte_limit;
-    capacity;
-    overflow;
-    in_use = 0;
-    overflow_drop_count = 0;
-    queue = Queue.create ();
-    space_q = Waitq.create eng;
-    data_q = Waitq.create eng;
-    upcall;
-    on_space_freed = None;
-    cache;
-    put_count = 0;
-    get_count = 0;
-    cache_hit_count = 0;
-  }
+  let heap_source = Message.Heap heap in
+  let t =
+    {
+      mname = name;
+      eng;
+      heap;
+      limit = byte_limit;
+      capacity;
+      overflow;
+      acct = { Message.in_use = 0; freed = ignore };
+      overflow_drop_count = 0;
+      queue = Nectar_util.Ring.create ~dummy:Message.dummy;
+      space_q = Waitq.create eng;
+      data_q = Waitq.create eng;
+      upcall;
+      on_space_freed = None;
+      cache;
+      heap_source;
+      cache_source =
+        (match cache with Some c -> Message.Cached c | None -> heap_source);
+      put_count = 0;
+      get_count = 0;
+      cache_hit_count = 0;
+    }
+  in
+  t.acct.freed <- space_freed t;
+  t
 
 let name t = t.mname
 let set_upcall t u = t.upcall <- u
 let set_on_space_freed t f = t.on_space_freed <- f
 
-(* Ownership callbacks installed on messages this mailbox owns.  Freeing the
-   buffer itself is *not* here: it is fixed at allocation time
-   (Message.free_buffer), so a message enqueued to another mailbox still
-   returns its buffer to where it came from. *)
-let rec install t (msg : Message.t) =
-  msg.on_end_get <- release t;
-  msg.on_disown <- uncharge t
-
-and release t ctx (msg : Message.t) =
-  if msg.state = Message.Freed then invalid_arg "Mailbox: double free";
-  ctx.Ctx.work Costs.mbox_end_get_ns;
-  msg.state <- Message.Freed;
-  uncharge t msg;
-  (* drop the owner's buffer reference; the physical free waits for any
-     in-flight transmit extents or slices still reading the bytes *)
-  Message.release msg
-
-and uncharge t (msg : Message.t) =
-  t.in_use <- t.in_use - msg.buf_len;
-  ignore (Waitq.broadcast t.space_q);
-  match t.on_space_freed with Some f -> f () | None -> ()
-
-let take_buffer t (ctx : Ctx.t) n =
-  match t.cache with
-  | Some c when (not c.busy) && n <= c.clen ->
-      c.busy <- true;
-      t.cache_hit_count <- t.cache_hit_count + 1;
-      Some (c.coff, c.clen, (fun () -> c.busy <- false), true)
-  | _ -> (
-      ctx.work Costs.heap_alloc_ns;
-      match Buffer_heap.alloc t.heap (Int.max 4 n) with
-      | Some off ->
-          Some
-            ( off,
-              Buffer_heap.block_size t.heap off,
-              (fun () -> Buffer_heap.free t.heap off),
-              false )
-      | None -> None)
+(* Drop the message from its owner's byte accounting.  Freeing the buffer
+   itself is *not* here: it follows the message's [source], fixed at
+   allocation, so a message enqueued to another mailbox still returns its
+   buffer to where it came from. *)
+let disown (msg : Message.t) =
+  let o = msg.owner in
+  o.in_use <- o.in_use - msg.buf_len;
+  o.freed ()
 
 let queue_full t =
-  match t.capacity with None -> false | Some c -> Queue.length t.queue >= c
+  match t.capacity with
+  | None -> false
+  | Some c -> Nectar_util.Ring.length t.queue >= c
 
-let try_begin_put (ctx : Ctx.t) t ?(headroom = 0) n =
+let report_put ctx t (msg : Message.t) ~cached =
+  if Vet_hook.installed () then
+    Vet_hook.msg_event ctx ~uid:msg.uid ~mailbox:t.mname
+      (Vet_hook.Begin_put
+         { heap = Buffer_heap.uid t.heap; off = msg.buf_off;
+           len = msg.buf_len; cached })
+
+(* A new message over a buffer taken for [headroom + n] bytes. *)
+let adopt ctx t ~buf_off ~buf_len ~source ~cached headroom total =
+  t.acct.in_use <- t.acct.in_use + buf_len;
+  let msg =
+    Message.alloc ~mem:(Buffer_heap.region t.heap) ~buf_off ~buf_len
+      ~len:total ~source ~owner:t.acct
+  in
+  (* the reserved headroom sits in front of the data view; protocol
+     layers reclaim it with [Message.push_head] to prepend headers into
+     the same buffer *)
+  Message.adjust_head msg headroom;
+  report_put ctx t msg ~cached;
+  msg
+
+(* [try_begin_put] without its option: [Message.dummy] when the mailbox
+   or the heap has no room. *)
+let put (ctx : Ctx.t) t headroom n =
   if n < 0 then invalid_arg "Mailbox.begin_put: negative size";
   if headroom < 0 then invalid_arg "Mailbox.begin_put: negative headroom";
   let total = headroom + n in
@@ -116,49 +125,50 @@ let try_begin_put (ctx : Ctx.t) t ?(headroom = 0) n =
   (* With [`Block] the message-count bound backpressures writers here, at
      allocation time; with [`Drop] the put is admitted and tail-dropped at
      queue time, so the writer never stalls. *)
-  if t.in_use + total > t.limit || (t.overflow = `Block && queue_full t) then
-    None
+  if t.acct.in_use + total > t.limit || (t.overflow = `Block && queue_full t)
+  then Message.dummy
   else
-    match take_buffer t ctx total with
-    | None -> None
-    | Some (buf_off, buf_len, free_buffer, cached) ->
-        t.in_use <- t.in_use + buf_len;
-        let msg =
-          Message.make ~mem:(Buffer_heap.region t.heap) ~buf_off ~buf_len
-            ~len:total ~free_buffer ()
-        in
-        (* the reserved headroom sits in front of the data view; protocol
-           layers reclaim it with [Message.push_head] to prepend headers
-           into the same buffer *)
-        Message.adjust_head msg headroom;
-        install t msg;
-        Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:t.mname
-          (Vet_hook.Begin_put
-             { heap = Buffer_heap.uid t.heap; off = buf_off; len = buf_len;
-               cached });
-        Some msg
+    match t.cache with
+    | Some c when (not c.busy) && total <= c.clen ->
+        c.busy <- true;
+        t.cache_hit_count <- t.cache_hit_count + 1;
+        adopt ctx t ~buf_off:c.coff ~buf_len:c.clen ~source:t.cache_source
+          ~cached:true headroom total
+    | _ -> (
+        ctx.work Costs.heap_alloc_ns;
+        match Buffer_heap.alloc t.heap (Int.max 4 total) with
+        | Some off ->
+            adopt ctx t ~buf_off:off ~buf_len:(Buffer_heap.block_size t.heap off)
+              ~source:t.heap_source ~cached:false headroom total
+        | None -> Message.dummy)
+
+let try_begin_put ctx t ?(headroom = 0) n =
+  let msg = put ctx t headroom n in
+  if msg == Message.dummy then None else Some msg
+
+let rec put_blocking ctx t headroom n =
+  let msg = put ctx t headroom n in
+  if msg != Message.dummy then msg
+  else begin
+    if Vet_hook.installed () then
+      Vet_hook.blocking ctx ~op:("Mailbox.begin_put " ^ t.mname);
+    (* Timed wait, not [Waitq.wait]: a put can also fail on a transient
+       heap-allocation fault (injected, or a fragmented first-fit miss)
+       with space already free — then no space-freed signal will ever
+       come, and an untimed wait would sleep forever. *)
+    ignore (Waitq.wait_timeout t.space_q (Sim_time.us 100));
+    put_blocking ctx t headroom n
+  end
 
 let begin_put ctx t ?(headroom = 0) n =
   Ctx.assert_may_block ctx "Mailbox.begin_put";
   if headroom + n > t.limit then
     invalid_arg "Mailbox.begin_put: larger than mailbox byte limit";
-  let rec attempt () =
-    match try_begin_put ctx t ~headroom n with
-    | Some msg -> msg
-    | None ->
-        Vet_hook.blocking ctx ~op:("Mailbox.begin_put " ^ t.mname);
-        (* Timed wait, not [Waitq.wait]: a put can also fail on a transient
-           heap-allocation fault (injected, or a fragmented first-fit miss)
-           with space already free — then no space-freed signal will ever
-           come, and an untimed wait would sleep forever. *)
-        ignore (Waitq.wait_timeout t.space_q (Sim_time.us 100));
-        attempt ()
-  in
-  attempt ()
+  put_blocking ctx t headroom n
 
 let queue_message (ctx : Ctx.t) t (msg : Message.t) =
   msg.state <- Message.Queued;
-  Queue.add msg t.queue;
+  Nectar_util.Ring.push t.queue msg;
   t.put_count <- t.put_count + 1;
   ignore (Waitq.signal t.data_q);
   match t.upcall with
@@ -171,7 +181,7 @@ let queue_message (ctx : Ctx.t) t (msg : Message.t) =
    caller has already reported the event and validated the state. *)
 let release_held (msg : Message.t) =
   msg.state <- Message.Freed;
-  msg.on_disown msg;
+  disown msg;
   Message.release msg
 
 (* Tail-drop of a completed put or an enqueued message when a [`Drop]
@@ -210,37 +220,46 @@ let abort_put (ctx : Ctx.t) t (msg : Message.t) =
     invalid_arg "Mailbox.abort_put: message not in writing state";
   release_held msg
 
+(* The front message, now held by the reader; the queue is not empty. *)
+let take (ctx : Ctx.t) t =
+  let msg = Nectar_util.Ring.pop t.queue in
+  msg.Message.state <- Message.Reading;
+  (* a capacity-bounded mailbox admits a blocked writer as soon as a
+     slot opens, not only when the reader finishes with the bytes *)
+  if t.capacity <> None then ignore (Waitq.broadcast t.space_q);
+  t.get_count <- t.get_count + 1;
+  Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:t.mname
+    Vet_hook.Begin_get;
+  msg
+
 let try_begin_get (ctx : Ctx.t) t =
   ctx.work Costs.mbox_begin_get_ns;
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some msg ->
-      msg.state <- Message.Reading;
-      (* a capacity-bounded mailbox admits a blocked writer as soon as a
-         slot opens, not only when the reader finishes with the bytes *)
-      if t.capacity <> None then ignore (Waitq.broadcast t.space_q);
-      t.get_count <- t.get_count + 1;
-      Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:t.mname
-        Vet_hook.Begin_get;
-      Some msg
+  if Nectar_util.Ring.is_empty t.queue then None else Some (take ctx t)
+
+let rec get_blocking (ctx : Ctx.t) t =
+  ctx.work Costs.mbox_begin_get_ns;
+  if not (Nectar_util.Ring.is_empty t.queue) then take ctx t
+  else begin
+    if Vet_hook.installed () then
+      Vet_hook.blocking ctx ~op:("Mailbox.begin_get " ^ t.mname);
+    Waitq.wait t.data_q;
+    get_blocking ctx t
+  end
 
 let begin_get ctx t =
   Ctx.assert_may_block ctx "Mailbox.begin_get";
-  let rec attempt () =
-    match try_begin_get ctx t with
-    | Some msg -> msg
-    | None ->
-        Vet_hook.blocking ctx ~op:("Mailbox.begin_get " ^ t.mname);
-        Waitq.wait t.data_q;
-        attempt ()
-  in
-  attempt ()
+  get_blocking ctx t
 
-let end_get ctx (msg : Message.t) =
+let end_get (ctx : Ctx.t) (msg : Message.t) =
   Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:"" Vet_hook.End_get;
   if msg.state <> Message.Reading then
     invalid_arg "Mailbox.end_get: message not held by a reader";
-  msg.on_end_get ctx msg
+  ctx.work Costs.mbox_end_get_ns;
+  msg.state <- Message.Freed;
+  disown msg;
+  (* drop the owner's buffer reference; the physical free waits for any
+     in-flight transmit extents or slices still reading the bytes *)
+  Message.release msg
 
 let enqueue (ctx : Ctx.t) (msg : Message.t) dst =
   (match msg.state with
@@ -250,24 +269,25 @@ let enqueue (ctx : Ctx.t) (msg : Message.t) dst =
   ctx.work Costs.mbox_enqueue_ns;
   if dst.overflow = `Drop && queue_full dst then overflow_drop ctx dst msg
   else begin
-    Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:dst.mname
-      (Vet_hook.Enqueue { dst = dst.mname });
+    if Vet_hook.installed () then
+      Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:dst.mname
+        (Vet_hook.Enqueue { dst = dst.mname });
     (* Transfer accounting from the current owner, then adopt; the buffer
        itself stays put — only queue pointers move (paper §3.3).  A
        [`Block] destination at capacity still accepts, like the byte
        limit: enqueue must stay non-blocking for interrupt callers. *)
-    msg.on_disown msg;
-    dst.in_use <- dst.in_use + msg.buf_len;
-    install dst msg;
+    disown msg;
+    dst.acct.in_use <- dst.acct.in_use + msg.buf_len;
+    msg.owner <- dst.acct;
     queue_message ctx dst msg
   end
 
-let queued_messages t = Queue.length t.queue
+let queued_messages t = Nectar_util.Ring.length t.queue
 
 let queued_bytes t =
-  Queue.fold (fun acc m -> acc + Message.length m) 0 t.queue
+  Nectar_util.Ring.fold (fun acc m -> acc + Message.length m) 0 t.queue
 
-let bytes_in_use t = t.in_use
+let bytes_in_use t = t.acct.in_use
 let overflow_drops t = t.overflow_drop_count
 let puts t = t.put_count
 let gets t = t.get_count

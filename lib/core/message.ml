@@ -1,8 +1,17 @@
 type state = Writing | Queued | Reading | Freed
 
-(* [off]/[len] move as layers strip and push headers, [state] and the
-   owner callbacks move with ownership, and [refs] counts buffer views;
-   the rest is fixed for the message's lifetime. *)
+type cached = { coff : int; clen : int; mutable busy : bool }
+
+type source =
+  | Heap of Buffer_heap.t
+  | Cached of cached
+  | Custom of (unit -> unit)
+
+type owner = { mutable in_use : int; mutable freed : unit -> unit }
+
+(* [off]/[len] move as layers strip and push headers, [state] and [owner]
+   move with ownership, and [refs] counts buffer views; the rest is fixed
+   for the message's lifetime. *)
 type t = {
   uid : int;
   mem : Nectar_util.Region.t;
@@ -12,9 +21,8 @@ type t = {
   mutable len : int;
   mutable state : state;
   mutable refs : int;
-  free_buffer : unit -> unit;
-  mutable on_end_get : Ctx.t -> t -> unit;
-  mutable on_disown : t -> unit;
+  source : source;
+  mutable owner : owner;
 }
 
 (* Atomic: messages are created inside every partition's domain under
@@ -22,10 +30,9 @@ type t = {
    on them) while the single-domain sequence is unchanged. *)
 let uid_counter = Atomic.make 0
 
-let noop_end_get : Ctx.t -> t -> unit = fun _ _ -> ()
-let noop_disown : t -> unit = fun _ -> ()
+let unowned = { in_use = 0; freed = ignore }
 
-let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
+let alloc ~mem ~buf_off ~buf_len ~len ~source ~owner =
   if len < 0 || len > buf_len then invalid_arg "Message.make";
   {
     uid = 1 + Atomic.fetch_and_add uid_counter 1;
@@ -36,10 +43,34 @@ let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
     len;
     state = Writing;
     refs = 1;
-    free_buffer;
-    on_end_get = noop_end_get;
-    on_disown = noop_disown;
+    source;
+    owner;
   }
+
+let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
+  alloc ~mem ~buf_off ~buf_len ~len ~source:(Custom free_buffer)
+    ~owner:unowned
+
+(* Fills vacated queue cells; uid 0 is no message's. *)
+let dummy =
+  {
+    uid = 0;
+    mem = Nectar_util.Region.of_bytes Bytes.empty;
+    buf_off = 0;
+    buf_len = 0;
+    off = 0;
+    len = 0;
+    state = Freed;
+    refs = 0;
+    source = Custom ignore;
+    owner = unowned;
+  }
+
+let free_buffer t =
+  match t.source with
+  | Heap h -> Buffer_heap.free h t.buf_off
+  | Cached c -> c.busy <- false
+  | Custom f -> f ()
 
 (* Reference counting covers the *buffer*, not the two-phase mailbox state:
    the owner's reference (held from [make]) is dropped by the mailbox free
@@ -66,7 +97,7 @@ let release t =
   else begin
     t.refs <- t.refs - 1;
     Vet_hook.msg_release ~uid:t.uid ~refs:t.refs ~live:true;
-    if t.refs = 0 then t.free_buffer ()
+    if t.refs = 0 then free_buffer t
   end
 
 let refs t = t.refs

@@ -7,11 +7,29 @@
     headers — and [set_bounds]/[grow_head] style reuse is deliberately not
     offered: a message never grows beyond the buffer it was allocated in.
 
-    Ownership plumbing: the mailbox that currently owns the message installs
-    [release]/[disown] callbacks (set at allocation and updated by
-    [Mailbox.enqueue]); user code never touches them. *)
+    Ownership plumbing: a message records the accounting of the mailbox
+    that currently owns it (set at allocation, moved by
+    [Mailbox.enqueue]) and where its buffer came from; user code never
+    touches them. *)
 
 type state = Writing | Queued | Reading | Freed
+
+type cached = { coff : int; clen : int; mutable busy : bool }
+(** A mailbox's small-message cache buffer (busy while a message holds
+    it). *)
+
+(** Where a message's buffer returns when its last reference drops: fixed
+    for the message's lifetime even as ownership moves between mailboxes.
+    A mailbox builds its sources once, so a message carries no closure. *)
+type source =
+  | Heap of Buffer_heap.t  (** a heap block at [buf_off] *)
+  | Cached of cached  (** a mailbox's cache buffer *)
+  | Custom of (unit -> unit)  (** {!make}'s callback *)
+
+type owner = { mutable in_use : int; mutable freed : unit -> unit }
+(** The owning mailbox's byte accounting: the buffer bytes charged to it,
+    and what to run when bytes leave it (wake blocked writers, run its
+    space-freed hook).  One per mailbox. *)
 
 type t = {
   uid : int;  (** unique per message, for the vet checkers *)
@@ -25,15 +43,10 @@ type t = {
   mutable refs : int;
       (** references to the underlying buffer: the owner's (from [make])
           plus one per live slice / in-flight transmit extent *)
-  free_buffer : unit -> unit;
-      (** return the buffer to where it was allocated from; fixed for the
-          message's lifetime even as ownership moves between mailboxes.
-          Called by {!release} when the last reference drops — never
-          directly. *)
-  mutable on_end_get : Ctx.t -> t -> unit;
-      (** current owner's release routine *)
-  mutable on_disown : t -> unit;
-      (** drop the message from the current owner's byte accounting *)
+  source : source;
+      (** where {!release} returns the buffer when the last reference
+          drops *)
+  mutable owner : owner;  (** the owning mailbox's accounting *)
 }
 
 val make :
@@ -44,7 +57,25 @@ val make :
   free_buffer:(unit -> unit) ->
   unit ->
   t
-(** Ownership callbacks start as no-ops; the owning mailbox installs them. *)
+(** A message no mailbox owns, whose buffer is returned by [free_buffer]
+    (tests and diagnostics). *)
+
+val alloc :
+  mem:Nectar_util.Region.t ->
+  buf_off:int ->
+  buf_len:int ->
+  len:int ->
+  source:source ->
+  owner:owner ->
+  t
+(** The mailbox's constructor. *)
+
+val unowned : owner
+(** The accounting of a message no mailbox owns. *)
+
+val dummy : t
+(** A freed message with uid 0, no message's: the filler of vacated
+    queue cells, shared by every queue and never written. *)
 
 val length : t -> int
 
@@ -61,8 +92,8 @@ val state_name : state -> string
     The two-phase mailbox protocol frees a buffer when its owner disposes or
     [end_get]s the message — but on the zero-copy path the transmit DMA and
     protocol slices still reference the bytes then.  Each such view takes a
-    reference; the physical free ([free_buffer]) runs when the count reaches
-    zero.  Refcount traffic charges no simulated time, so deferring the free
+    reference; the physical free (to the message's [source]) runs when the
+    count reaches zero.  Refcount traffic charges no simulated time, so deferring the free
     never moves a simulated event. *)
 
 val retain : t -> unit

@@ -2,102 +2,202 @@ module Region = Nectar_util.Region
 module Vet_probe = Nectar_sim.Vet_probe
 
 type extent = { ereg : Region.t; eoff : int; elen : int }
+type owner = Unowned | Owner : { value : 'a; ops : 'a ops } -> owner
+and 'a ops = { release : 'a -> unit; sent : 'a -> unit }
+
+type rx = ..
+type rx += Idle
 
 type t = {
-  id : int;
+  mutable id : int;
   src : int;
-  mutable extents : extent list;
-  total : int;
-  wire_crc : int;
-  mutable on_release : unit -> unit;
-  mutable released : bool;
+  mutable reg : Region.t;
+  mutable off : int;
+  mutable len : int;
+  mutable tail : extent list;
+  mutable wire_crc : int;
+  mutable bits : int;
+  route : int list;
+  mutable owner : owner;
+  mutable rx : rx;
+  mutable arrived : int;
+  mutable consumed : int;
+  mutable waiter : Nectar_sim.Engine.waker;
 }
+
+(* [bits]: three flags under the header size. *)
+let released_bit = 1
+let dropped_bit = 2 (* the owner's release has run *)
+let crc_bad_bit = 4
+let header_shift = 3
+
+let make ~id ~src ~header_bytes ~route reg ~off ~len ~tail owner =
+  {
+    id;
+    src;
+    reg;
+    off;
+    len;
+    tail;
+    wire_crc = 0;
+    bits = header_bytes lsl header_shift;
+    route;
+    owner;
+    rx = Idle;
+    arrived = 0;
+    consumed = 0;
+    waiter = Nectar_sim.Engine.no_waker;
+  }
+
+let rec tail_length acc = function
+  | [] -> acc
+  | e :: rest -> tail_length (acc + e.elen) rest
+
+let length t = match t.tail with [] -> t.len | tail -> tail_length t.len tail
+let header_bytes t = t.bits lsr header_shift
 
 (* Every read of a frame's extents reports the range to vet first, so a
    read of a buffer its owner already freed is found where it happens.
    Top-level recursion, not a closure: with no hook installed a read
    allocates nothing. *)
-let rec crc_of id acc = function
-  | [] -> acc
-  | e :: rest ->
-      Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:e.eoff ~len:e.elen;
-      crc_of id
-        (Nectar_util.Crc32.update acc (Region.bytes e.ereg) ~pos:e.eoff
-           ~len:e.elen)
-        rest
+let read id reg off len acc =
+  Vet_probe.dma_read ~frame:id ~region:reg ~off ~len;
+  Nectar_util.Crc32.update acc (Region.bytes reg) ~pos:off ~len
 
-let of_extents ?wire_crc ~id ~src ~on_release extents =
-  let total = List.fold_left (fun acc e -> acc + e.elen) 0 extents in
-  if total = 0 then invalid_arg "Frame.create_sg: empty frame";
-  let wire_crc =
-    match wire_crc with Some c -> c | None -> crc_of id 0 extents
-  in
-  { id; src; extents; total; wire_crc; on_release; released = false }
+let rec crc_of_tail id acc = function
+  | [] -> acc
+  | e :: rest -> crc_of_tail id (read id e.ereg e.eoff e.elen acc) rest
+
+let crc_of t = crc_of_tail t.id (read t.id t.reg t.off t.len 0) t.tail
+
+let check_extent reg off len what =
+  if off < 0 || len < 0 || off + len > Region.resident_bytes reg then
+    invalid_arg (what ^ ": extent outside its region's backing")
+
+let rec check_tail what = function
+  | [] -> ()
+  | e :: rest ->
+      check_extent e.ereg e.eoff e.elen what;
+      check_tail what rest
+
+let latch t ~id =
+  check_extent t.reg t.off t.len "Frame.latch";
+  check_tail "Frame.latch" t.tail;
+  t.id <- id;
+  t.wire_crc <- crc_of t
+
+let outgoing ~src ~route ~header_bytes reg ~off ~len ~tail owner =
+  make ~id:(-1) ~src ~header_bytes ~route reg ~off ~len ~tail owner
+
+let thunk_ops = { release = (fun f -> f ()); sent = ignore }
 
 let create_sg ~id ~src ~extents ~on_release =
-  of_extents ~id ~src ~on_release
-    (List.map
-       (fun (ereg, eoff, elen) ->
-         if eoff < 0 || elen < 0 || eoff + elen > Region.resident_bytes ereg
-         then invalid_arg "Frame.create_sg: extent outside its region's backing";
-         { ereg; eoff; elen })
-       extents)
-
-let private_extent data =
-  [ { ereg = Region.of_bytes data; eoff = 0; elen = Bytes.length data } ]
-
-let create ~id ~src ~data =
-  of_extents ~id ~src ~on_release:(fun () -> ()) (private_extent data)
+  List.iter
+    (fun (reg, off, len) -> check_extent reg off len "Frame.create_sg")
+    extents;
+  match extents with
+  | [] -> invalid_arg "Frame.create_sg: empty frame"
+  | (reg, off, len) :: rest ->
+      let tail =
+        List.map (fun (ereg, eoff, elen) -> { ereg; eoff; elen }) rest
+      in
+      let t =
+        make ~id ~src ~header_bytes:0 ~route:[] reg ~off ~len ~tail
+          (Owner { value = on_release; ops = thunk_ops })
+      in
+      if length t = 0 then invalid_arg "Frame.create_sg: empty frame";
+      t.wire_crc <- crc_of t;
+      t
 
 let of_wire ~id ~src ~wire_crc ~data =
-  of_extents ~wire_crc ~id ~src ~on_release:(fun () -> ())
-    (private_extent data)
+  let len = Bytes.length data in
+  if len = 0 then invalid_arg "Frame.create_sg: empty frame";
+  let t =
+    make ~id ~src ~header_bytes:0 ~route:[] (Region.of_bytes data) ~off:0
+      ~len ~tail:[] Unowned
+  in
+  t.wire_crc <- wire_crc;
+  t
 
-let length t = t.total
-let crc_ok t = crc_of t.id 0 t.extents = t.wire_crc
+let create ~id ~src ~data =
+  let t = of_wire ~id ~src ~wire_crc:0 ~data in
+  t.wire_crc <- crc_of t;
+  t
+
+let filler = create ~id:(-1) ~src:(-1) ~data:(Bytes.make 1 '\000')
+let crc_ok t = crc_of t = t.wire_crc
+
+let set_crc_verdict t ok =
+  t.bits <- (if ok then t.bits land lnot crc_bad_bit else t.bits lor crc_bad_bit)
+
+let crc_verdict t = t.bits land crc_bad_bit = 0
+
+let outside what t pos len =
+  if pos < 0 || len < 0 || pos + len > length t then
+    invalid_arg (what ^ ": outside frame")
 
 let straddles = (Bytes.empty, -1)
 
-(* The extent holding frame range [pos, pos + len), searching from the
-   extent at frame offset [off].  Top-level recursion with no option: a
-   view allocates only the pair it returns. *)
-let rec view_from id pos len off = function
+(* The tail extent holding frame range [pos, pos + len), searching from
+   the extent at frame offset [at].  Top-level recursion with no option:
+   a view allocates only the pair it returns. *)
+let rec tail_view id pos len at = function
   | [] -> straddles
   | e :: rest ->
-      if pos >= off + e.elen then view_from id pos len (off + e.elen) rest
-      else if pos + len > off + e.elen then straddles
+      if pos >= at + e.elen then tail_view id pos len (at + e.elen) rest
+      else if pos + len > at + e.elen then straddles
       else begin
-        let eoff = e.eoff + (pos - off) in
-        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:eoff ~len;
-        (Region.bytes e.ereg, eoff)
+        let off = e.eoff + (pos - at) in
+        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off ~len;
+        (Region.bytes e.ereg, off)
       end
 
-let view t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.total then
-    invalid_arg "Frame.view: outside frame";
-  view_from t.id pos len 0 t.extents
+let inline_read t pos len =
+  Vet_probe.dma_read ~frame:t.id ~region:t.reg ~off:(t.off + pos) ~len;
+  Region.bytes t.reg
 
-(* [len] bytes from frame offset [pos] into [dst], the extent list
-   starting at frame offset [off]. *)
-let rec blit_extents id dst off dst_pos pos len = function
+let inline_bytes t ~pos ~len =
+  outside "Frame.view" t pos len;
+  if pos + len <= t.len then inline_read t pos len else Bytes.empty
+
+let view t ~pos ~len =
+  outside "Frame.view" t pos len;
+  if pos + len <= t.len then (inline_read t pos len, t.off + pos)
+  else if pos < t.len then straddles
+  else tail_view t.id pos len t.len t.tail
+
+(* [len] bytes of an extent ([reg], [off], [elen]) at frame offset [at],
+   from frame offset [pos], into [dst]; returns how many it copied. *)
+let blit_extent id reg off elen at dst dst_pos pos len =
+  if len = 0 || pos >= at + elen then 0
+  else begin
+    let src = off + (pos - at) in
+    let n = Int.min len (elen - (pos - at)) in
+    Vet_probe.dma_read ~frame:id ~region:reg ~off:src ~len:n;
+    Bytes.blit (Region.bytes reg) src dst dst_pos n;
+    n
+  end
+
+let rec blit_tail id dst at dst_pos pos len = function
   | [] -> ()
   | e :: rest ->
-      if len = 0 then ()
-      else if pos >= off + e.elen then
-        blit_extents id dst (off + e.elen) dst_pos pos len rest
-      else begin
-        let src = e.eoff + (pos - off) in
-        let n = Int.min len (e.elen - (pos - off)) in
-        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off:src ~len:n;
-        Bytes.blit (Region.bytes e.ereg) src dst dst_pos n;
-        blit_extents id dst (off + e.elen) (dst_pos + n) (pos + n) (len - n)
-          rest
+      if len > 0 then begin
+        let n = blit_extent id e.ereg e.eoff e.elen at dst dst_pos pos len in
+        blit_tail id dst (at + e.elen) (dst_pos + n) (pos + n) (len - n) rest
       end
 
 let blit t ~pos ~dst ~dst_pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.total then
-    invalid_arg "Frame.blit: outside frame";
-  blit_extents t.id dst 0 dst_pos pos len t.extents
+  outside "Frame.blit" t pos len;
+  let n = blit_extent t.id t.reg t.off t.len 0 dst dst_pos pos len in
+  blit_tail t.id dst t.len (dst_pos + n) (pos + n) (len - n) t.tail
+
+let drop_owner t =
+  if t.bits land dropped_bit = 0 then begin
+    t.bits <- t.bits lor dropped_bit;
+    match t.owner with
+    | Owner { value; ops } -> ops.release value
+    | Unowned -> ()
+  end
 
 (* Privatise the frame's bytes: copy every extent into fresh storage and
    drop the references to the source buffers right away.  Fault injection
@@ -106,12 +206,14 @@ let blit t ~pos ~dst ~dst_pos ~len =
    protocol will retransmit), so corruption must hit a private snapshot,
    never the sender's memory. *)
 let detach t =
-  let data = Bytes.create t.total in
-  blit t ~pos:0 ~dst:data ~dst_pos:0 ~len:t.total;
-  t.extents <- [ { ereg = Region.of_bytes data; eoff = 0; elen = t.total } ];
-  let release = t.on_release in
-  t.on_release <- (fun () -> ());
-  release ()
+  let total = length t in
+  let data = Bytes.create total in
+  blit t ~pos:0 ~dst:data ~dst_pos:0 ~len:total;
+  t.reg <- Region.of_bytes data;
+  t.off <- 0;
+  t.len <- total;
+  t.tail <- [];
+  drop_owner t
 
 (* Flip one bit in each of [burst] contiguous bytes centred on the middle
    of the frame — a single-bit error for [burst = 1] (the classic fiber
@@ -120,21 +222,20 @@ let detach t =
    dropped whole by the datalink. *)
 let corrupt ?(burst = 1) t =
   detach t;
-  match t.extents with
-  | [ { ereg; eoff = 0; elen } ] ->
-      let ebytes = Region.bytes ereg in
-      let k = min (max 1 burst) elen in
-      let start = min (elen / 2) (elen - k) in
-      for i = start to start + k - 1 do
-        Bytes.set_uint8 ebytes i (Bytes.get_uint8 ebytes i lxor 0x08)
-      done
-  | _ -> assert false
+  let ebytes = Region.bytes t.reg and elen = t.len in
+  let k = min (max 1 burst) elen in
+  let start = min (elen / 2) (elen - k) in
+  for i = start to start + k - 1 do
+    Bytes.set_uint8 ebytes i (Bytes.get_uint8 ebytes i lxor 0x08)
+  done
 
 let release t =
-  if t.released then invalid_arg "Frame.release: frame already released";
-  t.released <- true;
-  let release = t.on_release in
-  t.on_release <- (fun () -> ());
-  release ()
+  if t.bits land released_bit <> 0 then
+    invalid_arg "Frame.release: frame already released";
+  t.bits <- t.bits lor released_bit;
+  drop_owner t
 
-let released t = t.released
+let released t = t.bits land released_bit <> 0
+
+let sent t =
+  match t.owner with Owner { value; ops } -> ops.sent value | Unowned -> ()

@@ -335,7 +335,11 @@ let run_circuit t ~hub ~route_ports ~hops ~target ~verdict ~header_bytes
             "Network: frame reached a remote link with no forward hook"));
   release_hops t hub route_ports
 
-let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
+let check_header_bytes what header_bytes =
+  if header_bytes < 1 then
+    invalid_arg (what ^ ": header_bytes must be at least 1")
+
+let transmit_checked t ~header_bytes ~src ~route:route_ports frame =
   let tid = Trace.span_begin ~track:"net" "wire" in
   let verdict =
     match t.fault with None -> `Deliver | Some f -> f frame
@@ -364,6 +368,15 @@ let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
   t.bytes <- t.bytes + total;
   Trace.span_end tid
 
+let transmit ?(header_bytes = 32) t ~src ~route frame =
+  check_header_bytes "Network.transmit" header_bytes;
+  transmit_checked t ~header_bytes ~src ~route frame
+
+let transmit_frame t (frame : Frame.t) =
+  let header_bytes = Frame.header_bytes frame in
+  check_header_bytes "Network.transmit" header_bytes;
+  transmit_checked t ~header_bytes ~src:frame.src ~route:frame.route frame
+
 (* Continue a frame that crossed a partition boundary: rebuild it from
    the payload snapshot and the sender's CRC, and deliver along the
    remainder of its source route, from the entry hub, under this
@@ -375,6 +388,7 @@ let inject ?(header_bytes = 32) t ~hub ~src ~frame_id ~wire_crc
   if hub < 0 || hub >= Array.length t.hubs then
     invalid_arg "Network.inject: bad entry hub";
   if route_ports = [] then invalid_arg "Network.inject: empty route";
+  check_header_bytes "Network.inject" header_bytes;
   t.remote_in <- t.remote_in + 1;
   Engine.spawn t.eng ~name:"net.inject" (fun () ->
       let tid = Trace.span_begin ~track:"net" "wire" in

@@ -126,7 +126,8 @@ val inject :
     recomputed) and deliver along [route] starting at the entry [hub].
     Spawns its own process (call it from a timer at the hand-off [at]
     time); [src] and [frame_id] are the sender-partition values, so
-    traces and dedup keys survive the crossing.  The route may cross a
+    traces and dedup keys survive the crossing.  [header_bytes] (default
+    32) must be at least 1, as for {!transmit}.  The route may cross a
     further remote port — multi-partition paths chain hand-offs. *)
 
 val attach_node : t -> hub:int -> port:int -> sink -> node_id
@@ -165,7 +166,13 @@ val transmit :
     network is their last holder; delivered frames are released by the
     receiving CAB's rx engine instead.  [header_bytes] (default 32) sizes
     the first chunk so the receiver's start-of-packet event fires as soon
-    as the headers are in. *)
+    as the headers are in; it must be at least 1 ([Invalid_argument]
+    otherwise, before anything is sent: a 0-byte first chunk would never
+    advance the stream). *)
+
+val transmit_frame : t -> Frame.t -> unit
+(** {!transmit} of a CAB frame along its own [route], from its [src],
+    with its {!Frame.header_bytes}. *)
 
 val set_fault_hook : t -> (Frame.t -> fault_verdict) option -> unit
 (** Fault injection for loss/corruption tests.  [`Corrupt] flips a bit in

@@ -1,6 +1,7 @@
 open Nectar_core
 open Nectar_cab
 module Router = Nectar_route.Router
+module Frame = Nectar_hub.Frame
 
 type binding = {
   input_mailbox : Mailbox.t;
@@ -9,15 +10,19 @@ type binding = {
   end_of_data : Ctx.t -> Message.t -> src_cab:int -> unit;
 }
 
+type bound = { binding : binding; client : Message.t Rx.client }
+
 type t = {
   rt : Runtime.t;
   cab : Cab.t;
-  bindings : binding option array;
+  bindings : bound option array;
       (* indexed by protocol number; the proto field is a u8 on the wire,
          so 256 slots cover every decodable value and the per-frame demux
          is a single array load instead of a hash probe *)
   tx_pool : Mailbox.t;
   router : Router.t;
+  dispose_ops : Message.t Frame.ops;
+  dispose_sg_ops : (Message.t * Message.Slice.t list) Frame.ops;
   mutable no_buffer : int;
   mutable bad_proto : int;
   mutable bad_len : int;
@@ -28,55 +33,77 @@ type t = {
   mutable frames_out_count : int;
 }
 
-(* Start-of-packet interrupt handler: read and parse the datalink header,
+(* Start-of-packet interrupt handler: read the datalink header in place,
    allocate buffer space in the protocol's input mailbox, program DMA. *)
-let rx_frame t _ pending =
+let rx_frame t _ (f : Frame.t) =
   let ctx = Runtime.interrupt_ctx t.rt in
   Nectar_sim.Trace.instant ~track:(Cab.name t.cab) "dl.rx";
   ctx.work Costs.dl_rx_header_ns;
   t.frames_in_count <- t.frames_in_count + 1;
   let rx = Cab.rx t.cab in
-  let hdr_bytes, hdr_pos = Rx.read_view rx pending Wire.dl_header_bytes in
-  let hdr = Wire.decode_dl hdr_bytes ~pos:hdr_pos in
-  if hdr.Wire.payload_len <> Rx.total pending - Wire.dl_header_bytes then begin
+  let hdr = Rx.read_view rx f Wire.dl_header_bytes in
+  let pos = Rx.view_offset rx in
+  let payload_len = Wire.dl_payload_len hdr pos in
+  if payload_len <> Rx.total f - Wire.dl_header_bytes then begin
     (* Never size a receive buffer from the wire's claim alone: the DMA
        drains the whole physical frame, so a header whose length field
        disagrees with the frame would overrun the buffer.  Such frames are
        malformed (e.g. a transmitter snapshotting a recycled buffer) and
        are dropped whole, like a CRC failure. *)
     t.bad_len <- t.bad_len + 1;
-    Rx.discard rx pending
+    Rx.discard rx f
   end
   else
-    match Array.unsafe_get t.bindings hdr.Wire.proto with
+    match Array.unsafe_get t.bindings (Wire.dl_proto hdr pos) with
     (* safe: proto is a u8 and the array has 256 slots *)
     | None ->
         t.bad_proto <- t.bad_proto + 1;
-        Rx.discard rx pending
-    | Some b -> (
-      match Mailbox.try_begin_put ctx b.input_mailbox hdr.Wire.payload_len with
+        Rx.discard rx f
+    | Some { binding = b; client } -> (
+      match Mailbox.try_begin_put ctx b.input_mailbox payload_len with
       | None ->
           t.no_buffer <- t.no_buffer + 1;
-          Rx.discard rx pending
+          Rx.discard rx f
       | Some msg ->
-          let watch =
+          let watch_at =
             match b.start_of_data with
-            | None -> []
-            | Some f ->
-                let proto_hdr =
-                  Int.min b.proto_header_len hdr.Wire.payload_len
-                in
-                [ (Wire.dl_header_bytes + proto_hdr, fun _ -> f ctx) ]
+            | None -> max_int
+            | Some _ ->
+                Wire.dl_header_bytes + Int.min b.proto_header_len payload_len
           in
-          Rx.dma_to_memory rx pending ~dst:msg.Message.mem
-            ~dst_pos:msg.Message.off ~watch
-            ~on_complete:(fun _ ~crc_ok ->
-              if crc_ok then b.end_of_data ctx msg ~src_cab:hdr.Wire.src_cab
-              else begin
-                t.crc_drops <- t.crc_drops + 1;
-                Mailbox.abort_put ctx b.input_mailbox msg
-              end)
-            ())
+          Rx.receive rx f ~dst:msg.Message.mem ~dst_pos:msg.Message.off
+            ~watch_at client msg)
+
+(* A binding's receive DMA client: the start-of-data and end-of-data
+   upcalls at interrupt level.  The frame's source is the sending CAB the
+   header names. *)
+let client_of t b =
+  {
+    Rx.next_watch = (fun _ -> max_int);
+    watched =
+      (fun _ _ _ ->
+        match b.start_of_data with
+        | Some f -> f (Runtime.interrupt_ctx t.rt)
+        | None -> ());
+    completed =
+      (fun _ (f : Frame.t) msg ->
+        let ctx = Runtime.interrupt_ctx t.rt in
+        if Frame.crc_verdict f then b.end_of_data ctx msg ~src_cab:f.src
+        else begin
+          t.crc_drops <- t.crc_drops + 1;
+          Mailbox.abort_put ctx b.input_mailbox msg
+        end);
+  }
+
+(* What a sent frame's owner does: drop the frame's buffer reference when
+   the frame dies, and with [~free:true] dispose the message at
+   transmit-done. *)
+let release_sg (msg, tail) =
+  Message.release msg;
+  List.iter Message.Slice.release tail
+
+let keep_ops = { Frame.release = Message.release; sent = ignore }
+let keep_sg_ops = { Frame.release = release_sg; sent = ignore }
 
 let create ?router rt =
   let cab = Runtime.cab rt in
@@ -90,6 +117,7 @@ let create ?router rt =
       ~name:(Cab.name cab ^ ".dl-tx-pool")
       ~byte_limit:(256 * 1024) ~cached_buffer_bytes:0 ()
   in
+  let dispose msg = Mailbox.dispose (Runtime.interrupt_ctx rt) msg in
   let t =
     {
       rt;
@@ -97,6 +125,9 @@ let create ?router rt =
       bindings = Array.make 256 None;
       tx_pool;
       router;
+      dispose_ops = { Frame.release = Message.release; sent = dispose };
+      dispose_sg_ops =
+        { Frame.release = release_sg; sent = (fun (msg, _) -> dispose msg) };
       no_buffer = 0;
       bad_proto = 0;
       bad_len = 0;
@@ -118,7 +149,7 @@ let register t ~proto binding =
     invalid_arg "Datalink.register: protocol number must fit in a u8";
   if Option.is_some t.bindings.(proto) then
     invalid_arg "Datalink.register: protocol already bound";
-  t.bindings.(proto) <- Some binding
+  t.bindings.(proto) <- Some { binding; client = client_of t binding }
 
 (* Consult the live route database for this flow.  Typed refusals are
    counted here (per CAB) as well as in the router (per database): a
@@ -146,6 +177,14 @@ let alloc_frame_blocking (ctx : Ctx.t) t n =
     Mailbox.begin_put ctx t.tx_pool ~headroom:Wire.dl_header_bytes n
   else match alloc_frame ctx t n with Some msg -> msg | None -> raise No_buffer
 
+let rec tail_length acc = function
+  | [] -> acc
+  | s :: rest -> tail_length (acc + Message.Slice.length s) rest
+
+let slice_extent s =
+  let ereg, eoff, elen = Message.Slice.extent s in
+  { Frame.ereg; eoff; elen }
+
 let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
   if dst_cab = Cab.node_id t.cab then
     invalid_arg
@@ -166,38 +205,29 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
   Message.retain msg;
   let tid = Nectar_sim.Trace.span_begin ~track:(Cab.name t.cab) "dl.tx" in
   ctx.work Costs.dl_tx_setup_ns;
-  let tail_len =
-    List.fold_left (fun acc s -> acc + Message.Slice.length s) 0 tail
-  in
-  let payload_len = Message.length msg + tail_len in
+  let payload_len = tail_length (Message.length msg) tail in
   Message.push_head msg Wire.dl_header_bytes;
-  let header =
-    {
-      Wire.proto;
-      flags = 0;
-      payload_len;
-      src_cab = Cab.node_id t.cab;
-      dst_cab;
-    }
-  in
-  Wire.encode_dl (Message.bytes msg) ~pos:msg.Message.off header;
+  Wire.write_dl (Message.bytes msg) ~pos:msg.Message.off ~proto ~flags:0
+    ~payload_len ~src_cab:(Cab.node_id t.cab) ~dst_cab;
   t.frames_out_count <- t.frames_out_count + 1;
   (* Zero-copy transmit: the frame's extents point straight into the
      message's buffer (headers and payload in place, paper §5.2) plus any
      payload slices carved out of other messages. *)
-  let extents =
-    (msg.Message.mem, msg.Message.off, Message.length msg)
-    :: List.map Message.Slice.extent tail
+  let owner =
+    match tail with
+    | [] ->
+        Frame.Owner { value = msg; ops = (if free then t.dispose_ops else keep_ops) }
+    | _ ->
+        Frame.Owner
+          {
+            value = (msg, tail);
+            ops = (if free then t.dispose_sg_ops else keep_sg_ops);
+          }
   in
-  Cab.send_frame t.cab ~route ~header_bytes:Wire.dl_header_bytes
-    ~release:(fun () ->
-      Message.release msg;
-      List.iter Message.Slice.release tail)
-    ~extents
-    ~on_done:
-      (if free then fun _ -> Mailbox.dispose (Runtime.interrupt_ctx t.rt) msg
-       else ignore)
-    ();
+  Cab.send t.cab
+    (Frame.outgoing ~src:(Cab.node_id t.cab) ~route
+       ~header_bytes:Wire.dl_header_bytes msg.Message.mem ~off:msg.Message.off
+       ~len:(Message.length msg) ~tail:(List.map slice_extent tail) owner);
   (* Restore the caller's view of the message (transport header + payload):
      the frame extent was captured above, and reliable protocols re-send the
      same message on retransmission. *)

@@ -7,30 +7,21 @@ let proto_rmp = 3
 let proto_reqresp = 4
 let proto_netdev = 5
 
-type dl_header = {
-  proto : int;
-  flags : int;
-  payload_len : int;
-  src_cab : int;
-  dst_cab : int;
-}
-
-let encode_dl b ~pos h =
-  Byte_view.set_u8 b pos h.proto;
-  Byte_view.set_u8 b (pos + 1) h.flags;
-  Byte_view.set_u16 b (pos + 2) h.payload_len;
-  Byte_view.set_u16 b (pos + 4) h.src_cab;
-  Byte_view.set_u16 b (pos + 6) h.dst_cab;
+(* proto u8 | flags u8 | payload_len u16 | src_cab u16 | dst_cab u16 |
+   reserved u32, read and written in place *)
+let write_dl b ~pos ~proto ~flags ~payload_len ~src_cab ~dst_cab =
+  Byte_view.set_u8 b pos proto;
+  Byte_view.set_u8 b (pos + 1) flags;
+  Byte_view.set_u16 b (pos + 2) payload_len;
+  Byte_view.set_u16 b (pos + 4) src_cab;
+  Byte_view.set_u16 b (pos + 6) dst_cab;
   Byte_view.set_u32 b (pos + 8) 0
 
-let decode_dl b ~pos =
-  {
-    proto = Byte_view.get_u8 b pos;
-    flags = Byte_view.get_u8 b (pos + 1);
-    payload_len = Byte_view.get_u16 b (pos + 2);
-    src_cab = Byte_view.get_u16 b (pos + 4);
-    dst_cab = Byte_view.get_u16 b (pos + 6);
-  }
+let dl_proto b pos = Byte_view.get_u8 b pos
+let dl_flags b pos = Byte_view.get_u8 b (pos + 1)
+let dl_payload_len b pos = Byte_view.get_u16 b (pos + 2)
+let dl_src_cab b pos = Byte_view.get_u16 b (pos + 4)
+let dl_dst_cab b pos = Byte_view.get_u16 b (pos + 6)
 
 let port_ip_input = 1
 let port_tcp_input = 2

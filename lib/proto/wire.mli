@@ -20,16 +20,24 @@ val proto_reqresp : int
 val proto_netdev : int
 (** Raw packets relayed for network-device mode (paper §5.1). *)
 
-type dl_header = {
-  proto : int;
-  flags : int;
-  payload_len : int;
-  src_cab : int;
-  dst_cab : int;
-}
+val write_dl :
+  Bytes.t ->
+  pos:int ->
+  proto:int ->
+  flags:int ->
+  payload_len:int ->
+  src_cab:int ->
+  dst_cab:int ->
+  unit
+(** Write a datalink header in place at [pos]. *)
 
-val encode_dl : Bytes.t -> pos:int -> dl_header -> unit
-val decode_dl : Bytes.t -> pos:int -> dl_header
+(** Fields of the datalink header at [pos], read in place. *)
+
+val dl_proto : Bytes.t -> int -> int
+val dl_flags : Bytes.t -> int -> int
+val dl_payload_len : Bytes.t -> int -> int
+val dl_src_cab : Bytes.t -> int -> int
+val dl_dst_cab : Bytes.t -> int -> int
 
 (** {1 Port numbers}
 

@@ -1,42 +1,78 @@
-(* A plain waiter is just its waker.  A timed one also carries the timer
-   that a signal cancels and the outcome its process reads on resumption;
-   it stays queued, dead, after a timeout until a signal skips it.  [live]
-   counts the waiters still to be woken, so [waiters] is O(1). *)
-type timed = {
-  tw : Engine.waker;
-  mutable pending : bool; (* neither signaled nor timed out yet *)
-  mutable timed_out : bool;
+(* A FIFO ring of waiters in two parallel arrays of immediates, indexed
+   by each waiter's absolute queue position modulo the capacity: its
+   waker, and the timer a signal must cancel ([Engine.inert_timer] for a
+   plain waiter).  So a plain wait allocates nothing once the ring has
+   grown to its working size.  A timed waiter's timer callback finds its
+   cell by position (the cell still holds its waker while it is pending:
+   a signal that takes it cancels the timer) and marks it dead; a dead
+   cell stays queued until a signal skips it.  [live] counts the waiters
+   still to be woken, so [waiters] is O(1).  The arrays start empty and
+   double when full. *)
+type t = {
+  eng : Engine.t;
+  mutable ws : Engine.waker array; (* [dead] once timed out *)
+  mutable tms : Engine.timer array;
+  mutable first : int; (* absolute position of the front waiter *)
+  mutable len : int;
+  mutable live : int;
 }
 
-type entry = Plain of Engine.waker | Timed of timed * Engine.timer
+let dead = Engine.no_waker
 
-type t = { eng : Engine.t; entries : entry Queue.t; mutable live : int }
+let create eng =
+  (* zero-length arrays are the runtime's one empty block *)
+  { eng; ws = Array.make 0 dead; tms = Array.make 0 Engine.inert_timer;
+    first = 0; len = 0; live = 0 }
 
-let create eng = { eng; entries = Queue.create (); live = 0 }
+(* Re-lay the cells at the same absolute positions in arrays twice as
+   large. *)
+let grow t =
+  let cap = Array.length t.ws in
+  let ncap = if cap = 0 then 4 else 2 * cap in
+  let ws = Array.make ncap dead and tms = Array.make ncap Engine.inert_timer in
+  for p = t.first to t.first + t.len - 1 do
+    ws.(p land (ncap - 1)) <- t.ws.(p land (cap - 1));
+    tms.(p land (ncap - 1)) <- t.tms.(p land (cap - 1))
+  done;
+  t.ws <- ws;
+  t.tms <- tms
 
-let enqueue t e =
-  Queue.add e t.entries;
-  t.live <- t.live + 1
+(* Queue [w] at the back; returns its absolute position. *)
+let enqueue t w tm =
+  if t.len = Array.length t.ws then grow t;
+  let p = t.first + t.len in
+  let i = p land (Array.length t.ws - 1) in
+  Array.unsafe_set t.ws i w;
+  Array.unsafe_set t.tms i tm;
+  t.len <- t.len + 1;
+  t.live <- t.live + 1;
+  p
 
 let wait_releasing t ~release =
-  enqueue t (Plain (Engine.waker t.eng));
+  ignore (enqueue t (Engine.waker t.eng) Engine.inert_timer);
   release ();
   Engine.block t.eng
 
-let wait t = wait_releasing t ~release:ignore
+let wait t =
+  ignore (enqueue t (Engine.waker t.eng) Engine.inert_timer);
+  Engine.block t.eng
+
+(* A timed waiter's cell position (known once queued: the timer cannot
+   fire before the process blocks) and the outcome it reads on
+   resumption. *)
+type timed = { mutable pos : int; mutable timed_out : bool }
 
 let wait_timeout_releasing t ~release span =
-  let r = { tw = Engine.waker t.eng; pending = true; timed_out = false } in
+  let w = Engine.waker t.eng in
+  let r = { pos = 0; timed_out = false } in
   let tm =
     Engine.after t.eng span (fun () ->
-        if r.pending then begin
-          r.pending <- false;
-          r.timed_out <- true;
-          t.live <- t.live - 1;
-          Engine.wake t.eng r.tw
-        end)
+        t.ws.(r.pos land (Array.length t.ws - 1)) <- dead;
+        t.live <- t.live - 1;
+        r.timed_out <- true;
+        Engine.wake t.eng w)
   in
-  enqueue t (Timed (r, tm));
+  r.pos <- enqueue t w tm;
   release ();
   Engine.block t.eng;
   if r.timed_out then `Timeout else `Signaled
@@ -44,22 +80,20 @@ let wait_timeout_releasing t ~release span =
 let wait_timeout t span = wait_timeout_releasing t ~release:ignore span
 
 let rec signal t =
-  if Queue.is_empty t.entries then false
-  else
-    match Queue.take t.entries with
-    | Plain w ->
-        t.live <- t.live - 1;
-        Engine.wake t.eng w;
-        true
-    | Timed (r, tm) ->
-        if r.pending then begin
-          r.pending <- false;
-          t.live <- t.live - 1;
-          Engine.cancel t.eng tm;
-          Engine.wake t.eng r.tw;
-          true
-        end
-        else signal t
+  if t.len = 0 then false
+  else begin
+    let i = t.first land (Array.length t.ws - 1) in
+    let w = Array.unsafe_get t.ws i in
+    t.first <- t.first + 1;
+    t.len <- t.len - 1;
+    if w == dead then signal t
+    else begin
+      t.live <- t.live - 1;
+      Engine.cancel t.eng (Array.unsafe_get t.tms i);
+      Engine.wake t.eng w;
+      true
+    end
+  end
 
 let broadcast t =
   let n = ref 0 in

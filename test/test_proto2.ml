@@ -24,12 +24,11 @@ let prop_dl_header_roundtrip =
         (int_bound 0xffff))
     (fun (proto, len, src, dst) ->
       let b = Bytes.create 16 in
-      Wire.encode_dl b ~pos:2
-        { Wire.proto; flags = 0; payload_len = len; src_cab = src;
-          dst_cab = dst };
-      let h = Wire.decode_dl b ~pos:2 in
-      h.Wire.proto = proto && h.Wire.payload_len = len
-      && h.Wire.src_cab = src && h.Wire.dst_cab = dst)
+      Wire.write_dl b ~pos:2 ~proto ~flags:0 ~payload_len:len ~src_cab:src
+        ~dst_cab:dst;
+      Wire.dl_proto b 2 = proto && Wire.dl_flags b 2 = 0
+      && Wire.dl_payload_len b 2 = len
+      && Wire.dl_src_cab b 2 = src && Wire.dl_dst_cab b 2 = dst)
 
 let prop_ipv4_addr_roundtrip =
   QCheck2.Test.make ~name:"cab id <-> IPv4 address roundtrip"
