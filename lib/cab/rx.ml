@@ -3,15 +3,21 @@ module Frame = Nectar_hub.Frame
 
 type pending = Frame.t
 
-type 'a client = {
-  next_watch : 'a -> int;
-  watched : Interrupts.ctx -> pending -> 'a -> unit;
-  completed : Interrupts.ctx -> pending -> 'a -> unit;
+type ('c, 'a) client = {
+  next_watch : 'c -> 'a -> int;
+  watched : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
+  completed : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
 }
 
 (* A frame's receive state while its DMA runs and until its completion
-   interrupt: the client and its value. *)
-type Frame.rx += Receiving : { value : 'a; client : 'a client } -> Frame.rx
+   interrupt: the client, its context and the frame's value. *)
+type Frame.rx +=
+  | Receiving : {
+      client : ('c, 'a) client;
+      context : 'c;
+      value : 'a;
+    }
+      -> Frame.rx
 
 type t = {
   eng : Engine.t;
@@ -112,12 +118,13 @@ let read_bytes t p n = copy_out t p ~pos:(consume t p n) n
    argument. *)
 let watched ictx (p : pending) =
   match p.rx with
-  | Receiving { value; client } -> client.watched ictx p value
+  | Receiving { client; context; value } -> client.watched ictx p context value
   | _ -> ()
 
 let completed ictx (p : pending) =
   match p.rx with
-  | Receiving { value; client } -> client.completed ictx p value
+  | Receiving { client; context; value } ->
+      client.completed ictx p context value
   | _ -> ()
 
 let rec complete_all ictx = function
@@ -165,7 +172,7 @@ let dma t (p : pending) dst base watch_at =
     Byte_fifo.pop t.fifo n;
     Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
     (match p.rx with
-    | Receiving { value; client } ->
+    | Receiving { client; context; value } ->
         (* the modelled receive-DMA engine: hardware moves these bytes,
            so this is not a software copy and is not metered *)
         Frame.blit p ~pos:p.consumed ~dst:(Nectar_util.Region.bytes dst)
@@ -173,7 +180,7 @@ let dma t (p : pending) dst base watch_at =
         p.consumed <- p.consumed + n;
         while p.consumed >= !watch do
           Interrupts.post_with t.irq ~name:"rx-watch" watched p;
-          watch := client.next_watch value
+          watch := client.next_watch context value
         done
     | _ -> p.consumed <- p.consumed + n)
   done;
@@ -187,8 +194,8 @@ let dma t (p : pending) dst base watch_at =
   | _ -> ());
   Frame.release p
 
-let receive t (p : pending) ~dst ~dst_pos ~watch_at client value =
-  p.rx <- Receiving { value; client };
+let receive t (p : pending) ~dst ~dst_pos ~watch_at client context value =
+  p.rx <- Receiving { client; context; value };
   let base = dst_pos - p.consumed in
   Engine.spawn t.eng ~name:t.dma_name (fun () -> dma t p dst base watch_at)
 
@@ -200,7 +207,7 @@ type closures = {
   on_complete : Interrupts.ctx -> crc_ok:bool -> unit;
 }
 
-let pop_offset c =
+let pop_offset c () =
   match c.offsets with
   | o :: rest ->
       c.offsets <- rest;
@@ -211,14 +218,14 @@ let closure_client =
   {
     next_watch = pop_offset;
     watched =
-      (fun ictx _ c ->
+      (fun ictx _ c () ->
         match c.fns with
         | fn :: rest ->
             c.fns <- rest;
             fn ictx
         | [] -> ());
     completed =
-      (fun ictx p c -> c.on_complete ictx ~crc_ok:(Frame.crc_verdict p));
+      (fun ictx p c () -> c.on_complete ictx ~crc_ok:(Frame.crc_verdict p));
   }
 
 let by_offset ((a : int), _) (b, _) = Int.compare a b
@@ -230,7 +237,7 @@ let dma_to_memory t p ~dst ~dst_pos ?(watch = []) ~on_complete () =
   let c =
     { offsets = List.map fst watch; fns = List.map snd watch; on_complete }
   in
-  receive t p ~dst ~dst_pos ~watch_at:(pop_offset c) closure_client c
+  receive t p ~dst ~dst_pos ~watch_at:(pop_offset c ()) closure_client c ()
 
 let no_dst = Nectar_util.Region.of_bytes Bytes.empty
 

@@ -70,18 +70,19 @@ val read_view : t -> pending -> int -> Bytes.t
 val view_offset : t -> int
 (** Where the span of the last {!read_view} starts in its result. *)
 
-type 'a client = {
-  next_watch : 'a -> int;
+type ('c, 'a) client = {
+  next_watch : 'c -> 'a -> int;
       (** the next watch offset once a watch interrupt has been raised
           ([max_int]: none) *)
-  watched : Interrupts.ctx -> pending -> 'a -> unit;
+  watched : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
       (** a watch interrupt ("rx-watch") *)
-  completed : Interrupts.ctx -> pending -> 'a -> unit;
+  completed : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
       (** the completion interrupt ("rx-done"); the hardware CRC verdict
           is {!Nectar_hub.Frame.crc_verdict} *)
 }
-(** A receiver of DMA'd frames: static handlers, with the per-frame state
-    in the value given to {!receive}. *)
+(** A receiver of DMA'd frames: static handlers, given a context the
+    receiver keeps (the datalink's protocol binding, say) and the
+    frame's own value (its receive buffer). *)
 
 val receive :
   t ->
@@ -89,7 +90,8 @@ val receive :
   dst:Nectar_util.Region.t ->
   dst_pos:int ->
   watch_at:int ->
-  'a client ->
+  ('c, 'a) client ->
+  'c ->
   'a ->
   unit
 (** Program receive DMA for the rest of the frame.  Returns immediately;

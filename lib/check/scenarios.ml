@@ -661,8 +661,8 @@ let find name = List.find_opt (fun (s : Explore.scenario) -> s.name = name) all
      threshold.
    - fillers: the module-level values that pad vacated cells of every
      node's rings (the frame filler of CAB transmit rings, the message
-     filler of mailbox queues) and the runtime's one empty array, the
-     initial array of every ring and wait queue that has not grown yet.
+     filler of mailbox queues) and the one empty array of every ring and
+     wait queue that has not grown yet.
      Stored into cells, never written through, like the engine's
      dummy-event padding. *)
 
@@ -670,7 +670,7 @@ let fillers =
   [
     ("frame-filler", Obj.repr Frame.filler);
     ("message-filler", Obj.repr Message.dummy);
-    ("empty-array", Obj.repr (Array.make 0 ()));
+    ("empty-cells", Obj.repr Nectar_util.Ring.no_cells);
   ]
 
 type audit_case = {

@@ -13,23 +13,14 @@ type t = {
   acct : Message.owner; (* the bytes charged here, and their release *)
   mutable overflow_drop_count : int;
   queue : Message.t Nectar_util.Ring.t;
-  space_q : Waitq.t;
   data_q : Waitq.t;
   mutable upcall : (Ctx.t -> t -> unit) option;
-  mutable on_space_freed : (unit -> unit) option;
-  cache : Message.cached option;
   heap_source : Message.source; (* built once: a message holds no closure *)
-  cache_source : Message.source;
+  cache : Message.source; (* [Cached] when the mailbox has a cache buffer *)
   mutable put_count : int;
   mutable get_count : int;
   mutable cache_hit_count : int;
 }
-
-(* Bytes left the mailbox's accounting: admit blocked writers, run the
-   hook. *)
-let space_freed t () =
-  ignore (Waitq.broadcast t.space_q);
-  match t.on_space_freed with Some f -> f () | None -> ()
 
 let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
     ?(overflow = `Block) ?(cached_buffer_bytes = 128) ?upcall () =
@@ -39,46 +30,39 @@ let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
   if Vet_hook.installed () then
     Vet_hook.heap_attach ~heap:(Buffer_heap.uid heap) ~name:"cab-heap"
       ~mem:(Buffer_heap.region heap);
+  let heap_source = Message.Heap heap in
   let cache =
-    if cached_buffer_bytes <= 0 then None
+    if cached_buffer_bytes <= 0 then heap_source
     else
       match Buffer_heap.alloc heap cached_buffer_bytes with
       | Some coff ->
           Vet_hook.heap_persistent ~heap:(Buffer_heap.uid heap) ~off:coff;
-          Some { Message.coff; clen = cached_buffer_bytes; busy = false }
+          Message.Cached { coff; clen = cached_buffer_bytes; busy = false }
       | None -> invalid_arg "Mailbox.create: heap exhausted"
   in
-  let heap_source = Message.Heap heap in
-  let t =
-    {
+  {
       mname = name;
       eng;
       heap;
       limit = byte_limit;
       capacity;
       overflow;
-      acct = { Message.in_use = 0; freed = ignore };
+      acct =
+        { Message.in_use = 0; space_q = Waitq.create eng; on_space_freed = None };
       overflow_drop_count = 0;
       queue = Nectar_util.Ring.create ~dummy:Message.dummy;
-      space_q = Waitq.create eng;
       data_q = Waitq.create eng;
       upcall;
-      on_space_freed = None;
-      cache;
       heap_source;
-      cache_source =
-        (match cache with Some c -> Message.Cached c | None -> heap_source);
+      cache;
       put_count = 0;
       get_count = 0;
       cache_hit_count = 0;
     }
-  in
-  t.acct.freed <- space_freed t;
-  t
 
 let name t = t.mname
 let set_upcall t u = t.upcall <- u
-let set_on_space_freed t f = t.on_space_freed <- f
+let set_on_space_freed t f = t.acct.on_space_freed <- f
 
 (* Drop the message from its owner's byte accounting.  Freeing the buffer
    itself is *not* here: it follows the message's [source], fixed at
@@ -87,7 +71,8 @@ let set_on_space_freed t f = t.on_space_freed <- f
 let disown (msg : Message.t) =
   let o = msg.owner in
   o.in_use <- o.in_use - msg.buf_len;
-  o.freed ()
+  ignore (Waitq.broadcast o.space_q);
+  match o.on_space_freed with Some f -> f () | None -> ()
 
 let queue_full t =
   match t.capacity with
@@ -129,10 +114,10 @@ let put (ctx : Ctx.t) t headroom n =
   then Message.dummy
   else
     match t.cache with
-    | Some c when (not c.busy) && total <= c.clen ->
+    | Message.Cached c when (not c.busy) && total <= c.clen ->
         c.busy <- true;
         t.cache_hit_count <- t.cache_hit_count + 1;
-        adopt ctx t ~buf_off:c.coff ~buf_len:c.clen ~source:t.cache_source
+        adopt ctx t ~buf_off:c.coff ~buf_len:c.clen ~source:t.cache
           ~cached:true headroom total
     | _ -> (
         ctx.work Costs.heap_alloc_ns;
@@ -156,7 +141,7 @@ let rec put_blocking ctx t headroom n =
        heap-allocation fault (injected, or a fragmented first-fit miss)
        with space already free — then no space-freed signal will ever
        come, and an untimed wait would sleep forever. *)
-    ignore (Waitq.wait_timeout t.space_q (Sim_time.us 100));
+    ignore (Waitq.wait_timeout t.acct.space_q (Sim_time.us 100));
     put_blocking ctx t headroom n
   end
 
@@ -226,7 +211,7 @@ let take (ctx : Ctx.t) t =
   msg.Message.state <- Message.Reading;
   (* a capacity-bounded mailbox admits a blocked writer as soon as a
      slot opens, not only when the reader finishes with the bytes *)
-  if t.capacity <> None then ignore (Waitq.broadcast t.space_q);
+  if t.capacity <> None then ignore (Waitq.broadcast t.acct.space_q);
   t.get_count <- t.get_count + 1;
   Vet_hook.msg_event ctx ~uid:msg.Message.uid ~mailbox:t.mname
     Vet_hook.Begin_get;

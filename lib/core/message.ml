@@ -7,7 +7,11 @@ type source =
   | Cached of cached
   | Custom of (unit -> unit)
 
-type owner = { mutable in_use : int; mutable freed : unit -> unit }
+type owner = {
+  mutable in_use : int;
+  space_q : Nectar_sim.Waitq.t;
+  mutable on_space_freed : (unit -> unit) option;
+}
 
 (* [off]/[len] move as layers strip and push headers, [state] and [owner]
    move with ownership, and [refs] counts buffer views; the rest is fixed
@@ -30,8 +34,6 @@ type t = {
    on them) while the single-domain sequence is unchanged. *)
 let uid_counter = Atomic.make 0
 
-let unowned = { in_use = 0; freed = ignore }
-
 let alloc ~mem ~buf_off ~buf_len ~len ~source ~owner =
   if len < 0 || len > buf_len then invalid_arg "Message.make";
   {
@@ -47,9 +49,17 @@ let alloc ~mem ~buf_off ~buf_len ~len ~source ~owner =
     owner;
   }
 
+(* An owner of its own, on an engine of its own: [make]'s messages are
+   tests' and diagnostics', few and short-lived. *)
 let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
-  alloc ~mem ~buf_off ~buf_len ~len ~source:(Custom free_buffer)
-    ~owner:unowned
+  let owner =
+    {
+      in_use = buf_len;
+      space_q = Nectar_sim.Waitq.create (Nectar_sim.Engine.create ());
+      on_space_freed = None;
+    }
+  in
+  alloc ~mem ~buf_off ~buf_len ~len ~source:(Custom free_buffer) ~owner
 
 (* Fills vacated queue cells; uid 0 is no message's. *)
 let dummy =
@@ -63,7 +73,12 @@ let dummy =
     state = Freed;
     refs = 0;
     source = Custom ignore;
-    owner = unowned;
+    owner =
+      {
+        in_use = 0;
+        space_q = Nectar_sim.Waitq.create (Nectar_sim.Engine.create ());
+        on_space_freed = None;
+      };
   }
 
 let free_buffer t =

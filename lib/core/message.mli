@@ -26,10 +26,14 @@ type source =
   | Cached of cached  (** a mailbox's cache buffer *)
   | Custom of (unit -> unit)  (** {!make}'s callback *)
 
-type owner = { mutable in_use : int; mutable freed : unit -> unit }
+type owner = {
+  mutable in_use : int;
+  space_q : Nectar_sim.Waitq.t;
+  mutable on_space_freed : (unit -> unit) option;
+}
 (** The owning mailbox's byte accounting: the buffer bytes charged to it,
-    and what to run when bytes leave it (wake blocked writers, run its
-    space-freed hook).  One per mailbox. *)
+    the writers waiting for bytes to leave it, and its space-freed hook.
+    One per mailbox. *)
 
 type t = {
   uid : int;  (** unique per message, for the vet checkers *)
@@ -57,8 +61,8 @@ val make :
   free_buffer:(unit -> unit) ->
   unit ->
   t
-(** A message no mailbox owns, whose buffer is returned by [free_buffer]
-    (tests and diagnostics). *)
+(** A message no mailbox owns (an owner of its own), whose buffer is
+    returned by [free_buffer] (tests and diagnostics). *)
 
 val alloc :
   mem:Nectar_util.Region.t ->
@@ -69,9 +73,6 @@ val alloc :
   owner:owner ->
   t
 (** The mailbox's constructor. *)
-
-val unowned : owner
-(** The accounting of a message no mailbox owns. *)
 
 val dummy : t
 (** A freed message with uid 0, no message's: the filler of vacated

@@ -10,8 +10,6 @@ type binding = {
   end_of_data : Ctx.t -> Message.t -> src_cab:int -> unit;
 }
 
-type bound = { binding : binding; client : Message.t Rx.client }
-
 type t = {
   rt : Runtime.t;
   cab : Cab.t;
@@ -32,6 +30,29 @@ type t = {
   mutable frames_in_count : int;
   mutable frames_out_count : int;
 }
+
+and bound = { binding : binding; dl : t }
+
+(* The receive DMA client of every binding: the start-of-data and
+   end-of-data upcalls at interrupt level.  The frame's source is the
+   sending CAB the header names. *)
+let client =
+  {
+    Rx.next_watch = (fun _ _ -> max_int);
+    watched =
+      (fun _ _ bd _ ->
+        match bd.binding.start_of_data with
+        | Some f -> f (Runtime.interrupt_ctx bd.dl.rt)
+        | None -> ());
+    completed =
+      (fun _ (f : Frame.t) { binding = b; dl = t } msg ->
+        let ctx = Runtime.interrupt_ctx t.rt in
+        if Frame.crc_verdict f then b.end_of_data ctx msg ~src_cab:f.src
+        else begin
+          t.crc_drops <- t.crc_drops + 1;
+          Mailbox.abort_put ctx b.input_mailbox msg
+        end);
+  }
 
 (* Start-of-packet interrupt handler: read the datalink header in place,
    allocate buffer space in the protocol's input mailbox, program DMA. *)
@@ -59,7 +80,7 @@ let rx_frame t _ (f : Frame.t) =
     | None ->
         t.bad_proto <- t.bad_proto + 1;
         Rx.discard rx f
-    | Some { binding = b; client } -> (
+    | Some ({ binding = b; _ } as bd) -> (
       match Mailbox.try_begin_put ctx b.input_mailbox payload_len with
       | None ->
           t.no_buffer <- t.no_buffer + 1;
@@ -72,28 +93,7 @@ let rx_frame t _ (f : Frame.t) =
                 Wire.dl_header_bytes + Int.min b.proto_header_len payload_len
           in
           Rx.receive rx f ~dst:msg.Message.mem ~dst_pos:msg.Message.off
-            ~watch_at client msg)
-
-(* A binding's receive DMA client: the start-of-data and end-of-data
-   upcalls at interrupt level.  The frame's source is the sending CAB the
-   header names. *)
-let client_of t b =
-  {
-    Rx.next_watch = (fun _ -> max_int);
-    watched =
-      (fun _ _ _ ->
-        match b.start_of_data with
-        | Some f -> f (Runtime.interrupt_ctx t.rt)
-        | None -> ());
-    completed =
-      (fun _ (f : Frame.t) msg ->
-        let ctx = Runtime.interrupt_ctx t.rt in
-        if Frame.crc_verdict f then b.end_of_data ctx msg ~src_cab:f.src
-        else begin
-          t.crc_drops <- t.crc_drops + 1;
-          Mailbox.abort_put ctx b.input_mailbox msg
-        end);
-  }
+            ~watch_at client bd msg)
 
 (* What a sent frame's owner does: drop the frame's buffer reference when
    the frame dies, and with [~free:true] dispose the message at
@@ -149,7 +149,7 @@ let register t ~proto binding =
     invalid_arg "Datalink.register: protocol number must fit in a u8";
   if Option.is_some t.bindings.(proto) then
     invalid_arg "Datalink.register: protocol already bound";
-  t.bindings.(proto) <- Some { binding; client = client_of t binding }
+  t.bindings.(proto) <- Some { binding; dl = t }
 
 (* Consult the live route database for this flow.  Typed refusals are
    counted here (per CAB) as well as in the router (per database): a

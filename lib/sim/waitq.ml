@@ -20,15 +20,14 @@ type t = {
 let dead = Engine.no_waker
 
 let create eng =
-  (* zero-length arrays are the runtime's one empty block *)
-  { eng; ws = Array.make 0 dead; tms = Array.make 0 Engine.inert_timer;
-    first = 0; len = 0; live = 0 }
+  let no_cells = Nectar_util.Ring.no_cells in
+  { eng; ws = no_cells; tms = no_cells; first = 0; len = 0; live = 0 }
 
 (* Re-lay the cells at the same absolute positions in arrays twice as
    large. *)
 let grow t =
   let cap = Array.length t.ws in
-  let ncap = if cap = 0 then 4 else 2 * cap in
+  let ncap = if cap = 0 then 1 else 2 * cap in
   let ws = Array.make ncap dead and tms = Array.make ncap Engine.inert_timer in
   for p = t.first to t.first + t.len - 1 do
     ws.(p land (ncap - 1)) <- t.ws.(p land (cap - 1));

@@ -5,16 +5,15 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ~dummy =
-  (* zero-length arrays are the runtime's one empty block *)
-  { buf = Array.make 0 dummy; head = 0; len = 0; dummy }
+let no_cells = [||]
+let create ~dummy = { buf = no_cells; head = 0; len = 0; dummy }
 let length t = t.len
 let is_empty t = t.len = 0
 
 (* Double the array (4 cells at first), unrolling the ring to index 0. *)
 let grow t =
   let cap = Array.length t.buf in
-  let buf = Array.make (if cap = 0 then 4 else 2 * cap) t.dummy in
+  let buf = Array.make (if cap = 0 then 1 else 2 * cap) t.dummy in
   for k = 0 to t.len - 1 do
     Array.unsafe_set buf k (Array.unsafe_get t.buf ((t.head + k) land (cap - 1)))
   done;

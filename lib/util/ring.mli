@@ -9,6 +9,11 @@ val create : dummy:'a -> 'a t
 (** [dummy] fills vacated cells, so a popped element is not kept alive
     by the ring. *)
 
+val no_cells : 'a array
+(** The array of every ring that has not grown yet (and of
+    [Nectar_sim.Waitq]'s queues): one shared empty block, never written,
+    so creating a ring allocates its record alone. *)
+
 val push : 'a t -> 'a -> unit
 (** Add at the back. *)
 
