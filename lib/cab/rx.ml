@@ -1,12 +1,10 @@
 open Nectar_sim
 module Frame = Nectar_hub.Frame
 
-type pending = Frame.t
-
 type ('c, 'a) client = {
   next_watch : 'c -> 'a -> int;
-  watched : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
-  completed : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
+  watched : Interrupts.ctx -> Frame.t -> 'c -> 'a -> unit;
+  completed : Interrupts.ctx -> Frame.t -> 'c -> 'a -> unit;
 }
 
 (* A frame's receive state while its DMA runs and until its completion
@@ -25,14 +23,14 @@ type t = {
   fifo : Byte_fifo.t;
   rname : string;
   dma_name : string; (* the per-frame DMA process name *)
-  mutable handler : (Interrupts.ctx -> pending -> unit) option;
+  mutable handler : (Interrupts.ctx -> Frame.t -> unit) option;
   mutable view_off : int; (* where the last [read_view] span starts *)
   mutable drops : int;
   mutable coalesce_ns : Sim_time.span;
   (* receive-completion coalescing (inert at [coalesce_ns = 0]): completed
      frames gather here for up to [coalesce_ns], then complete in one
      interrupt — one dispatch charge for the whole batch *)
-  mutable batch : pending list; (* newest first *)
+  mutable batch : Frame.t list; (* newest first *)
   mutable batch_armed : bool;
   mutable batches : int;
 }
@@ -60,8 +58,7 @@ let set_coalesce_ns t ns =
 
 let set_frame_handler t fn = t.handler <- Some fn
 
-let frame (p : pending) = p
-let arrived (p : pending) = p.arrived
+let arrived (p : Frame.t) = p.arrived
 let total p = Frame.length p
 
 (* The fabric's side: the start-of-packet interrupt gets the frame
@@ -83,7 +80,7 @@ let sink t =
   { Nectar_hub.Network.in_fifo = t.fifo; on_frame_start; on_chunk }
 
 (* Take [n] bytes out of the input FIFO, returning their frame offset. *)
-let consume t (p : pending) n =
+let consume t (p : Frame.t) n =
   if p.consumed + n > p.arrived then
     invalid_arg (t.rname ^ ": Rx.read_view beyond arrived data");
   if not (Byte_fifo.try_pop t.fifo n) then
@@ -98,7 +95,7 @@ let copy_out t p ~pos n =
   Frame.blit p ~pos ~dst:out ~dst_pos:0 ~len:n;
   out
 
-let read_view t (p : pending) n =
+let read_view t (p : Frame.t) n =
   let pos = consume t p n in
   if pos + n <= p.len then begin
     t.view_off <- p.off + pos;
@@ -116,12 +113,12 @@ let read_bytes t p n = copy_out t p ~pos:(consume t p n) n
 
 (* The interrupt handlers of a received frame: static, the frame is the
    argument. *)
-let watched ictx (p : pending) =
+let watched ictx (p : Frame.t) =
   match p.rx with
   | Receiving { client; context; value } -> client.watched ictx p context value
   | _ -> ()
 
-let completed ictx (p : pending) =
+let completed ictx (p : Frame.t) =
   match p.rx with
   | Receiving { client; context; value } ->
       client.completed ictx p context value
@@ -159,7 +156,7 @@ let post_completion t p =
    whole frame has been drained the receiving CAB is its last holder, so
    the frame is released here — dropping the sender-side buffer
    references that backed its extents. *)
-let dma t (p : pending) dst base watch_at =
+let dma t (p : Frame.t) dst base watch_at =
   let tid = Trace.span_begin ~track:t.rname "rx.dma" in
   let len = Frame.length p in
   let watch = ref watch_at in
@@ -194,7 +191,7 @@ let dma t (p : pending) dst base watch_at =
   | _ -> ());
   Frame.release p
 
-let receive t (p : pending) ~dst ~dst_pos ~watch_at client context value =
+let receive t (p : Frame.t) ~dst ~dst_pos ~watch_at client context value =
   p.rx <- Receiving { client; context; value };
   let base = dst_pos - p.consumed in
   Engine.spawn t.eng ~name:t.dma_name (fun () -> dma t p dst base watch_at)

@@ -17,9 +17,6 @@
 
 type t
 
-type pending = Nectar_hub.Frame.t
-(** A frame whose first chunk has arrived. *)
-
 val create :
   Nectar_sim.Engine.t ->
   Interrupts.t ->
@@ -38,25 +35,25 @@ val set_coalesce_ns : t -> Nectar_sim.Sim_time.span -> unit
 (** Adjust the coalescing window at run time (like a NIC's interrupt
     moderation register); takes effect from the next completion. *)
 
-val set_frame_handler : t -> (Interrupts.ctx -> pending -> unit) -> unit
-(** Interrupt-level handler for start-of-packet; it receives the pending
-    frame with at least the first chunk arrived. *)
+val set_frame_handler :
+  t -> (Interrupts.ctx -> Nectar_hub.Frame.t -> unit) -> unit
+(** Interrupt-level handler for start-of-packet; it receives the frame
+    with at least the first chunk arrived. *)
 
 val sink : t -> Nectar_hub.Network.sink
 (** What to register with {!Nectar_hub.Network.attach_node}. *)
 
-val frame : pending -> Nectar_hub.Frame.t
-val arrived : pending -> int
-val total : pending -> int
+val arrived : Nectar_hub.Frame.t -> int
+val total : Nectar_hub.Frame.t -> int
 
-val read_bytes : t -> pending -> int -> Bytes.t
+val read_bytes : t -> Nectar_hub.Frame.t -> int -> Bytes.t
 (** Pop the next [n] arrived bytes out of the FIFO (CPU header read) into a
     fresh [Bytes.t] — a software copy, metered at the [rxread] site.  The
     caller charges its own CPU cost.  Raises if the bytes have not arrived
     yet — callers read only within the first chunk from the start-of-packet
     handler. *)
 
-val read_view : t -> pending -> int -> Bytes.t
+val read_view : t -> Nectar_hub.Frame.t -> int -> Bytes.t
 (** Like {!read_bytes}, but zero-copy: returns the backing store of the
     popped span, which starts at {!view_offset} in it — for frames on the
     zero-copy path, the sending CAB's mailbox buffer itself.  The datalink
@@ -74,9 +71,9 @@ type ('c, 'a) client = {
   next_watch : 'c -> 'a -> int;
       (** the next watch offset once a watch interrupt has been raised
           ([max_int]: none) *)
-  watched : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
+  watched : Interrupts.ctx -> Nectar_hub.Frame.t -> 'c -> 'a -> unit;
       (** a watch interrupt ("rx-watch") *)
-  completed : Interrupts.ctx -> pending -> 'c -> 'a -> unit;
+  completed : Interrupts.ctx -> Nectar_hub.Frame.t -> 'c -> 'a -> unit;
       (** the completion interrupt ("rx-done"); the hardware CRC verdict
           is {!Nectar_hub.Frame.crc_verdict} *)
 }
@@ -86,7 +83,7 @@ type ('c, 'a) client = {
 
 val receive :
   t ->
-  pending ->
+  Nectar_hub.Frame.t ->
   dst:Nectar_util.Region.t ->
   dst_pos:int ->
   watch_at:int ->
@@ -106,7 +103,7 @@ val receive :
 
 val dma_to_memory :
   t ->
-  pending ->
+  Nectar_hub.Frame.t ->
   dst:Nectar_util.Region.t ->
   dst_pos:int ->
   ?watch:(int * (Interrupts.ctx -> unit)) list ->
@@ -118,7 +115,7 @@ val dma_to_memory :
     [on_complete] fires (at interrupt level) after the last byte, with the
     hardware CRC check result. *)
 
-val discard : t -> pending -> unit
+val discard : t -> Nectar_hub.Frame.t -> unit
 (** Drain the rest of the frame from the FIFO without storing it, then
     release the frame like {!receive} does. *)
 

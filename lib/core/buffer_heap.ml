@@ -1,16 +1,25 @@
-module Tbl = Nectar_util.Int_key.Tbl
 let align = 4
 
 exception Corrupt of string
 
 let corrupt msg = raise (Corrupt ("Buffer_heap: " ^ msg))
 
+(* Both block lists are sorted arrays of (offset, length) pairs in two
+   int arrays each, shifted in place: a CAB holds tens of blocks, so a
+   shift is a few words moved, and an allocation or a free allocates
+   nothing once the arrays have grown to the heap's working size. *)
 type t = {
   uid : int;
   region : Nectar_util.Region.t;
   size : int;
-  mutable free_list : (int * int) list; (* (offset, length), sorted, coalesced *)
-  live : int Tbl.t; (* offset -> allocated length *)
+  (* free blocks, sorted by offset and coalesced *)
+  mutable f_off : int array;
+  mutable f_len : int array;
+  mutable nfree : int;
+  (* live blocks, sorted by offset *)
+  mutable l_off : int array;
+  mutable l_len : int array;
+  mutable nlive : int;
   mutable allocated : int;
   mutable fault : (int -> bool) option; (* n -> inject allocation failure? *)
   mutable faulted : int;
@@ -28,8 +37,12 @@ let create region =
     uid;
     region;
     size;
-    free_list = [ (0, size) ];
-    live = Tbl.create 64;
+    f_off = Array.make 4 0;
+    f_len = Array.make 4 size;
+    nfree = 1;
+    l_off = Array.make 4 0;
+    l_len = Array.make 4 0;
+    nlive = 0;
     allocated = 0;
     fault = None;
     faulted = 0;
@@ -41,73 +54,158 @@ let size t = t.size
 
 let round n = (n + align - 1) / align * align
 
-let alloc t n =
+let grown a n =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Open a gap at index [i] of a list of [n] entries (the caller fills
+   it), or close the one there. *)
+let open_free t i =
+  if t.nfree = Array.length t.f_off then begin
+    t.f_off <- grown t.f_off t.nfree;
+    t.f_len <- grown t.f_len t.nfree
+  end;
+  Array.blit t.f_off i t.f_off (i + 1) (t.nfree - i);
+  Array.blit t.f_len i t.f_len (i + 1) (t.nfree - i);
+  t.nfree <- t.nfree + 1
+
+let close_free t i =
+  Array.blit t.f_off (i + 1) t.f_off i (t.nfree - i - 1);
+  Array.blit t.f_len (i + 1) t.f_len i (t.nfree - i - 1);
+  t.nfree <- t.nfree - 1
+
+let open_live t i =
+  if t.nlive = Array.length t.l_off then begin
+    t.l_off <- grown t.l_off t.nlive;
+    t.l_len <- grown t.l_len t.nlive
+  end;
+  Array.blit t.l_off i t.l_off (i + 1) (t.nlive - i);
+  Array.blit t.l_len i t.l_len (i + 1) (t.nlive - i);
+  t.nlive <- t.nlive + 1
+
+let close_live t i =
+  Array.blit t.l_off (i + 1) t.l_off i (t.nlive - i - 1);
+  Array.blit t.l_len (i + 1) t.l_len i (t.nlive - i - 1);
+  t.nlive <- t.nlive - 1
+
+(* The index of the first live block at or after [off] ([nlive] if
+   none): binary search. *)
+let live_index t off =
+  let lo = ref 0 and hi = ref t.nlive in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get t.l_off mid < off then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let is_live t i off = i < t.nlive && Array.unsafe_get t.l_off i = off
+
+(* The first free block of at least [n] bytes, or [nfree]. *)
+let rec first_fit t n i =
+  if i = t.nfree || Array.unsafe_get t.f_len i >= n then i
+  else first_fit t n (i + 1)
+
+let alloc_offset t n =
   if n <= 0 then invalid_arg "Buffer_heap.alloc";
   let n = round n in
   match t.fault with
   | Some f when f n ->
       t.faulted <- t.faulted + 1;
-      None
+      -1
   | _ ->
-  let rec first_fit acc = function
-    | [] -> None
-    | (off, len) :: rest when len >= n ->
-        let remainder = if len = n then [] else [ (off + n, len - n) ] in
-        t.free_list <- List.rev_append acc (remainder @ rest);
-        Tbl.replace t.live off n;
+      let i = first_fit t n 0 in
+      if i = t.nfree then -1
+      else begin
+        let off = t.f_off.(i) in
+        if t.f_len.(i) = n then close_free t i
+        else begin
+          t.f_off.(i) <- off + n;
+          t.f_len.(i) <- t.f_len.(i) - n
+        end;
+        let j = live_index t off in
+        open_live t j;
+        t.l_off.(j) <- off;
+        t.l_len.(j) <- n;
         t.allocated <- t.allocated + n;
         (* the region's one growth site: every block, live or freed, lies
            inside the backing from here on *)
         Nectar_util.Region.back t.region (off + n);
         Vet_hook.heap_alloc ~heap:t.uid ~off ~len:n;
-        Some off
-    | block :: rest -> first_fit (block :: acc) rest
-  in
-  first_fit [] t.free_list
+        off
+      end
+
+let alloc t n =
+  let off = alloc_offset t n in
+  if off < 0 then None else Some off
+
+(* Insert the block ([off], [len]) into the free list at its place,
+   coalescing with its neighbours. *)
+let rec insert_free t off len i =
+  if i = t.nfree then begin
+    open_free t i;
+    t.f_off.(i) <- off;
+    t.f_len.(i) <- len
+  end
+  else begin
+    let o = t.f_off.(i) and l = t.f_len.(i) in
+    if o + l = off then begin
+      (* merge with the left neighbour, then maybe with its right *)
+      if i + 1 < t.nfree && off + len = t.f_off.(i + 1) then begin
+        t.f_len.(i) <- l + len + t.f_len.(i + 1);
+        close_free t (i + 1)
+      end
+      else t.f_len.(i) <- l + len
+    end
+    else if off + len = o then begin
+      t.f_off.(i) <- off;
+      t.f_len.(i) <- len + l
+    end
+    else if off < o then begin
+      open_free t i;
+      t.f_off.(i) <- off;
+      t.f_len.(i) <- len
+    end
+    else insert_free t off len (i + 1)
+  end
 
 let free t off =
-  match Tbl.find_opt t.live off with
-  | None ->
-      Vet_hook.heap_free ~heap:t.uid ~off ~live:false;
-      invalid_arg "Buffer_heap.free: not a live allocation"
-  | Some len ->
-      Vet_hook.heap_free ~heap:t.uid ~off ~live:true;
-      Tbl.remove t.live off;
-      t.allocated <- t.allocated - len;
-      (* insert sorted, coalescing with neighbours *)
-      let rec insert = function
-        | [] -> [ (off, len) ]
-        | (o, l) :: rest when o + l = off -> (
-            (* merge with left neighbour, then maybe with its right *)
-            match rest with
-            | (o2, l2) :: rest2 when off + len = o2 ->
-                (o, l + len + l2) :: rest2
-            | _ -> (o, l + len) :: rest)
-        | (o, l) :: rest when off + len = o -> (off, len + l) :: rest
-        | (o, l) :: rest when off < o -> (off, len) :: (o, l) :: rest
-        | block :: rest -> block :: insert rest
-      in
-      t.free_list <- insert t.free_list
+  let i = live_index t off in
+  if not (is_live t i off) then begin
+    Vet_hook.heap_free ~heap:t.uid ~off ~live:false;
+    invalid_arg "Buffer_heap.free: not a live allocation"
+  end
+  else begin
+    let len = t.l_len.(i) in
+    Vet_hook.heap_free ~heap:t.uid ~off ~live:true;
+    close_live t i;
+    t.allocated <- t.allocated - len;
+    insert_free t off len 0
+  end
 
 let block_size t off =
-  match Tbl.find_opt t.live off with
-  | Some len -> len
-  | None -> invalid_arg "Buffer_heap.block_size: not a live allocation"
+  let i = live_index t off in
+  if is_live t i off then t.l_len.(i)
+  else invalid_arg "Buffer_heap.block_size: not a live allocation"
 
 let set_fault_hook t hook = t.fault <- hook
 let failed_allocs t = t.faulted
-let live_blocks t = Tbl.length t.live
+let live_blocks t = t.nlive
 let allocated_bytes t = t.allocated
 let free_bytes t = t.size - t.allocated
 
 let largest_free_block t =
-  List.fold_left (fun acc (_, len) -> max acc len) 0 t.free_list
+  let m = ref 0 in
+  for i = 0 to t.nfree - 1 do
+    m := max !m t.f_len.(i)
+  done;
+  !m
+
+let blocks off len n = List.init n (fun i -> (off.(i), len.(i)))
 
 let check_invariants t =
-  let regions =
-    Tbl.fold (fun off len acc -> (off, len) :: acc) t.live []
-    @ t.free_list
-  in
+  let free_list = blocks t.f_off t.f_len t.nfree in
+  let regions = blocks t.l_off t.l_len t.nlive @ free_list in
   let sorted =
     List.sort
       (fun (o1, l1) (o2, l2) ->
@@ -129,4 +227,4 @@ let check_invariants t =
         check_free rest
     | _ -> ()
   in
-  check_free t.free_list
+  check_free free_list

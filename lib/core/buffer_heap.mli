@@ -30,6 +30,10 @@ val alloc : t -> int -> int option
 (** [alloc t n] returns the offset of a fresh [n]-byte block, or [None] when
     no free block fits. *)
 
+val alloc_offset : t -> int -> int
+(** {!alloc} without the option: the offset, or [-1] when no free block
+    fits.  Allocates nothing once the heap's block lists have grown. *)
+
 val free : t -> int -> unit
 (** Release the block at this offset.  Raises [Invalid_argument] when the
     offset is not a live allocation. *)

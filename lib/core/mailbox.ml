@@ -119,13 +119,13 @@ let put (ctx : Ctx.t) t headroom n =
         t.cache_hit_count <- t.cache_hit_count + 1;
         adopt ctx t ~buf_off:c.coff ~buf_len:c.clen ~source:t.cache
           ~cached:true headroom total
-    | _ -> (
+    | _ ->
         ctx.work Costs.heap_alloc_ns;
-        match Buffer_heap.alloc t.heap (Int.max 4 total) with
-        | Some off ->
-            adopt ctx t ~buf_off:off ~buf_len:(Buffer_heap.block_size t.heap off)
-              ~source:t.heap_source ~cached:false headroom total
-        | None -> Message.dummy)
+        let off = Buffer_heap.alloc_offset t.heap (Int.max 4 total) in
+        if off < 0 then Message.dummy
+        else
+          adopt ctx t ~buf_off:off ~buf_len:(Buffer_heap.block_size t.heap off)
+            ~source:t.heap_source ~cached:false headroom total
 
 let try_begin_put ctx t ?(headroom = 0) n =
   let msg = put ctx t headroom n in

@@ -132,6 +132,65 @@ let prop_heap_conservation =
           conserved ())
         ops)
 
+(* The heap against a plain-list first fit (the free list as a sorted,
+   coalesced list of (offset, length) pairs): every allocation must land
+   at the model's offset, or fail where it fails, and the largest free
+   block must agree after every operation.  Frees pick a live block by
+   index, so blocks return in any order. *)
+let model_alloc free n =
+  let n = (n + 3) / 4 * 4 in
+  let rec fit acc = function
+    | [] -> (None, free)
+    | (off, len) :: rest when len >= n ->
+        let rest = if len = n then rest else (off + n, len - n) :: rest in
+        (Some (off, n), List.rev_append acc rest)
+    | block :: rest -> fit (block :: acc) rest
+  in
+  fit [] free
+
+let rec model_free off len = function
+  | [] -> [ (off, len) ]
+  | (o, l) :: rest when o + l = off -> (
+      match rest with
+      | (o2, l2) :: rest2 when off + len = o2 -> (o, l + len + l2) :: rest2
+      | _ -> (o, l + len) :: rest)
+  | (o, l) :: rest when off + len = o -> (off, len + l) :: rest
+  | (o, l) :: rest when off < o -> (off, len) :: (o, l) :: rest
+  | block :: rest -> block :: model_free off len rest
+
+let prop_heap_matches_list_model =
+  QCheck2.Test.make ~count:300 ~name:"heap places blocks like a list first fit"
+    QCheck2.Gen.(list (pair (int_bound 2) (int_range 1 700)))
+    (fun ops ->
+      let size = 8192 in
+      let h = Buffer_heap.create (Region.create size) in
+      let free = ref [ (0, size) ] and live = ref [] in
+      List.for_all
+        (fun (op, n) ->
+          let agreed =
+            if op < 2 then begin
+              let got = Buffer_heap.alloc h n in
+              let want, free' = model_alloc !free n in
+              free := free';
+              (match want with Some b -> live := b :: !live | None -> ());
+              got = Option.map fst want
+            end
+            else
+              match !live with
+              | [] -> true
+              | blocks ->
+                  let off, len = List.nth blocks (n mod List.length blocks) in
+                  Buffer_heap.free h off;
+                  free := model_free off len !free;
+                  live := List.filter (fun (o, _) -> o <> off) blocks;
+                  true
+          in
+          agreed
+          && Buffer_heap.largest_free_block h
+             = List.fold_left (fun m (_, l) -> max m l) 0 !free
+          && Buffer_heap.live_blocks h = List.length !live)
+        ops)
+
 (* ---------- Message ---------- *)
 
 let scratch_message len =
@@ -824,6 +883,7 @@ let () =
             test_heap_backs_blocks;
           qtest prop_heap_random_ops;
           qtest prop_heap_conservation;
+          qtest prop_heap_matches_list_model;
         ] );
       ( "message",
         [

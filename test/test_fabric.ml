@@ -443,6 +443,40 @@ let test_down_trunk_mid_route () =
    continuation of each timed parking (one controller command per hop).
    Frames are built before the measured loop (see [Perf.transmit_words],
    which BENCH_perf.json's [net_transmit_hop_words] records). *)
+(* A 0-byte first chunk never advances the stream, so a header size
+   below 1 used to spin forever inside [transmit] (and inside [inject]'s
+   process); both refuse it before anything moves. *)
+let test_zero_header_refused () =
+  let eng = Engine.create () in
+  let net = Net.create eng ~hubs:1 () in
+  let sink_a, _, _ = make_sink eng "a" in
+  let sink_b, started, _ = make_sink eng "b" in
+  let a = Net.attach_node net ~hub:0 ~port:0 sink_a in
+  ignore (Net.attach_node net ~hub:0 ~port:1 sink_b);
+  let outcomes = ref [] in
+  let attempt what f =
+    let outcome =
+      match f () with () -> "sent" | exception Invalid_argument m -> m
+    in
+    outcomes := (what, outcome) :: !outcomes
+  in
+  Engine.spawn eng ~name:"sender" (fun () ->
+      attempt "transmit" (fun () ->
+          Net.transmit net ~header_bytes:0 ~src:a ~route:[ 1 ]
+            (Frame.create ~id:0 ~src:a ~data:(Bytes.make 256 'h'))));
+  attempt "inject" (fun () ->
+      Net.inject net ~header_bytes:0 ~hub:0 ~src:a ~frame_id:1 ~wire_crc:0
+        ~route:[ 1 ] (String.make 256 'i'));
+  Engine.run eng;
+  Alcotest.(check (list (pair string string)))
+    "both refused"
+    [
+      ("inject", "Network.inject: header_bytes must be at least 1");
+      ("transmit", "Network.transmit: header_bytes must be at least 1");
+    ]
+    (List.sort compare !outcomes);
+  check_int "nothing reached the wire" 0 (List.length !started)
+
 let test_transmit_allocation () =
   check_bool "no vet hook installed" false (Vet_probe.installed ());
   let transmit_words = Nectar_bench.Perf.transmit_words in
@@ -623,6 +657,23 @@ let test_cab_frame_exchange () =
   check_bool "arrived within tens of microseconds" true
     (!recv_time > 0 && !recv_time < us 40);
   check_int "tx counted" 1 (Cab.frames_tx a)
+
+let test_cab_zero_header_refused () =
+  let eng, a, b = two_cabs () in
+  let seen = ref 0 in
+  Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
+      incr seen;
+      Rx.discard (Cab.rx b) p);
+  Alcotest.check_raises "send_frame refuses a 0-byte header"
+    (Invalid_argument "Cab.send_frame: header_bytes must be at least 1")
+    (fun () ->
+      Cab.send_frame a ~route:[ 1 ] ~header_bytes:0
+        ~extents:[ (Region.of_bytes (Bytes.make 64 'z'), 0, 64) ]
+        ~on_done:(fun _ -> ())
+        ());
+  Engine.run eng;
+  check_int "nothing sent" 0 (Cab.frames_tx a);
+  check_int "nothing received" 0 !seen
 
 let test_cab_discard_keeps_fifo_clean () =
   let eng, a, b = two_cabs () in
@@ -855,6 +906,8 @@ let () =
             test_down_trunk_mid_route;
           Alcotest.test_case "transmit allocates nothing per hop" `Quick
             test_transmit_allocation;
+          Alcotest.test_case "zero header size refused" `Quick
+            test_zero_header_refused;
         ] );
       ( "memory",
         [
@@ -885,6 +938,8 @@ let () =
           Alcotest.test_case "frame exchange" `Quick test_cab_frame_exchange;
           Alcotest.test_case "discard" `Quick
             test_cab_discard_keeps_fifo_clean;
+          Alcotest.test_case "zero header size refused" `Quick
+            test_cab_zero_header_refused;
           Alcotest.test_case "large frame backpressure" `Quick
             test_cab_large_frame_backpressure;
           Alcotest.test_case "rx watch order" `Quick
