@@ -83,11 +83,11 @@ let engine_schedule_cancel () =
 let recorded_sleep_words = 2.
 let recorded_yield_words = 2.
 let recorded_consume_words = 2.
-let recorded_timed_wait_words = 17.
+let recorded_timed_wait_words = 11.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 let recorded_transmit_hop_words = 2.
-let recorded_cab_datagram_words = 502.
+let recorded_cab_datagram_words = 208.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -403,8 +403,8 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
     "  \"micro\": {\n\
     \    \"note\": \"minor words per call in a one-process loop (blocking \
      calls; 8 KB CRC-32 and checksum kernels; each HUB hop of a 256 B \
-     transmit beyond the first); deterministic, perf-smoke fails above \
-     these\",\n\
+     transmit beyond the first; a 64 B datagram CAB to CAB, end to end); \
+     deterministic, perf-smoke fails above these\",\n\
     \    %s\n\
     \  },\n"
     (String.concat ", "

@@ -436,13 +436,6 @@ let test_down_trunk_mid_route () =
   Engine.run eng;
   check_int "delivered once the trunk is back" 1 (List.length !to_d)
 
-(* ---------- Allocation pins ---------- *)
-
-(* A frame's trip through the fabric allocates nothing per hop or per
-   chunk: what a transmit allocates is its route check's result, and the
-   continuation of each timed parking (one controller command per hop).
-   Frames are built before the measured loop (see [Perf.transmit_words],
-   which BENCH_perf.json's [net_transmit_hop_words] records). *)
 (* A 0-byte first chunk never advances the stream, so a header size
    below 1 used to spin forever inside [transmit] (and inside [inject]'s
    process); both refuse it before anything moves. *)
@@ -477,6 +470,13 @@ let test_zero_header_refused () =
     (List.sort compare !outcomes);
   check_int "nothing reached the wire" 0 (List.length !started)
 
+(* ---------- Allocation pins ---------- *)
+
+(* A frame's trip through the fabric allocates nothing per hop or per
+   chunk: what a transmit allocates is its route check's result, and the
+   continuation of each timed parking (one controller command per hop).
+   Frames are built before the measured loop (see [Perf.transmit_words],
+   which BENCH_perf.json's [net_transmit_hop_words] records). *)
 let test_transmit_allocation () =
   check_bool "no vet hook installed" false (Vet_probe.installed ());
   let transmit_words = Nectar_bench.Perf.transmit_words in
@@ -488,6 +488,19 @@ let test_transmit_allocation () =
   check_bool
     (Printf.sprintf "each further hop allocates %.1f <= 2 words" per_hop)
     true (per_hop <= 2.)
+
+(* A 64 B datagram from CAB to CAB allocates its two messages, its frame
+   record with its owner and receive blocks, one process per interrupt
+   and per receive DMA, and its parkings' continuations — no descriptor
+   records, queue cells, side tables or closures (497 words before the
+   frame path lost them).  Measured end to end by [Perf.cab_datagram_words],
+   which BENCH_perf.json's [cab_datagram_words] records. *)
+let test_cab_datagram_allocation () =
+  check_bool "no vet hook installed" false (Vet_probe.installed ());
+  let words = Nectar_bench.Perf.cab_datagram_words () in
+  check_bool
+    (Printf.sprintf "a CAB datagram allocates %.1f <= 208 words" words)
+    true (words <= 208.)
 
 (* ---------- Memory protection ---------- *)
 
@@ -908,6 +921,8 @@ let () =
             test_transmit_allocation;
           Alcotest.test_case "zero header size refused" `Quick
             test_zero_header_refused;
+          Alcotest.test_case "a CAB datagram allocates one record set" `Quick
+            test_cab_datagram_allocation;
         ] );
       ( "memory",
         [

@@ -1396,7 +1396,7 @@ let test_policy_loser_cancel () =
 (* Minor words per blocking call in a one-process loop, measured inside
    the process (so engine set-up is outside the window) and including the
    run loop's share.  Each bound sits two words above the measured count
-   (sleep 2, yield 2, consume 2, timed wait 17), so a context switch that
+   (sleep 2, yield 2, consume 2, timed wait 11), so a context switch that
    allocates a closure, a handler, a label, an option, an event record, a
    CPU request or a boxed waker again fails here. *)
 let words_per_iteration ~n body =
@@ -1700,7 +1700,7 @@ let () =
           Alcotest.test_case "yield minor words" `Quick
             (alloc_pin "Engine.yield" yield_words 4.);
           Alcotest.test_case "timed wait minor words" `Quick
-            (alloc_pin "Waitq.wait_timeout" timed_wait_words 19.);
+            (alloc_pin "Waitq.wait_timeout" timed_wait_words 13.);
           Alcotest.test_case "plain wait minor words" `Quick
             (alloc_pin "Waitq.wait + signal" plain_wait_words 2.);
           Alcotest.test_case "after and fire minor words" `Quick
