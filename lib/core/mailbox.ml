@@ -10,7 +10,7 @@ type t = {
   limit : int;
   capacity : int option;
   overflow : overflow;
-  acct : Message.owner; (* the bytes charged here, and their release *)
+  acct : Message.owner; (* bytes charged here, writers waiting for room *)
   mutable overflow_drop_count : int;
   queue : Message.t Nectar_util.Ring.t;
   data_q : Waitq.t;
@@ -41,24 +41,24 @@ let create eng ~heap ~name ?(byte_limit = 64 * 1024) ?capacity
       | None -> invalid_arg "Mailbox.create: heap exhausted"
   in
   {
-      mname = name;
-      eng;
-      heap;
-      limit = byte_limit;
-      capacity;
-      overflow;
-      acct =
-        { Message.in_use = 0; space_q = Waitq.create eng; on_space_freed = None };
-      overflow_drop_count = 0;
-      queue = Nectar_util.Ring.create ~dummy:Message.dummy;
-      data_q = Waitq.create eng;
-      upcall;
-      heap_source;
-      cache;
-      put_count = 0;
-      get_count = 0;
-      cache_hit_count = 0;
-    }
+    mname = name;
+    eng;
+    heap;
+    limit = byte_limit;
+    capacity;
+    overflow;
+    acct =
+      { Message.in_use = 0; space_q = Waitq.create eng; on_space_freed = None };
+    overflow_drop_count = 0;
+    queue = Nectar_util.Ring.create ~dummy:Message.dummy;
+    data_q = Waitq.create eng;
+    upcall;
+    heap_source;
+    cache;
+    put_count = 0;
+    get_count = 0;
+    cache_hit_count = 0;
+  }
 
 let name t = t.mname
 let set_upcall t u = t.upcall <- u
