@@ -4,22 +4,56 @@ exception Corrupt of string
 
 let corrupt msg = raise (Corrupt ("Buffer_heap: " ^ msg))
 
-(* Both block lists are sorted arrays of (offset, length) pairs in two
-   int arrays each, shifted in place: a CAB holds tens of blocks, so a
-   shift is a few words moved, and an allocation or a free allocates
-   nothing once the arrays have grown to the heap's working size. *)
+(* A block list: (offset, length) pairs sorted by offset in two int
+   arrays, shifted in place.  A CAB holds tens of blocks, so a shift
+   moves a few words, and an allocation or a free allocates nothing once
+   the arrays have grown to the heap's working size. *)
+type blocks = { mutable off : int array; mutable len : int array; mutable n : int }
+
+(* literals, not [Array.make]: built inline, with no C call per heap *)
+let blocks () = { off = [| 0; 0; 0; 0 |]; len = [| 0; 0; 0; 0 |]; n = 0 }
+
+(* Open a gap at index [i] (the caller fills it), or close the one there. *)
+let open_at b i =
+  if b.n = Array.length b.off then begin
+    let grow a =
+      let a' = Array.make (2 * b.n) 0 in
+      Array.blit a 0 a' 0 b.n;
+      a'
+    in
+    b.off <- grow b.off;
+    b.len <- grow b.len
+  end;
+  Array.blit b.off i b.off (i + 1) (b.n - i);
+  Array.blit b.len i b.len (i + 1) (b.n - i);
+  b.n <- b.n + 1
+
+let close_at b i =
+  Array.blit b.off (i + 1) b.off i (b.n - i - 1);
+  Array.blit b.len (i + 1) b.len i (b.n - i - 1);
+  b.n <- b.n - 1
+
+let set b i off len =
+  b.off.(i) <- off;
+  b.len.(i) <- len
+
+(* The index of the first block at or after [off] ([n] if none). *)
+let index b off =
+  let lo = ref 0 and hi = ref b.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get b.off mid < off then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let to_list b = List.init b.n (fun i -> (b.off.(i), b.len.(i)))
+
 type t = {
   uid : int;
   region : Nectar_util.Region.t;
   size : int;
-  (* free blocks, sorted by offset and coalesced *)
-  mutable f_off : int array;
-  mutable f_len : int array;
-  mutable nfree : int;
-  (* live blocks, sorted by offset *)
-  mutable l_off : int array;
-  mutable l_len : int array;
-  mutable nlive : int;
+  free_list : blocks; (* sorted, coalesced *)
+  live : blocks;
   mutable allocated : int;
   mutable fault : (int -> bool) option; (* n -> inject allocation failure? *)
   mutable faulted : int;
@@ -33,16 +67,15 @@ let create region =
   let size = Nectar_util.Region.size region in
   if size <= 0 then invalid_arg "Buffer_heap.create";
   let uid = 1 + Atomic.fetch_and_add uid_counter 1 in
+  let free_list = blocks () in
+  open_at free_list 0;
+  set free_list 0 0 size;
   {
     uid;
     region;
     size;
-    f_off = Array.make 4 0;
-    f_len = Array.make 4 size;
-    nfree = 1;
-    l_off = Array.make 4 0;
-    l_len = Array.make 4 0;
-    nlive = 0;
+    free_list;
+    live = blocks ();
     allocated = 0;
     fault = None;
     faulted = 0;
@@ -54,57 +87,16 @@ let size t = t.size
 
 let round n = (n + align - 1) / align * align
 
-let grown a n =
-  let b = Array.make (2 * Array.length a) 0 in
-  Array.blit a 0 b 0 n;
-  b
-
-(* Open a gap at index [i] of a list of [n] entries (the caller fills
-   it), or close the one there. *)
-let open_free t i =
-  if t.nfree = Array.length t.f_off then begin
-    t.f_off <- grown t.f_off t.nfree;
-    t.f_len <- grown t.f_len t.nfree
-  end;
-  Array.blit t.f_off i t.f_off (i + 1) (t.nfree - i);
-  Array.blit t.f_len i t.f_len (i + 1) (t.nfree - i);
-  t.nfree <- t.nfree + 1
-
-let close_free t i =
-  Array.blit t.f_off (i + 1) t.f_off i (t.nfree - i - 1);
-  Array.blit t.f_len (i + 1) t.f_len i (t.nfree - i - 1);
-  t.nfree <- t.nfree - 1
-
-let open_live t i =
-  if t.nlive = Array.length t.l_off then begin
-    t.l_off <- grown t.l_off t.nlive;
-    t.l_len <- grown t.l_len t.nlive
-  end;
-  Array.blit t.l_off i t.l_off (i + 1) (t.nlive - i);
-  Array.blit t.l_len i t.l_len (i + 1) (t.nlive - i);
-  t.nlive <- t.nlive + 1
-
-let close_live t i =
-  Array.blit t.l_off (i + 1) t.l_off i (t.nlive - i - 1);
-  Array.blit t.l_len (i + 1) t.l_len i (t.nlive - i - 1);
-  t.nlive <- t.nlive - 1
-
-(* The index of the first live block at or after [off] ([nlive] if
-   none): binary search. *)
+(* The live block at [off], or [-1]. *)
 let live_index t off =
-  let lo = ref 0 and hi = ref t.nlive in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get t.l_off mid < off then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  let i = index t.live off in
+  if i < t.live.n && t.live.off.(i) = off then i else -1
 
-let is_live t i off = i < t.nlive && Array.unsafe_get t.l_off i = off
-
-(* The first free block of at least [n] bytes, or [nfree]. *)
-let rec first_fit t n i =
-  if i = t.nfree || Array.unsafe_get t.f_len i >= n then i
-  else first_fit t n (i + 1)
+(* The first free block of at least [n] bytes, or [-1]. *)
+let rec first_fit free n i =
+  if i = free.n then -1
+  else if Array.unsafe_get free.len i >= n then i
+  else first_fit free n (i + 1)
 
 let alloc_offset t n =
   if n <= 0 then invalid_arg "Buffer_heap.alloc";
@@ -114,19 +106,16 @@ let alloc_offset t n =
       t.faulted <- t.faulted + 1;
       -1
   | _ ->
-      let i = first_fit t n 0 in
-      if i = t.nfree then -1
+      let free = t.free_list in
+      let i = first_fit free n 0 in
+      if i < 0 then -1
       else begin
-        let off = t.f_off.(i) in
-        if t.f_len.(i) = n then close_free t i
-        else begin
-          t.f_off.(i) <- off + n;
-          t.f_len.(i) <- t.f_len.(i) - n
-        end;
-        let j = live_index t off in
-        open_live t j;
-        t.l_off.(j) <- off;
-        t.l_len.(j) <- n;
+        let off = free.off.(i) in
+        if free.len.(i) = n then close_at free i
+        else set free i (off + n) (free.len.(i) - n);
+        let j = index t.live off in
+        open_at t.live j;
+        set t.live j off n;
         t.allocated <- t.allocated + n;
         (* the region's one growth site: every block, live or freed, lies
            inside the backing from here on *)
@@ -141,71 +130,60 @@ let alloc t n =
 
 (* Insert the block ([off], [len]) into the free list at its place,
    coalescing with its neighbours. *)
-let rec insert_free t off len i =
-  if i = t.nfree then begin
-    open_free t i;
-    t.f_off.(i) <- off;
-    t.f_len.(i) <- len
+let rec insert_free free off len i =
+  if i = free.n then begin
+    open_at free i;
+    set free i off len
   end
   else begin
-    let o = t.f_off.(i) and l = t.f_len.(i) in
+    let o = free.off.(i) and l = free.len.(i) in
     if o + l = off then begin
       (* merge with the left neighbour, then maybe with its right *)
-      if i + 1 < t.nfree && off + len = t.f_off.(i + 1) then begin
-        t.f_len.(i) <- l + len + t.f_len.(i + 1);
-        close_free t (i + 1)
+      if i + 1 < free.n && off + len = free.off.(i + 1) then begin
+        free.len.(i) <- l + len + free.len.(i + 1);
+        close_at free (i + 1)
       end
-      else t.f_len.(i) <- l + len
+      else free.len.(i) <- l + len
     end
-    else if off + len = o then begin
-      t.f_off.(i) <- off;
-      t.f_len.(i) <- len + l
-    end
+    else if off + len = o then set free i off (len + l)
     else if off < o then begin
-      open_free t i;
-      t.f_off.(i) <- off;
-      t.f_len.(i) <- len
+      open_at free i;
+      set free i off len
     end
-    else insert_free t off len (i + 1)
+    else insert_free free off len (i + 1)
   end
 
 let free t off =
   let i = live_index t off in
-  if not (is_live t i off) then begin
+  if i < 0 then begin
     Vet_hook.heap_free ~heap:t.uid ~off ~live:false;
     invalid_arg "Buffer_heap.free: not a live allocation"
   end
   else begin
-    let len = t.l_len.(i) in
+    let len = t.live.len.(i) in
     Vet_hook.heap_free ~heap:t.uid ~off ~live:true;
-    close_live t i;
+    close_at t.live i;
     t.allocated <- t.allocated - len;
-    insert_free t off len 0
+    insert_free t.free_list off len 0
   end
 
 let block_size t off =
   let i = live_index t off in
-  if is_live t i off then t.l_len.(i)
+  if i >= 0 then t.live.len.(i)
   else invalid_arg "Buffer_heap.block_size: not a live allocation"
 
 let set_fault_hook t hook = t.fault <- hook
 let failed_allocs t = t.faulted
-let live_blocks t = t.nlive
+let live_blocks t = t.live.n
 let allocated_bytes t = t.allocated
 let free_bytes t = t.size - t.allocated
 
 let largest_free_block t =
-  let m = ref 0 in
-  for i = 0 to t.nfree - 1 do
-    m := max !m t.f_len.(i)
-  done;
-  !m
-
-let blocks off len n = List.init n (fun i -> (off.(i), len.(i)))
+  List.fold_left (fun acc (_, len) -> max acc len) 0 (to_list t.free_list)
 
 let check_invariants t =
-  let free_list = blocks t.f_off t.f_len t.nfree in
-  let regions = blocks t.l_off t.l_len t.nlive @ free_list in
+  let free_list = to_list t.free_list in
+  let regions = to_list t.live @ free_list in
   let sorted =
     List.sort
       (fun (o1, l1) (o2, l2) ->

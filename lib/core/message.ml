@@ -49,17 +49,18 @@ let alloc ~mem ~buf_off ~buf_len ~len ~source ~owner =
     owner;
   }
 
-(* An owner of its own, on an engine of its own: [make]'s messages are
-   tests' and diagnostics', few and short-lived. *)
+(* The accounting of the messages no mailbox owns ([make]'s and [dummy]):
+   charged and discharged, never read. *)
+let detached =
+  {
+    in_use = 0;
+    space_q = Nectar_sim.Waitq.create (Nectar_sim.Engine.create ());
+    on_space_freed = None;
+  }
+
 let make ~mem ~buf_off ~buf_len ~len ~free_buffer () =
-  let owner =
-    {
-      in_use = buf_len;
-      space_q = Nectar_sim.Waitq.create (Nectar_sim.Engine.create ());
-      on_space_freed = None;
-    }
-  in
-  alloc ~mem ~buf_off ~buf_len ~len ~source:(Custom free_buffer) ~owner
+  alloc ~mem ~buf_off ~buf_len ~len ~source:(Custom free_buffer)
+    ~owner:detached
 
 (* Fills vacated queue cells; uid 0 is no message's. *)
 let dummy =
@@ -73,12 +74,7 @@ let dummy =
     state = Freed;
     refs = 0;
     source = Custom ignore;
-    owner =
-      {
-        in_use = 0;
-        space_q = Nectar_sim.Waitq.create (Nectar_sim.Engine.create ());
-        on_space_freed = None;
-      };
+    owner = detached;
   }
 
 let free_buffer t =

@@ -61,8 +61,8 @@ val make :
   free_buffer:(unit -> unit) ->
   unit ->
   t
-(** A message no mailbox owns (an owner of its own), whose buffer is
-    returned by [free_buffer] (tests and diagnostics). *)
+(** A message no mailbox owns, whose buffer is returned by
+    [free_buffer] (tests and diagnostics). *)
 
 val alloc :
   mem:Nectar_util.Region.t ->

@@ -125,6 +125,7 @@ let create ~id ~src ~data =
   t
 
 let filler = create ~id:(-1) ~src:(-1) ~data:(Bytes.make 1 '\000')
+
 let crc_ok t = crc_of t = t.wire_crc
 
 let set_crc_verdict t ok =
