@@ -63,7 +63,8 @@ let fiber_tx_process t () =
       Waitq.wait t.fiber_ready
     done;
     let frame = Nectar_util.Ring.pop t.fiber_queue in
-    Nectar_hub.Network.transmit_frame t.net frame;
+    Nectar_hub.Network.transmit t.net ~header_bytes:(Frame.header_bytes frame)
+      ~src:t.nid ~route:frame.route frame;
     (* The wire has carried the whole frame: those bytes have left the
        output FIFO. *)
     let remaining = ref (Frame.length frame) in

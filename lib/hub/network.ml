@@ -339,7 +339,8 @@ let check_header_bytes what header_bytes =
   if header_bytes < 1 then
     invalid_arg (what ^ ": header_bytes must be at least 1")
 
-let transmit_checked t ~header_bytes ~src ~route:route_ports frame =
+let transmit ?(header_bytes = 32) t ~src ~route:route_ports frame =
+  check_header_bytes "Network.transmit" header_bytes;
   let tid = Trace.span_begin ~track:"net" "wire" in
   let verdict =
     match t.fault with None -> `Deliver | Some f -> f frame
@@ -367,15 +368,6 @@ let transmit_checked t ~header_bytes ~src ~route:route_ports frame =
   t.frames <- t.frames + 1;
   t.bytes <- t.bytes + total;
   Trace.span_end tid
-
-let transmit ?(header_bytes = 32) t ~src ~route frame =
-  check_header_bytes "Network.transmit" header_bytes;
-  transmit_checked t ~header_bytes ~src ~route frame
-
-let transmit_frame t (frame : Frame.t) =
-  let header_bytes = Frame.header_bytes frame in
-  check_header_bytes "Network.transmit" header_bytes;
-  transmit_checked t ~header_bytes ~src:frame.src ~route:frame.route frame
 
 (* Continue a frame that crossed a partition boundary: rebuild it from
    the payload snapshot and the sender's CRC, and deliver along the

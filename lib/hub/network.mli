@@ -170,10 +170,6 @@ val transmit :
     otherwise, before anything is sent: a 0-byte first chunk would never
     advance the stream). *)
 
-val transmit_frame : t -> Frame.t -> unit
-(** {!transmit} of a CAB frame along its own [route], from its [src],
-    with its {!Frame.header_bytes}. *)
-
 val set_fault_hook : t -> (Frame.t -> fault_verdict) option -> unit
 (** Fault injection for loss/corruption tests.  [`Corrupt] flips a bit in
     the frame payload so the receiver's hardware CRC check fails;

@@ -177,10 +177,6 @@ let alloc_frame_blocking (ctx : Ctx.t) t n =
     Mailbox.begin_put ctx t.tx_pool ~headroom:Wire.dl_header_bytes n
   else match alloc_frame ctx t n with Some msg -> msg | None -> raise No_buffer
 
-let rec tail_length acc = function
-  | [] -> acc
-  | s :: rest -> tail_length (acc + Message.Slice.length s) rest
-
 let slice_extent s =
   let ereg, eoff, elen = Message.Slice.extent s in
   { Frame.ereg; eoff; elen }
@@ -205,10 +201,13 @@ let output_sg (ctx : Ctx.t) t ~dst_cab ~proto ~msg ~tail ~free =
   Message.retain msg;
   let tid = Nectar_sim.Trace.span_begin ~track:(Cab.name t.cab) "dl.tx" in
   ctx.work Costs.dl_tx_setup_ns;
-  let payload_len = tail_length (Message.length msg) tail in
+  let tail_len =
+    List.fold_left (fun acc s -> acc + Message.Slice.length s) 0 tail
+  in
+  let payload_len = Message.length msg + tail_len in
   Message.push_head msg Wire.dl_header_bytes;
-  Wire.write_dl (Message.bytes msg) ~pos:msg.Message.off ~proto ~flags:0
-    ~payload_len ~src_cab:(Cab.node_id t.cab) ~dst_cab;
+  Wire.write_dl (Message.bytes msg) ~pos:msg.Message.off ~proto ~payload_len
+    ~src_cab:(Cab.node_id t.cab) ~dst_cab;
   t.frames_out_count <- t.frames_out_count + 1;
   (* Zero-copy transmit: the frame's extents point straight into the
      message's buffer (headers and payload in place, paper §5.2) plus any

@@ -9,16 +9,15 @@ let proto_netdev = 5
 
 (* proto u8 | flags u8 | payload_len u16 | src_cab u16 | dst_cab u16 |
    reserved u32, read and written in place *)
-let write_dl b ~pos ~proto ~flags ~payload_len ~src_cab ~dst_cab =
+let write_dl b ~pos ~proto ~payload_len ~src_cab ~dst_cab =
   Byte_view.set_u8 b pos proto;
-  Byte_view.set_u8 b (pos + 1) flags;
+  Byte_view.set_u8 b (pos + 1) 0;
   Byte_view.set_u16 b (pos + 2) payload_len;
   Byte_view.set_u16 b (pos + 4) src_cab;
   Byte_view.set_u16 b (pos + 6) dst_cab;
   Byte_view.set_u32 b (pos + 8) 0
 
 let dl_proto b pos = Byte_view.get_u8 b pos
-let dl_flags b pos = Byte_view.get_u8 b (pos + 1)
 let dl_payload_len b pos = Byte_view.get_u16 b (pos + 2)
 let dl_src_cab b pos = Byte_view.get_u16 b (pos + 4)
 let dl_dst_cab b pos = Byte_view.get_u16 b (pos + 6)

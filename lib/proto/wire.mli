@@ -24,17 +24,15 @@ val write_dl :
   Bytes.t ->
   pos:int ->
   proto:int ->
-  flags:int ->
   payload_len:int ->
   src_cab:int ->
   dst_cab:int ->
   unit
-(** Write a datalink header in place at [pos]. *)
+(** Write a datalink header in place at [pos] (flags 0, reserved 0). *)
 
 (** Fields of the datalink header at [pos], read in place. *)
 
 val dl_proto : Bytes.t -> int -> int
-val dl_flags : Bytes.t -> int -> int
 val dl_payload_len : Bytes.t -> int -> int
 val dl_src_cab : Bytes.t -> int -> int
 val dl_dst_cab : Bytes.t -> int -> int
