@@ -19,8 +19,6 @@ type t = {
   fiber_ready : Waitq.t;
   mutable vme_bus : Vme.t option;
   mutable tx_count : int;
-  closure_ops : ((unit -> unit) * (Interrupts.ctx -> unit)) Frame.ops;
-      (* [send_frame]'s owner operations: its two closures *)
 }
 
 (* The tx-done interrupt: the descriptor is complete. *)
@@ -100,12 +98,6 @@ let create ?data_bytes net ~hub ~port ~name =
       fiber_ready = Waitq.create eng;
       vme_bus = None;
       tx_count = 0;
-      closure_ops =
-        (let ictx = Interrupts.ctx irq_ctl in
-         {
-           Frame.release = (fun (release, _) -> release ());
-           sent = (fun (_, on_done) -> on_done ictx);
-         });
     }
   in
   t.nid <- Nectar_hub.Network.attach_node net ~hub ~port (Rx.sink rx_engine);
@@ -144,6 +136,14 @@ let send t frame =
 
 let no_release () = ()
 
+(* [send_frame]'s owner: its two closures and the context [on_done]
+   gets. *)
+let closure_ops =
+  {
+    Frame.release = (fun (release, _, _) -> release ());
+    sent = (fun (_, on_done, ictx) -> on_done ictx);
+  }
+
 let send_frame t ~route ~header_bytes ?(release = no_release) ~extents
     ~on_done () =
   let len = List.fold_left (fun acc (_, _, n) -> acc + n) 0 extents in
@@ -160,7 +160,11 @@ let send_frame t ~route ~header_bytes ?(release = no_release) ~extents
       in
       send t
         (Frame.outgoing ~src:t.nid ~route ~header_bytes reg ~off ~len ~tail
-           (Frame.Owner { value = (release, on_done); ops = t.closure_ops }))
+           (Frame.Owner
+              {
+                value = (release, on_done, Interrupts.ctx t.irq_ctl);
+                ops = closure_ops;
+              }))
 
 let frames_tx t = t.tx_count
 let in_fifo_level t = Byte_fifo.level t.in_fifo

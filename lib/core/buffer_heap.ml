@@ -13,7 +13,9 @@ type blocks = { mutable off : int array; mutable len : int array; mutable n : in
 (* literals, not [Array.make]: built inline, with no C call per heap *)
 let blocks () = { off = [| 0; 0; 0; 0 |]; len = [| 0; 0; 0; 0 |]; n = 0 }
 
-(* Open a gap at index [i] (the caller fills it), or close the one there. *)
+(* Open a gap at index [i] (the caller fills it), or close the one there.
+   Loops, not [Array.blit]: the shifts are a few words, cheaper than a C
+   call each. *)
 let open_at b i =
   if b.n = Array.length b.off then begin
     let grow a =
@@ -24,13 +26,17 @@ let open_at b i =
     b.off <- grow b.off;
     b.len <- grow b.len
   end;
-  Array.blit b.off i b.off (i + 1) (b.n - i);
-  Array.blit b.len i b.len (i + 1) (b.n - i);
+  for k = b.n downto i + 1 do
+    Array.unsafe_set b.off k (Array.unsafe_get b.off (k - 1));
+    Array.unsafe_set b.len k (Array.unsafe_get b.len (k - 1))
+  done;
   b.n <- b.n + 1
 
 let close_at b i =
-  Array.blit b.off (i + 1) b.off i (b.n - i - 1);
-  Array.blit b.len (i + 1) b.len i (b.n - i - 1);
+  for k = i to b.n - 2 do
+    Array.unsafe_set b.off k (Array.unsafe_get b.off (k + 1));
+    Array.unsafe_set b.len k (Array.unsafe_get b.len (k + 1))
+  done;
   b.n <- b.n - 1
 
 let set b i off len =
@@ -67,14 +73,11 @@ let create region =
   let size = Nectar_util.Region.size region in
   if size <= 0 then invalid_arg "Buffer_heap.create";
   let uid = 1 + Atomic.fetch_and_add uid_counter 1 in
-  let free_list = blocks () in
-  open_at free_list 0;
-  set free_list 0 0 size;
   {
     uid;
     region;
     size;
-    free_list;
+    free_list = { off = [| 0; 0; 0; 0 |]; len = [| size; 0; 0; 0 |]; n = 1 };
     live = blocks ();
     allocated = 0;
     fault = None;
