@@ -9,7 +9,9 @@ type t
 val create : Engine.t -> t
 
 val wait : t -> unit
-(** Park the calling process until some other actor calls [signal]. *)
+(** Park the calling process until some other actor calls [signal].
+    Allocates nothing beyond the parking itself once the queue has grown
+    to its working size (waiters are immediates in a ring). *)
 
 val wait_releasing : t -> release:(unit -> unit) -> unit
 (** Enter the queue and then run [release] (which must not block), with no
