@@ -79,7 +79,7 @@ let create ?data_bytes net ~hub ~port ~name =
   let irq_ctl = Interrupts.create eng cab_cpu ~name () in
   let in_fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"in" in
   let out_fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"out" in
-  let rx_engine = Rx.create eng irq_ctl ~fifo:in_fifo ~name () in
+  let rx_engine = Rx.create eng irq_ctl ~fifo:in_fifo ~name in
   let t =
     {
       cname = name;
@@ -119,10 +119,11 @@ let attach_vme t v = t.vme_bus <- Some v
 (* A crash is modelled as the board dropping off the fabric: its
    attachment link goes down, so every frame it emits or is sent is
    blackholed until restart.  Descriptors already queued still flow
-   through the tx DMA (firing [on_done], so senders' buffers are released
-   and nothing leaks) — the bytes just die on the dark fiber.  Runtime
-   state survives, making a restart a warm one; peers observe only
-   timeouts and recover through their retransmission machinery. *)
+   through the tx DMA (running the owner's [sent]) and the bytes die on
+   the dark fiber, whose release of each frame frees the senders' buffers,
+   so nothing leaks.  Runtime state survives, making a restart a warm one;
+   peers observe only timeouts and recover through their retransmission
+   machinery. *)
 let crash t = Nectar_hub.Network.set_node_up t.net t.nid false
 let restart t = Nectar_hub.Network.set_node_up t.net t.nid true
 let powered t = Nectar_hub.Network.node_up t.net t.nid
@@ -133,38 +134,6 @@ let send t frame =
   if Frame.length frame <= 0 then invalid_arg "Cab.send: empty frame";
   Nectar_util.Ring.push t.tx_queue frame;
   ignore (Waitq.signal t.tx_ready)
-
-let no_release () = ()
-
-(* [send_frame]'s owner: its two closures and the context [on_done]
-   gets. *)
-let closure_ops =
-  {
-    Frame.release = (fun (release, _, _) -> release ());
-    sent = (fun (_, on_done, ictx) -> on_done ictx);
-  }
-
-let send_frame t ~route ~header_bytes ?(release = no_release) ~extents
-    ~on_done () =
-  let len = List.fold_left (fun acc (_, _, n) -> acc + n) 0 extents in
-  if len <= 0 then invalid_arg "Cab.send_frame: empty frame";
-  if header_bytes < 1 then
-    invalid_arg "Cab.send_frame: header_bytes must be at least 1";
-  match extents with
-  | [] -> assert false
-  | (reg, off, len) :: rest ->
-      let tail =
-        List.map
-          (fun (ereg, eoff, elen) -> { Frame.ereg; eoff; elen })
-          rest
-      in
-      send t
-        (Frame.outgoing ~src:t.nid ~route ~header_bytes reg ~off ~len ~tail
-           (Frame.Owner
-              {
-                value = (release, on_done, Interrupts.ctx t.irq_ctl);
-                ops = closure_ops;
-              }))
 
 let frames_tx t = t.tx_count
 let in_fifo_level t = Byte_fifo.level t.in_fifo

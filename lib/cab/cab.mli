@@ -49,8 +49,9 @@ val crash : t -> unit
 (** Tear the board off the fabric mid-flight: its attachment link goes
     down, so everything it sends or is sent is lost until {!restart}.
     Already-queued transmit descriptors still complete their DMA (their
-    [on_done] fires and sender buffers are released — no leaks); the
-    frames die on the dark fiber.  Peers observe timeouts and recover. *)
+    owners' [sent] runs, and sender buffers are released when the frames
+    die on the dark fiber — no leaks).  Peers observe timeouts and
+    recover. *)
 
 val restart : t -> unit
 (** Bring the board back (a warm restart: runtime state survived). *)
@@ -67,23 +68,6 @@ val send : t -> Nectar_hub.Frame.t -> unit
     the frame's life ends: after the receiving CAB drains it, or on the
     wire for dropped/blackholed frames.  Raises [Invalid_argument] for an
     empty frame or a header size below 1. *)
-
-val send_frame :
-  t ->
-  route:int list ->
-  header_bytes:int ->
-  ?release:(unit -> unit) ->
-  extents:(Nectar_util.Region.t * int * int) list ->
-  on_done:(Interrupts.ctx -> unit) ->
-  unit ->
-  unit
-(** {!send} with closures: a frame over scatter/gather [extents]
-    referencing CAB memory directly — no snapshot is taken.  [on_done]
-    runs as the owner's [sent], [release] (default a no-op) as its
-    [release]; callers drop their retained buffer references there.
-    [header_bytes] (at least 1, [Invalid_argument] otherwise) is the size
-    of the frame's headers, used to time the receiver's start-of-packet
-    event. *)
 
 val frames_tx : t -> int
 

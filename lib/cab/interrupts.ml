@@ -7,7 +7,6 @@ type t = {
   priority : int;
   serial : Resource.t; (* handlers run to completion, one at a time *)
   iname : string;
-  mutable count : int;
   mutable coalesced_count : int;
   pending : (string, unit) Hashtbl.t; (* latched keys (see post_coalesced) *)
   irq_owner : Cpu.owner;
@@ -26,7 +25,6 @@ let create eng cpu ?(dispatch_ns = Costs.irq_dispatch_ns)
     priority;
     serial = Resource.create eng ();
     iname = name;
-    count = 0;
     coalesced_count = 0;
     pending = Hashtbl.create 8;
     (* The dispatch cost is charged explicitly, so the owner itself has no
@@ -74,7 +72,6 @@ let serve t name handler arg =
       raise e
 
 let post_with t ~name handler arg =
-  t.count <- t.count + 1;
   Engine.spawn t.eng ~name:(label t name) (fun () -> serve t name handler arg)
 
 let apply ctx fn = fn ctx
@@ -95,7 +92,6 @@ let post_coalesced t ~key ~name fn =
         fn ictx)
   end
 
-let posted t = t.count
 let coalesced t = t.coalesced_count
 let ctx (t : t) : ctx = t
 let ctx_engine (t : ctx) = t.eng

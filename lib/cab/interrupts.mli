@@ -52,8 +52,5 @@ val post_coalesced : t -> key:string -> name:string -> (ctx -> unit) -> unit
     guarantee a single host wakeup per operation no matter how many
     signals race toward completion. *)
 
-val posted : t -> int
-(** Total interrupts posted (for stats). *)
-
 val coalesced : t -> int
 (** Posts absorbed by {!post_coalesced} while their key was pending. *)

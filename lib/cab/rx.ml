@@ -2,7 +2,6 @@ open Nectar_sim
 module Frame = Nectar_hub.Frame
 
 type ('c, 'a) client = {
-  next_watch : 'c -> 'a -> int;
   watched : Interrupts.ctx -> Frame.t -> 'c -> 'a -> unit;
   completed : Interrupts.ctx -> Frame.t -> 'c -> 'a -> unit;
 }
@@ -35,8 +34,7 @@ type t = {
   mutable batches : int;
 }
 
-let create eng irq ~fifo ?(coalesce_ns = 0) ~name () =
-  if coalesce_ns < 0 then invalid_arg "Rx.create: negative coalesce_ns";
+let create eng irq ~fifo ~name =
   {
     eng;
     irq;
@@ -46,7 +44,7 @@ let create eng irq ~fifo ?(coalesce_ns = 0) ~name () =
     handler = None;
     view_off = 0;
     drops = 0;
-    coalesce_ns;
+    coalesce_ns = 0;
     batch = [];
     batch_armed = false;
     batches = 0;
@@ -89,12 +87,6 @@ let consume t (p : Frame.t) n =
   p.consumed <- p.consumed + n;
   pos
 
-let copy_out t p ~pos n =
-  Nectar_util.Copy_meter.record ~owner:t.rname Nectar_util.Copy_meter.Rxread n;
-  let out = Bytes.create n in
-  Frame.blit p ~pos ~dst:out ~dst_pos:0 ~len:n;
-  out
-
 let read_view t (p : Frame.t) n =
   let pos = consume t p n in
   if pos + n <= p.len then begin
@@ -105,11 +97,13 @@ let read_view t (p : Frame.t) n =
     (* the span is not in the inline extent, so no borrowed view is
        kept; fall back to a (counted) copy *)
     t.view_off <- 0;
-    copy_out t p ~pos n
+    Nectar_util.Copy_meter.(record ~owner:t.rname Rxread n);
+    let out = Bytes.create n in
+    Frame.blit p ~pos ~dst:out ~dst_pos:0 ~len:n;
+    out
   end
 
 let view_offset t = t.view_off
-let read_bytes t p n = copy_out t p ~pos:(consume t p n) n
 
 (* The interrupt handlers of a received frame: static, the frame is the
    argument. *)
@@ -169,16 +163,16 @@ let dma t (p : Frame.t) dst base watch_at =
     Byte_fifo.pop t.fifo n;
     Engine.sleep t.eng (n * Costs.mem_dma_ns_per_byte);
     (match p.rx with
-    | Receiving { client; context; value } ->
+    | Receiving _ ->
         (* the modelled receive-DMA engine: hardware moves these bytes,
            so this is not a software copy and is not metered *)
         Frame.blit p ~pos:p.consumed ~dst:(Nectar_util.Region.bytes dst)
           ~dst_pos:(base + p.consumed) ~len:n;
         p.consumed <- p.consumed + n;
-        while p.consumed >= !watch do
+        if p.consumed >= !watch then begin
           Interrupts.post_with t.irq ~name:"rx-watch" watched p;
-          watch := client.next_watch context value
-        done
+          watch := max_int
+        end
     | _ -> p.consumed <- p.consumed + n)
   done;
   Trace.span_end tid;
@@ -195,46 +189,6 @@ let receive t (p : Frame.t) ~dst ~dst_pos ~watch_at client context value =
   p.rx <- Receiving { client; context; value };
   let base = dst_pos - p.consumed in
   Engine.spawn t.eng ~name:t.dma_name (fun () -> dma t p dst base watch_at)
-
-(* [dma_to_memory]'s closures ride in the frame as the client value; the
-   watches fire in offset order, popped as each is raised and run. *)
-type closures = {
-  mutable offsets : int list;
-  mutable fns : (Interrupts.ctx -> unit) list;
-  on_complete : Interrupts.ctx -> crc_ok:bool -> unit;
-}
-
-let pop_offset c () =
-  match c.offsets with
-  | o :: rest ->
-      c.offsets <- rest;
-      o
-  | [] -> max_int
-
-let closure_client =
-  {
-    next_watch = pop_offset;
-    watched =
-      (fun ictx _ c () ->
-        match c.fns with
-        | fn :: rest ->
-            c.fns <- rest;
-            fn ictx
-        | [] -> ());
-    completed =
-      (fun ictx p c () -> c.on_complete ictx ~crc_ok:(Frame.crc_verdict p));
-  }
-
-let by_offset ((a : int), _) (b, _) = Int.compare a b
-
-let dma_to_memory t p ~dst ~dst_pos ?(watch = []) ~on_complete () =
-  let watch =
-    match watch with [] | [ _ ] -> watch | _ -> List.sort by_offset watch
-  in
-  let c =
-    { offsets = List.map fst watch; fns = List.map snd watch; on_complete }
-  in
-  receive t p ~dst ~dst_pos ~watch_at:(pop_offset c ()) closure_client c ()
 
 let no_dst = Nectar_util.Region.of_bytes Bytes.empty
 

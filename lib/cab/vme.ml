@@ -54,9 +54,6 @@ let pio t ~cpu ~owner ~priority ~bytes =
   Trace.span_end tid;
   t.moved <- t.moved + bytes
 
-let pio_words t ~cpu ~owner ~priority ~words =
-  pio t ~cpu ~owner ~priority ~bytes:(words * 4)
-
 let dma t ~bytes =
   if bytes < 0 then invalid_arg "Vme.dma";
   let tid = Trace.span_begin ~track:t.vname "vme.dma" in

@@ -28,14 +28,6 @@ val pio :
 (** Move [bytes] across the bus by CPU word accesses; blocks the caller for
     the full transfer (the CPU is stalled on bus cycles). *)
 
-val pio_words :
-  t ->
-  cpu:Nectar_sim.Cpu.t ->
-  owner:Nectar_sim.Cpu.owner ->
-  priority:int ->
-  words:int ->
-  unit
-
 val dma : t -> bytes:int -> unit
 (** Block-transfer [bytes] at ~30 Mbit/s, holding the bus only. *)
 

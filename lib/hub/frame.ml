@@ -89,38 +89,21 @@ let latch t ~id =
 let outgoing ~src ~route ~header_bytes reg ~off ~len ~tail owner =
   make ~id:(-1) ~src ~header_bytes ~route reg ~off ~len ~tail owner
 
-let thunk_ops = { release = (fun f -> f ()); sent = ignore }
-
-let create_sg ~id ~src ~extents ~on_release =
-  List.iter
-    (fun (reg, off, len) -> check_extent reg off len "Frame.create_sg")
-    extents;
-  match extents with
-  | [] -> invalid_arg "Frame.create_sg: empty frame"
-  | (reg, off, len) :: rest ->
-      let tail =
-        List.map (fun (ereg, eoff, elen) -> { ereg; eoff; elen }) rest
-      in
-      let t =
-        make ~id ~src ~header_bytes:0 ~route:[] reg ~off ~len ~tail
-          (Owner { value = on_release; ops = thunk_ops })
-      in
-      if length t = 0 then invalid_arg "Frame.create_sg: empty frame";
-      t.wire_crc <- crc_of t;
-      t
+(* A single-extent, unowned frame over all of [data]; [what] names the
+   caller in the empty-frame error. *)
+let single what ~id ~src data =
+  let len = Bytes.length data in
+  if len = 0 then invalid_arg (what ^ ": empty frame");
+  make ~id ~src ~header_bytes:0 ~route:[] (Region.of_bytes data) ~off:0 ~len
+    ~tail:[] Unowned
 
 let of_wire ~id ~src ~wire_crc ~data =
-  let len = Bytes.length data in
-  if len = 0 then invalid_arg "Frame.create_sg: empty frame";
-  let t =
-    make ~id ~src ~header_bytes:0 ~route:[] (Region.of_bytes data) ~off:0
-      ~len ~tail:[] Unowned
-  in
+  let t = single "Frame.of_wire" ~id ~src data in
   t.wire_crc <- wire_crc;
   t
 
 let create ~id ~src ~data =
-  let t = of_wire ~id ~src ~wire_crc:0 ~data in
+  let t = single "Frame.create" ~id ~src data in
   t.wire_crc <- crc_of t;
   t
 
@@ -137,35 +120,13 @@ let outside what t pos len =
   if pos < 0 || len < 0 || pos + len > length t then
     invalid_arg (what ^ ": outside frame")
 
-let straddles = (Bytes.empty, -1)
-
-(* The tail extent holding frame range [pos, pos + len), searching from
-   the extent at frame offset [at].  Top-level recursion with no option:
-   a view allocates only the pair it returns. *)
-let rec tail_view id pos len at = function
-  | [] -> straddles
-  | e :: rest ->
-      if pos >= at + e.elen then tail_view id pos len (at + e.elen) rest
-      else if pos + len > at + e.elen then straddles
-      else begin
-        let off = e.eoff + (pos - at) in
-        Vet_probe.dma_read ~frame:id ~region:e.ereg ~off ~len;
-        (Region.bytes e.ereg, off)
-      end
-
 let inline_read t pos len =
   Vet_probe.dma_read ~frame:t.id ~region:t.reg ~off:(t.off + pos) ~len;
   Region.bytes t.reg
 
 let inline_bytes t ~pos ~len =
-  outside "Frame.view" t pos len;
+  outside "Frame.inline_bytes" t pos len;
   if pos + len <= t.len then inline_read t pos len else Bytes.empty
-
-let view t ~pos ~len =
-  outside "Frame.view" t pos len;
-  if pos + len <= t.len then (inline_read t pos len, t.off + pos)
-  else if pos < t.len then straddles
-  else tail_view t.id pos len t.len t.tail
 
 (* [len] bytes of an extent ([reg], [off], [elen]) at frame offset [at],
    from frame offset [pos], into [dst]; returns how many it copied. *)

@@ -75,16 +75,6 @@ val of_wire : id:int -> src:int -> wire_crc:int -> data:Bytes.t -> t
     from its payload snapshot, whose bytes fault injection may have
     damaged before the cut. *)
 
-val create_sg :
-  id:int ->
-  src:int ->
-  extents:(Nectar_util.Region.t * int * int) list ->
-  on_release:(unit -> unit) ->
-  t
-(** Scatter/gather frame; [on_release] runs (once) from {!release} or
-    {!detach} and drops whatever buffer references back the extents.
-    Each extent must lie inside its region's current backing. *)
-
 val filler : t
 (** An unowned 1-byte frame that never travels: it fills the vacated
     cells of frame rings, so a ring keeps no sent frame alive.  Shared by
@@ -122,16 +112,10 @@ val set_crc_verdict : t -> bool -> unit
 
 val crc_verdict : t -> bool
 
-val view : t -> pos:int -> len:int -> Bytes.t * int
-(** Borrowed view [(bytes, off)] of [len] bytes at frame offset [pos], when
-    that range lies within a single extent; [off] is [-1] when it straddles
-    a boundary.  The bytes are the extent region's current backing: decode
-    at once.  Allocates only the returned pair. *)
-
 val inline_bytes : t -> pos:int -> len:int -> Bytes.t
 (** The inline extent's current backing when frame range
-    [\[pos, pos + len)] lies inside it (the read is reported like
-    {!view}'s), else [Bytes.empty]: an in-place read that allocates
+    [\[pos, pos + len)] lies inside it, else [Bytes.empty]: an in-place
+    read, reported to vet like every read of the extents, that allocates
     nothing.  The range starts at [t.off + pos] in the result. *)
 
 val blit : t -> pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit

@@ -38,8 +38,7 @@ and bound = { binding : binding; dl : t }
    sending CAB the header names. *)
 let client =
   {
-    Rx.next_watch = (fun _ _ -> max_int);
-    watched =
+    Rx.watched =
       (fun _ _ bd _ ->
         match bd.binding.start_of_data with
         | Some f -> f (Runtime.interrupt_ctx bd.dl.rt)

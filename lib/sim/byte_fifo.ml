@@ -60,8 +60,3 @@ let try_pop t n =
     remove t n;
     true
   end
-
-let wait_nonempty t =
-  while t.fill = 0 do
-    Waitq.wait t.data
-  done

@@ -23,8 +23,5 @@ val pop : t -> int -> unit
 val try_push : t -> int -> bool
 val try_pop : t -> int -> bool
 
-val wait_nonempty : t -> unit
-(** Block until the FIFO holds at least one byte. *)
-
 val max_level : t -> int
 (** High-water mark, for tests and stats. *)

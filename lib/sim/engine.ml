@@ -357,9 +357,6 @@ let now t = t.clock
 let current_pid t =
   if t.running < 0 then None else Some (proc t t.running).pid
 
-let current_process t =
-  if t.running < 0 then None else Some (proc t t.running).name
-
 (* (t1, s1) strictly before (t2, s2): earlier time, or same time scheduled
    earlier.  Annotated: an unannotated comparison is polymorphic, and
    inlining does not specialise it. *)

@@ -35,9 +35,6 @@ val current_pid : t -> int option
     across all engines in the program; the vet checkers use them to
     attribute lock and mailbox operations to an actor. *)
 
-val current_process : t -> string option
-(** Name of the currently executing process (see {!current_pid}). *)
-
 (** {1 Timers} *)
 
 type timer [@@immediate]

@@ -18,9 +18,6 @@ val us : int -> span
 val ms : int -> span
 val s : int -> span
 
-val us_f : float -> span
-(** Fractional microseconds, rounded to the nearest nanosecond. *)
-
 val to_us : t -> float
 val to_ms : t -> float
 val to_s : t -> float

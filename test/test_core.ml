@@ -279,11 +279,14 @@ let test_frame_sees_grown_memory () =
   let m = Option.get (Mailbox.try_begin_put ctx mb 256) in
   Message.write_string m 0 (String.init 256 (fun i -> Char.chr (i land 0xff)));
   let s = Message.slice m ~pos:0 ~len:256 in
+  let reg, off, len = Message.Slice.extent s in
   let frame =
-    Nectar_hub.Frame.create_sg ~id:0 ~src:0
-      ~extents:[ Message.Slice.extent s ]
-      ~on_release:(fun () -> Message.Slice.release s)
+    Nectar_hub.Frame.outgoing ~src:0 ~route:[] ~header_bytes:1 reg ~off ~len
+      ~tail:[]
+      (Owner
+         { value = s; ops = { release = Message.Slice.release; sent = ignore } })
   in
+  Nectar_hub.Frame.latch frame ~id:0;
   check_bool "crc ok as sent" true (Nectar_hub.Frame.crc_ok frame);
   let backed = Region.resident_bytes mem in
   let big = Option.get (Buffer_heap.alloc (Runtime.heap rt) (200 * 1024)) in

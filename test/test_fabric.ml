@@ -21,6 +21,31 @@ let test_frame_crc () =
   Bytes.set data 3 'X';
   check_bool "corrupted frame fails CRC" false (Frame.crc_ok f)
 
+(* A latched frame over [extents] (region, offset, length), as the
+   transmit DMA leaves it. *)
+let latched ?(owner = Frame.Unowned) = function
+  | [] -> invalid_arg "latched: no extents"
+  | (reg, off, len) :: rest ->
+      let tail =
+        List.map (fun (ereg, eoff, elen) -> { Frame.ereg; eoff; elen }) rest
+      in
+      let f =
+        Frame.outgoing ~src:0 ~route:[] ~header_bytes:1 reg ~off ~len ~tail
+          owner
+      in
+      Frame.latch f ~id:0;
+      f
+
+let test_frame_errors_name_their_function () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Frame.create: empty frame" (fun () ->
+      ignore (Frame.create ~id:0 ~src:0 ~data:Bytes.empty));
+  raises "Frame.of_wire: empty frame" (fun () ->
+      ignore (Frame.of_wire ~id:0 ~src:0 ~wire_crc:0 ~data:Bytes.empty));
+  let f = Frame.create ~id:0 ~src:0 ~data:(Bytes.make 4 'x') in
+  raises "Frame.inline_bytes: outside frame" (fun () ->
+      ignore (Frame.inline_bytes f ~pos:2 ~len:4))
+
 let test_frame_sg_extents () =
   (* a scatter/gather frame must read and checksum exactly like the same
      bytes in one contiguous extent *)
@@ -28,14 +53,14 @@ let test_frame_sg_extents () =
   let flat = Frame.create ~id:0 ~src:0 ~data:(Bytes.copy whole) in
   let released = ref 0 in
   let sg =
-    Frame.create_sg ~id:1 ~src:0
-      ~extents:
-        [
-          (Region.of_bytes (Bytes.sub whole 0 7), 0, 7);
-          (Region.of_bytes whole, 7, 13);
-          (Region.of_bytes (Bytes.sub whole 20 5), 0, 5);
-        ]
-      ~on_release:(fun () -> incr released)
+    latched
+      ~owner:
+        (Owner { value = released; ops = { release = incr; sent = ignore } })
+      [
+        (Region.of_bytes (Bytes.sub whole 0 7), 0, 7);
+        (Region.of_bytes whole, 7, 13);
+        (Region.of_bytes (Bytes.sub whole 20 5), 0, 5);
+      ]
   in
   check_int "sg length" (Bytes.length whole) (Frame.length sg);
   check_bool "sg crc matches flat crc" true
@@ -44,38 +69,36 @@ let test_frame_sg_extents () =
   Frame.blit sg ~pos:0 ~dst:out ~dst_pos:0 ~len:(Bytes.length whole);
   Alcotest.(check string) "blit crosses extents" (Bytes.to_string whole)
     (Bytes.to_string out);
-  let mem, off = Frame.view sg ~pos:7 ~len:13 in
-  check_bool "view within an extent exists" true (off >= 0);
-  Alcotest.(check string) "view within one extent" "payload bytes"
-    (Bytes.sub_string mem off 13);
-  check_int "view straddling extents is refused" (-1)
-    (snd (Frame.view sg ~pos:5 ~len:6));
+  Alcotest.(check string) "in-place read within the inline extent" "header"
+    (Bytes.sub_string (Frame.inline_bytes sg ~pos:0 ~len:6) sg.off 6);
+  check_bool "in-place read past the inline extent is empty" true
+    (Frame.inline_bytes sg ~pos:5 ~len:6 == Bytes.empty);
   Frame.release sg;
   check_int "on_release fired once" 1 !released;
   Alcotest.check_raises "double release rejected"
     (Invalid_argument "Frame.release: frame already released") (fun () ->
       Frame.release sg)
 
-(* The rx DMA drain, the partition handoff and the CRC check read a
-   frame's extents on every frame; with no vet hook installed those reads
-   must allocate nothing, or the vet hook has made every run slower. *)
+(* The rx DMA drain, the partition handoff, the CRC check and the
+   datalink's in-place header read read a frame's extents on every frame;
+   with no vet hook installed those reads must allocate nothing, or the
+   vet hook has made every run slower. *)
 let test_frame_reads_allocate_nothing () =
   check_bool "no vet hook installed" false (Vet_probe.installed ());
   let whole = Bytes.make 1500 'a' in
   let f =
-    Frame.create_sg ~id:0 ~src:0
-      ~extents:
-        [
-          (Region.of_bytes (Bytes.sub whole 0 24), 0, 24);
-          (Region.of_bytes whole, 24, 1476);
-        ]
-      ~on_release:(fun () -> ())
+    latched
+      [
+        (Region.of_bytes (Bytes.sub whole 0 24), 0, 24);
+        (Region.of_bytes whole, 24, 1476);
+      ]
   in
   let out = Bytes.create 1500 in
   let reads () =
     Frame.blit f ~pos:0 ~dst:out ~dst_pos:0 ~len:1500;
     Frame.blit f ~pos:20 ~dst:out ~dst_pos:0 ~len:8;
-    ignore (Frame.crc_ok f)
+    ignore (Frame.crc_ok f);
+    ignore (Frame.inline_bytes f ~pos:0 ~len:12)
   in
   reads ();
   let before = Gc.minor_words () in
@@ -83,36 +106,12 @@ let test_frame_reads_allocate_nothing () =
     reads ()
   done;
   let words = Gc.minor_words () -. before in
-  (* 30k reads: one word per read would be 30k; allow a small constant
+  (* 40k reads: one word per read would be 40k; allow a small constant
      for the Gc calls themselves *)
   check_bool
-    (Printf.sprintf "blit and crc_ok allocation-free (%.0f words)" words)
+    (Printf.sprintf "blit, crc_ok and inline_bytes allocation-free (%.0f words)"
+       words)
     true (words < 64.)
-
-(* The datalink decodes every received frame's header through a view:
-   over a single extent it allocates at most the pair it returns. *)
-let test_frame_header_view_allocates_pair () =
-  check_bool "no vet hook installed" false (Vet_probe.installed ());
-  let whole = Bytes.make 1500 'a' in
-  let f =
-    Frame.create_sg ~id:0 ~src:0
-      ~extents:
-        [ (Region.of_bytes whole, 0, 24); (Region.of_bytes whole, 24, 1476) ]
-      ~on_release:(fun () -> ())
-  in
-  let offs = ref 0 in
-  let view () = offs := !offs + snd (Frame.view f ~pos:0 ~len:12) in
-  view ();
-  let n = 10_000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to n do
-    view ()
-  done;
-  let words = (Gc.minor_words () -. before) /. float_of_int n in
-  check_int "every view found its extent" 0 !offs;
-  check_bool
-    (Printf.sprintf "header view allocates %.2f <= 3 words" words)
-    true (words <= 3.)
 
 (* ---------- Network helpers ---------- *)
 
@@ -639,27 +638,38 @@ let two_cabs () =
   let b = Cab.create net ~hub:0 ~port:1 ~name:"cab-b" in
   (eng, a, b)
 
+(* Queue all of [data] on [a]'s transmit ring for port 1, unowned. *)
+let send ?(header_bytes = 16) a data =
+  Cab.send a
+    (Frame.outgoing ~src:(Cab.node_id a) ~route:[ 1 ] ~header_bytes
+       (Region.of_bytes data) ~off:0 ~len:(Bytes.length data) ~tail:[]
+       Frame.Unowned)
+
+(* A receive client whose frame value is the pair of its start-of-data
+   and end-of-data upcalls, the latter given the CRC verdict. *)
+let upcalls =
+  {
+    Rx.watched = (fun _ _ () (sod, _) -> sod ());
+    completed = (fun _ f () (_, eod) -> eod (Frame.crc_verdict f));
+  }
+
+let receive b p dst ?(watch_at = max_int) ?(sod = ignore) eod =
+  Rx.receive (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0 ~watch_at
+    upcalls () (sod, eod)
+
 let test_cab_frame_exchange () =
   let eng, a, b = two_cabs () in
   let payload = Bytes.of_string "HDRxHello from CAB A, via the HUB fabric!" in
   let received = ref None and recv_time = ref (-1) in
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
-      let header = Rx.read_bytes (Cab.rx b) p 4 in
-      Alcotest.(check string) "header" "HDRx" (Bytes.to_string header);
-      let rest = Rx.total p - 4 in
-      let dst = Bytes.create rest in
-      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
-        ~on_complete:(fun _ictx ~crc_ok ->
+      let header = Rx.read_view (Cab.rx b) p 4 in
+      Alcotest.(check string) "header" "HDRx"
+        (Bytes.sub_string header (Rx.view_offset (Cab.rx b)) 4);
+      let dst = Bytes.create (Rx.total p - 4) in
+      receive b p dst (fun crc_ok ->
           received := Some (Bytes.to_string dst, crc_ok);
-          recv_time := Engine.now eng)
-        ());
-  Engine.spawn eng (fun () ->
-      Cab.send_frame a
-        ~route:[ 1 ]
-        ~header_bytes:4
-        ~extents:[ (Region.of_bytes payload, 0, Bytes.length payload) ]
-        ~on_done:(fun _ -> ())
-        ());
+          recv_time := Engine.now eng));
+  Engine.spawn eng (fun () -> send ~header_bytes:4 a payload);
   Engine.run eng;
   (match !received with
   | Some (text, crc_ok) ->
@@ -677,13 +687,9 @@ let test_cab_zero_header_refused () =
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
       incr seen;
       Rx.discard (Cab.rx b) p);
-  Alcotest.check_raises "send_frame refuses a 0-byte header"
-    (Invalid_argument "Cab.send_frame: header_bytes must be at least 1")
-    (fun () ->
-      Cab.send_frame a ~route:[ 1 ] ~header_bytes:0
-        ~extents:[ (Region.of_bytes (Bytes.make 64 'z'), 0, 64) ]
-        ~on_done:(fun _ -> ())
-        ());
+  Alcotest.check_raises "send refuses a 0-byte header"
+    (Invalid_argument "Cab.send: header_bytes must be at least 1")
+    (fun () -> send ~header_bytes:0 a (Bytes.make 64 'z'));
   Engine.run eng;
   check_int "nothing sent" 0 (Cab.frames_tx a);
   check_int "nothing received" 0 !seen
@@ -696,13 +702,7 @@ let test_cab_discard_keeps_fifo_clean () =
       Rx.discard (Cab.rx b) p);
   Engine.spawn eng (fun () ->
       for _ = 1 to 5 do
-        let data = Bytes.make 2000 'd' in
-        Cab.send_frame a
-          ~route:[ 1 ]
-          ~header_bytes:16
-          ~extents:[ (Region.of_bytes data, 0, 2000) ]
-          ~on_done:(fun _ -> ())
-          ()
+        send a (Bytes.make 2000 'd')
       done);
   Engine.run eng;
   check_int "all frames seen" 5 !seen;
@@ -717,36 +717,19 @@ let test_cab_large_frame_backpressure () =
   let ok = ref false in
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
       let dst = Bytes.create (Rx.total p) in
-      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
-        ~on_complete:(fun _ictx ~crc_ok -> ok := crc_ok && Bytes.equal dst data)
-        ());
-  Engine.spawn eng (fun () ->
-      Cab.send_frame a
-        ~route:[ 1 ]
-        ~header_bytes:16
-        ~extents:[ (Region.of_bytes data, 0, len) ]
-        ~on_done:(fun _ -> ())
-        ());
+      receive b p dst (fun crc_ok -> ok := crc_ok && Bytes.equal dst data));
+  Engine.spawn eng (fun () -> send a data);
   Engine.run eng;
   check_bool "32 KB frame crossed intact" true !ok
 
 let test_cab_rx_watch_fires_in_order () =
   let eng, a, b = two_cabs () in
   let events = ref [] in
+  let note what () = events := (what, Engine.now eng) :: !events in
   Rx.set_frame_handler (Cab.rx b) (fun _ictx p ->
-      let dst = Bytes.create (Rx.total p) in
-      Rx.dma_to_memory (Cab.rx b) p ~dst:(Region.of_bytes dst) ~dst_pos:0
-        ~watch:[ (64, fun _ -> events := ("start-of-data", Engine.now eng) :: !events) ]
-        ~on_complete:(fun _ictx ~crc_ok:_ ->
-          events := ("end-of-data", Engine.now eng) :: !events)
-        ());
-  Engine.spawn eng (fun () ->
-      Cab.send_frame a
-        ~route:[ 1 ]
-        ~header_bytes:16
-        ~extents:[ (Region.of_bytes (Bytes.make 8192 'w'), 0, 8192) ]
-        ~on_done:(fun _ -> ())
-        ());
+      receive b p (Bytes.create (Rx.total p)) ~watch_at:64
+        ~sod:(note "start-of-data") (fun _ -> note "end-of-data" ()));
+  Engine.spawn eng (fun () -> send a (Bytes.make 8192 'w'));
   Engine.run eng;
   match List.rev !events with
   | [ ("start-of-data", t1); ("end-of-data", t2) ] ->
@@ -894,10 +877,10 @@ let () =
           Alcotest.test_case "hardware crc" `Quick test_frame_crc;
           Alcotest.test_case "reads allocate nothing" `Quick
             test_frame_reads_allocate_nothing;
-          Alcotest.test_case "header view allocates only its pair" `Quick
-            test_frame_header_view_allocates_pair;
           Alcotest.test_case "scatter/gather extents" `Quick
             test_frame_sg_extents;
+          Alcotest.test_case "errors name their function" `Quick
+            test_frame_errors_name_their_function;
         ] );
       ( "network",
         [

@@ -127,10 +127,11 @@ let prop_random_tree_routes =
       List.length route <= hubs
       && begin
         Engine.spawn eng (fun () ->
-            Cab.send_frame a ~route ~header_bytes:16
-              ~extents:[ (Nectar_util.Region.of_bytes (Bytes.make 64 'r'), 0, 64) ]
-              ~on_done:(fun _ -> ())
-              ());
+            Cab.send a
+              (Nectar_hub.Frame.outgoing ~src:(Cab.node_id a) ~route
+                 ~header_bytes:16
+                 (Nectar_util.Region.of_bytes (Bytes.make 64 'r'))
+                 ~off:0 ~len:64 ~tail:[] Unowned));
         Engine.run eng;
         !delivered = 1
       end)

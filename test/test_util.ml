@@ -1,4 +1,5 @@
 open Nectar_util
+module Frame = Nectar_hub.Frame
 
 let check_int = Alcotest.(check int)
 
@@ -214,23 +215,24 @@ let prop_frame_sg_crc =
             let pad = (2 * i) + 1 in
             let r = Bytes.make (pad + len + 3) '\x5a' in
             Bytes.blit_string s off r pad len;
-            (Region.of_bytes r, pad, len))
+            { Frame.ereg = Region.of_bytes r; eoff = pad; elen = len })
           (pieces 0 cuts)
       in
+      let { Frame.ereg; eoff; elen } = List.hd extents in
       let f =
-        Nectar_hub.Frame.create_sg ~id:0 ~src:0 ~extents
-          ~on_release:(fun () -> ())
+        Frame.outgoing ~src:0 ~route:[] ~header_bytes:1 ereg ~off:eoff
+          ~len:elen ~tail:(List.tl extents) Unowned
       in
+      Frame.latch f ~id:0;
       let whole = Bytes.of_string s in
       let intact =
-        f.Nectar_hub.Frame.wire_crc = ref_crc whole ~pos:0 ~len:n
-        && Nectar_hub.Frame.crc_ok f
+        f.Frame.wire_crc = ref_crc whole ~pos:0 ~len:n && Frame.crc_ok f
       in
-      let r, pad, len = List.nth extents (flip mod List.length extents) in
-      let i = pad + (flip mod len) in
-      let rb = Region.bytes r in
+      let e = List.nth extents (flip mod List.length extents) in
+      let i = e.eoff + (flip mod e.elen) in
+      let rb = Region.bytes e.ereg in
       Bytes.set_uint8 rb i (Bytes.get_uint8 rb i lxor (1 lsl (flip mod 8)));
-      intact && not (Nectar_hub.Frame.crc_ok f))
+      intact && not (Frame.crc_ok f))
 
 (* ---------- Byte_view ---------- *)
 

@@ -185,12 +185,16 @@ let test_dispose_before_snapshot_across_growth () =
           Runtime.create_mailbox rt ~name:"tx" ~cached_buffer_bytes:0 ()
         in
         let rx = Nectar_cab.Cab.rx b in
+        let client =
+          {
+            Nectar_cab.Rx.watched = (fun _ _ _ _ -> ());
+            completed = (fun _ _ dst () -> received := Bytes.to_string dst);
+          }
+        in
         Nectar_cab.Rx.set_frame_handler rx (fun _ p ->
             let dst = Bytes.create (Nectar_cab.Rx.total p) in
-            Nectar_cab.Rx.dma_to_memory rx p
-              ~dst:(Nectar_util.Region.of_bytes dst) ~dst_pos:0
-              ~on_complete:(fun _ ~crc_ok:_ -> received := Bytes.to_string dst)
-              ());
+            Nectar_cab.Rx.receive rx p ~dst:(Nectar_util.Region.of_bytes dst)
+              ~dst_pos:0 ~watch_at:max_int client dst ());
         let ctx = null_ctx eng in
         Engine.spawn eng (fun () ->
             let m = Mailbox.begin_put ctx mb 64 in
@@ -199,12 +203,10 @@ let test_dispose_before_snapshot_across_growth () =
                free tail, so the big allocation below cannot reuse it *)
             let keep = Mailbox.begin_put ctx mb 4 in
             Message.write_string m 0 (String.make 64 'p');
-            Nectar_cab.Cab.send_frame a
-              ~route:[ 1 ]
-              ~header_bytes:16
-              ~extents:[ (m.Message.mem, m.Message.off, 64) ]
-              ~on_done:(fun _ -> ())
-              ();
+            Nectar_cab.Cab.send a
+              (Nectar_hub.Frame.outgoing ~src:(Nectar_cab.Cab.node_id a)
+                 ~route:[ 1 ] ~header_bytes:16 m.Message.mem ~off:m.Message.off
+                 ~len:64 ~tail:[] Unowned);
             Mailbox.dispose ctx m;
             let mem = Runtime.mem rt in
             let backed = Nectar_util.Region.resident_bytes mem in
@@ -247,10 +249,10 @@ let test_dma_read_of_freed_block () =
             off := m.Message.off;
             Message.write_string m 0 (String.make 64 'p');
             let frame =
-              Nectar_hub.Frame.create_sg ~id:7 ~src:0
-                ~extents:[ (mem, m.Message.off, 64) ]
-                ~on_release:(fun () -> ())
+              Nectar_hub.Frame.outgoing ~src:0 ~route:[] ~header_bytes:1 mem
+                ~off:m.Message.off ~len:64 ~tail:[] Unowned
             in
+            Nectar_hub.Frame.latch frame ~id:7;
             let private_frame =
               Nectar_hub.Frame.create ~id:8 ~src:0 ~data:(Bytes.make 64 'q')
             in
