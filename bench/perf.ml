@@ -82,12 +82,13 @@ let engine_schedule_cancel () =
    int64 loads fails here instead of silently losing its speed. *)
 let recorded_sleep_words = 2.
 let recorded_yield_words = 2.
+let recorded_spawn_words = 7.
 let recorded_consume_words = 2.
 let recorded_timed_wait_words = 11.
 let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 let recorded_transmit_hop_words = 2.
-let recorded_cab_datagram_words = 208.
+let recorded_cab_datagram_words = 158.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -110,6 +111,26 @@ let engine_sleep_words () =
 
 let engine_yield_words () =
   words_per_iteration ~n:10_000 (fun eng () -> Engine.yield eng)
+
+(* Minor words per process started into a slot a finished process left,
+   sleeping once, run loop included; the body is built once.  The slot's
+   record is refilled and the wake-up is the engine's, so this is the
+   5-word effect closure [Effect.Deep.match_with] builds per fiber plus
+   the sleep's continuation. *)
+let engine_spawn_words () =
+  let eng = Engine.create () in
+  let body () = Engine.sleep eng 1 in
+  let once () =
+    Engine.spawn eng ~name:"p" body;
+    Engine.run eng
+  in
+  once ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
 
 let cpu_consume_words () =
   words_per_iteration ~n:10_000 (fun eng ->
@@ -219,6 +240,8 @@ let micro_counts =
      recorded_sleep_words);
     ("Engine.yield", "engine_yield_words", engine_yield_words,
      recorded_yield_words);
+    ("Engine.spawn", "engine_spawn_words", engine_spawn_words,
+     recorded_spawn_words);
     ("Cpu.consume", "cpu_consume_words", cpu_consume_words,
      recorded_consume_words);
     ("Waitq.wait_timeout", "waitq_timed_wait_words", waitq_timed_wait_words,
@@ -402,8 +425,9 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
   Printf.bprintf b
     "  \"micro\": {\n\
     \    \"note\": \"minor words per call in a one-process loop (blocking \
-     calls; 8 KB CRC-32 and checksum kernels; each HUB hop of a 256 B \
-     transmit beyond the first; a 64 B datagram CAB to CAB, end to end); \
+     calls; a process started into a used slot, sleeping once; 8 KB \
+     CRC-32 and checksum kernels; each HUB hop of a 256 B transmit beyond \
+     the first; a 64 B datagram CAB to CAB, end to end); \
      deterministic, perf-smoke fails above these\",\n\
     \    %s\n\
     \  },\n"

@@ -27,49 +27,54 @@
    heap holds live events only, so it never grows past the pending set.
 
    Process switches are the other hot path: a simulated thread blocks and
-   resumes constantly, so a process is a slot too.  [spawn] puts its
-   record in a slot-indexed [procs] array (the one pointer store of its
-   lifetime) and the handler's [retc] frees the slot.  A waker is an
-   immediate: the slot and a generation.  Generations come from one
-   engine-wide counter and are never reused; [p_gen] holds the current
-   parking's, and every wake, sleep and yield takes a fresh one, so a
-   second wake, a stale waker, or a waker of a finished process whose
-   slot now holds another process all fail the check.  [running] is the
-   executing process's slot.  One effect handler serves every process of
-   an engine (built in [create]) and its [Some] answer to [Block] is
-   preallocated: it stores the continuation in the running process's own
-   record, in place, with no option.  Process starts, yields and
-   resumptions — events at the current instant that are never cancelled —
-   skip the heap: they go to a FIFO ring of (seq, kind, slot) entries in
-   three [int array]s, whose labels are derived from the kind and the
-   process; a resume entry's kind carries the process's pid, so an entry
-   outliving its process never resumes the slot's next one.  Every ring
-   entry is at [clock] and the ring is in seq order, so firing the ring
-   head before the heap top exactly when the top is later, or equal in
-   time with a larger seq, is (time, seq) order: the same firing order as
-   one heap holding everything.  So a park, a wake and a lane entry store
-   no pointer; the park handler's [k] store is the one left per switch. *)
+   resumes constantly, so a process is a slot too.  A slot keeps one
+   record for the engine's lifetime: the first [spawn] into a slot stores
+   it in a slot-indexed [procs] array, every later [spawn] there refills
+   it in place (pid, name, first generation, body), and the handler's
+   [retc] frees the slot.  A waker is an immediate: the slot and a
+   generation.  Generations come from one engine-wide counter and are
+   never reused; [p_gen] holds the current parking's, and every wake,
+   sleep and yield takes a fresh one, so a second wake, a stale waker, or
+   a waker of a finished process whose slot now holds another process all
+   fail the check.  [running] is the executing process's slot.  One
+   effect handler serves every process of an engine (built in [create])
+   and its [Some] answer to [Block] is preallocated: it stores the
+   continuation in the running process's own record, in place, with no
+   option.  Process starts, yields and resumptions — events at the
+   current instant that are never cancelled — skip the heap: they go to a
+   FIFO ring of (seq, kind, slot) entries in three [int array]s; a resume
+   entry's kind carries the process's pid, so an entry outliving its
+   process never resumes the slot's next one.  Every ring entry is at
+   [clock] and the ring is in seq order, so firing the ring head before
+   the heap top exactly when the top is later, or equal in time with a
+   larger seq, is (time, seq) order: the same firing order as one heap
+   holding everything.  A sleep's wake-up is a heap event whose callback
+   is the engine's one [wake_sleeper]; the sleeper's slot sits beside it
+   in the slot-indexed [s_proc], and the run loop names the firing slot
+   in [firing].  Labels of process events ("<name>", "<name>.yield",
+   "<name>.wake") are derived from the kind and the process only when a
+   tie-break policy or [pending_digest] reads them.  So spawning into a
+   used slot allocates nothing beyond the body, a park, a wake, a sleep
+   and a lane entry store no pointer, and the park handler's [k] store is
+   the one left per switch. *)
 
 type candidate = { c_time : Sim_time.t; c_seq : int; c_label : string }
 type tie_break = candidate array -> int
 
-(* A process: its identity and its parking state.  The wake and yield
-   labels and the sleep wake-up callback are built on first use ("" and
-   [nothing] until then) and reused by every later sleep and yield.  [k]
-   is the parked continuation ([never_parked] before the first parking);
-   [parked] is set while [k] is waiting to be resumed.  [first_gen] is
-   the generation it was spawned with: a waker of its slot with an older
-   one belonged to an earlier process. *)
+(* A process slot's record: the identity of the process it holds now and
+   that process's parking state.  [spawn] refills it for each process
+   that takes the slot.  [k] is the parked continuation ([never_parked]
+   before the slot's first parking; a finished process's stays, never
+   resumed); [parked] is set while [k] is waiting to be resumed.
+   [first_gen] is the generation the process was spawned with: a waker
+   of its slot with an older one belonged to an earlier process. *)
 type proc = {
-  pid : int;
-  name : string;
-  first_gen : int;
+  mutable pid : int;
+  mutable name : string;
+  mutable first_gen : int;
   mutable body : unit -> unit; (* until the start entry fires *)
   mutable k : (unit, unit) Effect.Deep.continuation;
   mutable parked : bool;
-  mutable wake_label : string;
-  mutable wake_fn : unit -> unit;
-  mutable yield_label : string;
 }
 
 type t = {
@@ -86,6 +91,8 @@ type t = {
   mutable s_fn : (unit -> unit) array;
   mutable s_label : string array;
   mutable s_pos : int array;
+  mutable s_proc : int array;
+      (* the process slot a [wake_sleeper] event resumes; stale otherwise *)
   mutable free : int; (* top of the free-slot stack; -1 = empty *)
   mutable used : int; (* high-water mark: slots below it were handed out *)
   (* processes, by slot: the record, and the current parking's generation
@@ -106,11 +113,14 @@ type t = {
   mutable running : int;
       (* the slot of the process currently executing, for parking and for
          context tracking by the vet checkers; -1 inside timer callbacks *)
+  mutable firing : int; (* the slot of the heap event being fired *)
   mutable tie_break : tie_break option;
       (* same-time scheduling policy; None = seq order (the contract) *)
   park : ((unit, unit) Effect.Deep.continuation -> unit) option;
       (* the handler's answer to [Block], built once *)
   handler : (unit, unit) Effect.Deep.handler; (* shared by every process *)
+  wake_sleeper : unit -> unit;
+      (* every sleep's wake-up: resumes the [s_proc] of the [firing] slot *)
 }
 
 (* Generation [lsl slot_bits] slot; [no_waker] is negative. *)
@@ -183,20 +193,11 @@ let kind_resume = 2
 let[@inline] resume_kind p = (p.pid lsl 2) lor kind_resume
 
 let new_proc ~pid ~name ~gen body =
-  {
-    pid;
-    name;
-    first_gen = gen;
-    body;
-    k = never_parked;
-    parked = false;
-    wake_label = "";
-    wake_fn = nothing;
-    yield_label = "";
-  }
+  { pid; name; first_gen = gen; body; k = never_parked; parked = false }
 
-(* The filler of unused [procs] slots.  Never parked, started or resumed,
-   so one record serves every engine; and being global it is long
+(* The filler of unused [procs] slots.  Never parked, started, resumed or
+   refilled (a slot gets its own record when first handed out), so one
+   record serves every engine; and being global it is long
    promoted when a growing array needs it ([Array.make] of a large array
    with a young filler forces a minor collection). *)
 let nobody = new_proc ~pid:0 ~name:"" ~gen:(-1) nothing
@@ -235,9 +236,10 @@ let push_ring t kind slot =
   t.ring_len <- t.ring_len + 1;
   t.next_seq <- t.next_seq + 1
 
+(* Labels are built only here, for tie-break policies and digests. *)
 let ring_label t kind slot =
   let p = proc t slot in
-  if kind = kind_yield then p.yield_label else p.name
+  if kind = kind_yield then p.name ^ ".yield" else p.name
 
 (* One slice of the process in [slot]: its body up to the first parking,
    or one resumption up to the next.  [running] is [slot] for its
@@ -311,6 +313,7 @@ let create () =
       s_fn = Array.make initial_capacity nothing;
       s_label = Array.make initial_capacity "";
       s_pos = Array.make initial_capacity 0;
+      s_proc = Array.make initial_capacity 0;
       free = -1;
       used = 0;
       procs = Array.make initial_capacity nobody;
@@ -324,6 +327,7 @@ let create () =
       ring_head = 0;
       ring_len = 0;
       running = -1;
+      firing = -1;
       tie_break = None;
       park =
         Some
@@ -347,6 +351,10 @@ let create () =
                     : ((a, unit) Effect.Deep.continuation -> unit) option)
               | _ -> None);
         };
+      wake_sleeper =
+        (fun () ->
+          let slot = iget t.s_proc t.firing in
+          push_ring t (resume_kind (proc t slot)) slot);
     }
   in
   t
@@ -431,7 +439,8 @@ let grow t =
   t.h_slot <- extend t.h_slot 0;
   t.s_fn <- extend t.s_fn nothing;
   t.s_label <- extend t.s_label "";
-  t.s_pos <- extend t.s_pos 0
+  t.s_pos <- extend t.s_pos 0;
+  t.s_proc <- extend t.s_proc 0
 
 (* Queue [fn] at (time, seq) in a fresh slot; returns its handle.  Every
    live slot holds a heap event, so a full heap means no free slot. *)
@@ -482,6 +491,14 @@ let at t ?(label = "") time fn =
 
 let after t ?label span fn = at t ?label (t.clock + span) fn
 
+(* The label of the heap event in [slot]: a sleep's wake-up is labelled
+   "<name>.wake" (so tie-break candidates and schedule counterexamples
+   read as "consumer.wake" rather than "?"), built on demand. *)
+let event_label t slot =
+  if Array.unsafe_get t.s_fn slot == t.wake_sleeper then
+    (proc t (iget t.s_proc slot)).name ^ ".wake"
+  else Array.unsafe_get t.s_label slot
+
 (* Its slot is out of range or its seq never comes: cancelling is a
    no-op. *)
 let inert_timer = -1
@@ -508,34 +525,47 @@ let[@inline] fresh_gen t =
   t.next_gen <- g + 1;
   g
 
-(* A process slot from the free stack, else above the high-water mark. *)
-let alloc_proc t =
-  if t.p_free >= 0 then begin
-    let s = t.p_free in
-    t.p_free <- -2 - iget t.p_gen s;
-    s
-  end
-  else begin
-    let cap = Array.length t.procs in
-    if t.p_used = cap then begin
-      if cap > slot_mask then failwith "Engine: too many processes";
-      let procs = Array.make (2 * cap) nobody in
-      let gens = Array.make (2 * cap) 0 in
-      Array.blit t.procs 0 procs 0 cap;
-      Array.blit t.p_gen 0 gens 0 cap;
-      t.procs <- procs;
-      t.p_gen <- gens
-    end;
-    let s = t.p_used in
-    t.p_used <- s + 1;
-    s
-  end
+(* A slot above the high-water mark, growing the process arrays. *)
+let fresh_proc_slot t =
+  let cap = Array.length t.procs in
+  if t.p_used = cap then begin
+    if cap > slot_mask then failwith "Engine: too many processes";
+    let procs = Array.make (2 * cap) nobody in
+    let gens = Array.make (2 * cap) 0 in
+    Array.blit t.procs 0 procs 0 cap;
+    Array.blit t.p_gen 0 gens 0 cap;
+    t.procs <- procs;
+    t.p_gen <- gens
+  end;
+  let s = t.p_used in
+  t.p_used <- s + 1;
+  s
 
-let spawn t ?(name = "proc") f =
+(* A slot from the free stack refills the record its last process left
+   there; a fresh slot gets its record, the one it keeps.  A finished
+   process's [parked] is already false; clearing it keeps that an
+   invariant of this function rather than of every exit path. *)
+let spawn t ?(name = "proc") body =
   let pid = 1 + Atomic.fetch_and_add pid_counter 1 in
   let gen = fresh_gen t in
-  let slot = alloc_proc t in
-  Array.unsafe_set t.procs slot (new_proc ~pid ~name ~gen f);
+  let slot =
+    let s = t.p_free in
+    if s >= 0 then begin
+      t.p_free <- -2 - iget t.p_gen s;
+      let p = proc t s in
+      p.pid <- pid;
+      if p.name != name then p.name <- name;
+      p.first_gen <- gen;
+      p.body <- body;
+      p.parked <- false;
+      s
+    end
+    else begin
+      let s = fresh_proc_slot t in
+      Array.unsafe_set t.procs s (new_proc ~pid ~name ~gen body);
+      s
+    end
+  in
   iset t.p_gen slot gen;
   push_ring t kind_start slot
 
@@ -575,28 +605,20 @@ let wake t w =
   push_ring t (resume_kind (proc t slot)) slot
 
 (* A sleep is two events, as a general parking would be: the wake-up timer
-   (labelled "<name>.wake" so tie-break candidates and schedule
-   counterexamples read as "consumer.wake" rather than "?") queues the
-   resumption on the lane. *)
+   ([wake_sleeper], with the sleeper's slot beside it in [s_proc]) queues
+   the resumption on the lane.  Neither allocates. *)
 let sleep t span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   if span > 0 then begin
     let slot = self t "sleep" in
-    let p = proc t slot in
-    if String.length p.wake_label = 0 then begin
-      p.wake_label <- p.name ^ ".wake";
-      let kind = resume_kind p in
-      p.wake_fn <- (fun () -> push_ring t kind slot)
-    end;
     iset t.p_gen slot (fresh_gen t);
-    ignore (schedule t ~label:p.wake_label (t.clock + span) p.wake_fn);
+    let tm = schedule t ~label:"" (t.clock + span) t.wake_sleeper in
+    iset t.s_proc (tm land slot_mask) slot;
     Effect.perform Block
   end
 
 let yield t =
   let slot = self t "yield" in
-  let p = proc t slot in
-  if String.length p.yield_label = 0 then p.yield_label <- p.name ^ ".yield";
   iset t.p_gen slot (fresh_gen t);
   push_ring t kind_yield slot;
   Effect.perform Block
@@ -648,7 +670,7 @@ let run_policy t policy until =
               let view =
                 Array.map
                   (fun (seq, slot) ->
-                    { c_time = tmin; c_seq = seq; c_label = t.s_label.(slot) })
+                    { c_time = tmin; c_seq = seq; c_label = event_label t slot })
                   cands
               in
               let i = policy view in
@@ -670,6 +692,7 @@ let run_policy t policy until =
           let fn = t.s_fn.(slot) in
           t.clock <- tmin;
           free_slot t slot;
+          t.firing <- slot;
           fn ()
     end
   done
@@ -687,6 +710,7 @@ let[@inline] fire_top t =
   t.clock <- iget t.h_time 0;
   remove_at t 0;
   free_slot t slot;
+  t.firing <- slot;
   fn ()
 
 let run ?until t =
@@ -754,7 +778,7 @@ let pending_digest t =
     acc := !acc + (h lxor (h lsr 32))
   in
   for i = 0 to t.size - 1 do
-    add t.h_time.(i) t.s_label.(t.h_slot.(i))
+    add t.h_time.(i) (event_label t t.h_slot.(i))
   done;
   let mask = Array.length t.ring_seq - 1 in
   for j = 0 to t.ring_len - 1 do

@@ -7,7 +7,11 @@
     queues, resources, the CPU model) is built from that one mechanism.
     A process is a slot in per-engine arrays and its waker an immediate,
     so a context switch allocates nothing in the engine beyond the
-    continuation, which parking stores in the process's own record.
+    continuation, which parking stores in the process's own record.  A
+    slot keeps that record for the engine's lifetime and each process
+    that takes the slot refills it, so starting a process into a slot a
+    finished one left, and its sleeps and yields, allocate no
+    per-process state in the engine.
 
     Determinism: events at equal times fire in scheduling order (a strictly
     increasing sequence number breaks ties), and nothing in the engine draws
@@ -65,7 +69,9 @@ val inert_timer : timer
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a process at the current time (it begins running when the event
-    loop reaches its start event). *)
+    loop reaches its start event).  It takes a free slot and refills the
+    record a finished process left there; only a slot above the engine's
+    high-water mark allocates one. *)
 
 (** {2 Parking}
 
@@ -111,7 +117,10 @@ val no_waker : waker
 
 val sleep : t -> Sim_time.span -> unit
 (** Block the calling process for a simulated duration: it parks like
-    {!block}, and its wake-up timer queues the resumption (two events). *)
+    {!block}, and its wake-up timer queues the resumption (two events).
+    The timer's label, ["<name>.wake"], is built only when a tie-break
+    policy or {!pending_digest} reads it; the sleep allocates nothing but
+    the parking's continuation. *)
 
 val yield : t -> unit
 (** Let other events scheduled at the current time run first: the process
@@ -159,7 +168,13 @@ val pending_digest : t -> int
 val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue (or stop once the next event lies beyond [until],
     setting the clock to [until]).  Processes still blocked at quiescence
-    simply never resume — this is normal for server-style processes. *)
+    simply never resume — this is normal for server-style processes.
+
+    Memory: a process still parked when its engine is dropped keeps its
+    fiber stack until the program exits, since OCaml 5.1.1 never frees
+    a continuation that is dropped without being resumed (100 000 such
+    processes hold about 61 MB).  A program that builds many engines
+    leaving server processes parked grows by their stacks. *)
 
 val pending_events : t -> int
 (** Events still scheduled (cancelled ones are gone at once).  O(1). *)

@@ -251,6 +251,53 @@ let test_stale_lane_entry () =
     outcome;
   Alcotest.(check bool) "successor still parked" false !resumed
 
+(* A slot's record outlives its process: after the sleeper [a] finishes,
+   [b] takes its slot, and everything that names a process must name
+   [b].  A policy that defers "tick" sees each of [b]'s same-instant
+   events beside it; the pending set digests as on an engine that never
+   ran [a]; and a double wake names [b]. *)
+let test_labels_after_slot_reuse () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let w = ref Engine.no_waker in
+  Engine.spawn eng ~name:"a" (fun () ->
+      Engine.sleep eng 1;
+      Engine.yield eng);
+  ignore
+    (Engine.at eng ~label:"spawn-b" 2 (fun () ->
+         Engine.spawn eng ~name:"b" (fun () ->
+             Engine.sleep eng 1;
+             Engine.yield eng;
+             w := Engine.waker eng;
+             Engine.block eng)));
+  ignore
+    (Engine.at eng ~label:"tick" 3 (fun () ->
+         Engine.wake eng !w;
+         Engine.wake eng !w));
+  let defer_tick cands =
+    Array.iter (fun c -> seen := c.Engine.c_label :: !seen) cands;
+    let rec pick i =
+      if i = Array.length cands then 0
+      else if cands.(i).Engine.c_label <> "tick" then i
+      else pick (i + 1)
+    in
+    pick 0
+  in
+  Engine.set_tie_break eng (Some defer_tick);
+  Engine.run ~until:2 eng;
+  let fresh = Engine.create () in
+  ignore (Engine.at fresh ~label:"tick" 3 ignore);
+  Engine.spawn fresh ~name:"b" (fun () -> Engine.sleep fresh 3);
+  Engine.run ~until:2 fresh;
+  check_int "pending set digests as on a fresh engine"
+    (Engine.pending_digest fresh) (Engine.pending_digest eng);
+  Alcotest.check_raises "double wake names the slot's process"
+    (Failure "Engine: double resume of process b") (fun () -> Engine.run eng);
+  let saw l = List.mem l !seen in
+  Alcotest.(check (list bool))
+    "candidates b.wake and b.yield, none of a's" [ true; true; false; false ]
+    [ saw "b.wake"; saw "b.yield"; saw "a.wake"; saw "a.yield" ]
+
 (* ---------- Waitq ---------- *)
 
 let test_waitq_fifo_wakeup () =
@@ -1512,6 +1559,34 @@ let waker_wake_words () =
   Engine.run eng;
   !words /. float_of_int n
 
+(* Minor words per process started into a slot that a finished process
+   left, run loop included: a sequential spawn/run loop after one warm-up
+   round, with the body built once.  The slot keeps its record, so what
+   is left is the 5-word effect closure [Effect.Deep.match_with] builds
+   per fiber, and a sleeper's sleep adds only its 2-word continuation.
+   A process record, a "<name>.wake" label or a wake-up closure per
+   process fails the bounds. *)
+let spawn_words ~sleep () =
+  let eng = Engine.create () in
+  let ran = ref 0 in
+  let body () =
+    if sleep then Engine.sleep eng 1;
+    incr ran
+  in
+  let once () =
+    Engine.spawn eng ~name:"p" body;
+    Engine.run eng
+  in
+  once ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every process ran" (n + 1) !ran;
+  words /. float_of_int n
+
 let alloc_pin what measure bound () =
   let w = measure () in
   Alcotest.(check bool)
@@ -1683,6 +1758,8 @@ let () =
             test_orphan_waker_after_exit;
           Alcotest.test_case "stale lane entry after slot reuse" `Quick
             test_stale_lane_entry;
+          Alcotest.test_case "labels after slot reuse" `Quick
+            test_labels_after_slot_reuse;
         ] );
       ( "tie-break",
         [
@@ -1707,6 +1784,11 @@ let () =
             (alloc_pin "Engine.after + fire" after_fire_words 0.);
           Alcotest.test_case "waker and wake minor words" `Quick
             (alloc_pin "Engine.waker + wake" waker_wake_words 0.);
+          Alcotest.test_case "spawn minor words" `Quick
+            (alloc_pin "Engine.spawn + run" (spawn_words ~sleep:false) 5.);
+          Alcotest.test_case "sleeper spawn minor words" `Quick
+            (alloc_pin "Engine.spawn + sleep + run" (spawn_words ~sleep:true)
+               7.);
         ] );
       ( "order pin",
         [
