@@ -118,10 +118,8 @@ let measure ?(hubs = 4) ?(cycles = 25) () =
               (List.find_opt (fun t -> t > d) deliveries))
           downs
       in
-      let sorted =
-        Array.of_list
-          (List.sort compare
-             (List.map (Option.value ~default:max_int) blackouts))
+      let gaps =
+        Array.of_list (List.map (Option.value ~default:max_int) blackouts)
       in
       (* goodput inside vs outside the recovery windows [d, d + bound] *)
       let in_window t = List.exists (fun d -> t > d && t <= d + bound) downs in
@@ -145,9 +143,9 @@ let measure ?(hubs = 4) ?(cycles = 25) () =
         goodput_flap =
           Stats.Throughput.mbit_per_s ~bytes_moved:(n_flap * msg_bytes)
             ~elapsed:flap_time;
-        blackout_p50_us = Sim_time.to_us (Summary.nearest_rank sorted 50);
-        blackout_p99_us = Sim_time.to_us (Summary.nearest_rank sorted 99);
-        blackout_max_us = Sim_time.to_us (Summary.nearest_rank sorted 100);
+        blackout_p50_us = Sim_time.to_us (Summary.select_rank gaps 50);
+        blackout_p99_us = Sim_time.to_us (Summary.select_rank gaps 99);
+        blackout_max_us = Sim_time.to_us (Summary.select_rank gaps 100);
         bound_us = Sim_time.to_us bound;
         refusals = Router.route_down_refusals a.Stack.router;
         recomputes = Router.recomputes a.Stack.router;

@@ -77,7 +77,9 @@ let engine_schedule_cancel () =
 
 (* Recorded in BENCH_perf.json ("micro"); the smoke run fails if any count
    rises above its recorded value.  Counts, not timings: they repeat
-   exactly on any machine with the same compiler.  The two per-byte
+   exactly on any machine with the same compiler.  A count that is not
+   whole (the fleet's: how many sends wait at a port varies with the
+   run's size) is recorded rounded up.  The two per-byte
    kernels are pinned at zero: a kernel that starts boxing its int32 or
    int64 loads fails here instead of silently losing its speed. *)
 let recorded_sleep_words = 2.
@@ -89,6 +91,7 @@ let recorded_crc32_8k_words = 0.
 let recorded_inet_checksum_8k_words = 0.
 let recorded_transmit_hop_words = 2.
 let recorded_cab_datagram_words = 158.
+let recorded_fleet_msg_words = 80.
 
 (* Minor words per [body] call in a one-process loop, measured inside the
    process after one warm-up call, run loop included. *)
@@ -233,6 +236,36 @@ let cab_datagram_run ~sends =
 let cab_datagram_words () =
   (cab_datagram_run ~sends:2_000 -. cab_datagram_run ~sends:1_000) /. 1_000.
 
+(* Minor words per message of a small wire-level fleet run: one domain,
+   a 4x4x2 torus of 32 CABs, Zipf(1.1) hotspot destinations, 20 us think
+   time, 256 B frames.  The difference between 40 and 20 messages per
+   CAB cancels set-up: topology, partition, sinks and the per-run
+   destination CDF. *)
+let fleet_run_words ~msgs_per_node =
+  let module Driver = Nectar_fleet.Driver in
+  let module Workload = Nectar_fleet.Workload in
+  let cfg =
+    Driver.config ~frame_bytes:256
+      ~topo:(Nectar_fleet.Topology.Torus { rows = 4; cols = 4; seats = 2 })
+      ~workload:
+        (Workload.make ~pattern:(Workload.Hotspot { alpha = 1.1 })
+           ~arrivals:(Workload.Closed { think_ns = 20_000 })
+           ~msgs_per_node ~seed:1990)
+      ()
+  in
+  let before = Gc.minor_words () in
+  let r = Driver.run cfg in
+  let words = Gc.minor_words () -. before in
+  if Driver.delivered r <> r.Driver.total_msgs then
+    failwith
+      (Printf.sprintf "fleet_msg_words: %d of %d delivered"
+         (Driver.delivered r) r.Driver.total_msgs);
+  words
+
+let fleet_msg_words () =
+  (fleet_run_words ~msgs_per_node:40 -. fleet_run_words ~msgs_per_node:20)
+  /. (32. *. 20.)
+
 (* (name, JSON key, measure, recorded) for each micro count *)
 let micro_counts =
   [
@@ -253,6 +286,8 @@ let micro_counts =
      recorded_transmit_hop_words);
     ("CAB datagram", "cab_datagram_words", cab_datagram_words,
      recorded_cab_datagram_words);
+    ("fleet message", "fleet_msg_words", fleet_msg_words,
+     recorded_fleet_msg_words);
   ]
 
 (* ---------- simulated: windowed RMP CAB-to-CAB throughput ---------- *)
@@ -427,13 +462,15 @@ let json_of ~engine_ns ~cancel_ns ~fig7_wall_ms ~micro
     \    \"note\": \"minor words per call in a one-process loop (blocking \
      calls; a process started into a used slot, sleeping once; 8 KB \
      CRC-32 and checksum kernels; each HUB hop of a 256 B transmit beyond \
-     the first; a 64 B datagram CAB to CAB, end to end); \
-     deterministic, perf-smoke fails above these\",\n\
+     the first; a 64 B datagram CAB to CAB, end to end; a 256 B message \
+     of a 32-CAB wire-level hotspot fleet run, fleet_msg_words); \
+     deterministic, rounded up, perf-smoke fails above these\",\n\
     \    %s\n\
     \  },\n"
     (String.concat ", "
        (List.map
-          (fun (_, key, words, _) -> Printf.sprintf "\"%s\": %.0f" key words)
+          (fun (_, key, words, _) ->
+            Printf.sprintf "\"%s\": %.0f" key (Float.ceil words))
           micro));
   Printf.bprintf b "  \"windowed_rmp\": { \"msg_bytes\": %d, \"points\": [\n"
     size;

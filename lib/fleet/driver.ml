@@ -34,7 +34,7 @@ let config ?(domains = 1) ?(frame_bytes = 256) ~topo ~workload () =
 (* ---------- partitioned worlds ---------- *)
 
 (* Growable per-partition latency sample buffer: a push per delivery on
-   the hot path, merged and sorted once per run. *)
+   the hot path, merged once per run for rank selection. *)
 type samples = { mutable sbuf : int array; mutable slen : int }
 
 let add_sample s v =
@@ -68,8 +68,9 @@ type handoff = {
    (torus row blocks: hub numbering is row-major, so a row block is an
    id range).  Trunks with both ends local are wired as usual; trunks
    crossing the cut become store-and-forward remote links carrying the
-   far-end global hub as the link id. *)
-let build_partition cfg topo ~self ~send =
+   far-end global hub as the link id.  [plans] is every node's schedule
+   ({!Workload.plans}), built once per run and shared by the partitions. *)
+let build_partition cfg topo plans ~self ~send =
   let hubs = Topology.hub_count topo in
   let nodes = Topology.node_count topo in
   let hpd = hubs / cfg.domains in
@@ -126,15 +127,21 @@ let build_partition cfg topo ~self ~send =
     in
     Net.attach_node net ~hub:(local hub) ~port sink
   in
-  let w = cfg.workload in
-  let open_loop = Workload.is_open w in
+  let open_loop = Workload.is_open cfg.workload in
   for n = 0 to nodes - 1 do
     let hub, _ = Topology.attachment topo n in
     if owner hub = self then begin
       let id = attach n in
-      let plan = Workload.plan w ~nodes ~node:n in
+      let plan = plans.(n) in
       if Array.length plan > 0 then
         Engine.spawn eng ~name:(Printf.sprintf "src%d" n) (fun () ->
+            (* One payload buffer per sender, restamped for each send.
+               Nothing outlives the send that used it: [Net.transmit]
+               returns only after the sink released the frame on its
+               last chunk; a cut copies the payload (and takes the CRC)
+               before the release; and [Frame.corrupt] detaches a
+               private copy first. *)
+            let data = Bytes.make cfg.frame_bytes 'x' in
             Array.iteri
               (fun k (s : Workload.send) ->
                 (if open_loop then begin
@@ -143,7 +150,6 @@ let build_partition cfg topo ~self ~send =
                    if s.at > now then Engine.sleep eng (s.at - now)
                  end
                  else if s.at > 0 then Engine.sleep eng s.at);
-                let data = Bytes.make cfg.frame_bytes 'x' in
                 Bytes.set_int64_be data 0 (Int64.of_int (Engine.now eng));
                 let frame =
                   Frame.create ~id:((n * 0x100000) + k) ~src:n ~data
@@ -219,9 +225,10 @@ let sender_spread w ~nodes per_sender last =
 let run cfg =
   let topo = Topology.build cfg.topo in
   let nodes = Topology.node_count topo in
+  let plans = Workload.plans cfg.workload ~nodes in
   let out =
     Parallel.run ~lookahead:lookahead_ns ~domains:cfg.domains
-      ~build:(fun ~self ~send -> build_partition cfg topo ~self ~send)
+      ~build:(fun ~self ~send -> build_partition cfg topo plans ~self ~send)
       ()
   in
   let parts = out.Parallel.results in
@@ -250,9 +257,7 @@ let run cfg =
     Array.concat
       (Array.to_list (Array.map (fun p -> Array.sub p.p_lat.sbuf 0 p.p_lat.slen) parts))
   in
-  (* a merge sort: [Array.sort]'s heap sort is ~1.4x slower on these
-     tens of thousands of ints, and equal ints are indistinguishable *)
-  Array.stable_sort Int.compare lat;
+  let lat_max = Array.fold_left Int.max 0 lat in
   {
     nodes;
     total_msgs = Workload.total_messages cfg.workload ~nodes;
@@ -267,9 +272,9 @@ let run cfg =
     per_sender;
     per_sender_last;
     spread = sender_spread cfg.workload ~nodes per_sender per_sender_last;
-    lat_p50 = Nectar_util.Summary.nearest_rank lat 50;
-    lat_p99 = Nectar_util.Summary.nearest_rank lat 99;
-    lat_max = (if Array.length lat = 0 then 0 else lat.(Array.length lat - 1));
+    lat_p50 = Nectar_util.Summary.select_rank lat 50;
+    lat_p99 = Nectar_util.Summary.select_rank lat 99;
+    lat_max;
     port_waits = sum (Array.map (fun p -> Net.port_waits p.p_net) parts);
     port_wait_ns = sum (Array.map (fun p -> Net.port_wait_ns p.p_net) parts);
   }
@@ -291,5 +296,8 @@ let deterministic_eq a b =
 type world = handoff Parallel.endpoint * partition
 
 let build cfg =
-  build_partition { cfg with domains = 1 } (Topology.build cfg.topo) ~self:0
+  let topo = Topology.build cfg.topo in
+  build_partition { cfg with domains = 1 } topo
+    (Workload.plans cfg.workload ~nodes:(Topology.node_count topo))
+    ~self:0
     ~send:(fun ~dst:_ ~time:_ _ -> ())

@@ -51,8 +51,8 @@ let sender_count t ~nodes =
 let total_messages t ~nodes = sender_count t ~nodes * t.msgs_per_node
 
 (* Zipf CDF over destination ranks 0..n-1: weight of rank k is
-   1/(k+1)^alpha.  One array per plan call; destinations draw by binary
-   search.  Rank r maps to node r (so node 0 is the hottest), shifted
+   1/(k+1)^alpha.  One array per run ([plans]); destinations draw by
+   binary search.  Rank r maps to node r (so node 0 is the hottest), shifted
    past the sender itself so a node never draws itself. *)
 let zipf_cdf ~alpha n =
   let w = Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** alpha)) in
@@ -85,22 +85,24 @@ let zipf_draw (cdf : float array) (u : float) =
 
 type send = { at : int; dst : int }
 
+let check_nodes what nodes =
+  if nodes < 2 then invalid_arg (what ^ ": need >= 2 nodes")
+
+(* The destination CDF of a hotspot run; nothing for the other patterns. *)
+let cdf_of t ~nodes =
+  match t.pattern with
+  | Hotspot { alpha } -> zipf_cdf ~alpha nodes
+  | Incast _ | All_to_all -> [||]
+
 (* The per-node schedule is a pure function of (seed, node): keyed Rng
    streams make it independent of partition count and creation order —
    the parallel determinism gates rely on it.  [at] is a gap after the
    previous send completes (closed loop) or an absolute due time (open
    loop). *)
-let plan t ~nodes ~node =
-  if node < 0 || node >= nodes then invalid_arg "Workload.plan: bad node";
-  if nodes < 2 then invalid_arg "Workload.plan: need >= 2 nodes";
+let node_plan t ~nodes ~node cdf =
   if not (is_sender t ~nodes ~node) then [||]
   else begin
     let rng = Rng.stream ~seed:t.seed ~index:node in
-    let cdf =
-      match t.pattern with
-      | Hotspot { alpha } -> zipf_cdf ~alpha nodes
-      | Incast _ | All_to_all -> [||]
-    in
     let dst_of k =
       match t.pattern with
       | Incast { sinks } ->
@@ -134,3 +136,13 @@ let plan t ~nodes ~node =
         in
         { at; dst })
   end
+
+let plan t ~nodes ~node =
+  if node < 0 || node >= nodes then invalid_arg "Workload.plan: bad node";
+  check_nodes "Workload.plan" nodes;
+  node_plan t ~nodes ~node (cdf_of t ~nodes)
+
+let plans t ~nodes =
+  check_nodes "Workload.plans" nodes;
+  let cdf = cdf_of t ~nodes in
+  Array.init nodes (fun node -> node_plan t ~nodes ~node cdf)

@@ -57,6 +57,11 @@ val plan : t -> nodes:int -> node:int -> send array
 (** The node's full schedule ([[||]] for a pure sink).  Pure function of
     [(seed, node)]. *)
 
+val plans : t -> nodes:int -> send array array
+(** Every node's {!plan}, indexed by node, with the hotspot CDF built
+    once for all of them.  Nothing in the result is ever written, so
+    partitions on other domains may share it. *)
+
 val zipf_cdf : alpha:float -> int -> float array
 (** Normalised Zipf CDF over ranks [0..n-1] (weight of rank [k] is
     [1/(k+1)^alpha]).  The tail is clamped to exactly [1.0] so boundary

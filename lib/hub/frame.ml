@@ -15,7 +15,7 @@ type t = {
   mutable off : int;
   mutable len : int;
   mutable tail : extent list;
-  mutable wire_crc : int;
+  mutable crc_memo : int;
   mutable bits : int;
   route : int list;
   mutable owner : owner;
@@ -25,11 +25,12 @@ type t = {
   mutable waiter : Nectar_sim.Engine.waker;
 }
 
-(* [bits]: three flags under the header size. *)
+(* [bits]: four flags under the header size. *)
 let released_bit = 1
 let dropped_bit = 2 (* the owner's release has run *)
 let crc_bad_bit = 4
-let header_shift = 3
+let crc_pending_bit = 8 (* [create]d, CRC not taken yet *)
+let header_shift = 4
 
 let make ~id ~src ~header_bytes ~route reg ~off ~len ~tail owner =
   {
@@ -39,7 +40,7 @@ let make ~id ~src ~header_bytes ~route reg ~off ~len ~tail owner =
     off;
     len;
     tail;
-    wire_crc = 0;
+    crc_memo = 0;
     bits = header_bytes lsl header_shift;
     route;
     owner;
@@ -84,7 +85,7 @@ let latch t ~id =
   check_extent t.reg t.off t.len "Frame.latch";
   check_tail "Frame.latch" t.tail;
   t.id <- id;
-  t.wire_crc <- crc_of t
+  t.crc_memo <- crc_of t
 
 let outgoing ~src ~route ~header_bytes reg ~off ~len ~tail owner =
   make ~id:(-1) ~src ~header_bytes ~route reg ~off ~len ~tail owner
@@ -99,17 +100,33 @@ let single what ~id ~src data =
 
 let of_wire ~id ~src ~wire_crc ~data =
   let t = single "Frame.of_wire" ~id ~src data in
-  t.wire_crc <- wire_crc;
+  t.crc_memo <- wire_crc;
   t
 
+(* The CRC is taken at its first read, not here: on the wire-level fleet
+   nothing reads it unless the frame crosses a cut or is corrupted. *)
 let create ~id ~src ~data =
   let t = single "Frame.create" ~id ~src data in
-  t.wire_crc <- crc_of t;
+  t.bits <- t.bits lor crc_pending_bit;
   t
 
-let filler = create ~id:(-1) ~src:(-1) ~data:(Bytes.make 1 '\000')
+let wire_crc t =
+  if t.bits land crc_pending_bit <> 0 then begin
+    t.crc_memo <- crc_of t;
+    t.bits <- t.bits land lnot crc_pending_bit
+  end;
+  t.crc_memo
 
-let crc_ok t = crc_of t = t.wire_crc
+(* Shared by every ring (and every domain): its CRC is taken here, so no
+   later read writes it. *)
+let filler =
+  let t = create ~id:(-1) ~src:(-1) ~data:(Bytes.make 1 '\000') in
+  ignore (wire_crc t);
+  t
+
+let crc_ok t =
+  let sent = wire_crc t in
+  crc_of t = sent
 
 let set_crc_verdict t ok =
   t.bits <- (if ok then t.bits land lnot crc_bad_bit else t.bits lor crc_bad_bit)
@@ -166,8 +183,10 @@ let drop_owner t =
    uses this before mutating the payload — on the zero-copy path the
    extents alias the sender's live mailbox buffer (which a reliable
    protocol will retransmit), so corruption must hit a private snapshot,
-   never the sender's memory. *)
+   never the sender's memory.  A pending CRC is taken first, over the
+   bytes as sent, so a later corruption still fails the check. *)
 let detach t =
+  ignore (wire_crc t);
   let total = length t in
   let data = Bytes.create total in
   blit t ~pos:0 ~dst:data ~dst_pos:0 ~len:total;

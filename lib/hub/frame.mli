@@ -7,8 +7,9 @@
     header to payload sliced out of another message (IP fragmentation).
 
     The trailing CRC-32 the CAB hardware appends on the wire is modelled by
-    [wire_crc], computed over the extents when the frame is latched for
-    transmission.  Because extents alias memory a reliable sender may
+    {!wire_crc}, computed over the extents when the frame is latched for
+    transmission (a {!create}d frame takes it at its first read instead).
+    Because extents alias memory a reliable sender may
     retransmit, fault injection first {!detach}es the frame (privatising
     the bytes) and corrupts the snapshot, so the receiving CAB's hardware
     CRC check ({!crc_ok}) fails exactly like a real line error while the
@@ -52,7 +53,9 @@ type t = {
   mutable off : int;
   mutable len : int;
   mutable tail : extent list;  (** further extents; [] unless scatter/gather *)
-  mutable wire_crc : int;
+  mutable crc_memo : int;
+      (** the wire CRC once taken; read it through {!wire_crc}, which
+          takes a {!create}d frame's CRC on the first read *)
   mutable bits : int;  (** life-cycle flags and the header size *)
   route : int list;  (** the source route, for a CAB frame *)
   mutable owner : owner;
@@ -67,7 +70,10 @@ type t = {
 val create : id:int -> src:int -> data:Bytes.t -> t
 (** Single-extent frame over all of [data] (wrapped in a fixed region),
     unowned — for callers owning private bytes (tests, diagnostics, the
-    wire-level fleet). *)
+    wire-level fleet).  Its CRC is taken at the first read ({!wire_crc},
+    {!crc_ok}, {!detach}), not here, so [data] must not change while the
+    frame is live: a change before that read is sent as good bytes, and
+    only a change after it is a wire corruption. *)
 
 val of_wire : id:int -> src:int -> wire_crc:int -> data:Bytes.t -> t
 (** Like {!create}, but keeping the sender's [wire_crc] instead of
@@ -102,9 +108,14 @@ val latch : t -> id:int -> unit
 val header_bytes : t -> int
 val length : t -> int
 
+val wire_crc : t -> int
+(** The CRC the sender put on the wire: {!latch}'s snapshot, the far
+    side's value for {!of_wire}, and for a {!create}d frame the CRC of
+    its bytes at the first call (later calls return the same value). *)
+
 val crc_ok : t -> bool
 (** Receiver-side hardware CRC check: recompute over the extents and
-    compare with the sender-side snapshot. *)
+    compare with {!wire_crc}. *)
 
 val set_crc_verdict : t -> bool -> unit
 (** The receive DMA latches {!crc_ok} here before it releases the
@@ -121,9 +132,9 @@ val inline_bytes : t -> pos:int -> len:int -> Bytes.t
 val blit : t -> pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 
 val detach : t -> unit
-(** Privatise the frame: copy the extents into fresh bytes and release the
-    source-buffer references immediately.  A later {!release} is still
-    required and still flips {!released}. *)
+(** Privatise the frame: take a pending {!wire_crc}, copy the extents into
+    fresh bytes and release the source-buffer references immediately.  A
+    later {!release} is still required and still flips {!released}. *)
 
 val corrupt : ?burst:int -> t -> unit
 (** Fault injection: {!detach}, then flip one bit in each of [burst]

@@ -321,7 +321,7 @@ let run_circuit t ~hub ~route_ports ~hops ~target ~verdict ~header_bytes
       let payload = Bytes.create total in
       Frame.blit frame ~pos:0 ~dst:payload ~dst_pos:0 ~len:total;
       let fid = frame.Frame.id and fsrc = frame.Frame.src in
-      let wire_crc = frame.Frame.wire_crc in
+      let wire_crc = Frame.wire_crc frame in
       Frame.release frame;
       t.remote_out <- t.remote_out + 1;
       (match t.remote_forward with

@@ -60,9 +60,53 @@ let percentile t p =
   let frac = idx -. floor idx in
   (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
 
-let nearest_rank sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0 else sorted.((n - 1) * p / 100)
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let median3 (x : int) y z =
+  if x < y then (if y < z then y else if x < z then z else x)
+  else if x < z then x
+  else if y < z then z
+  else y
+
+(* Hoare's selection with a three-way partition of [lo, hi] around a
+   median-of-three pivot: [lo, lt) below it, [lt, gt] equal, (gt, hi]
+   above.  Runs of equal latencies land in the middle block at once, so
+   heavy duplicates cost one pass, not one per copy. *)
+let select_rank (a : int array) p =
+  if p < 0 || p > 100 then invalid_arg "Summary.select_rank: p outside [0,100]";
+  let n = Array.length a in
+  if n = 0 then 0
+  else begin
+    let k = (n - 1) * p / 100 in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let pivot = median3 a.(!lo) a.((!lo + !hi) / 2) a.(!hi) in
+      let lt = ref !lo and i = ref !lo and gt = ref !hi in
+      while !i <= !gt do
+        let x = a.(!i) in
+        if x < pivot then begin
+          swap a !lt !i;
+          incr lt;
+          incr i
+        end
+        else if x > pivot then begin
+          swap a !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      if k < !lt then hi := !lt - 1
+      else if k > !gt then lo := !gt + 1
+      else begin
+        lo := k;
+        hi := k
+      end
+    done;
+    a.(k)
+  end
 
 (* Chan's parallel combine of two Welford states.  Empty sides are the
    edge cases: an empty [src] leaves [into] untouched, an empty [into]

@@ -23,11 +23,13 @@ val percentile : t -> float -> float
 (** [percentile t 0.99]; requires [keep_samples].
     @raise Invalid_argument if empty or [p] is outside [\[0,1\]]. *)
 
-val nearest_rank : int array -> int -> int
-(** [nearest_rank sorted p] is the [p]th percentile ([p] in [0..100]) of
-    an ascending array by nearest rank, [sorted.((n - 1) * p / 100)]; 0
-    when the array is empty.  No interpolation, so integer latencies stay
-    integers. *)
+val select_rank : int array -> int -> int
+(** [select_rank a p] is the [p]th percentile ([p] in [0..100]) of [a]
+    by nearest rank: what a sorted copy holds at [(n - 1) * p / 100]; 0
+    when [a] is empty.  A selection, not a sort: it permutes [a] in place
+    and allocates nothing, and calls for several ranks may share one
+    array.  No interpolation, so integer latencies stay integers.
+    @raise Invalid_argument if [p] is outside [\[0,100\]]. *)
 
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] with the parallel Welford combine: exact

@@ -262,8 +262,9 @@ let test_corruption_crosses_cut () =
   let a = Net.attach_node near ~hub:0 ~port:0 sink_a in
   Net.connect_remote near (0, 13) ~link:0 ~latency_ns:1_000;
   let verdicts = ref [] in
-  let fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name:"b" in
-  let sink_b =
+  (* a receiver checking each frame's CRC as its last chunk lands *)
+  let checking name =
+    let fifo = Byte_fifo.create eng ~capacity:Costs.fifo_bytes ~name in
     {
       Net.in_fifo = fifo;
       on_frame_start = (fun _ -> ());
@@ -273,7 +274,8 @@ let test_corruption_crosses_cut () =
           if last then verdicts := (fr.Frame.id, Frame.crc_ok fr) :: !verdicts);
     }
   in
-  ignore (Net.attach_node far ~hub:0 ~port:0 sink_b);
+  ignore (Net.attach_node near ~hub:0 ~port:1 (checking "c"));
+  ignore (Net.attach_node far ~hub:0 ~port:0 (checking "b"));
   Net.set_remote_forward near
     (Some
        (fun ~link:_ ~at ~route ~src ~frame_id ~wire_crc ~payload ->
@@ -281,17 +283,55 @@ let test_corruption_crosses_cut () =
            (Engine.at eng at (fun () ->
                 Net.inject far ~hub:0 ~src ~frame_id ~wire_crc ~route
                   payload))));
-  let send id verdict =
+  (* no CRC is read before the fault hook corrupts the frame: a created
+     frame's pending CRC must be taken over the bytes as sent *)
+  let send id route verdict =
     Net.set_fault_hook near (Some (fun _ -> verdict));
     Engine.spawn eng (fun () ->
-        Net.transmit near ~src:a ~route:[ 13; 0 ]
+        Net.transmit near ~src:a ~route
           (Frame.create ~id ~src:a ~data:(Bytes.make 300 'c')));
     Engine.run eng
   in
-  send 0 `Deliver;
-  send 1 `Corrupt;
+  let across = [ 13; 0 ] and local = [ 1 ] in
+  send 0 across `Deliver;
+  send 1 across `Corrupt;
+  send 2 across (`Corrupt_burst 4);
+  send 3 local `Deliver;
+  send 4 local `Corrupt;
+  send 5 local (`Corrupt_burst 4);
   Alcotest.(check (list (pair int bool)))
-    "far-side CRC verdicts" [ (0, true); (1, false) ] (List.rev !verdicts)
+    "CRC verdicts across the cut and locally"
+    [ (0, true); (1, false); (2, false); (3, true); (4, false); (5, false) ]
+    (List.rev !verdicts)
+
+(* The wire-level path reads no CRC: a created frame streamed to a sink
+   that only drains its FIFO never has its bytes read, which a counting
+   vet hook sees as zero DMA reads (one per frame while [Frame.create]
+   took the CRC eagerly). *)
+let test_plain_transmit_reads_no_crc () =
+  let reads = ref 0 in
+  Vet_probe.install
+    {
+      Vet_probe.cpu_wait = (fun ~cpu:_ ~owner:_ ~priority:_ ~waited:_ -> ());
+      interrupt_enter = (fun ~pid:_ ~name:_ -> ());
+      interrupt_exit = (fun ~pid:_ -> ());
+      dma_read = (fun ~frame:_ ~region:_ ~off:_ ~len:_ -> incr reads);
+    };
+  Fun.protect ~finally:Vet_probe.uninstall (fun () ->
+      let eng = Engine.create () in
+      let net = Net.create eng ~hubs:1 () in
+      let sink_a, _, _ = make_sink eng "a" in
+      let sink_b, _, finished = make_sink eng "b" in
+      let a = Net.attach_node net ~hub:0 ~port:0 sink_a in
+      ignore (Net.attach_node net ~hub:0 ~port:1 sink_b);
+      Engine.spawn eng (fun () ->
+          for id = 0 to 9 do
+            Net.transmit net ~src:a ~route:[ 1 ]
+              (Frame.create ~id ~src:a ~data:(Bytes.make 256 'p'))
+          done);
+      Engine.run eng;
+      check_int "frames delivered" 10 (List.length !finished);
+      check_int "DMA reads over 10 messages" 0 !reads)
 
 (* ---------- Circuit order ---------- *)
 
@@ -939,6 +979,8 @@ let () =
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
           Alcotest.test_case "corruption crosses a partition cut" `Quick
             test_corruption_crosses_cut;
+          Alcotest.test_case "wire-level transmit reads no CRC" `Quick
+            test_plain_transmit_reads_no_crc;
           Alcotest.test_case "circuit releases last hop first" `Quick
             test_circuit_releases_last_hop_first;
           Alcotest.test_case "circuit waits at the shared hop" `Quick

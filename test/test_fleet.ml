@@ -344,6 +344,52 @@ let test_zipf_boundaries () =
      Alcotest.fail "empty cdf accepted"
    with Invalid_argument _ -> ())
 
+(* [plans] builds the hotspot CDF once for the whole run; every node's
+   schedule must still be exactly its own [plan], for every pattern and
+   both arrival modes. *)
+let test_plans_match_plan () =
+  let nodes = 24 in
+  List.iter
+    (fun pattern ->
+      List.iter
+        (fun arrivals ->
+          let w =
+            Workload.make ~pattern ~arrivals ~msgs_per_node:30 ~seed:7
+          in
+          let all = Workload.plans w ~nodes in
+          check_int "one plan per node" nodes (Array.length all);
+          Array.iteri
+            (fun node p ->
+              check_bool
+                (Printf.sprintf "%s node %d" (Workload.pattern_name w) node)
+                true
+                (p = Workload.plan w ~nodes ~node))
+            all)
+        [ Workload.Closed { think_ns = 20_000 };
+          Workload.Open { interval_ns = 3_000 } ])
+    [ Workload.Incast { sinks = 3 }; Workload.All_to_all;
+      Workload.Hotspot { alpha = 1.1 } ]
+
+(* The schedules of the perfbench fleet_hotspot_256 configuration (8x8x4
+   torus, Zipf(1.1), 20 us think time, 100 messages per CAB, seed 1990),
+   one "node at dst" line per send, pinned by a digest recorded while
+   every node still built its own CDF. *)
+let test_hotspot_plans_pinned () =
+  let w =
+    Workload.make ~pattern:(Workload.Hotspot { alpha = 1.1 })
+      ~arrivals:(Workload.Closed { think_ns = 20_000 })
+      ~msgs_per_node:100 ~seed:1990
+  in
+  let b = Buffer.create (1 lsl 16) in
+  Array.iteri
+    (fun node ->
+      Array.iter (fun (s : Workload.send) ->
+          Printf.bprintf b "%d %d %d\n" node s.at s.dst))
+    (Workload.plans w ~nodes:256);
+  Alcotest.(check string)
+    "plans digest" "b1306519dd5fb228f5d4c58f88596833"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- HUB port-wait attribution ---------- *)
 
 let contention_sink eng name =
@@ -395,21 +441,30 @@ let test_two_hop_port_wait_attribution () =
 
 (* ---------- driver ---------- *)
 
-let small_cfg ?(domains = 1) () =
+let small_cfg ?(domains = 1) pattern =
   Driver.config ~domains ~frame_bytes:64
     ~topo:(Topology.Torus { rows = 4; cols = 2; seats = 2 })
     ~workload:
-      (Workload.make
-         ~pattern:(Workload.Incast { sinks = 2 })
+      (Workload.make ~pattern
          ~arrivals:(Workload.Closed { think_ns = 8_000 })
          ~msgs_per_node:5 ~seed:42)
     ()
 
+(* An incast, and a hotspot run whose partitions share one set of plans
+   (and its CDF) across domains. *)
 let test_driver_conservation () =
   List.iter
-    (fun domains ->
-      let r = Driver.run (small_cfg ~domains ()) in
-      let what fmt = Printf.sprintf ("%dd: " ^^ fmt) domains in
+    (fun (incast, domains) ->
+      let pattern =
+        if incast then Workload.Incast { sinks = 2 }
+        else Workload.Hotspot { alpha = 1.1 }
+      in
+      let r = Driver.run (small_cfg ~domains pattern) in
+      let what fmt =
+        Printf.sprintf ("%s %dd: " ^^ fmt)
+          (if incast then "incast" else "hotspot")
+          domains
+      in
       check_int (what "all offered messages delivered") r.Driver.total_msgs
         (Driver.delivered r);
       check_bool (what "wire conservation") true r.Driver.conserved;
@@ -423,13 +478,28 @@ let test_driver_conservation () =
         && r.Driver.lat_p50 <= r.Driver.lat_p99
         && r.Driver.lat_p99 <= r.Driver.lat_max);
       (* an incast fan-in must queue on the sink hub's ports *)
-      check_bool (what "port contention observed") true (r.Driver.port_waits > 0);
-      let r2 = Driver.run (small_cfg ~domains ()) in
+      if incast then
+        check_bool (what "port contention observed") true
+          (r.Driver.port_waits > 0);
+      let r2 = Driver.run (small_cfg ~domains pattern) in
       check_bool (what "double-run determinism") true
         (Driver.deterministic_eq r r2))
     (* at 4 domains every partition is one row: both the north and the
        south trunk of every hub cross a cut *)
-    [ 1; 2; 4 ]
+    (List.concat_map
+       (fun domains -> [ (true, domains); (false, domains) ])
+       [ 1; 2; 4 ])
+
+(* A wire-level fleet message allocates its frame record and region,
+   its route, its circuit's parkings and its plan entry, but no payload
+   bytes: a sender keeps one buffer (115.4 words while every send
+   allocated its own).  Measured by [Perf.fleet_msg_words], which
+   BENCH_perf.json's [fleet_msg_words] records. *)
+let test_fleet_message_allocation () =
+  let words = Nectar_bench.Perf.fleet_msg_words () in
+  check_bool
+    (Printf.sprintf "a fleet message allocates %.1f <= 80 words" words)
+    true (words <= 80.)
 
 (* The per-node build footprint is the heap reachable from a built world
    (the figure the fleet and scaling benches record).  A live-word delta
@@ -515,6 +585,10 @@ let () =
           Alcotest.test_case "shapes and purity" `Quick test_workload_shapes;
           Alcotest.test_case "zipf draw boundaries" `Quick
             test_zipf_boundaries;
+          Alcotest.test_case "plans match per-node plan" `Quick
+            test_plans_match_plan;
+          Alcotest.test_case "hotspot plans pinned" `Quick
+            test_hotspot_plans_pinned;
         ] );
       ( "wire",
         [
@@ -525,6 +599,8 @@ let () =
         [
           Alcotest.test_case "conservation and determinism" `Quick
             test_driver_conservation;
+          Alcotest.test_case "a fleet message allocates no payload" `Quick
+            test_fleet_message_allocation;
           Alcotest.test_case "build footprint independent of prior runs"
             `Quick test_footprint_independent_of_runs;
         ] );

@@ -855,13 +855,37 @@ let test_summary_percentile_edges () =
       ignore (Summary.percentile s (-0.1)))
 
 let test_summary_nearest_rank () =
-  check_int "empty" 0 (Summary.nearest_rank [||] 50);
-  check_int "n = 1" 9 (Summary.nearest_rank [| 9 |] 99);
-  let a = Array.init 10 (fun i -> 10 * (i + 1)) in
+  check_int "empty" 0 (Summary.select_rank [||] 50);
+  check_int "n = 1" 9 (Summary.select_rank [| 9 |] 99);
+  let a = Array.init 10 (fun i -> 10 * (10 - i)) in
   List.iter
     (fun (p, want) ->
-      check_int (Printf.sprintf "p = %d" p) want (Summary.nearest_rank a p))
-    [ (0, 10); (50, 50); (99, 90); (100, 100) ]
+      check_int (Printf.sprintf "p = %d" p) want (Summary.select_rank a p))
+    [ (0, 10); (50, 50); (99, 90); (100, 100) ];
+  Alcotest.check_raises "p > 100 rejected"
+    (Invalid_argument "Summary.select_rank: p outside [0,100]") (fun () ->
+      ignore (Summary.select_rank a 101))
+
+(* Selection against sort-then-index: values from a small range so runs
+   of duplicates are the rule, lengths from 0 up, every rank asked of
+   the same array in turn (each call sees the previous one's order). *)
+let prop_select_rank_matches_sort =
+  QCheck2.Test.make ~count:500 ~name:"select_rank matches sort-then-index"
+    QCheck2.Gen.(
+      pair
+        (oneof [ pure []; map (fun x -> [ x ]) (int_bound 3);
+                 list_size (int_bound 300) (int_bound 5) ])
+        (list_size (int_range 1 4) (oneofl [ 0; 50; 99; 100 ])))
+    (fun (xs, ranks) ->
+      let sorted = Array.of_list (List.sort Int.compare xs) in
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      List.for_all
+        (fun p ->
+          let want = if n = 0 then 0 else sorted.((n - 1) * p / 100) in
+          Summary.select_rank a p = want)
+        ranks
+      && List.sort Int.compare (Array.to_list a) = Array.to_list sorted)
 
 let test_summary_empty_min_max () =
   let s = Summary.create () in
@@ -1843,6 +1867,7 @@ let () =
             test_summary_percentile_edges;
           Alcotest.test_case "summary nearest rank" `Quick
             test_summary_nearest_rank;
+          qtest prop_select_rank_matches_sort;
           Alcotest.test_case "summary empty min/max" `Quick
             test_summary_empty_min_max;
           Alcotest.test_case "summary parallel merge" `Quick

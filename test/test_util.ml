@@ -226,7 +226,7 @@ let prop_frame_sg_crc =
       Frame.latch f ~id:0;
       let whole = Bytes.of_string s in
       let intact =
-        f.Frame.wire_crc = ref_crc whole ~pos:0 ~len:n && Frame.crc_ok f
+        Frame.wire_crc f = ref_crc whole ~pos:0 ~len:n && Frame.crc_ok f
       in
       let e = List.nth extents (flip mod List.length extents) in
       let i = e.eoff + (flip mod e.elen) in
@@ -467,6 +467,22 @@ let test_metrics_merge_welford_offset () =
   Alcotest.(check (float 1e-12)) "min" want.min got.min;
   Alcotest.(check (float 1e-12)) "max" want.max got.max
 
+(* A created frame's CRC is taken at its first read: it is the CRC of
+   the bytes then, it stays put when the bytes change afterwards, and
+   the change fails the check. *)
+let prop_frame_create_wire_crc =
+  QCheck2.Test.make ~count:200 ~name:"Frame.wire_crc of a created frame"
+    QCheck2.Gen.(pair (string_size (int_range 1 400)) small_nat)
+    (fun (s, flip) ->
+      let data = Bytes.of_string s in
+      let n = Bytes.length data in
+      let f = Frame.create ~id:0 ~src:0 ~data in
+      let first = Frame.wire_crc f in
+      let intact = first = Crc32.digest data ~pos:0 ~len:n && Frame.crc_ok f in
+      let i = flip mod n in
+      Bytes.set_uint8 data i (Bytes.get_uint8 data i lxor 1);
+      intact && Frame.wire_crc f = first && not (Frame.crc_ok f))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -497,6 +513,7 @@ let () =
           qtest prop_crc_chained_ranges;
           qtest prop_sum_chained_even_split;
           qtest prop_frame_sg_crc;
+          qtest prop_frame_create_wire_crc;
         ] );
       ( "byte_view",
         [
