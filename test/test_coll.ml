@@ -204,6 +204,43 @@ let test_irregular_world_collectives () =
   check_int "two ops at root" 2 (host_wakeups w 3);
   check_bool "n sane" true (n = 10)
 
+
+(* ---------- root latency pins ---------- *)
+
+(* The root's barrier, reduce and bcast latencies of the 64-CAB smoke
+   point (3 ops), tree and host modes, at p50 and p99 as exact float
+   bits.  Taken before the latency summary became an int sample buffer;
+   the p99s are the interpolated values between two of the three
+   samples. *)
+let recorded_root_percentiles =
+  [
+    ( false,
+      [ 4687357604106600448L; 4695541707754197484L; 4705330478872264704L;
+        4705330478872264704L; 4708578909740859392L; 4708578909740859392L ] );
+    ( true,
+      [ 4714234703601729536L; 4715964220843019469L; 4714234703601729536L;
+        4714234703601729536L; 4714235012839374848L; 4714235012839374848L ] );
+  ]
+
+let test_root_percentiles_pinned () =
+  let topo = Option.get (Topology.torus_of_cabs 64) in
+  List.iter
+    (fun (host, want) ->
+      let w = Coll.World.build topo in
+      let b, r, c = Coll.World.run w ~ops:3 ~host in
+      let got =
+        List.concat_map
+          (fun s ->
+            List.map
+              (fun p -> Int64.bits_of_float (Nectar_util.Summary.percentile s p))
+              [ 0.5; 0.99 ])
+          [ b; r; c ]
+      in
+      Alcotest.(check (list int64))
+        (if host then "host" else "tree")
+        want got)
+    recorded_root_percentiles
+
 let () =
   Alcotest.run "coll"
     [
@@ -225,5 +262,7 @@ let () =
             test_bcast_root_payload_required;
           Alcotest.test_case "irregular world" `Quick
             test_irregular_world_collectives;
+          Alcotest.test_case "root percentiles pinned" `Quick
+            test_root_percentiles_pinned;
         ] );
     ]

@@ -490,6 +490,19 @@ let test_driver_conservation () =
        (fun domains -> [ (true, domains); (false, domains) ])
        [ 1; 2; 4 ])
 
+
+(* p50, p99 and max of the small hotspot run at 1 and 2 domains, taken
+   before the driver's latencies moved into a [Summary] buffer. *)
+let test_driver_latencies_pinned () =
+  List.iter
+    (fun (domains, want) ->
+      let r = Driver.run (small_cfg ~domains (Workload.Hotspot { alpha = 1.1 })) in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%dd p50, p99, max" domains)
+        want
+        (r.Driver.lat_p50, r.Driver.lat_p99, r.Driver.lat_max))
+    [ (1, (11_247, 147_315, 160_609)); (2, (33_026, 103_422, 115_317)) ]
+
 (* A wire-level fleet message allocates its frame record and region,
    its route, its circuit's parkings and its plan entry, but no payload
    bytes: a sender keeps one buffer (115.4 words while every send
@@ -599,6 +612,8 @@ let () =
         [
           Alcotest.test_case "conservation and determinism" `Quick
             test_driver_conservation;
+          Alcotest.test_case "latencies pinned" `Quick
+            test_driver_latencies_pinned;
           Alcotest.test_case "a fleet message allocates no payload" `Quick
             test_fleet_message_allocation;
           Alcotest.test_case "build footprint independent of prior runs"
