@@ -17,7 +17,7 @@ let experiments =
     ("fig7", Fig7.run);
     ("fig8", Fig8.run);
     ("ablations", Ablations.run);
-    ("micro", Micro.run);
+    ("micro", Perf.run_micro);
     ("chaos", Chaos.run);
   ]
 

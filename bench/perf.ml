@@ -5,9 +5,9 @@
 
    - wall-clock: how fast the *simulator itself* runs (the event engine
      micro plus a full fig7 RMP point).  Machine-dependent; measured with
-     a median-of-samples loop rather than Bechamel's OLS so run-to-run
-     noise stays small.  Compared against the recorded pre-fastpath
-     baseline (~290k ns for the 1k-timer micro).
+     a median-of-samples loop ([time_ns], the tree's one wall-clock
+     timer).  Compared against the recorded pre-fastpath baseline (~290k
+     ns for the 1k-timer micro).
 
    - simulated: protocol throughput of the sliding-window RMP and a
      multi-CAB fleet with receive-interrupt coalescing.  Deterministic —
@@ -37,12 +37,7 @@ let baseline_engine_1k_ns = 290_000.
 
 (* ---------- wall-clock measurement ---------- *)
 
-let median xs =
-  let a = List.sort compare xs in
-  List.nth a (List.length a / 2)
-
-(* Median of [samples] timings, each averaging [inner] calls: steadier
-   than a single Bechamel OLS estimate for these ~100us workloads. *)
+(* Median of [samples] timings, each averaging [inner] calls, in ns. *)
 let time_ns ?(samples = 9) ?(inner = 100) f =
   Gc.compact ();
   ignore (f ());
@@ -52,9 +47,10 @@ let time_ns ?(samples = 9) ?(inner = 100) f =
     for _ = 1 to inner do
       f ()
     done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int inner
+    int_of_float ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int inner)
   in
-  median (List.init samples (fun _ -> one ()))
+  float_of_int
+    (Nectar_util.Summary.select_rank (Array.init samples (fun _ -> one ())) 50)
 
 let engine_1k_events () =
   let eng = Engine.create () in
@@ -72,6 +68,40 @@ let engine_schedule_cancel () =
     if i mod 8 <> 0 then Engine.cancel eng tm
   done;
   Engine.run eng
+
+(* Ten begin_put/end_put/begin_get/end_get cycles on a fresh mailbox. *)
+let mailbox_cycle () =
+  let eng = Engine.create () in
+  let heap = Buffer_heap.create (Nectar_util.Region.create 4096) in
+  let mb = Mailbox.create eng ~heap ~name:"m" () in
+  let ctx : Ctx.t =
+    { eng; work = (fun _ -> ()); may_block = true; ctx_name = "b";
+      on_cpu = None }
+  in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 10 do
+        let m = Mailbox.begin_put ctx mb 64 in
+        Mailbox.end_put ctx mb m;
+        let r = Mailbox.begin_get ctx mb in
+        Mailbox.end_get ctx r
+      done);
+  Engine.run eng
+
+(* [bench/main.exe micro]: wall clock of the hot primitives of the
+   simulator itself, not of the simulated hardware. *)
+let run_micro () =
+  section "Micro-benchmarks (wall clock, median of 9 samples)";
+  let buf = Bytes.make 8192 '\x5a' in
+  List.iter
+    (fun (name, f) -> Printf.printf "  %-28s %12.0f ns/run\n" name (time_ns f))
+    [
+      ( "inet_checksum 8KB",
+        fun () ->
+          ignore (Nectar_util.Inet_checksum.checksum buf ~pos:0 ~len:8192) );
+      ("crc32 8KB", fun () -> ignore (Nectar_util.Crc32.digest buf ~pos:0 ~len:8192));
+      ("engine: 1k timer events", engine_1k_events);
+      ("mailbox put+get cycle", mailbox_cycle);
+    ]
 
 (* ---------- deterministic micro: minor words per call ---------- *)
 

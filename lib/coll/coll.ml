@@ -581,8 +581,9 @@ module World = struct
   let run ?tracer w ~ops ~host =
     let n = Array.length w.colls in
     let root = Tree.root w.tree in
-    let summary () = Summary.create ~keep_samples:true () in
-    let b_lat = summary () and r_lat = summary () and c_lat = summary () in
+    let b_lat = Summary.create ()
+    and r_lat = Summary.create ()
+    and c_lat = Summary.create () in
     let barrier, reduce, bcast =
       if host then (host_barrier, host_reduce, host_bcast)
       else (barrier, reduce, bcast)
@@ -599,7 +600,7 @@ module World = struct
                  if i = root then begin
                    let t0 = Engine.now ctx.Ctx.eng in
                    f ();
-                   Summary.add s (float_of_int (Engine.now ctx.Ctx.eng - t0))
+                   Summary.add s (Engine.now ctx.Ctx.eng - t0)
                  end
                  else f ()
                in
@@ -617,7 +618,8 @@ module World = struct
                        failwith "coll: bad bcast")
                done)))
       w.colls;
-    Engine.run w.eng;
-    if Option.is_some tracer then Trace.uninstall ();
+    Fun.protect
+      ~finally:(fun () -> if Option.is_some tracer then Trace.uninstall ())
+      (fun () -> Engine.run w.eng);
     (b_lat, r_lat, c_lat)
 end

@@ -142,8 +142,8 @@ module World : sig
   (** Every CAB loops barrier, reduce and bcast [ops] times — the
       host-driven baseline when [host] — and the engine runs to
       quiescence.  Returns the root's barrier, reduce and bcast latency
-      summaries (simulated ns, samples kept).  [tracer], if given, is
-      installed by the root at the start of the last iteration and
-      uninstalled after the run.
+      samples (simulated ns).  [tracer], if given, is installed by the
+      root at the start of the last iteration and uninstalled when the
+      run ends, also when it raises.
       @raise Failure on a wrong reduce or bcast result. *)
 end

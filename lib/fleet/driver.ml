@@ -1,6 +1,7 @@
 open Nectar_sim
 module Net = Nectar_hub.Network
 module Frame = Nectar_hub.Frame
+module Summary = Nectar_util.Summary
 
 type config = {
   topo : Topology.spec;
@@ -33,26 +34,12 @@ let config ?(domains = 1) ?(frame_bytes = 256) ~topo ~workload () =
 
 (* ---------- partitioned worlds ---------- *)
 
-(* Growable per-partition latency sample buffer: a push per delivery on
-   the hot path, merged once per run for rank selection. *)
-type samples = { mutable sbuf : int array; mutable slen : int }
-
-let add_sample s v =
-  let cap = Array.length s.sbuf in
-  if s.slen = cap then begin
-    let nb = Array.make (max 64 (2 * cap)) 0 in
-    Array.blit s.sbuf 0 nb 0 s.slen;
-    s.sbuf <- nb
-  end;
-  s.sbuf.(s.slen) <- v;
-  s.slen <- s.slen + 1
-
 type partition = {
   p_net : Net.t;
   mutable p_delivered : int;
   p_per_sender : int array; (* delivered, indexed by global source node *)
   p_last : int array; (* latest delivery sim-time, indexed by source *)
-  p_lat : samples;
+  p_lat : Summary.t; (* send-to-delivery latencies, ns *)
 }
 
 type handoff = {
@@ -97,7 +84,7 @@ let build_partition cfg topo plans ~self ~send =
       p_delivered = 0;
       p_per_sender = Array.make nodes 0;
       p_last = Array.make nodes 0;
-      p_lat = { sbuf = [||]; slen = 0 };
+      p_lat = Summary.create ();
     }
   in
   let stamp_scratch = Bytes.create 8 in
@@ -115,7 +102,7 @@ let build_partition cfg topo plans ~self ~send =
               Frame.blit frame ~pos:0 ~dst:stamp_scratch ~dst_pos:0 ~len:8;
               let sent_at = Int64.to_int (Bytes.get_int64_be stamp_scratch 0) in
               let now = Engine.now eng in
-              add_sample part.p_lat (now - sent_at);
+              Summary.add part.p_lat (now - sent_at);
               part.p_per_sender.(frame.Frame.src) <-
                 part.p_per_sender.(frame.Frame.src) + 1;
               if now > part.p_last.(frame.Frame.src) then
@@ -254,8 +241,7 @@ let run cfg =
       done)
     parts;
   let lat =
-    Array.concat
-      (Array.to_list (Array.map (fun p -> Array.sub p.p_lat.sbuf 0 p.p_lat.slen) parts))
+    Array.concat (Array.to_list (Array.map (fun p -> Summary.samples p.p_lat) parts))
   in
   let lat_max = Array.fold_left Int.max 0 lat in
   {
@@ -272,8 +258,8 @@ let run cfg =
     per_sender;
     per_sender_last;
     spread = sender_spread cfg.workload ~nodes per_sender per_sender_last;
-    lat_p50 = Nectar_util.Summary.select_rank lat 50;
-    lat_p99 = Nectar_util.Summary.select_rank lat 99;
+    lat_p50 = Summary.select_rank lat 50;
+    lat_p99 = Summary.select_rank lat 99;
     lat_max;
     port_waits = sum (Array.map (fun p -> Net.port_waits p.p_net) parts);
     port_wait_ns = sum (Array.map (fun p -> Net.port_wait_ns p.p_net) parts);

@@ -3,11 +3,7 @@ type value =
   | Gauge of float
   | Hist of { n : int; mean : float; stddev : float; min : float; max : float }
 
-type entry =
-  | Counter_thunk of (unit -> int)
-  | Gauge_thunk of (unit -> float)
-  | Histogram of Summary.t
-
+type entry = Counter_thunk of (unit -> int) | Gauge_thunk of (unit -> float)
 type t = { entries : (string, entry) Hashtbl.t }
 
 let create () = { entries = Hashtbl.create 64 }
@@ -20,50 +16,9 @@ let register t name entry =
 let counter t name read = register t name (Counter_thunk read)
 let gauge t name read = register t name (Gauge_thunk read)
 
-let histogram t name = register t name (Histogram (Summary.create ()))
-
-let observe t name x =
-  match Hashtbl.find_opt t.entries name with
-  | Some (Histogram h) -> Summary.add h x
-  | Some _ | None ->
-      invalid_arg (Printf.sprintf "Metrics.observe: %S is not a histogram" name)
-
-let merge t src =
-  Hashtbl.iter
-    (fun name entry ->
-      match entry with
-      | Counter_thunk _ | Gauge_thunk _ ->
-          (* thunks read live owner state; there is nothing to fold *)
-          ()
-      | Histogram h ->
-          let dst =
-            match Hashtbl.find_opt t.entries name with
-            | Some (Histogram dst) -> dst
-            | Some _ ->
-                invalid_arg
-                  (Printf.sprintf "Metrics.merge: %S is not a histogram" name)
-            | None ->
-                let dst = Summary.create () in
-                register t name (Histogram dst);
-                dst
-          in
-          Summary.merge ~into:dst h)
-    src.entries
-
 let read = function
   | Counter_thunk f -> Count (f ())
   | Gauge_thunk f -> Gauge (f ())
-  | Histogram h when Summary.count h = 0 ->
-      Hist { n = 0; mean = 0.; stddev = 0.; min = infinity; max = neg_infinity }
-  | Histogram h ->
-      Hist
-        {
-          n = Summary.count h;
-          mean = Summary.mean h;
-          stddev = Summary.stddev h;
-          min = Summary.min h;
-          max = Summary.max h;
-        }
 
 let snapshot t =
   Hashtbl.fold (fun name e acc -> (name, read e) :: acc) t.entries []
@@ -80,11 +35,6 @@ let render t =
       match v with
       | Count n -> Printf.bprintf out "  %-*s %d\n" width name n
       | Gauge g -> Printf.bprintf out "  %-*s %.3f\n" width name g
-      | Hist h ->
-          if h.n = 0 then Printf.bprintf out "  %-*s n=0\n" width name
-          else
-            Printf.bprintf out
-              "  %-*s n=%d mean=%.1f stddev=%.1f min=%.1f max=%.1f\n" width
-              name h.n h.mean h.stddev h.min h.max)
+      | Hist _ -> () (* never produced *))
     snap;
   Buffer.contents out

@@ -8,8 +8,8 @@
     report from a single source of truth.
 
     Counters and gauges are registered as thunks reading the component's
-    existing state (no double bookkeeping, always current); histograms
-    are owned by the registry and fed with {!observe}. *)
+    existing state (no double bookkeeping, always current).  A latency
+    distribution is a {!Summary}, not a metric. *)
 
 type t
 
@@ -17,6 +17,7 @@ type value =
   | Count of int  (** monotonic event count *)
   | Gauge of float  (** instantaneous level *)
   | Hist of { n : int; mean : float; stddev : float; min : float; max : float }
+      (** produced by nothing: the registry holds counters and gauges only *)
 
 val create : unit -> t
 
@@ -25,23 +26,6 @@ val counter : t -> string -> (unit -> int) -> unit
     @raise Invalid_argument if the name is already registered. *)
 
 val gauge : t -> string -> (unit -> float) -> unit
-
-val histogram : t -> string -> unit
-(** Register an owned histogram; feed it with {!observe}. *)
-
-val observe : t -> string -> float -> unit
-(** @raise Invalid_argument if the name is not a registered histogram. *)
-
-val merge : t -> t -> unit
-(** [merge t src] folds [src]'s owned histograms into [t]: same-named
-    histograms combine with the parallel Welford rule (exact n/mean/m2
-    and min/max, stable at large offsets), names absent from [t] are
-    created.  Merging an empty histogram into a populated one (or vice
-    versa) preserves the populated side's moments and extrema.
-    Thunk-backed counters and gauges read live owner state and are
-    skipped.
-    @raise Invalid_argument if a histogram name is registered in [t] as a
-    counter or gauge. *)
 
 val snapshot : t -> (string * value) list
 (** All metrics, sorted by name; thunks are read at call time. *)

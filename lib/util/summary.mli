@@ -1,26 +1,24 @@
-(** Running summary of a series of observations, optionally keeping every
-    sample so percentiles can be reported.  The one Welford implementation
-    in the tree: {!Metrics}' owned histograms are summaries. *)
+(** A latency distribution: a growable buffer of integer samples (ns),
+    read by rank.  The tree's one recorder of a distribution; nothing
+    keeps running moments. *)
 
 type t
 
-val create : ?keep_samples:bool -> unit -> t
-val add : t -> float -> unit
+val create : unit -> t
+(** Empty; the buffer is allocated on the first {!add} (64 slots) and
+    doubles when full. *)
+
+val add : t -> int -> unit
 val count : t -> int
-val mean : t -> float
 
-val min : t -> float
-(** @raise Invalid_argument on an empty summary. *)
-
-val max : t -> float
-(** @raise Invalid_argument on an empty summary. *)
-
-val stddev : t -> float
-(** Population standard deviation, computed with Welford's online
-    algorithm so large-offset samples don't cancel. *)
+val samples : t -> int array
+(** A fresh copy of the samples, in no particular order: {!percentile}
+    permutes the buffer. *)
 
 val percentile : t -> float -> float
-(** [percentile t 0.99]; requires [keep_samples].
+(** [percentile t 0.99]: the sample at fractional rank [p * (n - 1)],
+    interpolated linearly between the two ranks around it.  Permutes the
+    buffer in place (a selection per rank, no sort).
     @raise Invalid_argument if empty or [p] is outside [\[0,1\]]. *)
 
 val select_rank : int array -> int -> int
@@ -30,11 +28,3 @@ val select_rank : int array -> int -> int
     and allocates nothing, and calls for several ranks may share one
     array.  No interpolation, so integer latencies stay integers.
     @raise Invalid_argument if [p] is outside [\[0,100\]]. *)
-
-val merge : into:t -> t -> unit
-(** Fold [src] into [into] with the parallel Welford combine: exact
-    count/sum/mean/m2 and min/max, stable at large offsets.  An empty
-    side never disturbs the other (the empty-summary sentinels are not
-    mixed in).  Kept samples concatenate when [into] keeps samples. *)
-
-val reset : t -> unit

@@ -205,6 +205,20 @@ let test_irregular_world_collectives () =
   check_bool "n sane" true (n = 10)
 
 
+(* A wrong reduce raises out of [World.run]; the tracer the root
+   installed for the last iteration must not outlive the run. *)
+let test_failed_run_uninstalls_tracer () =
+  let w =
+    Coll.World.build ~combine:(fun _ _ -> 0)
+      (Topology.Torus { rows = 2; cols = 2; seats = 2 })
+  in
+  let tracer = Trace.create ~capacity:1024 w.Coll.World.eng in
+  (match Coll.World.run ~tracer w ~ops:1 ~host:false with
+  | _ -> Alcotest.fail "a wrong reduce was accepted"
+  | exception Engine.Process_failure (_, Failure msg) ->
+      check_string "raised" "coll: bad reduce" msg);
+  check_bool "tracer uninstalled" false (Trace.installed ())
+
 (* ---------- root latency pins ---------- *)
 
 (* The root's barrier, reduce and bcast latencies of the 64-CAB smoke
@@ -262,6 +276,8 @@ let () =
             test_bcast_root_payload_required;
           Alcotest.test_case "irregular world" `Quick
             test_irregular_world_collectives;
+          Alcotest.test_case "failed run uninstalls its tracer" `Quick
+            test_failed_run_uninstalls_tracer;
           Alcotest.test_case "root percentiles pinned" `Quick
             test_root_percentiles_pinned;
         ] );

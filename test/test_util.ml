@@ -403,70 +403,6 @@ let test_copy_meter_report () =
     (Copy_meter.report_owners ());
   Copy_meter.reset ()
 
-(* ---------- Metrics registry merge ---------- *)
-
-type hist = { n : int; mean : float; stddev : float; min : float; max : float }
-
-let find_hist reg name =
-  match List.assoc name (Metrics.snapshot reg) with
-  | Metrics.Hist { n; mean; stddev; min; max } -> { n; mean; stddev; min; max }
-  | _ -> Alcotest.failf "%s is not a histogram" name
-  | exception Not_found -> Alcotest.failf "%s missing" name
-
-let feed reg name xs = List.iter (Metrics.observe reg name) xs
-
-let test_metrics_merge_edges () =
-  (* empty into populated: populated side's moments must be untouched *)
-  let dst = Metrics.create () and src = Metrics.create () in
-  Metrics.histogram dst "lat";
-  Metrics.histogram src "lat";
-  feed dst "lat" [ 1.0; 3.0 ];
-  Metrics.merge dst src;
-  let h = find_hist dst "lat" in
-  check_int "n preserved" 2 h.n;
-  Alcotest.(check (float 1e-12)) "mean preserved" 2.0 h.mean;
-  Alcotest.(check (float 1e-12)) "min preserved" 1.0 h.min;
-  Alcotest.(check (float 1e-12)) "max preserved" 3.0 h.max;
-  (* populated into empty: moments copied verbatim *)
-  let dst2 = Metrics.create () in
-  Metrics.histogram dst2 "lat";
-  Metrics.merge dst2 dst;
-  let h2 = find_hist dst2 "lat" in
-  check_int "copied n" 2 h2.n;
-  Alcotest.(check (float 1e-12)) "copied mean" 2.0 h2.mean;
-  Alcotest.(check (float 1e-12)) "copied stddev" h.stddev h2.stddev;
-  (* name absent from dst is created *)
-  let extra = Metrics.create () in
-  Metrics.histogram extra "other";
-  feed extra "other" [ 9.0 ];
-  Metrics.merge dst2 extra;
-  check_int "absent name created" 1 (find_hist dst2 "other").n;
-  (* merge onto a name registered as a counter is rejected *)
-  let bad = Metrics.create () in
-  Metrics.counter bad "lat" (fun () -> 0);
-  (try
-     Metrics.merge bad dst;
-     Alcotest.fail "merge onto counter accepted"
-   with Invalid_argument _ -> ())
-
-let test_metrics_merge_welford_offset () =
-  (* two shards around 1e9: combined moments must match a single-stream
-     fold of all six samples (Chan's parallel rule, no cancellation) *)
-  let a = Metrics.create () and b = Metrics.create () and r = Metrics.create () in
-  List.iter (fun m -> Metrics.histogram m "lat") [ a; b; r ];
-  let xs = [ 1e9; 1e9 +. 1.; 1e9 +. 2. ]
-  and ys = [ 1e9 +. 10.; 1e9 +. 11.; 1e9 +. 12. ] in
-  feed a "lat" xs;
-  feed b "lat" ys;
-  feed r "lat" (xs @ ys);
-  Metrics.merge a b;
-  let got = find_hist a "lat" and want = find_hist r "lat" in
-  check_int "n" want.n got.n;
-  Alcotest.(check (float 1e-6)) "mean" want.mean got.mean;
-  Alcotest.(check (float 1e-6)) "stddev" want.stddev got.stddev;
-  Alcotest.(check (float 1e-12)) "min" want.min got.min;
-  Alcotest.(check (float 1e-12)) "max" want.max got.max
-
 (* A created frame's CRC is taken at its first read: it is the CRC of
    the bytes then, it stays put when the bytes change afterwards, and
    the change fails the check. *)
@@ -543,11 +479,5 @@ let () =
           qtest prop_cab_port_injective;
           qtest prop_cab_txn_injective;
           qtest prop_tcp_conn_injective;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "merge edge cases" `Quick test_metrics_merge_edges;
-          Alcotest.test_case "merge welford at 1e9 offset" `Quick
-            test_metrics_merge_welford_offset;
         ] );
     ]
