@@ -34,7 +34,13 @@
      registries, and the atomic uid counters.  Value bindings only —
      [let f args = ... Queue.create ...] constructs per-instance state
      and is fine;
-   - every .ml under lib/ has a corresponding .mli.
+   - every .ml under lib/ has a corresponding .mli;
+   - no unused export: a [val] in a lib/ .mli whose name occurs as a
+     word in no .ml/.mli file of lib, bin, bench, perfbench, examples
+     or test other than its own module's two is flagged (delete it, or
+     drop it from the .mli when the module uses it itself).  The six
+     trees are read relative to the current directory, so run the lint
+     from the repository root.
 
    Exits 1 when anything is flagged.  The pattern strings below are built
    by concatenation so the lint never flags its own source. *)
@@ -259,6 +265,79 @@ let check_source path =
          ^ " in the runtime: raise a typed exception or invalid_arg instead"))
     (read_lines path)
 
+(* ---------- unused exports ---------- *)
+
+let corpus_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+
+(* the identifier words of a line, in order *)
+let words line =
+  let n = String.length line in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_ident_char line.[i] then begin
+      let j = ref i in
+      while !j < n && is_ident_char line.[!j] do
+        incr j
+      done;
+      go !j (String.sub line i (!j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* [val name :] at any indentation, so vals of nested signatures count *)
+let val_name line =
+  match words line with
+  | "val" :: name :: _ when String.trim line |> has_prefix "val " -> Some name
+  | _ -> None
+
+let rec source_files path acc =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort compare
+    |> List.fold_left
+         (fun acc entry ->
+           if has_prefix "." entry || entry = "_build" then acc
+           else source_files (Filename.concat path entry) acc)
+         acc
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+  then path :: acc
+  else acc
+
+(* [(word, module)] pairs: a module is a path without its .ml/.mli
+   suffix, so a file's own implementation and interface share one *)
+let word_users () =
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun dir ->
+      if Sys.file_exists dir then
+        List.iter
+          (fun path ->
+            let m = Filename.remove_extension path in
+            List.iter
+              (fun line ->
+                List.iter
+                  (fun w ->
+                    if not (List.mem m (Hashtbl.find_all users w)) then
+                      Hashtbl.add users w m)
+                  (words line))
+              (read_lines path))
+          (source_files dir []))
+    corpus_dirs;
+  users
+
+let check_exports users path =
+  let own = Filename.remove_extension path in
+  List.iteri
+    (fun i line ->
+      match val_name line with
+      | Some name
+        when List.for_all (String.equal own) (Hashtbl.find_all users name) ->
+          flag path (i + 1)
+            ("val " ^ name ^ " is used by no module but " ^ own
+           ^ ": delete it, or drop it from the .mli")
+      | Some _ | None -> ())
+    (read_lines path)
+
 let check_mli path =
   if
     has_prefix (mli_required_dir ^ "/") path
@@ -266,25 +345,25 @@ let check_mli path =
     && not (Sys.file_exists (path ^ "i"))
   then flag path 1 "library module without an .mli interface"
 
-let rec walk path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.iter (fun entry ->
-           if not (has_prefix "." entry || entry = "_build") then
-             walk (Filename.concat path entry))
-  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then begin
-    check_source path;
-    check_mli path
-  end
+let walk users path =
+  List.iter
+    (fun path ->
+      check_source path;
+      check_mli path;
+      if
+        has_prefix (mli_required_dir ^ "/") path
+        && Filename.check_suffix path ".mli"
+      then check_exports (Lazy.force users) path)
+    (List.rev (source_files path []))
 
 let () =
   let dirs =
     match List.tl (Array.to_list Sys.argv) with [] -> [ "lib" ] | ds -> ds
   in
+  let users = lazy (word_users ()) in
   List.iter
     (fun d ->
-      if Sys.file_exists d then walk d
+      if Sys.file_exists d then walk users d
       else begin
         Printf.printf "nectar-lint: no such directory: %s\n" d;
         incr findings

@@ -8,8 +8,6 @@ let mem_dma_ns_per_byte = 9 (* 35 ns SRAM cycle over a 32-bit path *)
 let ctx_switch_ns = us 20
 let irq_dispatch_ns = us 6
 let data_memory_bytes = 1 lsl 20
-let program_ram_bytes = 512 * 1024
-let prom_bytes = 128 * 1024
 let page_bytes = 1024
 
 (* Priorities *)
@@ -64,7 +62,6 @@ let reqresp_ns = us 8
    copies and software checksums the host stack performs. *)
 let host_ip_ns = us 80
 let host_udp_ns = us 80
-let host_tcp_ns = us 200
 let host_socket_ns = us 100
 let host_driver_ns = us 100
 let host_stack_ns_per_byte = 350

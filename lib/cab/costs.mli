@@ -27,12 +27,6 @@ val irq_dispatch_ns : int
 (** paper: 1 Mbyte data memory. *)
 val data_memory_bytes : int
 
-(** paper: 512 Kbyte program RAM. *)
-val program_ram_bytes : int
-
-(** paper: 128 Kbyte PROM. *)
-val prom_bytes : int
-
 (** paper: 1 Kbyte protection pages. *)
 val page_bytes : int
 
@@ -109,7 +103,6 @@ val reqresp_ns : int
 
 val host_ip_ns : int
 val host_udp_ns : int
-val host_tcp_ns : int
 
 (** Socket layer + mbuf handling per packet. *)
 val host_socket_ns : int

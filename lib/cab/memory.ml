@@ -70,8 +70,6 @@ let set_domain t d =
   if d < 0 || d >= domain_count then invalid_arg "Memory.set_domain";
   t.domain <- d
 
-let current_domain t = t.domain
-
 let check t ~pos ~len ~write =
   if pos < 0 || len < 0 || pos + len > data_bytes t then
     invalid_arg "Memory: access out of range";

@@ -24,8 +24,6 @@ type perm = No_access | Read_only | Read_write
 exception
   Protection_fault of { domain : int; page : int; write : bool }
 
-val domain_count : int
-
 val create : ?data_bytes:int -> unit -> t
 
 val region : t -> Nectar_util.Region.t
@@ -39,7 +37,6 @@ val resident_bytes : t -> int
 (** Data-memory bytes currently backed by host memory. *)
 
 val page_bytes : int
-val page_of : int -> int
 
 val set_page_perm : t -> domain:int -> page:int -> perm -> unit
 val page_perm : t -> domain:int -> page:int -> perm
@@ -49,8 +46,6 @@ val grant_range : t -> domain:int -> pos:int -> len:int -> perm -> unit
 
 val set_domain : t -> int -> unit
 (** Reload the protection-domain register. *)
-
-val current_domain : t -> int
 
 val checked_read : t -> pos:int -> len:int -> unit
 (** Validate a read in the current domain (the data itself is then accessed

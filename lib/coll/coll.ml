@@ -412,8 +412,6 @@ let register_metrics t reg ~prefix =
   Metrics.counter reg (prefix ^ "coll.down_msgs") (fun () -> t.down_count)
 
 let ops_completed t = t.ops_count
-let up_messages t = t.up_count
-let down_messages t = t.down_count
 
 (* ---------- tree operations ---------- *)
 

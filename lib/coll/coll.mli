@@ -59,12 +59,6 @@ type t
 val port : int
 (** The well-known mailbox port collective traffic arrives on. *)
 
-val done_opcode : int
-(** Host-signal opcode of the single end-of-collective notification. *)
-
-val arrival_opcode : int
-(** Host-signal opcode of the baseline's per-participant notification. *)
-
 val attach :
   ?combine:(int -> int -> int) -> Nectar_proto.Stack.t -> tree:Tree.t -> t
 (** Bind node [Stack.node_id stack]'s endpoint: creates the collective
@@ -103,9 +97,6 @@ val host_bcast : Nectar_core.Ctx.t -> t -> string option -> string
 
 val ops_completed : t -> int
 (** Operations this endpoint has returned from (both kinds). *)
-
-val up_messages : t -> int
-val down_messages : t -> int
 
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit
 

@@ -45,8 +45,6 @@ module Mutex = struct
     | exception e ->
         unlock ctx t;
         raise e
-
-  let locked t = Resource.in_use t.res > 0
 end
 
 module Condvar = struct

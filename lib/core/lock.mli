@@ -13,7 +13,6 @@ module Mutex : sig
   val lock : Ctx.t -> t -> unit
   val unlock : Ctx.t -> t -> unit
   val with_lock : Ctx.t -> t -> (unit -> 'a) -> 'a
-  val locked : t -> bool
 end
 
 module Condvar : sig

@@ -54,7 +54,6 @@ let create cab ?(priority = System) ~name body =
   t
 
 let name t = t.tname
-let priority_of t = t.prio
 let is_finished t = t.finished
 
 let join (caller : Ctx.t) t =
@@ -74,5 +73,3 @@ let with_interrupts_masked t f =
   | exception e ->
       t.masked <- prev;
       raise e
-
-let cpu_time t = Cpu.owner_time (Cab.cpu t.cab) t.owner

@@ -24,7 +24,6 @@ val create :
 
 val ctx : t -> Ctx.t
 val name : t -> string
-val priority_of : t -> priority
 val is_finished : t -> bool
 
 val join : Ctx.t -> t -> unit
@@ -32,6 +31,3 @@ val join : Ctx.t -> t -> unit
 
 val with_interrupts_masked : t -> (unit -> 'a) -> 'a
 (** Run [f] with this thread's CPU work atomic (interrupts masked). *)
-
-val cpu_time : t -> Nectar_sim.Sim_time.span
-(** Total CPU service this thread has received. *)

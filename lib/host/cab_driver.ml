@@ -112,7 +112,6 @@ module Cond = struct
     if c.blocked > 0 then
       Runtime.notify_host c.drv.rt ~opcode:0 ~param:0
 
-  let poll_value c = c.value
   let waitq c = c.changed
 
   let wait_poll ctx c ~since =

@@ -35,8 +35,6 @@ module Cond : sig
   (** Callable from CAB contexts (threads or interrupt handlers): bumps the
       poll value and queues a host notification. *)
 
-  val poll_value : cond -> int
-
   val waitq : cond -> Nectar_sim.Waitq.t
   (** The raw signal waitq, for kernel-context waiters that model interrupt
       bottom halves rather than sleeping processes. *)
@@ -64,9 +62,6 @@ val interrupts_to_host : t -> int
 val interrupts_to_cab : t -> int
 
 (** {1 Plumbing shared with {!Hostlib}} *)
-
-val pio_owner : t -> Nectar_sim.Cpu.owner
-(** The fallback host-CPU owner for VME traffic from CPU-less contexts. *)
 
 val ctx_pio : Nectar_core.Ctx.t -> t -> bytes:int -> unit
 (** Programmed I/O across the backplane, stalling the caller's CPU. *)

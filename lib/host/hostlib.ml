@@ -50,8 +50,6 @@ let attach drv mbox ~mode ~readers =
     next_msg_id = 1;
   }
 
-let mode_of h = h.hmode
-
 let pio (ctx : Ctx.t) h bytes = Cab_driver.ctx_pio ctx h.drv ~bytes
 
 (* Control-structure touches for one mailbox operation: a handful of

@@ -27,8 +27,6 @@ val attach :
   readers:[ `Cab | `Host ] ->
   handle
 
-val mode_of : handle -> mode
-
 val begin_put : Nectar_core.Ctx.t -> handle -> int -> Nectar_core.Message.t
 
 val write_string :

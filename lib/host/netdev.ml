@@ -154,6 +154,3 @@ let recv_datagram (ctx : Ctx.t) t ~port =
         Waitq.wait wq
       done;
       Queue.take q
-
-let packets_out t = t.out_count
-let packets_in t = t.in_count

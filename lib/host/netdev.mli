@@ -31,6 +31,3 @@ val send_datagram :
 
 val recv_datagram : Nectar_core.Ctx.t -> t -> port:int -> string
 (** Block (in the driver) until a datagram arrives on [port]. *)
-
-val packets_out : t -> int
-val packets_in : t -> int

@@ -10,8 +10,8 @@
     {!wire_crc}, computed over the extents when the frame is latched for
     transmission (a {!create}d frame takes it at its first read instead).
     Because extents alias memory a reliable sender may
-    retransmit, fault injection first {!detach}es the frame (privatising
-    the bytes) and corrupts the snapshot, so the receiving CAB's hardware
+    retransmit, fault injection first privatises the frame's bytes and
+    corrupts the snapshot, so the receiving CAB's hardware
     CRC check ({!crc_ok}) fails exactly like a real line error while the
     sender's buffer stays intact.
 
@@ -35,7 +35,7 @@ type extent = { ereg : Nectar_util.Region.t; eoff : int; elen : int }
 (** What backs a frame's extents: a value and the two things its sender
     does with it, both static per sender so a frame carries no closure.
     [release] drops the buffer references (once, from {!release} or
-    {!detach}); [sent] runs when the transmit descriptor completes (from
+    when {!corrupt} privatises the frame); [sent] runs when the transmit descriptor completes (from
     {!sent}, the CAB's tx-done interrupt). *)
 type owner = Unowned | Owner : { value : 'a; ops : 'a ops } -> owner
 
@@ -71,7 +71,7 @@ val create : id:int -> src:int -> data:Bytes.t -> t
 (** Single-extent frame over all of [data] (wrapped in a fixed region),
     unowned — for callers owning private bytes (tests, diagnostics, the
     wire-level fleet).  Its CRC is taken at the first read ({!wire_crc},
-    {!crc_ok}, {!detach}), not here, so [data] must not change while the
+    {!crc_ok}, {!corrupt}), not here, so [data] must not change while the
     frame is live: a change before that read is sent as good bytes, and
     only a change after it is a wire corruption. *)
 
@@ -131,14 +131,11 @@ val inline_bytes : t -> pos:int -> len:int -> Bytes.t
 
 val blit : t -> pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 
-val detach : t -> unit
-(** Privatise the frame: take a pending {!wire_crc}, copy the extents into
-    fresh bytes and release the source-buffer references immediately.  A
-    later {!release} is still required and still flips {!released}. *)
-
 val corrupt : ?burst:int -> t -> unit
-(** Fault injection: {!detach}, then flip one bit in each of [burst]
-    contiguous bytes centred mid-frame. *)
+(** Fault injection: privatise the frame (take a pending {!wire_crc},
+    copy the extents into fresh bytes and release the source-buffer
+    references at once; a later {!release} is still required), then flip
+    one bit in each of [burst] contiguous bytes centred mid-frame. *)
 
 val release : t -> unit
 (** End of the frame's life: drop the owner's buffer references.  Exactly

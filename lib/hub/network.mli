@@ -173,9 +173,9 @@ val transmit :
 val set_fault_hook : t -> (Frame.t -> fault_verdict) option -> unit
 (** Fault injection for loss/corruption tests.  [`Corrupt] flips a bit in
     the frame payload so the receiver's hardware CRC check fails;
-    [`Corrupt_burst k] damages [k] contiguous bytes.  Corruption first
-    {!Frame.detach}es the frame so the damage lands on a private snapshot,
-    never on the sender's (possibly retransmitted) buffer. *)
+    [`Corrupt_burst k] damages [k] contiguous bytes.  {!Frame.corrupt}
+    privatises the frame first, so the damage lands on a private
+    snapshot, never on the sender's (possibly retransmitted) buffer. *)
 
 (** {1 Link faults}
 

@@ -107,24 +107,6 @@ let receive ctx m =
       Hostlib.end_get ctx h msg;
       s
 
-let try_receive ctx m =
-  match m.handle with
-  | None -> (
-      match Mailbox.try_begin_get ctx m.raw with
-      | None -> None
-      | Some msg ->
-          meter_app m.owner.stack (Message.length msg);
-          let s = Message.to_string msg in
-          Mailbox.end_get ctx msg;
-          Some s)
-  | Some h -> (
-      match Mailbox.try_begin_get ctx m.raw with
-      | None -> None
-      | Some msg ->
-          let s = Hostlib.read_string ctx h msg in
-          Hostlib.end_get ctx h msg;
-          Some s)
-
 (* ---------- sending ----------
 
    CAB tasks call the transports directly; host tasks place a request in

@@ -47,8 +47,6 @@ val address : mbox -> endpoint
 val receive : Nectar_core.Ctx.t -> mbox -> string
 (** Blocking read (+ free) of the next message. *)
 
-val try_receive : Nectar_core.Ctx.t -> mbox -> string option
-
 (** {1 Messaging} *)
 
 val send :
@@ -82,8 +80,6 @@ val serve : node -> port:int -> (Nectar_core.Ctx.t -> string -> string) -> unit
     forwarded into host mailboxes and the handler runs in a host process
     (the paper's "invoke a service on the host by placing a request in a
     mailbox that is read by a host process"). *)
-
-val fresh_port : node -> int
 
 (** {1 Presentation layer}
 

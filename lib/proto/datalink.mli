@@ -115,15 +115,6 @@ val drops_bad_len : t -> int
 
 val drops_crc : t -> int
 
-val drops_route_down : t -> int
-(** Sends refused with a typed [Route_down] — the database knew the path
-    was dead, so the frame never reached the wire (distinct from the
-    fabric's [link_down_drops], which blackhole *on* the wire). *)
-
-val drops_no_route : t -> int
-(** Sends refused with a typed [No_route] (statically partitioned pair). *)
-
-val frames_in : t -> int
 val frames_out : t -> int
 
 val register_metrics : t -> Nectar_util.Metrics.t -> prefix:string -> unit

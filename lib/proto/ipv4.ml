@@ -366,11 +366,7 @@ let create dl ?(mtu = 65535) ?(ttl = 32) () =
     };
   t
 
-let datagrams_in t = t.in_count
-let datagrams_out t = t.out_count
 let fragments_out t = t.frag_out
 let reassembled t = t.reass_count
-let drops_header t = t.hdr_drops
-let drops_no_proto t = t.proto_drops
 let drops_reassembly t = t.reass_drops
 let route_drops t = t.route_drops_count

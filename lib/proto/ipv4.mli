@@ -84,12 +84,8 @@ val pseudo_checksum :
 (** RFC 1071 checksum of a transport segment plus the IPv4 pseudo-header
     (used by both UDP and TCP). *)
 
-val datagrams_in : t -> int
-val datagrams_out : t -> int
 val fragments_out : t -> int
 val reassembled : t -> int
-val drops_header : t -> int
-val drops_no_proto : t -> int
 val drops_reassembly : t -> int
 
 val route_drops : t -> int

@@ -42,8 +42,6 @@ let register_service t ~name metrics =
          (Nectar_cab.Cab.name (Nectar_core.Runtime.cab t.rt)));
   t.services <- (name, metrics) :: t.services
 
-let has_service t ~name = List.mem_assoc name t.services
-
 let register_metrics t reg =
   let cab = Nectar_core.Runtime.cab t.rt in
   let prefix = Nectar_cab.Cab.name cab ^ "." in

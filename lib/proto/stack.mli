@@ -55,8 +55,6 @@ val register_service : t -> name:string -> (Nectar_util.Metrics.t -> unit) -> un
     with a clear error rather than at mailbox creation.
     @raise Invalid_argument if [name] is already registered. *)
 
-val has_service : t -> name:string -> bool
-
 val register_metrics : t -> Nectar_util.Metrics.t -> unit
 (** Register this node's datalink/RMP/rpc/TCP/Rx counters and CPU gauges
     into the registry, prefixed with the CAB's name, then each registered

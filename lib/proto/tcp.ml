@@ -870,7 +870,6 @@ let failure c =
   else `None
 
 let state_name c = state_to_string c.st
-let local_port c = c.lport
 let remote c = (c.raddr, c.rport)
 let segments_in t = t.seg_in
 let segments_out t = t.seg_out

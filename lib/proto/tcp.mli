@@ -74,7 +74,6 @@ val close : Nectar_core.Ctx.t -> conn -> unit
 (** Send FIN after pending data; returns once the FIN is acknowledged. *)
 
 val state_name : conn -> string
-val local_port : conn -> int
 val remote : conn -> Ipv4.addr * int
 
 (** {1 Stats (for the benches)} *)

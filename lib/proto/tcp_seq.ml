@@ -16,5 +16,3 @@ let ge a b = diff a b >= 0
 let in_window x ~lo ~len =
   let d = mask (x - lo) in
   d < len
-
-let max_seq a b = if ge a b then a else b

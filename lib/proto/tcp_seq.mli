@@ -13,5 +13,3 @@ val ge : int -> int -> bool
 
 val in_window : int -> lo:int -> len:int -> bool
 (** Is a sequence number within [lo, lo+len)? *)
-
-val max_seq : int -> int -> int

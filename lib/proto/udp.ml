@@ -93,8 +93,6 @@ let bind t ~port mbox =
   if Hashtbl.mem t.ports port then invalid_arg "Udp.bind: port in use";
   Hashtbl.replace t.ports port mbox
 
-let unbind t ~port = Hashtbl.remove t.ports port
-
 let alloc ctx t n =
   let msg = Ipv4.alloc ctx t.ip (header_bytes + n) in
   Message.adjust_head msg header_bytes;
@@ -128,4 +126,3 @@ let send_string ctx t ~src_port ~dst ~dst_port s =
 
 let datagrams_delivered t = t.delivered_count
 let drops_no_port t = t.no_port
-let drops_checksum t = t.bad_cksum

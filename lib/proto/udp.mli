@@ -17,8 +17,6 @@ val create : Ipv4.t -> ?checksum:bool -> ?icmp:Icmp.t -> unit -> t
 val bind : t -> port:int -> Nectar_core.Mailbox.t -> unit
 (** Deliver datagrams addressed to [port] into the given mailbox. *)
 
-val unbind : t -> port:int -> unit
-
 val alloc : Nectar_core.Ctx.t -> t -> int -> Nectar_core.Message.t
 
 val send :
@@ -41,4 +39,3 @@ val send_string :
 
 val datagrams_delivered : t -> int
 val drops_no_port : t -> int
-val drops_checksum : t -> int

@@ -96,11 +96,4 @@ val matches : predicate -> src:int -> dst:int -> proto:int -> bool
 val rule_for : t -> src:int -> dst:int -> proto:int -> rule
 (** First matching rule, or the implicit shortest-path rule. *)
 
-val rule_shortest : rule
-(** The implicit catch-all: [{ where = Any; prefer = [Shortest];
-    ecmp = false }]. *)
-
-val predicate_to_string : predicate -> string
-val preference_to_string : preference -> string
-val rule_to_string : rule -> string
 val to_string : t -> string

@@ -327,11 +327,6 @@ let invalidate_stale t =
     t.table;
   t.invalidated <- t.invalidated + (before - Tbl.length t.table)
 
-let invalidate_all t =
-  t.invalidated <- t.invalidated + Tbl.length t.table;
-  Tbl.reset t.table;
-  t.generation <- t.generation + 1
-
 let recompute t ~up =
   if up then begin
     (* a restored link can improve any route: flush the database *)

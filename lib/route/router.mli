@@ -74,10 +74,6 @@ val string_of_error : verify_error -> string
 
 (** {1 Recompute control} *)
 
-val invalidate_all : t -> unit
-(** Flush the whole database (next lookups recompile); bumps the
-    generation. *)
-
 val generation : t -> int
 (** Incremented on every recompute/flush. *)
 

@@ -19,8 +19,6 @@ val ms : int -> span
 val s : int -> span
 
 val to_us : t -> float
-val to_ms : t -> float
-val to_s : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

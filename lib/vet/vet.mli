@@ -77,7 +77,6 @@ val findings : unit -> finding list
 val failures : unit -> finding list
 (** Findings that should fail a vet run ([Warning] and [Error]). *)
 
-val severity_name : severity -> string
 val pp_finding : Format.formatter -> finding -> unit
 
 val report : unit -> string
