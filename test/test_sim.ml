@@ -827,6 +827,9 @@ let test_summary () =
 
 let test_summary_percentile_edges () =
   let s = Summary.create () in
+  Alcotest.check_raises "empty rejected"
+    (Invalid_argument "Summary.percentile: empty") (fun () ->
+      ignore (Summary.percentile s 0.5));
   Summary.add s 7;
   Alcotest.(check (float 1e-9)) "p=0 of one sample" 7.
     (Summary.percentile s 0.);
