@@ -269,21 +269,10 @@ let check_source path =
 
 let corpus_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
 
-(* the identifier words of a line, in order *)
 let words line =
-  let n = String.length line in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else if is_ident_char line.[i] then begin
-      let j = ref i in
-      while !j < n && is_ident_char line.[!j] do
-        incr j
-      done;
-      go !j (String.sub line i (!j - i) :: acc)
-    end
-    else go (i + 1) acc
-  in
-  go 0 []
+  String.map (fun c -> if is_ident_char c then c else ' ') line
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> w <> "")
 
 (* [val name :] at any indentation, so vals of nested signatures count *)
 let val_name line =
@@ -303,24 +292,24 @@ let rec source_files path acc =
   then path :: acc
   else acc
 
-(* [(word, module)] pairs: a module is a path without its .ml/.mli
-   suffix, so a file's own implementation and interface share one *)
+(* word -> [Some m] when module [m] alone names it, [None] when several
+   do; a module is a path without its .ml/.mli suffix, so a file's own
+   implementation and interface count as one *)
 let word_users () =
   let users = Hashtbl.create 4096 in
+  let note m w =
+    match Hashtbl.find_opt users w with
+    | None -> Hashtbl.replace users w (Some m)
+    | Some (Some m') when not (String.equal m m') -> Hashtbl.replace users w None
+    | Some _ -> ()
+  in
   List.iter
     (fun dir ->
       if Sys.file_exists dir then
         List.iter
           (fun path ->
             let m = Filename.remove_extension path in
-            List.iter
-              (fun line ->
-                List.iter
-                  (fun w ->
-                    if not (List.mem m (Hashtbl.find_all users w)) then
-                      Hashtbl.add users w m)
-                  (words line))
-              (read_lines path))
+            List.iter (fun line -> List.iter (note m) (words line)) (read_lines path))
           (source_files dir []))
     corpus_dirs;
   users
@@ -330,8 +319,7 @@ let check_exports users path =
   List.iteri
     (fun i line ->
       match val_name line with
-      | Some name
-        when List.for_all (String.equal own) (Hashtbl.find_all users name) ->
+      | Some name when Hashtbl.find_opt users name = Some (Some own) ->
           flag path (i + 1)
             ("val " ^ name ^ " is used by no module but " ^ own
            ^ ": delete it, or drop it from the .mli")
